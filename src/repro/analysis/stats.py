@@ -10,7 +10,6 @@ exactly why the paper validates selections across folds).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["accuracy_p_value", "significant_voxels", "benjamini_hochberg"]
 
@@ -23,6 +22,10 @@ def accuracy_p_value(accuracy: float, n_samples: int, chance: float = 0.5) -> fl
         raise ValueError("n_samples must be >= 1")
     if not 0.0 < chance < 1.0:
         raise ValueError("chance must be in (0, 1)")
+    # Imported at its one use: scipy.stats costs ~0.3 s, which every
+    # process importing the package (each spawned TCP worker) would pay.
+    from scipy import stats
+
     successes = int(round(accuracy * n_samples))
     result = stats.binomtest(successes, n_samples, chance, alternative="greater")
     return float(result.pvalue)

@@ -31,7 +31,6 @@ from .normalization import (
     NormalizationWorkspace,
     fisher_z,
     fuse_normalize_tile,
-    fused_normalize_sweep,
     normalize_separated,
     zscore_within_subject,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "epoch_windows",
     "fisher_z",
     "fuse_normalize_tile",
-    "fused_normalize_sweep",
     "iter_blocks",
     "kernel_matrix_baseline",
     "kernel_matrix_batched",

@@ -44,8 +44,8 @@ __all__ = [
 class BlockingPlan:
     """Tile sizes for the blocked stage-1/2 pipeline."""
 
-    #: Assigned voxels per tile (``B`` in Fig. 5).  The fused batched
-    #: engine uses this as its normalization sweep width.
+    #: Assigned voxels per tile (``B`` in Fig. 5).  The tiled engine
+    #: keeps all rows in a tile and scales the tile's bytes by this.
     voxel_block: int
     #: Target (brain) voxels per tile (``B'`` in Fig. 5).
     target_block: int
@@ -214,11 +214,12 @@ def default_plan_cache() -> PlanCache:
 def _candidate_plans(seed: BlockingPlan, n_assigned: int) -> list[BlockingPlan]:
     """The autotuner's menu: the analytic seed plus voxel-block variants.
 
-    The voxel block doubles as the fused engine's normalization sweep
-    width, and its sweet spot sits on a cache-tier boundary the analytic
-    model cannot see — so that is the dimension worth measuring.  Target
-    and epoch blocks stay at the analytic values (the epoch block is
-    semantically pinned to one subject).
+    The voxel block scales the engine's column tile
+    (:class:`~repro.core.engine.DenseEmitter`), and its sweet spot sits
+    on a cache-tier boundary the analytic model cannot see — so that is
+    the dimension worth measuring.  Target and epoch blocks stay at the
+    analytic values (the epoch block is semantically pinned to one
+    subject).
     """
     candidates: list[BlockingPlan] = [seed]
     seen = {seed.voxel_block}
@@ -251,10 +252,10 @@ def _time_plan(
     a capped synthetic slice of the problem (deterministic inputs, at
     most 32 assigned voxels x 96 epochs x 4096 targets) so autotuning
     costs milliseconds, not a full stage-1/2 pass.  The epoch count uses
-    six subject panels (capped) rather than one: the normalization
-    slab is ``sweep x epochs x targets`` bytes, so measuring with too
-    few epochs shifts the L2 knee and picks a sweep too wide for the
-    real problem.
+    six subject panels (capped) rather than one: a tile's column width
+    is its byte budget over ``rows x epochs``, so measuring with too few
+    epochs shifts the L2 knee and picks a tile too wide for the real
+    problem.
     """
     import numpy as np
 

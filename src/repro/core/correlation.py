@@ -22,9 +22,10 @@ Numerically equivalent paths, slowest to fastest:
 * :func:`correlate_batched` — the whole task as a single epoch-batched
   matmul ``(E, V, T) @ (E, T, N)`` written straight into the voxel-major
   output through an axis swap.
-* :func:`correlate_normalize_batched` — the fused stage-1/2 engine: the
-  single batched matmul followed by the L2-sized phased voxel sweep of
-  :func:`repro.core.normalization.fused_normalize_sweep`.
+* :func:`correlate_normalize_batched` — the fused stage-1/2 engine
+  (:func:`repro.core.engine.run_engine` with a dense emitter): the same
+  batched matmul cut into L2-sized column tiles, each normalized while
+  cache-resident and dealt to the engine's thread pool.
 
 Output layout is always **voxel-major**: ``out[v, e, :]`` is voxel ``v``'s
 correlation vector for epoch ``e``, i.e. "all correlation vectors
@@ -281,30 +282,22 @@ def correlate_normalize_batched(
     out: np.ndarray | None = None,
     workspace: NormalizationWorkspace | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Fused batched stage 1/2: one epoch-batched gemm, then an L2-sized
-    voxel sweep of the vectorized merged normalization.
+    """Fused batched stage 1/2 of one task, dense output.
 
-    The gemm writes the whole task voxel-major in a single dispatch
-    (:func:`correlate_batched`); normalization then walks the output in
-    ``voxel_sweep``-voxel slices via
-    :func:`~repro.core.normalization.fused_normalize_sweep`, which keeps
-    the seven stage-2 vector passes slab-sized (cache-resident instead
-    of streaming the full task from DRAM seven times) while hoisting the
-    small side-buffer ops out of the sweep loop.  ``voxel_sweep`` is the
-    fused engine's ``B``; the blocking planner (``plan_blocks``) chooses
-    it, and the autotuner measures it per machine.  ``None`` normalizes
-    the whole task in one slice.
+    A thin shim over the tiled engine with a
+    :class:`~repro.core.engine.DenseEmitter`: the task is cut into
+    L2-sized column tiles, each gemm-ed, normalized in cache and copied
+    into ``out``.  ``voxel_sweep`` is the blocking planner's ``B``
+    (``plan_blocks`` chooses it, the autotuner measures it); it scales
+    the tile, never the result.
 
     Normalized values are bitwise-equal to running
-    ``normalize_separated`` on the same gemm output, for any sweep.
+    ``normalize_separated`` on :func:`correlate_batched`'s whole-task
+    gemm, for any tile width and thread budget (pinned by
+    ``tests/core/test_stage12_equivalence.py``).
 
-    This is a thin shim over the tiled engine: a
-    :class:`~repro.core.engine.DenseEmitter` run in full-width mode
-    reproduces the historical single-gemm + phased-sweep sequence
-    bitwise (pinned by ``tests/core/test_stage12_equivalence.py``).
-
-    Returns ``(out, n_tiles)`` where ``n_tiles`` is the number of sweep
-    slices normalized (the ``stage12_tiles`` RunContext counter).
+    Returns ``(out, n_tiles)`` where ``n_tiles`` is the number of column
+    tiles walked (the ``stage12_tiles`` RunContext counter).
     """
     emitter = DenseEmitter(voxel_sweep=voxel_sweep, out=out)
     result: tuple[np.ndarray, int] = run_engine(

@@ -1,60 +1,47 @@
-"""The tiled stage-1/2 engine: one compute loop, pluggable materialization.
+"""The tiled stage-1/2 engine: one tile walk, pluggable materialization.
 
 The fused correlation+normalization compute — equation-2 gemm, Fisher
-transform (eq. 4), within-subject z-score (eq. 5) — used to live in
-three near-copies: the dense fused path
-(:func:`repro.core.correlation.correlate_normalize_batched`), the
-sparse CSR path
-(:func:`repro.core.sparse.correlate_normalize_sparse_batched`), and the
-naive per-epoch re-run inside :mod:`repro.rtfmri`.  This module is the
-single engine those entry points now shim over: :func:`run_engine`
-walks the blocking-plan tiles, runs the epoch-batched gemm and the
-fused normalizer once, and hands each cache-resident tile to a
-pluggable :class:`TileEmitter` that decides what the output *is* —
-a dense array, CSR fragments, or an incremental sliding-window store.
+transform (eq. 4), within-subject z-score (eq. 5) — is one loop.
+:func:`run_engine` walks ``(voxel sweep) x (target-column block)``
+tiles; each tile is gemm-ed, normalized by
+:func:`~repro.core.normalization.fuse_normalize_tile` and handed to a
+pluggable :class:`TileEmitter` *while it is still cache-resident*
+(paper ideas #1 and #2).  The emitter decides what the output *is* — a
+dense array, CSR fragments, or an incremental sliding-window store.
 
-Two walk modes, selected by the emitter's :class:`TilePlan`:
+The column tiles of one sweep are dealt to a small thread pool
+(:func:`deal`; numpy releases the GIL inside matmul and the ufuncs).
+Its size is derived, never configured: :func:`thread_budget` is this
+process's CPU affinity divided by the worker processes/ranks the
+executor placed on the host (:func:`set_host_workers`); a budget of 1
+runs the same loop inline.  The pool lives for one deal, so nothing
+survives into a fork.
 
-* **full-width** (``target_block=None``) — one whole-task epoch-batched
-  gemm, then a voxel sweep of the phased normalizer.  This is the dense
-  engine's shape and is *required* for bitwise reproduction of the
-  historical dense results: BLAS may pick different accumulation
-  kernels per gemm shape, so only the identical single-gemm dispatch
-  returns the identical bits.
-* **tiled** — per-tile gemms of ``(voxel_sweep, E, target_block)``
-  blocks with the same scratch-tile reuse the sparse engine used, each
-  tile normalized in cache by
-  :func:`~repro.core.normalization.fuse_normalize_tile` (bitwise-equal
-  to the sweep) and emitted before the next tile overwrites it.  Peak
-  memory is one tile, never the dense volume.
-
-Bitwise contracts the emitters pin (see
-``tests/core/test_engine.py`` and the equivalence suites):
-
-* ``DenseEmitter`` reproduces ``correlate_normalize_batched`` exactly;
-* ``CSREmitter`` (in :mod:`repro.core.sparse`) reproduces
-  ``correlate_normalize_sparse_batched`` exactly, including tau/top-k
-  tie-breaks and ``sparse_tile_plan`` sizing;
-* ``IncrementalEmitter`` (in :mod:`repro.core.incremental`) produces
-  per-epoch planes bitwise-equal to slices of the batch gemm, so a
-  sliding window re-normalized per TR equals batch recompute exactly.
+Bitwise contract: a task is split by **columns, never by assigned
+rows**.  A gemm restricted to a column block returns the bits of the
+same columns of the whole-task gemm, and the normalizer reduces along
+epochs only, so every emitter's result is independent of the tile
+width and of the thread budget.  Row slabs are *not* invariant (narrow
+slabs reach a different BLAS edge kernel), which is why
+``DenseEmitter`` keeps all assigned rows in one sweep; ``CSREmitter``
+sweeps rows and is anchored to its own tiling.  Pinned in
+``tests/core/test_engine.py`` and the equivalence suites.
 """
 
 from __future__ import annotations
 
+import os
+import queue
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from ..obs.live.runtime import current_live
-from .normalization import (
-    NormalizationWorkspace,
-    fuse_normalize_tile,
-    fused_normalize_sweep,
-)
-from .tiling import iter_blocks
+from .normalization import NormalizationWorkspace, fuse_normalize_tile
+from .tiling import block_bounds, iter_blocks
 
 __all__ = [
     "EngineShape",
@@ -62,12 +49,80 @@ __all__ = [
     "TileEmitter",
     "DenseEmitter",
     "run_engine",
+    "gemm_normalize_tile",
+    "gemm_safe_block",
+    "thread_budget",
+    "set_host_workers",
+    "deal",
     "check_stage1_inputs",
     "validate_dense_out",
     "register_emitter",
     "create_emitter",
     "available_emitters",
 ]
+
+#: Worker processes/ranks the executor placed on this host; they share
+#: the affinity mask equally (see :func:`thread_budget`).
+_host_workers = 1
+
+
+def set_host_workers(n: int) -> int:
+    """Declare how many workers share this host; returns the old value."""
+    global _host_workers
+    if n < 1:
+        raise ValueError("host worker count must be >= 1")
+    previous, _host_workers = _host_workers, n
+    return previous
+
+
+def thread_budget() -> int:
+    """Threads one engine/Gram call may use: this process's share of
+    the CPUs it is allowed to run on, at least 1.
+
+    The BLAS thread count does not enter.  An L2-sized tile's gemm is
+    below the size at which BLAS starts its own threads, so under the
+    default many-threaded BLAS the engine pool is what uses the cores
+    (measured in docs/perf-models.md: dividing the budget by the BLAS
+    threads ran 10 % slower than the parent, not dividing 29 % faster).
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, cpus // _host_workers)
+
+
+def deal(n_items: int, threads: int, work: Callable[[int, int], Any]) -> list[Any]:
+    """``[work(slot, i) for i in range(n_items)]``, the items pulled from
+    one queue by up to ``threads`` slots.
+
+    Slot 0 is the calling thread and the rest a pool that lives for this
+    call only: a process-global pool would be inherited, without its
+    threads, by a ``ProcessPoolExecutor`` fork and deadlock there.
+    Pulling (rather than pre-assigning) shares means a slot on a slow or
+    late-starting core just takes fewer items; at one slot this is the
+    plain loop.  ``work`` may use ``slot`` to index per-thread scratch.
+    """
+    n_slots = max(1, min(threads, n_items))
+    if n_slots == 1:
+        return [work(0, i) for i in range(n_items)]
+    results: list[Any] = [None] * n_items
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(n_items):
+        todo.put(i)
+
+    def drain(slot: int) -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            results[i] = work(slot, i)
+
+    with ThreadPoolExecutor(n_slots - 1) as pool:
+        helpers = [pool.submit(drain, slot) for slot in range(1, n_slots)]
+        drain(0)
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def check_stage1_inputs(
@@ -125,15 +180,9 @@ class EngineShape:
 
 @dataclass(frozen=True)
 class TilePlan:
-    """How the engine walks a task.
-
-    ``target_block=None`` selects full-width mode (one whole-task gemm
-    plus a ``voxel_sweep`` normalization sweep; ``voxel_sweep=None``
-    sweeps the task in one slab).  A ``target_block`` selects tiled
-    mode with per-tile gemms; ``voxel_sweep`` then defaults to all
-    assigned rows.  The distinction is part of the bitwise contract,
-    not a tuning detail — see the module docstring.
-    """
+    """Tile geometry of one task: ``voxel_sweep`` assigned rows by
+    ``target_block`` target columns.  ``None`` means the whole axis;
+    :meth:`resolve` turns both into clamped integers."""
 
     voxel_sweep: int | None = None
     target_block: int | None = None
@@ -146,15 +195,9 @@ class TilePlan:
 
     def resolve(self, shape: EngineShape) -> "TilePlan":
         """Clamp the plan to the task geometry."""
-        if self.target_block is None:
-            sweep = self.voxel_sweep
-            if sweep is not None:
-                sweep = min(sweep, shape.n_assigned)
-            return TilePlan(voxel_sweep=sweep, target_block=None)
-        sweep = self.voxel_sweep if self.voxel_sweep is not None else shape.n_assigned
         return TilePlan(
-            voxel_sweep=min(sweep, shape.n_assigned),
-            target_block=min(self.target_block, shape.n_voxels),
+            voxel_sweep=min(self.voxel_sweep or shape.n_assigned, shape.n_assigned),
+            target_block=min(self.target_block or shape.n_voxels, shape.n_voxels),
         )
 
 
@@ -164,17 +207,24 @@ class TileEmitter(Protocol):
 
     The engine drives one call sequence per run::
 
-        plan(shape) -> begin(shape, resolved_plan)
-        [dense_out(shape)]                # full-width mode only
-        emit(tile, v0, v1, n0, n1) ...    # every tile, row-major order
-        end_sweep(v0, v1)                 # after each voxel sweep's tiles
+        plan(shape) -> begin(shape, resolved_plan) -> dense_out(shape)
+        emit(tile, v0, v1, n0, n1) ...    # every tile of a sweep
+        end_sweep(v0, v1, fragments)      # after each voxel sweep
         finalize() -> result
+
+    ``dense_out`` returns a ``(V, E, N)`` buffer the engine fills tile
+    by tile, or ``None`` when the emitter keeps only what ``emit`` sees.
+    ``emit`` may run on a pool thread, concurrently with other tiles of
+    the same sweep: it must touch only state owned by its tile and
+    *return* what it keeps.  ``end_sweep`` runs on the calling thread
+    and receives those return values in ascending column order, so the
+    engine — not thread arrival — fixes fragment order.  The emitted
+    tile is scratch reused for a later block; copy what you keep.
 
     ``fused_normalization`` declares whether tiles are stage-2
     normalized before ``emit`` (dense/CSR) or arrive as raw stage-1
     correlations (the incremental emitter defers stage 2 to its
-    sliding-window view).  In tiled mode the emitted tile is scratch
-    reused for the next block — an emitter must copy what it keeps.
+    sliding-window view).
     """
 
     fused_normalization: bool
@@ -183,15 +233,40 @@ class TileEmitter(Protocol):
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None: ...
 
-    def dense_out(self, shape: EngineShape) -> np.ndarray: ...
+    def dense_out(self, shape: EngineShape) -> np.ndarray | None: ...
 
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
-    ) -> None: ...
+    ) -> Any: ...
 
-    def end_sweep(self, v0: int, v1: int) -> None: ...
+    def end_sweep(self, v0: int, v1: int, fragments: Sequence[Any]) -> None: ...
 
     def finalize(self) -> Any: ...
+
+
+def gemm_normalize_tile(
+    panel: np.ndarray,
+    zt_block: np.ndarray,
+    tile: np.ndarray,
+    epochs_per_subject: int | None,
+    workspace: NormalizationWorkspace | None = None,
+) -> np.ndarray:
+    """Fused stage 1/2 of one tile, in place in ``tile``.
+
+    ``panel`` is the ``(E, width, T)`` copy of the assigned rows,
+    ``zt_block`` the ``(E, T, cols)`` column block of ``z.swapaxes(1,
+    2)`` and ``tile`` a C-contiguous ``(width, E, cols)`` float32
+    buffer: the epoch-batched gemm lands voxel-major through an
+    axis-swapped view, then the bitwise-exact fused normalizer runs
+    while the tile is cache-resident.  ``epochs_per_subject=None``
+    leaves raw stage-1 correlations.  The one tile body of the engine
+    walk *and* of :func:`repro.parallel.tiled.compute_tile`, so the
+    tiled runtime equals the serial engine by construction.
+    """
+    np.matmul(panel, zt_block, out=tile.swapaxes(0, 1))
+    if epochs_per_subject is not None:
+        fuse_normalize_tile(tile, epochs_per_subject, workspace=workspace)
+    return tile
 
 
 def run_engine(
@@ -201,13 +276,16 @@ def run_engine(
     emitter: TileEmitter,
     *,
     workspace: NormalizationWorkspace | None = None,
+    threads: int | None = None,
 ) -> Any:
     """Run one stage-1/2 task through ``emitter``; returns its result.
 
     ``z`` is equation-2-normalized data ``(E, N, T)``; ``assigned`` the
-    task's voxel rows.  The emitter's plan picks the walk mode; the
-    engine owns the gemms and (when ``emitter.fused_normalization``)
-    the bitwise-exact fused normalizer.
+    task's voxel rows.  The emitter's plan sets the tile geometry; the
+    engine owns the gemms, the (``emitter.fused_normalization``) fused
+    normalizer and the thread deal.  ``threads`` overrides
+    :func:`thread_budget` — an internal argument for tests; results do
+    not depend on it.
     """
     z, assigned = check_stage1_inputs(z, assigned)
     n_epochs, n_voxels, epoch_length = z.shape
@@ -226,108 +304,82 @@ def run_engine(
         epochs_per_subject=epochs_per_subject,
     )
     plan = emitter.plan(shape).resolve(shape)
+    assert plan.voxel_sweep is not None and plan.target_block is not None
+    emitter.begin(shape, plan)
+    out = emitter.dense_out(shape)
+    per_subject = epochs_per_subject if emitter.fused_normalization else None
+    zt = z.swapaxes(1, 2)
+    blocks = block_bounds(n_voxels, plan.target_block)
+    budget = thread_budget() if threads is None else threads
     if workspace is None:
         workspace = NormalizationWorkspace()
-    emitter.begin(shape, plan)
-    if plan.target_block is None:
-        _run_full_width(z, assigned, shape, plan, emitter, workspace)
-    else:
-        _run_tiled(z, assigned, shape, plan, emitter, workspace)
-    return emitter.finalize()
-
-
-def _run_full_width(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    shape: EngineShape,
-    plan: TilePlan,
-    emitter: TileEmitter,
-    workspace: NormalizationWorkspace,
-) -> None:
-    """One whole-task epoch-batched gemm, then a voxel sweep.
-
-    The single full-shape gemm dispatch is what makes dense results
-    reproducible bitwise across refactors (see module docstring), so
-    this mode never splits the matmul.
-    """
-    # Imported here: correlation.py shims over this module, so the
-    # engine reaches its stage-1 building block lazily.
-    from .correlation import correlate_batched
-
-    out = emitter.dense_out(shape)
-    correlate_batched(z, assigned, out=out)
-    n_rows = shape.n_assigned
-    if emitter.fused_normalization:
-        fused_normalize_sweep(
-            out,
-            shape.epochs_per_subject,
-            voxel_sweep=plan.voxel_sweep,
-            workspace=workspace,
-        )
-    sweep = n_rows if plan.voxel_sweep is None else plan.voxel_sweep
-    live = current_live()
-    for v0, v1 in iter_blocks(n_rows, sweep):
-        t_tile = time.perf_counter() if live is not None else 0.0
-        emitter.emit(out[v0:v1], v0, v1, 0, shape.n_voxels)
-        emitter.end_sweep(v0, v1)
-        if live is not None:
-            live.inc("engine_tiles")
-            live.observe("tile_seconds", time.perf_counter() - t_tile)
-
-
-def _run_tiled(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    shape: EngineShape,
-    plan: TilePlan,
-    emitter: TileEmitter,
-    workspace: NormalizationWorkspace,
-) -> None:
-    """Per-tile gemm + in-cache normalize + emit, one tile live at a time.
-
-    The loop structure (sweep-major, scratch tiles keyed on shape,
-    ``panel @ z.T`` through an axis-swapped out view) is the sparse
-    engine's historical loop verbatim — the bitwise anchor for CSR
-    results under any tiling.
-    """
-    assert plan.voxel_sweep is not None and plan.target_block is not None
-    n_epochs, n_voxels = shape.n_epochs, shape.n_voxels
-    zt = z.swapaxes(1, 2)
-    tiles: dict[tuple[int, int], np.ndarray] = {}
+    # Per-thread scratch: one L2 tile plus its normalizer workspace.
+    scratch = [workspace.slot(k) for k in range(max(1, min(budget, len(blocks))))]
+    # A full-width tile is a contiguous row slab of the output: compute
+    # it in place (the incremental emitter's per-epoch plane).
+    in_place = out is not None and len(blocks) == 1 and out.flags.c_contiguous
     live = current_live()
     for v0, v1 in iter_blocks(shape.n_assigned, plan.voxel_sweep):
-        width = v1 - v0
         panel = z[:, assigned[v0:v1]]  # (E, width, T) contiguous copy
-        for n0, n1 in iter_blocks(n_voxels, plan.target_block):
-            nb = n1 - n0
+
+        def tile_body(slot: int, i: int) -> Any:
+            n0, n1 = blocks[i]
             t_tile = time.perf_counter() if live is not None else 0.0
-            tile = tiles.get((width, nb))
-            if tile is None:
-                tile = tiles.setdefault(
-                    (width, nb),
-                    np.empty((width, n_epochs, nb), dtype=np.float32),
-                )
-            np.matmul(panel, zt[:, :, n0:n1], out=tile.swapaxes(0, 1))
-            if emitter.fused_normalization:
-                fuse_normalize_tile(
-                    tile, shape.epochs_per_subject, workspace=workspace
-                )
-            emitter.emit(tile, v0, v1, n0, n1)
+            if out is not None and in_place:
+                tile = out[v0:v1]
+            else:
+                tile = scratch[slot].tile((v1 - v0, n_epochs, n1 - n0))
+            gemm_normalize_tile(
+                panel, zt[:, :, n0:n1], tile, per_subject, scratch[slot]
+            )
+            if out is not None and not in_place:
+                out[v0:v1, :, n0:n1] = tile
+            kept = emitter.emit(tile, v0, v1, n0, n1)
             if live is not None:
                 live.inc("engine_tiles")
                 live.observe("tile_seconds", time.perf_counter() - t_tile)
-        emitter.end_sweep(v0, v1)
+            return kept
+
+        emitter.end_sweep(v0, v1, deal(len(blocks), len(scratch), tile_body))
+    return emitter.finalize()
+
+
+#: Bytes of L2-resident tile each planned voxel row buys (see
+#: :class:`DenseEmitter`).  The planner's own ``B x E x B'`` tile assumes
+#: a compiled kernel; numpy pays ~50 us of dispatch per tile, which only
+#: amortizes from about a megabyte — 8 planned rows (the AVX seed).
+DENSE_TILE_BYTES_PER_ROW = 128 * 1024
+
+#: Tile widths are whole cache lines of float32.
+_COLUMN_QUANTUM = 16
+
+
+def gemm_safe_block(cols: int, shape: EngineShape) -> int:
+    """Widen a column block until no tile of the walk is a one-row or
+    one-column product.  BLAS leaves the gemm path for those, and gemv
+    does not round like the same columns of a gemm — the one way a
+    column split could change the bits."""
+    n = shape.n_voxels
+    cols = n if shape.n_assigned == 1 else min(max(2, cols), n)
+    while cols < n and n % cols == 1:
+        cols += 1
+    return cols
 
 
 class DenseEmitter:
     """Materializes the full dense normalized ``(V, E, N)`` array.
 
-    The engine adapter for the historical
-    :func:`~repro.core.correlation.correlate_normalize_batched` result:
-    full-width mode, fused sweep normalization, output written in place
-    into a caller buffer or one allocation.  ``finalize`` returns
-    ``(out, n_tiles)`` where ``n_tiles`` counts the sweep slabs emitted
-    (the ``stage12_tiles`` counter).
+    All assigned rows form one sweep (the bitwise contract, see the
+    module docstring); the task is cut into column tiles instead.
+    ``voxel_sweep`` is the blocking planner's voxel block ``B`` — its
+    cache-sizing knob, and the dimension the autotuner measures.  It
+    scales the tile and does not slice rows: a tile spends
+    ``B * DENSE_TILE_BYTES_PER_ROW`` bytes on *all* rows, which fixes
+    its column width.  Output lands in
+    a caller buffer or one allocation, which the engine fills tile by
+    tile.  ``finalize`` returns ``(out, n_tiles)``, ``n_tiles`` counting
+    the column tiles walked, ``ceil(N / tile_cols)`` (the
+    ``stage12_tiles`` counter).
     """
 
     fused_normalization = True
@@ -338,18 +390,23 @@ class DenseEmitter:
         voxel_sweep: int | None = None,
         out: np.ndarray | None = None,
     ) -> None:
-        if voxel_sweep is not None and voxel_sweep < 1:
-            raise ValueError("voxel_sweep must be >= 1")
-        self._voxel_sweep = voxel_sweep
+        TilePlan(voxel_sweep=voxel_sweep)  # validates
+        self._rows = 8 if voxel_sweep is None else voxel_sweep  # 8: AVX seed
         self._out = out
-        #: Sweep slabs emitted by the engine (introspection/counters).
+        #: Column tiles walked by the engine, and their width
+        #: (introspection/counters).
         self.n_tiles = 0
+        self.tile_cols = 0
 
     def plan(self, shape: EngineShape) -> TilePlan:
-        return TilePlan(voxel_sweep=self._voxel_sweep, target_block=None)
+        column_bytes = shape.n_assigned * shape.n_epochs * 4
+        cols = self._rows * DENSE_TILE_BYTES_PER_ROW // column_bytes
+        cols = max(_COLUMN_QUANTUM, cols // _COLUMN_QUANTUM * _COLUMN_QUANTUM)
+        return TilePlan(target_block=gemm_safe_block(cols, shape))
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:
-        self.n_tiles = 0
+        assert plan.target_block is not None
+        self.n_tiles, self.tile_cols = 0, plan.target_block
 
     def dense_out(self, shape: EngineShape) -> np.ndarray:
         if self._out is None:
@@ -361,10 +418,10 @@ class DenseEmitter:
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
     ) -> None:
-        self.n_tiles += 1
+        pass  # the engine already copied the tile into dense_out
 
-    def end_sweep(self, v0: int, v1: int) -> None:
-        pass
+    def end_sweep(self, v0: int, v1: int, fragments: Sequence[Any]) -> None:
+        self.n_tiles += len(fragments)
 
     def finalize(self) -> tuple[np.ndarray, int]:
         assert self._out is not None

@@ -13,7 +13,7 @@ engine's streaming materialization:
   (one tile's worth per tile, never a gemm over the whole window).
 * **Per completed epoch** (:meth:`IncrementalEmitter.complete_epoch`)
   the closed epoch's correlation plane is computed once through the
-  tiled engine's full-width gemm — the *same* batched-matmul kernel the
+  tiled engine's whole-task gemm — the *same* batched-matmul kernel the
   offline path uses, which is what keeps the streaming state bitwise-
   equal to batch recompute — and appended to a sliding window of
   per-epoch planes, evicting the oldest beyond ``window_epochs``.
@@ -31,7 +31,7 @@ nothing requires consecutive epochs to span the same number of TRs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Any, Deque, List, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class IncrementalEmitter:
 
     The emitter is also a :class:`~repro.core.engine.TileEmitter`: epoch
     planes are appended by running the engine *onto* the emitter
-    (full-width raw mode — stage 2 is deferred to the window view), so
+    (one raw tile — stage 2 is deferred to the window view), so
     the gemm producing each plane is the batch kernel itself.
     """
 
@@ -112,6 +112,7 @@ class IncrementalEmitter:
         self._vara = np.empty(v, dtype=np.float64)
         self._mask = np.empty((v, n), dtype=bool)
         self._norm_ws = NormalizationWorkspace()
+        self._norm_shape: tuple[Any, ...] = ()
 
         #: Lifetime counters (introspection / RunContext).
         self.trs_seen = 0
@@ -158,10 +159,10 @@ class IncrementalEmitter:
             raise ValueError("no completed epochs in the window")
         return self._window[-1]
 
-    # -- TileEmitter protocol (full-width raw mode) -----------------------
+    # -- TileEmitter protocol (raw stage-1 planes) ------------------------
 
     def plan(self, shape: EngineShape) -> TilePlan:
-        return TilePlan()  # full-width: the batch gemm kernel, one slab
+        return TilePlan()  # one tile: the whole-task batch gemm
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:
         if shape.n_voxels != self._n_voxels:
@@ -186,7 +187,7 @@ class IncrementalEmitter:
     ) -> None:
         pass  # planes are sliced from the run buffer in finalize
 
-    def end_sweep(self, v0: int, v1: int) -> None:
+    def end_sweep(self, v0: int, v1: int, fragments: Sequence[Any]) -> None:
         pass
 
     def finalize(self) -> int:
@@ -273,7 +274,7 @@ class IncrementalEmitter:
     def complete_epoch(self) -> np.ndarray | None:
         """Close the in-progress epoch and append its plane to the window.
 
-        The plane is computed through the engine's full-width batch gemm
+        The plane is computed through the engine's whole-task batch gemm
         on the equation-2-normalized epoch window — identical bits to
         the corresponding slice of an offline batch run — then the TR
         buffer and running sums reset for the next epoch.  Returns the
@@ -343,6 +344,11 @@ class IncrementalEmitter:
         )
         for e, plane in enumerate(self._window):
             stack[:, e, :] = plane
+        if (stack.shape, e_per) != self._norm_shape:
+            # The stack grows while the window fills: hold scratch for
+            # the current shape only, reused once the window is full.
+            self._norm_shape = (stack.shape, e_per)
+            self._norm_ws = NormalizationWorkspace()
         fuse_normalize_tile(stack, e_per, workspace=self._norm_ws)
         return stack
 

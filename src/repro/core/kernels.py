@@ -27,7 +27,8 @@ from typing import Any
 
 import numpy as np
 
-from .correlation import iter_blocks
+from .engine import deal, thread_budget
+from .tiling import block_bounds, iter_blocks
 
 __all__ = [
     "csr_gram_panel",
@@ -112,15 +113,22 @@ def kernel_matrix_blocked(
 
 
 def kernel_matrix_batched(
-    data: np.ndarray, panel_depth: int | None = None
+    data: np.ndarray,
+    panel_depth: int | None = None,
+    *,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Batched syrk: all ``V`` voxel kernels in one stacked GEMM.
 
     ``data`` holds every voxel problem's data matrix stacked on a batch
     axis, shape ``(V, M, N)``; the result is the ``(V, M, M)`` stack of
     linear kernels ``data[v] @ data[v].T``.  With ``panel_depth=None``
-    (the default) this is a single ``np.matmul`` over the stack — one
-    BLAS dispatch for V problems instead of V Python-level calls.  An
+    (the default) this is one stacked ``np.matmul`` per contiguous
+    voxel chunk, the chunks dealt to the engine's thread pool
+    (:func:`~repro.core.engine.deal` over
+    :func:`~repro.core.engine.thread_budget` threads, or ``threads`` —
+    an internal argument for tests); every voxel's product is its own
+    BLAS call either way, so the result does not depend on the split.  An
     integer ``panel_depth`` instead accumulates 96-deep panels with
     triangle-only row bands across the whole batch at once, mirroring
     the Fig. 7 walk with the batch axis innermost in each BLAS call.
@@ -151,11 +159,24 @@ def kernel_matrix_batched(
             f"data must be (problems, samples, features), got {data.shape}"
         )
     data = np.ascontiguousarray(data, dtype=np.float32)
+    v, m, n = data.shape
     if panel_depth is None:
-        return data @ data.transpose(0, 2, 1)
+        out = np.empty((v, m, m), dtype=np.float32)
+        budget = max(1, thread_budget() if threads is None else threads)
+        # One chunk inline; otherwise a few per thread, so a slow core
+        # ends up with fewer of them.
+        n_chunks = 1 if budget == 1 else 4 * budget
+        chunks = block_bounds(v, max(1, -(-v // n_chunks)))
+
+        def gram(slot: int, i: int) -> None:
+            v0, v1 = chunks[i]
+            chunk = data[v0:v1]
+            np.matmul(chunk, chunk.transpose(0, 2, 1), out=out[v0:v1])
+
+        deal(len(chunks), budget, gram)
+        return out
     if panel_depth < 1:
         raise ValueError("panel_depth must be >= 1")
-    v, m, n = data.shape
     out = np.zeros((v, m, m), dtype=np.float32)
     row_band = MICRO_TILE[0]
     for n0, n1 in iter_blocks(n, panel_depth):

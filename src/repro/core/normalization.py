@@ -14,26 +14,17 @@ Three execution strategies, numerically identical:
   tile while it is still cache-resident (optimization idea #2).  Kept as
   the *reference* merged path: it dispatches through the generic
   :func:`fisher_z` / :func:`zscore_within_subject` helpers.
-* :func:`fuse_normalize_tile` — the batched fast path: the same
+* :func:`fuse_normalize_tile` — the engine's fast path: the same
   arithmetic as ``normalize_separated`` (bitwise, including degenerate
   populations) expressed as the minimum number of full-tile vector
   passes, with all scratch buffers owned by a reusable
-  :class:`NormalizationWorkspace`.
-* :func:`fused_normalize_sweep` — the same fast path restructured for
-  the fused stage-1/2 engine
-  (:func:`repro.core.correlation.correlate_normalize_batched`): the
-  big vector passes sweep the task in L2-sized voxel slabs, while the
-  small side-buffer ops (mean/variance scaling, sqrt, degenerate
-  masking) are hoisted out of the sweep loop and issued once for the
-  whole task, cutting per-slab Python dispatch from ~12 ufunc calls
-  to 3.
+  :class:`NormalizationWorkspace`.  :func:`repro.core.engine.run_engine`
+  calls it once per L2-sized tile, right after the tile's gemm.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .tiling import block_bounds
 
 __all__ = [
     "fisher_z",
@@ -42,7 +33,6 @@ __all__ = [
     "MergedNormalizer",
     "NormalizationWorkspace",
     "fuse_normalize_tile",
-    "fused_normalize_sweep",
 ]
 
 #: Correlations are clipped to +-(1 - _CLIP_EPS) before arctanh so that
@@ -152,59 +142,73 @@ class MergedNormalizer:
 
 
 class NormalizationWorkspace:
-    """Reusable scratch buffers for :func:`fuse_normalize_tile`.
+    """Reusable scratch for the engine's tile walk, keyed by shape.
 
-    The fused sweep calls the normalizer once per voxel slice; fresh
-    ``np.empty`` allocations per call would page-fault megabytes of
-    scratch on every tile.  The workspace keeps the (mean, std, square)
-    buffers alive across calls, re-allocating only when the tile shape
-    changes (at most twice per sweep: the steady block and the ragged
-    tail).
+    Fresh ``np.empty`` allocations per tile would page-fault megabytes
+    of scratch on every call.  The workspace keeps the :data:`KEEP` most
+    recently used shapes of each buffer kind — the steady and
+    ragged-tail blocks of both tile axes — so a walk (and a caller that
+    reuses the workspace across tasks) allocates each shape once, while
+    a caller whose shape keeps changing retains a bounded set.
+    ``allocations`` counts buffer sets made.  Not thread-safe: the
+    engine gives pool thread ``k`` its own :meth:`slot`.
     """
 
+    #: Shapes retained per buffer kind: (steady, tail) rows x columns.
+    KEEP = 4
+
     def __init__(self) -> None:
-        self._shape: tuple[int, int, int, int] | None = None
-        self._mean: np.ndarray | None = None
-        self._std: np.ndarray | None = None
-        self._sq: np.ndarray | None = None
-        self._sweep_key: tuple[tuple[int, int, int, int], int] | None = None
-        self._sweep_mean: np.ndarray | None = None
-        self._sweep_std: np.ndarray | None = None
-        self._sweep_sq: np.ndarray | None = None
+        self._norm: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._tiles: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._slots: list[NormalizationWorkspace] = []
+        #: Buffer sets allocated so far (this slot only).
+        self.allocations = 0
+
+    def _held(
+        self,
+        cache: dict[tuple[int, ...], tuple[np.ndarray, ...]],
+        shape: tuple[int, ...],
+        *parts: tuple[int, ...],
+    ) -> tuple[np.ndarray, ...]:
+        held = cache.pop(shape, None)
+        if held is None:
+            if len(cache) == self.KEEP:
+                del cache[next(iter(cache))]  # least recently used
+            held = tuple(np.empty(part, dtype=np.float32) for part in parts)
+            self.allocations += 1
+        cache[shape] = held  # most recently used last
+        return held
 
     def buffers(
         self, grouped_shape: tuple[int, int, int, int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mean, std, sq) scratch for a ``(V, S, E, N)`` grouped tile."""
-        if self._shape != grouped_shape:
-            v, s, _, n = grouped_shape
-            self._mean = np.empty((v, s, 1, n), dtype=np.float32)
-            self._std = np.empty((v, s, 1, n), dtype=np.float32)
-            self._sq = np.empty(grouped_shape, dtype=np.float32)
-            self._shape = grouped_shape
-        assert self._mean is not None and self._std is not None and self._sq is not None
-        return self._mean, self._std, self._sq
-
-    def sweep_buffers(
-        self, grouped_shape: tuple[int, int, int, int], sweep: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scratch for :func:`fused_normalize_sweep` over a full
-        ``(V, S, E, N)`` task: whole-task ``mean`` / ``std`` side buffers
-        (so their scaling ops hoist out of the sweep loop) plus one
-        slab-sized squaring scratch shared by every slab."""
-        key = (grouped_shape, sweep)
-        if self._sweep_key != key:
-            v, s, e, n = grouped_shape
-            self._sweep_mean = np.empty((v, s, 1, n), dtype=np.float32)
-            self._sweep_std = np.empty((v, s, 1, n), dtype=np.float32)
-            self._sweep_sq = np.empty((sweep, s, e, n), dtype=np.float32)
-            self._sweep_key = key
-        assert (
-            self._sweep_mean is not None
-            and self._sweep_std is not None
-            and self._sweep_sq is not None
+        v, s, _, n = grouped_shape
+        mean, std, sq = self._held(
+            self._norm, grouped_shape, (v, s, 1, n), (v, s, 1, n), grouped_shape
         )
-        return self._sweep_mean, self._sweep_std, self._sweep_sq
+        return mean, std, sq
+
+    def tile(self, shape: tuple[int, int, int]) -> np.ndarray:
+        """The ``(V, E, N)`` float32 tile the gemm writes into."""
+        return self._held(self._tiles, shape, shape)[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of scratch retained (this slot only)."""
+        return sum(
+            part.nbytes
+            for cache in (self._norm, self._tiles)
+            for held in cache.values()
+            for part in held
+        )
+
+    def slot(self, k: int) -> "NormalizationWorkspace":
+        """Scratch of pool thread ``k``; thread 0 uses the workspace
+        itself.  Call from the dealing thread, before the deal."""
+        while len(self._slots) < k:
+            self._slots.append(NormalizationWorkspace())
+        return self if k == 0 else self._slots[k - 1]
 
 
 def fuse_normalize_tile(
@@ -277,82 +281,3 @@ def fuse_normalize_tile(
     if vi.size:
         grouped[vi, si, :, ni] = 0.0
     return tile
-
-
-def fused_normalize_sweep(
-    corr: np.ndarray,
-    epochs_per_subject: int,
-    voxel_sweep: int | None = None,
-    eps: float = 1e-12,
-    workspace: NormalizationWorkspace | None = None,
-) -> int:
-    """Whole-task fused normalization as three phased voxel sweeps.
-
-    Same bits as :func:`fuse_normalize_tile` (and therefore
-    ``normalize_separated``), restructured to minimize Python dispatch:
-    the sweep loop issues only the big slab-sized vector ops —
-
-    * phase 1: clip, arctanh, epoch-sum per slab;
-    * phase 2: subtract mean, square, epoch-sum-of-squares per slab;
-    * phase 3: divide by std per slab —
-
-    while every small side-buffer op (the ``1/E`` scalings, sqrt,
-    degenerate-population masking) runs once on the whole-task ``mean``
-    / ``std`` buffers between phases.  Per-slab reductions and
-    elementwise ops are untouched, and the hoisted ops are elementwise
-    on disjoint data, so the result is bitwise-identical for any sweep
-    width.  Locality is unchanged too — a slab is streamed once per
-    phase either way — so the ~9 dispatches saved per slab are pure
-    win on dispatch-bound task shapes.
-
-    ``corr`` is normalized in place; returns the number of sweep slabs
-    (the ``stage12_tiles`` counter).
-    """
-    corr = np.asarray(corr)
-    if corr.dtype != np.float32:
-        raise TypeError(f"expected float32 correlations, got {corr.dtype}")
-    if corr.ndim != 3:
-        raise ValueError(f"expected (V, M, N) correlations, got {corr.shape}")
-    if not corr.flags.c_contiguous:
-        raise TypeError("fused_normalize_sweep requires a C-contiguous array")
-    n_rows, m, n = corr.shape
-    if epochs_per_subject < 1:
-        raise ValueError("epochs_per_subject must be >= 1")
-    if m % epochs_per_subject != 0:
-        raise ValueError(
-            f"epoch count {m} not divisible by epochs_per_subject "
-            f"{epochs_per_subject}"
-        )
-    sweep = n_rows if voxel_sweep is None else min(voxel_sweep, n_rows)
-    if sweep < 1:
-        raise ValueError("voxel_sweep must be >= 1")
-    if workspace is None:
-        workspace = NormalizationWorkspace()
-    e = epochs_per_subject
-    grouped = corr.reshape(n_rows, m // e, e, n)
-    mean, std, sq = workspace.sweep_buffers(grouped.shape, sweep)
-
-    slabs = block_bounds(n_rows, sweep)
-    limit = np.float32(1.0 - _CLIP_EPS)
-    for v0, v1 in slabs:
-        slab = grouped[v0:v1]
-        np.clip(slab, -limit, limit, out=slab)
-        np.arctanh(slab, out=slab)
-        np.add.reduce(slab, axis=2, keepdims=True, out=mean[v0:v1])
-    np.true_divide(mean, e, out=mean, casting="unsafe")
-    for v0, v1 in slabs:
-        slab = grouped[v0:v1]
-        np.subtract(slab, mean[v0:v1], out=slab)
-        sq_slab = sq[: v1 - v0]
-        np.multiply(slab, slab, out=sq_slab)
-        np.add.reduce(sq_slab, axis=2, keepdims=True, out=std[v0:v1])
-    np.true_divide(std, e, out=std, casting="unsafe")
-    np.sqrt(std, out=std)
-    vi, si, ni = np.nonzero(std[:, :, 0, :] <= eps)
-    if vi.size:
-        std[vi, si, 0, ni] = np.inf
-    for v0, v1 in slabs:
-        np.divide(grouped[v0:v1], std[v0:v1], out=grouped[v0:v1])
-    if vi.size:
-        grouped[vi, si, :, ni] = 0.0
-    return len(slabs)

@@ -26,14 +26,15 @@ Equivalence contract: for identical input bits the engine's CSR is
 **bitwise identical** (indptr, indices, data) to
 ``threshold_dense(densify-of-the-tau=0-run)`` because both sides apply
 the same predicate to the same float32 values; against the dense
-engine's single full-width gemm the values agree to float32 tolerance
-(BLAS may pick different accumulation kernels per tile shape).
+emitter, which keeps all assigned rows in one sweep, the values agree
+to float32 tolerance (BLAS may pick a different accumulation kernel for
+a narrow row slab).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -262,9 +263,9 @@ def _assemble(
 ) -> SparseCorrelationResult:
     """CSR from row-id/column/value fragments.
 
-    Fragments may arrive in any tile order; a stable sort by row id
-    restores row-major layout while preserving each row's ascending
-    column order (tiles are visited left to right).
+    The engine hands fragments over in ascending column order within a
+    sweep; a stable sort by row id restores row-major layout while
+    preserving each row's ascending column order.
     """
     n_rows = shape[0] * shape[1]
     if rows_parts:
@@ -319,7 +320,7 @@ class CSREmitter:
     """Filters fused tiles straight to CSR while they are cache-resident.
 
     The engine adapter for the historical
-    :func:`correlate_normalize_sparse_batched` result: tiled mode with
+    :func:`correlate_normalize_sparse_batched` result:
     :func:`sparse_tile_plan` sizing by default, tau filtering per tile
     or per-sweep top-k over an accumulated ``(voxel_sweep, E, N)`` row
     slab.  Both modes see the identical gemm + normalize bits, and the
@@ -381,43 +382,51 @@ class CSREmitter:
                 dtype=np.float32,
             )
 
-    def dense_out(self, shape: EngineShape) -> np.ndarray:
-        raise NotImplementedError("CSREmitter runs in tiled mode only")
+    def dense_out(self, shape: EngineShape) -> None:
+        return None  # nothing dense survives: emit filters each tile
 
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
-    ) -> None:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Tau mode returns the tile's surviving ``(rows, cols, vals)``
+        (``None`` when pruned); top-k mode parks the tile in its own
+        columns of the sweep slab.  Either way only tile-owned state is
+        touched, so tiles of one sweep may emit concurrently."""
         assert self._shape is not None
         width, nb = v1 - v0, n1 - n0
         n_epochs = self._shape[1]
-        self.n_tiles += 1
-        if self._limit is not None:
-            t_rows, t_cols, t_vals = _tau_block(
-                tile.reshape(width * n_epochs, nb), self._limit
-            )
-            if t_rows.size == 0:
-                self.tiles_pruned += 1
-                return
-            self._rows.append(v0 * n_epochs + t_rows)
-            self._cols.append(n0 + t_cols)
-            self._vals.append(t_vals)
-        else:
+        if self._limit is None:
             assert self._slab is not None
             self._slab[:width, :, n0:n1] = tile
-
-    def end_sweep(self, v0: int, v1: int) -> None:
-        if self._top_k is None:
-            return
-        assert self._slab is not None and self._shape is not None
-        width = v1 - v0
-        n_epochs, n_voxels = self._shape[1], self._shape[2]
-        s_rows, s_cols, s_vals = topk_block(
-            self._slab[:width].reshape(width * n_epochs, n_voxels),
-            self._top_k,
+            return None
+        t_rows, t_cols, t_vals = _tau_block(
+            tile.reshape(width * n_epochs, nb), self._limit
         )
-        self._rows.append(v0 * n_epochs + s_rows)
-        self._cols.append(s_cols)
-        self._vals.append(s_vals)
+        if t_rows.size == 0:
+            return None
+        return v0 * n_epochs + t_rows, n0 + t_cols, t_vals
+
+    def end_sweep(
+        self, v0: int, v1: int, fragments: Sequence[Any]
+    ) -> None:
+        assert self._shape is not None
+        self.n_tiles += len(fragments)
+        if self._top_k is None:
+            kept = [f for f in fragments if f is not None]
+            self.tiles_pruned += len(fragments) - len(kept)
+        else:
+            assert self._slab is not None
+            width = v1 - v0
+            n_epochs, n_voxels = self._shape[1], self._shape[2]
+            s_rows, s_cols, s_vals = topk_block(
+                self._slab[:width].reshape(width * n_epochs, n_voxels),
+                self._top_k,
+            )
+            kept = [(v0 * n_epochs + s_rows, s_cols, s_vals)]
+        for rows, cols, vals in kept:
+            self._rows.append(rows)
+            self._cols.append(cols)
+            self._vals.append(vals)
 
     def finalize(self) -> Tuple[SparseCorrelationResult, SparseStage12Stats]:
         assert self._shape is not None

@@ -28,6 +28,7 @@ from numpy.typing import NDArray
 
 from ..cluster.simulator import ClusterConfig, SimulationResult, simulate
 from ..cluster.workload import FoldSpec, TaskSpec, Workload
+from ..core.engine import set_host_workers
 from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
@@ -121,10 +122,15 @@ _WORKER_CONFIG: FCMAConfig | None = None
 _WORKER_SHM: Any = None
 
 
-def _init_worker(handle: SharedDatasetHandle, config: FCMAConfig) -> None:
+def _init_worker(
+    handle: SharedDatasetHandle, config: FCMAConfig, host_workers: int
+) -> None:
     global _WORKER_DATASET, _WORKER_CONFIG, _WORKER_SHM
     _WORKER_DATASET, _WORKER_SHM = attach_shared_dataset(handle)
     _WORKER_CONFIG = config
+    # The pool's processes share this host's cores: each engine call
+    # gets an equal share of them as its thread budget.
+    set_host_workers(host_workers)
     # Warm the task-invariant preprocessing (grouped epochs + normalized
     # windows) once per worker instead of lazily inside the first task.
     preprocess_dataset(_WORKER_DATASET)
@@ -192,7 +198,7 @@ class ProcessPoolExecutor:
                 with _StdProcessPool(
                     max_workers=workers,
                     initializer=_init_worker,
-                    initargs=(handle, config),
+                    initargs=(handle, config, workers),
                 ) as pool:
                     # pool.map yields results lazily *in submission
                     # order* (results
@@ -396,7 +402,13 @@ class MasterWorkerExecutor:
 
                     return _worker_loop(comm, ds, ctx.config, run=run_one)
 
-                results = run_ranks(self.n_workers + 1, spmd, timeout=timeout)
+                # The worker ranks are threads of this process: they
+                # split its cores as their engine thread budgets.
+                alone = set_host_workers(self.n_workers)
+                try:
+                    results = run_ranks(self.n_workers + 1, spmd, timeout=timeout)
+                finally:
+                    set_host_workers(alone)
                 for wctx in worker_ctxs:
                     ctx.merge(wctx)
                 for stats in master_stats:
@@ -450,11 +462,18 @@ class MasterWorkerExecutor:
                 # traffic; snapshots read them straight off the transport.
                 live.set_heartbeat_probe(transport.heartbeat_ages)
             comm = Comm(transport, 0)
+            hosts = transport.peer_hosts()
             comm.bcast(
                 {
                     "config": ctx.config,
                     "dataset": dataset,
                     "partition": self.partition,
+                    # Per rank, the workers sharing its host (and so
+                    # its cores): the divisor of its thread budget.
+                    "host_workers": {
+                        rank: list(hosts.values()).count(host)
+                        for rank, host in hosts.items()
+                    },
                 }
             )
             early_reports: dict[int, Any] = {}

@@ -15,10 +15,11 @@ Two built-in graphs mirror ``FCMAConfig.variant``:
 * ``optimized`` — the paper's idea #2 *merges* normalization into the
   blocked correlation while tiles are L2-resident, so the graph has a
   fused ``correlate+normalize`` node followed by ``score``;
-* ``optimized-batched`` — the fused epoch-batched engine: one 3D batched
-  gemm for the whole task plus an L2-sized voxel sweep of the vectorized
-  normalizer, with the sweep width chosen by the blocking planner
-  (optionally autotuned and plan-cached; see ``core.blocking``).
+* ``optimized-batched`` — the tiled engine (``core.engine``): L2-sized
+  column tiles, each gemm-ed and normalized while cache-resident and
+  dealt to the engine's thread pool, with the tile scaled by the
+  blocking planner's voxel block (optionally autotuned and plan-cached;
+  see ``core.blocking``).
 
 All graphs reproduce the legacy ``run_task`` results bitwise; the
 equivalence is pinned by ``tests/exec/test_stage_graph.py``.
@@ -38,7 +39,7 @@ from ..core.correlation import (
     correlate_blocked,
     stage1_input_copies,
 )
-from ..core.engine import DenseEmitter, run_engine
+from ..core.engine import DenseEmitter, run_engine, thread_budget
 from ..core.kernels import kernel_matrix_baseline, kernel_matrix_blocked
 from ..core.normalization import MergedNormalizer, normalize_separated
 from ..core.results import VoxelScores
@@ -257,6 +258,14 @@ def _resolve_blocking_plan(
     return plan
 
 
+def _note_walk(ctx: RunContext, tile_cols: int) -> None:
+    """Record the engine walk next to the plan it came from: the tile
+    width and the derived thread budget (``fcma run --json``)."""
+    ctx.metadata["blocking_plan"].update(
+        tile_cols=tile_cols, engine_threads=thread_budget()
+    )
+
+
 def _note_emitter(ctx: RunContext, name: str) -> None:
     """Per-emitter RunContext accounting shared by the engine stages."""
     ctx.metadata["emitter"] = name
@@ -275,6 +284,7 @@ def _correlate_batched_fused(
 
     with ctx.tracer.span("correlate_normalize_batched", kind="kernel") as span:
         corr, n_tiles = run_engine(z, assigned, e_per_subject, emitter)
+        _note_walk(ctx, emitter.tile_cols)
         span.add_metric("tiles", float(n_tiles))
         span.add_metric("voxels", float(assigned.size))
         span.add_metric("bytes_moved", float(z.nbytes + corr.nbytes))
@@ -311,6 +321,7 @@ def _correlate_sparse_fused(
 
     with ctx.tracer.span("correlate_normalize_sparse", kind="kernel") as span:
         result, stats = run_engine(z, assigned, e_per_subject, emitter)
+        _note_walk(ctx, t_block)
         span.add_metric("tiles", float(stats.n_tiles))
         span.add_metric("tiles_pruned", float(stats.tiles_pruned))
         span.add_metric("voxels", float(assigned.size))

@@ -38,12 +38,14 @@ def parse_endpoint(value: str) -> tuple[str, int]:
 def run_worker(comm: Comm) -> int:
     """The SPMD worker body every transport shares.
 
-    Receives ``{"config", "dataset", "partition"}`` from the rank-0
-    broadcast, pulls work until stopped, then reports telemetry:
+    Receives ``{"config", "dataset", "partition", "host_workers"}``
+    from the rank-0 broadcast, pulls work until stopped, then reports
+    telemetry:
     ``{"export": <RunContext.export()>, "stats": <comm byte counters>,
     "completed": <n items>}`` under TAG_DONE.  Returns the completed
     item count.
     """
+    from ..core.engine import set_host_workers
     from ..exec.context import RunContext
     from ..exec.stage_graph import execute_task
 
@@ -51,6 +53,7 @@ def run_worker(comm: Comm) -> int:
     config = setup["config"]
     dataset = setup["dataset"]
     partition = setup.get("partition", "rows")
+    set_host_workers(setup.get("host_workers", {}).get(comm.rank, 1))
     ctx = RunContext(config)
     if partition == "tiles":
         completed = tiled_worker_loop(comm, dataset, config, ctx)

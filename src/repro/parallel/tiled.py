@@ -9,10 +9,9 @@ Correlation Computation on Intel Xeon Phi Clusters*:
 
 * **Tile tasks.**  :func:`repro.exec.partition.partition_tiles` carves
   row panels × column blocks; a worker computes one tile's fused
-  stage 1/2 (per-tile gemm + in-cache
-  :func:`~repro.core.normalization.fuse_normalize_tile`, the bitwise
-  tiling-invariant kernel of the engine's tiled mode) and returns the
-  normalized block.
+  stage 1/2 (:func:`~repro.core.engine.gemm_normalize_tile`, the
+  bitwise column-invariant tile body of the engine walk) and returns
+  the normalized block.
 * **Owner-computes merge.**  The master owns panel assembly
   (:class:`~repro.core.results.PanelAssembler`): tiles land in any
   order from any worker; a completed panel immediately becomes a
@@ -49,7 +48,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ..core.normalization import NormalizationWorkspace, fuse_normalize_tile
+from ..core.engine import gemm_normalize_tile
+from ..core.normalization import NormalizationWorkspace
 from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import PanelAssembler, VoxelScores
 from ..data.dataset import FMRIDataset
@@ -93,24 +93,25 @@ def compute_tile(
 ) -> np.ndarray:
     """Fused stage-1/2 of one 2-D tile: gemm + in-cache normalize.
 
-    Same arithmetic as the engine's tiled mode
-    (:func:`repro.core.engine._run_tiled`): ``panel @ z.T`` through an
-    axis-swapped output view, then the bitwise-exact fused normalizer.
-    The result is a fresh C-contiguous float32 ``(rows, E, cols)``
-    block, safe to ship.  ``panel`` lets the caller reuse the
-    ``z[:, rows]`` contiguous copy across column tiles of one row
-    panel.
+    The engine's own tile body
+    (:func:`repro.core.engine.gemm_normalize_tile`) on a fresh
+    C-contiguous float32 ``(rows, E, cols)`` block, safe to ship — so
+    "bitwise equal to serial" holds by construction.  ``panel`` lets
+    the caller reuse the ``z[:, rows]`` contiguous copy across column
+    tiles of one row panel.
     """
-    n_epochs = z.shape[0]
     if panel is None:
         panel = z[:, rows]  # (E, width, T) contiguous copy
     tile = np.empty(
-        (rows.size, n_epochs, col_stop - col_start), dtype=np.float32
+        (rows.size, z.shape[0], col_stop - col_start), dtype=np.float32
     )
-    zt = z.swapaxes(1, 2)
-    np.matmul(panel, zt[:, :, col_start:col_stop], out=tile.swapaxes(0, 1))
-    fuse_normalize_tile(tile, epochs_per_subject, workspace=workspace)
-    return tile
+    return gemm_normalize_tile(
+        panel,
+        z.swapaxes(1, 2)[:, :, col_start:col_stop],
+        tile,
+        epochs_per_subject,
+        workspace,
+    )
 
 
 def score_panel(

@@ -386,6 +386,10 @@ class TcpTransport:
         """Worker ranks still connected (master endpoint only)."""
         return sorted(r for r, p in self._peers.items() if p.alive)
 
+    def peer_hosts(self) -> dict[int, str]:
+        """Address each worker rank connected from (master endpoint only)."""
+        return {r: p.sock.getpeername()[0] for r, p in self._peers.items()}
+
     def heartbeat_ages(self) -> dict[int, float]:
         """Seconds since each live worker was last heard from.
 

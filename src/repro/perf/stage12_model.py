@@ -1,25 +1,27 @@
-"""Access-pattern model of the fused batched stage-1/2 engine.
+"""Access-pattern model of the tiled stage-1/2 engine (dense emitter).
 
-The fused engine (:func:`repro.core.correlation.correlate_normalize_batched`)
-replaces two Python-dispatch-bound loops:
+The engine (:func:`repro.core.engine.run_engine`) replaces two
+Python-dispatch-bound loops:
 
 * the blocked stage-1 loop issued one tiny ``(B, T) x (T, B')`` gemm per
-  epoch per tile plus a per-tile normalization callback — the batched
-  engine issues **one** 3D gufunc matmul for the whole task;
-* stage-2 normalization then sweeps the voxel-major output in
-  ``voxel_sweep``-voxel slabs, so its seven full-slab vector passes
-  (clip, arctanh, sum, subtract, square, sum, divide) run against a
-  cache-resident slab instead of re-streaming the task from DRAM seven
-  times.
+  epoch per tile plus a per-tile normalization callback — the engine
+  issues **one** epoch-batched gufunc matmul per tile;
+* stage 2 runs on that tile before it leaves cache, so its seven
+  full-tile vector passes (clip, arctanh, sum, subtract, square, sum,
+  divide) are cache traffic instead of re-streaming the task from DRAM
+  seven times.
 
 What the model captures is therefore (a) **dispatch amortization** —
-thousands of interpreter/BLAS fixed costs collapse to a handful — and
-(b) **sweep residency** — whether a normalization slab (plus its
-equal-size squaring scratch) fits the thread's L2 share decides whether
-the post-clip passes are cache traffic or DRAM traffic.  This is the
-quantity the blocking autotuner (``core.blocking``) measures directly;
-the model explains *why* small sweeps win and supplies the analytic
-seed's expected ordering.
+thousands of interpreter/BLAS fixed costs collapse to a dozen per
+megabyte-sized tile — and (b) **tile residency** — whether a tile
+(plus its equal-size squaring scratch) fits the thread's L2 share
+decides whether the post-clip passes are cache traffic or DRAM
+traffic.  The engine cuts a task by columns and keeps all rows in a
+tile; the model measures the same cache unit in row-equivalents:
+``voxel_sweep`` is ``V / tiles``, a slab holding as many bytes as one
+column tile.  This is the quantity the blocking autotuner
+(``core.blocking``) measures directly; the model explains *why* small
+units win and supplies the analytic seed's expected ordering.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .batched_model import DISPATCH_OVERHEAD_SECONDS
 __all__ = [
     "DISPATCH_OVERHEAD_SECONDS",
     "NORM_VECTOR_PASSES",
+    "TILE_DISPATCHES",
     "BatchedStage12Shape",
     "batched_stage12_shape_for",
     "model_batched_stage12",
@@ -49,6 +52,11 @@ __all__ = [
 #: side buffers are ``1/E`` the slab size and ignored.
 NORM_VECTOR_PASSES = 7
 
+#: Python-level dispatches per engine tile: the batched gemm, the
+#: normalizer's seven vector passes and four side-buffer ops, and the
+#: copy into the dense output.
+TILE_DISPATCHES = 13
+
 
 @dataclass(frozen=True)
 class BatchedStage12Shape:
@@ -58,7 +66,7 @@ class BatchedStage12Shape:
     n_assigned: int  # V
     epoch_len: int   # T
     n_voxels: int    # N
-    #: Normalization sweep width (``BlockingPlan.voxel_block``).
+    #: Cache unit in row-equivalents: ``V / tiles`` (see module docs).
     voxel_sweep: int
     #: Tile sizes of the *pre-batching* blocked loop being replaced
     #: (for the dispatch-amortization comparison).
@@ -90,16 +98,14 @@ class BatchedStage12Shape:
 
     @property
     def n_sweep_tiles(self) -> int:
-        """Slabs the normalization sweep visits (the tiles counter)."""
+        """Tiles the engine walks (the ``stage12_tiles`` counter)."""
         return math.ceil(self.n_assigned / self.voxel_sweep)
 
     @property
     def fused_dispatches(self) -> int:
-        """Python-level dispatches of the fused engine: one batched gemm
-        plus three phased normalization passes per sweep slab (the
-        handful of whole-task side-buffer ops hoisted out of the sweep
-        loop are O(1) and ignored)."""
-        return 1 + 3 * self.n_sweep_tiles
+        """Python-level dispatches of the engine:
+        :data:`TILE_DISPATCHES` per tile."""
+        return TILE_DISPATCHES * self.n_sweep_tiles
 
     @property
     def loop_dispatches(self) -> int:
@@ -140,8 +146,8 @@ def stage12_dispatch_amortization(shape: BatchedStage12Shape) -> float:
 
 
 def sweep_slab_bytes(shape: BatchedStage12Shape, dtype_bytes: int = 4) -> int:
-    """Live bytes of one normalization slab: the ``(sweep, E, N)`` slice
-    plus the equal-size squaring scratch the workspace holds."""
+    """Live bytes of one cache unit: a tile as large as a ``(sweep, E,
+    N)`` slab plus the equal-size squaring scratch the workspace holds."""
     slab = shape.voxel_sweep * shape.n_epochs * shape.n_voxels * dtype_bytes
     return 2 * slab
 
@@ -149,7 +155,7 @@ def sweep_slab_bytes(shape: BatchedStage12Shape, dtype_bytes: int = 4) -> int:
 def sweep_fits_l2(
     shape: BatchedStage12Shape, hw: HardwareSpec, cache_fraction: float = 0.8
 ) -> bool:
-    """Whether a sweep slab stays resident in one thread's L2 share.
+    """Whether a tile stays resident in one thread's L2 share.
 
     This is the knee the autotuner finds empirically: below it the six
     post-clip passes run at cache bandwidth, above it each pass
@@ -171,13 +177,13 @@ def model_batched_stage12(
 
     Miss accounting (lines of ``hw.l2.line_bytes``):
 
-    * gemm: output write-allocate + one streaming read of B + A — the
-      single batched pass reads B exactly once, so the blocked path's
-      per-voxel-block B re-reads disappear entirely (no remote-L2 term);
+    * gemm: output write-allocate + one streaming read of B + A — all
+      rows sit in every tile, so B is read exactly once and the blocked
+      path's per-voxel-block B re-reads disappear (no remote-L2 term);
     * normalization: one read+write pass over C always (clip/arctanh);
       the remaining :data:`NORM_VECTOR_PASSES` - 1 passes are free when
-      the sweep slab fits L2 (:func:`sweep_fits_l2`), else each
-      re-streams C from DRAM.
+      the tile fits L2 (:func:`sweep_fits_l2`), else each re-streams C
+      from DRAM.
 
     The estimate's time excludes Python dispatch cost; add
     ``shape.fused_dispatches * DISPATCH_OVERHEAD_SECONDS`` (versus

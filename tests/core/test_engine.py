@@ -1,7 +1,7 @@
 """Engine/emitter conformance: the protocol contract and the registry.
 
 Every emitter must observe the same call sequence from
-:func:`repro.core.engine.run_engine` — ``plan -> begin -> [dense_out] ->
+:func:`repro.core.engine.run_engine` — ``plan -> begin -> dense_out ->
 emit* / end_sweep* -> finalize`` — and the built-in emitters must
 reproduce their pre-refactor entry points bitwise (pinned in
 ``test_stage12_equivalence.py`` / ``test_sparse_equivalence.py`` /
@@ -10,10 +10,20 @@ reproduce their pre-refactor entry points bitwise (pinned in
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.correlation import normalize_epoch_data
+import repro
+from repro.core import engine as engine_mod
+from repro.core.correlation import correlate_batched, normalize_epoch_data
 from repro.core.engine import (
     DenseEmitter,
     EngineShape,
@@ -21,10 +31,13 @@ from repro.core.engine import (
     TilePlan,
     available_emitters,
     create_emitter,
+    gemm_safe_block,
     register_emitter,
     run_engine,
 )
 from repro.core.incremental import IncrementalEmitter
+from repro.core.kernels import kernel_matrix_batched
+from repro.core.normalization import NormalizationWorkspace, normalize_separated
 from repro.core.sparse import CSREmitter
 
 
@@ -36,6 +49,18 @@ def _problem(n_epochs=6, n_voxels=23, epoch_len=7, n_assigned=9, seed=3):
     assigned = rng.choice(n_voxels, size=n_assigned, replace=False)
     assigned.sort()
     return z, assigned
+
+
+class BlockedDense(DenseEmitter):
+    """A dense emitter whose column block the test chooses (made
+    gemm-safe like the real plan), instead of deriving it from bytes."""
+
+    def __init__(self, cols: int, **kwargs):
+        super().__init__(**kwargs)
+        self._cols = cols
+
+    def plan(self, shape: EngineShape) -> TilePlan:
+        return TilePlan(target_block=gemm_safe_block(self._cols, shape))
 
 
 class RecordingEmitter:
@@ -59,11 +84,12 @@ class RecordingEmitter:
         self._out = np.empty(shape.dense_shape, dtype=np.float32)
         return self._out
 
-    def emit(self, tile, v0, v1, n0, n1) -> None:
+    def emit(self, tile, v0, v1, n0, n1):
         self.calls.append(("emit", v0, v1, n0, n1, tile.shape))
+        return n0  # the fragment: end_sweep must see these in column order
 
-    def end_sweep(self, v0, v1) -> None:
-        self.calls.append(("end_sweep", v0, v1))
+    def end_sweep(self, v0, v1, fragments) -> None:
+        self.calls.append(("end_sweep", v0, v1, list(fragments)))
 
     def finalize(self):
         self.calls.append(("finalize",))
@@ -109,6 +135,9 @@ class TestProtocolSequence:
         assert (emitted == 1).all()
         sweeps = [c for c in calls if c[0] == "end_sweep"]
         assert sweeps[-1][2] == assigned.size
+        # Whatever thread emitted them, fragments reach end_sweep in
+        # ascending column order.
+        assert sweeps[0][3] == list(range(0, z.shape[1], 8))
 
     def test_begin_sees_resolved_plan(self):
         z, assigned = _problem()
@@ -134,7 +163,7 @@ class TestBuiltinEmitterReturns:
         out, n_tiles = run_engine(z, assigned, 3, DenseEmitter())
         assert out.shape == (assigned.size, z.shape[0], z.shape[1])
         assert out.dtype == np.float32
-        assert n_tiles >= 1
+        assert n_tiles == 1  # 23 voxels fit one megabyte tile
 
     def test_csr(self):
         z, assigned = _problem()
@@ -185,8 +214,6 @@ class TestRegistry:
             )
             assert create_emitter("probe").fused_normalization is False
         finally:
-            from repro.core import engine as engine_mod
-
             engine_mod._EMITTERS.pop("probe", None)
 
 
@@ -204,7 +231,7 @@ class TestPlanResolution:
         )
         plan = TilePlan(voxel_sweep=100).resolve(shape)
         assert plan.voxel_sweep == 5
-        assert plan.target_block is None
+        assert plan.target_block == 30  # defaults to the whole brain
 
     def test_tiled_defaults_and_clamps(self):
         shape = EngineShape(
@@ -214,3 +241,261 @@ class TestPlanResolution:
         plan = TilePlan(target_block=64).resolve(shape)
         assert plan.voxel_sweep == 5   # defaults to whole task
         assert plan.target_block == 30  # clamped to brain
+
+
+class TestDensePlan:
+    """The dense walk's geometry, pinned to literal values."""
+
+    @staticmethod
+    def _shape(n_assigned, n_epochs, n_voxels):
+        return EngineShape(n_assigned, n_epochs, n_voxels, 12, n_epochs)
+
+    def test_tile_is_bytes_per_planned_row_over_all_rows(self):
+        wide = self._shape(120, 12, 34470)  # the online-wide task
+        # 8 rows x 128 KiB over 120 x 12 float32 columns = 182 -> 176.
+        assert DenseEmitter().plan(wide).target_block == 176
+        assert DenseEmitter(voxel_sweep=8).plan(wide).target_block == 176
+        assert DenseEmitter(voxel_sweep=16).plan(wide).target_block == 352
+        # Never below one cache line of float32.
+        assert DenseEmitter(voxel_sweep=1).plan(wide).target_block == 16
+
+    def test_n_tiles_counts_column_tiles_exactly(self, monkeypatch):
+        # 4 rows x 1 KiB over 9 x 6 float32 columns = 18 -> 16 columns.
+        monkeypatch.setattr(engine_mod, "DENSE_TILE_BYTES_PER_ROW", 1024)
+        z, assigned = _problem(n_voxels=70)
+        for threads in BUDGETS:
+            emitter = DenseEmitter(voxel_sweep=4)
+            _, n_tiles = run_engine(z, assigned, 3, emitter, threads=threads)
+            assert (emitter.tile_cols, n_tiles) == (16, 5)  # ceil(70 / 16)
+
+    def test_gemm_safe_block_keeps_gemv_shapes_out(self):
+        assert gemm_safe_block(1, self._shape(5, 4, 30)) == 2  # no 1-column tile
+        assert gemm_safe_block(8, self._shape(5, 4, 30)) == 8
+        assert gemm_safe_block(8, self._shape(5, 4, 33)) == 9  # no 1-column tail
+        assert gemm_safe_block(99, self._shape(5, 4, 30)) == 30
+        assert gemm_safe_block(8, self._shape(1, 4, 30)) == 30  # 1 row: one tile
+
+    def test_full_width_tile_is_computed_in_the_output(self):
+        """One tile spanning the target axis is gemm-ed and normalized
+        in the emitter's buffer: no scratch tile, no copy (the
+        incremental emitter's per-epoch plane)."""
+        z, assigned = _problem()
+        workspace = NormalizationWorkspace()
+        probe = RecordingEmitter(fused=True)
+        run_engine(z, assigned, 3, probe, workspace=workspace)
+        assert workspace.allocations == 1  # the normalizer set, no tile
+        reference = normalize_separated(correlate_batched(z, assigned), 3)
+        assert probe._out.tobytes() == reference.tobytes()
+
+
+# -- thread budget and tile-width invariance -----------------------------
+
+BUDGETS = (1, 2, 3)
+
+
+@st.composite
+def _walk_problem(draw):
+    """A small task plus a column block that usually leaves a ragged tail."""
+    eps = draw(st.integers(1, 4))
+    n_epochs = eps * draw(st.integers(1, 3))
+    n_voxels = draw(st.integers(2, 40))
+    n_assigned = draw(st.integers(1, min(n_voxels, 12)))
+    epoch_len = draw(st.integers(2, 9))
+    target_block = draw(st.integers(1, n_voxels + 3))
+    seed = draw(st.integers(0, 2**16 - 1))
+    z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, seed)
+    return z, assigned, eps, target_block
+
+
+def _csr_bytes(result):
+    return result.indptr.tobytes(), result.indices.tobytes(), result.data.tobytes()
+
+
+class TestThreadAndTileInvariance:
+    """Results do not depend on the thread budget, and the dense result
+    not on the column block either (columns split, rows never)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_walk_problem())
+    def test_dense_bitwise_for_any_budget_and_block(self, problem):
+        z, assigned, eps, target_block = problem
+        reference = normalize_separated(correlate_batched(z, assigned), eps)
+        for threads in BUDGETS:
+            emitter = BlockedDense(target_block)
+            out, n_tiles = run_engine(z, assigned, eps, emitter, threads=threads)
+            assert out.tobytes() == reference.tobytes()
+            # Every column tile counted once, whichever thread took it.
+            assert n_tiles == emitter.n_tiles == -(-z.shape[1] // emitter.tile_cols)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_walk_problem(), st.integers(1, 5), st.booleans())
+    def test_csr_bitwise_for_any_budget(self, problem, sweep, use_top_k):
+        z, assigned, eps, target_block = problem
+        mode = {"top_k": 3} if use_top_k else {"threshold": 0.8}
+        runs = [
+            run_engine(
+                z, assigned, eps,
+                CSREmitter(voxel_sweep=sweep, target_block=target_block, **mode),
+                threads=threads,
+            )
+            for threads in BUDGETS
+        ]
+        for result, stats in runs[1:]:
+            assert _csr_bytes(result) == _csr_bytes(runs[0][0])
+            assert stats == runs[0][1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 6), st.integers(1, 50), st.integers(0, 99))
+    def test_gram_bitwise_for_any_budget(self, v, m, n, seed):
+        data = np.random.default_rng(seed).standard_normal((v, m, n)).astype(np.float32)
+        reference = data @ data.transpose(0, 2, 1)
+        for threads in BUDGETS:
+            got = kernel_matrix_batched(data, threads=threads)
+            assert got.tobytes() == reference.tobytes()
+
+    def test_stress_more_threads_than_cores(self):
+        """Eight threads on two-column tiles with a microsecond switch
+        interval: tiles land in disjoint slices of the shared output and
+        the shared top-k slab, so a lost or misplaced write would change
+        the bytes."""
+        z, assigned = _problem(n_epochs=6, n_voxels=62, n_assigned=12)
+
+        def run(threads):
+            dense, n_tiles = run_engine(
+                z, assigned, 3, BlockedDense(2), threads=threads
+            )
+            assert n_tiles == 31  # 62 / 2, no double count
+            csr, _ = run_engine(
+                z, assigned, 3,
+                CSREmitter(top_k=5, voxel_sweep=5, target_block=2),
+                threads=threads,
+            )
+            return dense.tobytes(), _csr_bytes(csr)
+
+        reference = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert run(8) == reference
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_scratch_allocated_once_across_tasks(self):
+        """Steady tile + ragged tail: every task after the first reuses
+        the workspace's scratch (no per-task RSS creep), and a thread
+        never holds more than one tile + normalizer set per shape."""
+        z, assigned = _problem(n_voxels=23)
+        workspace = NormalizationWorkspace()
+        counts = []
+        for _ in range(3):
+            run_engine(
+                z, assigned, 3, BlockedDense(5), workspace=workspace, threads=1
+            )
+            counts.append(workspace.allocations)
+        assert counts == [4, 4, 4]  # (tile, normalizer) x (steady, tail)
+        for _ in range(3):
+            run_engine(
+                z, assigned, 3, BlockedDense(5), workspace=workspace, threads=2
+            )
+        assert workspace.allocations == 4
+        assert workspace.slot(1).allocations <= 4
+
+
+class TestThreadBudget:
+    def test_budget_is_affinity_over_host_workers(self, monkeypatch):
+        monkeypatch.setattr(
+            engine_mod.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        assert engine_mod.thread_budget() == 8
+        previous = engine_mod.set_host_workers(3)
+        try:
+            assert previous == 1
+            assert engine_mod.thread_budget() == 2
+            engine_mod.set_host_workers(16)
+            assert engine_mod.thread_budget() == 1  # never below one
+        finally:
+            engine_mod.set_host_workers(previous)
+        with pytest.raises(ValueError):
+            engine_mod.set_host_workers(0)
+
+    def test_deal_is_ordered_and_scoped_to_the_call(self):
+        before = threading.active_count()
+        slots = set()
+
+        def work(slot, i):
+            slots.add(slot)
+            return i * i
+
+        assert engine_mod.deal(7, 3, work) == [0, 1, 4, 9, 16, 25, 36]
+        assert slots <= {0, 1, 2}
+        assert threading.active_count() == before  # no pool outlives it
+        # One slot (or one item) is the plain loop on the calling thread.
+        me = threading.current_thread()
+        who = engine_mod.deal(2, 1, lambda slot, i: threading.current_thread())
+        assert who == [me, me]
+        assert engine_mod.deal(0, 4, work) == []
+
+    def test_deal_propagates_worker_errors(self):
+        def work(slot, i):
+            if i == 5:
+                raise RuntimeError("tile 5")
+            return i
+
+        with pytest.raises(RuntimeError, match="tile 5"):
+            engine_mod.deal(8, 3, work)
+
+
+#: Tiles on both sides of OpenBLAS's own threading threshold (m*n*k of
+#: 2**18), so the child's BLAS really splits some of the gemms.
+MULTITHREADED_BLAS_SCENARIO = """
+import numpy as np
+from repro.core.correlation import correlate_batched, normalize_epoch_data
+from repro.core.engine import DenseEmitter, run_engine
+from repro.core.kernels import kernel_matrix_batched
+from repro.core.normalization import normalize_separated
+from repro.core.sparse import CSREmitter
+
+rng = np.random.default_rng(0)
+for e, n, t, v in ((4, 2500, 12, 24), (6, 5003, 16, 64)):
+    z = normalize_epoch_data(rng.standard_normal((e, n, t)).astype(np.float32))
+    assigned = np.sort(rng.choice(n, v, replace=False))
+    reference = normalize_separated(correlate_batched(z, assigned), e)
+    widths = set()
+    for block in (1, 8, 64):
+        for threads in (1, 2, 3):
+            emitter = DenseEmitter(voxel_sweep=block)
+            out, _ = run_engine(z, assigned, e, emitter, threads=threads)
+            assert out.tobytes() == reference.tobytes(), (n, block, threads)
+            widths.add(v * t * emitter.tile_cols > 2**18)
+    assert widths == {False, True}
+    gram = reference @ reference.transpose(0, 2, 1)
+    csr = []
+    for threads in (1, 2, 3):
+        assert kernel_matrix_batched(reference, threads=threads).tobytes() == gram.tobytes()
+        result, _ = run_engine(
+            z, assigned, e,
+            CSREmitter(top_k=5, voxel_sweep=16, target_block=1024), threads=threads,
+        )
+        csr.append((result.indices.tobytes(), result.data.tobytes()))
+    assert csr[0] == csr[1] == csr[2]
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["2", "4"])
+def test_invariance_holds_under_multithreaded_blas(blas_threads):
+    """A multi-threaded BLAS splits M and N differently per gemm shape;
+    the column-split and thread-budget invariance must survive that
+    (the default ``fcma run`` configuration, which the benchmark
+    harness — BLAS pinned to one thread — never sees)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    env.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"), blas_threads
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", MULTITHREADED_BLAS_SCENARIO],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

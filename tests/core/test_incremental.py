@@ -239,3 +239,26 @@ class TestStreamingLifecycle:
             normalize_epoch_data(long_epoch[None]), ASSIGNED
         )[:, 0, :]
         assert np.array_equal(plane, ref)
+
+    def test_normalizer_scratch_stays_one_window_as_it_grows(self):
+        """An unbounded window changes the stack shape every epoch; the
+        emitter's long-lived workspace must hold scratch for the current
+        shape only (not one ``(V, w, N)`` set per size it has seen), and
+        a full sliding window must allocate nothing more."""
+        rng = np.random.default_rng(4)
+        v = ASSIGNED.size
+        emitter = IncrementalEmitter(ASSIGNED, N_VOXELS)
+        for w in range(1, 13):
+            _stream_epoch(emitter, rng.standard_normal((N_VOXELS, 5)).astype(np.float32))
+            emitter.normalized()
+            # sq (V, 1, w, N) + mean and std (V, 1, 1, N), float32.
+            assert emitter._norm_ws.nbytes == 4 * v * N_VOXELS * (w + 2)
+        sliding = IncrementalEmitter(ASSIGNED, N_VOXELS, window_epochs=3)
+        seen = []
+        for _ in range(8):
+            _stream_epoch(sliding, rng.standard_normal((N_VOXELS, 5)).astype(np.float32))
+            sliding.normalized()
+            seen.append(sliding._norm_ws)
+        # w = 1, 2, then the full window: one workspace, one allocation.
+        assert all(ws is seen[2] for ws in seen[2:])
+        assert seen[2].allocations == 1

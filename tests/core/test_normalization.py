@@ -210,6 +210,37 @@ class TestFuseNormalizeTile:
         m2 = ws.buffers((3, 2, 3, 5))[0]
         assert m1 is not m2
 
+    def test_workspace_retains_a_bounded_set_of_shapes(self):
+        """Least-recently-used shapes are dropped: a caller whose shape
+        keeps changing does not pin every size it has ever used, while
+        the steady/tail blocks of a walk (four shapes) all stay."""
+        from repro.core.normalization import NormalizationWorkspace
+
+        ws = NormalizationWorkspace()
+        assert ws.KEEP == 4
+        sizes = []
+        for w in range(1, 30):  # one population of w epochs, growing
+            ws.buffers((4, 1, w, 50))
+            ws.tile((4, w, 50))
+            sizes.append(ws.nbytes)
+        assert ws.allocations == 2 * 29
+        # Retained: the four newest shapes of each kind, nothing older
+        # (tile + sq at (4, w, 50), mean + std at (4, 1, 50), float32).
+        assert sizes[-1] == sum(
+            2 * 4 * w * 50 * 4 + 2 * 4 * 50 * 4 for w in (26, 27, 28, 29)
+        )
+        assert sizes == sorted(sizes)  # ...and never more than that
+        # Cycling through the kept set allocates nothing.
+        kept = [ws.buffers((4, 1, w, 50))[2] for w in (26, 27, 28, 29)]
+        again = [ws.buffers((4, 1, w, 50))[2] for w in (26, 27, 28, 29)]
+        assert all(a is b for a, b in zip(kept, again))
+        assert ws.allocations == 2 * 29
+        # A hit refreshes the entry: 26 was just used, so 27 goes first.
+        ws.buffers((4, 1, 26, 50))
+        ws.buffers((4, 1, 5, 50))
+        assert ws.buffers((4, 1, 26, 50))[2] is kept[0]
+        assert ws.buffers((4, 1, 27, 50))[2] is not kept[1]
+
     def test_in_place_and_returns_input(self):
         from repro.core.normalization import fuse_normalize_tile
 
@@ -241,52 +272,68 @@ class TestFuseNormalizeTile:
             fuse_normalize_tile(np.zeros((2, 4, 3), dtype=np.float32), 0)
 
 
-class TestFusedNormalizeSweep:
-    def test_bitwise_equal_to_separated_any_sweep(self):
-        from repro.core.normalization import fused_normalize_sweep
+def _sweep_blocks(corr, e, rows, cols, workspace=None):
+    """Sweep ``fuse_normalize_tile`` over ``rows x cols`` blocks of
+    ``corr`` the way the engine walks a task: each block is normalized
+    as its own contiguous scratch tile, then copied back."""
+    from repro.core.normalization import fuse_normalize_tile
 
+    v, _, n = corr.shape
+    n_tiles = 0
+    for v0 in range(0, v, rows):
+        for n0 in range(0, n, cols):
+            block = corr[v0 : v0 + rows, :, n0 : n0 + cols]
+            tile = np.ascontiguousarray(block)
+            block[...] = fuse_normalize_tile(tile, e, workspace=workspace)
+            n_tiles += 1
+    return n_tiles
+
+
+class TestFusedNormalizeSweep:
+    """The ``fused_normalize_sweep`` cases, ported onto the one
+    normalizer left: sweeping ``fuse_normalize_tile`` over any row/column
+    blocking equals the separated whole-array pass bit for bit."""
+
+    def test_bitwise_equal_to_separated_any_sweep(self):
         corr = corr_array(v=7, subjects=3, e=4, n=11, seed=9)
         ref = normalize_separated(corr.copy(), 4)
-        for sweep in (1, 2, 7, 50, None):
+        for rows, cols in [(1, 11), (2, 3), (7, 1), (7, 4), (50, 50), (3, 10)]:
             got = corr.copy()
-            n_tiles = fused_normalize_sweep(got, 4, voxel_sweep=sweep)
+            n_tiles = _sweep_blocks(got, 4, rows, cols)
             assert got.tobytes() == ref.tobytes()
-            assert n_tiles == -(-7 // min(sweep or 7, 7))
+            assert n_tiles == -(-7 // rows) * -(-11 // cols)
 
     def test_bitwise_with_degenerate_population(self):
-        from repro.core.normalization import fused_normalize_sweep
-
         corr = corr_array(v=4, subjects=2, e=3, n=6, seed=10)
         corr[2, 3:6, 1] = 0.5  # constant within-subject population
         ref = normalize_separated(corr.copy(), 3)
         got = corr.copy()
-        fused_normalize_sweep(got, 3, voxel_sweep=2)
+        _sweep_blocks(got, 3, 2, 4)
         assert got.tobytes() == ref.tobytes()
 
     def test_workspace_reuse_across_calls(self):
-        from repro.core.normalization import (
-            NormalizationWorkspace,
-            fused_normalize_sweep,
-        )
+        """Steady block + ragged tail: each shape is allocated once, so
+        the allocation count is constant after the first sweep."""
+        from repro.core.normalization import NormalizationWorkspace
 
         ws = NormalizationWorkspace()
         corr = corr_array(v=6, subjects=2, e=3, n=8, seed=11)
         ref = normalize_separated(corr.copy(), 3)
-        for _ in range(2):
+        counts = []
+        for _ in range(3):
             got = corr.copy()
-            fused_normalize_sweep(got, 3, voxel_sweep=2, workspace=ws)
+            _sweep_blocks(got, 3, 6, 3, workspace=ws)  # widths 3, 3, 2
             assert got.tobytes() == ref.tobytes()
+            counts.append(ws.allocations)
+        assert counts == [2, 2, 2]
 
     def test_validation(self):
-        from repro.core.normalization import fused_normalize_sweep
+        """A column block of a wider array is not a tile: the engine
+        must gemm into (or copy to) contiguous scratch first."""
+        from repro.core.normalization import fuse_normalize_tile
 
-        with pytest.raises(TypeError, match="float32"):
-            fused_normalize_sweep(np.zeros((2, 4, 3)), 4)
-        with pytest.raises(ValueError, match="divisible"):
-            fused_normalize_sweep(np.zeros((2, 5, 3), dtype=np.float32), 4)
-        with pytest.raises(ValueError, match=">= 1"):
-            fused_normalize_sweep(np.zeros((2, 4, 3), dtype=np.float32), 0)
+        corr = corr_array(v=4, subjects=1, e=4, n=6)
         with pytest.raises(TypeError, match="contiguous"):
-            fused_normalize_sweep(
-                np.zeros((4, 4, 6), dtype=np.float32)[:, :, ::2], 4
-            )
+            fuse_normalize_tile(corr[:, :, 0:3], 4)
+        with pytest.raises(ValueError, match="divisible"):
+            fuse_normalize_tile(np.zeros((2, 5, 3), dtype=np.float32), 4)

@@ -22,6 +22,7 @@ from repro.core.correlation import (
     correlate_normalize_batched,
     normalize_epoch_data,
 )
+from repro.core.engine import DenseEmitter, EngineShape
 from repro.core.normalization import normalize_separated
 from repro.obs import Tracer, use_tracer
 
@@ -36,6 +37,15 @@ SHAPES = [
     pytest.param(12, 53, 5, 17, 3, 10, 4, id="prime-everything"),
     pytest.param(3, 8, 6, 8, 1, 3, 1, id="epoch-population-of-one"),
 ]
+
+
+def _column_tiles(z, n_assigned, eps, sweep):
+    """Column tiles the dense emitter plans for this task: the exact
+    value of the ``n_tiles`` return (and ``stage12_tiles`` counter)."""
+    n_epochs, n_voxels, epoch_len = z.shape
+    shape = EngineShape(n_assigned, n_epochs, n_voxels, epoch_len, eps)
+    plan = DenseEmitter(voxel_sweep=sweep).plan(shape).resolve(shape)
+    return -(-n_voxels // plan.target_block)
 
 
 def _problem(n_epochs, n_voxels, epoch_len, n_assigned, seed):
@@ -77,9 +87,9 @@ class TestFusedStage12Equivalence:
     def test_fused_bitwise_equals_batched_plus_separated(
         self, n_epochs, n_voxels, epoch_len, n_assigned, vb, tb, eps
     ):
-        """Same gemm output in, so the comparison is exact: the fused
-        sweep must reproduce ``normalize_separated`` bit for bit, for
-        any sweep width."""
+        """Same gemm output in, so the comparison is exact: the tiled
+        walk must reproduce ``normalize_separated`` bit for bit, for
+        any planner voxel block (it scales the tile, not the result)."""
         z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, 2)
         reference = normalize_separated(correlate_batched(z, assigned), eps)
         for sweep in (1, vb, n_assigned, None):
@@ -87,8 +97,7 @@ class TestFusedStage12Equivalence:
                 z, assigned, eps, voxel_sweep=sweep
             )
             assert fused.tobytes() == reference.tobytes()
-            expected_tiles = -(-n_assigned // (sweep or n_assigned))
-            assert n_tiles == expected_tiles
+            assert n_tiles == _column_tiles(z, n_assigned, eps, sweep)
 
     def test_fused_rejects_bad_epoch_grouping(self):
         z, assigned = _problem(5, 12, 6, 4, 0)
@@ -144,8 +153,8 @@ class TestPropertyBasedEquivalence:
             )
         assert fused.tobytes() == reference.tobytes()
         assert fused.tobytes() == untraced.tobytes()
-        effective = min(sweep or n_assigned, n_assigned)
-        assert n_tiles == untraced_tiles == -(-n_assigned // effective)
+        assert n_tiles == untraced_tiles
+        assert n_tiles == _column_tiles(z, n_assigned, eps, sweep)
 
     @settings(max_examples=40, deadline=None)
     @given(_random_problem())

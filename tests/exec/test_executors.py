@@ -216,3 +216,42 @@ class TestProtocolAndFactory:
             MasterWorkerExecutor(n_workers=0)
         with pytest.raises(ValueError):
             MasterWorkerExecutor(max_retries=0)
+
+
+class TestHostWorkerShare:
+    """Executors tell the engine how many workers share the host; its
+    thread budget is the affinity mask divided by that count."""
+
+    def test_thread_ranks_split_the_host_for_the_run_only(
+        self, tiny_dataset, fast_fcma_config, monkeypatch
+    ):
+        from repro.exec import executors as executors_mod
+
+        calls: list[int] = []
+
+        def record(n: int) -> int:
+            calls.append(n)
+            return 1
+
+        monkeypatch.setattr(executors_mod, "set_host_workers", record)
+        MasterWorkerExecutor(n_workers=3).run(
+            tiny_dataset, RunContext(fast_fcma_config)
+        )
+        assert calls == [3, 1]  # declared for the ranks, restored after
+
+    def test_pool_initializer_declares_the_pool_size(self, tiny_dataset):
+        from repro.core import engine
+        from repro.exec import executors as executors_mod
+        from repro.parallel.executor import share_dataset
+
+        shm, handle = share_dataset(tiny_dataset)
+        try:
+            executors_mod._init_worker(handle, FCMAConfig(), 2)
+            assert engine.set_host_workers(1) == 2
+        finally:
+            engine.set_host_workers(1)
+            executors_mod._WORKER_DATASET = None
+            executors_mod._WORKER_SHM.close()
+            executors_mod._WORKER_SHM = None
+            shm.close()
+            shm.unlink()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FCMAConfig, run_task
+from repro.core.engine import thread_budget
 from repro.exec.context import RunContext
 from repro.exec.stage_graph import (
     Stage,
@@ -170,12 +171,27 @@ class TestOptimizedBatchedGraph:
         np.testing.assert_array_equal(opt.voxels, bat.voxels)
         np.testing.assert_array_equal(opt.accuracies, bat.accuracies)
 
-    def test_records_plan_and_counters(self, tiny_dataset):
+    def test_records_plan_and_counters(self, tiny_dataset, monkeypatch):
+        from repro.core import engine
+
+        # Small enough that the 60-voxel brain is several tiles: the
+        # planner's 8 rows x 3 KiB over 12 rows x 32 epochs x 4 bytes a
+        # column -> 16 columns.
+        monkeypatch.setattr(engine, "DENSE_TILE_BYTES_PER_ROW", 3 * 1024)
         ctx = RunContext(FCMAConfig(variant="optimized-batched"))
         execute_task(tiny_dataset, np.arange(12, dtype=np.int64), ctx)
         plan = ctx.metadata["blocking_plan"]
-        assert set(plan) == {"voxel_block", "target_block", "epoch_block"}
-        assert ctx.counter("stage12_tiles") >= 1
+        assert set(plan) == {
+            "voxel_block", "target_block", "epoch_block",
+            "tile_cols", "engine_threads",
+        }
+        # The walk the engine took: column tile width and thread budget.
+        assert (plan["voxel_block"], plan["tile_cols"]) == (8, 16)
+        assert plan["engine_threads"] == thread_budget()
+        # One count per column tile: ceil(60 / 16).
+        assert tiny_dataset.n_voxels == 60
+        assert ctx.counter("stage12_tiles") == 4
+        assert ctx.counter("emitter_dense_tiles") == 4
         assert set(ctx.stages) == {"preprocess", "correlate+normalize", "score"}
 
     def test_autotune_populates_plan_cache_counters(self, tiny_dataset):

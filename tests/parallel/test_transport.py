@@ -217,6 +217,15 @@ class TestListener:
         finally:
             listener.close()
 
+    def test_peer_hosts_names_where_each_rank_connected_from(self):
+        """What the executor counts co-hosted workers with (each rank's
+        engine thread budget is its host's cores over that count)."""
+        master, _ = _fabric(2)
+        try:
+            assert master.peer_hosts() == {1: "127.0.0.1", 2: "127.0.0.1"}
+        finally:
+            master.close()
+
     def test_worker_command_round_trips_endpoint(self):
         cmd = worker_command("127.0.0.1", 39123, timeout=5.0)
         joined = " ".join(cmd)

@@ -27,7 +27,7 @@ class TestShape:
             n_epochs=8, n_assigned=10, epoch_len=12, n_voxels=100, voxel_sweep=3
         )
         assert sh.n_sweep_tiles == 4  # ceil(10 / 3)
-        assert sh.fused_dispatches == 13  # 1 gemm + 3 phases x 4 slabs
+        assert sh.fused_dispatches == 52  # 13 per tile x 4 tiles
 
     def test_loop_dispatches_count_epochs_and_callbacks(self):
         sh = BatchedStage12Shape(
