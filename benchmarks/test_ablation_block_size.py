@@ -4,16 +4,19 @@ Two views of the same design choice:
 
 * modeled: L2 miss count as the voxel block grows (more B re-passes vs
   fewer, traded against tile residency), at paper scale;
-* measured: real blocked-correlation wall time across target-block
-  sizes on scaled data, verifying the implementation tolerates any
-  tiling and that extreme tilings cost real time.
+* measured: real stage-1/2 engine wall time across column-tile widths
+  on scaled data (the planner's voxel block scales the tile),
+  verifying the implementation tolerates any tiling — bitwise — and
+  that extreme tilings cost real time.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import render_table
-from repro.core.correlation import correlate_blocked, normalize_epoch_data
+from repro.core.correlation import correlate_batched, normalize_epoch_data
+from repro.core.engine import DenseEmitter, run_engine
+from repro.core.normalization import normalize_separated
 from repro.data import FACE_SCENE
 from repro.hw import PHI_5110P
 from repro.perf import matmul_model
@@ -27,14 +30,18 @@ def z():
     )
 
 
-@pytest.mark.parametrize("target_block", [32, 128, 512, 1500])
-def test_measured_target_block_sweep(benchmark, z, target_block):
+@pytest.mark.parametrize(
+    "voxel_sweep,target_block", [(1, 64), (4, 256), (16, 1024), (64, 1500)]
+)
+def test_measured_target_block_sweep(benchmark, z, voxel_sweep, target_block):
+    """128 KiB per planned row over 32 rows x 16 epochs x 4 bytes a
+    column: 64 columns of tile per unit of the planner's voxel block."""
     assigned = np.arange(32)
-    out = benchmark(
-        correlate_blocked, z, assigned,
-        voxel_block=16, target_block=target_block,
-    )
-    assert out.shape == (32, 16, 1500)
+    emitter = DenseEmitter(voxel_sweep=voxel_sweep)
+    out, _ = benchmark(run_engine, z, assigned, 4, emitter)
+    assert emitter.tile_cols == target_block
+    reference = normalize_separated(correlate_batched(z, assigned), 4)
+    assert out.tobytes() == reference.tobytes()
 
 
 def test_modeled_voxel_block_tradeoff(benchmark, save_table):

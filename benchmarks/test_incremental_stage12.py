@@ -24,10 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.correlation import (
-    correlate_normalize_batched,
-    normalize_epoch_data,
-)
+from repro.core.correlation import normalize_epoch_data
+from repro.core.engine import DenseEmitter, run_engine
 from repro.core.incremental import IncrementalEmitter
 
 #: Committed floor: incremental median step must beat the full
@@ -62,7 +60,7 @@ def _epoch(rng):
 def _batch_recompute(retained, assigned):
     """The naive per-TR refresh: batch stage 1/2 over the window."""
     z = normalize_epoch_data(np.stack(retained))
-    out, _ = correlate_normalize_batched(z, assigned, len(retained))
+    out, _ = run_engine(z, assigned, len(retained), DenseEmitter())
     return out
 
 

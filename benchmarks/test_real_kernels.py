@@ -13,11 +13,12 @@ import pytest
 
 from repro.core.correlation import (
     correlate_baseline,
-    correlate_blocked,
+    correlate_batched,
     normalize_epoch_data,
 )
-from repro.core.kernels import kernel_matrix_baseline, kernel_matrix_blocked
-from repro.core.normalization import MergedNormalizer, normalize_separated
+from repro.core.engine import DenseEmitter, run_engine
+from repro.core.kernels import kernel_matrix_baseline, kernel_matrix_batched
+from repro.core.normalization import normalize_separated
 from repro.svm import LibSVMClassifier, PhiSVM, linear_kernel
 
 
@@ -46,12 +47,9 @@ class TestStage1:
         out = benchmark(correlate_baseline, z, assigned)
         assert out.shape == (32, 24, 2000)
 
-    def test_correlation_blocked(self, benchmark, stage1_inputs):
+    def test_correlation_batched(self, benchmark, stage1_inputs):
         z, assigned = stage1_inputs
-        out = benchmark(
-            correlate_blocked, z, assigned,
-            voxel_block=16, target_block=512,
-        )
+        out = benchmark(correlate_batched, z, assigned)
         np.testing.assert_allclose(
             out, correlate_baseline(z, assigned), atol=3e-7, rtol=0
         )
@@ -69,13 +67,11 @@ class TestStage12Merged:
         assert np.isfinite(out).all()
 
     def test_merged(self, benchmark, stage1_inputs):
+        """The optimized pipeline's stage 1/2: the tiled engine."""
         z, assigned = stage1_inputs
 
         def run():
-            return correlate_blocked(
-                z, assigned, voxel_block=16, target_block=512,
-                epoch_block=4, tile_callback=MergedNormalizer(4),
-            )
+            return run_engine(z, assigned, 4, DenseEmitter())[0]
 
         merged = benchmark(run)
         separated = normalize_separated(correlate_baseline(z, assigned), 4)
@@ -84,19 +80,21 @@ class TestStage12Merged:
 
 class TestStage3Kernel:
     @pytest.fixture(scope="class")
-    def voxel_matrix(self):
+    def voxel_matrices(self):
         rng = np.random.default_rng(2)
-        return rng.standard_normal((96, 4000)).astype(np.float32)
+        return rng.standard_normal((8, 96, 4000)).astype(np.float32)
 
-    def test_syrk_baseline(self, benchmark, voxel_matrix):
-        out = benchmark(kernel_matrix_baseline, voxel_matrix)
-        assert out.shape == (96, 96)
+    def test_syrk_baseline(self, benchmark, voxel_matrices):
+        def run():
+            return [kernel_matrix_baseline(x) for x in voxel_matrices]
 
-    def test_syrk_blocked(self, benchmark, voxel_matrix):
-        out = benchmark(kernel_matrix_blocked, voxel_matrix, 96)
-        np.testing.assert_allclose(
-            out, kernel_matrix_baseline(voxel_matrix), rtol=1e-4, atol=1e-2
-        )
+        out = benchmark(run)
+        assert out[0].shape == (96, 96)
+
+    def test_syrk_batched(self, benchmark, voxel_matrices):
+        out = benchmark(kernel_matrix_batched, voxel_matrices)
+        for got, x in zip(out, voxel_matrices):
+            np.testing.assert_array_equal(got, kernel_matrix_baseline(x))
 
 
 class TestSVMSolvers:

@@ -44,7 +44,7 @@ def workload():
         n_voxels=240, n_subjects=4, epochs_per_subject=8, epoch_length=12,
         n_informative=24, n_groups=3, seed=11, name="scalebench",
     )
-    fcma = FCMAConfig(task_voxels=60, voxel_block=8, target_block=32)
+    fcma = FCMAConfig(task_voxels=60, target_block=32)
     return generate_dataset(cfg), fcma
 
 

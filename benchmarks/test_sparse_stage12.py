@@ -1,6 +1,6 @@
 """Benchmark: sparse thresholded stage 1/2 vs dense-then-threshold.
 
-The sparse engine (:func:`correlate_normalize_sparse_batched`) filters
+The sparse engine (``run_engine`` with a :class:`CSREmitter`) filters
 each fused tile while it is L2-resident and emits CSR, so the dense
 ``(V, E, N)`` correlation buffer never exists.  The reference producing
 *equal output* is the separated dense pipeline — ``correlate_batched``
@@ -32,8 +32,9 @@ import pytest
 
 from repro.core.correlation import correlate_batched, normalize_epoch_data
 from repro.core.normalization import normalize_separated
+from repro.core.engine import DenseEmitter, run_engine
 from repro.core.sparse import (
-    correlate_normalize_sparse_batched,
+    CSREmitter,
     sparse_tile_plan,
     threshold_dense,
 )
@@ -81,8 +82,8 @@ def quantile_tau(sparse_task):
     rather than chosen on an r-scale intuition.
     """
     z, assigned = sparse_task
-    probe, _ = correlate_normalize_sparse_batched(
-        z, assigned[:8], E_PER_SUBJECT, threshold=0.0
+    probe, _ = run_engine(
+        z, assigned[:8], E_PER_SUBJECT, CSREmitter(threshold=0.0)
     )
     return float(np.quantile(np.abs(probe.data), 1.0 - TARGET_DENSITY))
 
@@ -108,13 +109,12 @@ class TestSparseStage12:
             return threshold_dense(dense_out, threshold=tau)
 
         def sparse():
-            result, stats = correlate_normalize_sparse_batched(
-                z, assigned, E_PER_SUBJECT, threshold=tau
+            return run_engine(
+                z, assigned, E_PER_SUBJECT, CSREmitter(threshold=tau)
             )
-            return result, stats
 
         # Interleave reference and sparse shots so both sample the same
-        # noise windows of a shared host (see test_batched_stage12).
+        # noise windows of a shared host (see test_batched_stage3).
         interleave = timing_enabled
         ref_shots: list[float] = []
         sparse_shots: list[float] = []
@@ -183,24 +183,21 @@ class TestSparseStage12:
         """
         if not timing_enabled:
             pytest.skip("timing-only comparison")
-        from repro.core.correlation import (
-            NormalizationWorkspace,
-            correlate_normalize_batched,
-        )
+        from repro.core.normalization import NormalizationWorkspace
 
         z, assigned = sparse_task
         out = np.empty((V, E, N), dtype=np.float32)
         ws = NormalizationWorkspace()
 
         t0 = time.perf_counter()
-        correlate_normalize_batched(
-            z, assigned, E_PER_SUBJECT, out=out, workspace=ws
+        run_engine(
+            z, assigned, E_PER_SUBJECT, DenseEmitter(out=out), workspace=ws
         )
         fused_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        correlate_normalize_sparse_batched(
-            z, assigned, E_PER_SUBJECT, threshold=quantile_tau
+        run_engine(
+            z, assigned, E_PER_SUBJECT, CSREmitter(threshold=quantile_tau)
         )
         sparse_seconds = time.perf_counter() - t0
 
@@ -218,7 +215,8 @@ RSS_SCRIPT = textwrap.dedent(
     import json, resource, sys
     import numpy as np
     from repro.core.pipeline import preprocess_dataset
-    from repro.core.sparse import correlate_normalize_sparse_batched
+    from repro.core.engine import run_engine
+    from repro.core.sparse import CSREmitter
     from repro.data import generate_dataset, sparse_100k_config
 
     top_k = int(sys.argv[1])
@@ -228,8 +226,8 @@ RSS_SCRIPT = textwrap.dedent(
     grouped, z = preprocess_dataset(dataset)
     e_per_subject = grouped.epochs.epochs_per_subject()
     assigned = np.arange(task_voxels, dtype=np.int64)
-    result, stats = correlate_normalize_sparse_batched(
-        z, assigned, e_per_subject, top_k=top_k
+    result, stats = run_engine(
+        z, assigned, e_per_subject, CSREmitter(top_k=top_k)
     )
     print(json.dumps({
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,

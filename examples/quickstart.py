@@ -32,7 +32,7 @@ def main() -> None:
     print(f"dataset: {dataset}")
 
     # 2. Run the optimized three-stage pipeline over the whole brain.
-    fcma = FCMAConfig()  # blocked + merged + PhiSVM (the paper's fast path)
+    fcma = FCMAConfig()  # tiled engine + merged + PhiSVM (the paper's fast path)
     t0 = time.perf_counter()
     scores = serial_voxel_selection(dataset, fcma)
     elapsed = time.perf_counter() - t0

@@ -145,16 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--variant",
                      choices=["optimized", "baseline", "optimized-batched",
                               "sparse-batched"],
-                     default=None,
-                     help="pipeline variant (default: optimized, or the "
-                          "--emitter's native engine variant)")
-    run.add_argument("--emitter",
-                     choices=["dense", "csr"],
-                     default=None,
-                     help="engine emitter materializing stage-1/2 tiles; "
-                          "without --variant this implies the matching "
-                          "engine variant (dense -> optimized-batched, "
-                          "csr -> sparse-batched)")
+                     default="optimized",
+                     help="pipeline: baseline (the oracle), optimized "
+                          "(the tiled engine; optimized-batched is the "
+                          "same pipeline) or its sparse-batched CSR "
+                          "materialization")
     run.add_argument("--task-voxels", type=int, default=120)
     run.add_argument("--threshold", type=float, default=None,
                      help="sparse-batched: keep normalized correlations "
@@ -739,21 +734,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .exec import RunContext, make_executor
 
     dataset = load_dataset(args.dataset)
-    variant = args.variant
-    if variant is None:
-        # --emitter alone implies its native engine variant; config
-        # validation rejects any explicit variant/emitter mismatch.
-        variant = {"dense": "optimized-batched", "csr": "sparse-batched"}.get(
-            args.emitter, "optimized"
-        )
     config = FCMAConfig(
-        variant=variant,
+        variant=args.variant,
         task_voxels=args.task_voxels,
         autotune_blocks=args.autotune,
         plan_cache_path=args.plan_cache,
         threshold=args.threshold,
         top_k=args.top_k,
-        emitter=args.emitter,
         comm_timeout=args.comm_timeout,
     )
     ctx = RunContext(config, seed=args.seed)
@@ -766,6 +753,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.partition == "tiles" and config.resolved_emitter() != "dense":
+        print(
+            f"error: --partition tiles distributes the dense engine only; "
+            f"--variant {config.variant} needs --partition rows",
+            file=sys.stderr,
+        )
+        return 2
     if args.executor == "master-worker":
         mw_opts["transport"] = args.transport
         mw_opts["partition"] = args.partition

@@ -11,11 +11,7 @@ from .blocking import (
 from .correlation import (
     correlate_baseline,
     correlate_batched,
-    correlate_blocked,
-    correlate_blocked_reference,
-    correlate_normalize_batched,
     epoch_windows,
-    iter_blocks,
     normalize_epoch_data,
     stage1_input_copies,
 )
@@ -23,11 +19,9 @@ from .kernels import (
     csr_gram_panel,
     kernel_matrix_baseline,
     kernel_matrix_batched,
-    kernel_matrix_blocked,
     symmetrize_from_triangle,
 )
 from .normalization import (
-    MergedNormalizer,
     NormalizationWorkspace,
     fisher_z,
     fuse_normalize_tile,
@@ -46,10 +40,10 @@ from .results import VoxelScores
 from .sparse import (
     SparseCorrelationResult,
     SparseStage12Stats,
-    correlate_normalize_sparse_batched,
     threshold_dense,
     topk_block,
 )
+from .tiling import iter_blocks
 from .voxel_selection import (
     score_voxels,
     score_voxels_reference,
@@ -59,7 +53,6 @@ from .voxel_selection import (
 __all__ = [
     "BlockingPlan",
     "FCMAConfig",
-    "MergedNormalizer",
     "NormalizationWorkspace",
     "PlanCache",
     "SparseCorrelationResult",
@@ -68,10 +61,6 @@ __all__ = [
     "clear_preprocess_cache",
     "correlate_baseline",
     "correlate_batched",
-    "correlate_blocked",
-    "correlate_blocked_reference",
-    "correlate_normalize_batched",
-    "correlate_normalize_sparse_batched",
     "csr_gram_panel",
     "default_plan_cache",
     "epoch_windows",
@@ -80,7 +69,6 @@ __all__ = [
     "iter_blocks",
     "kernel_matrix_baseline",
     "kernel_matrix_batched",
-    "kernel_matrix_blocked",
     "make_backend",
     "normalize_epoch_data",
     "normalize_separated",

@@ -248,7 +248,7 @@ def _time_plan(
 ) -> float:
     """Best-of-``repeats`` seconds for the fused engine under ``plan``.
 
-    Runs :func:`~repro.core.correlation.correlate_normalize_batched` on
+    Runs the dense engine (:func:`~repro.core.engine.run_engine`) on
     a capped synthetic slice of the problem (deterministic inputs, at
     most 32 assigned voxels x 96 epochs x 4096 targets) so autotuning
     costs milliseconds, not a full stage-1/2 pass.  The epoch count uses
@@ -259,7 +259,8 @@ def _time_plan(
     """
     import numpy as np
 
-    from .correlation import NormalizationWorkspace, correlate_normalize_batched
+    from .engine import DenseEmitter, run_engine
+    from .normalization import NormalizationWorkspace
 
     v = min(n_assigned, 32)
     e = epochs_per_subject * max(1, min(6, 96 // epochs_per_subject))
@@ -273,12 +274,11 @@ def _time_plan(
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        correlate_normalize_batched(
+        run_engine(
             z,
             assigned,
             epochs_per_subject,
-            voxel_sweep=plan.voxel_block,
-            out=out,
+            DenseEmitter(voxel_sweep=plan.voxel_block, out=out),
             workspace=workspace,
         )
         best = min(best, time.perf_counter() - start)

@@ -8,24 +8,18 @@ correlations between a task's *assigned* voxels and **all** brain voxels
 — a multiplication of a small ``(V, T)`` matrix with a tall-skinny
 ``(T, N)`` matrix.
 
-Numerically equivalent paths, slowest to fastest:
+Two stage-1 kernels live here, numerically equivalent:
 
 * :func:`correlate_baseline` — one BLAS gemm per epoch writing straight
   into the voxel-major output (the baseline's ``cblas_sgemm`` with
-  ``ldc`` striding).
-* :func:`correlate_blocked_reference` — the pre-batching optimized loop
-  of Section 4.2: L2-sized tiles, one tiny gemm per epoch per tile,
-  optional per-tile callback.  Kept verbatim as the benchmark reference
-  for the batched rewrite.
-* :func:`correlate_blocked` — same tiling, but each tile computes **all**
-  of its epochs in one 3D batched matmul instead of a Python loop.
+  ``ldc`` striding).  Stage 1 of the ``baseline`` pipeline, the oracle.
 * :func:`correlate_batched` — the whole task as a single epoch-batched
   matmul ``(E, V, T) @ (E, T, N)`` written straight into the voxel-major
-  output through an axis swap.
-* :func:`correlate_normalize_batched` — the fused stage-1/2 engine
-  (:func:`repro.core.engine.run_engine` with a dense emitter): the same
-  batched matmul cut into L2-sized column tiles, each normalized while
-  cache-resident and dealt to the engine's thread pool.
+  output through an axis swap.  The *bitwise* reference for the
+  optimized pipeline: :func:`repro.core.engine.run_engine` cuts this
+  same matmul into L2-sized column tiles, normalizes each while
+  cache-resident and deals them to its thread pool, and any column
+  tiling returns these bits.
 
 Output layout is always **voxel-major**: ``out[v, e, :]`` is voxel ``v``'s
 correlation vector for epoch ``e``, i.e. "all correlation vectors
@@ -34,25 +28,19 @@ corresponding to a single voxel are contiguous" (Fig. 4).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..data.dataset import FMRIDataset
 from ..data.epochs import Epoch
-from .engine import DenseEmitter, check_stage1_inputs, run_engine, validate_dense_out
-from .normalization import NormalizationWorkspace
-from .tiling import iter_blocks
+from .engine import check_stage1_inputs, validate_dense_out
 
 __all__ = [
     "normalize_epoch_data",
     "epoch_windows",
     "correlate_baseline",
     "correlate_batched",
-    "correlate_blocked",
-    "correlate_blocked_reference",
-    "correlate_normalize_batched",
-    "iter_blocks",
     "stage1_input_copies",
 ]
 
@@ -88,12 +76,6 @@ def epoch_windows(dataset: FMRIDataset, epochs: Sequence[Epoch] | None = None) -
     return normalize_epoch_data(dataset.epoch_stack(epochs))
 
 
-#: Input validation shared with the engine (kept under the historical
-#: private names for the modules and tests that import them from here).
-_check_stage1_inputs = check_stage1_inputs
-_validate_out = validate_dense_out
-
-
 def correlate_baseline(z: np.ndarray, assigned: np.ndarray) -> np.ndarray:
     """Baseline stage 1: one gemm per epoch (Section 3.2).
 
@@ -108,7 +90,7 @@ def correlate_baseline(z: np.ndarray, assigned: np.ndarray) -> np.ndarray:
     -------
     Voxel-major correlations, shape ``(V, n_epochs, n_voxels)`` float32.
     """
-    z, assigned = _check_stage1_inputs(z, assigned)
+    z, assigned = check_stage1_inputs(z, assigned)
     n_epochs, n_voxels, _ = z.shape
     out = np.empty((assigned.size, n_epochs, n_voxels), dtype=np.float32)
     for e in range(n_epochs):
@@ -118,19 +100,12 @@ def correlate_baseline(z: np.ndarray, assigned: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Callback invoked on each finished tile of the blocked path.
-#: Arguments: (tile, voxel_block, target_block, epoch_block) where
-#: ``tile`` is the float32 view ``out[v0:v1, e0:e1, n0:n1]`` just
-#: computed and may be modified in place (merged normalization).
-TileCallback = Callable[[np.ndarray, tuple[int, int], tuple[int, int], tuple[int, int]], None]
-
-
 def stage1_input_copies(z: np.ndarray) -> int:
     """Hidden array copies the batched gemm makes of this input.
 
     The batched paths feed ``z`` to one 3D gufunc matmul, which silently
     buffer-copies any operand that is not C-contiguous float32.  The
-    *output* side is guarded by :func:`_validate_out` (strided or
+    *output* side is guarded by :func:`~repro.core.engine.validate_dense_out` (strided or
     float64 ``out`` is rejected outright); the input side is legal but
     costs a full extra pass over the BOLD data.  This predicate is what
     the stage bodies feed the ``stage12_out_copies`` RunContext counter,
@@ -156,13 +131,13 @@ def correlate_batched(
     slices) with one dispatch — the stage-1 analogue of the stage-3
     stacked syrk.
     """
-    z, assigned = _check_stage1_inputs(z, assigned)
+    z, assigned = check_stage1_inputs(z, assigned)
     n_epochs, n_voxels, _ = z.shape
     shape = (assigned.size, n_epochs, n_voxels)
     if out is None:
         out = np.empty(shape, dtype=np.float32)
     else:
-        _validate_out(out, shape)
+        validate_dense_out(out, shape)
     # A non-contiguous float32 z would be buffer-copied epoch slice by
     # epoch slice inside the gufunc; do the one whole-array copy up
     # front instead (same count, reported by stage1_input_copies).
@@ -174,133 +149,3 @@ def correlate_batched(
     panel = z[:, assigned]
     np.matmul(panel, z.swapaxes(1, 2), out=out.swapaxes(0, 1))
     return out
-
-
-def correlate_blocked(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    voxel_block: int = 16,
-    target_block: int = 512,
-    epoch_block: int | None = None,
-    tile_callback: TileCallback | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Optimized stage 1: L2-sized tiles over (voxels x targets x epochs).
-
-    The loop order mirrors Section 4.2: for each tile of ``voxel_block``
-    assigned voxels by ``target_block`` brain voxels, all ``epoch_block``
-    epochs of the tile are computed before moving on, so the tile is
-    still cache-resident when ``tile_callback`` (the merged stage-2
-    normalization) runs.  Each tile's epochs are computed in **one**
-    batched 3D matmul (``(e, B, T) @ (e, T, B')``) rather than a Python
-    loop — see :func:`correlate_blocked_reference` for the pre-batching
-    per-epoch loop this replaces.  Results equal
-    :func:`correlate_baseline` up to float32 rounding (BLAS may pick
-    different accumulation kernels for different tile shapes; each
-    output element is still the same mathematical dot product).
-
-    ``epoch_block`` defaults to all epochs; the merged path passes one
-    subject's epoch count so a tile holds exactly one normalization
-    population.
-    """
-    z, assigned = _check_stage1_inputs(z, assigned)
-    n_epochs, n_voxels, _ = z.shape
-    if epoch_block is None:
-        epoch_block = n_epochs
-    if voxel_block < 1 or target_block < 1 or epoch_block < 1:
-        raise ValueError("block sizes must be >= 1")
-    shape = (assigned.size, n_epochs, n_voxels)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    else:
-        _validate_out(out, shape)
-
-    zt = z.swapaxes(1, 2)  # (E, T, N) view, no copy
-    for v0, v1 in iter_blocks(assigned.size, voxel_block):
-        # One contiguous (E, B, T) A-panel per voxel block, hoisted out
-        # of the epoch/target loops (the reference re-sliced it per
-        # epoch per tile).
-        panel = z[:, assigned[v0:v1]]
-        for e0, e1 in iter_blocks(n_epochs, epoch_block):
-            for n0, n1 in iter_blocks(n_voxels, target_block):
-                tile = out[v0:v1, e0:e1, n0:n1]
-                np.matmul(
-                    panel[e0:e1], zt[e0:e1, :, n0:n1], out=tile.swapaxes(0, 1)
-                )
-                if tile_callback is not None:
-                    tile_callback(tile, (v0, v1), (n0, n1), (e0, e1))
-    return out
-
-
-def correlate_blocked_reference(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    voxel_block: int = 16,
-    target_block: int = 512,
-    epoch_block: int | None = None,
-    tile_callback: TileCallback | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The pre-batching blocked loop: one tiny gemm per epoch per tile.
-
-    Preserved verbatim as the reference the batched rewrite is measured
-    against (``benchmarks/test_batched_stage12.py``) and as a bitwise
-    anchor for the tiling semantics.  Use :func:`correlate_blocked` for
-    real work.
-    """
-    z, assigned = _check_stage1_inputs(z, assigned)
-    n_epochs, n_voxels, _ = z.shape
-    if epoch_block is None:
-        epoch_block = n_epochs
-    if voxel_block < 1 or target_block < 1 or epoch_block < 1:
-        raise ValueError("block sizes must be >= 1")
-    shape = (assigned.size, n_epochs, n_voxels)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    else:
-        _validate_out(out, shape)
-
-    for v0, v1 in iter_blocks(assigned.size, voxel_block):
-        rows = assigned[v0:v1]
-        for e0, e1 in iter_blocks(n_epochs, epoch_block):
-            for n0, n1 in iter_blocks(n_voxels, target_block):
-                tile = out[v0:v1, e0:e1, n0:n1]
-                for e in range(e0, e1):
-                    np.matmul(
-                        z[e, rows], z[e, n0:n1].T, out=tile[:, e - e0, :]
-                    )
-                if tile_callback is not None:
-                    tile_callback(tile, (v0, v1), (n0, n1), (e0, e1))
-    return out
-
-
-def correlate_normalize_batched(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    epochs_per_subject: int,
-    voxel_sweep: int | None = None,
-    out: np.ndarray | None = None,
-    workspace: NormalizationWorkspace | None = None,
-) -> tuple[np.ndarray, int]:
-    """Fused batched stage 1/2 of one task, dense output.
-
-    A thin shim over the tiled engine with a
-    :class:`~repro.core.engine.DenseEmitter`: the task is cut into
-    L2-sized column tiles, each gemm-ed, normalized in cache and copied
-    into ``out``.  ``voxel_sweep`` is the blocking planner's ``B``
-    (``plan_blocks`` chooses it, the autotuner measures it); it scales
-    the tile, never the result.
-
-    Normalized values are bitwise-equal to running
-    ``normalize_separated`` on :func:`correlate_batched`'s whole-task
-    gemm, for any tile width and thread budget (pinned by
-    ``tests/core/test_stage12_equivalence.py``).
-
-    Returns ``(out, n_tiles)`` where ``n_tiles`` is the number of column
-    tiles walked (the ``stage12_tiles`` RunContext counter).
-    """
-    emitter = DenseEmitter(voxel_sweep=voxel_sweep, out=out)
-    result: tuple[np.ndarray, int] = run_engine(
-        z, assigned, epochs_per_subject, emitter, workspace=workspace
-    )
-    return result

@@ -56,9 +56,6 @@ __all__ = [
     "deal",
     "check_stage1_inputs",
     "validate_dense_out",
-    "register_emitter",
-    "create_emitter",
-    "available_emitters",
 ]
 
 #: Worker processes/ranks the executor placed on this host; they share
@@ -354,14 +351,15 @@ DENSE_TILE_BYTES_PER_ROW = 128 * 1024
 _COLUMN_QUANTUM = 16
 
 
-def gemm_safe_block(cols: int, shape: EngineShape) -> int:
-    """Widen a column block until no tile of the walk is a one-row or
-    one-column product.  BLAS leaves the gemm path for those, and gemv
-    does not round like the same columns of a gemm — the one way a
-    column split could change the bits."""
-    n = shape.n_voxels
-    cols = n if shape.n_assigned == 1 else min(max(2, cols), n)
-    while cols < n and n % cols == 1:
+def gemm_safe_block(cols: int, n_assigned: int, n_voxels: int) -> int:
+    """Widen a column block until no tile of an ``n_assigned``-row walk
+    over ``n_voxels`` columns is a one-row or one-column product.  BLAS
+    leaves the gemm path for those, and gemv does not round like the
+    same columns of a gemm — the one way a column split could change
+    the bits.  The rule of every column split that promises the serial
+    bits: :class:`DenseEmitter` and the 2-D tile partition."""
+    cols = n_voxels if n_assigned == 1 else min(max(2, cols), n_voxels)
+    while cols < n_voxels and n_voxels % cols == 1:
         cols += 1
     return cols
 
@@ -402,7 +400,9 @@ class DenseEmitter:
         column_bytes = shape.n_assigned * shape.n_epochs * 4
         cols = self._rows * DENSE_TILE_BYTES_PER_ROW // column_bytes
         cols = max(_COLUMN_QUANTUM, cols // _COLUMN_QUANTUM * _COLUMN_QUANTUM)
-        return TilePlan(target_block=gemm_safe_block(cols, shape))
+        return TilePlan(
+            target_block=gemm_safe_block(cols, shape.n_assigned, shape.n_voxels)
+        )
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:
         assert plan.target_block is not None
@@ -426,59 +426,3 @@ class DenseEmitter:
     def finalize(self) -> tuple[np.ndarray, int]:
         assert self._out is not None
         return self._out, self.n_tiles
-
-
-# -- emitter registry -----------------------------------------------------
-
-EmitterFactory = Callable[..., TileEmitter]
-
-_EMITTERS: dict[str, EmitterFactory] = {}
-
-#: Built-in emitters resolved lazily so ``engine`` never imports its
-#: own consumers at module scope (mirrors ``exec.registry``).
-_BUILTIN_MODULES = {
-    "dense": None,
-    "csr": "repro.core.sparse",
-    "incremental": "repro.core.incremental",
-}
-
-
-def register_emitter(
-    name: str, factory: EmitterFactory, *, overwrite: bool = False
-) -> None:
-    """Register an emitter factory under ``name``."""
-    if not name:
-        raise ValueError("emitter name must be non-empty")
-    if name in _EMITTERS and not overwrite:
-        raise ValueError(f"emitter {name!r} already registered")
-    _EMITTERS[name] = factory
-
-
-def _load_builtin(name: str) -> None:
-    module = _BUILTIN_MODULES.get(name)
-    if module is not None and name not in _EMITTERS:
-        import importlib
-
-        importlib.import_module(module)
-
-
-def create_emitter(name: str, **kwargs: Any) -> TileEmitter:
-    """Instantiate a registered emitter (built-ins load on demand)."""
-    _load_builtin(name)
-    try:
-        factory = _EMITTERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown emitter {name!r}; available: {available_emitters()}"
-        ) from None
-    return factory(**kwargs)
-
-
-def available_emitters() -> tuple[str, ...]:
-    """All registered emitter names (built-ins included), sorted."""
-    for name in _BUILTIN_MODULES:
-        _load_builtin(name)
-    return tuple(sorted(_EMITTERS))
-
-
-register_emitter("dense", DenseEmitter)

@@ -19,9 +19,9 @@ engine's streaming materialization:
   per-epoch planes, evicting the oldest beyond ``window_epochs``.
 * **Stage 2 on demand** (:meth:`IncrementalEmitter.normalized`): the
   window stack is Fisher-transformed and z-scored by the engine's own
-  normalizer, so at every TR the normalized window equals
-  ``correlate_normalize_batched`` over the same epochs bit for bit
-  (pinned by the hypothesis suite in
+  normalizer, so at every TR the normalized window equals the dense
+  engine (``run_engine`` + ``DenseEmitter``) over the same epochs bit
+  for bit (pinned by the hypothesis suite in
   ``tests/core/test_incremental.py``).
 
 Epochs may be ragged: each plane remembers its own epoch length, and
@@ -35,7 +35,7 @@ from typing import Any, Deque, List, Sequence
 
 import numpy as np
 
-from .engine import EngineShape, TilePlan, register_emitter, run_engine
+from .engine import EngineShape, TilePlan, run_engine
 from .normalization import NormalizationWorkspace, fuse_normalize_tile
 
 __all__ = ["IncrementalEmitter"]
@@ -326,7 +326,7 @@ class IncrementalEmitter:
         Fisher transform + within-subject z-score by the engine's own
         normalizer; ``epochs_per_subject`` defaults to the whole window
         as one population (the online, single-subject case).  Bitwise-
-        equal to ``correlate_normalize_batched`` over the same epochs.
+        equal to the dense engine over the same epochs.
         """
         w = self.window_size
         if w == 0:
@@ -381,5 +381,3 @@ class IncrementalEmitter:
         if excess > 0:
             self.evict_oldest(excess)
 
-
-register_emitter("incremental", IncrementalEmitter)

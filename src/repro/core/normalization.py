@@ -5,21 +5,17 @@ z-scored within subject (equation 5): for each (voxel, target-voxel,
 subject) triple, the population is that subject's ``E`` epoch values —
 the "sub-column of E values" of Fig. 4.
 
-Three execution strategies, numerically identical:
+Two execution strategies, bitwise identical:
 
 * :func:`normalize_separated` — a standalone pass over the full
   correlation array (the baseline; re-reads everything from memory).
-* :func:`MergedNormalizer` — a tile callback for
-  :func:`repro.core.correlation.correlate_blocked` that normalizes each
-  tile while it is still cache-resident (optimization idea #2).  Kept as
-  the *reference* merged path: it dispatches through the generic
-  :func:`fisher_z` / :func:`zscore_within_subject` helpers.
-* :func:`fuse_normalize_tile` — the engine's fast path: the same
-  arithmetic as ``normalize_separated`` (bitwise, including degenerate
-  populations) expressed as the minimum number of full-tile vector
-  passes, with all scratch buffers owned by a reusable
+* :func:`fuse_normalize_tile` — the engine's merged path (optimization
+  idea #2): the same arithmetic as ``normalize_separated`` (including
+  degenerate populations) expressed as the minimum number of full-tile
+  vector passes, with all scratch buffers owned by a reusable
   :class:`NormalizationWorkspace`.  :func:`repro.core.engine.run_engine`
-  calls it once per L2-sized tile, right after the tile's gemm.
+  calls it once per L2-sized tile, right after the tile's gemm, while
+  the tile is still cache-resident.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ __all__ = [
     "fisher_z",
     "zscore_within_subject",
     "normalize_separated",
-    "MergedNormalizer",
     "NormalizationWorkspace",
     "fuse_normalize_tile",
 ]
@@ -101,44 +96,6 @@ def normalize_separated(
         raise TypeError(f"expected float32 correlations, got {corr.dtype}")
     fisher_z(corr, out=corr)
     return zscore_within_subject(corr, epochs_per_subject)
-
-
-class MergedNormalizer:
-    """Tile callback implementing the merged stage-1/stage-2 pipeline.
-
-    Pass an instance as ``tile_callback`` to
-    :func:`repro.core.correlation.correlate_blocked` with
-    ``epoch_block=epochs_per_subject``: each tile then contains exactly
-    one subject's worth of epochs for a (voxel-block x target-block)
-    region, i.e. complete normalization populations, and is Fisher- and
-    z-transformed before it leaves cache ("the data necessary for a
-    complete normalization should reside in the same block",
-    Section 4.3).
-    """
-
-    def __init__(self, epochs_per_subject: int):
-        if epochs_per_subject < 1:
-            raise ValueError("epochs_per_subject must be >= 1")
-        self.epochs_per_subject = epochs_per_subject
-        #: Number of tiles normalized (test/perf introspection).
-        self.tiles_processed = 0
-
-    def __call__(
-        self,
-        tile: np.ndarray,
-        voxel_block: tuple[int, int],
-        target_block: tuple[int, int],
-        epoch_block: tuple[int, int],
-    ) -> None:
-        e0, e1 = epoch_block
-        if (e1 - e0) != self.epochs_per_subject or e0 % self.epochs_per_subject:
-            raise ValueError(
-                "merged normalization requires epoch blocks aligned to one "
-                f"subject ({self.epochs_per_subject} epochs); got [{e0}, {e1})"
-            )
-        fisher_z(tile, out=tile)
-        zscore_within_subject(tile, self.epochs_per_subject)
-        self.tiles_processed += 1
 
 
 class NormalizationWorkspace:

@@ -8,8 +8,9 @@ accuracies the worker would send back to the master.
 
 :class:`FCMAConfig` selects between the *baseline* implementation
 (per-epoch gemm, separated normalization, LibSVM-like solver — Section
-3.2) and the *optimized* one (L2-blocked tiles, merged normalization,
-blocked syrk, PhiSVM — Section 4); both produce the same voxel ranking.
+3.2), kept as the oracle, and the *optimized* one (the tiled engine:
+L2-sized tiles normalized while resident, batched syrk, PhiSVM —
+Section 4); both produce the same voxel ranking.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ Variant = str
 Backend = str
 
 #: Engine emitter each engine-backed variant's stage graph materializes
-#: through (the dispatch table ``resolved_emitter`` consults).
-_NATIVE_EMITTERS = {
+#: through (``resolved_emitter``); ``baseline`` never touches the engine.
+_VARIANT_EMITTERS = {
+    "optimized": "dense",
     "optimized-batched": "dense",
     "sparse-batched": "csr",
 }
@@ -52,10 +54,15 @@ _NATIVE_EMITTERS = {
 class FCMAConfig:
     """Knobs of the single-worker pipeline.
 
-    The defaults are the paper's optimized configuration.  Setting
-    ``variant="baseline"`` switches all three stages to the Section 3.2
-    implementation (and ``svm_backend`` to the LibSVM-like solver unless
-    explicitly overridden).
+    ``variant`` is the one dispatch axis; the engine emitter and the
+    default SVM backend are derived from it.  Two pipelines exist:
+    ``optimized`` (the default, the paper's Section 4 — the tiled
+    engine with a dense emitter; ``optimized-batched`` is an accepted
+    spelling of the same graph) and ``baseline`` (the Section 3.2
+    implementation in all three stages, LibSVM-like solver unless
+    ``svm_backend`` overrides it), kept as the oracle.
+    ``sparse-batched`` is the optimized engine materializing CSR
+    (``threshold``/``top_k``) instead of a dense array.
     """
 
     variant: Variant = "optimized"
@@ -66,12 +73,12 @@ class FCMAConfig:
     svm_tol: float = 1e-3
     #: Assigned voxels per worker task (120 for face-scene in the paper).
     task_voxels: int = 120
-    #: Stage-1 tile sizes for the optimized variant.
-    voxel_block: int = 16
+    #: Planner block the 2-D tiled runtime sizes its column tiles in
+    #: multiples of (``exec.partition.tile_cols_for``).
     target_block: int = 512
-    #: ``optimized-batched`` only: autotune the blocking plan by
-    #: measuring candidate voxel sweeps (see ``core.blocking``) instead
-    #: of trusting the analytic model.
+    #: Dense engine: autotune the blocking plan by measuring candidate
+    #: voxel sweeps (see ``core.blocking``) instead of trusting the
+    #: analytic model.
     autotune_blocks: bool = False
     #: JSON file for persisting autotuned plans across runs; None keeps
     #: the process-wide in-memory cache.
@@ -94,12 +101,6 @@ class FCMAConfig:
     #: ``sparse-batched`` only: keep the k strongest correlations per
     #: (voxel, epoch) row.
     top_k: int | None = None
-    #: Engine emitter (how stage-1/2 tiles are materialized): ``None``
-    #: resolves to the variant's native one — ``dense`` for
-    #: ``optimized-batched``, ``csr`` for ``sparse-batched``.  The
-    #: ``incremental`` emitter is driven per TR by the streaming loop
-    #: (:mod:`repro.rtfmri`), not by a batch variant.
-    emitter: str | None = None
     #: Seconds before a blocked communicator receive/collective aborts.
     #: ``None`` falls back to the ``FCMA_COMM_TIMEOUT`` environment
     #: variable, then 120 s (see :func:`repro.parallel.comm.default_timeout`).
@@ -116,8 +117,8 @@ class FCMAConfig:
             raise ValueError("svm_c and svm_tol must be positive")
         if self.task_voxels < 1:
             raise ValueError("task_voxels must be >= 1")
-        if self.voxel_block < 1 or self.target_block < 1:
-            raise ValueError("block sizes must be >= 1")
+        if self.target_block < 1:
+            raise ValueError("target_block must be >= 1")
         if self.online_folds < 2:
             raise ValueError("online_folds must be >= 2")
         if self.batch_voxels < 0:
@@ -141,42 +142,14 @@ class FCMAConfig:
             raise ValueError(
                 "threshold/top_k only apply to variant 'sparse-batched'"
             )
-        if self.emitter is not None:
-            from .engine import available_emitters
-
-            if self.emitter not in available_emitters():
-                raise ValueError(
-                    f"unknown emitter {self.emitter!r}; "
-                    f"available: {available_emitters()}"
-                )
-            if self.emitter == "incremental":
-                raise ValueError(
-                    "the incremental emitter is driven per TR by the "
-                    "streaming loop (repro.rtfmri), not by a batch variant"
-                )
-            native = _NATIVE_EMITTERS.get(self.variant)
-            if native is None:
-                raise ValueError(
-                    f"variant {self.variant!r} does not run through the "
-                    "tiled engine; emitter only applies to engine-backed "
-                    "variants"
-                )
-            if self.emitter != native:
-                raise ValueError(
-                    f"emitter {self.emitter!r} is incompatible with variant "
-                    f"{self.variant!r} (its stage graph materializes "
-                    f"{native!r} output)"
-                )
 
     def resolved_emitter(self) -> str | None:
-        """The engine emitter actually used (variant default resolved).
-
-        ``None`` for pre-engine variants (``baseline``, ``optimized``)
-        that never touch the tiled engine.
+        """The engine emitter the variant materializes through:
+        ``dense`` for ``optimized`` / ``optimized-batched``, ``csr`` for
+        ``sparse-batched``, ``None`` for ``baseline`` (and any
+        registered variant that never touches the tiled engine).
         """
-        if self.emitter is not None:
-            return self.emitter
-        return _NATIVE_EMITTERS.get(self.variant)
+        return _VARIANT_EMITTERS.get(self.variant)
 
     def resolved_backend(self) -> Backend:
         """The backend actually used, resolving the variant default."""

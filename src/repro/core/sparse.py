@@ -38,15 +38,13 @@ from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import EngineShape, TilePlan, register_emitter, run_engine
-from .normalization import NormalizationWorkspace
+from .engine import EngineShape, TilePlan
 
 __all__ = [
     "SPARSE_TILE_BYTES",
     "CSREmitter",
     "SparseCorrelationResult",
     "SparseStage12Stats",
-    "correlate_normalize_sparse_batched",
     "sparse_tile_plan",
     "threshold_dense",
     "topk_block",
@@ -296,9 +294,9 @@ def threshold_dense(
     """Filter a dense normalized ``(V, E, N)`` array into CSR.
 
     The densify-then-threshold reference: applies exactly the selection
-    semantics of :func:`correlate_normalize_sparse_batched` to an
-    already-materialized dense array, so on identical input bits the
-    two produce bitwise-identical CSR buffers.
+    semantics of :class:`CSREmitter` to an already-materialized dense
+    array, so on identical input bits the two produce
+    bitwise-identical CSR buffers.
     """
     _check_mode(threshold, top_k)
     dense = np.asarray(dense)
@@ -319,12 +317,12 @@ def threshold_dense(
 class CSREmitter:
     """Filters fused tiles straight to CSR while they are cache-resident.
 
-    The engine adapter for the historical
-    :func:`correlate_normalize_sparse_batched` result:
-    :func:`sparse_tile_plan` sizing by default, tau filtering per tile
-    or per-sweep top-k over an accumulated ``(voxel_sweep, E, N)`` row
-    slab.  Both modes see the identical gemm + normalize bits, and the
-    selection semantics (including top-k tie-breaks toward smaller
+    :func:`sparse_tile_plan` sizing by default.  In tau mode each tile
+    is filtered and discarded immediately; top-k needs whole rows, so
+    tiles accumulate into a ``(voxel_sweep, E, N)`` slab first — still
+    a small constant multiple of the sweep width, never the full
+    output.  Both modes see the identical gemm + normalize bits, and
+    the selection semantics (including top-k tie-breaks toward smaller
     columns) are exactly those of :func:`threshold_dense`.
 
     ``finalize`` returns ``(SparseCorrelationResult,
@@ -443,42 +441,3 @@ class CSREmitter:
         self._rows, self._cols, self._vals = [], [], []
         self._slab = None
         return result, self.stats
-
-
-register_emitter("csr", CSREmitter)
-
-
-def correlate_normalize_sparse_batched(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    epochs_per_subject: int,
-    *,
-    threshold: float | None = None,
-    top_k: int | None = None,
-    voxel_sweep: int | None = None,
-    target_block: int | None = None,
-    workspace: NormalizationWorkspace | None = None,
-) -> Tuple[SparseCorrelationResult, SparseStage12Stats]:
-    """Fused stage 1/2 with in-tile filtering straight to CSR.
-
-    A thin shim over the tiled engine: :class:`CSREmitter` receives the
-    same epoch-batched tile gemm and bitwise-exact per-tile normalizer
-    the dense engine uses, and filters each tile while cache-resident.
-    In tau mode each tile is filtered and discarded immediately; top-k
-    needs whole rows, so tiles accumulate into a ``(voxel_sweep, E,
-    N)`` slab first — still a small constant multiple of the sweep
-    width, never the full output.
-
-    Returns the CSR result plus :class:`SparseStage12Stats`
-    (tiles visited/pruned, nnz, scanned elements).
-    """
-    emitter = CSREmitter(
-        threshold=threshold,
-        top_k=top_k,
-        voxel_sweep=voxel_sweep,
-        target_block=target_block,
-    )
-    result: Tuple[SparseCorrelationResult, SparseStage12Stats] = run_engine(
-        z, assigned, epochs_per_subject, emitter, workspace=workspace
-    )
-    return result

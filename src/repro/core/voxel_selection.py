@@ -19,8 +19,6 @@ trajectories exactly (see the solver equivalence tests).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..obs.runtime import kernel_span
@@ -39,9 +37,6 @@ __all__ = [
     "score_voxels_sparse",
     "DEFAULT_BATCH_VOXELS",
 ]
-
-KernelFn = Callable[[np.ndarray], np.ndarray]
-BatchKernelFn = Callable[[np.ndarray], np.ndarray]
 
 #: Default voxel problems per batch; mirrors the paper's observation
 #: that ~2 x 120-voxel tasks stay resident on the coprocessor at once.
@@ -76,9 +71,8 @@ def score_voxels_reference(
     labels: np.ndarray,
     fold_ids: np.ndarray,
     backend: KernelBackend,
-    kernel_fn: KernelFn = kernel_matrix_baseline,
 ) -> VoxelScores:
-    """Reference stage 3: one kernel + one sequential CV per voxel.
+    """Reference stage 3: one baseline kernel + one sequential CV per voxel.
 
     Parameters
     ----------
@@ -94,8 +88,6 @@ def score_voxels_reference(
         analysis, k-fold ids for single-subject online analysis.
     backend:
         An SVM backend with ``fit_kernel`` (PhiSVM or LibSVMClassifier).
-    kernel_fn:
-        Kernel precompute: baseline or blocked syrk.
     """
     correlations, voxel_ids, labels, fold_ids = _check_inputs(
         correlations, voxel_ids, labels, fold_ids
@@ -103,7 +95,7 @@ def score_voxels_reference(
     v = correlations.shape[0]
     accuracies = np.empty(v, dtype=np.float64)
     for i in range(v):
-        kernel = kernel_fn(correlations[i])
+        kernel = kernel_matrix_baseline(correlations[i])
         result = grouped_cross_validation(backend, kernel, labels, fold_ids)
         accuracies[i] = result.accuracy
     return VoxelScores(voxels=voxel_ids, accuracies=accuracies)
@@ -115,18 +107,17 @@ def score_voxels(
     labels: np.ndarray,
     fold_ids: np.ndarray,
     backend: KernelBackend,
-    kernel_fn: KernelFn = kernel_matrix_baseline,
     batch_voxels: int | None = DEFAULT_BATCH_VOXELS,
-    batch_kernel_fn: BatchKernelFn = kernel_matrix_batched,
 ) -> VoxelScores:
     """Score every assigned voxel by grouped-CV accuracy (batched).
 
     Blocks of ``batch_voxels`` problems are scored at once: their
-    kernels come from one stacked GEMM (``batch_kernel_fn``) and their
+    kernels come from one stacked GEMM
+    (:func:`~repro.core.kernels.kernel_matrix_batched`) and their
     cross-validation runs through the backend's multi-problem solver
     (``fit_kernel_batch``).  Falls back to
-    :func:`score_voxels_reference` — per-voxel kernels via ``kernel_fn``
-    and sequential CV — when batching is disabled
+    :func:`score_voxels_reference` — per-voxel baseline kernels (bitwise
+    the same Gram) and sequential CV — when batching is disabled
     (``batch_voxels=None``/``0``), when the backend has no batched
     trainer (e.g. the LibSVM-like baseline), or when the labels are
     multiclass (one-vs-one voting is per-problem).
@@ -144,8 +135,7 @@ def score_voxels(
     )
     if not batchable:
         return score_voxels_reference(
-            correlations, voxel_ids, labels, fold_ids, backend,
-            kernel_fn=kernel_fn,
+            correlations, voxel_ids, labels, fold_ids, backend
         )
     v = correlations.shape[0]
     accuracies = np.empty(v, dtype=np.float64)
@@ -154,7 +144,7 @@ def score_voxels(
         with kernel_span(
             "score_batch", attrs={"first_voxel": b0}
         ) as span:
-            kernels = batch_kernel_fn(correlations[b0:b1])
+            kernels = kernel_matrix_batched(correlations[b0:b1])
             try:
                 result = grouped_cross_validation_batch(
                     backend, kernels, labels, fold_ids
@@ -164,8 +154,7 @@ def score_voxels(
                 # wrapper (e.g. the one-vs-one shim over LibSVM) surface
                 # here; score the whole task on the reference path instead.
                 return score_voxels_reference(
-                    correlations, voxel_ids, labels, fold_ids, backend,
-                    kernel_fn=kernel_fn,
+                    correlations, voxel_ids, labels, fold_ids, backend
                 )
             if span is not None:
                 span.add_metric("voxels", float(b1 - b0))

@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         baseline_graph,
         build_graph,
         execute_task,
-        optimized_batched_graph,
         optimized_graph,
         sparse_batched_graph,
     )
@@ -86,7 +85,6 @@ _EXPORTS = {
     "baseline_graph": "stage_graph",
     "build_graph": "stage_graph",
     "execute_task": "stage_graph",
-    "optimized_batched_graph": "stage_graph",
     "optimized_graph": "stage_graph",
     "sparse_batched_graph": "stage_graph",
 }

@@ -330,6 +330,14 @@ class MasterWorkerExecutor:
         from ..parallel.master_worker import _master_loop, _worker_loop
         from ..parallel.tiled import tiled_master_loop, tiled_worker_loop
 
+        if self.partition == "tiles" and ctx.config.resolved_emitter() != "dense":
+            # The tile workers run the dense engine's tile body and the
+            # batched score; any other variant would be silently ignored.
+            raise ValueError(
+                f"partition='tiles' distributes the dense engine only; "
+                f"variant {ctx.config.variant!r} does not run through it "
+                f"(use partition='rows')"
+            )
         timeout = self._timeout(ctx)
         with ctx.run_span(self.name, dataset):
             t0 = time.perf_counter()

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.engine import gemm_safe_block
 from ..core.tiling import iter_blocks, n_blocks
 
 __all__ = [
@@ -128,16 +129,22 @@ def partition_tiles(
 
     Row panels come from :func:`partition_tasks` (so the stage-3 unit
     of aggregation is unchanged); each panel is split into column tiles
-    of ``tile_cols`` target voxels.  Tiles are ordered row-major —
-    panel 0's columns left to right, then panel 1 — which is the
-    deterministic dispatch order of the tiled master loop.
+    of ``tile_cols`` target voxels, widened by the engine's
+    :func:`~repro.core.engine.gemm_safe_block` rule so no tile is a
+    one-row or one-column product (a one-voxel panel is one full-width
+    tile, and no panel ends in a width-1 tile) — the condition for a
+    tile to carry the bits of the same columns of the serial engine.
+    Tiles are ordered row-major — panel 0's columns left to right, then
+    panel 1 — which is the deterministic dispatch order of the tiled
+    master loop.
     """
     if tile_cols < 1:
         raise ValueError("tile_cols must be >= 1")
     panels = partition_tasks(n_voxels, task_voxels, voxels)
     tiles: list[TileTask] = []
     for panel_id, rows in enumerate(panels):
-        for start, stop in iter_blocks(n_voxels, tile_cols):
+        cols = gemm_safe_block(tile_cols, rows.size, n_voxels)
+        for start, stop in iter_blocks(n_voxels, cols):
             tiles.append(
                 TileTask(
                     index=len(tiles),

@@ -7,10 +7,11 @@ validation, ``make_backend``, the executors, the CLI — resolves through
 the same tables without editing core.
 
 The paper's own choices are pre-seeded: backends ``phisvm``, ``libsvm``
-and ``libsvm-float32``; variants ``baseline``, ``optimized`` and
-``optimized-batched`` (their graph builders live in
-:mod:`repro.exec.stage_graph` and self-register on import, which
-:func:`graph_builder` triggers lazily to keep the import graph acyclic).
+and ``libsvm-float32``; variants ``baseline``, ``optimized`` (also
+registered as ``optimized-batched``) and ``sparse-batched`` (their graph
+builders live in :mod:`repro.exec.stage_graph` and self-register on
+import, which :func:`graph_builder` triggers lazily to keep the import
+graph acyclic).
 """
 
 from __future__ import annotations

@@ -8,21 +8,26 @@ node's wall time is charged to the :class:`~repro.exec.context.RunContext`
 under the node's name, so every executor emits identical per-stage
 telemetry.
 
-Two built-in graphs mirror ``FCMAConfig.variant``:
+``FCMAConfig.variant`` names the graph.  There are two pipelines and
+one alternative materialization:
 
-* ``baseline`` — three separate nodes (per-epoch gemm correlation,
-  separated normalization, LibSVM-style scoring);
-* ``optimized`` — the paper's idea #2 *merges* normalization into the
-  blocked correlation while tiles are L2-resident, so the graph has a
-  fused ``correlate+normalize`` node followed by ``score``;
-* ``optimized-batched`` — the tiled engine (``core.engine``): L2-sized
-  column tiles, each gemm-ed and normalized while cache-resident and
-  dealt to the engine's thread pool, with the tile scaled by the
-  blocking planner's voxel block (optionally autotuned and plan-cached;
-  see ``core.blocking``).
+* ``baseline`` — the oracle: three separate nodes (per-epoch gemm
+  correlation, separated normalization, LibSVM-style scoring);
+* ``optimized`` — the paper's Section 4 as the tiled engine
+  (``core.engine``): L2-sized column tiles, each gemm-ed and normalized
+  while cache-resident (idea #2) and dealt to the engine's thread pool,
+  with the tile scaled by the blocking planner's voxel block
+  (optionally autotuned and plan-cached; see ``core.blocking``), so the
+  graph has a fused ``correlate+normalize`` node followed by a batched
+  ``score``.  ``optimized-batched`` is an accepted spelling: the same
+  builder is registered under both names and nothing branches on which
+  one a config used;
+* ``sparse-batched`` — the same engine walk filtered to CSR while each
+  tile is resident, scored through sparse Grams.
 
-All graphs reproduce the legacy ``run_task`` results bitwise; the
-equivalence is pinned by ``tests/exec/test_stage_graph.py``.
+``baseline`` and ``optimized`` select the same voxels with the same
+accuracies; the equivalence is pinned by ``tests/exec`` and
+``tests/integration``.
 """
 
 from __future__ import annotations
@@ -34,14 +39,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core import blocking
-from ..core.correlation import (
-    correlate_baseline,
-    correlate_blocked,
-    stage1_input_copies,
-)
+from ..core.correlation import correlate_baseline, stage1_input_copies
 from ..core.engine import DenseEmitter, run_engine, thread_budget
-from ..core.kernels import kernel_matrix_baseline, kernel_matrix_blocked
-from ..core.normalization import MergedNormalizer, normalize_separated
+from ..core.normalization import normalize_separated
 from ..core.results import VoxelScores
 from ..core.sparse import CSREmitter, sparse_tile_plan
 from ..core.voxel_selection import score_voxels, score_voxels_sparse
@@ -58,9 +58,7 @@ __all__ = [
     "StageGraphError",
     "baseline_graph",
     "optimized_graph",
-    "optimized_batched_graph",
     "sparse_batched_graph",
-    "register_fused_stage",
     "build_graph",
     "execute_task",
 ]
@@ -190,37 +188,15 @@ def _normalize_separated(
     return {"correlations": corr}
 
 
-def _correlate_merged(
-    ctx: RunContext, state: Mapping[str, Any]
-) -> Mapping[str, Any]:
-    config = ctx.config
-    e_per_subject = state["grouped"].epochs.epochs_per_subject()
-    merger = MergedNormalizer(e_per_subject)
-    with ctx.tracer.span("correlate_blocked+merge", kind="kernel") as span:
-        corr = correlate_blocked(
-            state["windows"],
-            state["assigned"],
-            voxel_block=config.voxel_block,
-            target_block=config.target_block,
-            epoch_block=e_per_subject,
-            tile_callback=merger,
-        )
-        span.add_metric("voxels", float(state["assigned"].size))
-        span.add_metric(
-            "bytes_moved", float(state["windows"].nbytes + corr.nbytes)
-        )
-    return {"correlations": corr}
-
-
 def _resolve_blocking_plan(
     ctx: RunContext,
     z: NDArray[Any],
     assigned: NDArray[Any],
     e_per_subject: int,
 ) -> blocking.BlockingPlan:
-    """Shared plan lookup of the batched stage bodies (dense + sparse):
-    hardware-model default, plan-cache accounting, trace span, counters,
-    and the run-metadata record."""
+    """Plan lookup of the dense engine stage: hardware-model default,
+    plan-cache accounting, trace span, counters, and the run-metadata
+    record."""
     config = ctx.config
     hw = ctx.hardware
     if hw is None:
@@ -350,45 +326,6 @@ def _correlate_sparse_fused(
     return {"sparse_correlations": result}
 
 
-#: Engine stage bodies keyed by emitter name — the exec-layer dispatch
-#: for the core engine's pluggable materializations.  A variant's graph
-#: builder resolves ``config.resolved_emitter()`` through this table, so
-#: registering a new emitter's stage body plugs it into the pipeline
-#: without editing the builders.
-FUSED_STAGE_BODIES: dict[str, StageFn] = {
-    "dense": _correlate_batched_fused,
-    "csr": _correlate_sparse_fused,
-}
-
-
-def register_fused_stage(
-    emitter: str, fn: StageFn, *, overwrite: bool = False
-) -> None:
-    """Register the stage body that drives the engine for ``emitter``."""
-    if not emitter:
-        raise ValueError("emitter name must be non-empty")
-    if emitter in FUSED_STAGE_BODIES and not overwrite:
-        raise ValueError(f"stage body for emitter {emitter!r} already registered")
-    FUSED_STAGE_BODIES[emitter] = fn
-
-
-def _fused_stage_body(config: Any, default_emitter: str) -> StageFn:
-    """Resolve a config's emitter to its registered engine stage body."""
-    name = default_emitter
-    if config is not None:
-        resolver = getattr(config, "resolved_emitter", None)
-        resolved = resolver() if callable(resolver) else None
-        if resolved is not None:
-            name = resolved
-    try:
-        return FUSED_STAGE_BODIES[name]
-    except KeyError:
-        raise StageGraphError(
-            f"no engine stage body registered for emitter {name!r}; "
-            f"known: {sorted(FUSED_STAGE_BODIES)}"
-        ) from None
-
-
 def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
     grouped = state["grouped"]
     backend = create_backend(ctx.config)
@@ -406,24 +343,20 @@ def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any
     return {"scores": scores}
 
 
-def _make_score_stage(kernel_fn: Callable[..., Any]) -> StageFn:
-    def _score(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-        grouped = state["grouped"]
-        backend = create_backend(ctx.config)
-        with ctx.tracer.span("score_voxels", kind="kernel") as span:
-            scores = score_voxels(
-                state["correlations"],
-                state["assigned"],
-                grouped.epochs.labels(),
-                _fold_ids(ctx, grouped),
-                backend,
-                kernel_fn=kernel_fn,
-                batch_voxels=ctx.config.batch_voxels,
-            )
-            span.add_metric("voxels", float(state["assigned"].size))
-        return {"scores": scores}
-
-    return _score
+def _score_dense(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
+    grouped = state["grouped"]
+    backend = create_backend(ctx.config)
+    with ctx.tracer.span("score_voxels", kind="kernel") as span:
+        scores = score_voxels(
+            state["correlations"],
+            state["assigned"],
+            grouped.epochs.labels(),
+            _fold_ids(ctx, grouped),
+            backend,
+            batch_voxels=ctx.config.batch_voxels,
+        )
+        span.add_metric("voxels", float(state["assigned"].size))
+    return {"scores": scores}
 
 
 _SEEDS = ("dataset", "assigned")
@@ -448,7 +381,7 @@ def baseline_graph(config: Any = None) -> StageGraph:
             ),
             Stage(
                 "score",
-                _make_score_stage(kernel_matrix_baseline),
+                _score_dense,
                 ("correlations", "assigned", "grouped"),
                 ("scores",),
             ),
@@ -458,41 +391,20 @@ def baseline_graph(config: Any = None) -> StageGraph:
 
 
 def optimized_graph(config: Any = None) -> StageGraph:
-    """The Section-4 pipeline: normalization merged into correlation."""
+    """The Section-4 pipeline: the tiled engine, normalization merged
+    into correlation, batched scoring."""
     return StageGraph(
         stages=(
             Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
             Stage(
                 "correlate+normalize",
-                _correlate_merged,
+                _correlate_batched_fused,
                 ("windows", "assigned", "grouped"),
                 ("correlations",),
             ),
             Stage(
                 "score",
-                _make_score_stage(kernel_matrix_blocked),
-                ("correlations", "assigned", "grouped"),
-                ("scores",),
-            ),
-        ),
-        seeds=_SEEDS,
-    )
-
-
-def optimized_batched_graph(config: Any = None) -> StageGraph:
-    """The fused epoch-batched pipeline (this repo's PR-3 engine)."""
-    return StageGraph(
-        stages=(
-            Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
-            Stage(
-                "correlate+normalize",
-                _fused_stage_body(config, "dense"),
-                ("windows", "assigned", "grouped"),
-                ("correlations",),
-            ),
-            Stage(
-                "score",
-                _make_score_stage(kernel_matrix_blocked),
+                _score_dense,
                 ("correlations", "assigned", "grouped"),
                 ("scores",),
             ),
@@ -504,8 +416,8 @@ def optimized_batched_graph(config: Any = None) -> StageGraph:
 def sparse_batched_graph(config: Any = None) -> StageGraph:
     """Threshold-during-fuse pipeline: CSR stage 1/2, sparse-Gram stage 3.
 
-    Same plan lookup and fused tile engine as ``optimized-batched``, but
-    each normalized tile is filtered (``config.threshold`` /
+    Same fused tile engine as ``optimized``, but each normalized tile
+    is filtered (``config.threshold`` /
     ``config.top_k``) into a CSR block while cache-resident; stage 3
     Grams the CSR row bands in nnz-balanced panels through the same
     batched SMO.
@@ -515,7 +427,7 @@ def sparse_batched_graph(config: Any = None) -> StageGraph:
             Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
             Stage(
                 "correlate+normalize",
-                _fused_stage_body(config, "csr"),
+                _correlate_sparse_fused,
                 ("windows", "assigned", "grouped"),
                 ("sparse_correlations",),
             ),
@@ -532,7 +444,7 @@ def sparse_batched_graph(config: Any = None) -> StageGraph:
 
 register_variant("baseline", baseline_graph, overwrite=True)
 register_variant("optimized", optimized_graph, overwrite=True)
-register_variant("optimized-batched", optimized_batched_graph, overwrite=True)
+register_variant("optimized-batched", optimized_graph, overwrite=True)
 register_variant("sparse-batched", sparse_batched_graph, overwrite=True)
 
 

@@ -1,6 +1,6 @@
 """Access-pattern model of the sparse thresholded stage-1/2 engine.
 
-The sparse engine (:func:`repro.core.sparse.correlate_normalize_sparse_batched`)
+The sparse engine (:class:`repro.core.sparse.CSREmitter` under ``run_engine``)
 keeps the fused batched tile pipeline of :mod:`repro.perf.stage12_model`
 but filters every ``(sweep, E, target_block)`` tile *while it is still
 L2-resident*, emitting only the surviving entries as CSR fragments.  The

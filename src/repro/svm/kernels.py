@@ -18,8 +18,8 @@ def linear_kernel(x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix ``X Z^T`` (or ``X X^T``), in X's floating dtype.
 
     This is exactly the paper's kernel-precompute stage reduced to one
-    BLAS call; the blocked equivalent lives in
-    :func:`repro.core.kernels.kernel_matrix_blocked`.
+    BLAS call; the batched equivalent lives in
+    :func:`repro.core.kernels.kernel_matrix_batched`.
     """
     x = np.asarray(x)
     if x.ndim != 2:

@@ -57,4 +57,4 @@ def rng() -> np.random.Generator:
 @pytest.fixture(scope="session")
 def fast_fcma_config() -> FCMAConfig:
     """Pipeline config tuned for test speed (small tiles, few voxels)."""
-    return FCMAConfig(task_voxels=40, voxel_block=8, target_block=32)
+    return FCMAConfig(task_voxels=40, target_block=32)

@@ -70,14 +70,13 @@ class TestPlanBlocks:
             plan_blocks(PHI_5110P, 4, 12, 10, 100, cache_fraction=0.0)
 
     def test_plans_usable_by_blocked_correlation(self):
-        """The planner's output must be directly consumable by stage 1."""
+        """The planner's output must be directly consumable by the
+        stage-1/2 engine, and only ever change its tiling."""
         import numpy as np
 
-        from repro.core.correlation import (
-            correlate_baseline,
-            correlate_blocked,
-            normalize_epoch_data,
-        )
+        from repro.core.correlation import correlate_batched, normalize_epoch_data
+        from repro.core.engine import DenseEmitter, run_engine
+        from repro.core.normalization import normalize_separated
 
         plan = plan_blocks(
             PHI_5110P, epochs_per_subject=4, epoch_length=8,
@@ -87,13 +86,14 @@ class TestPlanBlocks:
             np.random.default_rng(0).standard_normal((8, 40, 8)).astype(np.float32)
         )
         assigned = np.arange(10)
-        out = correlate_blocked(
-            z, assigned,
-            voxel_block=plan.voxel_block,
-            target_block=plan.target_block,
-            epoch_block=plan.epoch_block,
+        out, _ = run_engine(
+            z, assigned, plan.epoch_block,
+            DenseEmitter(voxel_sweep=plan.voxel_block),
         )
-        np.testing.assert_array_equal(out, correlate_baseline(z, assigned))
+        np.testing.assert_array_equal(
+            out,
+            normalize_separated(correlate_batched(z, assigned), plan.epoch_block),
+        )
 
 
 class TestCandidateGuardFix:

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import engine, iter_blocks
 from repro.core.correlation import (
     correlate_baseline,
-    correlate_blocked,
+    correlate_batched,
     epoch_windows,
-    iter_blocks,
     normalize_epoch_data,
 )
+from repro.core.engine import DenseEmitter, run_engine
+from repro.core.normalization import normalize_separated
+
+from .test_engine import BlockedDense
 
 
 def stack(n_epochs=4, n_voxels=12, t=10, seed=0):
@@ -101,59 +105,47 @@ class TestCorrelateBaseline:
 
 
 class TestCorrelateBlocked:
+    """The tiled engine against the two whole-task kernels: any column
+    tiling, at any planner voxel block, returns ``correlate_batched``'s
+    bits and ``correlate_baseline``'s values."""
+
     @pytest.mark.parametrize("vb,tb,eb", [(1, 1, 1), (3, 5, 2), (16, 512, None), (2, 7, 4)])
-    def test_identical_to_baseline(self, vb, tb, eb):
-        z = normalize_epoch_data(stack(4, 13, 9, seed=4))
+    def test_identical_to_baseline(self, vb, tb, eb, monkeypatch):
+        # 16 columns per planned row over 5 rows x 4 epochs x 4 bytes, so
+        # the planner's voxel block ``vb`` cuts the 53-voxel brain into
+        # 4, 2, 1 and 2 tiles; ``tb`` forces a column block outright.
+        monkeypatch.setattr(engine, "DENSE_TILE_BYTES_PER_ROW", 16 * 80)
+        z = normalize_epoch_data(stack(4, 53, 9, seed=4))
         assigned = np.array([0, 2, 5, 11, 12])
-        base = correlate_baseline(z, assigned)
-        blocked = correlate_blocked(
-            z, assigned, voxel_block=vb, target_block=tb, epoch_block=eb
-        )
+        raw, _ = run_engine(z, assigned, 1, BlockedDense(tb, fused=False))
+        assert raw.tobytes() == correlate_batched(z, assigned).tobytes()
         # Up to 1-ulp differences: BLAS picks shape-dependent kernels.
-        np.testing.assert_allclose(base, blocked, atol=3e-7, rtol=0)
-
-    def test_callback_sees_every_tile_once(self):
-        z = normalize_epoch_data(stack(4, 10, 8))
-        seen = []
-        correlate_blocked(
-            z,
-            np.arange(10),
-            voxel_block=4,
-            target_block=3,
-            epoch_block=2,
-            tile_callback=lambda tile, vb, nb, eb: seen.append((vb, nb, eb)),
+        np.testing.assert_allclose(
+            correlate_baseline(z, assigned), raw, atol=3e-7, rtol=0
         )
-        # ceil(10/4) * ceil(10/3) * ceil(4/2) tiles
-        assert len(seen) == 3 * 4 * 2
-        assert len(set(seen)) == len(seen)
-
-    def test_callback_can_modify_in_place(self):
-        z = normalize_epoch_data(stack(2, 6, 8))
-        doubled = correlate_blocked(
-            z,
-            np.arange(6),
-            voxel_block=2,
-            target_block=3,
-            tile_callback=lambda tile, *_: np.multiply(tile, 2.0, out=tile),
-        )
-        base = correlate_baseline(z, np.arange(6))
-        np.testing.assert_allclose(doubled, 2 * base, atol=1e-6)
+        eps = eb or z.shape[0]
+        reference = normalize_separated(correlate_batched(z, assigned), eps)
+        planned = DenseEmitter(voxel_sweep=vb)
+        for emitter in (BlockedDense(tb), planned):
+            fused, _ = run_engine(z, assigned, eps, emitter)
+            assert fused.tobytes() == reference.tobytes()
+        assert planned.tile_cols == min(16 * vb, 53)
 
     def test_out_buffer_reused(self):
         z = normalize_epoch_data(stack(2, 5, 8))
         out = np.empty((5, 2, 5), dtype=np.float32)
-        res = correlate_blocked(z, np.arange(5), out=out)
+        res, _ = run_engine(z, np.arange(5), 2, DenseEmitter(out=out))
         assert res is out
 
     def test_out_wrong_shape(self):
         z = normalize_epoch_data(stack(2, 5, 8))
+        bad = np.empty((1, 2, 3), np.float32)
         with pytest.raises(ValueError, match="out has shape"):
-            correlate_blocked(z, np.arange(5), out=np.empty((1, 2, 3), np.float32))
+            run_engine(z, np.arange(5), 2, DenseEmitter(out=bad))
 
     def test_bad_blocks(self):
-        z = normalize_epoch_data(stack())
         with pytest.raises(ValueError):
-            correlate_blocked(z, np.array([0]), voxel_block=0)
+            DenseEmitter(voxel_sweep=0)
 
 
 class TestEpochWindows:
@@ -194,23 +186,22 @@ class TestIterBlocks:
     n_epochs=st.integers(1, 5),
     n_voxels=st.integers(2, 15),
     t=st.integers(3, 12),
-    vb=st.integers(1, 6),
     tb=st.integers(1, 10),
     seed=st.integers(0, 50),
 )
-def test_blocked_equals_baseline_property(n_epochs, n_voxels, t, vb, tb, seed):
+def test_blocked_equals_baseline_property(n_epochs, n_voxels, t, tb, seed):
     """Property: any tiling computes the same correlations bitwise."""
     z = normalize_epoch_data(stack(n_epochs, n_voxels, t, seed))
     assigned = np.arange(n_voxels)
-    base = correlate_baseline(z, assigned)
-    blocked = correlate_blocked(z, assigned, voxel_block=vb, target_block=tb)
-    np.testing.assert_allclose(base, blocked, atol=3e-7, rtol=0)
+    blocked, _ = run_engine(z, assigned, 1, BlockedDense(tb, fused=False))
+    assert blocked.tobytes() == correlate_batched(z, assigned).tobytes()
+    np.testing.assert_allclose(
+        correlate_baseline(z, assigned), blocked, atol=3e-7, rtol=0
+    )
 
 
 class TestCorrelateBatched:
     def test_matches_baseline(self):
-        from repro.core.correlation import correlate_batched
-
         z = normalize_epoch_data(stack(5, 14, 9, seed=4))
         assigned = np.array([0, 2, 7, 13])
         np.testing.assert_allclose(
@@ -220,8 +211,6 @@ class TestCorrelateBatched:
         )
 
     def test_writes_into_out(self):
-        from repro.core.correlation import correlate_batched
-
         z = normalize_epoch_data(stack(3, 8, 6, seed=5))
         assigned = np.arange(8)
         out = np.empty((8, 3, 8), dtype=np.float32)
@@ -230,8 +219,6 @@ class TestCorrelateBatched:
 
     def test_voxel_major_layout(self):
         """out[v, e, :] is voxel v's correlation vector for epoch e."""
-        from repro.core.correlation import correlate_batched
-
         z = normalize_epoch_data(stack(4, 6, 7, seed=6))
         assigned = np.array([1, 4])
         out = correlate_batched(z, assigned)
@@ -242,85 +229,38 @@ class TestCorrelateBatched:
                 )
 
 
+def _dense_engine(z, assigned, out):
+    return run_engine(z, assigned, 1, DenseEmitter(out=out))
+
+
 class TestOutValidation:
+    #: Both writers of a caller-provided dense buffer share one check.
+    WRITERS = {"correlate_batched": correlate_batched, "run_engine": _dense_engine}
+
     def _z(self):
         return normalize_epoch_data(stack(3, 8, 6, seed=7))
 
-    @pytest.mark.parametrize("fn_name", [
-        "correlate_batched", "correlate_blocked", "correlate_blocked_reference",
-    ])
+    @pytest.mark.parametrize("fn_name", sorted(WRITERS))
     def test_float64_out_rejected(self, fn_name):
-        import repro.core.correlation as corr
-
-        fn = getattr(corr, fn_name)
-        z = self._z()
         bad = np.empty((8, 3, 8), dtype=np.float64)
         with pytest.raises(TypeError, match="float32"):
-            fn(z, np.arange(8), out=bad)
+            self.WRITERS[fn_name](self._z(), np.arange(8), out=bad)
 
-    @pytest.mark.parametrize("fn_name", [
-        "correlate_batched", "correlate_blocked", "correlate_blocked_reference",
-    ])
+    @pytest.mark.parametrize("fn_name", sorted(WRITERS))
     def test_non_contiguous_out_rejected(self, fn_name):
-        import repro.core.correlation as corr
-
-        fn = getattr(corr, fn_name)
-        z = self._z()
         bad = np.empty((8, 3, 16), dtype=np.float32)[:, :, ::2]
         with pytest.raises(TypeError, match="contiguous"):
-            fn(z, np.arange(8), out=bad)
+            self.WRITERS[fn_name](self._z(), np.arange(8), out=bad)
 
-    @pytest.mark.parametrize("fn_name", [
-        "correlate_batched", "correlate_blocked", "correlate_blocked_reference",
-    ])
+    @pytest.mark.parametrize("fn_name", sorted(WRITERS))
     def test_wrong_shape_out_rejected(self, fn_name):
-        import repro.core.correlation as corr
-
-        fn = getattr(corr, fn_name)
-        z = self._z()
         bad = np.empty((8, 3, 5), dtype=np.float32)
         with pytest.raises(ValueError, match="out has shape"):
-            fn(z, np.arange(8), out=bad)
+            self.WRITERS[fn_name](self._z(), np.arange(8), out=bad)
 
     def test_non_array_out_rejected(self):
-        from repro.core.correlation import correlate_batched
-
         with pytest.raises(TypeError, match="numpy array"):
             correlate_batched(self._z(), np.arange(8), out=[])
-
-
-class TestBlockedReference:
-    def test_reference_matches_blocked(self):
-        """The preserved per-epoch loop and the batched rewrite tile
-        identically; outputs agree to float32 tolerance."""
-        from repro.core.correlation import correlate_blocked_reference
-
-        z = normalize_epoch_data(stack(6, 13, 8, seed=8))
-        assigned = np.arange(13)
-        ref = correlate_blocked_reference(
-            z, assigned, voxel_block=4, target_block=5, epoch_block=3
-        )
-        blk = correlate_blocked(
-            z, assigned, voxel_block=4, target_block=5, epoch_block=3
-        )
-        np.testing.assert_allclose(ref, blk, atol=3e-7, rtol=0)
-
-    def test_reference_callback_sequence_preserved(self):
-        from repro.core.correlation import correlate_blocked_reference
-
-        calls = []
-        z = normalize_epoch_data(stack(4, 10, 6, seed=9))
-        correlate_blocked_reference(
-            z, np.arange(10), voxel_block=4, target_block=6, epoch_block=2,
-            tile_callback=lambda tile, v, n, e: calls.append((v, n, e)),
-        )
-        batched_calls = []
-        correlate_blocked(
-            z, np.arange(10), voxel_block=4, target_block=6, epoch_block=2,
-            tile_callback=lambda tile, v, n, e: batched_calls.append((v, n, e)),
-        )
-        assert calls == batched_calls
-        assert len(calls) == 3 * 2 * 2  # ceil(10/4) * ceil(10/6) * ceil(4/2)
 
 
 class TestStage1InputCopies:
@@ -355,8 +295,6 @@ class TestStage1InputCopies:
     def test_non_contiguous_z_still_bitwise_equal(self):
         """The hidden copy must not change the produced bits — the
         counter reports a cost, not a correctness hazard."""
-        from repro.core.correlation import correlate_batched
-
         z = self._z()
         padded = np.empty((3, 8, 12), dtype=np.float32)
         padded[:, :, :6] = z

@@ -1,4 +1,4 @@
-"""Engine/emitter conformance: the protocol contract and the registry.
+"""Engine/emitter conformance: the protocol contract.
 
 Every emitter must observe the same call sequence from
 :func:`repro.core.engine.run_engine` — ``plan -> begin -> dense_out ->
@@ -29,10 +29,7 @@ from repro.core.engine import (
     EngineShape,
     TileEmitter,
     TilePlan,
-    available_emitters,
-    create_emitter,
     gemm_safe_block,
-    register_emitter,
     run_engine,
 )
 from repro.core.incremental import IncrementalEmitter
@@ -53,14 +50,20 @@ def _problem(n_epochs=6, n_voxels=23, epoch_len=7, n_assigned=9, seed=3):
 
 class BlockedDense(DenseEmitter):
     """A dense emitter whose column block the test chooses (made
-    gemm-safe like the real plan), instead of deriving it from bytes."""
+    gemm-safe like the real plan), instead of deriving it from bytes.
+    ``fused=False`` leaves raw stage-1 correlations in the tiles."""
 
-    def __init__(self, cols: int, **kwargs):
+    def __init__(self, cols: int, *, fused: bool = True, **kwargs):
         super().__init__(**kwargs)
         self._cols = cols
+        self.fused_normalization = fused
 
     def plan(self, shape: EngineShape) -> TilePlan:
-        return TilePlan(target_block=gemm_safe_block(self._cols, shape))
+        return TilePlan(
+            target_block=gemm_safe_block(
+                self._cols, shape.n_assigned, shape.n_voxels
+            )
+        )
 
 
 class RecordingEmitter:
@@ -184,39 +187,6 @@ class TestBuiltinEmitterReturns:
             run_engine(z, assigned, 3, DenseEmitter(out=bad))
 
 
-class TestRegistry:
-    def test_builtins_listed(self):
-        names = available_emitters()
-        assert {"dense", "csr", "incremental"} <= set(names)
-        assert names == tuple(sorted(names))
-
-    def test_create_dense_and_csr(self):
-        assert isinstance(create_emitter("dense"), DenseEmitter)
-        emitter = create_emitter("csr", top_k=5)
-        assert isinstance(emitter, CSREmitter)
-
-    def test_create_unknown(self):
-        with pytest.raises(ValueError, match="unknown emitter"):
-            create_emitter("no-such-emitter")
-
-    def test_register_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_emitter("dense", DenseEmitter)
-
-    def test_register_custom_and_overwrite(self):
-        try:
-            register_emitter("probe", lambda: RecordingEmitter(fused=True))
-            assert "probe" in available_emitters()
-            register_emitter(
-                "probe",
-                lambda: RecordingEmitter(fused=False),
-                overwrite=True,
-            )
-            assert create_emitter("probe").fused_normalization is False
-        finally:
-            engine_mod._EMITTERS.pop("probe", None)
-
-
 class TestPlanResolution:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -269,11 +239,11 @@ class TestDensePlan:
             assert (emitter.tile_cols, n_tiles) == (16, 5)  # ceil(70 / 16)
 
     def test_gemm_safe_block_keeps_gemv_shapes_out(self):
-        assert gemm_safe_block(1, self._shape(5, 4, 30)) == 2  # no 1-column tile
-        assert gemm_safe_block(8, self._shape(5, 4, 30)) == 8
-        assert gemm_safe_block(8, self._shape(5, 4, 33)) == 9  # no 1-column tail
-        assert gemm_safe_block(99, self._shape(5, 4, 30)) == 30
-        assert gemm_safe_block(8, self._shape(1, 4, 30)) == 30  # 1 row: one tile
+        assert gemm_safe_block(1, 5, 30) == 2  # no 1-column tile
+        assert gemm_safe_block(8, 5, 30) == 8
+        assert gemm_safe_block(8, 5, 33) == 9  # no 1-column tail
+        assert gemm_safe_block(99, 5, 30) == 30
+        assert gemm_safe_block(8, 1, 30) == 30  # 1 row: one tile
 
     def test_full_width_tile_is_computed_in_the_output(self):
         """One tile spanning the target axis is gemm-ed and normalized

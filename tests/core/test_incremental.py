@@ -17,11 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.correlation import (
-    correlate_baseline,
-    correlate_normalize_batched,
-    normalize_epoch_data,
-)
+from repro.core.correlation import correlate_baseline, normalize_epoch_data
+from repro.core.engine import DenseEmitter, run_engine
 from repro.core.incremental import IncrementalEmitter
 
 N_VOXELS = 17
@@ -40,8 +37,8 @@ def _batch_window(windows, e_per=None):
     # Batch paths need equal epoch lengths; streaming does not.  Ragged
     # runs are compared per epoch against correlate_baseline instead.
     z = normalize_epoch_data(np.stack([w[:, :length] for w in windows]))
-    out, _ = correlate_normalize_batched(
-        z, ASSIGNED, len(windows) if e_per is None else e_per
+    out, _ = run_engine(
+        z, ASSIGNED, len(windows) if e_per is None else e_per, DenseEmitter()
     )
     return out
 

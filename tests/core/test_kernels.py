@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.kernels import (
     kernel_matrix_baseline,
     kernel_matrix_batched,
-    kernel_matrix_blocked,
     symmetrize_from_triangle,
 )
 
@@ -37,50 +35,6 @@ class TestBaseline:
             kernel_matrix_baseline(np.zeros(5))
 
 
-class TestBlocked:
-    @pytest.mark.parametrize("panel", [1, 7, 96, 1000])
-    def test_matches_baseline(self, panel):
-        x = data(m=12, n=500, seed=2)
-        base = kernel_matrix_baseline(x)
-        blocked = kernel_matrix_blocked(x, panel_depth=panel)
-        np.testing.assert_allclose(blocked, base, rtol=1e-4, atol=1e-3)
-
-    def test_exactly_symmetric(self):
-        """The triangle-mirror construction is symmetric by definition,
-        unlike the float32 BLAS full product."""
-        k = kernel_matrix_blocked(data(seed=3))
-        np.testing.assert_array_equal(k, k.T)
-
-    def test_micro_tile_path_matches(self):
-        x = data(m=20, n=200, seed=4)
-        base = kernel_matrix_baseline(x)
-        micro = kernel_matrix_blocked(x, panel_depth=96, micro_tile=(16, 9))
-        np.testing.assert_allclose(micro, base, rtol=1e-4, atol=1e-3)
-
-    def test_micro_tile_smaller_than_matrix(self):
-        x = data(m=7, n=120, seed=5)
-        micro = kernel_matrix_blocked(x, panel_depth=32, micro_tile=(3, 2))
-        np.testing.assert_allclose(
-            micro, kernel_matrix_baseline(x), rtol=1e-4, atol=1e-3
-        )
-
-    def test_n_not_multiple_of_panel(self):
-        x = data(m=8, n=101, seed=6)
-        np.testing.assert_allclose(
-            kernel_matrix_blocked(x, panel_depth=96),
-            kernel_matrix_baseline(x),
-            rtol=1e-4, atol=1e-3,
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            kernel_matrix_blocked(data(), panel_depth=0)
-        with pytest.raises(ValueError):
-            kernel_matrix_blocked(data(), micro_tile=(0, 3))
-        with pytest.raises(ValueError):
-            kernel_matrix_blocked(np.zeros(5))
-
-
 def stacked(v=5, m=10, n=300, seed=0):
     return np.random.default_rng(seed).standard_normal((v, m, n)).astype(np.float32)
 
@@ -94,22 +48,6 @@ class TestBatched:
         for i in range(x.shape[0]):
             np.testing.assert_array_equal(out[i], kernel_matrix_baseline(x[i]))
 
-    @pytest.mark.parametrize("panel", [1, 7, 96, 1000])
-    def test_panel_variant_matches_blocked(self, panel):
-        x = stacked(v=4, m=12, n=500, seed=8)
-        out = kernel_matrix_batched(x, panel_depth=panel)
-        for i in range(x.shape[0]):
-            np.testing.assert_allclose(
-                out[i],
-                kernel_matrix_blocked(x[i], panel_depth=panel),
-                rtol=1e-4,
-                atol=1e-3,
-            )
-
-    def test_panel_variant_exactly_symmetric(self):
-        out = kernel_matrix_batched(stacked(seed=9), panel_depth=96)
-        np.testing.assert_array_equal(out, out.transpose(0, 2, 1))
-
     def test_single_problem_batch(self):
         x = stacked(v=1, seed=10)
         np.testing.assert_array_equal(
@@ -122,8 +60,6 @@ class TestBatched:
     def test_validation(self):
         with pytest.raises(ValueError):
             kernel_matrix_batched(np.zeros((10, 300)))
-        with pytest.raises(ValueError):
-            kernel_matrix_batched(stacked(), panel_depth=0)
 
 
 class TestSymmetrize:
@@ -147,21 +83,3 @@ class TestSymmetrize:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             symmetrize_from_triangle(np.zeros((2, 3)))
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    m=st.integers(1, 12),
-    n=st.integers(1, 200),
-    panel=st.integers(1, 128),
-    seed=st.integers(0, 99),
-)
-def test_blocked_matches_baseline_property(m, n, panel, seed):
-    """Property: any panel depth reproduces the BLAS Gram matrix."""
-    x = data(m, n, seed)
-    np.testing.assert_allclose(
-        kernel_matrix_blocked(x, panel_depth=panel),
-        kernel_matrix_baseline(x),
-        rtol=1e-3,
-        atol=1e-3,
-    )

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.correlation import correlate_baseline, correlate_blocked, normalize_epoch_data
+from repro.core.correlation import (
+    correlate_baseline,
+    correlate_batched,
+    normalize_epoch_data,
+)
+from repro.core.engine import run_engine
 from repro.core.normalization import (
-    MergedNormalizer,
     fisher_z,
+    fuse_normalize_tile,
     normalize_separated,
     zscore_within_subject,
 )
+
+from .test_engine import BlockedDense
 
 
 def corr_array(v=4, subjects=3, e=4, n=10, seed=0):
@@ -110,29 +117,22 @@ class TestMerged:
         base = correlate_baseline(z, assigned)
         separated = normalize_separated(base.copy(), e)
 
-        merger = MergedNormalizer(e)
-        merged = correlate_blocked(
-            z, assigned, voxel_block=6, target_block=7,
-            epoch_block=e, tile_callback=merger,
-        )
+        merged, n_tiles = run_engine(z, assigned, e, BlockedDense(7))
         np.testing.assert_allclose(separated, merged, atol=1e-5)
-        assert merger.tiles_processed == 4 * 3 * 3  # v-tiles x n-tiles x subjects
+        # Bitwise against the same gemm normalized in a separate pass.
+        batched = normalize_separated(correlate_batched(z, assigned), e)
+        assert merged.tobytes() == batched.tobytes()
+        assert n_tiles == 3  # ceil(20 / 7) column tiles, all subjects each
 
     def test_misaligned_epoch_block_rejected(self):
-        merger = MergedNormalizer(4)
+        """A tile must hold whole normalization populations."""
         tile = np.zeros((2, 3, 5), dtype=np.float32)
-        with pytest.raises(ValueError, match="aligned"):
-            merger(tile, (0, 2), (0, 5), (0, 3))
-
-    def test_unaligned_offset_rejected(self):
-        merger = MergedNormalizer(4)
-        tile = np.zeros((2, 4, 5), dtype=np.float32)
-        with pytest.raises(ValueError, match="aligned"):
-            merger(tile, (0, 2), (0, 5), (2, 6))
+        with pytest.raises(ValueError, match="divisible"):
+            fuse_normalize_tile(tile, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MergedNormalizer(0)
+            fuse_normalize_tile(np.zeros((2, 4, 5), dtype=np.float32), 0)
 
 
 @settings(max_examples=20, deadline=None)

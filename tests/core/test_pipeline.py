@@ -37,7 +37,7 @@ class TestConfig:
             {"svm_backend": "bogus"},
             {"svm_c": 0},
             {"task_voxels": 0},
-            {"voxel_block": 0},
+            {"target_block": 0},
             {"online_folds": 1},
             {"batch_voxels": -1},
             {"chunksize": 0},
@@ -46,6 +46,19 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FCMAConfig(**kwargs)
+
+    @pytest.mark.parametrize("knob", ["voxel_block", "emitter"])
+    def test_removed_knobs_are_not_ignored_kwargs(self, knob):
+        """``variant`` is the one dispatch axis: the deleted fields must
+        fail loudly rather than come back as accepted-and-ignored."""
+        with pytest.raises(TypeError, match=knob):
+            FCMAConfig(**{knob: None})
+
+    def test_emitter_is_derived_from_variant(self):
+        assert FCMAConfig(variant="optimized").resolved_emitter() == "dense"
+        assert FCMAConfig(variant="optimized-batched").resolved_emitter() == "dense"
+        assert FCMAConfig(variant="sparse-batched", top_k=3).resolved_emitter() == "csr"
+        assert FCMAConfig(variant="baseline").resolved_emitter() is None
 
     def test_make_backend_types(self):
         from repro.svm.multiclass import OneVsOneClassifier

@@ -16,18 +16,21 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.correlation import (
-    correlate_batched,
-    correlate_normalize_batched,
-    normalize_epoch_data,
-)
+from repro.core.correlation import correlate_batched, normalize_epoch_data
+from repro.core.engine import DenseEmitter, run_engine
 from repro.core.sparse import (
+    CSREmitter,
     SparseCorrelationResult,
-    correlate_normalize_sparse_batched,
     threshold_dense,
     topk_block,
 )
 from repro.obs import Tracer, use_tracer
+
+
+def _csr(z, assigned, eps, **emitter_kwargs):
+    """The engine materializing CSR through ``CSREmitter(**emitter_kwargs)``."""
+    return run_engine(z, assigned, eps, CSREmitter(**emitter_kwargs))
+
 
 # (n_epochs, n_voxels, epoch_len, n_assigned, voxel_sweep, target_block,
 #  epochs_per_subject) — same deliberately awkward shapes as the dense
@@ -70,14 +73,14 @@ class TestEngineMatchesDensifyThreshold:
         self, n_epochs, n_voxels, epoch_len, n_assigned, vs, tb, eps, mode
     ):
         z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, 3)
-        dense_run, _ = correlate_normalize_sparse_batched(
+        dense_run, _ = _csr(
             z, assigned, eps, threshold=0.0, voxel_sweep=vs, target_block=tb
         )
         dense = dense_run.densify()
         kwargs = (
             {"threshold": 0.8} if mode == "tau" else {"top_k": n_voxels // 3 + 1}
         )
-        engine, stats = correlate_normalize_sparse_batched(
+        engine, stats = _csr(
             z, assigned, eps, voxel_sweep=vs, target_block=tb, **kwargs
         )
         reference = threshold_dense(dense, **kwargs)
@@ -94,10 +97,12 @@ class TestEngineMatchesDensifyThreshold:
         """tau=0 densify vs the dense fused engine: float32 tolerance
         (the sparse engine gemms per tile, the dense engine per slab)."""
         z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, 4)
-        sparse_run, stats = correlate_normalize_sparse_batched(
+        sparse_run, stats = _csr(
             z, assigned, eps, threshold=0.0, voxel_sweep=vs, target_block=tb
         )
-        fused, _ = correlate_normalize_batched(z, assigned, eps, voxel_sweep=vs)
+        fused, _ = run_engine(
+            z, assigned, eps, DenseEmitter(voxel_sweep=vs)
+        )
         np.testing.assert_allclose(
             sparse_run.densify(), fused, atol=1e-6, rtol=0
         )
@@ -107,7 +112,7 @@ class TestEngineMatchesDensifyThreshold:
 class TestEdgeCases:
     def test_tau_zero_degenerate_is_fully_dense(self):
         z, assigned = _problem(6, 21, 8, 5, 5)
-        result, stats = correlate_normalize_sparse_batched(
+        result, stats = _csr(
             z, assigned, 3, threshold=0.0, target_block=8
         )
         assert result.nnz == result.elements == 5 * 6 * 21
@@ -119,7 +124,7 @@ class TestEdgeCases:
 
     def test_all_pruned_empty_rows(self):
         z, assigned = _problem(6, 21, 8, 5, 6)
-        result, stats = correlate_normalize_sparse_batched(
+        result, stats = _csr(
             z, assigned, 3, threshold=99.0, target_block=8
         )
         assert result.nnz == 0
@@ -159,21 +164,21 @@ class TestEdgeCases:
     def test_mode_validation(self):
         z, assigned = _problem(4, 10, 6, 3, 7)
         with pytest.raises(ValueError, match="exactly one"):
-            correlate_normalize_sparse_batched(z, assigned, 2)
+            _csr(z, assigned, 2)
         with pytest.raises(ValueError, match="exactly one"):
-            correlate_normalize_sparse_batched(
+            _csr(
                 z, assigned, 2, threshold=0.5, top_k=3
             )
         with pytest.raises(ValueError, match="threshold must be >= 0"):
-            correlate_normalize_sparse_batched(z, assigned, 2, threshold=-1.0)
+            _csr(z, assigned, 2, threshold=-1.0)
         with pytest.raises(ValueError, match="threshold must be >= 0"):
-            correlate_normalize_sparse_batched(
+            _csr(
                 z, assigned, 2, threshold=float("nan")
             )
         with pytest.raises(ValueError, match="top_k must be >= 1"):
-            correlate_normalize_sparse_batched(z, assigned, 2, top_k=0)
+            _csr(z, assigned, 2, top_k=0)
         with pytest.raises(ValueError, match="divisible"):
-            correlate_normalize_sparse_batched(z, assigned, 3, threshold=0.5)
+            _csr(z, assigned, 3, threshold=0.5)
 
     def test_threshold_dense_validation(self):
         with pytest.raises(ValueError, match="3D"):
@@ -242,16 +247,16 @@ class TestPropertyBasedEquivalence:
         kwargs = (
             {"threshold": mode[1]} if mode[0] == "tau" else {"top_k": mode[1]}
         )
-        untraced, _ = correlate_normalize_sparse_batched(
+        untraced, _ = _csr(
             z, assigned, eps, voxel_sweep=sweep, target_block=t_block, **kwargs
         )
         with use_tracer(Tracer()):
-            dense_run, _ = correlate_normalize_sparse_batched(
+            dense_run, _ = _csr(
                 z, assigned, eps,
                 threshold=0.0, voxel_sweep=sweep, target_block=t_block,
             )
             reference = threshold_dense(dense_run.densify(), **kwargs)
-            engine, stats = correlate_normalize_sparse_batched(
+            engine, stats = _csr(
                 z, assigned, eps,
                 voxel_sweep=sweep, target_block=t_block, **kwargs,
             )
@@ -284,11 +289,13 @@ class TestPropertyBasedEquivalence:
             )
             grouped = fisher.reshape(assigned.size, -1, eps, n_voxels)
             assume(float(grouped.std(axis=2).min()) > 0.05)
-        sparse_run, _ = correlate_normalize_sparse_batched(
+        sparse_run, _ = _csr(
             z, assigned, eps,
             threshold=0.0, voxel_sweep=sweep, target_block=t_block,
         )
-        fused, _ = correlate_normalize_batched(z, assigned, eps, voxel_sweep=sweep)
+        fused, _ = run_engine(
+            z, assigned, eps, DenseEmitter(voxel_sweep=sweep)
+        )
         np.testing.assert_allclose(
             sparse_run.densify(), fused, atol=1e-6, rtol=0
         )

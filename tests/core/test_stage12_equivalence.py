@@ -1,6 +1,6 @@
-"""Cross-path stage-1/2 equivalence: baseline vs blocked vs batched.
+"""Cross-path stage-1/2 equivalence: baseline vs tiled engine vs batched.
 
-The acceptance bar of the fused batched engine: every execution path
+The acceptance bar of the tiled engine: every execution path
 computes the same correlations (float32 tolerance — BLAS may pick
 different accumulation kernels per shape) and the fused normalizer is
 *bitwise* identical to the separated reference on the shared gemm
@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 from repro.core.correlation import (
     correlate_baseline,
     correlate_batched,
-    correlate_blocked,
-    correlate_blocked_reference,
-    correlate_normalize_batched,
     normalize_epoch_data,
 )
-from repro.core.engine import DenseEmitter, EngineShape
+from repro.core.engine import DenseEmitter, EngineShape, run_engine
 from repro.core.normalization import normalize_separated
 from repro.obs import Tracer, use_tracer
+
+from .test_engine import BlockedDense
 
 # (n_epochs, n_voxels, epoch_len, n_assigned, voxel_block, target_block,
 #  epochs_per_subject) — deliberately awkward shapes: n_voxels not
@@ -48,6 +47,11 @@ def _column_tiles(z, n_assigned, eps, sweep):
     return -(-n_voxels // plan.target_block)
 
 
+def _fused(z, assigned, eps, sweep):
+    """The dense engine at planner voxel block ``sweep``."""
+    return run_engine(z, assigned, eps, DenseEmitter(voxel_sweep=sweep))
+
+
 def _problem(n_epochs, n_voxels, epoch_len, n_assigned, seed):
     rng = np.random.default_rng(seed)
     z = normalize_epoch_data(
@@ -68,15 +72,9 @@ class TestStage1Equivalence:
     ):
         z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, seed)
         base = correlate_baseline(z, assigned)
-        blocked = correlate_blocked(
-            z, assigned, voxel_block=vb, target_block=tb, epoch_block=eps
-        )
-        reference = correlate_blocked_reference(
-            z, assigned, voxel_block=vb, target_block=tb, epoch_block=eps
-        )
+        tiled, _ = run_engine(z, assigned, eps, BlockedDense(tb, fused=False))
         batched = correlate_batched(z, assigned)
-        np.testing.assert_allclose(blocked, base, atol=3e-7, rtol=0)
-        np.testing.assert_allclose(reference, base, atol=3e-7, rtol=0)
+        assert tiled.tobytes() == batched.tobytes()
         np.testing.assert_allclose(batched, base, atol=3e-7, rtol=0)
 
 
@@ -93,18 +91,16 @@ class TestFusedStage12Equivalence:
         z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, 2)
         reference = normalize_separated(correlate_batched(z, assigned), eps)
         for sweep in (1, vb, n_assigned, None):
-            fused, n_tiles = correlate_normalize_batched(
-                z, assigned, eps, voxel_sweep=sweep
-            )
+            fused, n_tiles = _fused(z, assigned, eps, sweep)
             assert fused.tobytes() == reference.tobytes()
             assert n_tiles == _column_tiles(z, n_assigned, eps, sweep)
 
     def test_fused_rejects_bad_epoch_grouping(self):
         z, assigned = _problem(5, 12, 6, 4, 0)
         with pytest.raises(ValueError, match="divisible"):
-            correlate_normalize_batched(z, assigned, 4)
+            _fused(z, assigned, 4, None)
         with pytest.raises(ValueError, match=">= 1"):
-            correlate_normalize_batched(z, assigned, 0)
+            _fused(z, assigned, 0, None)
 
 
 # -- property-based sweep over random ragged shapes -----------------------
@@ -141,16 +137,12 @@ class TestPropertyBasedEquivalence:
     def test_fused_bitwise_equals_separated(self, params):
         n_epochs, n_voxels, epoch_len, n_assigned, eps, sweep, seed = params
         z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, seed)
-        untraced, untraced_tiles = correlate_normalize_batched(
-            z, assigned, eps, voxel_sweep=sweep
-        )
+        untraced, untraced_tiles = _fused(z, assigned, eps, sweep)
         with use_tracer(Tracer()):
             reference = normalize_separated(
                 correlate_batched(z, assigned), eps
             )
-            fused, n_tiles = correlate_normalize_batched(
-                z, assigned, eps, voxel_sweep=sweep
-            )
+            fused, n_tiles = _fused(z, assigned, eps, sweep)
         assert fused.tobytes() == reference.tobytes()
         assert fused.tobytes() == untraced.tobytes()
         assert n_tiles == untraced_tiles
@@ -164,11 +156,9 @@ class TestPropertyBasedEquivalence:
         base = correlate_baseline(z, assigned)
         with use_tracer(Tracer()):
             batched = correlate_batched(z, assigned)
-            reference = correlate_blocked_reference(
-                z, assigned,
-                voxel_block=max(1, n_assigned // 2),
-                target_block=max(1, n_voxels // 3),
-                epoch_block=eps,
+            tiled, _ = run_engine(
+                z, assigned, eps,
+                BlockedDense(max(1, n_voxels // 3), fused=False),
             )
+        assert tiled.tobytes() == batched.tobytes()
         np.testing.assert_allclose(batched, base, atol=3e-7, rtol=0)
-        np.testing.assert_allclose(reference, base, atol=3e-7, rtol=0)

@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core import FCMAConfig
-from repro.core.correlation import (
-    correlate_normalize_batched,
-    normalize_epoch_data,
-)
+from repro.core.correlation import normalize_epoch_data
+from repro.core.engine import DenseEmitter, run_engine
 from repro.core.incremental import IncrementalEmitter
 from repro.data.designs import (
     ConnectivityConfig,
@@ -111,9 +109,10 @@ class TestIncrementalEmitterInvariance:
                 for t in range(window.shape[1]):
                     emitter.push_tr(window[:, t])
                 assert emitter.complete_epoch() is not None
-            batch, _ = correlate_normalize_batched(
+            batch, _ = run_engine(
                 normalize_epoch_data(np.stack(windows)),
                 assigned,
                 len(windows),
+                DenseEmitter(),
             )
             assert np.array_equal(emitter.normalized(), batch)

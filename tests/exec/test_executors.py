@@ -37,7 +37,7 @@ class TestCrossExecutorEquivalence:
         self, tiny_dataset, name, variant
     ):
         config = FCMAConfig(
-            variant=variant, task_voxels=16, voxel_block=8, target_block=32
+            variant=variant, task_voxels=16, target_block=32
         )
         reference = SerialExecutor().run(
             tiny_dataset, RunContext(config, seed=0)
@@ -49,7 +49,7 @@ class TestCrossExecutorEquivalence:
     @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_voxel_subset_equivalence(self, tiny_dataset, fast_fcma_config, name):
         voxels = np.array([3, 1, 40, 17, 5, 22, 8], dtype=np.int64)
-        config = FCMAConfig(task_voxels=3, voxel_block=8, target_block=32)
+        config = FCMAConfig(task_voxels=3, target_block=32)
         reference = SerialExecutor().run(
             tiny_dataset, RunContext(config), voxels=voxels
         )
@@ -98,7 +98,7 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("variant", ["optimized", "optimized-batched"])
     def test_task_spans_match_serial(self, tiny_dataset, name, variant):
         config = FCMAConfig(
-            variant=variant, task_voxels=16, voxel_block=8, target_block=32
+            variant=variant, task_voxels=16, target_block=32
         )
         reference = self._run("serial", tiny_dataset, config)
         ctx = self._run(name, tiny_dataset, config)
@@ -113,7 +113,7 @@ class TestTraceEquivalence:
         worker task spans re-root under the master's run span."""
         config = FCMAConfig(
             variant="optimized-batched",
-            task_voxels=16, voxel_block=8, target_block=32,
+            task_voxels=16, target_block=32,
         )
         reference = self._run("serial", tiny_dataset, config)
         ctx = self._run("pool", tiny_dataset, config)
@@ -124,21 +124,34 @@ class TestTraceEquivalence:
         )
 
     def test_different_dataflow_is_detected(self, tiny_dataset):
-        """The comparison is not vacuous: two variants differ."""
-        ref = self._run(
-            "serial", tiny_dataset,
-            FCMAConfig(variant="optimized", task_voxels=16,
-                       voxel_block=8, target_block=32),
-        )
-        other = self._run(
-            "serial", tiny_dataset,
-            FCMAConfig(variant="optimized-batched", task_voxels=16,
-                       voxel_block=8, target_block=32),
+        """``optimized`` and ``optimized-batched`` are one stage graph —
+        same stage functions, same span tree — and the comparison is not
+        vacuous: ``baseline`` records another dataflow."""
+        from repro.exec.stage_graph import build_graph
+
+        configs = {
+            variant: FCMAConfig(variant=variant, task_voxels=16, target_block=32)
+            for variant in ("optimized", "optimized-batched", "baseline")
+        }
+        assert [
+            (s.name, s.fn) for s in build_graph(configs["optimized"]).stages
+        ] == [
+            (s.name, s.fn)
+            for s in build_graph(configs["optimized-batched"]).stages
+        ]
+        forests = {
+            variant: self._task_forest(self._run("serial", tiny_dataset, config))
+            for variant, config in configs.items()
+        }
+        assert_same_structure(
+            forests["optimized"],
+            forests["optimized-batched"],
+            ignore_metrics=self.IGNORED_METRICS,
         )
         with pytest.raises(AssertionError):
             assert_same_structure(
-                self._task_forest(ref),
-                self._task_forest(other),
+                forests["optimized"],
+                forests["baseline"],
                 ignore_metrics=self.IGNORED_METRICS,
             )
 

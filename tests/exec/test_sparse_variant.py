@@ -15,10 +15,8 @@ import pytest
 from repro.cli import build_parser
 from repro.core import FCMAConfig
 from repro.core.kernels import csr_gram_panel, kernel_matrix_batched
-from repro.core.sparse import (
-    correlate_normalize_sparse_batched,
-    threshold_dense,
-)
+from repro.core.engine import run_engine
+from repro.core.sparse import CSREmitter, threshold_dense
 from repro.core.voxel_selection import score_voxels, score_voxels_sparse
 from repro.data import generate_dataset, quickstart_config
 from repro.exec import RunContext, available_variants, make_executor
@@ -178,8 +176,6 @@ class TestSparseStage3:
             kernel_matrix_batched(corr),
             atol=1e-4,
         )
-        with pytest.raises(ValueError, match="panel_depth"):
-            kernel_matrix_batched(sparse, panel_depth=8)
 
     def test_scores_match_dense_at_tau_zero(self):
         corr, sparse, labels, folds = _sparse_problem()
@@ -224,9 +220,7 @@ class TestSparseStage3:
             rng.standard_normal((8, 20, 6)).astype(np.float32)
         )
         assigned = np.arange(4)
-        result, _ = correlate_normalize_sparse_batched(
-            z, assigned, 2, top_k=5
-        )
+        result, _ = run_engine(z, assigned, 2, CSREmitter(top_k=5))
         labels = np.tile([0, 1], 4)
         folds = np.repeat(np.arange(2), 4)
         scores = score_voxels_sparse(

@@ -109,7 +109,7 @@ class TestExecuteTask:
     @pytest.mark.parametrize("variant", ["baseline", "optimized"])
     def test_bitwise_identical_to_run_task(self, tiny_dataset, variant):
         config = FCMAConfig(
-            variant=variant, task_voxels=40, voxel_block=8, target_block=32
+            variant=variant, task_voxels=40, target_block=32
         )
         assigned = np.arange(20, dtype=np.int64)
         legacy = run_task(tiny_dataset, assigned, config)
@@ -143,22 +143,13 @@ class TestExecuteTask:
 
 class TestOptimizedBatchedGraph:
     def test_stage_names(self):
-        from repro.exec.stage_graph import optimized_batched_graph
-
-        assert optimized_batched_graph().stage_names == (
-            "preprocess",
-            "correlate+normalize",
-            "score",
-        )
         assert (
             build_graph(FCMAConfig(variant="optimized-batched")).stage_names
-            == optimized_batched_graph().stage_names
+            == optimized_graph().stage_names
         )
 
     def test_matches_optimized_variant(self, tiny_dataset):
-        """The fused batched engine ranks voxels identically to the
-        merged blocked path (scores come from the same normalized
-        correlations up to float32 gemm rounding)."""
+        """Both spellings of the optimized pipeline score bitwise alike."""
         assigned = np.arange(20, dtype=np.int64)
         opt = execute_task(
             tiny_dataset, assigned, RunContext(FCMAConfig(variant="optimized"))

@@ -16,7 +16,6 @@ def traced_ctx(tiny_dataset) -> RunContext:
         FCMAConfig(
             variant="optimized-batched",
             task_voxels=40,
-            voxel_block=8,
             target_block=32,
         )
     )

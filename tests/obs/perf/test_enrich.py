@@ -160,16 +160,16 @@ class TestPredictKernel:
         assert base[1] > opt[1]
 
     def test_merged_kernel_sums_its_parts(self):
-        from repro.perf import model_correlation_matmul, model_normalization
+        from repro.perf import model_kernel_syrk, model_svm_cv
 
         counters, seconds = predict_kernel(
-            "correlate_blocked+merge", FACE_SCENE, 120, E5_2670
+            "score_voxels", FACE_SCENE, 120, E5_2670
         )
-        corr = model_correlation_matmul(FACE_SCENE, 120, E5_2670, "ours")
-        norm = model_normalization(FACE_SCENE, 120, E5_2670, "merged")
-        assert seconds == pytest.approx(corr.seconds + norm.seconds)
+        syrk = model_kernel_syrk(FACE_SCENE, 120, E5_2670, "ours")
+        svm = model_svm_cv(FACE_SCENE, 120, E5_2670, "phisvm")
+        assert seconds == pytest.approx(syrk.seconds + svm.seconds)
         assert counters.flops == pytest.approx(
-            corr.counters.flops + norm.counters.flops
+            syrk.counters.flops + svm.counters.flops
         )
 
     def test_default_hardware_is_the_xeon_host(self):

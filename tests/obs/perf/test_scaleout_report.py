@@ -28,7 +28,7 @@ from repro.perf import (
 def tiled_spans(tiny_dataset):
     """One tiled thread-transport run of the tiny dataset, enriched."""
     ctx = RunContext(
-        FCMAConfig(task_voxels=40, voxel_block=8, target_block=32)
+        FCMAConfig(task_voxels=40, target_block=32)
     )
     executor = make_executor(
         "master-worker", n_workers=2, transport="thread", partition="tiles"
@@ -120,7 +120,7 @@ class TestScaleoutSection:
 
     def test_section_absent_without_tile_spans(self, tiny_dataset):
         ctx = RunContext(
-            FCMAConfig(task_voxels=40, voxel_block=8, target_block=32)
+            FCMAConfig(task_voxels=40, target_block=32)
         )
         make_executor("serial").run(tiny_dataset, ctx)
         assert format_scaleout_section(ctx.tracer.spans()) is None

@@ -32,7 +32,6 @@ def batched_config() -> FCMAConfig:
     return FCMAConfig(
         variant="optimized-batched",
         task_voxels=40,
-        voxel_block=8,
         target_block=32,
     )
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core import FCMAConfig
+from repro.core.correlation import normalize_epoch_data
+from repro.core.engine import DenseEmitter, run_engine
 from repro.core.pipeline import preprocess_dataset
 from repro.exec import RunContext, make_executor
 from repro.exec.partition import partition_tiles
@@ -32,7 +34,7 @@ TIMEOUT = 30.0
 
 @pytest.fixture()
 def config() -> FCMAConfig:
-    return FCMAConfig(task_voxels=40, voxel_block=8, target_block=32)
+    return FCMAConfig(task_voxels=40, target_block=32)
 
 
 @pytest.fixture()
@@ -67,6 +69,28 @@ class TestComputeTile:
         right = compute_tile(z, rows, 17, z.shape[1], eps)
         np.testing.assert_array_equal(full[:, :, :17], left)
         np.testing.assert_array_equal(full[:, :, 17:], right)
+
+    @pytest.mark.parametrize("n_rows", [40, 1])
+    def test_partitioned_tiles_equal_serial_engine_on_degenerate_shapes(
+        self, n_rows
+    ):
+        """``n_voxels = 4 * cols + 1`` and a single-voxel panel: a naive
+        split makes a width-1 tail tile / one-row tiles, which BLAS
+        computes off the gemm path with different rounding."""
+        rng = np.random.default_rng(5)
+        z = normalize_epoch_data(
+            rng.standard_normal((6, 201, 9)).astype(np.float32)
+        )
+        voxels = np.arange(n_rows, dtype=np.int64)
+        serial, _ = run_engine(z, voxels, 3, DenseEmitter())
+        tiles = partition_tiles(201, 40, 50, voxels)
+        assert min(t.n_cols for t in tiles) > 1
+        assert len(tiles) == (4 if n_rows > 1 else 1)
+        for t in tiles:
+            block = compute_tile(z, t.rows, t.col_start, t.col_stop, 3)
+            np.testing.assert_array_equal(
+                block, serial[:, :, t.col_start : t.col_stop]
+            )
 
     def test_panel_cache_matches_fresh_slice(self, tiny_dataset):
         _, z = preprocess_dataset(tiny_dataset)
@@ -134,6 +158,50 @@ class TestTiledProtocol:
         np.testing.assert_array_equal(
             scores.accuracies, serial_scores.accuracies
         )
+
+
+class TestTilesRunTheDenseEngineOnly:
+    """The tile workers run the dense tile body and the batched score;
+    a variant that means something else must be refused, not ignored."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"variant": "sparse-batched", "top_k": 5}, {"variant": "baseline"}]
+    )
+    def test_executor_rejects_before_spawning(self, tiny_dataset, kwargs, monkeypatch):
+        import repro.exec.executors as executors_mod
+
+        def no_ranks(*args, **kw):
+            raise AssertionError("ranks were spawned")
+
+        monkeypatch.setattr(executors_mod, "run_ranks", no_ranks)
+        executor = make_executor("master-worker", n_workers=2, partition="tiles")
+        ctx = RunContext(FCMAConfig(task_voxels=40, **kwargs))
+        with pytest.raises(ValueError, match="dense engine only"):
+            executor.run(tiny_dataset, ctx)
+
+    def test_cli_exits_2_with_one_line(self, tiny_dataset, tmp_path, capsys):
+        from repro.cli import main
+        from repro.data import save_dataset
+
+        path = tmp_path / "ds.npz"
+        save_dataset(tiny_dataset, path)
+        code = main([
+            "run", str(path), "--executor", "master-worker",
+            "--partition", "tiles", "--variant", "sparse-batched", "--top-k", "5",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--partition tiles" in err
+
+    @pytest.mark.parametrize("variant", ["optimized", "optimized-batched"])
+    def test_both_optimized_spellings_accepted(
+        self, tiny_dataset, serial_scores, variant
+    ):
+        executor = make_executor("master-worker", n_workers=2, partition="tiles")
+        config = FCMAConfig(variant=variant, task_voxels=40, target_block=32)
+        scores = executor.run(tiny_dataset, RunContext(config))
+        np.testing.assert_array_equal(scores.voxels, serial_scores.voxels)
+        np.testing.assert_array_equal(scores.accuracies, serial_scores.accuracies)
 
 
 def _fake_scores(voxels):
