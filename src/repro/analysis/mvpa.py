@@ -21,7 +21,8 @@ import numpy as np
 
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
-from ..svm.cross_validation import KernelBackend, grouped_cross_validation, kfold_ids
+from ..core.pipeline import FCMAConfig
+from ..svm.cross_validation import KernelBackend, cv_fold_ids, grouped_cross_validation
 from ..svm.kernels import linear_kernel
 from ..svm.phisvm import PhiSVM
 
@@ -38,7 +39,9 @@ def amplitude_features(
     Returns ``(features, labels, fold_ids)`` where features has shape
     ``(n_epochs, n_voxels, f)`` with ``f = 1`` (epoch-mean amplitude)
     or ``f = epoch_len`` (the raw epoch time course, z-scored per epoch
-    so classifiers see shape rather than scanner gain).
+    so classifiers see shape rather than scanner gain).  Folds follow
+    the pipeline's rule (:func:`~repro.svm.cross_validation.cv_fold_ids`
+    at the default ``FCMAConfig.online_folds``).
     """
     ds = dataset.grouped_by_subject()
     stack = ds.epoch_stack()  # (M, N, T)
@@ -53,10 +56,7 @@ def amplitude_features(
     else:
         raise ValueError(f"unknown feature kind {kind!r}")
     labels = ds.epochs.labels()
-    if ds.epochs.n_subjects >= 2:
-        folds = ds.epochs.subjects()
-    else:
-        folds = kfold_ids(len(ds.epochs), 4)
+    folds = cv_fold_ids(ds.epochs, FCMAConfig.online_folds)
     return features.astype(np.float32), labels, folds
 
 

@@ -19,7 +19,6 @@ from .kernels import (
     csr_gram_panel,
     kernel_matrix_baseline,
     kernel_matrix_batched,
-    symmetrize_from_triangle,
 )
 from .normalization import (
     NormalizationWorkspace,
@@ -80,7 +79,6 @@ __all__ = [
     "score_voxels_reference",
     "score_voxels_sparse",
     "stage1_input_copies",
-    "symmetrize_from_triangle",
     "task_partition",
     "threshold_dense",
     "topk_block",

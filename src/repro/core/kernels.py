@@ -35,7 +35,6 @@ __all__ = [
     "csr_gram_panel",
     "kernel_matrix_baseline",
     "kernel_matrix_batched",
-    "symmetrize_from_triangle",
 ]
 
 
@@ -122,19 +121,3 @@ def csr_gram_panel(sparse: "Any", start: int, stop: int) -> np.ndarray:
         band = matrix[v * m : (v + 1) * m]
         out[i] = (band @ band.T).toarray()
     return out
-
-
-def symmetrize_from_triangle(lower: np.ndarray) -> np.ndarray:
-    """Mirror lower-triangular matrices into full symmetric ones.
-
-    Accepts a single ``(M, M)`` matrix or a stack ``(..., M, M)``; the
-    mirror is applied to the last two axes.
-    """
-    lower = np.asarray(lower)
-    if lower.ndim < 2 or lower.shape[-1] != lower.shape[-2]:
-        raise ValueError(f"expected square matrices, got {lower.shape}")
-    diag = np.diagonal(lower, axis1=-2, axis2=-1).copy()
-    full = lower + np.swapaxes(lower, -1, -2)
-    idx = np.arange(lower.shape[-1])
-    full[..., idx, idx] = diag
-    return full

@@ -45,7 +45,7 @@ from ..core.normalization import normalize_separated
 from ..core.results import VoxelScores
 from ..core.sparse import CSREmitter, sparse_tile_plan
 from ..core.voxel_selection import score_voxels, score_voxels_sparse
-from ..svm.cross_validation import kfold_ids
+from ..svm.cross_validation import cv_fold_ids
 from .context import RunContext
 from .registry import create_backend, register_variant
 
@@ -151,14 +151,6 @@ class StageGraph:
 
 
 # -- the FCMA stage bodies ------------------------------------------------
-
-
-def _fold_ids(ctx: RunContext, ds: "FMRIDataset") -> NDArray[Any]:
-    """CV fold assignment: LOSO across subjects, k-fold within one."""
-    epochs = ds.epochs
-    if epochs.n_subjects >= 2:
-        return np.asarray(epochs.subjects())
-    return np.asarray(kfold_ids(len(epochs), ctx.config.online_folds))
 
 
 def _preprocess(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -334,7 +326,7 @@ def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any
             state["sparse_correlations"],
             state["assigned"],
             grouped.epochs.labels(),
-            _fold_ids(ctx, grouped),
+            cv_fold_ids(grouped.epochs, ctx.config.online_folds),
             backend,
             batch_voxels=ctx.config.batch_voxels,
         )
@@ -351,7 +343,7 @@ def _score_dense(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]
             state["correlations"],
             state["assigned"],
             grouped.epochs.labels(),
-            _fold_ids(ctx, grouped),
+            cv_fold_ids(grouped.epochs, ctx.config.online_folds),
             backend,
             batch_voxels=ctx.config.batch_voxels,
         )

@@ -45,6 +45,9 @@ __all__ = [
     "VOXEL_SWEEP",
     "TARGET_BLOCK",
     "ITERATIONS",
+    "PROBLEMS",
+    "SWEEPS",
+    "OCCUPANCY",
     "TRS",
     "CALLS",
     "PREDICTED_SECONDS",
@@ -83,7 +86,9 @@ CACHE_MISSES = MetricSpec("cache_misses", "count", "simulated cache misses")
 BYTES_MOVED = MetricSpec("bytes_moved", "bytes", "bytes read + written")
 #: Pipeline tasks completed inside the span.
 TASKS = MetricSpec("tasks", "count", "pipeline tasks processed")
-#: Assigned voxels processed inside the span.
+#: Assigned voxels processed inside the span.  On ``smo.solve_batch``
+#: it counts rows of the solver's batch axis, which since the
+#: fold-stacked cross-validation is voxels x folds (== ``problems``).
 VOXELS = MetricSpec("voxels", "count", "assigned voxels processed")
 #: Stage-1/2 tiles (normalization sweeps) processed.
 TILES = MetricSpec("tiles", "count", "stage-1/2 tiles processed")
@@ -107,6 +112,19 @@ VOXEL_SWEEP = MetricSpec("voxel_sweep", "voxels", "sparse tile slab width")
 TARGET_BLOCK = MetricSpec("target_block", "voxels", "sparse tile column width")
 #: Solver (SMO) working-set iterations performed.
 ITERATIONS = MetricSpec("iterations", "count", "solver iterations")
+#: Independent SVM problems one lockstep solve carried (rows of its
+#: batch axis: voxels x cross-validation folds in FCMA stage 3).
+PROBLEMS = MetricSpec("problems", "count", "SVM problems in a lockstep solve")
+#: Lockstep sweeps a batched solve ran (== its slowest problem's
+#: iterations); each costs one fixed round of array dispatches.
+SWEEPS = MetricSpec("sweeps", "count", "lockstep sweeps of a batched solve")
+#: iterations / (sweeps * problems): the share of an un-retired
+#: lockstep's row-sweeps that did SMO work.  Near 1 the solve is
+#: dispatch-bound (cost ~ sweeps); low values mean a few stragglers
+#: set the sweep count.
+OCCUPANCY = MetricSpec(
+    "occupancy", "fraction", "live share of a lockstep solve's row-sweeps"
+)
 #: TR volumes folded into a streaming kernel span (the incremental
 #: engine's epoch length / update count).
 TRS = MetricSpec("trs", "count", "TR volumes processed by the span")
@@ -162,6 +180,9 @@ METRICS: dict[str, MetricSpec] = {
         VOXEL_SWEEP,
         TARGET_BLOCK,
         ITERATIONS,
+        PROBLEMS,
+        SWEEPS,
+        OCCUPANCY,
         TRS,
         CALLS,
         PREDICTED_SECONDS,

@@ -124,19 +124,15 @@ def score_panel(
     """Stage 3 of one assembled row panel (same path as the stage graph)."""
     from ..core.voxel_selection import score_voxels
     from ..exec.registry import create_backend
-    from ..svm.cross_validation import kfold_ids
+    from ..svm.cross_validation import cv_fold_ids
 
     epochs = grouped.epochs
-    if epochs.n_subjects >= 2:
-        fold_ids = np.asarray(epochs.subjects())
-    else:
-        fold_ids = np.asarray(kfold_ids(len(epochs), config.online_folds))
     backend = create_backend(config)
     return score_voxels(
         correlations,
         rows,
         epochs.labels(),
-        fold_ids,
+        cv_fold_ids(epochs, config.online_folds),
         backend,
         batch_voxels=config.batch_voxels,
     )

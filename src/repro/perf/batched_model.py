@@ -13,10 +13,10 @@ changes:
   once per voxel.  On KNC this is the paper's motivation for keeping
   "240+ voxel problems resident": tiny M x M problems cannot amortize
   offload overhead individually.
-* **output residency** — the panel-accumulated variant re-touches the
-  whole ``B x M x M`` output block once per depth panel; whether those
-  re-touches hit cache or DRAM depends on the batch size, which gives a
-  principled ceiling for ``batch_voxels``.
+* **residency** — one dispatch holds a batch's ``B x M x N`` inputs and
+  its ``B x M x M`` output block; the largest batch whose working set
+  still fits the cache (:func:`max_resident_batch`) is a principled
+  ceiling for ``batch_voxels``.
 """
 
 from __future__ import annotations
@@ -57,16 +57,12 @@ class BatchedSyrkShape:
     n: int
     #: Voxel problems per stacked GEMM call.
     batch: int
-    #: Reduction-depth panel (None = single full-depth call per batch).
-    panel_depth: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_problems < 1 or self.m < 1 or self.n < 1:
             raise ValueError("n_problems, m, n must all be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.panel_depth is not None and self.panel_depth < 1:
-            raise ValueError("panel_depth must be >= 1 (or None)")
 
     @property
     def as_syrk(self) -> SyrkShape:
@@ -84,21 +80,14 @@ class BatchedSyrkShape:
         return math.ceil(self.n_problems / self.batch)
 
     @property
-    def n_panels(self) -> int:
-        """Depth panels per batch (1 without panel accumulation)."""
-        if self.panel_depth is None:
-            return 1
-        return math.ceil(self.n / self.panel_depth)
-
-    @property
     def dispatches(self) -> int:
-        """GEMM dispatches the batched driver issues."""
-        return self.n_batches * self.n_panels
+        """GEMM dispatches the batched driver issues (one per batch)."""
+        return self.n_batches
 
     @property
     def dispatches_per_voxel_path(self) -> int:
         """GEMM dispatches the per-voxel reference driver issues."""
-        return self.n_problems * self.n_panels
+        return self.n_problems
 
     @property
     def batch_a_bytes(self) -> int:
@@ -111,27 +100,18 @@ class BatchedSyrkShape:
         return 4 * self.batch * self.m * self.m
 
     @property
-    def panel_working_set_bytes(self) -> int:
-        """Bytes live during one dispatch: A panel slice + C block."""
-        depth = self.panel_depth if self.panel_depth is not None else self.n
-        depth = min(depth, self.n)
-        return 4 * self.batch * self.m * depth + self.batch_c_bytes
+    def working_set_bytes(self) -> int:
+        """Bytes live during one dispatch: the batch's A and C blocks."""
+        return self.batch_a_bytes + self.batch_c_bytes
 
 
 def batched_syrk_shape_for(
-    spec: DatasetSpec,
-    n_assigned: int,
-    batch: int,
-    panel_depth: int | None = None,
+    spec: DatasetSpec, n_assigned: int, batch: int
 ) -> BatchedSyrkShape:
     """Batched stage-3a shape for a task on a dataset (LOSO training)."""
     base = syrk_shape_for(spec, n_assigned)
     return BatchedSyrkShape(
-        n_problems=base.n_problems,
-        m=base.m,
-        n=base.n,
-        batch=batch,
-        panel_depth=panel_depth,
+        n_problems=base.n_problems, m=base.m, n=base.n, batch=batch
     )
 
 
@@ -144,60 +124,39 @@ def dispatch_amortization(shape: BatchedSyrkShape) -> float:
     return shape.dispatches_per_voxel_path / shape.dispatches
 
 
-def max_resident_batch(
-    hw: HardwareSpec, m: int, panel_depth: int | None = None, n: int | None = None
-) -> int:
+def max_resident_batch(hw: HardwareSpec, m: int, n: int) -> int:
     """Largest batch whose per-dispatch working set stays cache-resident.
 
-    Uses the LLC when the machine has one (host), else the aggregate L2
-    (KNC keeps a task's working set distributed across the ring).  With
-    panel accumulation only the current depth slice of A competes with
-    the C block, so deep reductions allow much larger batches.
+    One problem holds its ``m x n`` input and ``m x m`` output.  Uses
+    the LLC when the machine has one (host), else the aggregate L2 (KNC
+    keeps a task's working set distributed across the ring).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
     if hw.llc is not None:
         capacity = hw.llc.size_bytes
     else:
         capacity = hw.l2.size_bytes * hw.cores
-    depth = panel_depth if panel_depth is not None else (n if n is not None else m)
-    per_problem = 4 * (m * depth + m * m)
+    per_problem = 4 * (m * n + m * m)
     return max(1, capacity // per_problem)
 
 
 def model_batched_syrk(
-    spec: DatasetSpec,
-    n_assigned: int,
-    hw: HardwareSpec,
-    batch: int,
-    panel_depth: int | None = None,
+    spec: DatasetSpec, n_assigned: int, hw: HardwareSpec, batch: int
 ) -> KernelEstimate:
     """Model the batched stage-3a kernel precompute for one task.
 
     DRAM accounting matches the optimized per-voxel syrk — A read once,
-    C written once — plus the panel variant's C re-touches: the output
-    block is revisited once per depth panel, from cache while the batch
-    C block fits (:func:`max_resident_batch`), from DRAM beyond that.
-    The returned estimate's time excludes the dispatch fixed cost; add
-    ``shape.dispatches * DISPATCH_OVERHEAD_SECONDS`` for end-to-end
-    driver comparisons (kept separate because it is a host-side cost,
-    not a kernel cost).
+    C written once.  The returned estimate's time excludes the dispatch
+    fixed cost; add ``shape.dispatches * DISPATCH_OVERHEAD_SECONDS`` for
+    end-to-end driver comparisons (kept separate because it is a
+    host-side cost, not a kernel cost).
     """
-    shape = batched_syrk_shape_for(spec, n_assigned, batch, panel_depth)
-    syrk = shape.as_syrk
+    syrk = batched_syrk_shape_for(spec, n_assigned, batch).as_syrk
     line_elems = hw.elements_per_line()
     a_lines = syrk.n_problems * syrk.a_elements / line_elems
     c_lines = syrk.output_elements / line_elems
-
-    remote = 0.0
     dram = a_lines + c_lines
-    if shape.n_panels > 1:
-        # C re-touched (read + write) once per extra panel pass.
-        retouch_lines = 2.0 * (shape.n_panels - 1) * c_lines
-        if batch <= max_resident_batch(hw, syrk.m, panel_depth, syrk.n):
-            remote = retouch_lines
-        else:
-            dram += retouch_lines
 
     calib = calibration_for("matmul/ours/syrk", hw)
     refs = syrk.flops * calib.refs_per_flop
@@ -206,7 +165,6 @@ def model_batched_syrk(
         mem_reads=refs * 0.98,
         mem_writes=refs * 0.02,
         l2_misses=dram,
-        l2_remote_hits=remote,
         flops=syrk.flops,
         vpu_instructions=vpu,
         vector_elements=vpu * calib.vi,

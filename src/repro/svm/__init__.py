@@ -4,6 +4,7 @@ LibSVM-like baseline."""
 from .cross_validation import (
     BatchCrossValidationResult,
     CrossValidationResult,
+    cv_fold_ids,
     grouped_cross_validation,
     grouped_cross_validation_batch,
     kfold_ids,
@@ -63,6 +64,7 @@ __all__ = [
     "default_c_grid",
     "fit_platt",
     "grouped_cross_validation",
+    "cv_fold_ids",
     "grouped_cross_validation_batch",
     "kfold_ids",
     "linear_kernel",

@@ -11,9 +11,12 @@ slices — no kernel recomputation per fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..data.epochs import EpochTable
 
 __all__ = [
     "KernelBackend",
@@ -24,6 +27,7 @@ __all__ = [
     "grouped_cross_validation_batch",
     "loso_cross_validation",
     "kfold_ids",
+    "cv_fold_ids",
 ]
 
 
@@ -165,9 +169,17 @@ def grouped_cross_validation_batch(
     The batched counterpart of :func:`grouped_cross_validation` for the
     FCMA stage-3 situation: every problem (voxel) shares the epochs, so
     the fold partition is common and each fold's training kernels are
-    pure stacked submatrix slices ``kernels[:, train, train]``.  Fold
-    semantics are identical to the sequential driver, including the
-    degenerate-training-fold rule (accuracy 0 for every problem).
+    pure stacked submatrix slices ``kernels[:, train, train]``.  All
+    ``F`` folds train in **one** ``fit_kernel_batch`` call over a
+    ``(B * F, n_train, n_train)`` stack with per-problem labels (voxel
+    major, fold minor), so the lockstep solver runs as many sweeps as
+    the slowest (voxel, fold) problem needs — not the sum over folds of
+    each fold's slowest.  Folds of unequal training size cannot share a
+    stack; they are grouped by size, one call per distinct size in
+    ascending order, never padded.  The stack is a copy of
+    ``B * F * n_train**2`` kernel entries.  Fold semantics are identical
+    to the sequential driver, including the degenerate-training-fold
+    rule (accuracy 0 for every problem).
     """
     kernels = np.asarray(kernels)
     labels = np.asarray(labels)
@@ -186,19 +198,35 @@ def grouped_cross_validation_batch(
     accuracies = np.zeros((b, folds.size))
     sizes = np.zeros(folds.size, dtype=np.int64)
     iterations = np.zeros((b, folds.size), dtype=np.int64)
+    voxel = np.arange(b)[:, None, None, None]
+    trainable: dict[int, list[int]] = {}  # n_train -> fold positions
     for k, fold in enumerate(folds):
         test_mask = fold_ids == fold
-        train_idx = np.nonzero(~test_mask)[0]
-        test_idx = np.nonzero(test_mask)[0]
-        sizes[k] = test_idx.size
-        train_labels = labels[train_idx]
-        if np.unique(train_labels).size < 2:
-            continue
-        sub_kernels = kernels[:, train_idx[:, None], train_idx[None, :]]
-        models = backend.fit_kernel_batch(sub_kernels, train_labels)
-        test_blocks = kernels[:, test_idx[:, None], train_idx[None, :]]
-        accuracies[:, k] = models.accuracy(test_blocks, labels[test_idx])
-        iterations[:, k] = models.iterations
+        sizes[k] = np.count_nonzero(test_mask)
+        if np.unique(labels[~test_mask]).size >= 2:
+            trainable.setdefault(n - int(sizes[k]), []).append(k)
+    for n_train in sorted(trainable):
+        ks = trainable[n_train]
+        train_idx = np.stack([np.nonzero(fold_ids != folds[k])[0] for k in ks])
+        test_idx = np.stack([np.nonzero(fold_ids == folds[k])[0] for k in ks])
+        # (B, G, ., n_train) gathers, G problems per voxel.  Indexing the
+        # voxel axis with an array too (not a slice) makes the result
+        # C-contiguous, so the reshapes are views, not second copies.  The
+        # training stack is an argument temporary: it is gone before the
+        # test blocks are gathered.
+        models = backend.fit_kernel_batch(
+            kernels[voxel, train_idx[:, :, None], train_idx[:, None, :]].reshape(
+                -1, n_train, n_train
+            ),
+            np.tile(labels[train_idx], (b, 1)),
+        )
+        test_blocks = kernels[voxel, test_idx[:, :, None], train_idx[:, None, :]]
+        fold_accuracies = models.accuracy(
+            test_blocks.reshape(-1, n - n_train, n_train),
+            np.tile(labels[test_idx], (b, 1)),
+        )
+        accuracies[:, ks] = fold_accuracies.reshape(b, len(ks))
+        iterations[:, ks] = models.iterations.reshape(b, len(ks))
     return BatchCrossValidationResult(
         folds=folds,
         fold_accuracies=accuracies,
@@ -237,3 +265,15 @@ def kfold_ids(n_samples: int, n_folds: int) -> np.ndarray:
             f"n_folds {n_folds} exceeds n_samples {n_samples}"
         )
     return (np.arange(n_samples) * n_folds) // n_samples
+
+
+def cv_fold_ids(epochs: EpochTable, online_folds: int) -> np.ndarray:
+    """The pipeline's one fold rule: LOSO across subjects, k-fold within one.
+
+    With two or more subjects the folds are the subject ids (the paper's
+    offline analysis); a single subject falls back to ``online_folds``
+    contiguous folds over its epochs (:func:`kfold_ids`).
+    """
+    if epochs.n_subjects >= 2:
+        return np.asarray(epochs.subjects())
+    return kfold_ids(len(epochs), online_folds)

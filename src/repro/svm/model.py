@@ -110,8 +110,9 @@ class BatchSVMModel:
     The batched counterpart of :class:`SVMModel`: problem ``b``'s
     decision function for a test block ``K_test[b]`` of shape
     ``(n_test, n_train)`` is ``K_test[b] @ dual_coef[b] - rho[b]``.
-    All problems share the training epochs (and therefore the class
-    pair) — the FCMA stage-3 situation, where the batch axis is voxels.
+    All problems share the class pair and the training-set *size*, not
+    necessarily the training samples: in FCMA stage 3 the batch axis is
+    voxels × cross-validation folds, each fold with its own label row.
     """
 
     #: ``alpha_i * y_i`` per problem and training sample, shape (B, n_train).
@@ -187,14 +188,19 @@ class BatchSVMModel:
         return out.astype(np.int64)
 
     def accuracy(self, kernel_blocks: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Per-problem fraction of correct predictions, shape ``(B,)``."""
+        """Per-problem fraction of correct predictions, shape ``(B,)``.
+
+        ``labels`` is ``(n_test,)`` (shared by all problems) or
+        ``(B, n_test)`` (one row per problem).
+        """
         labels = np.asarray(labels)
         pred = self.predict(kernel_blocks)
-        if labels.shape != (pred.shape[1],):
+        if labels.shape not in (pred.shape[1:], pred.shape):
             raise ValueError(
-                f"labels must have shape ({pred.shape[1]},), got {labels.shape}"
+                f"labels must have shape ({pred.shape[1]},) or {pred.shape}, "
+                f"got {labels.shape}"
             )
-        return (pred == labels[None, :]).mean(axis=1)
+        return (pred == labels).mean(axis=1)
 
 
 def encode_labels(labels: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:

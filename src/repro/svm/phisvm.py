@@ -126,14 +126,17 @@ class PhiSVM:
     def fit_kernel_batch(
         self, kernels: np.ndarray, labels: np.ndarray
     ) -> BatchSVMModel:
-        """Train ``B`` voxel problems jointly on stacked kernels.
+        """Train ``P`` problems jointly on stacked kernels.
 
-        ``kernels`` has shape ``(B, n, n)``; all problems share
-        ``labels`` (the FCMA case — every voxel classifies the same
-        epochs).  This is the batch analogue of :meth:`fit_kernel`:
-        each problem follows the same SMO trajectory it would follow
-        alone, but the working-set selection and updates for all B
-        problems are single vectorized operations per sweep.
+        ``kernels`` has shape ``(P, n, n)``; ``labels`` is ``(n,)``
+        (shared by all problems) or ``(P, n)`` (one row per problem, as
+        when cross-validation stacks voxels × folds and every fold
+        trains on different epochs).  The two classes are common to the
+        batch and every problem must see both.  This is the batch
+        analogue of :meth:`fit_kernel`: each problem follows the same
+        SMO trajectory it would follow alone, but the working-set
+        selection and updates for all P problems are single vectorized
+        operations per sweep.
         """
         kernels = np.asarray(kernels)
         if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
@@ -142,6 +145,8 @@ class PhiSVM:
             )
         kernels = np.ascontiguousarray(kernels, dtype=np.float32)
         y, classes = encode_labels(labels)
+        if y.ndim == 2 and (abs(y.sum(axis=1)) == y.shape[1]).any():
+            raise ValueError("every problem needs both classes in its labels")
         result = solve_smo_batch(
             kernels,
             y,
@@ -151,9 +156,7 @@ class PhiSVM:
             selection=self._batch_selection(),
         )
         return BatchSVMModel(
-            dual_coef=(result.alpha * y[None, :].astype(np.float32)).astype(
-                np.float32
-            ),
+            dual_coef=(result.alpha * y.astype(np.float32)).astype(np.float32),
             rho=result.rho,
             classes=classes,
             c=self.c,

@@ -437,7 +437,7 @@ class _BatchAdaptivePhases:
     probe/commit *timing* (probe first-order, probe second-order, commit
     the winner, re-probe) is shared scalar state, while the measured
     convergence rates — and therefore the committed heuristic — are
-    per-problem arrays.
+    per-problem arrays over the solver's *resident* rows.
     """
 
     def __init__(self, n_problems: int, probe_iters: int = 8, commit_iters: int = 64):
@@ -457,6 +457,13 @@ class _BatchAdaptivePhases:
         if self._phase == "probe_second":
             return np.ones_like(self.use_second)
         return self.use_second
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Drop retired problems: keep only resident rows ``keep``."""
+        assert self._gap_start is not None
+        self._gap_start = self._gap_start[keep]
+        self._rate_first = self._rate_first[keep]
+        self.use_second = self.use_second[keep]
 
     def _rates(self, gap_end: np.ndarray, cost: float) -> np.ndarray:
         assert self._gap_start is not None
@@ -489,13 +496,19 @@ class _BatchAdaptivePhases:
         self._gap_start = gap.copy()
 
 
-@_traced(
-    "smo.solve_batch",
-    lambda r: {
-        "iterations": float(r.iterations.sum()),
-        "voxels": float(r.alpha.shape[0]),
-    },
-)
+def _batch_metrics(r: BatchSMOResult) -> dict[str, float]:
+    """Span metrics of one lockstep solve (see :mod:`repro.obs.metrics`)."""
+    problems, total = r.alpha.shape[0], float(r.iterations.sum())
+    return {
+        "iterations": total,
+        "voxels": float(problems),
+        "problems": float(problems),
+        "sweeps": float(r.sweeps),
+        "occupancy": total / max(1, r.sweeps * problems),
+    }
+
+
+@_traced("smo.solve_batch", _batch_metrics)
 def solve_smo_batch(
     kernels: np.ndarray,
     y: np.ndarray,
@@ -504,26 +517,34 @@ def solve_smo_batch(
     max_iter: int | None = None,
     selection: str = "adaptive",
 ) -> BatchSMOResult:
-    """Solve ``B`` independent C-SVC duals simultaneously.
+    """Solve ``P`` independent C-SVC duals simultaneously.
 
     The paper keeps 240+ voxel problems resident on the coprocessor with
     one thread per problem; here the batch axis plays that role: every
     SMO ingredient — working-set selection, the two-variable analytic
     update, gradient maintenance — is one vectorized operation across
-    all live problems, so the Python-interpreter cost of an iteration is
-    paid once per *sweep* instead of once per problem.  Problems whose
-    KKT gap drops below ``tol`` freeze (their variables stop moving) and
-    the batch loops until every problem converges or ``max_iter`` sweeps
-    elapse.
+    all resident problems, so the Python-interpreter cost of an
+    iteration is paid once per *sweep* instead of once per problem.  In
+    FCMA stage 3 the batch axis is voxels × cross-validation folds.
+
+    Problems whose KKT gap drops below ``tol`` freeze (their variables
+    stop moving); once at most half of the resident rows are still live
+    the frozen ones are *retired* — their state is written to the result
+    and the per-problem arrays are compacted to the live rows, so a few
+    stragglers do not drag a full-width sweep behind them.  The kernel
+    stack is never compacted: resident row ``r`` reads
+    ``kernels[slot[r]]``.  The batch loops until every problem converges
+    or ``max_iter`` sweeps elapse.
 
     Parameters
     ----------
     kernels:
-        Stacked symmetric PSD kernels, shape ``(B, n, n)``.  The solve
+        Stacked symmetric PSD kernels, shape ``(P, n, n)``.  The solve
         runs in the stack's floating dtype (float32 for PhiSVM).
     y:
-        Labels in {-1, +1}: shape ``(n,)`` (shared by all problems — the
-        FCMA case, where every voxel sees the same epochs) or ``(B, n)``.
+        Labels in {-1, +1}: shape ``(n,)`` (shared by all problems) or
+        ``(P, n)`` (one row per problem — the fold-stacked
+        cross-validation case, where every fold trains on other epochs).
     c, tol, max_iter:
         As in :func:`solve_smo`; ``max_iter`` caps batch sweeps, which
         equals the per-problem iteration cap of the sequential solver.
@@ -535,7 +556,8 @@ def solve_smo_batch(
     A problem solved in a batch follows the same iterate trajectory as
     :func:`solve_smo` on it alone with the matching selector: selection
     argmax/argmin tie-breaks, the update arithmetic, and the float32
-    rounding are identical.
+    rounding are identical, whatever else shares the batch and whenever
+    its neighbours retire.
     """
     kernels = np.asarray(kernels)
     if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
@@ -546,12 +568,12 @@ def solve_smo_batch(
         raise ValueError(f"unknown selection {selection!r}")
     if not np.issubdtype(kernels.dtype, np.floating):
         kernels = kernels.astype(np.float64)
-    b, n = kernels.shape[0], kernels.shape[1]
+    p, n = kernels.shape[0], kernels.shape[1]
     y = np.asarray(y)
     if y.shape == (n,):
-        y = np.broadcast_to(y, (b, n))
-    elif y.shape != (b, n):
-        raise ValueError(f"y must have shape ({n},) or ({b}, {n}), got {y.shape}")
+        y = np.broadcast_to(y, (p, n))
+    elif y.shape != (p, n):
+        raise ValueError(f"y must have shape ({n},) or ({p}, {n}), got {y.shape}")
     if not np.isin(y, (-1, 1)).all():
         raise ValueError("labels must be -1 or +1")
     if c <= 0:
@@ -561,65 +583,95 @@ def solve_smo_batch(
     dtype = kernels.dtype
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
+    cval = dtype.type(c)
+    tau = dtype.type(_TAU)
 
-    yf = np.ascontiguousarray(y, dtype=dtype)
-    alpha = np.zeros((b, n), dtype=dtype)
-    grad = np.full((b, n), -1.0, dtype=dtype)  # G = Q alpha - e at alpha = 0
+    # One row per problem, written when the problem retires (or at the end).
+    y_all = np.ascontiguousarray(y, dtype=dtype)
+    out_alpha = np.empty((p, n), dtype=dtype)
+    out_grad = np.empty((p, n), dtype=dtype)
+    out_iterations = np.empty(p, dtype=np.int64)
+    out_gap = np.empty(p, dtype=np.float64)
+    converged = np.empty(p, dtype=bool)
+
+    # Resident state: row r is problem slot[r].
+    slot = np.arange(p)
+    rows = slot
+    yf = y_all
+    pos = yf > 0
+    neg = ~pos
+    alpha = np.zeros((p, n), dtype=dtype)
+    grad = np.full((p, n), -1.0, dtype=dtype)  # G = Q alpha - e at alpha = 0
     diag = np.ascontiguousarray(
         np.diagonal(kernels, axis1=1, axis2=2), dtype=dtype
     )
-    cval = dtype.type(c)
-    rows = np.arange(b)
-    live = np.ones(b, dtype=bool)
-    iterations = np.zeros(b, dtype=np.int64)
-    final_gap = np.zeros(b, dtype=np.float64)
-    adaptive = (
-        _BatchAdaptivePhases(b) if selection == "adaptive" else None
-    )
+    iterations = np.zeros(p, dtype=np.int64)
+    live = np.ones(p, dtype=bool)
+    gap = np.zeros(p, dtype=dtype)
+    n_live = p
+    adaptive = _BatchAdaptivePhases(p) if selection == "adaptive" else None
     sweeps = 0
+
+    def write_back() -> None:
+        out_alpha[slot] = alpha
+        out_grad[slot] = grad
+        out_iterations[slot] = iterations
+        out_gap[slot] = gap  # a frozen row recomputes the gap it froze at
+        converged[slot] = ~live
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         while sweeps < max_iter:
-            # --- working-set selection (all problems at once) -------------
+            if 0 < 2 * n_live <= live.size:
+                # --- retire the frozen rows -----------------------------
+                write_back()
+                keep = np.flatnonzero(live)
+                slot, iterations = slot[keep], iterations[keep]
+                yf, pos, neg = yf[keep], pos[keep], neg[keep]
+                alpha, grad, diag = alpha[keep], grad[keep], diag[keep]
+                if adaptive is not None:
+                    adaptive.compact(keep)
+                rows = np.arange(n_live)
+                live = np.ones(n_live, dtype=bool)
+
+            # --- working-set selection (all resident problems at once) ----
             minus_yg = -(yf * grad)
-            pos = yf > 0
             at_upper = alpha >= cval
             at_lower = alpha <= 0.0
-            i_up = (pos & ~at_upper) | (~pos & ~at_lower)
-            i_low = (pos & ~at_lower) | (~pos & ~at_upper)
-            up_vals = np.where(i_up, minus_yg, -np.inf)
-            low_vals = np.where(i_low, minus_yg, np.inf)
+            # Complements of Keerthi's I_up / I_low (pos | neg is all).
+            not_up = (pos & at_upper) | (neg & at_lower)
+            not_low = (pos & at_lower) | (neg & at_upper)
+            up_vals = np.where(not_up, -np.inf, minus_yg)
+            low_vals = np.where(not_low, np.inf, minus_yg)
             i = np.argmax(up_vals, axis=1)
+            j_first = np.argmin(low_vals, axis=1)
             gmax = up_vals[rows, i]
-            gmin = low_vals.min(axis=1)
+            gmin = low_vals[rows, j_first]
             # Degenerate problems (empty I_up or I_low) are optimal,
             # matching the sequential selector's (0, 0, 0.0) return.
-            degenerate = ~np.isfinite(gmax) | ~np.isfinite(gmin)
-            gap = np.where(degenerate, 0.0, gmax - gmin)
-            final_gap = np.where(live, gap, final_gap)
+            gap = np.where(np.isfinite(gmax) & np.isfinite(gmin), gmax - gmin, 0.0)
             if adaptive is not None:
                 use_second = adaptive.current_use_second()
                 adaptive.step(gap)
-            elif selection == "second":
-                use_second = np.ones(b, dtype=bool)
             else:
-                use_second = np.zeros(b, dtype=bool)
+                use_second = selection == "second"
 
             live &= gap >= tol
-            if not live.any():
+            n_live = np.count_nonzero(live)
+            if n_live == 0:
                 break
             sweeps += 1
-            iterations[live] += 1
+            iterations += live
 
-            # Kernel rows K[b, i_b, :] / K[b, j_b, :]: needed for the
+            # Kernel rows K[p, i_p, :] / K[p, j_p, :]: needed for the
             # second-order gain and for the gradient update.
-            k_i = np.take_along_axis(kernels, i[:, None, None], axis=1)[:, 0, :]
-            j_first = np.argmin(low_vals, axis=1)
-            if use_second.any():
-                a_coef = diag[rows, i][:, None] + diag - 2.0 * k_i
-                a_coef = np.where(a_coef <= 0.0, dtype.type(_TAU), a_coef)
+            k_i = kernels[slot, i]
+            di = diag[rows, i]
+            if np.any(use_second):
+                a_coef = di[:, None] + diag - 2.0 * k_i
+                a_coef[a_coef <= 0.0] = tau
                 b_coef = gmax[:, None] - minus_yg
-                eligible = i_low & (minus_yg < gmax[:, None])
+                # low_vals is +inf outside I_low, so this is I_low & (. < gmax).
+                eligible = low_vals < gmax[:, None]
                 gain = np.where(eligible, (b_coef * b_coef) / a_coef, -np.inf)
                 j_second = np.where(
                     eligible.any(axis=1), np.argmax(gain, axis=1), j_first
@@ -627,84 +679,89 @@ def solve_smo_batch(
                 j = np.where(use_second, j_second, j_first)
             else:
                 j = j_first
-            k_j = np.take_along_axis(kernels, j[:, None, None], axis=1)[:, 0, :]
+            k_j = kernels[slot, j]
 
             # --- two-variable analytic update (vectorized) ----------------
+            # With s = y_i y_j = +-1 every product by s is an exact sign
+            # flip, so LibSVM's same-sign and different-sign formulas
+            # share one rounding-identical form: Q_ij = s K_ij gives
+            # quad = K_ii + K_jj - 2 K_ij for both, and alpha_i + s alpha_j
+            # is the quantity the step conserves.
             yi = yf[rows, i]
             yj = yf[rows, j]
             gi = grad[rows, i]
             gj = grad[rows, j]
             ai = alpha[rows, i]
             aj = alpha[rows, j]
-            q_ij = yi * yj * k_i[rows, j]
-            di = diag[rows, i]
-            dj = diag[rows, j]
-            same = yi == yj
+            s = yi * yj
+            same = s > 0
+            quad = (di + diag[rows, j]) - 2.0 * k_i[rows, j]
+            quad = np.where(quad <= 0.0, tau, quad)
+            delta = (s * gi - gj) / quad
+            new_ai = ai - s * delta
+            new_aj = aj + delta
+            held = ai + s * aj
 
-            quad = np.where(same, di + dj - 2.0 * q_ij, di + dj + 2.0 * q_ij)
-            quad = np.where(quad <= 0.0, dtype.type(_TAU), quad)
-            delta = np.where(same, gi - gj, -gi - gj) / quad
-
-            # Different-sign branch: alpha_i, alpha_j move together.
-            diff = ai - aj
-            d_ai = ai + delta
-            d_aj = aj + delta
-            clip = (diff > 0) & (d_aj < 0)
-            d_aj = np.where(clip, 0.0, d_aj)
-            d_ai = np.where(clip, diff, d_ai)
-            clip = (diff <= 0) & (d_ai < 0)
+            # Different-sign branch: clip along alpha_i - alpha_j = held.
+            hi = held > 0
+            lo = held <= 0
+            clip = hi & (new_aj < 0)
+            d_aj = np.where(clip, 0.0, new_aj)
+            d_ai = np.where(clip, held, new_ai)
+            clip = lo & (d_ai < 0)
             d_ai = np.where(clip, 0.0, d_ai)
-            d_aj = np.where(clip, -diff, d_aj)
-            clip = (diff > 0) & (d_ai > cval)
+            d_aj = np.where(clip, -held, d_aj)
+            clip = hi & (d_ai > cval)
             d_ai = np.where(clip, cval, d_ai)
-            d_aj = np.where(clip, cval - diff, d_aj)
-            clip = (diff <= 0) & (d_aj > cval)
+            d_aj = np.where(clip, cval - held, d_aj)
+            clip = lo & (d_aj > cval)
             d_aj = np.where(clip, cval, d_aj)
-            d_ai = np.where(clip, cval + diff, d_ai)
+            d_ai = np.where(clip, cval + held, d_ai)
 
-            # Same-sign branch: alpha_i + alpha_j conserved.
-            total = ai + aj
-            s_ai = ai - delta
-            s_aj = aj + delta
-            clip = (total > cval) & (s_ai > cval)
-            s_ai = np.where(clip, cval, s_ai)
-            s_aj = np.where(clip, total - cval, s_aj)
-            clip = (total <= cval) & (s_aj < 0)
+            # Same-sign branch: clip along alpha_i + alpha_j = held.
+            hi = held > cval
+            lo = held <= cval
+            clip = hi & (new_ai > cval)
+            s_ai = np.where(clip, cval, new_ai)
+            s_aj = np.where(clip, held - cval, new_aj)
+            clip = lo & (s_aj < 0)
             s_aj = np.where(clip, 0.0, s_aj)
-            s_ai = np.where(clip, total, s_ai)
-            clip = (total > cval) & (s_aj > cval)
+            s_ai = np.where(clip, held, s_ai)
+            clip = hi & (s_aj > cval)
             s_aj = np.where(clip, cval, s_aj)
-            s_ai = np.where(clip, total - cval, s_ai)
-            clip = (total <= cval) & (s_ai < 0)
+            s_ai = np.where(clip, held - cval, s_ai)
+            clip = lo & (s_ai < 0)
             s_ai = np.where(clip, 0.0, s_ai)
-            s_aj = np.where(clip, total, s_aj)
+            s_aj = np.where(clip, held, s_aj)
 
-            new_ai = np.where(same, s_ai, d_ai).astype(dtype, copy=False)
-            new_aj = np.where(same, s_aj, d_aj).astype(dtype, copy=False)
-            step_i = np.where(live, new_ai - ai, dtype.type(0.0))
-            step_j = np.where(live, new_aj - aj, dtype.type(0.0))
-            # Assign (not +=): the sequential solver stores the clipped
-            # values directly, and `a + (new - a)` can differ by an ulp.
-            alpha[rows, i] = np.where(live, new_ai, ai)
-            alpha[rows, j] = np.where(live, new_aj, aj)
+            # Frozen rows keep their values.  Assign (not +=): the
+            # sequential solver stores the clipped values directly, and
+            # `a + (new - a)` can differ by an ulp.
+            new_ai = np.where(live, np.where(same, s_ai, d_ai), ai)
+            new_aj = np.where(live, np.where(same, s_aj, d_aj), aj)
+            alpha[rows, i] = new_ai
+            alpha[rows, j] = new_aj
+            step_i = new_ai - ai
+            step_j = new_aj - aj
+            if step_i.any() or step_j.any():
+                # grad += Q_i step_i + Q_j step_j with Q_ab = y_a y_b K_ab;
+                # the labels are exact sign flips, so they factor out of
+                # the rounded products without changing them.
+                grad += yf * (
+                    k_i * (yi * step_i)[:, None] + k_j * (yj * step_j)[:, None]
+                )
 
-            moved = (step_i != 0.0) | (step_j != 0.0)
-            if moved.any():
-                q_i_rows = yi[:, None] * (yf * k_i)
-                q_j_rows = yj[:, None] * (yf * k_j)
-                grad += q_i_rows * step_i[:, None] + q_j_rows * step_j[:, None]
-
-    converged = ~live
+    write_back()
     objective = (
-        0.5 * (alpha * grad).sum(axis=1) - 0.5 * alpha.sum(axis=1)
+        0.5 * (out_alpha * out_grad).sum(axis=1) - 0.5 * out_alpha.sum(axis=1)
     ).astype(np.float64)
-    rho = _batch_calculate_rho(yf, grad, alpha, float(c))
+    rho = _batch_calculate_rho(y_all, out_grad, out_alpha, float(c))
     return BatchSMOResult(
-        alpha=alpha,
+        alpha=out_alpha,
         rho=rho,
-        iterations=iterations,
+        iterations=out_iterations,
         converged=converged,
         objective=objective,
-        gap=final_gap,
+        gap=out_gap,
         sweeps=sweeps,
     )

@@ -6,7 +6,6 @@ import pytest
 from repro.core.kernels import (
     kernel_matrix_baseline,
     kernel_matrix_batched,
-    symmetrize_from_triangle,
 )
 
 
@@ -60,26 +59,3 @@ class TestBatched:
     def test_validation(self):
         with pytest.raises(ValueError):
             kernel_matrix_batched(np.zeros((10, 300)))
-
-
-class TestSymmetrize:
-    def test_round_trip(self):
-        full = np.array([[1.0, 2.0], [2.0, 3.0]])
-        lower = np.tril(full)
-        np.testing.assert_array_equal(symmetrize_from_triangle(lower), full)
-
-    def test_diagonal_not_doubled(self):
-        lower = np.diag([1.0, 2.0, 3.0])
-        out = symmetrize_from_triangle(lower)
-        np.testing.assert_array_equal(np.diagonal(out), [1, 2, 3])
-
-    def test_stacked_round_trip(self):
-        rng = np.random.default_rng(11)
-        sym = rng.standard_normal((4, 6, 6))
-        sym = sym + sym.transpose(0, 2, 1)
-        lower = np.tril(sym)
-        np.testing.assert_array_equal(symmetrize_from_triangle(lower), sym)
-
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            symmetrize_from_triangle(np.zeros((2, 3)))

@@ -225,7 +225,9 @@ class TestOverhead:
             return time.perf_counter() - t0
 
         run_once(True)  # warm caches (BLAS threads, preprocessing)
-        pairs = [(run_once(False), run_once(True)) for _ in range(7)]
+        # 15 pairs: the run is ~0.3 s since the fold-stacked SMO, so a
+        # scheduler hiccup weighs 3x more per pair than when it took 1 s.
+        pairs = [(run_once(False), run_once(True)) for _ in range(15)]
         baseline = statistics.median(b for b, _ in pairs)
         overhead = statistics.median(t - b for b, t in pairs)
         assert overhead <= baseline * 0.05, (

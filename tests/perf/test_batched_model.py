@@ -28,13 +28,6 @@ class TestShape:
         assert sh.dispatches == 2
         assert sh.dispatches_per_voxel_path == 120
 
-    def test_panel_dispatches(self):
-        sh = BatchedSyrkShape(
-            n_problems=120, m=204, n=34470, batch=64, panel_depth=96
-        )
-        assert sh.n_panels == 360  # ceil(34470 / 96)
-        assert sh.dispatches == 2 * 360
-
     def test_amortization_equals_effective_batch(self):
         sh = batched_syrk_shape_for(FACE_SCENE, 120, batch=60)
         assert dispatch_amortization(sh) == pytest.approx(60.0)
@@ -44,29 +37,22 @@ class TestShape:
         assert dispatch_amortization(sh) == 1.0
 
     def test_working_set_grows_with_batch(self):
-        small = BatchedSyrkShape(120, 204, 34470, batch=8, panel_depth=96)
-        big = BatchedSyrkShape(120, 204, 34470, batch=64, panel_depth=96)
-        assert big.panel_working_set_bytes > small.panel_working_set_bytes
+        small = BatchedSyrkShape(120, 204, 34470, batch=8)
+        big = BatchedSyrkShape(120, 204, 34470, batch=64)
+        assert big.working_set_bytes == 8 * small.working_set_bytes
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchedSyrkShape(0, 204, 34470, batch=8)
         with pytest.raises(ValueError):
             BatchedSyrkShape(120, 204, 34470, batch=0)
-        with pytest.raises(ValueError):
-            BatchedSyrkShape(120, 204, 34470, batch=8, panel_depth=0)
 
 
 class TestResidency:
-    def test_panel_allows_larger_batches_than_full_depth(self):
-        panel = max_resident_batch(PHI_5110P, 204, panel_depth=96)
-        full = max_resident_batch(PHI_5110P, 204, n=34470)
-        assert panel > full
-
     def test_host_uses_llc(self):
         assert E5_2670.llc is not None
-        got = max_resident_batch(E5_2670, 204, panel_depth=96)
-        per_problem = 4 * (204 * 96 + 204 * 204)
+        got = max_resident_batch(E5_2670, 204, n=9600)
+        per_problem = 4 * (204 * 9600 + 204 * 204)
         assert got == E5_2670.llc.size_bytes // per_problem
 
     def test_at_least_one(self):
@@ -82,22 +68,3 @@ class TestModel:
         assert batched.counters.flops == ref.counters.flops
         assert batched.counters.l2_misses == ref.counters.l2_misses
         assert batched.seconds == pytest.approx(ref.seconds, rel=1e-9)
-
-    def test_panel_retouch_hits_cache_when_resident(self):
-        est = model_batched_syrk(
-            FACE_SCENE, 120, PHI_5110P, batch=16, panel_depth=96
-        )
-        flat = model_batched_syrk(FACE_SCENE, 120, PHI_5110P, batch=16)
-        assert est.counters.l2_remote_hits > 0
-        assert est.counters.l2_misses == flat.counters.l2_misses
-
-    def test_oversized_batch_spills_retouches_to_dram(self):
-        resident = max_resident_batch(PHI_5110P, 204, panel_depth=96, n=34470)
-        spilled = model_batched_syrk(
-            FACE_SCENE, 2000, PHI_5110P, batch=resident * 4, panel_depth=96
-        )
-        fits = model_batched_syrk(
-            FACE_SCENE, 2000, PHI_5110P, batch=max(resident // 2, 1),
-            panel_depth=96,
-        )
-        assert spilled.counters.l2_misses > fits.counters.l2_misses

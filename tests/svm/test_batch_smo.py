@@ -192,3 +192,212 @@ class TestBatchedCrossValidation:
         res = grouped_cross_validation_batch(PhiSVM(), kernels, labels, folds)
         np.testing.assert_array_equal(res.fold_accuracies, 0.0)
         np.testing.assert_array_equal(res.accuracies, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep over voxels x folds: per-problem labels, retirement, fold stacking
+# ---------------------------------------------------------------------------
+
+def ladder_problem(n, d, seed, sep):
+    """Two Gaussian classes ``sep`` apart with per-problem labels.
+
+    ``sep`` sets the difficulty: >= 2 converges within the adaptive
+    selector's first probe phases, 0 takes hundreds of iterations.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.uniform(size=n) > 0.5, 1, -1)
+    if np.abs(y.sum()) == n:
+        y[0] = -y[0]
+    x = rng.standard_normal((n, d)).astype(np.float32)
+    x += np.float32(sep) * y[:, None].astype(np.float32)
+    return x @ x.T, y
+
+
+def ladder_batch(seps, n, d, seed):
+    problems = [ladder_problem(n, d, seed * 100 + p, s) for p, s in enumerate(seps)]
+    kernels = np.ascontiguousarray([k for k, _ in problems], dtype=np.float32)
+    return kernels, np.stack([y for _, y in problems])
+
+
+def assert_matches_alone(batch, kernels, ys, selection, **solver_args):
+    """Every problem of ``batch`` equals its own solve, whoever shared it.
+
+    Against ``solve_smo``: alpha / iterations / converged bitwise, the
+    gap as the float32 the batch solver carries, rho to float32 summation
+    order.  Against a batch of one: every field bitwise.
+    """
+    for p in range(kernels.shape[0]):
+        seq = solve_smo(
+            kernels[p], ys[p], selector=SELECTORS[selection](), **solver_args
+        )
+        np.testing.assert_array_equal(batch.alpha[p], seq.alpha)
+        assert batch.iterations[p] == seq.iterations
+        assert bool(batch.converged[p]) == seq.converged
+        assert np.float32(batch.gap[p]) == np.float32(seq.gap_history[-1])
+        np.testing.assert_allclose(batch.rho[p], seq.rho, atol=1e-6)
+        one = solve_smo_batch(
+            kernels[p : p + 1], ys[p : p + 1], selection=selection, **solver_args
+        )
+        for field in ("alpha", "rho", "iterations", "converged", "objective", "gap"):
+            np.testing.assert_array_equal(
+                getattr(batch, field)[p], getattr(one, field)[0], err_msg=field
+            )
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """Record the adaptive phase of every retirement of a solve."""
+    from repro.svm import smo
+
+    seen = []
+    compact = smo._BatchAdaptivePhases.compact
+
+    def spy(self, keep):
+        seen.append((self._phase, keep.size))
+        compact(self, keep)
+
+    monkeypatch.setattr(smo._BatchAdaptivePhases, "compact", spy)
+    return seen
+
+
+class TestRetirement:
+    #: Half the batch converges inside the first probe phases, the rest
+    #: spread over two more orders of magnitude.
+    SEPS = (8.0, 8.0, 4.0, 4.0, 2.0, 2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
+
+    def test_retires_repeatedly_including_inside_a_probe_phase(self, compactions):
+        kernels, ys = ladder_batch(self.SEPS, n=32, d=4, seed=7)
+        batch = solve_smo_batch(kernels, ys, c=5.0, selection="adaptive")
+        assert batch.iterations.max() >= 10 * max(1, batch.iterations.min())
+        assert len(compactions) >= 3
+        assert compactions[0][0].startswith("probe")
+        sizes = [size for _, size in compactions]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] <= len(self.SEPS) // 2
+        assert batch.converged.all()
+        assert batch.sweeps == batch.iterations.max()
+        assert_matches_alone(batch, kernels, ys, "adaptive", c=5.0)
+
+    @pytest.mark.parametrize("selection", ["first", "second"])
+    def test_fixed_heuristics_survive_retirement(self, selection):
+        kernels, ys = ladder_batch(self.SEPS, n=24, d=3, seed=11)
+        batch = solve_smo_batch(kernels, ys, c=5.0, selection=selection)
+        assert batch.iterations.max() >= 10 * max(1, batch.iterations.min())
+        assert_matches_alone(batch, kernels, ys, selection, c=5.0)
+
+    def test_max_iter_hit_while_others_are_retired(self, compactions):
+        kernels, ys = ladder_batch(self.SEPS, n=32, d=4, seed=7)
+        full = solve_smo_batch(kernels, ys, c=5.0)
+        # One sweep past the third slowest (it needs that last selection
+        # to see its gap close); the two slowest overrun the cap.
+        cap = int(np.sort(full.iterations)[-3]) + 1
+        batch = solve_smo_batch(kernels, ys, c=5.0, max_iter=cap)
+        stragglers = full.iterations > cap
+        assert stragglers.sum() == 2 and compactions
+        np.testing.assert_array_equal(batch.converged, ~stragglers)
+        np.testing.assert_array_equal(batch.iterations[stragglers], cap)
+        np.testing.assert_array_equal(
+            batch.iterations[~stragglers], full.iterations[~stragglers]
+        )
+        assert batch.sweeps == cap == batch.iterations.max()
+        assert_matches_alone(batch, kernels, ys, "adaptive", c=5.0, max_iter=cap)
+
+    def test_batch_of_one_never_retires(self, compactions):
+        kernels, ys = ladder_batch((0.0,), n=24, d=4, seed=3)
+        batch = solve_smo_batch(kernels, ys)
+        assert not compactions
+        assert batch.converged.all() and batch.sweeps == batch.iterations[0]
+        assert_matches_alone(batch, kernels, ys, "adaptive")
+
+    def test_all_converge_on_the_same_sweep(self, compactions):
+        kernel, y = ladder_problem(24, 4, seed=5, sep=0.5)
+        kernels = np.ascontiguousarray(np.stack([kernel] * 5), dtype=np.float32)
+        ys = np.stack([y] * 5)
+        batch = solve_smo_batch(kernels, ys)
+        assert not compactions
+        assert np.unique(batch.iterations).size == 1
+        assert batch.sweeps == batch.iterations[0]
+        assert_matches_alone(batch, kernels, ys, "adaptive")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seps=st.lists(
+        st.sampled_from([8.0, 4.0, 2.0, 1.0, 0.5, 0.0]), min_size=1, max_size=9
+    ),
+    n=st.integers(6, 24),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    c=st.sampled_from([0.5, 1.0, 5.0]),
+    selection=st.sampled_from(["first", "second", "adaptive"]),
+)
+def test_ragged_difficulty_matches_alone_property(seps, n, d, seed, c, selection):
+    """Property: per-problem labels and any convergence order — hence any
+    retirement schedule — leave every problem on its own trajectory."""
+    kernels, ys = ladder_batch(seps, n, d, seed)
+    batch = solve_smo_batch(kernels, ys, c=c, selection=selection)
+    assert batch.sweeps == batch.iterations.max()
+    assert_matches_alone(batch, kernels, ys, selection, c=c)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 5),
+    fold_sizes=st.lists(st.integers(2, 7), min_size=3, max_size=6),
+    lone_class_fold=st.booleans(),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 10_000),
+)
+def test_fold_stacked_cv_matches_per_voxel_property(
+    b, fold_sizes, lone_class_fold, d, seed
+):
+    """Property: ragged folds (stacked by training size) and a fold whose
+    training set is single-class score exactly as the per-voxel driver."""
+    rng = np.random.default_rng(seed)
+    folds = np.repeat(np.arange(len(fold_sizes)), fold_sizes)
+    n = folds.size
+    if lone_class_fold:
+        # Class 1 lives in fold 0 only: fold 0 trains on one class.
+        labels = np.where(folds == 0, 1, 0)
+        labels[0] = 0
+    else:
+        labels = np.arange(n) % 2
+    x = rng.standard_normal((b, n, d)).astype(np.float32)
+    x[:, labels == 1] += np.float32(rng.uniform(0.0, 1.5))
+    kernels = x @ x.transpose(0, 2, 1)
+    svm = PhiSVM()
+    batch = grouped_cross_validation_batch(svm, kernels, labels, folds)
+    assert batch.fold_accuracies.shape == (b, len(fold_sizes))
+    if lone_class_fold:
+        np.testing.assert_array_equal(batch.fold_accuracies[:, 0], 0.0)
+        np.testing.assert_array_equal(batch.fold_iterations[:, 0], 0)
+    for v in range(b):
+        seq = grouped_cross_validation(svm, kernels[v], labels, folds)
+        np.testing.assert_array_equal(batch.fold_accuracies[v], seq.fold_accuracies)
+        np.testing.assert_array_equal(batch.fold_iterations[v], seq.fold_iterations)
+        np.testing.assert_array_equal(batch.fold_sizes, seq.fold_sizes)
+
+
+class TestPerProblemLabels:
+    def test_fit_kernel_batch_accepts_a_label_row_per_problem(self):
+        kernels, ys = ladder_batch((1.0, 0.5, 0.0, 2.0), n=20, d=3, seed=9)
+        labels = np.where(ys > 0, 7, 3)
+        svm = PhiSVM()
+        models = svm.fit_kernel_batch(kernels, labels)
+        assert models.classes == (3, 7)
+        acc = models.accuracy(kernels, labels)
+        for p in range(4):
+            solo = svm.fit_kernel(kernels[p], labels[p])
+            np.testing.assert_array_equal(models.model(p).dual_coef, solo.dual_coef)
+            assert acc[p] == models.model(p).accuracy(kernels[p], labels[p])
+
+    def test_rejects_a_single_class_row(self):
+        kernels, ys = ladder_batch((1.0, 1.0), n=10, d=3, seed=2)
+        ys[1] = 1
+        with pytest.raises(ValueError, match="both classes"):
+            PhiSVM().fit_kernel_batch(kernels, ys)
+
+    def test_accuracy_rejects_misshaped_labels(self):
+        kernels, ys = ladder_batch((1.0, 1.0), n=10, d=3, seed=2)
+        models = PhiSVM().fit_kernel_batch(kernels, ys)
+        with pytest.raises(ValueError, match="labels must have shape"):
+            models.accuracy(kernels, ys[:, :-1])
