@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import FCMAConfig, generate_dataset, ground_truth_voxels, run_task
+from repro import FCMAConfig, RunContext, generate_dataset, ground_truth_voxels
 from repro.analysis import pattern_accuracy, score_voxels_amplitude
 from repro.bench import render_table
 from repro.data import SyntheticConfig
+from repro.exec import execute_task
 
 
 def main() -> None:
@@ -48,11 +49,11 @@ def main() -> None:
     pattern = pattern_accuracy(dataset, truth)
 
     # 3: FCMA on the same voxels.
-    fcma = run_task(dataset, truth, FCMAConfig())
+    fcma = execute_task(dataset, truth, RunContext(FCMAConfig()))
 
     # Chance reference: FCMA on uninformative voxels.
     others = np.setdiff1d(np.arange(cfg.n_voxels), truth)[: len(truth)]
-    fcma_null = run_task(dataset, others, FCMAConfig())
+    fcma_null = execute_task(dataset, others, RunContext(FCMAConfig()))
 
     print(render_table(
         ["method", "mean held-out accuracy"],

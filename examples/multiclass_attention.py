@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import FCMAConfig, generate_dataset, ground_truth_voxels
+from repro import (
+    FCMAConfig,
+    RunContext,
+    SerialExecutor,
+    generate_dataset,
+    ground_truth_voxels,
+)
 from repro.analysis import accuracy_p_value, selection_precision
 from repro.data import SyntheticConfig
-from repro.parallel import serial_voxel_selection
 
 
 def main() -> None:
@@ -36,7 +41,9 @@ def main() -> None:
     dataset = generate_dataset(cfg)
     print(f"dataset: {dataset} ({dataset.epochs.n_conditions} conditions)")
 
-    scores = serial_voxel_selection(dataset, FCMAConfig(task_voxels=80))
+    scores = SerialExecutor().run(
+        dataset, RunContext(FCMAConfig(task_voxels=80))
+    )
     truth = ground_truth_voxels(cfg)
     top = scores.top(len(truth))
 

@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import FCMAConfig, generate_dataset, ground_truth_voxels
+from repro import (
+    FCMAConfig,
+    RunContext,
+    SerialExecutor,
+    generate_dataset,
+    ground_truth_voxels,
+)
 from repro.data import (
     BrainMask,
     EpochTable,
@@ -34,7 +40,6 @@ from repro.data import (
     write_nifti,
 )
 from repro.data.nifti import accuracy_map_to_nifti
-from repro.parallel import serial_voxel_selection
 
 
 def main() -> None:
@@ -75,7 +80,9 @@ def main() -> None:
         reloaded = FMRIDataset(data, epochs, mask=mask, name="from-nifti")
         print(f"reloaded: {reloaded}")
 
-        scores = serial_voxel_selection(reloaded, FCMAConfig(task_voxels=120))
+        scores = SerialExecutor().run(
+            reloaded, RunContext(FCMAConfig(task_voxels=120))
+        )
         truth = ground_truth_voxels(cfg)
         top = scores.top(len(truth))
         hits = np.isin(top.voxels, truth).sum()

@@ -17,10 +17,15 @@ import time
 
 import numpy as np
 
-from repro import FCMAConfig, generate_dataset, ground_truth_voxels
+from repro import (
+    FCMAConfig,
+    ProcessPoolExecutor,
+    RunContext,
+    generate_dataset,
+    ground_truth_voxels,
+)
 from repro.analysis import run_offline_analysis, selection_precision
 from repro.data import face_scene_scaled
-from repro.parallel import parallel_voxel_selection
 
 
 def main() -> None:
@@ -36,7 +41,7 @@ def main() -> None:
     # Inner voxel selection fans out across local cores, mirroring the
     # master-worker decomposition of the cluster runs.
     def runner(training, config):
-        return parallel_voxel_selection(training, config)
+        return ProcessPoolExecutor().run(training, RunContext(config))
 
     t0 = time.perf_counter()
     result = run_offline_analysis(

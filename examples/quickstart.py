@@ -17,10 +17,11 @@ import numpy as np
 
 from repro import (
     FCMAConfig,
+    RunContext,
+    SerialExecutor,
     generate_dataset,
     ground_truth_voxels,
     quickstart_config,
-    serial_voxel_selection,
 )
 from repro.analysis import selection_precision, selection_recall
 
@@ -34,7 +35,7 @@ def main() -> None:
     # 2. Run the optimized three-stage pipeline over the whole brain.
     fcma = FCMAConfig()  # tiled engine + merged + PhiSVM (the paper's fast path)
     t0 = time.perf_counter()
-    scores = serial_voxel_selection(dataset, fcma)
+    scores = SerialExecutor().run(dataset, RunContext(fcma))
     elapsed = time.perf_counter() - t0
     print(f"scored {len(scores)} voxels in {elapsed:.1f} s")
 

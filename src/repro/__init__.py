@@ -11,10 +11,10 @@ that regenerates its scaling results.
 Quickstart::
 
     from repro import generate_dataset, quickstart_config, FCMAConfig
-    from repro import parallel_voxel_selection
+    from repro import ProcessPoolExecutor, RunContext
 
     dataset = generate_dataset(quickstart_config())
-    scores = parallel_voxel_selection(dataset, FCMAConfig())
+    scores = ProcessPoolExecutor().run(dataset, RunContext(FCMAConfig()))
     print(scores.top(10).voxels)
 
 Subpackages
@@ -23,7 +23,7 @@ Subpackages
 ``repro.exec``      execution core: stage graph, RunContext, executors
 ``repro.svm``       SMO solver, PhiSVM, LibSVM-like baseline
 ``repro.data``      dataset model, synthetic fMRI generator, presets
-``repro.parallel``  MPI-like comm, master-worker protocol, process pool
+``repro.parallel``  MPI-like comm, TCP transport, the master/worker runtime
 ``repro.cluster``   network model + discrete-event cluster simulator
 ``repro.hw``        machine specs, cache simulator, timing model
 ``repro.perf``      kernel performance models (Tables 1, 5-8; Figs 9-11)
@@ -38,12 +38,7 @@ from .analysis import (
     run_offline_analysis,
     run_online_analysis,
 )
-from .core import (
-    FCMAConfig,
-    VoxelScores,
-    run_task,
-    task_partition,
-)
+from .core import FCMAConfig, VoxelScores
 from .data import (
     ATTENTION,
     FACE_SCENE,
@@ -67,11 +62,6 @@ from .exec import (
     RunContext,
     SerialExecutor,
     make_executor,
-)
-from .parallel import (
-    mpi_voxel_selection,
-    parallel_voxel_selection,
-    serial_voxel_selection,
 )
 from .rtfmri import ClosedLoopSession, ScannerSimulator
 from .svm import LibSVMClassifier, PhiSVM, SVMModel
@@ -106,14 +96,9 @@ __all__ = [
     "ground_truth_voxels",
     "load_dataset",
     "make_executor",
-    "mpi_voxel_selection",
-    "parallel_voxel_selection",
     "quickstart_config",
     "run_offline_analysis",
     "run_online_analysis",
-    "run_task",
     "save_dataset",
-    "serial_voxel_selection",
-    "task_partition",
     "__version__",
 ]

@@ -23,11 +23,12 @@ import numpy as np
 
 from ..core.correlation import correlate_baseline, epoch_windows
 from ..core.normalization import normalize_separated
-from ..core.pipeline import FCMAConfig, make_backend
+from ..core.pipeline import FCMAConfig
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
 from ..exec.context import RunContext
 from ..exec.executors import Executor, SerialExecutor
+from ..exec.registry import create_backend
 from ..svm.kernels import linear_kernel
 
 __all__ = ["FoldResult", "OfflineResult", "run_offline_analysis", "selected_voxel_features"]
@@ -150,7 +151,7 @@ def run_offline_analysis(
             )
             train_mask = subjects != held_out
             test_mask = ~train_mask
-            backend = make_backend(config)
+            backend = create_backend(config)
             x_train = features[train_mask]
             kernel = linear_kernel(x_train)
             model = backend.fit_kernel(kernel, labels[train_mask])

@@ -16,11 +16,12 @@ import numpy as np
 
 from ..core.correlation import correlate_baseline, normalize_epoch_data
 from ..core.normalization import normalize_separated
-from ..core.pipeline import FCMAConfig, make_backend
+from ..core.pipeline import FCMAConfig
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
 from ..exec.context import RunContext
 from ..exec.executors import Executor, SerialExecutor
+from ..exec.registry import create_backend
 from ..svm.kernels import linear_kernel
 from ..svm.model import SVMModel
 from ..svm.platt import PlattScaler, fit_platt
@@ -148,7 +149,7 @@ def run_online_analysis(
 
     with ctx.timer("train-classifier"):
         features, labels, _ = selected_voxel_features(single, selected.voxels)
-        backend = make_backend(config)
+        backend = create_backend(config)
         kernel = linear_kernel(features)
         model = None
         if warm_start_alpha is not None:

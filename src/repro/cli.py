@@ -136,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tcp transport: wait for N externally started "
                           "workers ('fcma worker --connect HOST:PORT' on "
                           "each host) instead of spawning local processes")
-    run.add_argument("--tile-cols", type=int, default=None,
-                     help="tiles partition: fixed tile column width "
-                          "(default: sized from the blocking planner)")
     run.add_argument("--comm-timeout", type=float, default=None,
                      help="communicator timeout in seconds (default: "
                           "FCMA_COMM_TIMEOUT or 120)")
@@ -763,8 +760,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.executor == "master-worker":
         mw_opts["transport"] = args.transport
         mw_opts["partition"] = args.partition
-        if args.tile_cols is not None:
-            mw_opts["tile_cols"] = args.tile_cols
         if args.listen is not None:
             from .parallel.tcp_worker import parse_endpoint
 

@@ -193,7 +193,7 @@ def simulate_with_failures(
     distribution completes.  A task in flight on a dying worker is lost;
     the master notices after ``detection_timeout_s`` (its liveness
     timeout) and re-queues the task — the same recovery the real
-    protocol implements in :mod:`repro.parallel.master_worker`.  Dead
+    protocol implements in :mod:`repro.parallel.tiled`.  Dead
     workers never come back.
 
     Raises ``RuntimeError`` if every worker dies before the work is done.

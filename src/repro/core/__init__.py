@@ -27,14 +27,7 @@ from .normalization import (
     normalize_separated,
     zscore_within_subject,
 )
-from .pipeline import (
-    FCMAConfig,
-    clear_preprocess_cache,
-    make_backend,
-    preprocess_dataset,
-    run_task,
-    task_partition,
-)
+from .pipeline import FCMAConfig, clear_preprocess_cache, preprocess_dataset
 from .results import VoxelScores
 from .sparse import (
     SparseCorrelationResult,
@@ -68,18 +61,15 @@ __all__ = [
     "iter_blocks",
     "kernel_matrix_baseline",
     "kernel_matrix_batched",
-    "make_backend",
     "normalize_epoch_data",
     "normalize_separated",
     "plan_blocks",
     "plan_key",
     "preprocess_dataset",
-    "run_task",
     "score_voxels",
     "score_voxels_reference",
     "score_voxels_sparse",
     "stage1_input_copies",
-    "task_partition",
     "threshold_dense",
     "topk_block",
     "zscore_within_subject",

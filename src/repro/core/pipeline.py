@@ -1,16 +1,19 @@
-"""The three-stage FCMA pipeline on one worker (Sections 3.1.2, 4).
+"""Configuration and task-invariant preprocessing of the three-stage
+FCMA pipeline (Sections 3.1.2, 4).
 
-:func:`run_task` executes what a single worker node does for one task:
-given a dataset and an assigned set of voxels, it computes those voxels'
-correlation vectors for every epoch (stage 1), normalizes them (stage 2),
-and scores each voxel by SVM cross-validation (stage 3), returning the
-accuracies the worker would send back to the master.
+What a single worker does for one task — correlate the assigned voxels
+for every epoch (stage 1), normalize (stage 2), score each voxel by SVM
+cross-validation (stage 3) — lives in the stage graph
+(:func:`repro.exec.stage_graph.execute_task`).  This module holds what
+every task of a run shares:
 
 :class:`FCMAConfig` selects between the *baseline* implementation
 (per-epoch gemm, separated normalization, LibSVM-like solver — Section
 3.2), kept as the oracle, and the *optimized* one (the tiled engine:
 L2-sized tiles normalized while resident, batched syrk, PhiSVM —
 Section 4); both produce the same voxel ranking.
+:func:`preprocess_dataset` memoizes the subject-contiguous regrouping
+and the equation-2 normalized epoch windows.
 """
 
 from __future__ import annotations
@@ -21,16 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data.dataset import FMRIDataset
-from ..svm.cross_validation import KernelBackend
 from .correlation import epoch_windows
-from .results import VoxelScores
 from .voxel_selection import DEFAULT_BATCH_VOXELS
 
 __all__ = [
     "FCMAConfig",
-    "run_task",
-    "make_backend",
-    "task_partition",
     "preprocess_dataset",
     "clear_preprocess_cache",
 ]
@@ -63,6 +61,11 @@ class FCMAConfig:
     ``svm_backend`` overrides it), kept as the oracle.
     ``sparse-batched`` is the optimized engine materializing CSR
     (``threshold``/``top_k``) instead of a dense array.
+
+    How work is carved for the executors is derived, not configured
+    here beyond ``task_voxels`` / ``target_block``: the pool's tasks
+    per message (``exec.partition.auto_chunksize``) and the 2-D
+    runtime's tile width (``exec.partition.tile_cols_for``).
     """
 
     variant: Variant = "optimized"
@@ -90,10 +93,6 @@ class FCMAConfig:
     #: multi-problem SMO solver).  0 forces the per-voxel reference
     #: path; backends without a batched trainer fall back automatically.
     batch_voxels: int = DEFAULT_BATCH_VOXELS
-    #: Tasks per worker message in ``parallel_voxel_selection``'s
-    #: ``pool.map``; None picks ~4 chunks per worker.  The default
-    #: chunksize of 1 would serialize one result round-trip per task.
-    chunksize: int | None = None
     #: ``sparse-batched`` only: keep normalized correlations with
     #: ``|value| >= threshold`` (mutually exclusive with ``top_k``;
     #: exactly one is required by that variant, rejected elsewhere).
@@ -123,8 +122,6 @@ class FCMAConfig:
             raise ValueError("online_folds must be >= 2")
         if self.batch_voxels < 0:
             raise ValueError("batch_voxels must be >= 0")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ValueError("chunksize must be >= 1 (or None for auto)")
         if self.threshold is not None and not self.threshold >= 0.0:
             raise ValueError("threshold must be >= 0")
         if self.top_k is not None and self.top_k < 1:
@@ -162,33 +159,6 @@ class FCMAConfig:
         return replace(self, variant=variant)
 
 
-def make_backend(config: FCMAConfig) -> KernelBackend:
-    """Instantiate the configured SVM backend.
-
-    Resolves through the :mod:`repro.exec.registry` tables (the paper's
-    backends are pre-registered; third-party ones register themselves).
-    The built-in factories wrap for one-vs-one multiclass voting; binary
-    problems (the paper's two-condition experiments) pass through to
-    the bare solver with no overhead.
-    """
-    from ..exec.registry import create_backend
-
-    return create_backend(config)
-
-
-def task_partition(n_voxels: int, task_voxels: int) -> list[np.ndarray]:
-    """Partition all brain voxels into master-assignable tasks.
-
-    "The tasks are defined by partitioning the correlation matrices
-    along their rows" (Section 3.1.1).  Compatibility alias for
-    :func:`repro.exec.partition.partition_tasks`, the one place task
-    carving lives now.
-    """
-    from ..exec.partition import partition_tasks
-
-    return partition_tasks(n_voxels, task_voxels)
-
-
 # Task-invariant preprocessing (subject-contiguous regrouping + eq.-2
 # normalized epoch windows) cached per dataset *identity*: every task of
 # a voxel-selection run shares the same dataset object, so serial and
@@ -217,27 +187,3 @@ def preprocess_dataset(dataset: FMRIDataset) -> tuple[FMRIDataset, np.ndarray]:
 def clear_preprocess_cache() -> None:
     """Drop all memoized preprocessing (e.g. after mutating BOLD data)."""
     _PREPROCESS_CACHE.clear()
-
-
-def run_task(
-    dataset: FMRIDataset,
-    assigned: np.ndarray,
-    config: FCMAConfig = FCMAConfig(),
-) -> VoxelScores:
-    """Run the three-stage pipeline for one task's assigned voxels.
-
-    The dataset's epochs are re-grouped subject-contiguously first (the
-    layout stage 2 requires).  With a single-subject dataset the CV folds
-    are contiguous epoch k-folds (online mode); otherwise folds are
-    subjects (offline LOSO).
-
-    Compatibility shim: the implementation lives in the stage graph
-    (:func:`repro.exec.stage_graph.execute_task`); this wrapper runs it
-    under a throwaway :class:`~repro.exec.context.RunContext` and
-    returns bitwise-identical scores.  Pass a context of your own (via
-    ``execute_task`` or an executor) to keep the per-stage timings.
-    """
-    from ..exec.context import RunContext
-    from ..exec.stage_graph import execute_task
-
-    return execute_task(dataset, assigned, RunContext(config))

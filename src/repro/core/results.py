@@ -128,6 +128,10 @@ class PanelAssembler:
         block = np.asarray(block, dtype=np.float32)
         if block.shape != want:
             raise ValueError(f"tile has shape {block.shape}, expected {want}")
+        if panel in self._done:
+            # A late duplicate: the panel was handed off (and possibly
+            # released) already, so there is nothing left to fill.
+            return None
         buf = self._buffers.get(panel)
         if buf is None:
             buf = self._buffers[panel] = np.empty(
@@ -136,7 +140,7 @@ class PanelAssembler:
             self._filled[panel] = set()
         buf[:, :, col_start:col_stop] = block
         self._filled[panel].add((col_start, col_stop))
-        if panel in self._done or len(self._filled[panel]) < self._expected[panel]:
+        if len(self._filled[panel]) < self._expected[panel]:
             return None
         self._done.add(panel)
         return buf

@@ -9,11 +9,17 @@ This package is the single seam every FCMA entry point runs through:
   with typed inputs/outputs;
 * :mod:`repro.exec.registry` — named SVM backends and pipeline variants;
 * :mod:`repro.exec.executors` — serial, process-pool, and master-worker
-  executors producing bitwise-identical results from one task stream.
+  executors producing bitwise-identical results from one task stream;
+* :mod:`repro.exec.shared_dataset` — the zero-copy shared-memory
+  dataset handle the process pool rides on.
 
-Exports resolve lazily (PEP 562): ``repro.parallel`` imports
-``repro.exec.partition`` while ``repro.exec.executors`` imports
-``repro.parallel`` back, and laziness keeps that cycle unwound.
+Exports resolve lazily (PEP 562), so importing a leaf such as
+``repro.exec.stage_graph`` does not load the executors.  One
+package-level cycle depends on that: the master/worker runtime
+(``repro.parallel.tiled``) imports ``repro.exec.stage_graph`` to run
+row tasks, and ``repro.exec.executors`` imports that runtime.  No
+module is in a cycle (``stage_graph`` never imports ``executors``); an
+eager ``__init__`` here would put ``tiled`` in one.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .context import RunContext, StageStats, StageTimer
-    from .executors import (
+    from repro.exec.executors import (
         EXECUTOR_NAMES,
         Executor,
         MasterWorkerExecutor,

@@ -9,11 +9,12 @@ equivalence test):
 
 * :class:`SerialExecutor` — in-process reference loop;
 * :class:`ProcessPoolExecutor` — the zero-copy shared-memory fan-out
-  over a local process pool (absorbed from ``parallel/executor.py``);
-* :class:`MasterWorkerExecutor` — the paper's pull-based master-worker
-  protocol over thread ranks, which additionally replays its measured
-  task stream through the discrete-event cluster simulator for a
-  predicted-vs-measured schedule comparison.
+  (:mod:`repro.exec.shared_dataset`) over a local process pool;
+* :class:`MasterWorkerExecutor` — the paper's pull-based master/worker
+  runtime (:mod:`repro.parallel.tiled`: one loop, row tasks or 2-D
+  tiles) over thread or TCP ranks, which additionally replays its
+  measured task stream through the discrete-event cluster simulator
+  for a predicted-vs-measured schedule comparison.
 """
 
 from __future__ import annotations
@@ -33,14 +34,26 @@ from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
 from ..obs.live.runtime import current_live
-from ..parallel.comm import Comm, run_ranks
-from ..parallel.executor import (
+from ..parallel.comm import Comm, default_timeout, run_ranks
+from ..parallel.tiled import (
+    WorkPlan,
+    collect_worker_reports,
+    master_loop,
+    worker_loop,
+)
+from ..parallel.transport import TcpListener, spawn_local_workers
+from .context import RunContext
+from .partition import (
+    auto_chunksize,
+    partition_tasks,
+    partition_tiles,
+    tile_cols_for,
+)
+from .shared_dataset import (
     SharedDatasetHandle,
     attach_shared_dataset,
     share_dataset,
 )
-from .context import RunContext
-from .partition import auto_chunksize, partition_tasks
 from .stage_graph import execute_task
 
 __all__ = [
@@ -184,11 +197,6 @@ class ProcessPoolExecutor:
                 return scores
             workers = min(n_workers, len(tasks))
             config = ctx.config
-            chunksize = (
-                config.chunksize
-                if config.chunksize is not None
-                else auto_chunksize(len(tasks), workers)
-            )
             live = current_live()
             if live is not None:
                 live.set_total("tasks", len(tasks))
@@ -209,7 +217,9 @@ class ProcessPoolExecutor:
                     # listener.
                     results: list[tuple[VoxelScores, dict[str, Any]]] = []
                     for item in pool.map(
-                        _run_assigned_timed, tasks, chunksize=chunksize
+                        _run_assigned_timed,
+                        tasks,
+                        chunksize=auto_chunksize(len(tasks), workers),
                     ):
                         results.append(item)
                         if live is not None:
@@ -240,17 +250,18 @@ PARTITION_NAMES = ("rows", "tiles")
 class MasterWorkerExecutor:
     """The paper's pull-based protocol over a pluggable transport.
 
-    Wraps :mod:`repro.parallel.master_worker` (1-D row partitioning)
-    and :mod:`repro.parallel.tiled` (2-D tile partitioning with
-    communication/compute overlap): rank 0 serves work on demand and
-    aggregates, ranks 1..n run the stage kernels.
+    Wraps the one master/worker runtime (:mod:`repro.parallel.tiled`):
+    rank 0 serves a :class:`~repro.parallel.tiled.WorkPlan` on demand
+    and aggregates, ranks 1..n run the work items.
 
+    * ``partition="rows"`` (default) plans the paper's 1-D row tasks —
+      every variant; ``partition="tiles"`` plans 2-D tiles of the dense
+      engine with communication/compute overlap.  Same loop either way.
     * ``transport="thread"`` (default) runs the ranks as in-process
-      threads — the historical, bitwise-identical path.
-    * ``transport="tcp"`` listens on ``host:port`` and runs the same
-      protocol against real worker *processes* (spawned locally when
-      ``spawn=True``, or joined externally via ``fcma worker
-      --connect``), so the run spans multiple cores or hosts.
+      threads; ``transport="tcp"`` listens on ``host:port`` and runs
+      the same protocol against real worker *processes* (spawned
+      locally when ``spawn=True``, or joined externally via ``fcma
+      worker --connect``), so the run spans multiple cores or hosts.
 
     After the run, the measured per-task stream is replayed through the
     cluster simulator (:func:`predicted_schedule`) and the predicted
@@ -269,7 +280,6 @@ class MasterWorkerExecutor:
         host: str = "127.0.0.1",
         port: int = 0,
         spawn: bool = True,
-        tile_cols: int | None = None,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -283,8 +293,6 @@ class MasterWorkerExecutor:
             raise ValueError(
                 f"unknown partition {partition!r}; choose from {PARTITION_NAMES}"
             )
-        if tile_cols is not None and tile_cols < 1:
-            raise ValueError("tile_cols must be >= 1")
         self.n_workers = n_workers
         self.max_retries = max_retries
         self.transport = transport
@@ -292,34 +300,35 @@ class MasterWorkerExecutor:
         self.host = host
         self.port = port
         self.spawn = spawn
-        self.tile_cols = tile_cols
 
-    def _timeout(self, ctx: RunContext) -> float:
-        from ..parallel.comm import default_timeout
-
-        configured = getattr(ctx.config, "comm_timeout", None)
-        return default_timeout() if configured is None else float(configured)
-
-    def _tile_stream(
+    def _plan(
         self,
         dataset: FMRIDataset,
         ctx: RunContext,
         voxels: NDArray[Any] | None,
-        n_voxels: int,
-    ) -> list[Any]:
-        from .partition import partition_tiles, tile_cols_for
-
+    ) -> WorkPlan:
+        """The run's work plan; declares its denominators to the live
+        plane so the first snapshot already knows 0/N."""
         config = ctx.config
-        n_panels = len(_task_stream(dataset, ctx, voxels))
-        cols = (
-            self.tile_cols
-            if self.tile_cols is not None
-            else tile_cols_for(
-                n_voxels, config.target_block, self.n_workers, n_panels
-            )
+        tasks = _task_stream(dataset, ctx, voxels)
+        live = current_live()
+        if live is not None:
+            live.set_total("tasks", len(tasks))
+            live.set_gauge("n_workers", float(self.n_workers))
+        if self.partition == "rows":
+            return WorkPlan(tasks=tasks)
+        # Tile geometry needs the preprocessed shape; the per-process
+        # cache makes this free for thread ranks that preprocess again.
+        _, z = preprocess_dataset(dataset)
+        n_epochs, n_voxels = z.shape[0], z.shape[1]
+        cols = tile_cols_for(
+            n_voxels, config.target_block, self.n_workers, len(tasks)
         )
         ctx.metadata["tile_cols"] = cols
-        return partition_tiles(n_voxels, config.task_voxels, cols, voxels)
+        tiles = partition_tiles(n_voxels, config.task_voxels, cols, voxels)
+        if live is not None:
+            live.set_total("tiles", len(tiles))
+        return WorkPlan(tiles=tiles, n_voxels=n_voxels, n_epochs=n_epochs)
 
     def run(
         self,
@@ -327,9 +336,6 @@ class MasterWorkerExecutor:
         ctx: RunContext,
         voxels: NDArray[Any] | None = None,
     ) -> VoxelScores:
-        from ..parallel.master_worker import _master_loop, _worker_loop
-        from ..parallel.tiled import tiled_master_loop, tiled_worker_loop
-
         if self.partition == "tiles" and ctx.config.resolved_emitter() != "dense":
             # The tile workers run the dense engine's tile body and the
             # batched score; any other variant would be silently ignored.
@@ -338,95 +344,18 @@ class MasterWorkerExecutor:
                 f"variant {ctx.config.variant!r} does not run through it "
                 f"(use partition='rows')"
             )
-        timeout = self._timeout(ctx)
+        configured = ctx.config.comm_timeout
+        timeout = default_timeout() if configured is None else float(configured)
         with ctx.run_span(self.name, dataset):
             t0 = time.perf_counter()
-            tasks = _task_stream(dataset, ctx, voxels)
-            tiled = self.partition == "tiles"
-            if tiled or self.transport == "tcp":
-                # Tile geometry (and the TCP broadcast) need the
-                # preprocessed shape; the per-process cache makes this
-                # free for the workers that preprocess again.
-                _, z = preprocess_dataset(dataset)
-                n_epochs, n_voxels = z.shape[0], z.shape[1]
-            tiles = (
-                self._tile_stream(dataset, ctx, voxels, n_voxels)
-                if tiled
-                else []
+            plan = self._plan(dataset, ctx, voxels)
+            # How ranks come to exist, and how their telemetry reaches
+            # ``ctx``, is all that differs between the transports.
+            run_transport = (
+                self._run_tcp if self.transport == "tcp" else self._run_threads
             )
-            n_work = len(tiles) + len(tasks) if tiled else len(tasks)
-            live = current_live()
-            if live is not None:
-                # Declare the blocking plan's denominators up front so
-                # the first snapshot already knows 0/N; the master loops
-                # tick the matching counters as results arrive.
-                live.set_total("tasks", len(tasks))
-                if tiled:
-                    live.set_total("tiles", len(tiles))
-                live.set_gauge("n_workers", float(self.n_workers))
-
-            if self.transport == "tcp":
-                scores = self._run_tcp(dataset, ctx, tasks, tiles, timeout)
-            else:
-                # Per-rank contexts keep the hot path lock-free; merged below.
-                worker_ctxs = [
-                    RunContext(ctx.config) for _ in range(self.n_workers)
-                ]
-                # Rank 0's comm stats, surfaced after the join so the
-                # counters attach to the run span (main thread), not a
-                # detached counter root on the spmd thread.
-                master_stats: list[Any] = []
-
-                def spmd(comm: Comm) -> Any:
-                    # The paper's master "first distributes brain data to
-                    # the worker nodes": the broadcast shares the dataset
-                    # reference.
-                    ds = comm.bcast(dataset if comm.rank == 0 else None)
-                    if comm.rank == 0:
-                        if tiled:
-                            result = tiled_master_loop(
-                                comm,
-                                tiles,
-                                n_voxels,
-                                n_epochs,
-                                max_retries=self.max_retries,
-                            )
-                        else:
-                            result = _master_loop(
-                                comm, tasks, max_retries=self.max_retries
-                            )
-                        master_stats.append(comm.stats)
-                        return result
-                    wctx = worker_ctxs[comm.rank - 1]
-                    if tiled:
-                        return tiled_worker_loop(comm, ds, ctx.config, wctx)
-
-                    def run_one(
-                        d: FMRIDataset,
-                        assigned: NDArray[np.int64],
-                        _cfg: FCMAConfig,
-                    ) -> VoxelScores:
-                        return execute_task(d, assigned, wctx)
-
-                    return _worker_loop(comm, ds, ctx.config, run=run_one)
-
-                # The worker ranks are threads of this process: they
-                # split its cores as their engine thread budgets.
-                alone = set_host_workers(self.n_workers)
-                try:
-                    results = run_ranks(self.n_workers + 1, spmd, timeout=timeout)
-                finally:
-                    set_host_workers(alone)
-                for wctx in worker_ctxs:
-                    ctx.merge(wctx)
-                for stats in master_stats:
-                    ctx.increment("comm.bytes_sent", stats.bytes_sent)
-                    ctx.increment("comm.bytes_recv", stats.bytes_recv)
-                scores = results[0]
-
-            assert isinstance(scores, VoxelScores)
-            elapsed = time.perf_counter() - t0
-            _finish(ctx, self, n_work, elapsed)
+            scores = run_transport(dataset, ctx, plan, timeout)
+            _finish(ctx, self, plan.n_items, time.perf_counter() - t0)
             ctx.metadata["n_workers"] = self.n_workers
             ctx.metadata["transport"] = self.transport
             ctx.metadata["partition"] = self.partition
@@ -440,20 +369,59 @@ class MasterWorkerExecutor:
             }
         return scores
 
+    def _serve(
+        self, comm: Comm, plan: WorkPlan, reports: dict[int, Any] | None = None
+    ) -> VoxelScores:
+        """Rank 0 of either transport: the one master-loop call site."""
+        return master_loop(comm, plan, self.max_retries, reports)
+
+    def _run_threads(
+        self,
+        dataset: FMRIDataset,
+        ctx: RunContext,
+        plan: WorkPlan,
+        timeout: float,
+    ) -> VoxelScores:
+        # Per-rank contexts keep the hot path lock-free; merged below.
+        worker_ctxs = [RunContext(ctx.config) for _ in range(self.n_workers)]
+        # Rank 0's comm stats, surfaced after the join so the counters
+        # attach to the run span (main thread), not a detached counter
+        # root on the spmd thread.
+        master_stats: list[Any] = []
+
+        def spmd(comm: Comm) -> Any:
+            # The paper's master "first distributes brain data to the
+            # worker nodes": the broadcast shares the dataset reference.
+            ds = comm.bcast(dataset if comm.rank == 0 else None)
+            if comm.rank == 0:
+                result = self._serve(comm, plan)
+                master_stats.append(comm.stats)
+                return result
+            return worker_loop(comm, ds, worker_ctxs[comm.rank - 1])
+
+        # The worker ranks are threads of this process: they split its
+        # cores as their engine thread budgets.
+        alone = set_host_workers(self.n_workers)
+        try:
+            results = run_ranks(self.n_workers + 1, spmd, timeout=timeout)
+        finally:
+            set_host_workers(alone)
+        for wctx in worker_ctxs:
+            ctx.merge(wctx)
+        for stats in master_stats:
+            ctx.increment("comm.bytes_sent", stats.bytes_sent)
+            ctx.increment("comm.bytes_recv", stats.bytes_recv)
+        scores = results[0]
+        assert isinstance(scores, VoxelScores)
+        return scores
+
     def _run_tcp(
         self,
         dataset: FMRIDataset,
         ctx: RunContext,
-        tasks: list[NDArray[np.int64]],
-        tiles: list[Any],
+        plan: WorkPlan,
         timeout: float,
     ) -> VoxelScores:
-        from ..parallel.master_worker import _master_loop
-        from ..parallel.tiled import collect_worker_reports, tiled_master_loop
-        from ..parallel.transport import TcpListener, spawn_local_workers
-
-        _, z = preprocess_dataset(dataset)
-        n_epochs, n_voxels = z.shape[0], z.shape[1]
         listener = TcpListener(self.host, self.port)
         address = listener.address
         procs: list[Any] = []
@@ -475,7 +443,6 @@ class MasterWorkerExecutor:
                 {
                     "config": ctx.config,
                     "dataset": dataset,
-                    "partition": self.partition,
                     # Per rank, the workers sharing its host (and so
                     # its cores): the divisor of its thread budget.
                     "host_workers": {
@@ -485,22 +452,7 @@ class MasterWorkerExecutor:
                 }
             )
             early_reports: dict[int, Any] = {}
-            if self.partition == "tiles":
-                scores = tiled_master_loop(
-                    comm,
-                    tiles,
-                    n_voxels,
-                    n_epochs,
-                    max_retries=self.max_retries,
-                    reports=early_reports,
-                )
-            else:
-                scores = _master_loop(
-                    comm,
-                    tasks,
-                    max_retries=self.max_retries,
-                    reports=early_reports,
-                )
+            scores = self._serve(comm, plan, early_reports)
             reports = collect_worker_reports(
                 comm, set(transport.alive_workers()), early_reports
             )

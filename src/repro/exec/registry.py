@@ -3,7 +3,7 @@
 These replace the ``Literal`` string dispatch that used to live in
 ``repro.core.pipeline``: third-party code registers a backend factory or
 a stage-graph builder under a name, and every entry point — config
-validation, ``make_backend``, the executors, the CLI — resolves through
+validation, :func:`create_backend`, the executors, the CLI — resolves through
 the same tables without editing core.
 
 The paper's own choices are pre-seeded: backends ``phisvm``, ``libsvm``

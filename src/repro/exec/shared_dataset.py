@@ -1,42 +1,27 @@
-"""Zero-copy dataset sharing + legacy process-pool entry points.
+"""Zero-copy dataset sharing for the process-pool executor.
 
-This module owns the shared-memory plumbing the pool executor rides on:
-the master packs every subject's BOLD array into a single
+The master packs every subject's BOLD array into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment and sends
 workers only a :class:`SharedDatasetHandle` — segment name plus subject
 offsets — so the per-pool pickle payload is a few hundred bytes no
 matter how large the scan is.  Each worker attaches views over the
 segment and rebuilds the dataset without copying.
 
-The execution logic itself moved to :mod:`repro.exec.executors`:
-:func:`serial_voxel_selection` and :func:`parallel_voxel_selection`
-remain as compatibility shims over :class:`~repro.exec.SerialExecutor`
-and :class:`~repro.exec.ProcessPoolExecutor` (the latter emits a
-:class:`DeprecationWarning`), returning seed-identical results.
+A leaf module: it imports the data model only, never the executors.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..core.pipeline import FCMAConfig
-from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
 from ..data.epochs import EpochTable
 from ..data.mask import BrainMask
-from ..exec.partition import auto_chunksize, partition_tasks
 
-__all__ = [
-    "SharedDatasetHandle",
-    "attach_shared_dataset",
-    "parallel_voxel_selection",
-    "serial_voxel_selection",
-    "share_dataset",
-]
+__all__ = ["SharedDatasetHandle", "attach_shared_dataset", "share_dataset"]
 
 
 @dataclass(frozen=True)
@@ -109,59 +94,3 @@ def attach_shared_dataset(
     }
     dataset = FMRIDataset(data, handle.epochs, mask=handle.mask, name=handle.name)
     return dataset, shm
-
-
-def _tasks_for(
-    dataset: FMRIDataset, config: FCMAConfig, voxels: np.ndarray | None
-) -> list[np.ndarray]:
-    """Compatibility alias for :func:`repro.exec.partition.partition_tasks`."""
-    return partition_tasks(dataset.n_voxels, config.task_voxels, voxels)
-
-
-def _auto_chunksize(n_tasks: int, n_workers: int) -> int:
-    """Compatibility alias for :func:`repro.exec.partition.auto_chunksize`."""
-    return auto_chunksize(n_tasks, n_workers)
-
-
-def serial_voxel_selection(
-    dataset: FMRIDataset,
-    config: FCMAConfig = FCMAConfig(),
-    voxels: np.ndarray | None = None,
-) -> VoxelScores:
-    """Single-process voxel selection (the 1-worker reference).
-
-    Shim over :class:`repro.exec.SerialExecutor`; pass a
-    :class:`~repro.exec.RunContext` to the executor directly to keep the
-    per-stage timings this wrapper throws away.
-    """
-    from ..exec.context import RunContext
-    from ..exec.executors import SerialExecutor
-
-    return SerialExecutor().run(dataset, RunContext(config), voxels)
-
-
-def parallel_voxel_selection(
-    dataset: FMRIDataset,
-    config: FCMAConfig = FCMAConfig(),
-    n_workers: int | None = None,
-    voxels: np.ndarray | None = None,
-) -> VoxelScores:
-    """Voxel selection across a local process pool.
-
-    .. deprecated:: 1.1
-        Use :class:`repro.exec.ProcessPoolExecutor` — same zero-copy
-        fan-out, identical results, plus per-stage telemetry through the
-        :class:`~repro.exec.RunContext` this shim discards.
-    """
-    warnings.warn(
-        "parallel_voxel_selection is deprecated; use "
-        "repro.exec.ProcessPoolExecutor(n_workers).run(dataset, RunContext(config))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..exec.context import RunContext
-    from ..exec.executors import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(n_workers=n_workers).run(
-        dataset, RunContext(config), voxels
-    )

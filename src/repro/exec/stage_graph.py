@@ -2,11 +2,12 @@
 
 :class:`StageGraph` expresses the paper's three-stage pipeline —
 correlate (Section 3.1 stage 1), normalize (stage 2), SVM-score
-(stage 3) — as named nodes with declared inputs and outputs, replacing
-the hard-coded sequencing that used to live inside ``run_task``.  Each
+(stage 3) — as named nodes with declared inputs and outputs.  Each
 node's wall time is charged to the :class:`~repro.exec.context.RunContext`
 under the node's name, so every executor emits identical per-stage
-telemetry.
+telemetry.  :func:`execute_task` runs one row task through the graph
+and is what every executor — and a ``"task"`` work item of the
+master/worker runtime (:mod:`repro.parallel.tiled`) — calls.
 
 ``FCMAConfig.variant`` names the graph.  There are two pipelines and
 one alternative materialization:
@@ -61,6 +62,7 @@ __all__ = [
     "sparse_batched_graph",
     "build_graph",
     "execute_task",
+    "score_panel",
 ]
 
 #: A stage body: reads its declared inputs from the state mapping and
@@ -335,19 +337,39 @@ def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any
     return {"scores": scores}
 
 
+def score_panel(
+    grouped: "FMRIDataset",
+    config: Any,
+    rows: NDArray[Any],
+    correlations: NDArray[Any],
+    ctx: RunContext,
+) -> VoxelScores:
+    """Stage 3 of one dense row panel ``(rows, epochs, n_voxels)``.
+
+    The one dense score body: the ``score`` node of the baseline and
+    optimized graphs and a ``"score"`` work item of the tiled runtime
+    (which assembles the panel from column tiles first) both run it.
+    ``ctx`` is not read; it is part of the signature the benchmark
+    harness calls.
+    """
+    epochs = grouped.epochs
+    return score_voxels(
+        correlations,
+        rows,
+        epochs.labels(),
+        cv_fold_ids(epochs, config.online_folds),
+        create_backend(config),
+        batch_voxels=config.batch_voxels,
+    )
+
+
 def _score_dense(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-    grouped = state["grouped"]
-    backend = create_backend(ctx.config)
+    assigned = state["assigned"]
     with ctx.tracer.span("score_voxels", kind="kernel") as span:
-        scores = score_voxels(
-            state["correlations"],
-            state["assigned"],
-            grouped.epochs.labels(),
-            cv_fold_ids(grouped.epochs, ctx.config.online_folds),
-            backend,
-            batch_voxels=ctx.config.batch_voxels,
+        scores = score_panel(
+            state["grouped"], ctx.config, assigned, state["correlations"], ctx
         )
-        span.add_metric("voxels", float(state["assigned"].size))
+        span.add_metric("voxels", float(assigned.size))
     return {"scores": scores}
 
 
@@ -455,10 +477,10 @@ def execute_task(
 ) -> VoxelScores:
     """Run one task's assigned voxels through the configured graph.
 
-    This is the single implementation behind the legacy ``run_task``
-    shim and every executor; the task runs inside a ``task`` span (so
-    per-stage wall time lands in ``ctx`` and the task's total appears
-    in ``ctx.task_seconds``, both derived from the trace).
+    The single implementation behind every executor; the task runs
+    inside a ``task`` span (so per-stage wall time lands in ``ctx`` and
+    the task's total appears in ``ctx.task_seconds``, both derived from
+    the trace).
     """
     assigned = np.asarray(assigned, dtype=np.int64)
     if assigned.ndim != 1 or assigned.size == 0:

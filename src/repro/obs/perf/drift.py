@@ -47,7 +47,8 @@ DEFAULT_TIMING_SLACK_SECONDS = 0.01
 #: Metric-name suffixes that mark wall-clock-dependent quantities.
 _TIMING_SUFFIXES = ("wall_seconds", ".seconds", "_seconds", "model_ratio")
 #: The subset of timing metrics measured in seconds (absolute slack
-#: applies); ratios and speedups are unitless and get none.
+#: applies); ratios and speedups are unitless and get none of their own
+#: (a ``model_ratio`` inherits its sibling ``wall_seconds``' slack).
 _SECONDS_SUFFIXES = ("wall_seconds", ".seconds", "_seconds")
 #: Substrings that mark a metric as model-derived (deterministic) even
 #: when its suffix looks like a timing quantity.
@@ -86,9 +87,10 @@ class DriftFinding:
     n_history: int
     #: True when the metric was judged as wall-clock-dependent.
     timing: bool
-    #: Absolute |current - baseline| slack (seconds-valued timing
-    #: metrics only); a delta inside it passes regardless of the
-    #: relative deviation.
+    #: Absolute |current - baseline| slack, in the metric's own unit
+    #: (seconds-valued timing metrics, and a ``model_ratio`` with a
+    #: sibling ``wall_seconds``); a delta inside it passes regardless of
+    #: the relative deviation.
     slack: float = 0.0
 
     @property
@@ -150,9 +152,12 @@ def check_record(
     relative deviation is checked against the class tolerance.  Seconds-
     valued timing metrics additionally pass whenever the absolute delta
     is under ``timing_slack_seconds`` — sub-millisecond kernels jitter
-    by integer factors without meaning anything.  Metrics with fewer
-    than ``min_history`` comparable observations are skipped (reported,
-    not failed) — a fresh series cannot drift.
+    by integer factors without meaning anything.  The same kernel's
+    ``X.model_ratio`` (measured / predicted) moves only with
+    ``X.wall_seconds`` because the prediction is deterministic, so it
+    passes whenever that wall-time delta is inside the slack.  Metrics
+    with fewer than ``min_history`` comparable observations are skipped
+    (reported, not failed) — a fresh series cannot drift.
     """
     if timing_tolerance <= 0 or exact_tolerance <= 0:
         raise ValueError("tolerances must be positive")
@@ -182,7 +187,17 @@ def check_record(
             )
             continue
         baseline = statistics.median(sample)
-        seconds_valued = timing and metric.endswith(_SECONDS_SUFFIXES)
+        slack = 0.0
+        if timing and metric.endswith(_SECONDS_SUFFIXES):
+            slack = timing_slack_seconds
+        elif timing and metric.endswith(".model_ratio"):
+            # ratio = wall / predicted: the wall-time slack, rescaled by
+            # 1 / predicted into ratio units.
+            wall = current.metrics.get(
+                metric.removesuffix("model_ratio") + "wall_seconds", 0.0
+            )
+            if wall > 0:
+                slack = timing_slack_seconds * value / wall
         report.findings.append(
             DriftFinding(
                 metric=metric,
@@ -192,7 +207,7 @@ def check_record(
                 tolerance=timing_tolerance if timing else exact_tolerance,
                 n_history=len(sample),
                 timing=timing,
-                slack=timing_slack_seconds if seconds_valued else 0.0,
+                slack=slack,
             )
         )
     return report

@@ -1,6 +1,6 @@
 """Parallel runtime: MPI-like comm over pluggable transports (in-process
-threads, length-prefixed TCP), the master-worker protocol with 1-D row and
-2-D tile partitioning, and the multiprocessing executor."""
+threads, length-prefixed TCP) and the one master/worker pull loop that
+serves 1-D row tasks or 2-D tiles (:mod:`repro.parallel.tiled`)."""
 
 from .comm import (
     ANY_SOURCE,
@@ -14,15 +14,13 @@ from .comm import (
     default_timeout,
     run_ranks,
 )
-from .executor import (
-    SharedDatasetHandle,
-    attach_shared_dataset,
-    parallel_voxel_selection,
-    serial_voxel_selection,
-    share_dataset,
+from .tiled import (
+    TaskFailedError,
+    WorkPlan,
+    collect_worker_reports,
+    master_loop,
+    worker_loop,
 )
-from .master_worker import master_loop, mpi_voxel_selection, worker_loop
-from .tiled import collect_worker_reports, tiled_master_loop, tiled_worker_loop
 from .transport import TcpListener, TcpTransport, spawn_local_workers
 
 __all__ = [
@@ -32,22 +30,16 @@ __all__ = [
     "CommGroup",
     "CommStats",
     "CommTimeoutError",
-    "SharedDatasetHandle",
     "TAG_PEER_LOST",
+    "TaskFailedError",
     "TcpListener",
     "TcpTransport",
     "Transport",
-    "attach_shared_dataset",
+    "WorkPlan",
     "collect_worker_reports",
     "default_timeout",
     "master_loop",
-    "mpi_voxel_selection",
-    "parallel_voxel_selection",
     "run_ranks",
-    "serial_voxel_selection",
-    "share_dataset",
     "spawn_local_workers",
-    "tiled_master_loop",
-    "tiled_worker_loop",
     "worker_loop",
 ]

@@ -2,10 +2,10 @@
 
 One process, one worker rank.  Connects to a listening master
 (:class:`~repro.parallel.transport.TcpListener`), receives the run's
-config + dataset over the broadcast, serves the pull protocol (row or
-tiled partitioning, chosen by the master), then ships its telemetry
-back (TAG_DONE) so the master's trace covers work that happened in
-this process.
+config + dataset over the broadcast, serves the pull protocol (each
+work item's kind says what to run), then ships its telemetry back
+(TAG_DONE) so the master's trace covers work that happened in this
+process.
 
 Also exposed as ``fcma worker --connect HOST:PORT`` — the command to
 start on *other* hosts when the master runs with
@@ -15,13 +15,12 @@ start on *other* hosts when the master runs with
 from __future__ import annotations
 
 import argparse
-from typing import Any, Sequence
+from typing import Sequence
 
-import numpy as np
-
+from ..core.engine import set_host_workers
+from ..exec.context import RunContext
 from .comm import Comm, default_timeout
-from .master_worker import TAG_DONE, _worker_loop
-from .tiled import tiled_worker_loop
+from .tiled import TAG_DONE, worker_loop
 from .transport import TcpTransport
 
 __all__ = ["main", "parse_endpoint", "run_worker"]
@@ -38,31 +37,17 @@ def parse_endpoint(value: str) -> tuple[str, int]:
 def run_worker(comm: Comm) -> int:
     """The SPMD worker body every transport shares.
 
-    Receives ``{"config", "dataset", "partition", "host_workers"}``
-    from the rank-0 broadcast, pulls work until stopped, then reports
+    Receives ``{"config", "dataset", "host_workers"}`` from the rank-0
+    broadcast, pulls work until stopped, then reports
     telemetry:
     ``{"export": <RunContext.export()>, "stats": <comm byte counters>,
     "completed": <n items>}`` under TAG_DONE.  Returns the completed
     item count.
     """
-    from ..core.engine import set_host_workers
-    from ..exec.context import RunContext
-    from ..exec.stage_graph import execute_task
-
     setup = comm.bcast(None)
-    config = setup["config"]
-    dataset = setup["dataset"]
-    partition = setup.get("partition", "rows")
     set_host_workers(setup.get("host_workers", {}).get(comm.rank, 1))
-    ctx = RunContext(config)
-    if partition == "tiles":
-        completed = tiled_worker_loop(comm, dataset, config, ctx)
-    else:
-
-        def run_one(d: Any, assigned: np.ndarray, _cfg: Any) -> Any:
-            return execute_task(d, assigned, ctx)
-
-        completed = _worker_loop(comm, dataset, config, run=run_one)
+    ctx = RunContext(setup["config"])
+    completed = worker_loop(comm, setup["dataset"], ctx)
     stats = comm.stats
     ctx.increment("comm.bytes_sent", stats.bytes_sent)
     ctx.increment("comm.bytes_recv", stats.bytes_recv)

@@ -1,39 +1,57 @@
-"""2-D tile-partitioned master-worker voxel selection.
+"""The master/worker runtime: one pull loop over three work-item kinds.
 
-The row-partitioned protocol (:mod:`repro.parallel.master_worker`)
-ships whole correlation row panels as single tasks — the paper's 1-D
-decomposition.  This module distributes the *tiles* of the
-``(assigned × all-voxels)`` stage-1/2 matrix instead, the scheme that
-scaled all-pairs Pearson to thousands of cores in *Parallel Pairwise
-Correlation Computation on Intel Xeon Phi Clusters*:
+"The master node first distributes brain data to the worker nodes and
+then sends tasks to the workers to process in parallel.  A worker works
+on one task at a time.  When a worker finishes a task, it will receive a
+new task from the master." (paper Section 3.1.1)
 
-* **Tile tasks.**  :func:`repro.exec.partition.partition_tiles` carves
-  row panels × column blocks; a worker computes one tile's fused
-  stage 1/2 (:func:`~repro.core.engine.gemm_normalize_tile`, the
-  bitwise column-invariant tile body of the engine walk) and returns
-  the normalized block.
-* **Owner-computes merge.**  The master owns panel assembly
-  (:class:`~repro.core.results.PanelAssembler`): tiles land in any
-  order from any worker; a completed panel immediately becomes a
-  stage-3 *score task* dispatched back to a worker.
-* **Communication/compute overlap.**  A worker sends its next work
-  request *before* computing the current item, so the master's reply
-  travels (and the next tile is chosen) while the gemm runs.  The
-  exposed remainder is timed under the ``comm.fetch_wait`` stage; the
-  hidden part accumulates in the ``overlap_hidden_seconds`` counter.
-* **Fault tolerance at tile granularity.**  TAG_ERROR re-queues a
-  single tile/score item (sorted, deterministic); TAG_PEER_LOST
-  re-queues everything the dead worker had in flight.  Because the
-  per-tile kernels are bitwise deterministic, results are identical
-  whichever worker re-runs a tile — worker loss is invisible in the
-  output bits.
+:func:`master_loop` (rank 0) and :func:`worker_loop` (ranks 1..n-1)
+implement that pull protocol over any :class:`~repro.parallel.comm.Comm`.
+*What* is served is a :class:`WorkPlan`, one of two decompositions of
+the ``(assigned × all-voxels)`` correlation matrix:
 
-Work-item payloads (over TAG_TASK/TAG_RESULT of the same tag set as
-the row protocol):
+* **Rows** — the paper's 1-D decomposition: a ``"task"`` item is one
+  row panel run end to end through
+  :func:`repro.exec.stage_graph.execute_task` (every variant).
+* **Tiles** — the 2-D scheme that scaled all-pairs Pearson to thousands
+  of cores in *Parallel Pairwise Correlation Computation on Intel Xeon
+  Phi Clusters*: a ``"tile"`` item is one column block of a row panel's
+  fused stage 1/2 (:func:`~repro.core.engine.gemm_normalize_tile`, the
+  bitwise column-invariant tile body of the engine walk).  The master
+  owns panel assembly (:class:`~repro.core.results.PanelAssembler`):
+  tiles land in any order from any worker, and a completed panel
+  becomes a stage-3 ``"score"`` item dispatched back to a worker.
+
+The loops know only the protocol; the plan knows what is ready next
+and what a result unlocks.
+
+* **Dispatch order.**  One ready list sorted ``(priority, id)``:
+  scores before tiles/tasks, ascending ids — so a re-queued tile or
+  task (its id is lower than every id still pending) goes out before
+  any fresh one, and scheduling is deterministic given the same event
+  sequence.
+* **Communication/compute overlap** is a property of tile/score items:
+  the worker sends its next request *before* computing, so the
+  master's reply travels (and the next tile is chosen) while the gemm
+  runs.  The exposed remainder is timed under the ``comm.fetch_wait``
+  stage; the hidden part accumulates in the ``overlap_hidden_seconds``
+  counter.  A ``"task"`` item keeps the paper's rule — ask for the next
+  task after reporting this one.
+* **Fault tolerance at item granularity.**  TAG_ERROR re-queues the one
+  item (up to ``max_retries`` attempts, then :class:`TaskFailedError`
+  once the healthy items are done); TAG_PEER_LOST re-queues everything
+  the dead worker had in flight without charging the retry budget; a
+  worker that asks while all current work is in flight is *parked*, so
+  it stays available to absorb those re-queues.  Because the kernels
+  are bitwise deterministic, results are identical whichever worker
+  re-runs an item — worker loss is invisible in the output bits.
+
+Work-item payloads (every payload starts ``(kind, id, ...)``):
 
 ========  =======================================  ==============================
 kind      TAG_TASK payload                         TAG_RESULT payload
 ========  =======================================  ==============================
+"task"    ("task", index, rows)                    ("task", index, VoxelScores)
 "tile"    ("tile", index, panel, rows, c0, c1)     ("tile", index, panel, c0, c1, block)
 "score"   ("score", panel, rows, corr)             ("score", panel, VoxelScores)
 ========  =======================================  ==============================
@@ -43,43 +61,147 @@ from __future__ import annotations
 
 import bisect
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..core.engine import gemm_normalize_tile
 from ..core.normalization import NormalizationWorkspace
-from ..core.pipeline import FCMAConfig, preprocess_dataset
+from ..core.pipeline import preprocess_dataset
 from ..core.results import PanelAssembler, VoxelScores
 from ..data.dataset import FMRIDataset
+from ..exec.stage_graph import execute_task, score_panel
 from ..obs.live.runtime import current_live
 from .comm import Comm, TAG_PEER_LOST, TAG_TELEMETRY
-from .master_worker import (
-    TAG_DONE,
-    TAG_ERROR,
-    TAG_REQUEST,
-    TAG_RESULT,
-    TAG_STOP,
-    TAG_TASK,
-    TELEMETRY_INTERVAL,
-    TaskFailedError,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.context import RunContext
     from ..exec.partition import TileTask
 
 __all__ = [
+    "TaskFailedError",
+    "WorkPlan",
     "collect_worker_reports",
     "compute_tile",
+    "master_loop",
     "score_panel",
-    "tiled_master_loop",
-    "tiled_worker_loop",
+    "worker_loop",
 ]
 
-#: Work-item key: ("tile", tile index) or ("score", panel id).
+#: Message tags of the protocol.
+TAG_REQUEST = 1  # worker -> master: "give me work" (payload: None)
+TAG_TASK = 2     # master -> worker: a work item (table above)
+TAG_RESULT = 3   # worker -> master: the item's result (table above)
+TAG_STOP = 4     # master -> worker: no more work
+TAG_ERROR = 5    # worker -> master: ((kind, id), error message)
+TAG_DONE = 6     # worker -> master: post-stop telemetry (ctx export, comm stats)
+
+#: Minimum seconds between a worker's live-telemetry frames.  Bounds the
+#: piggybacked traffic to ~2 tiny messages per second per worker no
+#: matter how fast items complete; workers send unconditionally (the
+#: frames are dropped at the master when no live plane is active).
+TELEMETRY_INTERVAL = 0.5
+
+#: Work-item key: ("task", task index), ("tile", tile index) or
+#: ("score", panel id).
 WorkKey = tuple[str, int]
+
+
+class TaskFailedError(RuntimeError):
+    """A work item exhausted its retries across workers."""
+
+
+def _dispatch_order(key: WorkKey) -> tuple[int, int]:
+    """Sort key of the ready list: scores first, then ascending ids."""
+    kind, ident = key
+    return (0 if kind == "score" else 1, ident)
+
+
+class WorkPlan:
+    """What is ready next and what a result unlocks.
+
+    The decomposition-specific half of the master: build it from row
+    ``tasks`` (:func:`~repro.exec.partition.partition_tasks`) *or* from
+    ``tiles`` (:func:`~repro.exec.partition.partition_tiles`, plus the
+    preprocessed ``n_voxels`` / ``n_epochs`` the panel buffers need).
+    Either way the scored parts concatenate in row-panel order.
+    """
+
+    def __init__(
+        self,
+        tasks: Sequence[NDArray[np.int64]] = (),
+        tiles: Sequence["TileTask"] = (),
+        n_voxels: int = 0,
+        n_epochs: int = 0,
+    ):
+        if bool(len(tasks)) == bool(len(tiles)):
+            raise ValueError("a plan serves row tasks or tiles: give exactly one")
+        self._tasks = tasks
+        self._tiles = tiles
+        self._scores: dict[int, VoxelScores] = {}
+        #: Scored parts (row panels) the result concatenates.
+        self._n_parts = len(tasks)
+        #: Work items the plan will serve.
+        self.n_items = len(tasks)
+        if tiles:
+            self._assembler = PanelAssembler(n_voxels, n_epochs)
+            panel_tiles = Counter(t.panel for t in tiles)
+            panel_rows = {t.panel: t.rows for t in tiles}
+            for panel_id in sorted(panel_tiles):
+                self._assembler.expect(
+                    panel_id, panel_rows[panel_id], panel_tiles[panel_id]
+                )
+            self._n_parts = len(panel_tiles)
+            self.n_items = len(tiles) + self._n_parts  # + one score per panel
+
+    def initial(self) -> list[WorkKey]:
+        """The items ready before any result has arrived."""
+        return [("task", i) for i in range(len(self._tasks))] + [
+            ("tile", i) for i in range(len(self._tiles))
+        ]
+
+    def message(self, key: WorkKey) -> tuple[Any, ...]:
+        """The TAG_TASK payload of one ready item."""
+        kind, ident = key
+        if kind == "task":
+            return ("task", ident, np.asarray(self._tasks[ident]))
+        if kind == "tile":
+            t = self._tiles[ident]
+            return ("tile", ident, t.panel, np.asarray(t.rows), t.col_start, t.col_stop)
+        return (
+            "score",
+            ident,
+            self._assembler.rows_of(ident),
+            self._assembler.panel_buffer(ident),
+        )
+
+    def complete(self, payload: tuple[Any, ...]) -> list[WorkKey]:
+        """Absorb one TAG_RESULT payload; returns the items it made ready.
+
+        Duplicates are legal (a worker presumed lost can still have
+        delivered): the first result of a part wins, and the bits are
+        identical anyway.
+        """
+        kind, ident = payload[0], payload[1]
+        if kind == "tile":
+            _, _, panel_id, c0, c1, block = payload
+            done = self._assembler.add(panel_id, c0, c1, block)
+            return [] if done is None else [("score", panel_id)]
+        if ident not in self._scores:
+            self._scores[ident] = payload[2]
+            if kind == "score":
+                self._assembler.release(ident)
+        return []
+
+    def result(self) -> VoxelScores:
+        """The sorted aggregate once every part has been scored."""
+        missing = [p for p in range(self._n_parts) if p not in self._scores]
+        if missing:
+            raise RuntimeError(f"parts without scores: {missing}")
+        parts = [self._scores[p] for p in range(self._n_parts)]
+        return VoxelScores.concatenate(parts).sorted_by_accuracy()
 
 
 def compute_tile(
@@ -114,191 +236,90 @@ def compute_tile(
     )
 
 
-def score_panel(
-    grouped: FMRIDataset,
-    config: FCMAConfig,
-    rows: np.ndarray,
-    correlations: np.ndarray,
-    ctx: "RunContext",
-) -> VoxelScores:
-    """Stage 3 of one assembled row panel (same path as the stage graph)."""
-    from ..core.voxel_selection import score_voxels
-    from ..exec.registry import create_backend
-    from ..svm.cross_validation import cv_fold_ids
-
-    epochs = grouped.epochs
-    backend = create_backend(config)
-    return score_voxels(
-        correlations,
-        rows,
-        epochs.labels(),
-        cv_fold_ids(epochs, config.online_folds),
-        backend,
-        batch_voxels=config.batch_voxels,
-    )
-
-
-def tiled_master_loop(
+def master_loop(
     comm: Comm,
-    tiles: Sequence["TileTask"],
-    n_voxels: int,
-    n_epochs: int,
+    plan: WorkPlan,
     max_retries: int = 2,
     reports: dict[int, Any] | None = None,
 ) -> VoxelScores:
-    """Serve tile and score tasks until every panel is scored.
+    """Serve ``plan``'s items to workers on demand; returns the aggregate.
 
-    Runs on rank 0.  Dispatch priority: re-queued score items, freshly
-    completed panels, re-queued tiles, fresh tiles — all in sorted id
-    order, so scheduling is deterministic given the same event
-    sequence.  Workers that ask while all current work is in flight are
-    parked and woken by the next completion or re-queue.
+    Runs on rank 0.  Each worker gets the first ready item the moment
+    it asks; results arrive in any order.  Even after an item has
+    failed for good the master keeps serving the healthy ones, so one
+    bad item yields the maximum information before the raise.
     """
     if comm.rank != 0:
-        raise ValueError("tiled_master_loop must run on rank 0")
+        raise ValueError("master_loop must run on rank 0")
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
     if comm.size - 1 < 1:
         raise ValueError("need at least one worker rank")
-    if not tiles:
-        raise ValueError("no tiles to serve")
 
-    assembler = PanelAssembler(n_voxels, n_epochs)
-    panel_tiles: dict[int, int] = {}
-    for t in tiles:
-        panel_tiles[t.panel] = panel_tiles.get(t.panel, 0) + 1
-    for panel_id in sorted(panel_tiles):
-        rows = next(t.rows for t in tiles if t.panel == panel_id)
-        assembler.expect(panel_id, rows, panel_tiles[panel_id])
-
-    tile_pending = deque(range(len(tiles)))
-    retry_tiles: list[int] = []
-    retry_scores: list[int] = []
-    score_ready: list[int] = []  # completed panels awaiting dispatch
-    scores: dict[int, VoxelScores] = {}
+    ready = sorted(plan.initial(), key=_dispatch_order)
     attempts: dict[WorkKey, int] = {}
     in_flight: dict[int, set[WorkKey]] = {}
     failure: tuple[WorkKey, str] | None = None
     parked: deque[int] = deque()
     active = set(range(1, comm.size))
     stopped: set[int] = set()
-    n_panels = len(panel_tiles)
 
-    def send_tile(dest: int, idx: int) -> None:
-        t = tiles[idx]
-        key: WorkKey = ("tile", idx)
+    def dispatch(dest: int) -> None:
+        key = ready.pop(0)
         attempts[key] = attempts.get(key, 0) + 1
         in_flight.setdefault(dest, set()).add(key)
-        comm.send(
-            ("tile", idx, t.panel, np.asarray(t.rows), t.col_start, t.col_stop),
-            dest,
-            TAG_TASK,
-        )
-
-    def send_score(dest: int, panel_id: int) -> None:
-        key: WorkKey = ("score", panel_id)
-        attempts[key] = attempts.get(key, 0) + 1
-        in_flight.setdefault(dest, set()).add(key)
-        comm.send(
-            (
-                "score",
-                panel_id,
-                assembler.rows_of(panel_id),
-                assembler.panel_buffer(panel_id),
-            ),
-            dest,
-            TAG_TASK,
-        )
-
-    def dispatch(dest: int) -> bool:
-        if retry_scores:
-            send_score(dest, retry_scores.pop(0))
-        elif score_ready:
-            send_score(dest, score_ready.pop(0))
-        elif retry_tiles:
-            send_tile(dest, retry_tiles.pop(0))
-        elif tile_pending:
-            send_tile(dest, tile_pending.popleft())
-        else:
-            return False
-        return True
+        comm.send(plan.message(key), dest, TAG_TASK)
 
     def work_outstanding() -> bool:
-        return bool(
-            retry_scores
-            or score_ready
-            or retry_tiles
-            or tile_pending
-            or any(in_flight.values())
-        )
+        return bool(ready or any(in_flight.values()))
+
+    def stop(rank: int) -> None:
+        comm.send(None, rank, TAG_STOP)
+        stopped.add(rank)
 
     def drain_parked() -> None:
-        while parked and (retry_scores or score_ready or retry_tiles or tile_pending):
+        while parked and ready:
             dispatch(parked.popleft())
         if not work_outstanding():
             while parked:
-                rank = parked.popleft()
-                comm.send(None, rank, TAG_STOP)
-                stopped.add(rank)
-
-    def requeue(key: WorkKey, *, refund: bool) -> None:
-        if refund:
-            attempts[key] = max(0, attempts.get(key, 1) - 1)
-        kind, ident = key
-        if kind == "tile":
-            bisect.insort(retry_tiles, ident)
-        else:
-            bisect.insort(retry_scores, ident)
+                stop(parked.popleft())
 
     live = current_live()
     while len(stopped) < len(active):
         src, tag, payload = comm.recv()
         if live is not None and tag != TAG_PEER_LOST:
+            # Any protocol traffic is a sign of life for heartbeat ages.
             live.heartbeat(src)
         if tag == TAG_TELEMETRY:
             if live is not None and isinstance(payload, dict):
                 live.heartbeat(src, completed=payload.get("completed"))
-            continue
-        if tag == TAG_DONE:
+        elif tag == TAG_DONE:
             # Post-stop telemetry from an already-stopped worker (TCP
             # workers report before disconnecting); collected here for
             # collect_worker_reports to pick up after the loop.
             if reports is not None:
                 reports[src] = payload
-            continue
-        if tag == TAG_REQUEST:
-            if dispatch(src):
-                pass
+        elif tag == TAG_REQUEST:
+            if ready:
+                dispatch(src)
             elif work_outstanding():
-                parked.append(src)
+                parked.append(src)  # may absorb a re-queue later
             else:
-                comm.send(None, src, TAG_STOP)
-                stopped.add(src)
+                stop(src)
         elif tag == TAG_RESULT:
-            kind = payload[0]
-            if kind == "tile":
-                _, idx, panel_id, c0, c1, block = payload
-                in_flight.get(src, set()).discard(("tile", idx))
-                if live is not None:
-                    live.inc("tiles")
-                done = assembler.add(panel_id, c0, c1, block)
-                if done is not None:
-                    bisect.insort(score_ready, panel_id)
-            else:
-                _, panel_id, result = payload
-                in_flight.get(src, set()).discard(("score", panel_id))
-                if live is not None:
-                    live.inc("tasks")
-                if panel_id not in scores:
-                    scores[panel_id] = result
-                    assembler.release(panel_id)
+            kind, ident = payload[0], payload[1]
+            in_flight.get(src, set()).discard((kind, ident))
+            if live is not None:
+                live.inc("tiles" if kind == "tile" else "tasks")
+            for key in plan.complete(payload):
+                bisect.insort(ready, key, key=_dispatch_order)
             drain_parked()
         elif tag == TAG_ERROR:
             key, message = payload
             key = (key[0], key[1])
             in_flight.get(src, set()).discard(key)
             if attempts.get(key, 0) < max_retries:
-                requeue(key, refund=False)
+                bisect.insort(ready, key, key=_dispatch_order)
             elif failure is None:
                 failure = (key, message)
             if live is not None:
@@ -314,10 +335,13 @@ def tiled_master_loop(
             if src in parked:
                 parked.remove(src)
             for key in sorted(in_flight.pop(src, set())):
-                requeue(key, refund=True)
+                # A dead worker is not an item failure: give the item
+                # its attempt back and re-queue in sorted order.
+                attempts[key] = max(0, attempts.get(key, 1) - 1)
+                bisect.insort(ready, key, key=_dispatch_order)
             if not active and work_outstanding():
                 raise RuntimeError(
-                    "all workers lost with tile/score work unfinished"
+                    f"all workers lost with {len(ready)} work item(s) unfinished"
                 )
             drain_parked()
         else:
@@ -326,33 +350,25 @@ def tiled_master_loop(
     if failure is not None:
         (kind, ident), message = failure
         raise TaskFailedError(
-            f"{kind} task {ident} failed after {max_retries} attempts: "
-            f"{message}"
+            f"{kind} {ident} failed after {max_retries} attempts: {message}"
         )
-    missing = [p for p in range(n_panels) if p not in scores]
-    if missing:
-        raise RuntimeError(f"panels without scores: {missing}")
-    parts = [scores[p] for p in range(n_panels)]
-    return VoxelScores.concatenate(parts).sorted_by_accuracy()
+    return plan.result()
 
 
-def tiled_worker_loop(
-    comm: Comm,
-    dataset: FMRIDataset,
-    config: FCMAConfig,
-    ctx: "RunContext",
-) -> int:
-    """Pull tile/score work until stopped; returns items completed.
+def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
+    """Pull work items until stopped; returns items completed.
 
-    Overlap structure: the request for the *next* item goes out before
-    the current one computes, so the master round-trip hides behind the
-    gemm.  Exposed wait lands in the ``comm.fetch_wait`` stage; the
-    hidden fraction (message arrived while computing) accumulates in
-    the ``overlap_hidden_seconds`` counter.  Item failures are reported
-    per item (TAG_ERROR) and the loop keeps serving.
+    A tile/score item is prefetched: the request for the *next* item
+    goes out before this one computes, the exposed wait lands in the
+    ``comm.fetch_wait`` stage and the hidden fraction (message arrived
+    while computing) in the ``overlap_hidden_seconds`` counter.  A
+    ``"task"`` item is requested only after the previous one has been
+    reported, and records nothing outside its own task span.  Item
+    failures are reported per item (TAG_ERROR) and the loop keeps
+    serving.
     """
     if comm.rank == 0:
-        raise ValueError("tiled_worker_loop must not run on rank 0")
+        raise ValueError("worker_loop must not run on rank 0")
     grouped, z = preprocess_dataset(dataset)
     epochs_per_subject = grouped.epochs.epochs_per_subject()
     workspace = NormalizationWorkspace()
@@ -363,31 +379,42 @@ def tiled_worker_loop(
     # processes see None and publish only via telemetry frames.
     live = current_live()
     last_telemetry = time.monotonic()
+    # Whether the item in hand is a prefetching kind (tile/score); a
+    # STOP is accounted like the item before it.
+    overlap = False
 
     comm.send(None, 0, TAG_REQUEST)
     t_request = time.monotonic()
     while True:
         t_wait = time.monotonic()
-        src, tag, payload, arrived = comm.recv_timed(source=0)
+        _, tag, payload, arrived = comm.recv_timed(source=0)
         exposed = time.monotonic() - t_wait
-        ctx.add_time("comm.fetch_wait", exposed)
-        ctx.increment(
-            "overlap_hidden_seconds",
-            max(0.0, (arrived - t_request) - exposed),
-        )
+        if tag == TAG_TASK:
+            overlap = payload[0] != "task"
+        if overlap:
+            ctx.add_time("comm.fetch_wait", exposed)
+            ctx.increment(
+                "overlap_hidden_seconds",
+                max(0.0, (arrived - t_request) - exposed),
+            )
         if tag == TAG_STOP:
             return completed
         if tag == TAG_PEER_LOST:
             raise RuntimeError("master connection lost")
         if tag != TAG_TASK:
             raise RuntimeError(f"worker got unexpected tag {tag}")
-        # Prefetch: ask for the next item before computing this one.
-        comm.send(None, 0, TAG_REQUEST)
-        t_request = time.monotonic()
-        kind = payload[0]
+        if overlap:
+            # Prefetch: ask for the next item before computing this one.
+            comm.send(None, 0, TAG_REQUEST)
+            t_request = time.monotonic()
+        kind, ident = payload[0], payload[1]
         try:
-            if kind == "tile":
-                _, idx, panel_id, rows, c0, c1 = payload
+            if kind == "task":
+                result: tuple[Any, ...] = (
+                    "task", ident, execute_task(dataset, payload[2], ctx)
+                )
+            elif kind == "tile":
+                _, _, panel_id, rows, c0, c1 = payload
                 rows = np.asarray(rows, dtype=np.int64)
                 if panel_cache is None or panel_cache[0] != panel_id:
                     panel_cache = (panel_id, z[:, rows])
@@ -410,28 +437,31 @@ def tiled_worker_loop(
                     span.add_metric("voxels", float(rows.size))
                 if live is not None:
                     live.observe("tile_seconds", kspan.duration)
-                comm.send(("tile", idx, panel_id, c0, c1, block), 0, TAG_RESULT)
+                result = ("tile", ident, panel_id, c0, c1, block)
             elif kind == "score":
-                _, panel_id, rows, corr = payload
+                _, _, rows, corr = payload
                 rows = np.asarray(rows, dtype=np.int64)
                 corr = np.ascontiguousarray(corr, dtype=np.float32)
                 with ctx.task_span(rows.size, int(rows[0])) as span:
                     with ctx.tracer.span("score_panel", kind="kernel") as kspan:
-                        result = score_panel(grouped, config, rows, corr, ctx)
+                        scores = score_panel(grouped, ctx.config, rows, corr, ctx)
                         kspan.add_metric("voxels", float(rows.size))
                     span.add_metric("voxels", float(rows.size))
-                comm.send(("score", panel_id, result), 0, TAG_RESULT)
+                result = ("score", ident, scores)
             else:
                 raise RuntimeError(f"unknown work kind {kind!r}")
         except Exception as exc:  # noqa: BLE001 - reported to master
-            key: WorkKey = (kind, payload[1])
-            comm.send((key, f"{type(exc).__name__}: {exc}"), 0, TAG_ERROR)
-            continue
-        completed += 1
-        now = time.monotonic()
-        if now - last_telemetry >= TELEMETRY_INTERVAL:
-            comm.send_telemetry({"completed": completed})
-            last_telemetry = now
+            comm.send(((kind, ident), f"{type(exc).__name__}: {exc}"), 0, TAG_ERROR)
+        else:
+            comm.send(result, 0, TAG_RESULT)
+            completed += 1
+            now = time.monotonic()
+            if now - last_telemetry >= TELEMETRY_INTERVAL:
+                comm.send_telemetry({"completed": completed})
+                last_telemetry = now
+        if not overlap:
+            comm.send(None, 0, TAG_REQUEST)
+            t_request = time.monotonic()
 
 
 def collect_worker_reports(

@@ -9,8 +9,9 @@ from repro.analysis.mvpa import (
     pattern_accuracy,
     score_voxels_amplitude,
 )
-from repro.core import FCMAConfig, run_task
+from repro.core import FCMAConfig
 from repro.data import SyntheticConfig, generate_dataset, ground_truth_voxels
+from repro.exec import RunContext, execute_task
 
 
 @pytest.fixture(scope="module")
@@ -84,13 +85,13 @@ class TestFCMAPremise:
     def test_fcma_classifies_the_same_voxels(self, contrast_setup):
         cfg, ds = contrast_setup
         gt = ground_truth_voxels(cfg)
-        fcma = run_task(ds, gt, FCMAConfig(target_block=64))
+        fcma = execute_task(ds, gt, RunContext(FCMAConfig(target_block=64)))
         amp = score_voxels_amplitude(ds, gt)
         assert fcma.accuracies.mean() > amp.accuracies.mean() + 0.2
 
     def test_pattern_mvpa_also_clearly_behind(self, contrast_setup):
         cfg, ds = contrast_setup
         gt = ground_truth_voxels(cfg)
-        fcma = run_task(ds, gt, FCMAConfig(target_block=64))
+        fcma = execute_task(ds, gt, RunContext(FCMAConfig(target_block=64)))
         pattern = pattern_accuracy(ds, gt)
         assert fcma.accuracies.mean() > pattern + 0.1

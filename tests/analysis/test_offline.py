@@ -116,9 +116,9 @@ class TestValidation:
 
         def runner(training, config):
             calls.append(training.n_subjects)
-            from repro.parallel.executor import serial_voxel_selection
+            from repro.exec import RunContext, SerialExecutor
 
-            return serial_voxel_selection(training, config)
+            return SerialExecutor().run(training, RunContext(config))
 
         run_offline_analysis(ds, fcma, top_k=5, selection_runner=runner)
         assert calls == [cfg.n_subjects - 1] * cfg.n_subjects

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import FCMAConfig, VoxelScores, run_task, task_partition
-from repro.core.pipeline import (
-    clear_preprocess_cache,
-    make_backend,
-    preprocess_dataset,
-)
+from repro.core import FCMAConfig, VoxelScores
+from repro.core.pipeline import clear_preprocess_cache, preprocess_dataset
 from repro.data import ground_truth_voxels
+from repro.exec import RunContext, create_backend, execute_task, partition_tasks
 from repro.svm import LibSVMClassifier, PhiSVM
 
 
@@ -40,17 +37,18 @@ class TestConfig:
             {"target_block": 0},
             {"online_folds": 1},
             {"batch_voxels": -1},
-            {"chunksize": 0},
+            {"svm_tol": 0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FCMAConfig(**kwargs)
 
-    @pytest.mark.parametrize("knob", ["voxel_block", "emitter"])
+    @pytest.mark.parametrize("knob", ["voxel_block", "emitter", "chunksize"])
     def test_removed_knobs_are_not_ignored_kwargs(self, knob):
-        """``variant`` is the one dispatch axis: the deleted fields must
-        fail loudly rather than come back as accepted-and-ignored."""
+        """``variant`` is the one dispatch axis and the pool's chunk size
+        is derived (``auto_chunksize``): the deleted fields must fail
+        loudly rather than come back as accepted-and-ignored."""
         with pytest.raises(TypeError, match=knob):
             FCMAConfig(**{knob: None})
 
@@ -60,15 +58,15 @@ class TestConfig:
         assert FCMAConfig(variant="sparse-batched", top_k=3).resolved_emitter() == "csr"
         assert FCMAConfig(variant="baseline").resolved_emitter() is None
 
-    def test_make_backend_types(self):
+    def test_create_backend_types(self):
         from repro.svm.multiclass import OneVsOneClassifier
 
-        opt = make_backend(FCMAConfig())
+        opt = create_backend(FCMAConfig())
         assert isinstance(opt, OneVsOneClassifier)
         assert isinstance(opt._backend, PhiSVM)
-        base = make_backend(FCMAConfig(variant="baseline"))
+        base = create_backend(FCMAConfig(variant="baseline"))
         assert isinstance(base._backend, LibSVMClassifier)
-        sp = make_backend(FCMAConfig(svm_backend="libsvm-float32"))
+        sp = create_backend(FCMAConfig(svm_backend="libsvm-float32"))
         assert isinstance(sp._backend, LibSVMClassifier)
         assert sp._backend.single_precision
 
@@ -93,7 +91,8 @@ class TestPreprocessCache:
         import repro.core.pipeline as pipeline_mod
 
         clear_preprocess_cache()
-        run_task(tiny_dataset, np.array([0, 1]), FCMAConfig(target_block=32))
+        ctx = RunContext(FCMAConfig(target_block=32))
+        execute_task(tiny_dataset, np.array([0, 1]), ctx)
         calls = []
         orig = tiny_dataset.grouped_by_subject
         monkeypatch.setattr(
@@ -101,7 +100,7 @@ class TestPreprocessCache:
             "grouped_by_subject",
             lambda self: calls.append(1) or orig(),
         )
-        run_task(tiny_dataset, np.array([2, 3]), FCMAConfig(target_block=32))
+        execute_task(tiny_dataset, np.array([2, 3]), ctx)
         assert calls == []
 
     def test_clear_forces_recompute(self, tiny_dataset):
@@ -113,31 +112,35 @@ class TestPreprocessCache:
 
 class TestTaskPartition:
     def test_covers_all_voxels(self):
-        tasks = task_partition(1000, 120)
+        tasks = partition_tasks(1000, 120)
         assert sum(t.size for t in tasks) == 1000
         np.testing.assert_array_equal(
             np.concatenate(tasks), np.arange(1000)
         )
 
     def test_last_task_short(self):
-        tasks = task_partition(250, 120)
+        tasks = partition_tasks(250, 120)
         assert [t.size for t in tasks] == [120, 120, 10]
 
     def test_face_scene_task_count(self):
         # 34470 voxels / 120 per task = 288 tasks (Section 3.3).
-        assert len(task_partition(34470, 120)) == 288
+        assert len(partition_tasks(34470, 120)) == 288
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            task_partition(0, 120)
+            partition_tasks(0, 120)
         with pytest.raises(ValueError):
-            task_partition(10, 0)
+            partition_tasks(10, 0)
 
 
 class TestRunTask:
+    @staticmethod
+    def ctx(**kwargs) -> RunContext:
+        return RunContext(FCMAConfig(**{"target_block": 32, **kwargs}))
+
     def test_returns_scores_for_assigned(self, tiny_dataset):
         assigned = np.array([3, 7, 20])
-        scores = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
+        scores = execute_task(tiny_dataset, assigned, self.ctx())
         assert isinstance(scores, VoxelScores)
         np.testing.assert_array_equal(scores.voxels, assigned)
         assert (scores.accuracies >= 0).all() and (scores.accuracies <= 1).all()
@@ -146,10 +149,8 @@ class TestRunTask:
         """Both variants must produce (near-)identical voxel scores —
         the optimizations are performance-only."""
         assigned = np.arange(20)
-        opt = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
-        base = run_task(
-            tiny_dataset, assigned, FCMAConfig(variant="baseline")
-        )
+        opt = execute_task(tiny_dataset, assigned, self.ctx())
+        base = execute_task(tiny_dataset, assigned, self.ctx(variant="baseline"))
         # Same float32 pipeline values; solvers differ only in precision
         # and heuristic path, so accuracies match closely.
         assert np.abs(opt.accuracies - base.accuracies).mean() < 0.05
@@ -158,28 +159,24 @@ class TestRunTask:
         gt = ground_truth_voxels(tiny_config)
         others = np.setdiff1d(np.arange(tiny_config.n_voxels), gt)[: len(gt)]
         assigned = np.concatenate([gt, others])
-        scores = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
+        scores = execute_task(tiny_dataset, assigned, self.ctx())
         acc_gt = scores.accuracies[: len(gt)].mean()
         acc_other = scores.accuracies[len(gt):].mean()
         assert acc_gt > acc_other + 0.15
 
     def test_single_subject_uses_kfold(self, tiny_dataset):
         single = tiny_dataset.single_subject(0)
-        scores = run_task(
-            single, np.arange(6), FCMAConfig(target_block=32, online_folds=4)
-        )
+        scores = execute_task(single, np.arange(6), self.ctx(online_folds=4))
         assert len(scores) == 6
 
     def test_empty_assignment_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
-            run_task(tiny_dataset, np.array([], dtype=np.int64))
+            execute_task(tiny_dataset, np.array([], dtype=np.int64), self.ctx())
 
     def test_epoch_order_invariance(self, tiny_dataset):
         """Scores are computed after subject-grouping, so the caller's
         epoch order must not matter."""
         assigned = np.array([1, 2])
-        a = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
-        b = run_task(
-            tiny_dataset.grouped_by_subject(), assigned, FCMAConfig(target_block=32)
-        )
+        a = execute_task(tiny_dataset, assigned, self.ctx())
+        b = execute_task(tiny_dataset.grouped_by_subject(), assigned, self.ctx())
         np.testing.assert_allclose(a.accuracies, b.accuracies)

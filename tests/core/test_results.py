@@ -1,9 +1,9 @@
-"""Tests for VoxelScores."""
+"""Tests for the result containers: VoxelScores and PanelAssembler."""
 
 import numpy as np
 import pytest
 
-from repro.core.results import VoxelScores
+from repro.core.results import PanelAssembler, VoxelScores
 
 
 def scores(voxels, accs):
@@ -72,3 +72,79 @@ class TestAccessors:
     def test_accuracy_of_missing(self):
         with pytest.raises(KeyError):
             scores([1], [0.5]).accuracy_of(2)
+
+
+class TestPanelAssembler:
+    ROWS = np.array([4, 7], dtype=np.int64)
+
+    @staticmethod
+    def tile(c0: int, c1: int, fill: float = 1.0) -> np.ndarray:
+        return np.full((2, 3, c1 - c0), fill, dtype=np.float32)
+
+    def assembler(self, n_tiles: int = 2) -> PanelAssembler:
+        asm = PanelAssembler(n_voxels=8, n_epochs=3)
+        asm.expect(0, self.ROWS, n_tiles)
+        return asm
+
+    def test_out_of_order_tiles_complete_exactly_once(self):
+        asm = self.assembler(n_tiles=3)
+        assert asm.add(0, 5, 8, self.tile(5, 8, 3.0)) is None
+        assert asm.add(0, 0, 2, self.tile(0, 2, 1.0)) is None
+        assert asm.pending_panels == [0] and asm.n_complete == 0
+        panel = asm.add(0, 2, 5, self.tile(2, 5, 2.0))
+        assert panel is not None and panel.shape == (2, 3, 8)
+        np.testing.assert_array_equal(panel[0, 0], [1, 1, 2, 2, 2, 3, 3, 3])
+        assert asm.panel_buffer(0) is panel
+        assert asm.pending_panels == [] and asm.n_complete == 1
+        np.testing.assert_array_equal(asm.rows_of(0), self.ROWS)
+
+    def test_duplicate_before_completion_does_not_advance(self):
+        asm = self.assembler()
+        assert asm.add(0, 0, 4, self.tile(0, 4, 1.0)) is None
+        assert asm.add(0, 0, 4, self.tile(0, 4, 9.0)) is None  # same range again
+        assert asm.n_complete == 0
+        panel = asm.add(0, 4, 8, self.tile(4, 8, 2.0))
+        assert panel is not None
+        np.testing.assert_array_equal(panel[1, 2], [9, 9, 9, 9, 2, 2, 2, 2])
+
+    def test_duplicate_after_release_allocates_nothing(self):
+        """A worker presumed lost can still deliver after the panel was
+        scored and released; that tile must not resurrect a full
+        ``(rows, epochs, n_voxels)`` buffer."""
+        asm = self.assembler()
+        asm.add(0, 0, 4, self.tile(0, 4))
+        assert asm.add(0, 4, 8, self.tile(4, 8)) is not None
+        asm.release(0)
+        assert asm.add(0, 4, 8, self.tile(4, 8)) is None
+        assert asm._buffers == {} and asm._filled == {}
+        assert asm.n_complete == 1
+        with pytest.raises(KeyError):
+            asm.panel_buffer(0)  # released: nothing to hand out
+
+    def test_duplicate_after_completion_leaves_the_panel_alone(self):
+        asm = self.assembler()
+        asm.add(0, 0, 4, self.tile(0, 4, 1.0))
+        panel = asm.add(0, 4, 8, self.tile(4, 8, 2.0))
+        assert asm.add(0, 0, 4, self.tile(0, 4, 1.0)) is None
+        assert asm.panel_buffer(0) is panel and asm.n_complete == 1
+
+    def test_rejects_bad_tiles_and_declarations(self):
+        asm = self.assembler()
+        with pytest.raises(KeyError, match="never declared"):
+            asm.add(1, 0, 4, self.tile(0, 4))
+        with pytest.raises(ValueError, match="column range"):
+            asm.add(0, 4, 9, self.tile(4, 9))
+        with pytest.raises(ValueError, match="column range"):
+            asm.add(0, 3, 3, self.tile(0, 1))
+        with pytest.raises(ValueError, match="shape"):
+            asm.add(0, 0, 4, self.tile(0, 3))
+        with pytest.raises(ValueError, match="already declared"):
+            asm.expect(0, self.ROWS, 2)
+        with pytest.raises(ValueError, match="n_tiles"):
+            asm.expect(1, self.ROWS, 0)
+        with pytest.raises(ValueError, match="non-empty"):
+            asm.expect(1, np.array([], dtype=np.int64), 1)
+        with pytest.raises(KeyError, match="not complete"):
+            asm.panel_buffer(0)
+        with pytest.raises(ValueError):
+            PanelAssembler(n_voxels=0, n_epochs=3)

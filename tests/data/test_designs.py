@@ -85,7 +85,8 @@ class TestShuffledSynthetic:
         np.testing.assert_array_equal(np.bincount(labels), [6, 6])
 
     def test_pipeline_recovers_roi_on_shuffled_design(self):
-        from repro.core import FCMAConfig, run_task
+        from repro.core import FCMAConfig
+        from repro.exec import RunContext, execute_task
         from repro.data import ground_truth_voxels
 
         cfg = SyntheticConfig(
@@ -94,7 +95,9 @@ class TestShuffledSynthetic:
         )
         ds = generate_dataset(cfg)
         gt = set(ground_truth_voxels(cfg).tolist())
-        scores = run_task(ds, np.arange(80), FCMAConfig(target_block=32))
+        scores = execute_task(
+            ds, np.arange(80), RunContext(FCMAConfig(target_block=32))
+        )
         top = set(scores.top(len(gt)).voxels.tolist())
         assert len(top & gt) / len(gt) >= 0.7
 

@@ -74,9 +74,12 @@ def test_epoch_file_human_readable(tmp_path):
 
 
 def test_loaded_dataset_usable_in_pipeline(tmp_path, tiny_dataset):
-    """A loaded dataset must feed run_task without re-validation issues."""
-    from repro.core import FCMAConfig, run_task
+    """A loaded dataset must feed a task without re-validation issues."""
+    from repro.core import FCMAConfig
+    from repro.exec import RunContext, execute_task
 
     loaded = load_dataset(save_dataset(tiny_dataset, tmp_path / "ds.npz"))
-    scores = run_task(loaded, np.arange(5), FCMAConfig(target_block=32))
+    scores = execute_task(
+        loaded, np.arange(5), RunContext(FCMAConfig(target_block=32))
+    )
     assert len(scores) == 5

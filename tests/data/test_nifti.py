@@ -137,7 +137,8 @@ class TestBridges:
 
     def test_full_loop_nifti_to_fcma(self, tmp_path):
         """NIfTI in -> FCMA -> NIfTI accuracy map out."""
-        from repro.core import FCMAConfig, run_task
+        from repro.core import FCMAConfig
+        from repro.exec import RunContext, execute_task
         from repro.data import Epoch, EpochTable, FMRIDataset
 
         rng = np.random.default_rng(3)
@@ -151,7 +152,11 @@ class TestBridges:
             [Epoch(0, k % 2, k * 8, 8) for k in range(4)]
         )
         ds = FMRIDataset({0: bold}, epochs, mask=mask)
-        scores = run_task(ds, np.arange(8), FCMAConfig(target_block=16, online_folds=2))
+        scores = execute_task(
+            ds,
+            np.arange(8),
+            RunContext(FCMAConfig(target_block=16, online_folds=2)),
+        )
         out = accuracy_map_to_nifti(
             tmp_path / "map", mask, scores.voxels, scores.accuracies
         )

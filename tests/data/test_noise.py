@@ -112,7 +112,8 @@ class TestRobustnessOfPipeline:
     def test_preprocessing_recovers_roi_under_noise(self):
         """The full loop: corrupt -> preprocess -> FCMA still finds the
         planted ROI (drift/physio are what eq. 2 + detrending handle)."""
-        from repro.core import FCMAConfig, run_task
+        from repro.core import FCMAConfig
+        from repro.exec import RunContext, execute_task
         from repro.data import (
             SyntheticConfig,
             generate_dataset,
@@ -129,8 +130,10 @@ class TestRobustnessOfPipeline:
             ds, NoiseConfig(drift=0.6, physio=0.3, motion=0.4, seed=9)
         )
         cleaned = preprocess_dataset(noisy, detrend_order=2)
-        scores = run_task(
-            cleaned, np.arange(cfg.n_voxels), FCMAConfig(target_block=64)
+        scores = execute_task(
+            cleaned,
+            np.arange(cfg.n_voxels),
+            RunContext(FCMAConfig(target_block=64)),
         )
         gt = set(ground_truth_voxels(cfg).tolist())
         top = set(scores.top(len(gt)).voxels.tolist())

@@ -132,12 +132,15 @@ class TestPreprocessDataset:
 
     def test_pipeline_still_recovers_signal(self, tiny_dataset, tiny_config):
         """Preprocessing must not destroy the planted correlations."""
-        from repro.core import FCMAConfig, run_task
+        from repro.core import FCMAConfig
+        from repro.exec import RunContext, execute_task
         from repro.data import ground_truth_voxels
 
         pre = preprocess_dataset(tiny_dataset, detrend_order=1)
-        scores = run_task(
-            pre, np.arange(tiny_config.n_voxels), FCMAConfig(target_block=32)
+        scores = execute_task(
+            pre,
+            np.arange(tiny_config.n_voxels),
+            RunContext(FCMAConfig(target_block=32)),
         )
         gt = set(ground_truth_voxels(tiny_config).tolist())
         top = set(scores.top(len(gt)).voxels.tolist())

@@ -255,7 +255,7 @@ class TestHostWorkerShare:
     def test_pool_initializer_declares_the_pool_size(self, tiny_dataset):
         from repro.core import engine
         from repro.exec import executors as executors_mod
-        from repro.parallel.executor import share_dataset
+        from repro.exec.shared_dataset import share_dataset
 
         shm, handle = share_dataset(tiny_dataset)
         try:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FCMAConfig, make_backend
+from repro.core import FCMAConfig
+from repro.exec import RunContext, execute_task
 from repro.exec import registry
 from repro.exec.registry import (
     available_backends,
@@ -59,28 +60,26 @@ class TestRegistration:
 
         register_backend("my-svm", factory)
         config = FCMAConfig(svm_backend="my-svm", svm_c=2.0)
-        backend = make_backend(config)
+        backend = create_backend(config)
         assert calls == [2.0]
         assert hasattr(backend, "fit_kernel")
 
     def test_custom_backend_scores_voxels(self, tiny_dataset):
-        from repro.core import run_task
-
         register_backend(
             "libsvm-again",
             lambda cfg: as_multiclass(
                 LibSVMClassifier(c=cfg.svm_c, tol=cfg.svm_tol)
             ),
         )
-        custom = run_task(
+        custom = execute_task(
             tiny_dataset,
             np.arange(10),
-            FCMAConfig(svm_backend="libsvm-again", task_voxels=40),
+            RunContext(FCMAConfig(svm_backend="libsvm-again", task_voxels=40)),
         )
-        stock = run_task(
+        stock = execute_task(
             tiny_dataset,
             np.arange(10),
-            FCMAConfig(svm_backend="libsvm", task_voxels=40),
+            RunContext(FCMAConfig(svm_backend="libsvm", task_voxels=40)),
         )
         np.testing.assert_array_equal(custom.voxels, stock.voxels)
         np.testing.assert_array_equal(custom.accuracies, stock.accuracies)

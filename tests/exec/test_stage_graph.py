@@ -1,11 +1,11 @@
-"""Stage graph: validation, telemetry, and run_task equivalence."""
+"""Stage graph: validation, telemetry, and the per-task entry point."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import FCMAConfig, run_task
+from repro.core import FCMAConfig
 from repro.core.engine import thread_budget
 from repro.exec.context import RunContext
 from repro.exec.stage_graph import (
@@ -106,17 +106,6 @@ class TestBuiltinGraphs:
 
 
 class TestExecuteTask:
-    @pytest.mark.parametrize("variant", ["baseline", "optimized"])
-    def test_bitwise_identical_to_run_task(self, tiny_dataset, variant):
-        config = FCMAConfig(
-            variant=variant, task_voxels=40, target_block=32
-        )
-        assigned = np.arange(20, dtype=np.int64)
-        legacy = run_task(tiny_dataset, assigned, config)
-        graph = execute_task(tiny_dataset, assigned, RunContext(config))
-        np.testing.assert_array_equal(legacy.voxels, graph.voxels)
-        np.testing.assert_array_equal(legacy.accuracies, graph.accuracies)
-
     def test_records_stage_and_task_telemetry(self, tiny_dataset, fast_fcma_config):
         ctx = RunContext(fast_fcma_config)
         execute_task(tiny_dataset, np.arange(10), ctx)

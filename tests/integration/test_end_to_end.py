@@ -5,11 +5,12 @@ import pytest
 
 from repro import (
     FCMAConfig,
+    MasterWorkerExecutor,
+    ProcessPoolExecutor,
+    RunContext,
+    SerialExecutor,
     generate_dataset,
     ground_truth_voxels,
-    mpi_voxel_selection,
-    parallel_voxel_selection,
-    serial_voxel_selection,
 )
 from repro.analysis import (
     run_offline_analysis,
@@ -36,14 +37,14 @@ class TestROIRecovery:
 
     def test_top_voxels_recover_planted_roi(self, system):
         cfg, ds, fcma = system
-        scores = serial_voxel_selection(ds, fcma)
+        scores = SerialExecutor().run(ds, RunContext(fcma))
         gt = ground_truth_voxels(cfg)
         top = scores.top(len(gt))
         assert selection_precision(top.voxels, gt) >= 0.7
 
     def test_significance_layer_agrees(self, system):
         cfg, ds, fcma = system
-        scores = serial_voxel_selection(ds, fcma)
+        scores = SerialExecutor().run(ds, RunContext(fcma))
         ordered = np.argsort(scores.voxels)
         accs = scores.accuracies[ordered]
         sig = significant_voxels(accs, n_samples=ds.n_epochs, alpha=0.05)
@@ -56,9 +57,9 @@ class TestROIRecovery:
 class TestExecutionPathsAgree:
     def test_all_three_runtimes_identical(self, system):
         _, ds, fcma = system
-        serial = serial_voxel_selection(ds, fcma)
-        procs = parallel_voxel_selection(ds, fcma, n_workers=2)
-        mpi = mpi_voxel_selection(ds, fcma, n_workers=2)
+        serial = SerialExecutor().run(ds, RunContext(fcma))
+        procs = ProcessPoolExecutor(n_workers=2).run(ds, RunContext(fcma))
+        mpi = MasterWorkerExecutor(n_workers=2).run(ds, RunContext(fcma))
         np.testing.assert_array_equal(serial.voxels, procs.voxels)
         np.testing.assert_allclose(serial.accuracies, procs.accuracies)
         np.testing.assert_array_equal(serial.voxels, mpi.voxels)
@@ -69,9 +70,11 @@ class TestExecutionPathsAgree:
         equivalently (performance differs; science must not)."""
         cfg, ds, _ = system
         gt = ground_truth_voxels(cfg)
-        opt = serial_voxel_selection(ds, FCMAConfig(task_voxels=60, target_block=64))
-        base = serial_voxel_selection(
-            ds, FCMAConfig(variant="baseline", task_voxels=60)
+        opt = SerialExecutor().run(
+            ds, RunContext(FCMAConfig(task_voxels=60, target_block=64))
+        )
+        base = SerialExecutor().run(
+            ds, RunContext(FCMAConfig(variant="baseline", task_voxels=60))
         )
         k = len(gt)
         prec_opt = selection_precision(opt.top(k).voxels, gt)
@@ -84,8 +87,8 @@ class TestPersistencePath:
         cfg, ds, fcma = system
         path = save_dataset(ds, tmp_path / "e2e.npz")
         loaded = load_dataset(path)
-        a = serial_voxel_selection(ds, fcma, voxels=np.arange(20))
-        b = serial_voxel_selection(loaded, fcma, voxels=np.arange(20))
+        a = SerialExecutor().run(ds, RunContext(fcma), voxels=np.arange(20))
+        b = SerialExecutor().run(loaded, RunContext(fcma), voxels=np.arange(20))
         np.testing.assert_allclose(a.accuracies, b.accuracies)
 
 

@@ -113,6 +113,39 @@ class TestCheckRecord:
         )
         assert not report.ok
 
+    @pytest.mark.parametrize(
+        "baseline_wall, drifted",
+        [
+            pytest.param(0.075e-3, False, id="jitter"),  # x5 = +0.3 ms
+            pytest.param(12.5e-3, True, id="drift"),  # x5 = +50 ms
+        ],
+    )
+    def test_ratio_inherits_its_kernels_wall_time_slack(
+        self, baseline_wall, drifted
+    ):
+        """The prediction is deterministic, so ``X.model_ratio`` moves
+        only with ``X.wall_seconds``: a x5 ratio whose wall time moved
+        0.3 ms is jitter, the same x5 over 50 ms is drift."""
+        predicted = baseline_wall / 5.0
+
+        def metrics(wall):
+            return {
+                "kernel.x.wall_seconds": wall,
+                "kernel.x.model_ratio": wall / predicted,
+                "kernel.x.predicted_seconds": predicted,
+            }
+
+        report = check_record(
+            _record(metrics(5 * baseline_wall)),
+            [_record(metrics(baseline_wall))] * 3,
+        )
+        ratio = next(f for f in report.findings if f.metric.endswith("ratio"))
+        assert ratio.deviation == pytest.approx(4.0)  # far outside +-50 %
+        assert ratio.ok is not drifted
+        assert {f.metric for f in report.failures} == (
+            {"kernel.x.model_ratio", "kernel.x.wall_seconds"} if drifted else set()
+        )
+
     def test_slack_configurable_down_to_zero(self):
         history = [_record({"kernel.plan_blocks.wall_seconds": 6e-4})]
         report = check_record(
