@@ -4,9 +4,9 @@ Regenerates the scale-out story of the paper's Fig. 8 at benchmark
 scale: the tiled protocol runs at 1/2/4 workers, every run is verified
 bitwise-equal to the serial reference, and the measured elapsed times
 are recorded next to two predictions — the cluster-simulator replay of
-the measured task stream (the predicted-vs-measured hook in
-``ctx.metadata["predicted"]``) and the analytic wire model
-(:func:`repro.perf.predict_scaleout`).
+the measured task stream (:func:`repro.cluster.measured_workload` over
+each run's ``ctx.task_seconds``, made here after the run) and the
+analytic wire model (:func:`repro.perf.predict_scaleout`).
 
 Single-core CI note: on a one-core box (``nproc`` = 1, the common CI
 case) wall-clock cannot improve with worker count — thread workers
@@ -24,12 +24,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, FoldSpec, TaskSpec, Workload, simulate
+from repro.cluster import (
+    ClusterConfig,
+    FoldSpec,
+    Workload,
+    measured_workload,
+    simulate,
+)
 from repro.core import FCMAConfig
 from repro.data import SyntheticConfig, generate_dataset
 from repro.data.presets import DatasetSpec
 from repro.exec import RunContext, make_executor
-from repro.exec.executors import predicted_schedule
 from repro.hw import E5_2670
 from repro.perf import IN_PROCESS, predict_scaleout
 
@@ -109,12 +114,15 @@ class TestCorrectness:
 
 
 class TestPredictedVsMeasured:
-    def test_predicted_hook_lands_beside_measured(self, scaling_runs):
+    def test_replay_of_own_stream_lands_beside_measured(
+        self, workload, scaling_runs
+    ):
+        ds, _cfg = workload
         for n, (_scores, ctx) in scaling_runs.items():
-            predicted = ctx.metadata["predicted"]
-            assert predicted["n_workers"] == n
-            assert predicted["elapsed_s"] > 0
-            assert 0 < predicted["utilization"] <= 1
+            predicted = _replay(ctx, n, ds.nbytes())
+            assert predicted.n_workers == n
+            assert predicted.elapsed_seconds > 0
+            assert 0 < predicted.utilization <= 1
             assert ctx.metadata["measured_elapsed_s"] > 0
 
     def test_simulator_strong_scaling_meets_floor(self, scaling_runs):
@@ -125,8 +133,6 @@ class TestPredictedVsMeasured:
         single-core CI where wall-clock cannot scale.
         """
         _, ctx1 = scaling_runs[1]
-        ds_bytes_ctx = scaling_runs  # runs share the module workload
-        del ds_bytes_ctx
         base = None
         speedups = {}
         for n in WORKERS:
@@ -161,39 +167,30 @@ class TestOverlapCounters:
             assert counters["overlap_hidden_seconds"] >= 0.0
 
 
-def _replay(ctx, n_workers):
+#: voxels x subjects x epochs x length x float64 of the module workload.
+DATASET_BYTES = 240 * 4 * 8 * 12 * 8
+
+
+def _replay(ctx, n_workers, dataset_bytes=DATASET_BYTES):
     """Cluster-simulator prediction for ``ctx``'s stream at ``n_workers``."""
-    dataset_bytes = 240 * 4 * 8 * 12 * 8  # voxels x subj x epochs x len x f64
-    result_bytes = ctx.config.task_voxels * 8
-    fold = FoldSpec(
-        tasks=tuple(
-            TaskSpec(max(s, 1e-9), result_bytes=result_bytes)
-            for s in ctx.task_seconds
-        ),
-        label="scaleout-replay",
-    )
-    workload = Workload(
-        name="scaleout", dataset_bytes=dataset_bytes, folds=(fold,)
+    workload = measured_workload(
+        ctx.task_seconds, dataset_bytes, result_bytes=ctx.config.task_voxels * 8
     )
     return simulate(workload, ClusterConfig(n_workers=n_workers))
 
 
 def _weak_scaling_efficiency(ctx, n_workers):
     """Simulated weak scaling: n copies of the stream on n workers."""
-    result_bytes = ctx.config.task_voxels * 8
-    tasks = tuple(
-        TaskSpec(max(s, 1e-9), result_bytes=result_bytes)
-        for s in ctx.task_seconds
+    stream = measured_workload(
+        ctx.task_seconds, 0, result_bytes=ctx.config.task_voxels * 8
     )
-    one = simulate(
-        Workload(name="weak-1", dataset_bytes=0, folds=(FoldSpec(tasks),)),
-        ClusterConfig(n_workers=1),
-    )
+    (fold,) = stream.folds
+    one = simulate(stream, ClusterConfig(n_workers=1))
     many = simulate(
         Workload(
             name=f"weak-{n_workers}",
             dataset_bytes=0,
-            folds=(FoldSpec(tasks * n_workers),),
+            folds=(FoldSpec(fold.tasks * n_workers),),
         ),
         ClusterConfig(n_workers=n_workers),
     )
@@ -258,9 +255,9 @@ def test_record_scaling_curves(
         record[f"sim_{n}w_utilization_model_ratio"] = sim.utilization
         record[f"model_speedup_{n}w"] = model_speedup
         record[f"weak_{n}w_efficiency_model_ratio"] = weak_eff
-        record[f"hook_{n}w_elapsed_seconds"] = float(
-            ctx.metadata["predicted"]["elapsed_s"]
-        )
+        record[f"hook_{n}w_elapsed_seconds"] = _replay(
+            ctx, n, ds.nbytes()
+        ).elapsed_seconds
         lines.append(
             f"  {n:>3} {measured:>11.3f} {sim.elapsed_seconds:>11.3f} "
             f"{sim_speedup:>10.2f}x {model_speedup:>12.2f}x "

@@ -154,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--top-k", type=int, default=None,
                      help="sparse-batched: keep the K strongest "
                           "correlations per (voxel, epoch) row")
-    run.add_argument("--autotune", action="store_true",
-                     help="optimized-batched: measure candidate blocking "
-                          "plans instead of trusting the analytic model")
-    run.add_argument("--plan-cache", default=None, metavar="PATH",
-                     help="JSON file persisting autotuned blocking plans "
-                          "across runs (default: in-memory only)")
     run.add_argument("--top", type=int, default=20, help="voxels to report")
     run.add_argument("--seed", type=int, default=None,
                      help="RunContext seed (stochastic components only)")
@@ -734,8 +728,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = FCMAConfig(
         variant=args.variant,
         task_voxels=args.task_voxels,
-        autotune_blocks=args.autotune,
-        plan_cache_path=args.plan_cache,
         threshold=args.threshold,
         top_k=args.top_k,
         comm_timeout=args.comm_timeout,
@@ -866,11 +858,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print("per-stage wall time:")
     for stage, stats in ctx.stages.items():
         print(f"  {stage:24s} {stats.seconds:8.3f} s  ({stats.calls} calls)")
-    predicted = ctx.metadata.get("predicted")
-    if predicted is not None:
-        print(f"simulated schedule: {predicted['elapsed_s']:.3f} s predicted "
-              f"vs {ctx.metadata['measured_elapsed_s']:.3f} s measured "
-              f"({predicted['utilization']:.0%} predicted utilization)")
     print(f"top {len(top)} voxels by cross-validated accuracy:")
     for voxel, acc in zip(top.voxels, top.accuracies):
         print(f"  voxel {voxel:6d}  accuracy {acc:.3f}")

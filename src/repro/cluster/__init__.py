@@ -14,6 +14,7 @@ from .workload import (
     FoldSpec,
     TaskSpec,
     Workload,
+    measured_workload,
     offline_workload,
     online_workload,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "TaskRecord",
     "TaskSpec",
     "Workload",
+    "measured_workload",
     "offline_workload",
     "online_workload",
     "render_gantt",

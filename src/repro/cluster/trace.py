@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkModel, TEN_GBE
+from .network import NetworkModel
 from .simulator import ClusterConfig
 from .workload import Workload
 

@@ -12,16 +12,27 @@ Builders mirror the paper's two experiments:
   over all tasks.
 * :func:`online_workload` — single-subject voxel selection (Table 4):
   one fold, single subject's data.
+
+:func:`measured_workload` is the third source: the per-task seconds a
+real run recorded (``RunContext.task_seconds``), replayed as one fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..data.presets import DatasetSpec
 from ..exec.partition import n_tasks as _partition_n_tasks
 
-__all__ = ["TaskSpec", "FoldSpec", "Workload", "offline_workload", "online_workload"]
+__all__ = [
+    "TaskSpec",
+    "FoldSpec",
+    "Workload",
+    "measured_workload",
+    "offline_workload",
+    "online_workload",
+]
 
 
 @dataclass(frozen=True)
@@ -152,4 +163,31 @@ def online_workload(
         name=f"online/{spec.name}",
         dataset_bytes=spec.bold_bytes() // spec.n_subjects,
         folds=(fold,),
+    )
+
+
+def measured_workload(
+    task_seconds: Sequence[float],
+    dataset_bytes: int,
+    result_bytes: int = 1024,
+) -> Workload:
+    """One-fold workload whose tasks cost what a real run measured.
+
+    ``task_seconds`` is a finished run's ``ctx.task_seconds``;
+    :func:`~repro.cluster.simulator.simulate` then schedules exactly
+    that stream on a simulated cluster — the predicted half of a
+    predicted-vs-measured comparison, made after the run from what it
+    wrote.
+    """
+    if not task_seconds:
+        raise ValueError("no recorded tasks to replay")
+    fold = FoldSpec(
+        tasks=tuple(
+            TaskSpec(max(s, 1e-9), result_bytes=result_bytes)
+            for s in task_seconds
+        ),
+        label="measured-tasks",
+    )
+    return Workload(
+        name="measured-replay", dataset_bytes=dataset_bytes, folds=(fold,)
     )

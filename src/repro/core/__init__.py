@@ -1,13 +1,7 @@
 """The FCMA core: the paper's three-stage pipeline and its two
 implementations (baseline and optimized)."""
 
-from .blocking import (
-    BlockingPlan,
-    PlanCache,
-    default_plan_cache,
-    plan_blocks,
-    plan_key,
-)
+from .blocking import BlockingPlan, plan_blocks
 from .correlation import (
     correlate_baseline,
     correlate_batched,
@@ -46,7 +40,6 @@ __all__ = [
     "BlockingPlan",
     "FCMAConfig",
     "NormalizationWorkspace",
-    "PlanCache",
     "SparseCorrelationResult",
     "SparseStage12Stats",
     "VoxelScores",
@@ -54,7 +47,6 @@ __all__ = [
     "correlate_baseline",
     "correlate_batched",
     "csr_gram_panel",
-    "default_plan_cache",
     "epoch_windows",
     "fisher_z",
     "fuse_normalize_tile",
@@ -64,7 +56,6 @@ __all__ = [
     "normalize_epoch_data",
     "normalize_separated",
     "plan_blocks",
-    "plan_key",
     "preprocess_dataset",
     "score_voxels",
     "score_voxels_reference",

@@ -341,11 +341,16 @@ def run_engine(
     return emitter.finalize()
 
 
-#: Bytes of L2-resident tile each planned voxel row buys (see
-#: :class:`DenseEmitter`).  The planner's own ``B x E x B'`` tile assumes
+#: Bytes of L2-resident tile each budgeted voxel row buys (see
+#: :class:`DenseEmitter`).  The paper's own ``B x E x B'`` tile assumes
 #: a compiled kernel; numpy pays ~50 us of dispatch per tile, which only
-#: amortizes from about a megabyte — 8 planned rows (the AVX seed).
+#: amortizes from about a megabyte — :data:`DENSE_TILE_ROWS` rows.
 DENSE_TILE_BYTES_PER_ROW = 128 * 1024
+
+#: Row budget of the default dense tile: 8 x 128 KiB = 1 MiB (fewer for
+#: a task of fewer rows).  8 is the AVX vector width, the ``B`` the
+#: paper's planner (``core.blocking``) gives a Xeon.
+DENSE_TILE_ROWS = 8
 
 #: Tile widths are whole cache lines of float32.
 _COLUMN_QUANTUM = 16
@@ -368,16 +373,17 @@ class DenseEmitter:
     """Materializes the full dense normalized ``(V, E, N)`` array.
 
     All assigned rows form one sweep (the bitwise contract, see the
-    module docstring); the task is cut into column tiles instead.
-    ``voxel_sweep`` is the blocking planner's voxel block ``B`` — its
-    cache-sizing knob, and the dimension the autotuner measures.  It
-    scales the tile and does not slice rows: a tile spends
-    ``B * DENSE_TILE_BYTES_PER_ROW`` bytes on *all* rows, which fixes
-    its column width.  Output lands in
-    a caller buffer or one allocation, which the engine fills tile by
-    tile.  ``finalize`` returns ``(out, n_tiles)``, ``n_tiles`` counting
-    the column tiles walked, ``ceil(N / tile_cols)`` (the
-    ``stage12_tiles`` counter).
+    module docstring); the task is cut into column tiles instead.  A
+    tile spends ``rows * DENSE_TILE_BYTES_PER_ROW`` bytes on *all*
+    assigned rows, which fixes its column width; ``rows`` is a byte
+    budget, not a row slice.  The default budget is
+    ``min(DENSE_TILE_ROWS, n_assigned)`` — the 1 MiB tile every run
+    walks; ``voxel_sweep`` overrides it (the block-size ablation and the
+    benchmark harness pass the paper planner's voxel block ``B``).
+    Output lands in a caller buffer or one allocation, which the engine
+    fills tile by tile.  ``finalize`` returns ``(out, n_tiles)``,
+    ``n_tiles`` counting the column tiles walked,
+    ``ceil(N / tile_cols)`` (the ``stage12_tiles`` counter).
     """
 
     fused_normalization = True
@@ -389,16 +395,22 @@ class DenseEmitter:
         out: np.ndarray | None = None,
     ) -> None:
         TilePlan(voxel_sweep=voxel_sweep)  # validates
-        self._rows = 8 if voxel_sweep is None else voxel_sweep  # 8: AVX seed
+        self._rows = voxel_sweep
         self._out = out
-        #: Column tiles walked by the engine, and their width
-        #: (introspection/counters).
+        #: Column tiles walked by the engine, their width and the row
+        #: budget that sized them (introspection/counters).
         self.n_tiles = 0
         self.tile_cols = 0
+        self.tile_rows = 0
+
+    def _row_budget(self, shape: EngineShape) -> int:
+        if self._rows is not None:
+            return self._rows
+        return min(DENSE_TILE_ROWS, shape.n_assigned)
 
     def plan(self, shape: EngineShape) -> TilePlan:
         column_bytes = shape.n_assigned * shape.n_epochs * 4
-        cols = self._rows * DENSE_TILE_BYTES_PER_ROW // column_bytes
+        cols = self._row_budget(shape) * DENSE_TILE_BYTES_PER_ROW // column_bytes
         cols = max(_COLUMN_QUANTUM, cols // _COLUMN_QUANTUM * _COLUMN_QUANTUM)
         return TilePlan(
             target_block=gemm_safe_block(cols, shape.n_assigned, shape.n_voxels)
@@ -407,6 +419,7 @@ class DenseEmitter:
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:
         assert plan.target_block is not None
         self.n_tiles, self.tile_cols = 0, plan.target_block
+        self.tile_rows = self._row_budget(shape)
 
     def dense_out(self, shape: EngineShape) -> np.ndarray:
         if self._out is None:

@@ -62,10 +62,11 @@ class FCMAConfig:
     ``sparse-batched`` is the optimized engine materializing CSR
     (``threshold``/``top_k``) instead of a dense array.
 
-    How work is carved for the executors is derived, not configured
-    here beyond ``task_voxels`` / ``target_block``: the pool's tasks
-    per message (``exec.partition.auto_chunksize``) and the 2-D
-    runtime's tile width (``exec.partition.tile_cols_for``).
+    How work is carved is derived, not configured here beyond
+    ``task_voxels`` / ``target_block``: the pool's tasks per message
+    (``exec.partition.auto_chunksize``), the 2-D runtime's tile width
+    (``exec.partition.tile_cols_for``) and the dense engine's tile
+    (``core.engine.DenseEmitter``: 1 MiB, no knob).
     """
 
     variant: Variant = "optimized"
@@ -79,13 +80,6 @@ class FCMAConfig:
     #: Planner block the 2-D tiled runtime sizes its column tiles in
     #: multiples of (``exec.partition.tile_cols_for``).
     target_block: int = 512
-    #: Dense engine: autotune the blocking plan by measuring candidate
-    #: voxel sweeps (see ``core.blocking``) instead of trusting the
-    #: analytic model.
-    autotune_blocks: bool = False
-    #: JSON file for persisting autotuned plans across runs; None keeps
-    #: the process-wide in-memory cache.
-    plan_cache_path: str | None = None
     #: Folds for single-subject (online) CV, used when the dataset has
     #: only one subject and LOSO is impossible.
     online_folds: int = 4
@@ -100,7 +94,7 @@ class FCMAConfig:
     #: ``sparse-batched`` only: keep the k strongest correlations per
     #: (voxel, epoch) row.
     top_k: int | None = None
-    #: Seconds before a blocked communicator receive/collective aborts.
+    #: Seconds before a blocked communicator receive aborts.
     #: ``None`` falls back to the ``FCMA_COMM_TIMEOUT`` environment
     #: variable, then 120 s (see :func:`repro.parallel.comm.default_timeout`).
     comm_timeout: float | None = None

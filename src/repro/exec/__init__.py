@@ -4,7 +4,7 @@ This package is the single seam every FCMA entry point runs through:
 
 * :mod:`repro.exec.partition` — the one task-partitioning helper;
 * :mod:`repro.exec.context` — :class:`RunContext`, the shared carrier of
-  config, seeds, hardware model, and per-stage instrumentation;
+  config, seeds, and per-stage instrumentation;
 * :mod:`repro.exec.stage_graph` — the pipeline as explicit stage nodes
   with typed inputs/outputs;
 * :mod:`repro.exec.registry` — named SVM backends and pipeline variants;
@@ -20,6 +20,11 @@ package-level cycle depends on that: the master/worker runtime
 row tasks, and ``repro.exec.executors`` imports that runtime.  No
 module is in a cycle (``stage_graph`` never imports ``executors``); an
 eager ``__init__`` here would put ``tiled`` in one.
+
+Nothing here imports ``repro.hw`` / ``perf`` / ``cluster`` / ``bench``
+(``tests/test_layering.py``): the models read what a run wrote, through
+``repro.obs.perf`` or ``repro.cluster.measured_workload``, and
+``repro.cluster`` importing ``exec.partition`` is one-way.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         ProcessPoolExecutor,
         SerialExecutor,
         make_executor,
-        predicted_schedule,
     )
     from .partition import (
         auto_chunksize,
@@ -73,7 +77,6 @@ _EXPORTS = {
     "ProcessPoolExecutor": "executors",
     "SerialExecutor": "executors",
     "make_executor": "executors",
-    "predicted_schedule": "executors",
     "auto_chunksize": "partition",
     "n_tasks": "partition",
     "partition_rows_by_nnz": "partition",

@@ -2,44 +2,38 @@
 
 Every executor — serial, process pool, master-worker, and the rtfmri
 closed loop — threads a :class:`RunContext` through the stage graph, so
-per-stage wall time and simulated counter events are recorded the same
-way no matter which path executed the work.  Perf models, reports, and
-the ``--json`` CLI output all consume this object instead of scattering
+per-stage wall time and run counters are recorded the same way no
+matter which path executed the work.  Reports and the ``--json`` CLI
+output consume this object instead of scattering
 ``time.perf_counter()`` calls through the drivers.
 
-Since the observability layer (:mod:`repro.obs`) landed, the context's
-recording substrate is a span :class:`~repro.obs.tracer.Tracer`: timer
-blocks open ``stage`` spans, tasks open ``task`` spans, and the legacy
-views — :attr:`RunContext.stages`, :meth:`RunContext.stage_seconds`,
-:attr:`RunContext.task_seconds` — are *derived* by aggregating the
-span list.  ``add_time`` / ``record_task`` / ``add_counters`` remain as
-recording APIs; they append synthetic (zero-width) spans.  Run counters
-(:meth:`increment`) attach ``ctr.*`` metrics to the innermost open span
-for per-task granularity and are mirrored in ``metadata["counters"]``
-as the run-level aggregate.
+The recording substrate is a span :class:`~repro.obs.tracer.Tracer`, and
+it is the *only* one: timer blocks open ``stage`` spans, tasks open
+``task`` spans, :meth:`RunContext.increment` attaches a ``ctr.*`` metric
+to the innermost open span, and every reading —
+:attr:`RunContext.stages`, :attr:`RunContext.task_seconds`,
+:meth:`RunContext.counters` — is *derived* by aggregating the span
+list.  Merging a worker's telemetry is therefore merging its spans.
+The context measures; it models nothing (the performance models read
+the trace afterwards, through :mod:`repro.obs.perf`).
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator, Mapping
 
 import numpy as np
 
-from ..hw.counters import PerfCounters
 from ..obs.span import Span
 from ..obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.pipeline import FCMAConfig
-    from ..hw.spec import HardwareSpec
 
 __all__ = ["RunContext", "StageStats", "StageTimer"]
 
-#: Metric prefix carrying PerfCounters fields on spans.
-_PC_PREFIX = "pc."
 #: Metric prefix carrying run counters on spans.
 _CTR_PREFIX = "ctr."
 
@@ -52,20 +46,6 @@ class StageStats:
     seconds: float = 0.0
     #: Times the stage ran (== tasks for per-task stages).
     calls: int = 0
-    #: Simulated hardware events attributed to the stage, if any model
-    #: emitted them (the paper's Table-1 vocabulary).
-    counters: PerfCounters = field(default_factory=PerfCounters)
-
-    def merge(self, other: "StageStats") -> None:
-        """Fold another stage's accumulation into this one."""
-        self.seconds += other.seconds
-        self.calls += other.calls
-        for f in fields(PerfCounters):
-            setattr(
-                self.counters,
-                f.name,
-                getattr(self.counters, f.name) + getattr(other.counters, f.name),
-            )
 
 
 class StageTimer:
@@ -87,18 +67,15 @@ class RunContext:
         Seed for :meth:`rng`; deterministic components ignore it, but
         any stochastic stage (noise models, heterogeneity draws) must
         draw from here so executors stay seed-reproducible.
-    hardware:
-        Optional hardware model for stages that emit simulated counter
-        events alongside wall time.
     tracer:
         The span tracer recording this run (default: a fresh enabled
         :class:`~repro.obs.tracer.Tracer`).  Inject one with a fake
         clock for deterministic trace tests, or a disabled tracer to
-        measure tracing overhead.
+        measure tracing overhead — a disabled tracer records nothing,
+        run counters included.
 
-    Mutation is lock-protected where state is shared (metadata
-    counters); the tracer has its own internal locking, so the
-    master-worker executor's thread ranks may share one context.
+    All recorded state lives in the tracer, which has its own locking,
+    so the master-worker executor's thread ranks may share one context.
     """
 
     def __init__(
@@ -106,7 +83,6 @@ class RunContext:
         config: "FCMAConfig | None" = None,
         *,
         seed: int | None = None,
-        hardware: "HardwareSpec | None" = None,
         tracer: Tracer | None = None,
     ) -> None:
         if config is None:
@@ -115,12 +91,10 @@ class RunContext:
             config = FCMAConfig()
         self.config = config
         self.seed = seed
-        self.hardware = hardware
         self.tracer = tracer if tracer is not None else Tracer()
-        #: Free-form run annotations (executor name, worker count,
-        #: predicted-vs-measured blocks, ...).
+        #: Free-form run annotations (executor name, worker count, the
+        #: walked tile, the finished run's counter totals, ...).
         self.metadata: dict[str, Any] = {}
-        self._lock = threading.Lock()
 
     # -- determinism -----------------------------------------------------
 
@@ -198,31 +172,15 @@ class RunContext:
             metrics={"calls": float(calls)},
         )
 
-    def add_counters(self, stage: str, counters: PerfCounters) -> None:
-        """Attribute simulated hardware events to ``stage``.
-
-        Recorded as a zero-width stage span carrying the counters as
-        ``pc.*`` metrics (``calls=0`` so call counts stay timer-driven).
-        """
-        metrics: dict[str, float] = {"calls": 0.0}
-        for f in fields(PerfCounters):
-            value = float(getattr(counters, f.name))
-            if value:
-                metrics[_PC_PREFIX + f.name] = value
-        self.tracer.record(stage, kind="stage", metrics=metrics)
-
     def increment(self, name: str, value: int | float = 1) -> None:
         """Add ``value`` to the named run counter.
 
-        The counter lands twice, by design: as a ``ctr.<name>`` metric
-        on the innermost open span (per-task/per-stage granularity in
-        the trace) and aggregated in ``metadata["counters"]`` (the
-        run-level view that travels with :meth:`export`, sums under
-        :meth:`merge` / :meth:`merge_export`, and feeds ``--json``).
-        Values are usually integral tallies but may be fractional
-        (``stage12_density`` accumulates a kept-fraction per task);
-        :meth:`counter` truncates, so read fractional counters from
-        ``metadata["counters"]`` directly.
+        The one write is a ``ctr.<name>`` metric on the innermost open
+        span (per-task/per-stage granularity in the trace); totals are
+        read back with :meth:`counters`.  Values are usually integral
+        tallies but may be fractional (``stage12_density`` accumulates
+        a kept-fraction per task).  A disabled tracer records nothing,
+        so its context counts nothing.
         """
         if not self.tracer.add_metric(_CTR_PREFIX + name, float(value)):
             # No span open (library use outside a run): keep the counter
@@ -230,28 +188,6 @@ class RunContext:
             self.tracer.record(
                 name, kind="counter", metrics={_CTR_PREFIX + name: float(value)}
             )
-        with self._lock:
-            counters = self.metadata.setdefault("counters", {})
-            counters[name] = counters.get(name, 0) + value
-
-    def counter(self, name: str) -> int:
-        """Current value of a run counter (0 if never incremented)."""
-        with self._lock:
-            counters = self.metadata.get("counters", {})
-            return int(counters.get(name, 0))
-
-    def record_task(self, seconds: float) -> None:
-        """Record one completed task's total pipeline seconds.
-
-        The per-task stream is what the cluster simulator replays for
-        predicted-vs-measured schedule comparisons.  Tasks executed
-        through :func:`~repro.exec.stage_graph.execute_task` record
-        their span directly; this API remains for externally measured
-        tasks and appends a synthetic task span.
-        """
-        if seconds < 0:
-            raise ValueError("seconds must be >= 0")
-        self.tracer.record("task", kind="task", seconds=seconds)
 
     def merge(self, other: "RunContext") -> None:
         """Fold another context's telemetry into this one.
@@ -259,52 +195,22 @@ class RunContext:
         Used by executors whose workers each accumulate privately (the
         process pool cannot share memory; master-worker ranks could but
         merging keeps the hot path lock-free).  The other context's
-        spans are re-rooted under the calling thread's open span (the
-        run span, when merged by an executor).
+        spans — stage time, tasks and counters alike — are re-rooted
+        under the calling thread's open span (the run span, when merged
+        by an executor).
         """
         self.tracer.merge(other.tracer)
-        with self._lock:
-            counters = self.metadata.setdefault("counters", {})
-            for name, value in other.metadata.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
 
     def export(self) -> dict[str, Any]:
-        """Picklable telemetry snapshot (no locks, no config).
-
-        This is the form process-pool workers ship home; fold it back
-        with :meth:`merge_export`.  ``spans`` is the source of truth;
-        the stage/task/counter summaries ride along for consumers that
-        want the aggregate without reassembling the trace.
-        """
-        return {
-            "stages": {
-                name: {"seconds": stats.seconds, "calls": stats.calls}
-                for name, stats in self.stages.items()
-            },
-            "task_seconds": list(self.task_seconds),
-            "counters": dict(self.metadata.get("counters", {})),
-            "spans": self.tracer.export(),
-        }
+        """Picklable telemetry snapshot (no locks, no config): the span
+        records process-pool and TCP workers ship home; fold it back
+        with :meth:`merge_export`."""
+        return {"spans": self.tracer.export()}
 
     def merge_export(self, payload: Mapping[str, Any]) -> None:
-        """Fold an :meth:`export` snapshot from another process in.
-
-        Prefers the payload's span records (re-rooted under the calling
-        thread's open span); falls back to the legacy stage/task
-        summaries for payloads produced before the tracing layer.
-        """
-        spans = payload.get("spans")
-        if spans:
-            self.tracer.merge(spans)
-        else:
-            for stage, stats in payload.get("stages", {}).items():
-                self.add_time(stage, stats["seconds"], calls=stats["calls"])
-            for seconds in payload.get("task_seconds", ()):
-                self.record_task(seconds)
-        with self._lock:
-            counters = self.metadata.setdefault("counters", {})
-            for name, value in payload.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
+        """Fold an :meth:`export` snapshot from another process in,
+        re-rooted under the calling thread's open span."""
+        self.tracer.merge(payload["spans"])
 
     # -- reading (derived views over the trace) --------------------------
 
@@ -313,8 +219,7 @@ class RunContext:
         """Per-stage telemetry, aggregated from the trace's stage spans.
 
         Keys appear in first-recorded order; seconds and calls sum over
-        every closed span of the stage, and ``pc.*`` metrics fold back
-        into :class:`~repro.hw.counters.PerfCounters`.
+        every closed span of the stage.
         """
         out: dict[str, StageStats] = {}
         for span in self.tracer.spans():
@@ -323,14 +228,6 @@ class RunContext:
             stats = out.setdefault(span.name, StageStats())
             stats.seconds += span.metrics.get("wall_seconds", span.duration)
             stats.calls += int(span.metrics.get("calls", 1.0))
-            for mname, value in span.metrics.items():
-                if mname.startswith(_PC_PREFIX):
-                    pc_field = mname[len(_PC_PREFIX):]
-                    setattr(
-                        stats.counters,
-                        pc_field,
-                        getattr(stats.counters, pc_field) + value,
-                    )
         return out
 
     def stage_seconds(self) -> dict[str, float]:
@@ -347,6 +244,26 @@ class RunContext:
             if span.kind == "task" and span.closed
         ]
 
+    def counters(self) -> dict[str, int | float]:
+        """Run-counter totals: every ``ctr.*`` metric summed over the
+        trace (own and merged spans), in first-recorded order.  Integral
+        totals read as ``int``."""
+        totals: dict[str, float] = {}
+        for span in self.tracer.spans():
+            for mname, value in span.metrics.items():
+                if mname.startswith(_CTR_PREFIX):
+                    name = mname[len(_CTR_PREFIX):]
+                    totals[name] = totals.get(name, 0.0) + value
+        return {
+            name: int(value) if value.is_integer() else value
+            for name, value in totals.items()
+        }
+
+    def counter(self, name: str) -> int:
+        """Current value of a run counter (0 if never incremented),
+        truncated; read fractional counters from :meth:`counters`."""
+        return int(self.counters().get(name, 0))
+
     def timing_report(self) -> dict[str, Any]:
         """JSON-serializable run telemetry (the ``--json`` CLI payload)."""
         stages = {
@@ -362,4 +279,5 @@ class RunContext:
             "n_spans": len(self.tracer),
         }
         report.update(self.metadata)
+        report["counters"] = self.counters()
         return report

@@ -12,9 +12,12 @@ equivalence test):
   (:mod:`repro.exec.shared_dataset`) over a local process pool;
 * :class:`MasterWorkerExecutor` — the paper's pull-based master/worker
   runtime (:mod:`repro.parallel.tiled`: one loop, row tasks or 2-D
-  tiles) over thread or TCP ranks, which additionally replays its
-  measured task stream through the discrete-event cluster simulator
-  for a predicted-vs-measured schedule comparison.
+  tiles) over thread or TCP ranks.
+
+Executors measure and model nothing.  A finished run's task stream
+(``ctx.task_seconds``) is what
+:func:`repro.cluster.measured_workload` turns into a simulator replay,
+after the fact and outside the run.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 from numpy.typing import NDArray
 
-from ..cluster.simulator import ClusterConfig, SimulationResult, simulate
-from ..cluster.workload import FoldSpec, TaskSpec, Workload
 from ..core.engine import set_host_workers
 from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import VoxelScores
@@ -63,7 +64,6 @@ __all__ = [
     "SerialExecutor",
     "EXECUTOR_NAMES",
     "make_executor",
-    "predicted_schedule",
 ]
 
 
@@ -96,6 +96,8 @@ def _finish(
     ctx.metadata["executor"] = executor.name
     ctx.metadata["n_tasks"] = n_tasks
     ctx.metadata["measured_elapsed_s"] = elapsed
+    # The finished run's totals, where reports read them after the run.
+    ctx.metadata["counters"] = ctx.counters()
 
 
 class SerialExecutor:
@@ -262,11 +264,6 @@ class MasterWorkerExecutor:
       the same protocol against real worker *processes* (spawned
       locally when ``spawn=True``, or joined externally via ``fcma
       worker --connect``), so the run spans multiple cores or hosts.
-
-    After the run, the measured per-task stream is replayed through the
-    cluster simulator (:func:`predicted_schedule`) and the predicted
-    elapsed time lands in ``ctx.metadata["predicted"]`` next to the
-    measured one — the predicted-vs-measured hook the perf models use.
     """
 
     name = "master-worker"
@@ -359,14 +356,6 @@ class MasterWorkerExecutor:
             ctx.metadata["n_workers"] = self.n_workers
             ctx.metadata["transport"] = self.transport
             ctx.metadata["partition"] = self.partition
-            # The predicted-vs-measured replay runs inside the run span,
-            # so the simulator's own kernel span lands in the trace.
-            predicted = predicted_schedule(ctx, dataset, self.n_workers)
-            ctx.metadata["predicted"] = {
-                "elapsed_s": predicted.elapsed_seconds,
-                "utilization": predicted.utilization,
-                "n_workers": predicted.n_workers,
-            }
         return scores
 
     def _serve(
@@ -475,39 +464,6 @@ class MasterWorkerExecutor:
                     proc.wait(timeout=10)
                 except Exception:
                     proc.kill()
-
-
-def predicted_schedule(
-    ctx: RunContext,
-    dataset: FMRIDataset,
-    n_workers: int,
-    cluster: ClusterConfig | None = None,
-) -> SimulationResult:
-    """Replay a run's measured task stream through the cluster simulator.
-
-    Builds a one-fold :class:`~repro.cluster.workload.Workload` whose
-    per-task compute times are the seconds :func:`execute_task` actually
-    recorded in ``ctx``, then schedules it on a simulated cluster —
-    the predicted half of every predicted-vs-measured comparison.
-    """
-    task_seconds = ctx.task_seconds
-    if not task_seconds:
-        raise ValueError("context has no recorded tasks to replay")
-    result_bytes = ctx.config.task_voxels * 8
-    fold = FoldSpec(
-        tasks=tuple(
-            TaskSpec(max(s, 1e-9), result_bytes=result_bytes)
-            for s in task_seconds
-        ),
-        label="measured-tasks",
-    )
-    workload = Workload(
-        name="measured-replay",
-        dataset_bytes=dataset.nbytes(),
-        folds=(fold,),
-    )
-    config = cluster if cluster is not None else ClusterConfig(n_workers=n_workers)
-    return simulate(workload, config)
 
 
 #: CLI / factory names of the built-in executors.

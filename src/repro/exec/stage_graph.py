@@ -16,13 +16,13 @@ one alternative materialization:
   correlation, separated normalization, LibSVM-style scoring);
 * ``optimized`` — the paper's Section 4 as the tiled engine
   (``core.engine``): L2-sized column tiles, each gemm-ed and normalized
-  while cache-resident (idea #2) and dealt to the engine's thread pool,
-  with the tile scaled by the blocking planner's voxel block
-  (optionally autotuned and plan-cached; see ``core.blocking``), so the
-  graph has a fused ``correlate+normalize`` node followed by a batched
-  ``score``.  ``optimized-batched`` is an accepted spelling: the same
-  builder is registered under both names and nothing branches on which
-  one a config used;
+  while cache-resident (idea #2) and dealt to the engine's thread pool
+  (the tile is the engine's own 1 MiB default; see
+  ``core.engine.DenseEmitter``), so the graph has a fused
+  ``correlate+normalize`` node followed by a batched ``score``.
+  ``optimized-batched`` is an accepted spelling: the same builder is
+  registered under both names and nothing branches on which one a
+  config used;
 * ``sparse-batched`` — the same engine walk filtered to CSR while each
   tile is resident, scored through sparse Grams.
 
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core import blocking
 from ..core.correlation import correlate_baseline, stage1_input_copies
 from ..core.engine import DenseEmitter, run_engine, thread_budget
 from ..core.normalization import normalize_separated
@@ -182,58 +181,19 @@ def _normalize_separated(
     return {"correlations": corr}
 
 
-def _resolve_blocking_plan(
-    ctx: RunContext,
-    z: NDArray[Any],
-    assigned: NDArray[Any],
-    e_per_subject: int,
-) -> blocking.BlockingPlan:
-    """Plan lookup of the dense engine stage: hardware-model default,
-    plan-cache accounting, trace span, counters, and the run-metadata
-    record."""
-    config = ctx.config
-    hw = ctx.hardware
-    if hw is None:
-        from ..hw import E5_2670
-
-        hw = E5_2670
-    cache_path = getattr(config, "plan_cache_path", None)
-    # Looked up through the module so tests can swap the process-wide
-    # default cache.
-    cache = (
-        blocking.PlanCache(cache_path)
-        if cache_path
-        else blocking.default_plan_cache()
-    )
-    hits0, misses0 = cache.hits, cache.misses
-    with ctx.tracer.span("plan_blocks", kind="kernel") as span:
-        plan = blocking.plan_blocks(
-            hw,
-            epochs_per_subject=e_per_subject,
-            epoch_length=z.shape[2],
-            n_assigned=assigned.size,
-            n_voxels=z.shape[1],
-            autotune=getattr(config, "autotune_blocks", False),
-            cache=cache,
-        )
-        span.add_metric("cache_hits", float(cache.hits - hits0))
-        span.add_metric("cache_misses", float(cache.misses - misses0))
-    ctx.increment("plan_cache_hits", cache.hits - hits0)
-    ctx.increment("plan_cache_misses", cache.misses - misses0)
+def _note_walk(
+    ctx: RunContext, rows: int, tile_cols: int, n_epochs: int
+) -> None:
+    """Record the tile the engine walked (``fcma run --json``): its row
+    budget or sweep, column width and epochs — a tile holds every
+    epoch — and the derived thread budget."""
     ctx.metadata["blocking_plan"] = {
-        "voxel_block": plan.voxel_block,
-        "target_block": plan.target_block,
-        "epoch_block": plan.epoch_block,
+        "voxel_block": rows,
+        "target_block": tile_cols,
+        "epoch_block": n_epochs,
+        "tile_cols": tile_cols,
+        "engine_threads": thread_budget(),
     }
-    return plan
-
-
-def _note_walk(ctx: RunContext, tile_cols: int) -> None:
-    """Record the engine walk next to the plan it came from: the tile
-    width and the derived thread budget (``fcma run --json``)."""
-    ctx.metadata["blocking_plan"].update(
-        tile_cols=tile_cols, engine_threads=thread_budget()
-    )
 
 
 def _note_emitter(ctx: RunContext, name: str) -> None:
@@ -248,13 +208,12 @@ def _correlate_batched_fused(
     z = state["windows"]
     assigned = state["assigned"]
     e_per_subject = state["grouped"].epochs.epochs_per_subject()
-    plan = _resolve_blocking_plan(ctx, z, assigned, e_per_subject)
     input_copies = stage1_input_copies(z)
-    emitter = DenseEmitter(voxel_sweep=plan.voxel_block)
+    emitter = DenseEmitter()
 
     with ctx.tracer.span("correlate_normalize_batched", kind="kernel") as span:
         corr, n_tiles = run_engine(z, assigned, e_per_subject, emitter)
-        _note_walk(ctx, emitter.tile_cols)
+        _note_walk(ctx, emitter.tile_rows, emitter.tile_cols, z.shape[0])
         span.add_metric("tiles", float(n_tiles))
         span.add_metric("voxels", float(assigned.size))
         span.add_metric("bytes_moved", float(z.nbytes + corr.nbytes))
@@ -273,14 +232,9 @@ def _correlate_sparse_fused(
     z = state["windows"]
     assigned = state["assigned"]
     e_per_subject = state["grouped"].epochs.epochs_per_subject()
-    # The dense planner's L2 tiles are wrong for the filter-dominated
+    # The dense emitter's L2 tiles are wrong for the filter-dominated
     # sparse loop — use the engine's dispatch-amortizing tile plan.
     sweep, t_block = sparse_tile_plan(assigned.size, z.shape[0], z.shape[1])
-    ctx.metadata["blocking_plan"] = {
-        "voxel_block": sweep,
-        "target_block": t_block,
-        "epoch_block": z.shape[0],
-    }
     input_copies = stage1_input_copies(z)
     emitter = CSREmitter(
         threshold=config.threshold,
@@ -291,7 +245,7 @@ def _correlate_sparse_fused(
 
     with ctx.tracer.span("correlate_normalize_sparse", kind="kernel") as span:
         result, stats = run_engine(z, assigned, e_per_subject, emitter)
-        _note_walk(ctx, t_block)
+        _note_walk(ctx, sweep, t_block, z.shape[0])
         span.add_metric("tiles", float(stats.n_tiles))
         span.add_metric("tiles_pruned", float(stats.tiles_pruned))
         span.add_metric("voxels", float(assigned.size))

@@ -9,8 +9,8 @@ extend it without registration:
 
 * ``pc.<field>`` — a :class:`~repro.hw.counters.PerfCounters` field
   (the paper's Table-1 vocabulary) attributed to the span;
-* ``ctr.<name>`` — a free-form run counter (plan-cache hits, ...)
-  mirrored from :meth:`repro.exec.context.RunContext.increment`;
+* ``ctr.<name>`` — a free-form run counter (tiles walked, wire bytes,
+  ...) written by :meth:`repro.exec.context.RunContext.increment`;
 * ``acc.<scenario>.<metric>`` — ground-truth accuracy scores from the
   scenario harness (:mod:`repro.eval.scenarios`): deterministic
   retrieval metrics (``roc_auc``, ``average_precision``,

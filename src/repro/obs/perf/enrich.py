@@ -157,7 +157,7 @@ def predict_kernel(
     """Model one kernel span's counters and elapsed seconds.
 
     ``name`` is a stage-graph kernel span name; returns ``None`` for
-    kernels with no model (``plan_blocks``, solver internals).  For the
+    kernels with no model (solver internals).  For the
     scoring node, ``variant`` selects the implementation pair the run
     actually used (baseline -> MKL syrk + LibSVM; optimized ->
     panel syrk + PhiSVM).  The sparse kernel additionally needs its
@@ -237,8 +237,7 @@ def enrich_spans(
 
     Geometry and pipeline variant default to what the trace's run span
     recorded; ``hw`` defaults to the Xeon host model.  Each enriched
-    span gains the modeled ``pc.*`` counter fields (nonzero only, the
-    :meth:`~repro.exec.context.RunContext.add_counters` convention) plus
+    span gains the modeled ``pc.*`` counter fields (nonzero only) plus
     ``predicted_seconds`` and ``predicted_gflops``.  Spans already
     carrying ``predicted_seconds`` are left untouched (idempotent), as
     are spans whose kernel has no model or whose geometry violates the

@@ -23,7 +23,14 @@ import os
 import platform
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import (
+    MISSING,
+    Field,
+    dataclass,
+    field,
+    fields,
+    is_dataclass,
+)
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -91,12 +98,19 @@ def current_git_sha(cwd: str | Path | None = None) -> str:
 
 
 def config_fingerprint(*parts: Any) -> str:
-    """Short stable hash of configuration objects.
+    """Short stable hash of what was *configured*.
 
-    Dataclass-ish objects contribute their ``__dict__`` (or themselves
-    when primitive); ordering is canonicalized so equal configs hash
-    equal across processes.
+    A dataclass contributes only the fields whose value differs from
+    the field's default, so adding or deleting a defaulted field — a
+    knob nobody set — leaves every existing hash alone and a history
+    series survives the refactor.  Mappings contribute all their items,
+    other objects their ``__dict__``; ordering is canonicalized so equal
+    configs hash equal across processes.
     """
+
+    def _default(f: Field[Any]) -> Any:
+        # MISSING for a required field, which no value equals.
+        return f.default if f.default_factory is MISSING else f.default_factory()
 
     def _plain(obj: Any) -> Any:
         if obj is None or isinstance(obj, (bool, int, float, str)):
@@ -105,6 +119,12 @@ def config_fingerprint(*parts: Any) -> str:
             return {str(k): _plain(v) for k, v in sorted(obj.items())}
         if isinstance(obj, (list, tuple)):
             return [_plain(v) for v in obj]
+        if is_dataclass(obj) and not isinstance(obj, type):
+            return {
+                f.name: _plain(value)
+                for f in fields(obj)
+                if (value := getattr(obj, f.name)) != _default(f)
+            }
         inner = getattr(obj, "__dict__", None)
         if inner:
             return {str(k): _plain(v) for k, v in sorted(inner.items())}

@@ -1,24 +1,23 @@
 """MPI-like communicator over pluggable transports.
 
 The paper's cluster framework communicates "via MPI calls".  mpi4py is
-not available in this environment, so this module provides a faithful
-subset of the MPI point-to-point and collective API — ``send``/``recv``
-with tags, ``bcast``, ``scatter``, ``gather``, ``allgather``,
-``allreduce``, and ``barrier`` — over a *transport* seam:
+not available in this environment, so this module provides the subset
+of the MPI API the master/worker runtime uses — ``send``/``recv`` with
+tags and ``bcast`` — over a *transport* seam:
 
 * :class:`CommGroup` is the in-process thread transport (the historical
-  default): rank mailboxes are queues, the barrier is
-  ``threading.Barrier``, and everything runs deterministically in one
-  process.  Results through this transport are bitwise-identical to the
-  pre-transport implementation.
+  default): rank mailboxes are queues and everything runs
+  deterministically in one process.  Results through this transport are
+  bitwise-identical to the pre-transport implementation.
 * :class:`repro.parallel.transport.TcpTransport` speaks the same
   interface over length-prefixed socket frames, so the unchanged
   master-worker protocol spans real processes and hosts.
 
 A transport implements the small :class:`Transport` surface —
-``deliver`` / ``poll`` / ``stash`` / ``barrier`` / ``stats`` — and
-:class:`Comm` layers the MPI-flavoured API (selective receive,
-collectives, timeout errors with rank/tag/elapsed context) on top.
+``deliver`` / ``poll`` / ``stash`` / ``stats`` — and :class:`Comm`
+layers the MPI-flavoured API (selective receive, broadcast, timeout
+errors with rank/tag/elapsed context) on top.  Every blocking call is
+a receive, so :class:`CommTimeoutError` has one source.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol
 
 __all__ = [
     "ANY_SOURCE",
@@ -51,7 +50,7 @@ ANY_SOURCE = -1
 #: Wildcard message tag for :meth:`Comm.recv`.
 ANY_TAG = -1
 
-#: Seconds before a blocked collective/recv aborts (deadlock guard in
+#: Seconds before a blocked receive aborts (deadlock guard in
 #: tests; generous enough for real work).  Overridable per run via the
 #: ``FCMA_COMM_TIMEOUT`` environment variable or
 #: ``FCMAConfig.comm_timeout``.
@@ -60,7 +59,7 @@ _DEFAULT_TIMEOUT = 120.0
 #: Environment override for the default communicator timeout.
 _TIMEOUT_ENV_VAR = "FCMA_COMM_TIMEOUT"
 
-#: First tag reserved for internal (collective/control) messages; user
+#: First tag reserved for internal (broadcast/control) messages; user
 #: tags must stay below it.
 _COLL_TAG_BASE = 1_000_000
 
@@ -95,7 +94,7 @@ def default_timeout() -> float:
 
 
 class CommTimeoutError(TimeoutError):
-    """A blocked receive or collective exceeded the transport timeout."""
+    """A blocked receive exceeded the transport timeout."""
 
 
 @dataclass
@@ -171,8 +170,7 @@ class Transport(Protocol):
     a wire) and returns the bytes charged to the sender; ``poll`` blocks
     for the next message addressed to ``rank``; ``stash`` is the
     per-rank buffer of messages popped but not yet matched (selective
-    receive); ``barrier`` synchronizes all ranks; ``stats`` exposes the
-    per-rank traffic counters.
+    receive); ``stats`` exposes the per-rank traffic counters.
     """
 
     @property
@@ -187,13 +185,11 @@ class Transport(Protocol):
 
     def stash(self, rank: int) -> list[Message]: ...
 
-    def barrier(self, rank: int) -> None: ...
-
     def stats(self, rank: int) -> CommStats: ...
 
 
 class CommGroup:
-    """The in-process thread transport: queue mailboxes + a Barrier.
+    """The in-process thread transport: queue mailboxes.
 
     Shared state of one communicator; :meth:`comm` hands out the
     per-rank :class:`Comm` endpoints the SPMD ranks use.
@@ -213,7 +209,6 @@ class CommGroup:
         # Per-rank stash of messages popped while matching selectively.
         self._stashes: list[list[Message]] = [[] for _ in range(size)]
         self._stats = [CommStats() for _ in range(size)]
-        self._barrier = threading.Barrier(size)
 
     @property
     def size(self) -> int:
@@ -245,15 +240,6 @@ class CommGroup:
 
     def stash(self, rank: int) -> list[Message]:
         return self._stashes[rank]
-
-    def barrier(self, rank: int) -> None:
-        try:
-            self._barrier.wait(timeout=self._timeout)
-        except threading.BrokenBarrierError:
-            raise CommTimeoutError(
-                f"rank {rank}: barrier broken or timed out after "
-                f"{self._timeout}s"
-            ) from None
 
     def stats(self, rank: int) -> CommStats:
         return self._stats[rank]
@@ -376,11 +362,7 @@ class Comm:
             f"is legitimately this slow"
         ) from None
 
-    # -- collectives -------------------------------------------------------
-
-    def barrier(self) -> None:
-        """Synchronize all ranks."""
-        self._transport.barrier(self._rank)
+    # -- broadcast ---------------------------------------------------------
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root`` to everyone; returns it."""
@@ -392,45 +374,6 @@ class Comm:
             return obj
         _, _, received, _ = self.recv_timed(source=root, tag=tag)
         return received
-
-    def scatter(self, objs: Sequence[Any] | None = None, root: int = 0) -> Any:
-        """Scatter one element of ``objs`` to each rank."""
-        tag = _COLL_TAG_BASE + 2
-        if self._rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(f"scatter needs exactly {self.size} items")
-            for dest in range(self.size):
-                if dest != root:
-                    self._send_internal(objs[dest], dest, tag)
-            return objs[root]
-        _, _, received, _ = self.recv_timed(source=root, tag=tag)
-        return received
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Gather one object per rank at ``root`` (rank order preserved)."""
-        tag = _COLL_TAG_BASE + 3
-        if self._rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            for _ in range(self.size - 1):
-                src, _, payload, _ = self.recv_timed(tag=tag)
-                out[src] = payload
-            return out
-        self._send_internal(obj, root, tag)
-        return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        """Gather at rank 0, then broadcast the list."""
-        gathered = self.gather(obj, root=0)
-        return list(self.bcast(gathered, root=0))
-
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
-        """Reduce with binary ``op`` across ranks; all ranks get the result."""
-        values = self.allgather(obj)
-        acc = values[0]
-        for v in values[1:]:
-            acc = op(acc, v)
-        return acc
 
 
 def run_ranks(

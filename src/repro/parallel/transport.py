@@ -64,9 +64,7 @@ _K_MSG = 1        # routed message: src, dest, tag, pickled payload
 _K_HELLO = 2      # worker -> master: join request
 _K_WELCOME = 3    # master -> worker: assigned rank + world size
 _K_HEARTBEAT = 4  # either direction: liveness
-_K_BARRIER = 5    # worker -> master: arrived at barrier
-_K_RELEASE = 6    # master -> worker: barrier released
-_K_BYE = 7        # either direction: clean shutdown, not a loss
+_K_BYE = 5        # either direction: clean shutdown, not a loss
 
 _HEAD = struct.Struct("!iiqI")  # src, dest, tag, n_buffers
 _LEN = struct.Struct("!Q")
@@ -99,9 +97,8 @@ def _read_frame(
     """Read one frame: ``(kind, msg_header, chunks)``.
 
     For ``_K_MSG`` the header is ``(src, dest, tag)`` and ``chunks`` is
-    the pickle body followed by its out-of-band buffers; for WELCOME and
-    BARRIER the two ints ride in ``msg_header[:2]``; other kinds carry
-    nothing.
+    the pickle body followed by its out-of-band buffers; for WELCOME
+    the two ints ride in ``msg_header[:2]``; other kinds carry nothing.
     """
     magic = bytes(_recv_exact(sock, 4))
     if magic != _MAGIC:
@@ -115,7 +112,7 @@ def _read_frame(
         ]
         chunks = [_recv_exact(sock, n) for n in lens]
         return kind, (src, dest, tag), chunks
-    if kind in (_K_WELCOME, _K_BARRIER):
+    if kind == _K_WELCOME:
         a, b = _PAIR.unpack(bytes(_recv_exact(sock, _PAIR.size)))
         return kind, (a, b, 0), []
     return kind, None, []
@@ -147,7 +144,7 @@ def _raw_frame(src: int, dest: int, tag: int, chunks: Sequence[Any]) -> list[Any
 def _control_frame(kind: int, a: int = 0, b: int = 0) -> bytes:
     head = bytearray(_MAGIC)
     head.append(kind)
-    if kind in (_K_WELCOME, _K_BARRIER):
+    if kind == _K_WELCOME:
         head += _PAIR.pack(a, b)
     return bytes(head)
 
@@ -256,15 +253,12 @@ class TcpTransport:
         self._local_stats = CommStats()
         self._closed = threading.Event()
         self._threads: list[threading.Thread] = []
-        # Master-side routing + barrier state.
+        # Master-side routing state.
         self._peers: dict[int, _Peer] = {}
-        self._barrier_cv = threading.Condition()
-        self._barrier_arrived: set[int] = set()
         # Worker-side link to the master.
         self._master_sock: socket.socket | None = None
         self._master_lock = threading.Lock()
         self._master_last_seen = time.monotonic()
-        self._releases: "queue.Queue[int]" = queue.Queue()
 
     # -- construction ----------------------------------------------------
 
@@ -405,43 +399,6 @@ class TcpTransport:
             if p.alive
         }
 
-    def barrier(self, rank: int) -> None:
-        self._check(rank)
-        if self._rank == 0:
-            deadline = time.monotonic() + self._timeout
-            with self._barrier_cv:
-                while True:
-                    alive = {r for r, p in self._peers.items() if p.alive}
-                    if alive <= self._barrier_arrived:
-                        self._barrier_arrived -= alive
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._barrier_cv.wait(remaining):
-                        raise CommTimeoutError(
-                            f"rank 0: barrier timed out after {self._timeout}s "
-                            f"(arrived: {sorted(self._barrier_arrived)}, "
-                            f"alive: {sorted(alive)})"
-                        )
-            for r in sorted(alive):
-                peer = self._peers[r]
-                self._send_parts(
-                    peer.sock, peer.lock, [_control_frame(_K_RELEASE)]
-                )
-        else:
-            sock = self._master_sock
-            if sock is None:
-                raise ConnectionError("transport is closed")
-            self._send_parts(
-                sock, self._master_lock, [_control_frame(_K_BARRIER, self._rank, 0)]
-            )
-            try:
-                self._releases.get(timeout=self._timeout)
-            except queue.Empty:
-                raise CommTimeoutError(
-                    f"rank {self._rank}: barrier release not received "
-                    f"within {self._timeout}s"
-                ) from None
-
     # -- internals -------------------------------------------------------
 
     def _local_deliver(self, src: int, tag: int, payload: Any, nbytes: int) -> None:
@@ -478,10 +435,6 @@ class TcpTransport:
                                 target.lock,
                                 _raw_frame(src, dest, tag, chunks),
                             )
-                elif kind == _K_BARRIER and header is not None:
-                    with self._barrier_cv:
-                        self._barrier_arrived.add(header[0])
-                        self._barrier_cv.notify_all()
                 elif kind == _K_BYE:
                     peer.departed = True
                     return
@@ -504,8 +457,6 @@ class TcpTransport:
                     src, _dest, tag = header
                     nbytes = sum(len(c) for c in chunks)
                     self._local_deliver(src, tag, _decode(chunks), nbytes)
-                elif kind == _K_RELEASE:
-                    self._releases.put(1)
                 elif kind == _K_BYE:
                     return
         except (ConnectionError, OSError):
@@ -553,8 +504,6 @@ class TcpTransport:
             peer.sock.close()
         except OSError:
             pass
-        with self._barrier_cv:
-            self._barrier_cv.notify_all()
         self._local_deliver(peer.rank, TAG_PEER_LOST, None, 0)
 
     def close(self) -> None:

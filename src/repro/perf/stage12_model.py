@@ -19,9 +19,9 @@ decides whether the post-clip passes are cache traffic or DRAM
 traffic.  The engine cuts a task by columns and keeps all rows in a
 tile; the model measures the same cache unit in row-equivalents:
 ``voxel_sweep`` is ``V / tiles``, a slab holding as many bytes as one
-column tile.  This is the quantity the blocking autotuner
-(``core.blocking``) measures directly; the model explains *why* small
-units win and supplies the analytic seed's expected ordering.
+column tile.  This is the quantity the block-size ablation
+(``benchmarks/test_ablation_block_size.py``) measures directly; the
+model explains *why* small units win and the ordering to expect.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ def sweep_fits_l2(
 ) -> bool:
     """Whether a tile stays resident in one thread's L2 share.
 
-    This is the knee the autotuner finds empirically: below it the six
-    post-clip passes run at cache bandwidth, above it each pass
-    re-streams the slab from DRAM.
+    This is the knee the block-size ablation finds empirically: below
+    it the six post-clip passes run at cache bandwidth, above it each
+    pass re-streams the slab from DRAM.
     """
     if not 0.0 < cache_fraction <= 1.0:
         raise ValueError("cache_fraction must be in (0, 1]")

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from repro.cluster import ClusterConfig, simulate
 from repro.cluster.workload import (
     FoldSpec,
     TaskSpec,
     Workload,
+    measured_workload,
     offline_workload,
     online_workload,
 )
@@ -74,3 +76,21 @@ class TestOnlineWorkload:
     def test_single_subject_data_distributed(self):
         w = online_workload(FACE_SCENE, 0.04, 120)
         assert w.dataset_bytes == FACE_SCENE.bold_bytes() // 18
+
+
+class TestMeasuredWorkload:
+    """The replay of a finished run's ``ctx.task_seconds``."""
+
+    def test_replays_measured_task_stream(self):
+        workload = measured_workload(
+            [1.0, 1.0], dataset_bytes=1 << 20, result_bytes=128
+        )
+        assert workload.n_tasks == 2
+        assert workload.folds[0].tasks[0].result_bytes == 128
+        result = simulate(workload, ClusterConfig(n_workers=2))
+        # Two 1-second tasks on two workers: ~1 s plus transfer overheads.
+        assert 1.0 <= result.elapsed_seconds < 2.0
+
+    def test_rejects_empty_stream(self):
+        with pytest.raises(ValueError, match="no recorded tasks"):
+            measured_workload([], dataset_bytes=0)

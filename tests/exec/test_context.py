@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core import FCMAConfig
-from repro.exec.context import RunContext, StageStats
-from repro.hw.counters import PerfCounters
+from repro.exec.context import RunContext
+from repro.obs.tracer import Tracer
 
 
 class TestConstruction:
@@ -61,31 +61,28 @@ class TestTiming:
         with pytest.raises(ValueError):
             RunContext().add_time("s", -0.1)
 
-    def test_record_task_builds_stream(self):
+    def test_task_spans_build_the_stream(self):
         ctx = RunContext()
-        ctx.record_task(0.5)
-        ctx.record_task(0.25)
-        assert ctx.task_seconds == [0.5, 0.25]
+        for first_voxel in (0, 4):
+            with ctx.task_span(4, first_voxel):
+                pass
+        assert len(ctx.task_seconds) == 2
+        assert all(seconds >= 0 for seconds in ctx.task_seconds)
 
-    def test_record_task_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RunContext().record_task(-1.0)
 
-    def test_add_counters_accumulates(self):
-        ctx = RunContext()
-        ctx.add_counters("score", PerfCounters(flops=100))
-        ctx.add_counters("score", PerfCounters(flops=50))
-        assert ctx.stages["score"].counters.flops == 150
+def _task(ctx: RunContext, seconds: float) -> None:
+    """An externally measured task, straight onto the trace."""
+    ctx.tracer.record("task", kind="task", seconds=seconds)
 
 
 class TestMergeAndExport:
     def test_merge_folds_stages_and_tasks(self):
         a, b = RunContext(), RunContext()
         a.add_time("s", 1.0)
-        a.record_task(1.0)
+        _task(a, 1.0)
         b.add_time("s", 2.0)
         b.add_time("t", 0.5)
-        b.record_task(2.0)
+        _task(b, 2.0)
         a.merge(b)
         assert a.stages["s"].seconds == pytest.approx(3.0)
         assert a.stages["s"].calls == 2
@@ -95,20 +92,15 @@ class TestMergeAndExport:
     def test_export_roundtrips_through_pickle(self):
         ctx = RunContext()
         ctx.add_time("correlate", 1.5, calls=3)
-        ctx.record_task(0.5)
+        _task(ctx, 0.5)
         payload = pickle.loads(pickle.dumps(ctx.export()))
+        # Spans are the whole payload: every summary is derived from them.
+        assert set(payload) == {"spans"}
         home = RunContext()
         home.merge_export(payload)
         assert home.stages["correlate"].seconds == pytest.approx(1.5)
         assert home.stages["correlate"].calls == 3
         assert home.task_seconds == [0.5]
-
-    def test_stage_stats_merge_sums_counters(self):
-        a = StageStats(seconds=1.0, calls=1, counters=PerfCounters(flops=10))
-        a.merge(StageStats(seconds=2.0, calls=2, counters=PerfCounters(flops=5)))
-        assert a.seconds == pytest.approx(3.0)
-        assert a.calls == 3
-        assert a.counters.flops == 15
 
 
 class TestTimingReport:
@@ -117,7 +109,7 @@ class TestTimingReport:
 
         ctx = RunContext()
         ctx.add_time("score", 2.0)
-        ctx.record_task(2.0)
+        _task(ctx, 2.0)
         ctx.metadata["executor"] = "serial"
         report = ctx.timing_report()
         assert report["stages"]["score"]["seconds"] == pytest.approx(2.0)
@@ -134,32 +126,56 @@ class TestRunCounters:
         ctx.increment("stage12_tiles")
         ctx.increment("stage12_tiles", 4)
         assert ctx.counter("stage12_tiles") == 5
-        assert ctx.metadata["counters"] == {"stage12_tiles": 5}
+        assert ctx.counters() == {"stage12_tiles": 5}
+
+    def test_one_write_path(self):
+        """The ``ctr.*`` span metric is the only copy: nothing lands in
+        ``metadata`` until an executor stores the finished total."""
+        ctx = RunContext()
+        with ctx.timer("correlate+normalize"):
+            ctx.increment("stage12_tiles", 3)
+        (span,) = ctx.tracer.spans()
+        assert span.metrics["ctr.stage12_tiles"] == 3.0
+        assert "counters" not in ctx.metadata
+
+    def test_integral_totals_read_as_int_fractional_as_float(self):
+        ctx = RunContext()
+        ctx.increment("stage12_nnz", 2)
+        ctx.increment("stage12_density", 0.25)
+        ctx.increment("stage12_density", 0.5)
+        totals = ctx.counters()
+        assert totals == {"stage12_nnz": 2, "stage12_density": 0.75}
+        assert isinstance(totals["stage12_nnz"], int)
+        assert ctx.counter("stage12_density") == 0
 
     def test_counters_survive_pickled_export_roundtrip(self):
         ctx = RunContext()
-        ctx.increment("plan_cache_hits", 2)
-        ctx.increment("plan_cache_misses", 1)
+        ctx.increment("stage12_tiles", 2)
+        ctx.increment("stage12_nnz", 1)
         ctx.add_time("correlate+normalize", 0.5)
         payload = pickle.loads(pickle.dumps(ctx.export()))
         home = RunContext()
-        home.increment("plan_cache_hits", 3)
+        home.increment("stage12_tiles", 3)
         home.merge_export(payload)
-        assert home.counter("plan_cache_hits") == 5
-        assert home.counter("plan_cache_misses") == 1
+        assert home.counters() == {"stage12_tiles": 5, "stage12_nnz": 1}
         assert home.stages["correlate+normalize"].seconds == 0.5
 
     def test_merge_sums_counters(self):
         a, b = RunContext(), RunContext()
         a.increment("stage12_tiles", 7)
         b.increment("stage12_tiles", 5)
-        b.increment("plan_cache_hits")
+        b.increment("emitter_dense_runs")
         a.merge(b)
         assert a.counter("stage12_tiles") == 12
-        assert a.counter("plan_cache_hits") == 1
+        assert a.counter("emitter_dense_runs") == 1
 
     def test_counters_reach_timing_report(self):
         ctx = RunContext()
         ctx.increment("stage12_tiles", 3)
         report = ctx.timing_report()
         assert report["counters"] == {"stage12_tiles": 3}
+
+    def test_disabled_tracer_counts_nothing(self):
+        ctx = RunContext(tracer=Tracer(enabled=False))
+        ctx.increment("stage12_tiles", 3)
+        assert ctx.counters() == {}

@@ -20,7 +20,6 @@ from repro.exec.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
     make_executor,
-    predicted_schedule,
 )
 
 
@@ -61,19 +60,11 @@ class TestCrossExecutorEquivalence:
 
 class TestTraceEquivalence:
     """Executors must record the *same dataflow*, not just the same
-    scores: identical span trees modulo timing, thread ids, and
-    per-process environment state."""
+    scores: identical span trees modulo timing and thread ids.  No
+    per-process state reaches the trace, so only wall-clock metrics are
+    ignored."""
 
-    # Plan-cache state is per process: the serial run warms one cache
-    # for every task while each pool worker starts cold, so hit/miss
-    # counts (and the per-call cache_hits/cache_misses deltas on the
-    # plan_blocks kernel) legitimately differ between executors.
-    IGNORED_METRICS = frozenset(TIMING_METRICS) | {
-        "cache_hits",
-        "cache_misses",
-        "ctr.plan_cache_hits",
-        "ctr.plan_cache_misses",
-    }
+    IGNORED_METRICS = frozenset(TIMING_METRICS)
 
     @staticmethod
     def _run(name: str, dataset, config):
@@ -86,13 +77,9 @@ class TestTraceEquivalence:
 
     @staticmethod
     def _task_forest(ctx):
-        """The per-task spans only: drops the run root (executor-specific
-        attrs) and the master-worker's predicted-schedule replay, which
-        serial runs legitimately lack."""
-        return [
-            s for s in ctx.tracer.spans()
-            if s.kind != "run" and s.name != "cluster.simulate"
-        ]
+        """The per-task spans only: drops the run root
+        (executor-specific attrs)."""
+        return [s for s in ctx.tracer.spans() if s.kind != "run"]
 
     @pytest.mark.parametrize("name", ["pool", "master-worker"])
     @pytest.mark.parametrize("variant", ["optimized", "optimized-batched"])
@@ -176,15 +163,32 @@ class TestTelemetry:
         SerialExecutor().run(tiny_dataset, ctx)
         assert ctx.metadata["executor"] == "serial"
 
-    def test_master_worker_reports_predicted_schedule(
-        self, tiny_dataset, fast_fcma_config
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("pool", {}),
+            ("master-worker", {}),
+            ("master-worker", {"transport": "tcp"}),
+        ],
+        ids=["pool", "mw-thread", "mw-tcp"],
+    )
+    def test_worker_counters_reach_the_run_total(
+        self, tiny_dataset, name, kwargs
     ):
-        ctx = RunContext(fast_fcma_config)
-        MasterWorkerExecutor(n_workers=2).run(tiny_dataset, ctx)
-        predicted = ctx.metadata["predicted"]
-        assert predicted["elapsed_s"] > 0
-        assert 0 < predicted["utilization"] <= 1
-        assert predicted["n_workers"] == 2
+        """Counters are span metrics and nothing else: what a worker
+        context counted arrives with its spans, and the run total is
+        their sum — equal to the serial run's on every transport."""
+        config = FCMAConfig(task_voxels=16, target_block=32)
+        reference = RunContext(config)
+        SerialExecutor().run(tiny_dataset, reference)
+        ctx = RunContext(config)
+        make_executor(name, n_workers=2, **kwargs).run(tiny_dataset, ctx)
+        totals = ctx.counters()
+        assert ctx.metadata["counters"] == totals
+        for key in ("stage12_tiles", "emitter_dense_tiles", "emitter_dense_runs"):
+            assert totals[key] == reference.counters()[key] > 0
+        if name == "master-worker":
+            assert totals["comm.bytes_sent"] > 0 and totals["comm.bytes_recv"] > 0
 
     def test_pool_single_worker_falls_back_to_serial(
         self, tiny_dataset, fast_fcma_config
@@ -195,22 +199,6 @@ class TestTelemetry:
         assert ctx.metadata["n_workers"] == 1
         reference = SerialExecutor().run(tiny_dataset, RunContext(fast_fcma_config))
         np.testing.assert_array_equal(reference.voxels, scores.voxels)
-
-
-class TestPredictedSchedule:
-    def test_replays_measured_task_stream(self, tiny_dataset, fast_fcma_config):
-        ctx = RunContext(fast_fcma_config)
-        ctx.record_task(1.0)
-        ctx.record_task(1.0)
-        result = predicted_schedule(ctx, tiny_dataset, n_workers=2)
-        # Two 1-second tasks on two workers: ~1 s plus transfer overheads.
-        assert 1.0 <= result.elapsed_seconds < 2.0
-
-    def test_rejects_empty_stream(self, tiny_dataset, fast_fcma_config):
-        with pytest.raises(ValueError, match="no recorded tasks"):
-            predicted_schedule(
-                RunContext(fast_fcma_config), tiny_dataset, n_workers=2
-            )
 
 
 class TestProtocolAndFactory:

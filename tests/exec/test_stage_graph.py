@@ -155,7 +155,7 @@ class TestOptimizedBatchedGraph:
         from repro.core import engine
 
         # Small enough that the 60-voxel brain is several tiles: the
-        # planner's 8 rows x 3 KiB over 12 rows x 32 epochs x 4 bytes a
+        # default 8-row budget x 3 KiB over 12 rows x 32 epochs x 4 bytes a
         # column -> 16 columns.
         monkeypatch.setattr(engine, "DENSE_TILE_BYTES_PER_ROW", 3 * 1024)
         ctx = RunContext(FCMAConfig(variant="optimized-batched"))
@@ -168,47 +168,12 @@ class TestOptimizedBatchedGraph:
         # The walk the engine took: column tile width and thread budget.
         assert (plan["voxel_block"], plan["tile_cols"]) == (8, 16)
         assert plan["engine_threads"] == thread_budget()
+        # ... and nothing but that walk: the tile is tile_cols wide and
+        # holds every epoch (not a hardware model's B' x E).
+        assert plan["target_block"] == plan["tile_cols"]
+        assert plan["epoch_block"] == tiny_dataset.n_epochs == 32
         # One count per column tile: ceil(60 / 16).
         assert tiny_dataset.n_voxels == 60
         assert ctx.counter("stage12_tiles") == 4
         assert ctx.counter("emitter_dense_tiles") == 4
         assert set(ctx.stages) == {"preprocess", "correlate+normalize", "score"}
-
-    def test_autotune_populates_plan_cache_counters(self, tiny_dataset):
-        from repro.core.blocking import PlanCache
-        import repro.core.blocking as blocking
-
-        fresh = PlanCache()
-        original = blocking.default_plan_cache
-        blocking.default_plan_cache = lambda: fresh
-        try:
-            config = FCMAConfig(
-                variant="optimized-batched", autotune_blocks=True
-            )
-            ctx1 = RunContext(config)
-            execute_task(tiny_dataset, np.arange(8, dtype=np.int64), ctx1)
-            assert ctx1.counter("plan_cache_misses") == 1
-            assert ctx1.counter("plan_cache_hits") == 0
-            ctx2 = RunContext(config)
-            execute_task(tiny_dataset, np.arange(8, dtype=np.int64), ctx2)
-            assert ctx2.counter("plan_cache_hits") == 1
-            assert ctx2.counter("plan_cache_misses") == 0
-            assert (
-                ctx2.metadata["blocking_plan"] == ctx1.metadata["blocking_plan"]
-            )
-        finally:
-            blocking.default_plan_cache = original
-
-    def test_persistent_plan_cache_path(self, tiny_dataset, tmp_path):
-        path = tmp_path / "plans.json"
-        config = FCMAConfig(
-            variant="optimized-batched",
-            autotune_blocks=True,
-            plan_cache_path=str(path),
-        )
-        ctx = RunContext(config)
-        execute_task(tiny_dataset, np.arange(8, dtype=np.int64), ctx)
-        assert path.exists()
-        ctx2 = RunContext(config)
-        execute_task(tiny_dataset, np.arange(8, dtype=np.int64), ctx2)
-        assert ctx2.counter("plan_cache_hits") == 1

@@ -66,9 +66,9 @@ class TestEnrichSpans:
             assert "wall_seconds" in span.metrics
 
     def test_unmodeled_kernels_left_alone(self, enriched_spans):
-        planners = [s for s in enriched_spans if s.name == "plan_blocks"]
-        assert planners
-        for span in planners:
+        solves = [s for s in enriched_spans if s.name == "smo.solve_batch"]
+        assert solves
+        for span in solves:
             assert "predicted_seconds" not in span.metrics
 
     def test_idempotent(self, enriched_spans):
@@ -140,7 +140,7 @@ class TestPredictKernel:
             assert counters.flops > 0
 
     def test_unknown_kernel_is_none(self):
-        assert predict_kernel("plan_blocks", FACE_SCENE, 120, E5_2670) is None
+        assert predict_kernel("smo.solve_batch", FACE_SCENE, 120, E5_2670) is None
 
     def test_zero_voxels_is_none(self):
         assert (

@@ -154,7 +154,34 @@ class TestConfigFingerprint:
             FCMAConfig()
         )
         assert config_fingerprint(FCMAConfig()) != config_fingerprint(
-            FCMAConfig(task_voxels=7)
+            FCMAConfig(task_voxels=40)
+        )
+
+    def test_a_defaulted_field_nobody_set_does_not_move_the_hash(self):
+        """Adding or deleting a knob left at its default must not orphan
+        a history series: only configured (non-default) values hash."""
+        from dataclasses import dataclass, field
+
+        @dataclass(frozen=True)
+        class Before:
+            task_voxels: int = 120
+            tags: tuple[str, ...] = field(default_factory=tuple)
+
+        @dataclass(frozen=True)
+        class After:
+            task_voxels: int = 120
+            tags: tuple[str, ...] = field(default_factory=tuple)
+            new_knob: bool = False
+
+        assert config_fingerprint(Before()) == config_fingerprint(After())
+        assert config_fingerprint(Before(task_voxels=40)) == config_fingerprint(
+            After(task_voxels=40)
+        )
+        assert config_fingerprint(After()) != config_fingerprint(
+            After(new_knob=True)
+        )
+        assert config_fingerprint(Before()) != config_fingerprint(
+            Before(tags=("x",))
         )
 
 

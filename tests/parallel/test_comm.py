@@ -1,7 +1,5 @@
 """Tests for the MPI-like communicator."""
 
-import operator
-
 import pytest
 
 from repro.parallel.comm import ANY_SOURCE, ANY_TAG, Comm, CommGroup, run_ranks
@@ -77,48 +75,6 @@ class TestCollectives:
             return comm.bcast("from2" if comm.rank == 2 else None, root=2)
 
         assert run_ranks(4, spmd) == ["from2"] * 4
-
-    def test_scatter_gather(self):
-        def spmd(comm: Comm):
-            part = comm.scatter(
-                [i * i for i in range(comm.size)] if comm.rank == 0 else None
-            )
-            return comm.gather(part)
-
-        results = run_ranks(3, spmd)
-        assert results[0] == [0, 1, 4]
-        assert results[1] is None and results[2] is None
-
-    def test_scatter_wrong_length(self):
-        group = CommGroup(3)
-        with pytest.raises(ValueError, match="exactly 3"):
-            group.comm(0).scatter([1, 2])
-
-    def test_allgather(self):
-        results = run_ranks(3, lambda c: c.allgather(c.rank * 10))
-        assert results == [[0, 10, 20]] * 3
-
-    def test_allreduce_sum(self):
-        results = run_ranks(4, lambda c: c.allreduce(c.rank + 1, operator.add))
-        assert results == [10] * 4
-
-    def test_allreduce_max(self):
-        results = run_ranks(4, lambda c: c.allreduce(c.rank, max))
-        assert results == [3] * 4
-
-    def test_barrier_synchronizes(self):
-        order = []
-
-        def spmd(comm: Comm):
-            if comm.rank == 0:
-                order.append("pre")
-            comm.barrier()
-            if comm.rank == 1:
-                order.append("post")
-            return True
-
-        run_ranks(2, spmd)
-        assert order == ["pre", "post"]
 
 
 class TestRunRanks:

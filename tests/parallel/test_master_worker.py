@@ -214,7 +214,7 @@ class TestRoundTrip:
         _, completed, ctxs, _ = run_protocol(rows, 40, n_workers=1)
         assert completed == [2]
         assert "comm.fetch_wait" not in ctxs[0].stages
-        assert "overlap_hidden_seconds" not in ctxs[0].metadata.get("counters", {})
+        assert "overlap_hidden_seconds" not in ctxs[0].counters()
 
 
 class TestItemFailures:

@@ -109,7 +109,7 @@ class TestTiledProtocol:
             tiny_dataset, config, n_workers=2
         )
         counters = [
-            ctx.metadata.get("counters", {}).get("overlap_hidden_seconds")
+            ctx.counters().get("overlap_hidden_seconds")
             for ctx, done in zip(worker_ctxs, completed)
             if done
         ]

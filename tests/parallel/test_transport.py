@@ -115,29 +115,6 @@ class TestCollectives:
         finally:
             master.close()
 
-    def test_barrier(self):
-        master, comms = _fabric(2)
-        try:
-            order: list[str] = []
-
-            def late(comm):
-                comm.barrier()
-                order.append("released")
-
-            threads = [
-                threading.Thread(target=late, args=(c,)) for c in comms[1:]
-            ]
-            for t in threads:
-                t.start()
-            order.append("pre")
-            comms[0].barrier()
-            for t in threads:
-                t.join(TIMEOUT)
-            assert order[0] == "pre"
-            assert order.count("released") == 2
-        finally:
-            master.close()
-
 
 class TestFailureDetection:
     def test_abrupt_close_delivers_peer_lost(self):

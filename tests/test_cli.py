@@ -185,16 +185,6 @@ class TestRun:
         assert "per-stage wall time" in out
         assert out.count("accuracy") >= 3
 
-    def test_master_worker_prints_predicted_vs_measured(
-        self, dataset_file, capsys
-    ):
-        rc = main([
-            "run", str(dataset_file), "--executor", "master-worker",
-            "--task-voxels", "40", "--top", "1",
-        ])
-        assert rc == 0
-        assert "predicted" in capsys.readouterr().out
-
     def test_json_report(self, dataset_file, capsys):
         rc = main([
             "run", str(dataset_file), "--json",
