@@ -9,8 +9,9 @@ this module filters *inside* the fused stage-1/2 tile loop: each
 same :func:`repro.core.normalization.fuse_normalize_tile` the dense
 engine uses, and immediately reduced to its surviving entries while the
 tile is still cache-resident.  The dense tile is then reused for the
-next block — peak memory is the BOLD input plus one tile plus the CSR
-output, never the full correlation volume.
+next block — peak memory is the BOLD input plus, per engine thread, one
+tile and its two select buffers, plus the CSR output; never the full
+correlation volume, and in neither mode a whole output row.
 
 Two filter modes, sharing one selection semantics with the dense
 reference (:func:`threshold_dense`):
@@ -20,7 +21,11 @@ reference (:func:`threshold_dense`):
 * ``top_k``: keep the ``k`` largest ``|value|`` per output row
   ``(assigned voxel, epoch)``, ties broken toward the smaller target
   column — exactly the first ``k`` entries of a stable descending
-  ``|value|`` argsort.
+  ``|value|`` argsort.  Each tile keeps its own exact per-row
+  top-``min(k, width)`` (an entry with fewer than ``k`` entries ahead of
+  it in the row has fewer than ``k`` ahead of it in its tile, so the
+  union over tiles holds every winner) and the end of the sweep selects
+  the top ``k`` of those candidates.
 
 Equivalence contract: for identical input bits the engine's CSR is
 **bitwise identical** (indptr, indices, data) to
@@ -50,38 +55,58 @@ __all__ = [
     "topk_block",
 ]
 
-#: Per-tile byte budget for :func:`sparse_tile_plan`.  The sparse tile
-#: loop is filter-dominated, not gemm-dominated: with the paper's tiny
-#: inner dimension (T ~ 12) the gemm is bandwidth-bound at any tiling,
-#: while every tile pays fixed Python/ufunc dispatch for the normalize
-#: + filter pass.  Dense-planner L2 tiles (~100 KB) create thousands of
-#: tiles whose dispatch overhead dwarfs the arithmetic; a multi-MB tile
-#: amortizes it and still keeps peak memory flat.
-SPARSE_TILE_BYTES = 8 * 1024 * 1024
+#: Per-tile byte budget for :func:`sparse_tile_plan`, both modes.  Each
+#: tile is walked about five times after its gemm (normalize, ``abs``,
+#: partition, compare, gather), every walk a numpy call with fixed
+#: dispatch cost: dense-planner L2 tiles (~100 KB) make thousands of
+#: tiles whose dispatch dwarfs the arithmetic, and narrow top-k tiles
+#: hand more candidates to the merge.  Tiles much larger leave too few
+#: per sweep to keep the engine's threads level and grow each thread's
+#: footprint (the tile, its normalizer scratch, two select buffers).
+#: Chosen by measurement over 1-16 MiB in both modes
+#: (docs/perf-models.md, "Sparse stage 1/2").
+SPARSE_TILE_BYTES = 4 * 1024 * 1024
 
 #: Default voxel-sweep width for :func:`sparse_tile_plan` — wide enough
-#: to amortize the per-sweep A-panel copy, narrow enough that top-k
-#: mode's ``(sweep, E, N)`` row slab stays a small fraction of input.
+#: to amortize the per-sweep A-panel copy.  Row slabs are not bitwise
+#: invariant under BLAS (see :mod:`repro.core.engine`), so this value
+#: anchors the CSR bits.
 SPARSE_SWEEP_ROWS = 16
+
+#: Top-k tiles are at least this many times ``k`` columns wide (or the
+#: whole row): a tile hands ``min(k, width)`` candidates per row to the
+#: merge, so a tile narrower than a few ``k`` filters nothing — at the
+#: sparse-100k preset (E = 24, k = 1000) a byte-sized tile is 2,730
+#: columns and 37 % of it would be candidates.
+TOPK_TILE_MIN_WIDTH_IN_K = 8
 
 
 def sparse_tile_plan(
-    n_assigned: int, n_epochs: int, n_voxels: int
+    n_assigned: int,
+    n_epochs: int,
+    n_voxels: int,
+    *,
+    top_k: int | None = None,
 ) -> Tuple[int, int]:
     """Default ``(voxel_sweep, target_block)`` for the sparse engine.
 
     Unlike the dense planner's L2-reuse tiling, this sizes tiles to
     ``SPARSE_TILE_BYTES`` so the per-tile dispatch cost of the fused
-    normalize + filter is amortized (see :data:`SPARSE_TILE_BYTES`).
-    The choice only affects speed: the engine's CSR output is bitwise
-    identical under any tiling.
+    normalize + filter is amortized (see :data:`SPARSE_TILE_BYTES`);
+    with ``top_k`` the tile is widened to
+    :data:`TOPK_TILE_MIN_WIDTH_IN_K` ``* top_k`` columns where the byte
+    budget alone would make it narrower.  The choice only affects
+    speed: the engine's CSR output is bitwise identical under any
+    column tiling.
     """
     if n_assigned < 1 or n_epochs < 1 or n_voxels < 1:
         raise ValueError("tile plan dimensions must be >= 1")
     sweep = min(SPARSE_SWEEP_ROWS, n_assigned)
     per_column_bytes = sweep * n_epochs * 4
-    t_block = max(1, min(n_voxels, SPARSE_TILE_BYTES // per_column_bytes))
-    return sweep, t_block
+    t_block = max(1, SPARSE_TILE_BYTES // per_column_bytes)
+    if top_k is not None:
+        t_block = max(t_block, TOPK_TILE_MIN_WIDTH_IN_K * top_k)
+    return sweep, min(n_voxels, t_block)
 
 
 @dataclass(frozen=True)
@@ -208,32 +233,71 @@ def topk_block(
     ascending within each row.  The selection equals the first
     ``min(k, n)`` entries of a *stable* descending-``|value|`` argsort:
     ties at the k-th-largest boundary resolve toward smaller column
-    indices.  Implemented with a value partition (O(n) per row) instead
-    of a full argsort; determinism is value-based, so it holds across
-    partition algorithms.
+    indices.  The body is :func:`_topk_select`, the one select both
+    :class:`CSREmitter` (per tile and at the merge) and the
+    :func:`threshold_dense` oracle run.
     """
     n_rows, n = block.shape
-    kk = min(k, n)
+    counts, flat = _topk_select(block, min(k, n))
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+    return rows, flat - rows * n, block.reshape(-1)[flat]
+
+
+def _topk_select(
+    block: np.ndarray,
+    kk: int,
+    scratch: Tuple[np.ndarray, np.ndarray] | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact per-row top-``kk`` (``kk <= n``) of a 2D block.
+
+    Returns ``(counts, flat)``: the kept entries' positions in the
+    flattened block, ascending (row-major, so ascending column within a
+    row), and how many each row kept — ``kk``, or fewer where a row
+    holds NaNs, which never rank.  A value partition (O(n) per row)
+    finds each row's kk-th largest magnitude and one ``>=`` compare
+    keeps the candidates; only rows whose count then exceeds ``kk``, a
+    tie band at the kk-th magnitude, are trimmed, largest columns
+    first.  Determinism is value-based, so it holds across partition
+    algorithms.
+
+    ``scratch`` is two flat buffers of ``block.dtype`` holding at least
+    ``block.size`` elements each (magnitudes; partition copy, whose
+    bytes are then reused for the mask); without it both are allocated.
+    ``flatnonzero`` of the mask instead of 2D ``np.nonzero``: one index
+    array instead of two, 2-6x faster (docs/perf-models.md).
+    """
+    n_rows, n = block.shape
     if kk == n:
-        rows = np.repeat(np.arange(n_rows, dtype=np.int64), n)
-        cols = np.tile(np.arange(n, dtype=np.int64), n_rows)
-        return rows, cols, block.reshape(-1).copy()
-    magnitude = np.abs(block)
-    kth = np.partition(magnitude, n - kk, axis=1)[:, n - kk]
-    keep = magnitude > kth[:, None]
-    need = kk - keep.sum(axis=1)
-    # Fill the remainder from the tie band (|value| == kth), smallest
-    # columns first; np.nonzero's C order makes the in-row rank of each
-    # tie its ascending-column position.
-    tie_r, tie_c = np.nonzero(magnitude == kth[:, None])
-    starts = np.searchsorted(tie_r, np.arange(n_rows))
-    rank = np.arange(tie_r.size) - starts[tie_r]
-    chosen = rank < need[tie_r]
-    keep[tie_r[chosen], tie_c[chosen]] = True
-    rows, cols = np.nonzero(keep)
-    rows = rows.astype(np.int64, copy=False)
-    cols = cols.astype(np.int64, copy=False)
-    return rows, cols, block[rows, cols]
+        return np.full(n_rows, n), np.arange(n_rows * n)
+    if scratch is None:
+        scratch = (
+            np.empty(block.size, dtype=block.dtype),
+            np.empty(block.size, dtype=block.dtype),
+        )
+    magnitude = scratch[0][: block.size].reshape(block.shape)
+    part = scratch[1][: block.size].reshape(block.shape)
+    np.abs(block, out=magnitude)
+    np.copyto(part, magnitude)
+    part.partition(n - kk, axis=1)
+    kth = part[:, n - kk].copy()
+    mask = part.reshape(-1).view(np.bool_)[: block.size].reshape(block.shape)
+    np.greater_equal(magnitude, kth[:, None], out=mask)
+    flat = np.flatnonzero(mask)
+    counts = np.diff(np.searchsorted(flat, np.arange(n_rows + 1) * n))
+    if counts.max() > kk:
+        rows = np.repeat(np.arange(n_rows), counts)
+        tie = np.flatnonzero(magnitude.reshape(-1)[flat] == kth[rows])
+        tie_rows = rows[tie]
+        n_ties = np.bincount(tie_rows, minlength=n_rows)
+        rank = np.arange(tie.size) - (np.cumsum(n_ties) - n_ties)[tie_rows]
+        # Entries strictly above the kk-th magnitude all stay; the tie
+        # band fills the room they leave, smallest columns first.
+        room = kk - (counts - n_ties)
+        keep = np.ones(flat.size, dtype=bool)
+        keep[tie[rank >= room[tie_rows]]] = False
+        flat = flat[keep]
+        counts = np.minimum(counts, kk)
+    return counts, flat
 
 
 def _tau_block(
@@ -263,7 +327,8 @@ def _assemble(
 
     The engine hands fragments over in ascending column order within a
     sweep; a stable sort by row id restores row-major layout while
-    preserving each row's ascending column order.
+    preserving each row's ascending column order.  Fragments that are
+    row-major already (top-k sweeps, one-tile tau sweeps) skip it.
     """
     n_rows = shape[0] * shape[1]
     if rows_parts:
@@ -272,15 +337,17 @@ def _assemble(
         vals = np.concatenate(vals_parts)
     else:
         rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
+        cols = np.empty(0, dtype=np.int32)
         vals = np.empty(0, dtype=np.float32)
-    order = np.argsort(rows, kind="stable")
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        cols, vals = cols[order], vals[order]
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     return SparseCorrelationResult(
         indptr=indptr,
-        indices=cols[order].astype(np.int32),
-        data=vals[order],
+        indices=cols.astype(np.int32, copy=False),
+        data=vals,
         shape=shape,
     )
 
@@ -317,13 +384,18 @@ def threshold_dense(
 class CSREmitter:
     """Filters fused tiles straight to CSR while they are cache-resident.
 
-    :func:`sparse_tile_plan` sizing by default.  In tau mode each tile
-    is filtered and discarded immediately; top-k needs whole rows, so
-    tiles accumulate into a ``(voxel_sweep, E, N)`` slab first — still
-    a small constant multiple of the sweep width, never the full
-    output.  Both modes see the identical gemm + normalize bits, and
-    the selection semantics (including top-k tie-breaks toward smaller
-    columns) are exactly those of :func:`threshold_dense`.
+    :func:`sparse_tile_plan` sizing by default.  Both modes reduce a
+    tile inside ``emit``, on the engine's pool threads, and discard it:
+    tau mode keeps the tile's ``|value| >= tau`` entries; top-k mode
+    keeps the tile's exact per-row top-``min(k, width)`` as a
+    ``(rows, kept)`` candidate block, and ``end_sweep`` — handed the
+    blocks in ascending column order, so position in the concatenated
+    candidate row *is* column order and the tie rule survives — selects
+    the exact top ``k`` of at most ``n_tiles * k`` candidates per row.
+    No whole output row is ever held.  Both modes see the identical
+    gemm + normalize bits, and the selection semantics (including top-k
+    tie-breaks toward smaller columns) are exactly those of
+    :func:`threshold_dense`.
 
     ``finalize`` returns ``(SparseCorrelationResult,
     SparseStage12Stats)``; the stats stay available on ``.stats``.
@@ -348,7 +420,12 @@ class CSREmitter:
         self._top_k = top_k
         self._voxel_sweep = voxel_sweep
         self._target_block = target_block
-        self._slab: np.ndarray | None = None
+        # Top-k select buffers, a pair of tile-sized arrays per engine
+        # thread, held so the footprint does not depend on the
+        # allocator: ``emit`` pops a pair and appends it back (both
+        # atomic on a list), so a pair is only ever in one tile's hands.
+        self._scratch: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._scratch_size = 0
         self._rows: List[np.ndarray] = []
         self._cols: List[np.ndarray] = []
         self._vals: List[np.ndarray] = []
@@ -357,10 +434,14 @@ class CSREmitter:
         self.stats: SparseStage12Stats | None = None
         self.n_tiles = 0
         self.tiles_pruned = 0
+        #: The tile the engine walked: sweep rows and column width
+        #: (introspection/counters, set by ``begin``).
+        self.tile_rows = 0
+        self.tile_cols = 0
 
     def plan(self, shape: EngineShape) -> TilePlan:
         default_sweep, default_block = sparse_tile_plan(
-            shape.n_assigned, shape.n_epochs, shape.n_voxels
+            shape.n_assigned, shape.n_epochs, shape.n_voxels, top_k=self._top_k
         )
         return TilePlan(
             voxel_sweep=self._voxel_sweep or default_sweep,
@@ -368,41 +449,71 @@ class CSREmitter:
         )
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:
+        assert plan.voxel_sweep is not None and plan.target_block is not None
         self._shape = shape.dense_shape
         self._rows, self._cols, self._vals = [], [], []
+        self._scratch = []
+        self._scratch_size = plan.voxel_sweep * shape.n_epochs * plan.target_block
         self.n_tiles = 0
         self.tiles_pruned = 0
         self.stats = None
-        if self._top_k is not None:
-            assert plan.voxel_sweep is not None
-            self._slab = np.empty(
-                (plan.voxel_sweep, shape.n_epochs, shape.n_voxels),
-                dtype=np.float32,
-            )
+        self.tile_rows, self.tile_cols = plan.voxel_sweep, plan.target_block
 
     def dense_out(self, shape: EngineShape) -> None:
         return None  # nothing dense survives: emit filters each tile
 
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Tau mode returns the tile's surviving ``(rows, cols, vals)``
-        (``None`` when pruned); top-k mode parks the tile in its own
-        columns of the sweep slab.  Either way only tile-owned state is
-        touched, so tiles of one sweep may emit concurrently."""
+    ) -> Tuple[np.ndarray, ...] | None:
+        """The tile's surviving entries: tau mode returns ``(rows, cols,
+        vals)`` (``None`` when pruned), top-k mode the candidate block
+        ``(cols, vals)`` of :meth:`_topk_candidates`.  Either way only
+        tile-owned state is touched, so tiles of one sweep may emit
+        concurrently."""
         assert self._shape is not None
         width, nb = v1 - v0, n1 - n0
         n_epochs = self._shape[1]
-        if self._limit is None:
-            assert self._slab is not None
-            self._slab[:width, :, n0:n1] = tile
-            return None
-        t_rows, t_cols, t_vals = _tau_block(
-            tile.reshape(width * n_epochs, nb), self._limit
-        )
+        block = tile.reshape(width * n_epochs, nb)
+        if self._top_k is not None:
+            return self._topk_candidates(block, n0)
+        assert self._limit is not None
+        t_rows, t_cols, t_vals = _tau_block(block, self._limit)
         if t_rows.size == 0:
             return None
         return v0 * n_epochs + t_rows, n0 + t_cols, t_vals
+
+    def _topk_candidates(
+        self, block: np.ndarray, n0: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One tile's exact per-row top-``min(k, width)`` as ``(rows,
+        kept)`` blocks of int32 target columns and float32 values,
+        columns ascending along each row.  A row holding NaNs keeps
+        fewer; its tail is padded with column -1 / value 0, which
+        ``end_sweep`` drops."""
+        assert self._top_k is not None
+        n_rows, nb = block.shape
+        kk = min(self._top_k, nb)
+        try:
+            scratch = self._scratch.pop()
+        except IndexError:
+            scratch = (
+                np.empty(self._scratch_size, dtype=np.float32),
+                np.empty(self._scratch_size, dtype=np.float32),
+            )
+        counts, flat = _topk_select(block, kk, scratch)
+        self._scratch.append(scratch)
+        vals = block.reshape(-1)[flat]
+        if flat.size == n_rows * kk:
+            first = np.arange(n_rows) * nb - n0
+            cols = flat.reshape(n_rows, kk) - first[:, None]
+            return cols.astype(np.int32), vals.reshape(n_rows, kk)
+        rows = np.repeat(np.arange(n_rows), counts)
+        slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[rows]
+        cols = np.full((n_rows, kk), -1, dtype=np.int32)
+        cols[rows, slot] = flat - rows * nb + n0
+        padded = np.zeros((n_rows, kk), dtype=np.float32)
+        padded[rows, slot] = vals
+        return cols, padded
 
     def end_sweep(
         self, v0: int, v1: int, fragments: Sequence[Any]
@@ -413,14 +524,22 @@ class CSREmitter:
             kept = [f for f in fragments if f is not None]
             self.tiles_pruned += len(fragments) - len(kept)
         else:
-            assert self._slab is not None
-            width = v1 - v0
-            n_epochs, n_voxels = self._shape[1], self._shape[2]
-            s_rows, s_cols, s_vals = topk_block(
-                self._slab[:width].reshape(width * n_epochs, n_voxels),
-                self._top_k,
+            # Merge: the tiles' candidate blocks side by side are each
+            # row's candidates in ascending column order; one more
+            # select over them is the exact top-k of the whole row.
+            cand_cols = np.concatenate([f[0] for f in fragments], axis=1)
+            cand_vals = np.concatenate([f[1] for f in fragments], axis=1)
+            n_rows, n_cand = cand_vals.shape
+            counts, flat = _topk_select(cand_vals, min(self._top_k, n_cand))
+            rows = np.repeat(
+                np.arange(v0 * self._shape[1], v1 * self._shape[1]), counts
             )
-            kept = [(v0 * n_epochs + s_rows, s_cols, s_vals)]
+            cols = cand_cols.reshape(-1)[flat]
+            vals = cand_vals.reshape(-1)[flat]
+            real = cols >= 0
+            if not real.all():
+                rows, cols, vals = rows[real], cols[real], vals[real]
+            kept = [(rows, cols, vals)]
         for rows, cols, vals in kept:
             self._rows.append(rows)
             self._cols.append(cols)
@@ -436,8 +555,8 @@ class CSREmitter:
             nnz=result.nnz,
             elements=n_assigned * n_epochs * n_voxels,
         )
-        # Fragment lists are dropped so a kept emitter does not pin the
-        # concatenated copies alive alongside the assembled CSR.
+        # Fragment lists and select buffers are dropped so a kept
+        # emitter does not pin them alive alongside the assembled CSR.
         self._rows, self._cols, self._vals = [], [], []
-        self._slab = None
+        self._scratch = []
         return result, self.stats

@@ -177,10 +177,11 @@ class RunContext:
 
         The one write is a ``ctr.<name>`` metric on the innermost open
         span (per-task/per-stage granularity in the trace); totals are
-        read back with :meth:`counters`.  Values are usually integral
-        tallies but may be fractional (``stage12_density`` accumulates
-        a kept-fraction per task).  A disabled tracer records nothing,
-        so its context counts nothing.
+        read back with :meth:`counters`.  Totals are sums over tasks,
+        so count only what adds: a ratio is derived from two totals
+        where it is shown (:meth:`timing_report` derives
+        ``stage12_density``).  A disabled tracer records nothing, so
+        its context counts nothing.
         """
         if not self.tracer.add_metric(_CTR_PREFIX + name, float(value)):
             # No span open (library use outside a run): keep the counter
@@ -279,5 +280,10 @@ class RunContext:
             "n_spans": len(self.tracer),
         }
         report.update(self.metadata)
-        report["counters"] = self.counters()
+        counters = self.counters()
+        if counters.get("stage12_elements"):
+            counters["stage12_density"] = (
+                counters["stage12_nnz"] / counters["stage12_elements"]
+            )
+        report["counters"] = counters
         return report

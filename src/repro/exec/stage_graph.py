@@ -43,7 +43,7 @@ from ..core.correlation import correlate_baseline, stage1_input_copies
 from ..core.engine import DenseEmitter, run_engine, thread_budget
 from ..core.normalization import normalize_separated
 from ..core.results import VoxelScores
-from ..core.sparse import CSREmitter, sparse_tile_plan
+from ..core.sparse import CSREmitter
 from ..core.voxel_selection import score_voxels, score_voxels_sparse
 from ..svm.cross_validation import cv_fold_ids
 from .context import RunContext
@@ -232,19 +232,14 @@ def _correlate_sparse_fused(
     z = state["windows"]
     assigned = state["assigned"]
     e_per_subject = state["grouped"].epochs.epochs_per_subject()
-    # The dense emitter's L2 tiles are wrong for the filter-dominated
-    # sparse loop — use the engine's dispatch-amortizing tile plan.
-    sweep, t_block = sparse_tile_plan(assigned.size, z.shape[0], z.shape[1])
     input_copies = stage1_input_copies(z)
-    emitter = CSREmitter(
-        threshold=config.threshold,
-        top_k=config.top_k,
-        voxel_sweep=sweep,
-        target_block=t_block,
-    )
+    # The emitter's own default plan (`sparse_tile_plan`, which depends
+    # on the mode) sizes the tiles; the walked tile is read back.
+    emitter = CSREmitter(threshold=config.threshold, top_k=config.top_k)
 
     with ctx.tracer.span("correlate_normalize_sparse", kind="kernel") as span:
         result, stats = run_engine(z, assigned, e_per_subject, emitter)
+        sweep, t_block = emitter.tile_rows, emitter.tile_cols
         _note_walk(ctx, sweep, t_block, z.shape[0])
         span.add_metric("tiles", float(stats.n_tiles))
         span.add_metric("tiles_pruned", float(stats.tiles_pruned))
@@ -268,7 +263,7 @@ def _correlate_sparse_fused(
     ctx.increment("emitter_csr_tiles", stats.n_tiles)
     ctx.increment("stage12_tiles_pruned", stats.tiles_pruned)
     ctx.increment("stage12_nnz", stats.nnz)
-    ctx.increment("stage12_density", stats.density)
+    ctx.increment("stage12_elements", stats.elements)
     if input_copies:
         ctx.increment("stage12_out_copies", input_copies)
     return {"sparse_correlations": result}

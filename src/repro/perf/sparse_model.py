@@ -58,9 +58,12 @@ __all__ = [
 #: orders of magnitude below nnz at realistic densities, and ignored.
 CSR_BYTES_PER_ENTRY = 8
 
-#: Full passes over the fragment arrays during CSR assembly: the stable
-#: row sort's key read, the gather of (indices, data) through the
-#: permutation, and the final write of the assembled arrays.
+#: Full passes over the fragment arrays during CSR assembly, tau mode:
+#: the stable row sort's key read, the gather of (indices, data) through
+#: the permutation, and the final write of the assembled arrays.  Top-k
+#: sweeps arrive row-major and skip the sort; what they walk instead is
+#: the merge select over the tiles' candidate blocks (up to ``n_tiles``
+#: times the kept entries), which this traffic model does not count.
 CSR_ASSEMBLY_PASSES = 3
 
 

@@ -9,16 +9,18 @@ flags, the nnz-balanced row partitioner, and the CSR Gram panel.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.core import FCMAConfig
 from repro.core.kernels import csr_gram_panel, kernel_matrix_batched
 from repro.core.engine import run_engine
 from repro.core.sparse import CSREmitter, threshold_dense
 from repro.core.voxel_selection import score_voxels, score_voxels_sparse
-from repro.data import generate_dataset, quickstart_config
+from repro.data import generate_dataset, quickstart_config, save_dataset
 from repro.exec import RunContext, available_variants, make_executor
 from repro.exec.partition import partition_rows_by_nnz
 from repro.svm import PhiSVM
@@ -55,12 +57,42 @@ class TestSparseVariantEndToEnd:
         assert counters["stage12_nnz"] == 24 * n_epochs * 5
         assert counters["stage12_tiles"] >= 1
         assert counters["stage12_tiles_pruned"] == 0
-        # density is fractional; metadata keeps the exact float sum.
+        # Counters are additive; the density is their ratio.
         expected_density = 5 / tiny_dataset.n_voxels
-        assert counters["stage12_density"] == pytest.approx(
-            expected_density, rel=1e-12
-        )
+        assert counters["stage12_nnz"] / counters[
+            "stage12_elements"
+        ] == pytest.approx(expected_density, rel=1e-12)
         assert counters.get("stage12_out_copies", 0) == 0
+
+    def test_density_is_not_summed_over_tasks(self, tiny_dataset, tmp_path, capsys):
+        """Two tasks, one density: ``nnz / elements`` of the whole run,
+        in the library report and in ``fcma run --json`` (the per-task
+        sum used to read twice the density on this run)."""
+        expected = 5 / tiny_dataset.n_voxels
+        ctx = RunContext(
+            FCMAConfig(task_voxels=12, variant="sparse-batched", top_k=5)
+        )
+        make_executor("serial").run(tiny_dataset, ctx, np.arange(24))
+        assert ctx.metadata["n_tasks"] == 2
+        counters = ctx.timing_report()["counters"]
+        assert counters["stage12_density"] == pytest.approx(expected, rel=1e-12)
+        assert counters["stage12_elements"] == (
+            24 * tiny_dataset.n_epochs * tiny_dataset.n_voxels
+        )
+        assert "stage12_density" not in ctx.metadata["counters"]
+
+        path = tmp_path / "tiny.npz"
+        save_dataset(tiny_dataset, path)
+        rc = main([
+            "run", str(path), "--variant", "sparse-batched", "--top-k", "5",
+            "--task-voxels", "12", "--json",
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_tasks"] == 6
+        assert report["counters"]["stage12_density"] == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_large_tau_prunes_tiles(self, tiny_dataset):
         _, ctx = _run(tiny_dataset, variant="sparse-batched", threshold=99.0)
