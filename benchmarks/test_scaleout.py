@@ -8,6 +8,15 @@ the measured task stream (:func:`repro.cluster.measured_workload` over
 each run's ``ctx.task_seconds``, made here after the run) and the
 analytic wire model (:func:`repro.perf.predict_scaleout`).
 
+Geometry note: a tile returns one partial Gram per chunk of the Gram
+rule (``repro.core.kernels.gram_chunks``, 2048 columns) and is a whole
+number of chunks wide.  This workload's 240 voxels are one chunk, so
+every row panel is **one** tile (``tile_cols`` = 240) plus its score
+item at every worker count — 8 work items for the 4 panels, where the
+block-shipping runtime planned 2 tiles per panel at 4 workers.  Every
+check is unchanged; the count metrics in ``BENCH_scaleout.json`` /
+``history.jsonl`` moved once with that PR.
+
 Single-core CI note: on a one-core box (``nproc`` = 1, the common CI
 case) wall-clock cannot improve with worker count — thread workers
 time-share the core — so the >= 1.5x strong-scaling gate is asserted on

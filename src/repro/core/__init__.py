@@ -11,6 +11,7 @@ from .correlation import (
 )
 from .kernels import (
     csr_gram_panel,
+    gram_chunks,
     kernel_matrix_baseline,
     kernel_matrix_batched,
 )
@@ -31,6 +32,7 @@ from .sparse import (
 )
 from .tiling import iter_blocks
 from .voxel_selection import (
+    score_kernels,
     score_voxels,
     score_voxels_reference,
     score_voxels_sparse,
@@ -50,6 +52,7 @@ __all__ = [
     "epoch_windows",
     "fisher_z",
     "fuse_normalize_tile",
+    "gram_chunks",
     "iter_blocks",
     "kernel_matrix_baseline",
     "kernel_matrix_batched",
@@ -57,6 +60,7 @@ __all__ = [
     "normalize_separated",
     "plan_blocks",
     "preprocess_dataset",
+    "score_kernels",
     "score_voxels",
     "score_voxels_reference",
     "score_voxels_sparse",

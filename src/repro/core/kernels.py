@@ -18,13 +18,22 @@ Two implementations are provided:
   resident on the coprocessor.  CSR input is Gram-ed per voxel by
   :func:`csr_gram_panel`.
 
+Both follow **the Gram rule** (:func:`gram_chunks`): a voxel's kernel is
+the BLAS product of its first column chunk, plus the product of each
+later chunk in ascending column order, accumulated in float32.  The rule
+— not the call site — fixes the rounding, so a kernel is the same bits
+whether one process Grams the whole row or the tiled runtime's workers
+each Gram the chunks of their own column tile and the master adds the
+partials in order (:mod:`repro.parallel.tiled`).  At ``N`` up to one
+chunk the rule is a single ``matmul``.
+
 The dense pair is bitwise equal: every slice of the stacked GEMM is the
 identical per-voxel BLAS call.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -32,19 +41,88 @@ from .engine import deal, thread_budget
 from .tiling import block_bounds
 
 __all__ = [
+    "GRAM_CHUNK_COLS",
     "csr_gram_panel",
+    "gram_chunks",
     "kernel_matrix_baseline",
     "kernel_matrix_batched",
+    "sum_gram_partials",
 ]
+
+#: Feature columns one BLAS product of the Gram rule covers.  Part of the
+#: numeric definition of a dense kernel (every process of a run must
+#: agree on it), so a constant, not a knob.  Measured at
+#: ``(64, 12, 34470)`` the chunked Gram costs 5 % more than the single
+#: call and nearly halves its worst float32 error against a float64
+#: oracle; 1024 costs more, 4096 no less error (docs/perf-models.md).
+GRAM_CHUNK_COLS = 2048
+
+
+def gram_chunks(
+    n_cols: int, start: int = 0, stop: int | None = None
+) -> list[tuple[int, int]]:
+    """The Gram rule's column chunks ``[(c0, c1), ...]``, ascending.
+
+    The chunks of an ``n_cols``-wide row: :data:`GRAM_CHUNK_COLS` wide,
+    except that a one-column tail is merged into its neighbour (a
+    one-column product leaves the BLAS gemm path, the
+    :func:`~repro.core.engine.gemm_safe_block` reason).  ``start`` /
+    ``stop`` select the chunks of one column tile of that row; they must
+    be chunk boundaries — a tile that cuts a chunk cannot produce the
+    rule's partial products, so that raises instead of rounding
+    differently.
+    """
+    if n_cols < 1:
+        raise ValueError("n_cols must be >= 1")
+    chunks = block_bounds(n_cols, GRAM_CHUNK_COLS)
+    if len(chunks) > 1 and chunks[-1][1] - chunks[-1][0] == 1:
+        chunks[-2:] = [(chunks[-2][0], n_cols)]
+    if stop is None:
+        stop = n_cols
+    inside = [c for c in chunks if start <= c[0] and c[1] <= stop]
+    if not inside or inside[0][0] != start or inside[-1][1] != stop:
+        raise ValueError(
+            f"columns [{start}, {stop}) are not whole Gram chunks of a "
+            f"{n_cols}-column row"
+        )
+    return inside
+
+
+def _gram_into(data: np.ndarray, out: np.ndarray) -> None:
+    """``out = data @ data^T`` over the last two axes, by the Gram rule."""
+    partial = None
+    for c0, c1 in gram_chunks(data.shape[-1]):
+        chunk = data[..., c0:c1]
+        if c0 == 0:
+            np.matmul(chunk, chunk.swapaxes(-1, -2), out=out)
+        else:
+            if partial is None:
+                partial = np.empty_like(out)
+            np.matmul(chunk, chunk.swapaxes(-1, -2), out=partial)
+            out += partial
+
+
+def sum_gram_partials(partials: Iterable[np.ndarray]) -> np.ndarray:
+    """The rule's additions alone: float32 chunk products, given in
+    ascending column order, added left to right — what
+    :func:`kernel_matrix_batched` makes of the same chunks of one row."""
+    first, *later = partials
+    out = np.array(first, dtype=np.float32)
+    for partial in later:
+        out += partial
+    return out
 
 
 def kernel_matrix_baseline(data: np.ndarray) -> np.ndarray:
-    """Baseline syrk: one BLAS call ``A A^T`` (``cblas_ssyrk``)."""
+    """Baseline syrk: one BLAS call ``A A^T`` (``cblas_ssyrk``) per
+    chunk of the Gram rule — a single call up to one chunk."""
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError(f"data must be (samples, features), got {data.shape}")
     data = np.ascontiguousarray(data, dtype=np.float32)
-    return data @ data.T
+    out = np.empty((data.shape[0], data.shape[0]), dtype=np.float32)
+    _gram_into(data, out)
+    return out
 
 
 def kernel_matrix_batched(
@@ -56,13 +134,15 @@ def kernel_matrix_batched(
 
     ``data`` holds every voxel problem's data matrix stacked on a batch
     axis, shape ``(V, M, N)``; the result is the ``(V, M, M)`` stack of
-    linear kernels ``data[v] @ data[v].T``: one stacked ``np.matmul``
-    per contiguous voxel chunk, the chunks dealt to the engine's thread
-    pool (:func:`~repro.core.engine.deal` over
+    linear kernels ``data[v] @ data[v].T``: per contiguous voxel slab,
+    one stacked ``np.matmul`` per column chunk of the Gram rule
+    (:func:`gram_chunks`), the slabs dealt to the engine's thread pool
+    (:func:`~repro.core.engine.deal` over
     :func:`~repro.core.engine.thread_budget` threads, or ``threads`` —
-    an internal argument for tests).  Every voxel's product is its own
-    BLAS call either way, so the result does not depend on the split
-    and each slice is bitwise-equal to :func:`kernel_matrix_baseline`.
+    an internal argument for tests).  Every voxel's chunk product is
+    its own BLAS call either way, so the result does not depend on the
+    split and each slice is bitwise-equal to
+    :func:`kernel_matrix_baseline`.
 
     ``data`` may also be a :class:`repro.core.sparse.SparseCorrelationResult`,
     in which case each voxel's ``(M, N)`` CSR row band is Gram-ed as
@@ -84,17 +164,16 @@ def kernel_matrix_batched(
     v, m, _ = data.shape
     out = np.empty((v, m, m), dtype=np.float32)
     budget = max(1, thread_budget() if threads is None else threads)
-    # One chunk inline; otherwise a few per thread, so a slow core
+    # One slab inline; otherwise a few per thread, so a slow core
     # ends up with fewer of them.
-    n_chunks = 1 if budget == 1 else 4 * budget
-    chunks = block_bounds(v, max(1, -(-v // n_chunks)))
+    n_slabs = 1 if budget == 1 else 4 * budget
+    slabs = block_bounds(v, max(1, -(-v // n_slabs)))
 
     def gram(slot: int, i: int) -> None:
-        v0, v1 = chunks[i]
-        chunk = data[v0:v1]
-        np.matmul(chunk, chunk.transpose(0, 2, 1), out=out[v0:v1])
+        v0, v1 = slabs[i]
+        _gram_into(data[v0:v1], out[v0:v1])
 
-    deal(len(chunks), budget, gram)
+    deal(len(slabs), budget, gram)
     return out
 
 

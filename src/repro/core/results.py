@@ -69,6 +69,11 @@ class VoxelScores:
 class PanelAssembler:
     """Merges 2-D stage-1/2 tiles back into full correlation row panels.
 
+    No run path calls this any more: the tiled runtime's tiles return
+    partial Grams (:mod:`repro.parallel.tiled`), so no panel is ever
+    assembled.  It stays, unchanged, for the frozen benchmark harness
+    (``benchmarks/e2e/layers.py``) until that is re-based.
+
     Under 2-D tile partitioning a row panel's normalized correlations
     ``(rows, epochs, n_voxels)`` arrive as column blocks, possibly out
     of order and from different workers.  The assembler owns one buffer

@@ -6,12 +6,12 @@ cross-validated accuracy of a linear SVM classifying those vectors by
 epoch condition — computed over the precomputed linear kernel so the CV
 folds are pure submatrix slices.
 
-Two drivers are provided.  :func:`score_voxels` (the default path)
-works **batch-at-a-time**: blocks of ``batch_voxels`` problems get their
-kernels from one stacked GEMM and are cross-validated by the
-multi-problem SMO solver, which keeps every problem in the block in
-flight simultaneously — the software analogue of the paper's "240+
-voxel problems resident on the coprocessor".
+Two drivers are provided.  :func:`score_voxels` (the default path) is
+two halves: all kernels from one stacked GEMM, then :func:`score_kernels`
+works **batch-at-a-time** — blocks of ``batch_voxels`` problems are
+cross-validated by the multi-problem SMO solver, which keeps every
+problem in the block in flight simultaneously — the software analogue
+of the paper's "240+ voxel problems resident on the coprocessor".
 :func:`score_voxels_reference` is the one-voxel-at-a-time loop kept as
 the reference implementation; the batched path reproduces its
 trajectories exactly (see the solver equivalence tests).
@@ -32,6 +32,7 @@ from .results import VoxelScores
 from .sparse import SparseCorrelationResult
 
 __all__ = [
+    "score_kernels",
     "score_voxels",
     "score_voxels_reference",
     "score_voxels_sparse",
@@ -109,24 +110,69 @@ def score_voxels(
     backend: KernelBackend,
     batch_voxels: int | None = DEFAULT_BATCH_VOXELS,
 ) -> VoxelScores:
-    """Score every assigned voxel by grouped-CV accuracy (batched).
+    """Score every assigned voxel by grouped-CV accuracy.
 
-    Blocks of ``batch_voxels`` problems are scored at once: their
-    kernels come from one stacked GEMM
-    (:func:`~repro.core.kernels.kernel_matrix_batched`) and their
-    cross-validation runs through the backend's multi-problem solver
-    (``fit_kernel_batch``).  Falls back to
-    :func:`score_voxels_reference` — per-voxel baseline kernels (bitwise
-    the same Gram) and sequential CV — when batching is disabled
-    (``batch_voxels=None``/``0``), when the backend has no batched
-    trainer (e.g. the LibSVM-like baseline), or when the labels are
-    multiclass (one-vs-one voting is per-problem).
+    The two halves of stage 3: every voxel's linear kernel
+    (:func:`~repro.core.kernels.kernel_matrix_batched`, the Gram rule)
+    and the cross-validation over those kernels (:func:`score_kernels`).
+    The tiled runtime runs the halves in different places — workers Gram
+    the column chunks of their tiles, the summed kernels are scored as
+    one item — and gets these bits.
 
     See :func:`score_voxels_reference` for the shared parameters.
     """
     correlations, voxel_ids, labels, fold_ids = _check_inputs(
         correlations, voxel_ids, labels, fold_ids
     )
+    return score_kernels(
+        kernel_matrix_batched(correlations),
+        voxel_ids,
+        labels,
+        fold_ids,
+        backend,
+        batch_voxels=batch_voxels,
+    )
+
+
+def score_kernels(
+    kernels: np.ndarray,
+    voxel_ids: np.ndarray,
+    labels: np.ndarray,
+    fold_ids: np.ndarray,
+    backend: KernelBackend,
+    batch_voxels: int | None = DEFAULT_BATCH_VOXELS,
+) -> VoxelScores:
+    """Stage 3b: grouped-CV accuracy of ``(V, M, M)`` precomputed kernels.
+
+    Blocks of ``batch_voxels`` problems are cross-validated at once
+    through the backend's multi-problem solver (``fit_kernel_batch``).
+    Falls back to sequential per-voxel CV over the same kernels when
+    batching is disabled (``batch_voxels=None``/``0``), when the backend
+    has no batched trainer (e.g. the LibSVM-like baseline), or when the
+    labels are multiclass (one-vs-one voting is per-problem).
+    """
+    kernels = np.asarray(kernels)
+    voxel_ids = np.asarray(voxel_ids, dtype=np.int64)
+    v = voxel_ids.size
+    labels = np.asarray(labels)
+    fold_ids = np.asarray(fold_ids)
+    m = labels.size
+    if kernels.shape != (v, m, m) or voxel_ids.ndim != 1:
+        raise ValueError(
+            f"kernels must be (V, M, M) = ({v}, {m}, {m}), got {kernels.shape}"
+        )
+    if labels.shape != (m,) or fold_ids.shape != (m,):
+        raise ValueError("labels and fold_ids must have one entry per epoch")
+    accuracies = np.empty(v, dtype=np.float64)
+
+    def per_voxel() -> VoxelScores:
+        for i in range(v):
+            result = grouped_cross_validation(
+                backend, kernels[i], labels, fold_ids
+            )
+            accuracies[i] = result.accuracy
+        return VoxelScores(voxels=voxel_ids, accuracies=accuracies)
+
     batchable = (
         batch_voxels is not None
         and batch_voxels > 0
@@ -134,31 +180,25 @@ def score_voxels(
         and np.unique(labels).size == 2
     )
     if not batchable:
-        return score_voxels_reference(
-            correlations, voxel_ids, labels, fold_ids, backend
-        )
-    v = correlations.shape[0]
-    accuracies = np.empty(v, dtype=np.float64)
+        return per_voxel()
+    assert batch_voxels is not None
     for b0 in range(0, v, batch_voxels):
         b1 = min(b0 + batch_voxels, v)
         with kernel_span(
             "score_batch", attrs={"first_voxel": b0}
         ) as span:
-            kernels = kernel_matrix_batched(correlations[b0:b1])
             try:
                 result = grouped_cross_validation_batch(
-                    backend, kernels, labels, fold_ids
+                    backend, kernels[b0:b1], labels, fold_ids
                 )
             except NotImplementedError:
                 # Backends advertising fit_kernel_batch only through a
                 # wrapper (e.g. the one-vs-one shim over LibSVM) surface
-                # here; score the whole task on the reference path instead.
-                return score_voxels_reference(
-                    correlations, voxel_ids, labels, fold_ids, backend
-                )
+                # here; score the whole task voxel by voxel instead.
+                return per_voxel()
             if span is not None:
                 span.add_metric("voxels", float(b1 - b0))
-                span.add_metric("bytes_moved", float(kernels.nbytes))
+                span.add_metric("bytes_moved", float(kernels[b0:b1].nbytes))
         accuracies[b0:b1] = result.accuracies
     return VoxelScores(voxels=voxel_ids, accuracies=accuracies)
 

@@ -314,18 +314,18 @@ class MasterWorkerExecutor:
             live.set_gauge("n_workers", float(self.n_workers))
         if self.partition == "rows":
             return WorkPlan(tasks=tasks)
-        # Tile geometry needs the preprocessed shape; the per-process
-        # cache makes this free for thread ranks that preprocess again.
-        _, z = preprocess_dataset(dataset)
-        n_epochs, n_voxels = z.shape[0], z.shape[1]
+        # The master plans from the voxel count alone: it never holds
+        # preprocessed data, correlations or panel buffers.
+        n_voxels = dataset.n_voxels
         cols = tile_cols_for(
             n_voxels, config.target_block, self.n_workers, len(tasks)
         )
-        ctx.metadata["tile_cols"] = cols
         tiles = partition_tiles(n_voxels, config.task_voxels, cols, voxels)
+        # The width walked (the partition widens degenerate splits).
+        ctx.metadata["tile_cols"] = max(t.n_cols for t in tiles)
         if live is not None:
             live.set_total("tiles", len(tiles))
-        return WorkPlan(tiles=tiles, n_voxels=n_voxels, n_epochs=n_epochs)
+        return WorkPlan(tiles=tiles)
 
     def run(
         self,

@@ -10,6 +10,7 @@ decomposition happens exactly once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -17,6 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.engine import gemm_safe_block
+from ..core.kernels import gram_chunks
 from ..core.tiling import iter_blocks, n_blocks
 
 __all__ = [
@@ -65,10 +67,12 @@ class TileTask:
     Tiles partition the output of stage 1/2 both ways: ``rows`` is the
     row panel's assigned voxel ids (what 1-D partitioning called a
     task), ``col_start:col_stop`` the target-voxel column range.  A
-    worker computes the tile's fused stage-1/2 block; the master merges
-    column tiles back into full row panels
-    (:class:`repro.core.results.PanelAssembler`) before stage 3 scores
-    them.  ``index`` is the deterministic row-major dispatch order.
+    worker computes the tile's fused stage-1/2 block chunk by chunk and
+    keeps it: what it returns is each chunk's ``(rows, epochs, epochs)``
+    partial Gram (:func:`repro.core.kernels.gram_chunks`), which the
+    master adds in column order into the panel's kernels before stage 3
+    scores them.  ``index`` is the deterministic row-major dispatch
+    order.
     """
 
     index: int
@@ -96,10 +100,6 @@ class TileTask:
     def n_cols(self) -> int:
         return self.col_stop - self.col_start
 
-    def result_nbytes(self, n_epochs: int) -> int:
-        """Bytes of the float32 normalized block this tile produces."""
-        return self.n_rows * n_epochs * self.n_cols * 4
-
 
 def tile_cols_for(
     n_voxels: int, target_block: int, n_workers: int, n_panels: int
@@ -107,15 +107,25 @@ def tile_cols_for(
     """Column width of a distributed tile.
 
     Multiple of the blocking planner's ``target_block`` (so each tile's
-    inner gemm walks whole planner blocks), sized to give every worker
-    a few tiles per row panel: enough parallelism for dynamic balance,
-    few enough that per-tile message overhead stays amortized.
+    inner gemm walks whole planner blocks) *and* of the Gram rule's
+    chunk (:func:`repro.core.kernels.gram_chunks`: a tile returns its
+    chunks' partial Grams, so every chunk must belong to exactly one
+    tile), sized to give every worker a few tiles per row panel: enough
+    parallelism for dynamic balance, few enough that per-tile message
+    overhead stays amortized.  A row of a single chunk is one tile.
     """
     if min(n_voxels, target_block, n_workers, n_panels) < 1:
         raise ValueError("tile_cols_for arguments must be >= 1")
-    # ~2 column tiles per worker per panel, at least one planner block.
-    want = max(1, n_workers * 2 // max(n_panels, 1), n_workers // n_panels)
-    cols = max(target_block, -(-n_voxels // max(want * target_block, 1)) * target_block)
+    # The first chunk is as wide as the rule's chunk (or the whole row).
+    c0, c1 = gram_chunks(n_voxels)[0]
+    quantum = math.lcm(target_block, c1 - c0)
+    # ~2 column tiles per worker per panel, at least one quantum.
+    want = max(1, 2 * n_workers // n_panels)
+    cols = -(-n_voxels // (want * quantum)) * quantum
+    # The rule merges a one-column tail chunk into its neighbour; a
+    # uniform width that would cut it off takes one more quantum.
+    while cols < n_voxels and n_voxels % cols == 1:
+        cols += quantum
     return min(cols, n_voxels)
 
 

@@ -44,7 +44,11 @@ from ..core.engine import DenseEmitter, run_engine, thread_budget
 from ..core.normalization import normalize_separated
 from ..core.results import VoxelScores
 from ..core.sparse import CSREmitter
-from ..core.voxel_selection import score_voxels, score_voxels_sparse
+from ..core.voxel_selection import (
+    score_kernels,
+    score_voxels,
+    score_voxels_sparse,
+)
 from ..svm.cross_validation import cv_fold_ids
 from .context import RunContext
 from .registry import create_backend, register_variant
@@ -61,6 +65,7 @@ __all__ = [
     "sparse_batched_graph",
     "build_graph",
     "execute_task",
+    "score_kernel_panel",
     "score_panel",
 ]
 
@@ -269,17 +274,26 @@ def _correlate_sparse_fused(
     return {"sparse_correlations": result}
 
 
+def _stage3_inputs(
+    grouped: "FMRIDataset", config: Any
+) -> tuple[NDArray[Any], NDArray[Any], Any, int]:
+    """What every stage-3 scorer reads beyond its panel, in their shared
+    argument order: labels, CV fold ids, SVM backend, batch width."""
+    epochs = grouped.epochs
+    return (
+        epochs.labels(),
+        cv_fold_ids(epochs, config.online_folds),
+        create_backend(config),
+        config.batch_voxels,
+    )
+
+
 def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-    grouped = state["grouped"]
-    backend = create_backend(ctx.config)
     with ctx.tracer.span("score_voxels_sparse", kind="kernel") as span:
         scores = score_voxels_sparse(
             state["sparse_correlations"],
             state["assigned"],
-            grouped.epochs.labels(),
-            cv_fold_ids(grouped.epochs, ctx.config.online_folds),
-            backend,
-            batch_voxels=ctx.config.batch_voxels,
+            *_stage3_inputs(state["grouped"], ctx.config),
         )
         span.add_metric("voxels", float(state["assigned"].size))
         span.add_metric("nnz", float(state["sparse_correlations"].nnz))
@@ -293,23 +307,25 @@ def score_panel(
     correlations: NDArray[Any],
     ctx: RunContext,
 ) -> VoxelScores:
-    """Stage 3 of one dense row panel ``(rows, epochs, n_voxels)``.
-
-    The one dense score body: the ``score`` node of the baseline and
-    optimized graphs and a ``"score"`` work item of the tiled runtime
-    (which assembles the panel from column tiles first) both run it.
-    ``ctx`` is not read; it is part of the signature the benchmark
-    harness calls.
+    """Stage 3 of one dense row panel ``(rows, epochs, n_voxels)``: the
+    ``score`` node of the baseline and optimized graphs.  The Gram rule
+    (:mod:`repro.core.kernels`), then the cross-validation body
+    :func:`score_kernel_panel` shares.  ``ctx`` is not read; it is part
+    of the signature the benchmark harness calls.
     """
-    epochs = grouped.epochs
-    return score_voxels(
-        correlations,
-        rows,
-        epochs.labels(),
-        cv_fold_ids(epochs, config.online_folds),
-        create_backend(config),
-        batch_voxels=config.batch_voxels,
-    )
+    return score_voxels(correlations, rows, *_stage3_inputs(grouped, config))
+
+
+def score_kernel_panel(
+    grouped: "FMRIDataset",
+    config: Any,
+    rows: NDArray[Any],
+    kernels: NDArray[Any],
+) -> VoxelScores:
+    """Stage 3b of one row panel's ``(rows, epochs, epochs)`` kernels: a
+    ``"score"`` work item of the tiled runtime, whose tiles already
+    Gram-ed the panel chunk by chunk."""
+    return score_kernels(kernels, rows, *_stage3_inputs(grouped, config))
 
 
 def _score_dense(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:

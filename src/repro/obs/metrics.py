@@ -100,6 +100,12 @@ TILES_PRUNED = MetricSpec(
 ROWS = MetricSpec("rows", "count", "row extent of a 2-D tile")
 #: Column extent of a 2-D correlation tile.
 COLS = MetricSpec("cols", "count", "column extent of a 2-D tile")
+#: Gram-rule column chunks a 2-D tile reduced (one partial Gram each).
+GRAM_CHUNKS = MetricSpec(
+    "gram_chunks", "count", "Gram-rule chunks a 2-D tile reduced"
+)
+#: Bytes of the result a work item ships (a tile's partial Grams).
+BYTES_OUT = MetricSpec("bytes_out", "bytes", "bytes of the shipped result")
 #: Stored entries of a sparse kernel's output (CSR nnz).
 NNZ = MetricSpec("nnz", "count", "stored (non-pruned) output entries")
 #: Dense elements the kernel scanned to produce its output.
@@ -174,6 +180,8 @@ METRICS: dict[str, MetricSpec] = {
         TILES_PRUNED,
         ROWS,
         COLS,
+        GRAM_CHUNKS,
+        BYTES_OUT,
         NNZ,
         ELEMENTS,
         DENSITY,

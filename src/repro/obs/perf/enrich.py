@@ -197,7 +197,8 @@ def predict_kernel(
         return _combine([model_batched_stage12(spec, n_assigned, hw, sweep)])
     if name == "correlate_normalize_tile2d":
         # One 2-D tile of the scale-out path: the blocked gemm + merged
-        # normalization restricted to the tile's column slab.
+        # normalization + kernel syrk restricted to the tile's column
+        # slab (the tile returns its partial Grams).
         width = cols if cols else spec.n_voxels
         return model_tile2d_compute(spec, n_assigned, min(width, spec.n_voxels), hw)
     if name in ("score_voxels", "score_panel"):
@@ -205,10 +206,12 @@ def predict_kernel(
             syrk_impl, svm_impl = "mkl", "libsvm"
         else:
             syrk_impl, svm_impl = "ours", "phisvm"
-        return _combine([
-            model_kernel_syrk(spec, n_assigned, hw, syrk_impl),
-            model_svm_cv(spec, n_assigned, hw, svm_impl),
-        ])
+        parts = [model_svm_cv(spec, n_assigned, hw, svm_impl)]
+        if name == "score_voxels":
+            # (A tiled run's score_panel receives summed kernels: its
+            # tiles carried the syrk.)
+            parts.insert(0, model_kernel_syrk(spec, n_assigned, hw, syrk_impl))
+        return _combine(parts)
     return None
 
 

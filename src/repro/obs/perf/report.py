@@ -178,7 +178,9 @@ def format_scaleout_section(
     Replays every ``correlate_normalize_tile2d`` and ``score_panel``
     kernel span through the scale-out communication model
     (:mod:`repro.perf.scaleout_model`) on the chosen interconnect
-    (default: loopback TCP, the CI smoke topology), then appends the
+    (default: loopback TCP, the CI smoke topology) — a tile span's
+    ``gram_chunks`` metric sizes the partial Grams it shipped — then
+    appends the
     predicted strong-scaling envelope for the trace's tile geometry.
     Returns ``None`` when the trace has no tile spans or no recorded
     geometry.
@@ -215,8 +217,10 @@ def format_scaleout_section(
         cols = int(s.metrics.get("cols", 0)) or 1
         max_rows = max(max_rows, rows)
         max_cols = max(max_cols, cols)
+        n_chunks = int(s.metrics.get("gram_chunks", 0)) or 1
         est = model_tile_comm(
-            TileCommShape(rows=rows, cols=cols, n_epochs=spec.n_epochs), net
+            TileCommShape(rows=rows, n_chunks=n_chunks, n_epochs=spec.n_epochs),
+            net,
         )
         tile_seconds += est.seconds
         tile_bytes += est.total_bytes
@@ -224,7 +228,7 @@ def format_scaleout_section(
     panel_bytes = 0.0
     for s in panels:
         rows = int(s.metrics.get("voxels", 0)) or 1
-        est = model_panel_comm(rows, spec.n_epochs, spec.n_voxels, net)
+        est = model_panel_comm(rows, spec.n_epochs, net)
         panel_seconds += est.seconds
         panel_bytes += est.total_bytes
 

@@ -17,10 +17,19 @@ the ``(assigned × all-voxels)`` correlation matrix:
   of cores in *Parallel Pairwise Correlation Computation on Intel Xeon
   Phi Clusters*: a ``"tile"`` item is one column block of a row panel's
   fused stage 1/2 (:func:`~repro.core.engine.gemm_normalize_tile`, the
-  bitwise column-invariant tile body of the engine walk).  The master
-  owns panel assembly (:class:`~repro.core.results.PanelAssembler`):
-  tiles land in any order from any worker, and a completed panel
-  becomes a stage-3 ``"score"`` item dispatched back to a worker.
+  bitwise column-invariant tile body of the engine walk) **reduced
+  where it was computed**.  The linear kernel is additive over column
+  blocks, so the worker walks the tile chunk by chunk
+  (:func:`~repro.core.kernels.gram_chunks`, the Gram rule), keeps each
+  normalized chunk in held scratch and returns only its ``(rows, E, E)``
+  partial Gram.  Tiles land in any order from any worker; when a
+  panel's last tile lands the plan adds all its partials in ascending
+  column order — the serial rule, so the kernels are the serial bits
+  whatever the worker count, tile width, arrival order or retry
+  schedule — and the ``(rows, E, E)`` kernels become a stage-3
+  ``"score"`` item.  No correlation ever crosses the wire or exists on
+  the master: a chunk ships ``rows·E²·4`` bytes instead of
+  ``rows·E·cols·4`` (``GRAM_CHUNK_COLS / E`` times less).
 
 The loops know only the protocol; the plan knows what is ready next
 and what a result unlocks.
@@ -48,13 +57,17 @@ and what a result unlocks.
 
 Work-item payloads (every payload starts ``(kind, id, ...)``):
 
-========  =======================================  ==============================
-kind      TAG_TASK payload                         TAG_RESULT payload
-========  =======================================  ==============================
-"task"    ("task", index, rows)                    ("task", index, VoxelScores)
-"tile"    ("tile", index, panel, rows, c0, c1)     ("tile", index, panel, c0, c1, block)
-"score"   ("score", panel, rows, corr)             ("score", panel, VoxelScores)
-========  =======================================  ==============================
+========  ====================================  ========================================
+kind      TAG_TASK payload                      TAG_RESULT payload
+========  ====================================  ========================================
+"task"    ("task", index, rows)                 ("task", index, VoxelScores)
+"tile"    ("tile", index, panel, rows, c0, c1)  ("tile", index, panel, c0, c1, partials)
+"score"   ("score", panel, rows, kernels)       ("score", panel, VoxelScores)
+========  ====================================  ========================================
+
+``partials`` is float32 ``(n_chunks, rows, E, E)``, one partial Gram per
+chunk of ``[c0, c1)`` in ascending column order; ``kernels`` is float32
+``(rows, E, E)``.
 """
 
 from __future__ import annotations
@@ -68,11 +81,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.engine import gemm_normalize_tile
+from ..core.kernels import gram_chunks, kernel_matrix_batched, sum_gram_partials
 from ..core.normalization import NormalizationWorkspace
 from ..core.pipeline import preprocess_dataset
-from ..core.results import PanelAssembler, VoxelScores
+from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
-from ..exec.stage_graph import execute_task, score_panel
+from ..exec.stage_graph import (
+    execute_task,
+    score_kernel_panel,
+    score_panel,  # re-exported: the dense score body the harness drives
+)
 from ..obs.live.runtime import current_live
 from .comm import Comm, TAG_PEER_LOST, TAG_TELEMETRY
 
@@ -87,6 +105,7 @@ __all__ = [
     "compute_tile",
     "master_loop",
     "score_panel",
+    "tile_partial_grams",
     "worker_loop",
 ]
 
@@ -124,17 +143,17 @@ class WorkPlan:
 
     The decomposition-specific half of the master: build it from row
     ``tasks`` (:func:`~repro.exec.partition.partition_tasks`) *or* from
-    ``tiles`` (:func:`~repro.exec.partition.partition_tiles`, plus the
-    preprocessed ``n_voxels`` / ``n_epochs`` the panel buffers need).
-    Either way the scored parts concatenate in row-panel order.
+    ``tiles`` (:func:`~repro.exec.partition.partition_tiles`).  Either
+    way the scored parts concatenate in row-panel order.  A tiles plan
+    holds, per panel, only the ``(rows, E, E)`` partial Grams its tiles
+    returned, and from the last tile until the score the kernels they
+    sum to.
     """
 
     def __init__(
         self,
         tasks: Sequence[NDArray[np.int64]] = (),
         tiles: Sequence["TileTask"] = (),
-        n_voxels: int = 0,
-        n_epochs: int = 0,
     ):
         if bool(len(tasks)) == bool(len(tiles)):
             raise ValueError("a plan serves row tasks or tiles: give exactly one")
@@ -146,14 +165,16 @@ class WorkPlan:
         #: Work items the plan will serve.
         self.n_items = len(tasks)
         if tiles:
-            self._assembler = PanelAssembler(n_voxels, n_epochs)
-            panel_tiles = Counter(t.panel for t in tiles)
-            panel_rows = {t.panel: t.rows for t in tiles}
-            for panel_id in sorted(panel_tiles):
-                self._assembler.expect(
-                    panel_id, panel_rows[panel_id], panel_tiles[panel_id]
-                )
-            self._n_parts = len(panel_tiles)
+            self._rows = {t.panel: t.rows for t in tiles}
+            self._n_tiles = Counter(t.panel for t in tiles)
+            #: Per panel not yet summed: the partial Grams of the tiles
+            #: that landed, by column start.
+            self._partials: dict[int, dict[int, NDArray[np.float32]]] = {
+                panel: {} for panel in self._rows
+            }
+            #: Summed kernels of complete panels, held until scored.
+            self._kernels: dict[int, NDArray[np.float32]] = {}
+            self._n_parts = len(self._rows)
             self.n_items = len(tiles) + self._n_parts  # + one score per panel
 
     def initial(self) -> list[WorkKey]:
@@ -170,29 +191,35 @@ class WorkPlan:
         if kind == "tile":
             t = self._tiles[ident]
             return ("tile", ident, t.panel, np.asarray(t.rows), t.col_start, t.col_stop)
-        return (
-            "score",
-            ident,
-            self._assembler.rows_of(ident),
-            self._assembler.panel_buffer(ident),
-        )
+        return ("score", ident, self._rows[ident], self._kernels[ident])
 
     def complete(self, payload: tuple[Any, ...]) -> list[WorkKey]:
         """Absorb one TAG_RESULT payload; returns the items it made ready.
 
         Duplicates are legal (a worker presumed lost can still have
         delivered): the first result of a part wins, and the bits are
-        identical anyway.
+        identical anyway.  A panel's last tile turns its partial Grams
+        into kernels — every chunk's partial added in ascending column
+        order, the serial Gram rule — and makes its score ready.
         """
         kind, ident = payload[0], payload[1]
         if kind == "tile":
-            _, _, panel_id, c0, c1, block = payload
-            done = self._assembler.add(panel_id, c0, c1, block)
-            return [] if done is None else [("score", panel_id)]
+            _, _, panel_id, c0, _, partials = payload
+            landed = self._partials.get(panel_id)
+            if landed is None or c0 in landed:
+                return []
+            landed[c0] = partials
+            if len(landed) < self._n_tiles[panel_id]:
+                return []
+            del self._partials[panel_id]
+            self._kernels[panel_id] = sum_gram_partials(
+                chunk for start in sorted(landed) for chunk in landed[start]
+            )
+            return [("score", panel_id)]
         if ident not in self._scores:
             self._scores[ident] = payload[2]
             if kind == "score":
-                self._assembler.release(ident)
+                del self._kernels[ident]
         return []
 
     def result(self) -> VoxelScores:
@@ -212,28 +239,69 @@ def compute_tile(
     epochs_per_subject: int,
     workspace: NormalizationWorkspace | None = None,
     panel: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fused stage-1/2 of one 2-D tile: gemm + in-cache normalize.
 
     The engine's own tile body
-    (:func:`repro.core.engine.gemm_normalize_tile`) on a fresh
-    C-contiguous float32 ``(rows, E, cols)`` block, safe to ship — so
-    "bitwise equal to serial" holds by construction.  ``panel`` lets
-    the caller reuse the ``z[:, rows]`` contiguous copy across column
-    tiles of one row panel.
+    (:func:`repro.core.engine.gemm_normalize_tile`) on a C-contiguous
+    float32 ``(rows, E, cols)`` block — a fresh one, or ``out`` — so
+    "bitwise equal to serial" holds by construction, for any column
+    range.  ``panel`` lets the caller reuse the ``z[:, rows]``
+    contiguous copy across column tiles of one row panel.
     """
     if panel is None:
         panel = z[:, rows]  # (E, width, T) contiguous copy
-    tile = np.empty(
-        (rows.size, z.shape[0], col_stop - col_start), dtype=np.float32
-    )
+    if out is None:
+        out = np.empty(
+            (rows.size, z.shape[0], col_stop - col_start), dtype=np.float32
+        )
     return gemm_normalize_tile(
         panel,
         z.swapaxes(1, 2)[:, :, col_start:col_stop],
-        tile,
+        out,
         epochs_per_subject,
         workspace,
     )
+
+
+def tile_partial_grams(
+    z: np.ndarray,
+    rows: np.ndarray,
+    col_start: int,
+    col_stop: int,
+    epochs_per_subject: int,
+    workspace: NormalizationWorkspace,
+    panel: np.ndarray,
+) -> np.ndarray:
+    """What a ``"tile"`` item returns: the ``(n_chunks, rows, E, E)``
+    partial Grams of the tile's column chunks, ascending.
+
+    Each chunk of the Gram rule inside ``[col_start, col_stop)`` —
+    which must be whole chunks of the full row, or this raises — is
+    computed by :func:`compute_tile` into scratch held by ``workspace``
+    and Gram-ed at once; a chunk-wide block is a single chunk under the
+    rule, so its Gram is the one BLAS product per voxel the serial rule
+    makes of the same columns.
+    """
+    chunks = gram_chunks(z.shape[1], col_start, col_stop)
+    n_epochs = z.shape[0]
+    partials = np.empty(
+        (len(chunks), rows.size, n_epochs, n_epochs), dtype=np.float32
+    )
+    for k, (c0, c1) in enumerate(chunks):
+        block = compute_tile(
+            z,
+            rows,
+            c0,
+            c1,
+            epochs_per_subject,
+            workspace=workspace,
+            panel=panel,
+            out=workspace.tile((rows.size, n_epochs, c1 - c0)),
+        )
+        partials[k] = kernel_matrix_batched(block)
+    return partials
 
 
 def master_loop(
@@ -422,29 +490,37 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
                     with ctx.tracer.span(
                         "correlate_normalize_tile2d", kind="kernel"
                     ) as kspan:
-                        block = compute_tile(
+                        partials = tile_partial_grams(
                             z,
                             rows,
                             c0,
                             c1,
                             epochs_per_subject,
-                            workspace=workspace,
-                            panel=panel_cache[1],
+                            workspace,
+                            panel_cache[1],
                         )
                         kspan.add_metric("rows", float(rows.size))
                         kspan.add_metric("cols", float(c1 - c0))
-                        kspan.add_metric("bytes_moved", float(block.nbytes))
+                        # Normalized tile computed (and kept) vs shipped.
+                        kspan.add_metric(
+                            "bytes_moved",
+                            float(rows.size * z.shape[0] * (c1 - c0) * 4),
+                        )
+                        kspan.add_metric("gram_chunks", float(len(partials)))
+                        kspan.add_metric("bytes_out", float(partials.nbytes))
                     span.add_metric("voxels", float(rows.size))
                 if live is not None:
                     live.observe("tile_seconds", kspan.duration)
-                result = ("tile", ident, panel_id, c0, c1, block)
+                result = ("tile", ident, panel_id, c0, c1, partials)
             elif kind == "score":
-                _, _, rows, corr = payload
+                _, _, rows, kernels = payload
                 rows = np.asarray(rows, dtype=np.int64)
-                corr = np.ascontiguousarray(corr, dtype=np.float32)
+                kernels = np.ascontiguousarray(kernels, dtype=np.float32)
                 with ctx.task_span(rows.size, int(rows[0])) as span:
                     with ctx.tracer.span("score_panel", kind="kernel") as kspan:
-                        scores = score_panel(grouped, ctx.config, rows, corr, ctx)
+                        scores = score_kernel_panel(
+                            grouped, ctx.config, rows, kernels
+                        )
                         kspan.add_metric("voxels", float(rows.size))
                     span.add_metric("voxels", float(rows.size))
                 result = ("score", ident, scores)

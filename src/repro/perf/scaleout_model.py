@@ -6,11 +6,13 @@ master-worker *communication* of the TCP transport under 2-D tile
 partitioning:
 
 * per **tile**, the master sends a small descriptor (panel id, row ids,
-  column range) and receives the computed ``(rows, epochs, cols)``
-  float32 block — the dominant upstream term;
-* per **panel**, the master ships the assembled ``(rows, epochs, V)``
-  buffer back out for stage-3 scoring and receives the per-voxel
-  accuracies — the dominant downstream term.
+  column range) and receives one ``(rows, epochs, epochs)`` float32
+  partial Gram per chunk of the tile
+  (:func:`repro.core.kernels.gram_chunks`) — the worker keeps the
+  ``(rows, epochs, cols)`` block it computed;
+* per **panel**, the master ships the summed ``(rows, epochs, epochs)``
+  kernels out for stage-3 scoring and receives the per-voxel
+  accuracies.
 
 Every transfer is modeled as ``latency + bytes / bandwidth`` on an
 :class:`InterconnectSpec`.  The master's link is shared, so the wire
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..core.kernels import gram_chunks
 from ..data.presets import DatasetSpec
 from ..hw.counters import PerfCounters
 from ..hw.spec import HardwareSpec
@@ -115,12 +118,13 @@ class TileCommShape:
     """The messages one 2-D tile costs on the wire."""
 
     rows: int
-    cols: int
+    #: Gram-rule chunks the tile reduces (one partial Gram each).
+    n_chunks: int
     n_epochs: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1 or self.n_epochs < 1:
-            raise ValueError("rows, cols, n_epochs must all be >= 1")
+        if self.rows < 1 or self.n_chunks < 1 or self.n_epochs < 1:
+            raise ValueError("rows, n_chunks, n_epochs must all be >= 1")
 
     @property
     def task_bytes(self) -> int:
@@ -129,8 +133,9 @@ class TileCommShape:
 
     @property
     def result_bytes(self) -> int:
-        """Worker -> master block: ``(rows, epochs, cols)`` float32."""
-        return self.rows * self.n_epochs * self.cols * _F32
+        """Worker -> master partial Grams: ``(n_chunks, rows, epochs,
+        epochs)`` float32."""
+        return self.n_chunks * self.rows * self.n_epochs**2 * _F32
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ class CommEstimate:
 
 
 def model_tile_comm(shape: TileCommShape, net: InterconnectSpec) -> CommEstimate:
-    """Request/descriptor down, computed tile block up."""
+    """Request/descriptor down, the tile's partial Grams up."""
     down = float(shape.task_bytes)
     up = float(shape.result_bytes)
     seconds = net.transfer_seconds(down, messages=1) + net.transfer_seconds(
@@ -157,12 +162,12 @@ def model_tile_comm(shape: TileCommShape, net: InterconnectSpec) -> CommEstimate
 
 
 def model_panel_comm(
-    rows: int, n_epochs: int, n_voxels: int, net: InterconnectSpec
+    rows: int, n_epochs: int, net: InterconnectSpec
 ) -> CommEstimate:
-    """Assembled panel down for scoring, voxel accuracies up."""
-    if rows < 1 or n_epochs < 1 or n_voxels < 1:
-        raise ValueError("rows, n_epochs, n_voxels must all be >= 1")
-    down = float(rows * n_epochs * n_voxels * _F32 + rows * 8)
+    """Summed kernels down for scoring, voxel accuracies up."""
+    if rows < 1 or n_epochs < 1:
+        raise ValueError("rows and n_epochs must be >= 1")
+    down = float(rows * n_epochs**2 * _F32 + rows * 8)
     up = float(rows * _SCORE_BYTES)
     seconds = net.transfer_seconds(down, messages=1) + net.transfer_seconds(
         up, messages=1
@@ -171,13 +176,19 @@ def model_panel_comm(
 
 
 def model_tile2d_compute(
-    spec: DatasetSpec, rows: int, cols: int, hw: HardwareSpec
+    spec: DatasetSpec,
+    rows: int,
+    cols: int,
+    hw: HardwareSpec,
+    syrk_impl: str = "ours",
 ) -> tuple[PerfCounters, float]:
-    """Counters + seconds of one fused correlate+normalize 2-D tile.
+    """Counters + seconds of one 2-D tile: fused correlate+normalize,
+    then the Gram of what it computed.
 
     The tile kernel is the full-width blocked gemm + merged
-    normalization restricted to a ``cols``-wide column slab, so its cost
-    is the column fraction of the single-node models — the same
+    normalization + kernel syrk restricted to a ``cols``-wide column
+    slab (the linear kernel is additive over columns), so its cost is
+    the column fraction of the single-node models — the same
     first-principles counters, scaled by ``cols / V``.
     """
     if rows < 1 or cols < 1:
@@ -187,8 +198,9 @@ def model_tile2d_compute(
     frac = cols / spec.n_voxels
     matmul = model_correlation_matmul(spec, rows, hw, "ours")
     norm = model_normalization(spec, rows, hw, "merged")
-    counters = (matmul.counters + norm.counters).scaled(frac)
-    seconds = (matmul.seconds + norm.seconds) * frac
+    syrk = model_kernel_syrk(spec, rows, hw, syrk_impl)
+    counters = (matmul.counters + norm.counters + syrk.counters).scaled(frac)
+    seconds = (matmul.seconds + norm.seconds + syrk.seconds) * frac
     return counters, seconds
 
 
@@ -223,11 +235,14 @@ def predict_scaleout(
 ) -> list[ScaleoutPoint]:
     """Strong-scaling curve of the 2-D tiled master-worker run.
 
-    Total compute is the per-panel single-node cost (stage 1/2 via the
-    tile model summed over column slabs, stage 3 via the syrk + SVM
-    models) summed over panels; total communication is every tile and
-    panel exchange serialized on the master link.  With the worker
-    loop's request prefetch the best achievable elapsed time is the
+    Total compute is the per-panel single-node cost (stage 1/2 + the
+    Gram via the tile model summed over column slabs, the
+    cross-validation via the SVM model) summed over panels; total
+    communication is every tile and panel exchange serialized on the
+    master link.  A tile ships one partial Gram per Gram-rule chunk that
+    starts inside it (exact for the chunk-aligned tiles the runtime
+    plans, at least one for a hypothetical narrower tile).  With the
+    worker loop's request prefetch the best achievable elapsed time is the
     envelope ``max(compute / n, comm)`` — returned per worker count.
     Weak-scaling curves come from calling this per problem size.
     """
@@ -239,7 +254,14 @@ def predict_scaleout(
     panels = [
         min(task_voxels, v - start) for start in range(0, v, task_voxels)
     ]
-    cols = [min(tile_cols, v - start) for start in range(0, v, tile_cols)]
+    chunk_starts = [c0 for c0, _ in gram_chunks(v)]
+    tiles = [
+        (
+            min(tile_cols, v - start),
+            max(1, sum(start <= c0 < start + tile_cols for c0 in chunk_starts)),
+        )
+        for start in range(0, v, tile_cols)
+    ]
 
     compute = 0.0
     comm_seconds = 0.0
@@ -249,17 +271,17 @@ def predict_scaleout(
     else:
         syrk_impl, svm_impl = "ours", "phisvm"
     for rows in panels:
-        for c in cols:
-            _, tile_s = model_tile2d_compute(spec, rows, c, hw)
+        for cols, n_chunks in tiles:
+            _, tile_s = model_tile2d_compute(spec, rows, cols, hw, syrk_impl)
             compute += tile_s
             tile_comm = model_tile_comm(
-                TileCommShape(rows=rows, cols=c, n_epochs=spec.n_epochs), net
+                TileCommShape(rows=rows, n_chunks=n_chunks, n_epochs=spec.n_epochs),
+                net,
             )
             comm_seconds += tile_comm.seconds
             comm_bytes += tile_comm.total_bytes
-        compute += model_kernel_syrk(spec, rows, hw, syrk_impl).seconds
         compute += model_svm_cv(spec, rows, hw, svm_impl).seconds
-        panel_comm = model_panel_comm(rows, spec.n_epochs, v, net)
+        panel_comm = model_panel_comm(rows, spec.n_epochs, net)
         comm_seconds += panel_comm.seconds
         comm_bytes += panel_comm.total_bytes
 

@@ -58,3 +58,15 @@ def rng() -> np.random.Generator:
 def fast_fcma_config() -> FCMAConfig:
     """Pipeline config tuned for test speed (small tiles, few voxels)."""
     return FCMAConfig(task_voxels=40, target_block=32)
+
+
+@pytest.fixture()
+def small_gram_chunks(monkeypatch) -> int:
+    """Shrink the Gram rule's chunk to 16 columns — in this process only
+    — so the 60-voxel tiny dataset is four chunks and a 32-column tile
+    two.  Spawned worker *processes* do not see a monkeypatch: tests
+    that cross a process boundary run the real constant."""
+    import repro.core.kernels as kernels
+
+    monkeypatch.setattr(kernels, "GRAM_CHUNK_COLS", 16)
+    return 16

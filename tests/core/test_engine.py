@@ -451,8 +451,9 @@ import numpy as np
 from repro.core.correlation import correlate_batched, normalize_epoch_data
 from repro.core.engine import DenseEmitter, run_engine
 from repro.core.kernels import kernel_matrix_batched
-from repro.core.normalization import normalize_separated
+from repro.core.normalization import NormalizationWorkspace, normalize_separated
 from repro.core.sparse import CSREmitter
+from repro.parallel.tiled import tile_partial_grams
 
 rng = np.random.default_rng(0)
 for e, n, t, v in ((4, 2500, 12, 24), (6, 5003, 16, 64)):
@@ -467,7 +468,20 @@ for e, n, t, v in ((4, 2500, 12, 24), (6, 5003, 16, 64)):
             assert out.tobytes() == reference.tobytes(), (n, block, threads)
             widths.add(v * t * emitter.tile_cols > 2**18)
     assert widths == {False, True}
-    gram = reference @ reference.transpose(0, 2, 1)
+    # The Gram rule, by hand: matmul per 2048-column chunk, added in order.
+    partials = []
+    for c0 in range(0, n, 2048):
+        chunk = reference[:, :, c0:c0 + 2048]
+        partials.append(chunk @ chunk.transpose(0, 2, 1))
+    gram = partials[0].copy()
+    for partial in partials[1:]:
+        gram += partial
+    # A tile's partials (Gram of a contiguous block of just those
+    # columns, what a tiled worker holds) are the serial partials.
+    tile_partials = tile_partial_grams(
+        z, assigned, 2048, n, e, NormalizationWorkspace(), z[:, assigned]
+    )
+    assert tile_partials.tobytes() == np.stack(partials[1:]).tobytes(), n
     csr = []
     for threads in (1, 2, 3):
         assert kernel_matrix_batched(reference, threads=threads).tobytes() == gram.tobytes()
@@ -484,7 +498,8 @@ print("ok")
 @pytest.mark.parametrize("blas_threads", ["2", "4"])
 def test_invariance_holds_under_multithreaded_blas(blas_threads):
     """A multi-threaded BLAS splits M and N differently per gemm shape;
-    the column-split and thread-budget invariance must survive that
+    the column-split and thread-budget invariance — and the Gram rule's
+    "a tile's partials are the serial partials" — must survive that
     (the default ``fcma run`` configuration, which the benchmark
     harness — BLAS pinned to one thread — never sees)."""
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))

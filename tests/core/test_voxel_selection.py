@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.voxel_selection import score_voxels, score_voxels_reference
+from repro.core.kernels import kernel_matrix_batched
+from repro.core.voxel_selection import (
+    score_kernels,
+    score_voxels,
+    score_voxels_reference,
+)
 from repro.svm import LibSVMClassifier, PhiSVM
 from repro.svm.multiclass import as_multiclass
 
@@ -51,6 +56,35 @@ class TestScoreVoxels:
             score_voxels(corr, np.arange(2), labels, folds, PhiSVM())
         with pytest.raises(ValueError, match="per epoch"):
             score_voxels(corr, np.arange(3), labels[:-1], folds[:-1], PhiSVM())
+
+
+class TestScoreKernels:
+    """The second half of ``score_voxels``: what a tiled ``"score"``
+    item runs on kernels its tiles Gram-ed elsewhere."""
+
+    @pytest.mark.parametrize("batch_voxels", [64, 2, 0])
+    def test_gram_then_score_kernels_is_score_voxels(self, batch_voxels):
+        corr, labels, folds = correlations(v=5, seed=2)
+        ids = np.arange(5)
+        whole = score_voxels(
+            corr, ids, labels, folds, PhiSVM(), batch_voxels=batch_voxels
+        )
+        halves = score_kernels(
+            kernel_matrix_batched(corr), ids, labels, folds, PhiSVM(),
+            batch_voxels=batch_voxels,
+        )
+        np.testing.assert_array_equal(whole.voxels, halves.voxels)
+        np.testing.assert_array_equal(whole.accuracies, halves.accuracies)
+
+    def test_validation(self):
+        corr, labels, folds = correlations()
+        kernels = kernel_matrix_batched(corr)
+        with pytest.raises(ValueError, match=r"\(V, M, M\)"):
+            score_kernels(kernels[:2], np.arange(3), labels, folds, PhiSVM())
+        with pytest.raises(ValueError, match=r"\(V, M, M\)"):
+            score_kernels(corr, np.arange(3), labels, folds, PhiSVM())
+        with pytest.raises(ValueError, match="per epoch"):
+            score_kernels(kernels, np.arange(3), labels, folds[:-1], PhiSVM())
 
 
 class TestBatchedPath:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.kernels import GRAM_CHUNK_COLS, gram_chunks
 from repro.exec.partition import (
     TileTask,
     auto_chunksize,
@@ -103,15 +106,7 @@ class TestPartitionTiles:
         tiles = partition_tiles(12, 2, 12, voxels)
         assert [t.rows.tolist() for t in tiles] == [[9, 4], [7]]
         assert all((t.col_start, t.col_stop) == (0, 12) for t in tiles)
-
-    def test_result_nbytes(self):
-        tile = TileTask(
-            index=0, panel=0,
-            rows=np.arange(5, dtype=np.int64), col_start=0, col_stop=7,
-        )
-        assert tile.n_rows == 5
-        assert tile.n_cols == 7
-        assert tile.result_nbytes(n_epochs=8) == 5 * 8 * 7 * 4
+        assert [(t.n_rows, t.n_cols) for t in tiles] == [(2, 12), (1, 12)]
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError, match="tile_cols"):
@@ -124,9 +119,35 @@ class TestPartitionTiles:
 
 
 class TestTileColsFor:
-    def test_multiple_of_target_block(self):
-        cols = tile_cols_for(1000, 32, n_workers=4, n_panels=2)
-        assert cols % 32 == 0
+    def test_multiple_of_target_block(self, small_gram_chunks):
+        """... and of the Gram chunk: a tile is whole planner blocks and
+        whole chunks, i.e. a multiple of their lcm."""
+        cols = tile_cols_for(1000, 24, n_workers=4, n_panels=2)
+        assert cols < 1000
+        assert cols % math.lcm(24, small_gram_chunks) == 0
+        gram_chunks(1000, 0, cols)  # chunk boundaries: does not raise
+
+    def test_real_chunk_at_the_wide_geometry(self):
+        cols = tile_cols_for(34_470, 512, n_workers=2, n_panels=1)
+        assert cols % math.lcm(512, GRAM_CHUNK_COLS) == 0
+        assert 2 <= -(-34_470 // cols) <= 4
+        for t in partition_tiles(34_470, 120, cols, np.arange(60)):
+            gram_chunks(34_470, t.col_start, t.col_stop)
+
+    def test_single_chunk_row_is_one_tile(self):
+        assert tile_cols_for(1000, 32, n_workers=4, n_panels=2) == 1000
+
+    def test_one_column_tail_chunk_stays_with_its_neighbour(
+        self, small_gram_chunks
+    ):
+        """The rule merges a 1-column tail chunk into the chunk before
+        it; no uniform tile width may cut that chunk."""
+        for n_voxels in (33, 65, 97, 129):
+            cols = tile_cols_for(n_voxels, 16, n_workers=4, n_panels=1)
+            tiles = partition_tiles(n_voxels, 40, cols)
+            assert tiles[-1].col_stop == n_voxels
+            for t in tiles:
+                gram_chunks(n_voxels, t.col_start, t.col_stop)
 
     def test_never_exceeds_n_voxels(self):
         assert tile_cols_for(20, 32, n_workers=4, n_panels=1) == 20

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import FCMAConfig
@@ -84,17 +85,24 @@ class TestTileKernelEnrichment:
             cols=FACE_SCENE.n_voxels,
         )
         assert predicted is not None
+        # ... plus the Gram: a tile returns its partial Grams.
         expected = (
             model_correlation_matmul(FACE_SCENE, 400, E5_2670, "ours").seconds
             + model_normalization(FACE_SCENE, 400, E5_2670, "merged").seconds
+            + model_kernel_syrk(FACE_SCENE, 400, E5_2670, "ours").seconds
         )
         assert predicted[1] == pytest.approx(expected)
 
     def test_score_panel_matches_score_voxels(self):
+        """... less the syrk, which a tiled run's tiles carry."""
         panel = predict_kernel("score_panel", FACE_SCENE, 400, E5_2670)
         voxels = predict_kernel("score_voxels", FACE_SCENE, 400, E5_2670)
         assert panel is not None and voxels is not None
-        assert panel[1] == pytest.approx(voxels[1])
+        syrk = model_kernel_syrk(FACE_SCENE, 400, E5_2670, "ours").seconds
+        assert panel[1] + syrk == pytest.approx(voxels[1])
+        assert panel[1] == pytest.approx(
+            model_svm_cv(FACE_SCENE, 400, E5_2670, "phisvm").seconds
+        )
 
     def test_score_panel_variant_selects_backend(self):
         opt = predict_kernel("score_panel", FACE_SCENE, 400, E5_2670)
@@ -102,10 +110,9 @@ class TestTileKernelEnrichment:
             "score_panel", FACE_SCENE, 400, E5_2670, variant="baseline"
         )
         assert base is not None and opt is not None
-        assert (
-            model_kernel_syrk(FACE_SCENE, 400, E5_2670, "mkl").seconds
-            + model_svm_cv(FACE_SCENE, 400, E5_2670, "libsvm").seconds
-        ) == pytest.approx(base[1])
+        assert model_svm_cv(
+            FACE_SCENE, 400, E5_2670, "libsvm"
+        ).seconds == pytest.approx(base[1])
         assert base[1] != pytest.approx(opt[1])
 
 
@@ -149,3 +156,44 @@ class TestScaleoutSection:
             return float(line.split()[-3])
 
         assert wire_ms(slow) > wire_ms(fast)
+
+
+class TestWireModelFollowsTheWire:
+    def test_predicted_bytes_match_the_tcp_counters(self):
+        """Two worker processes, 2 panels x 2 tiles (2 + 1 chunks) at
+        N > 2 chunks: the model's bytes, replayed from the trace, are
+        the bytes the sockets counted once the dataset broadcast is
+        taken out (every byte is counted once sent and once received)."""
+        from repro.core.kernels import GRAM_CHUNK_COLS
+        from repro.data import SyntheticConfig, generate_dataset
+
+        dataset = generate_dataset(
+            SyntheticConfig(
+                n_voxels=2 * GRAM_CHUNK_COLS + 400, n_subjects=4,
+                epochs_per_subject=8, epoch_length=12, n_informative=8,
+                seed=3, name="wide-tiny",
+            )
+        )
+        ctx = RunContext(FCMAConfig(task_voxels=40, svm_tol=0.1))
+        make_executor(
+            "master-worker", n_workers=2, transport="tcp", partition="tiles"
+        ).run(dataset, ctx, np.arange(0, 80 * 50, 50))
+        spans = ctx.tracer.spans()
+        tiles = [s for s in spans if s.name == "correlate_normalize_tile2d"]
+        assert sorted(s.metrics["gram_chunks"] for s in tiles) == [1, 1, 2, 2]
+        for span in tiles:
+            chunk_gram = 40 * dataset.n_epochs**2 * 4
+            assert span.metrics["bytes_out"] == span.metrics["gram_chunks"] * chunk_gram
+
+        section = format_scaleout_section(spans)
+        assert section is not None
+        predicted_mb = sum(
+            float(line.split(":")[1].split()[0])
+            for line in section.splitlines()
+            if "transfer(s)" in line
+        )
+        counters = ctx.metadata["counters"]
+        bcast = 2 * dataset.nbytes()
+        for direction in ("comm.bytes_sent", "comm.bytes_recv"):
+            measured_mb = (counters[direction] - bcast) / 1e6
+            assert predicted_mb == pytest.approx(measured_mb, rel=0.10), direction

@@ -9,20 +9,32 @@ a guarantee cannot hold for one decomposition and rot for the other.
 Failures are injected by monkeypatching the module-level item body the
 worker loop calls — ``tiled.execute_task`` for a row task,
 ``tiled.compute_tile`` for a tile.
+
+A tile returns one partial Gram per chunk of the Gram rule
+(``repro.core.kernels.gram_chunks``), and at 60 voxels the real 2048-
+column chunk would make every panel one tile of one chunk.  Everything
+run through the ``decomp`` fixture therefore shrinks the chunk to 16
+columns (``small_gram_chunks``: in-process only, serial reference
+included), so a panel is 2 tiles of 2 chunks as the protocol cases
+assume; the cases that spawn worker *processes* run the real constant.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.parallel.tiled as tiled
 from repro.core import FCMAConfig
-from repro.core.pipeline import preprocess_dataset
+from repro.core.kernels import GRAM_CHUNK_COLS
+from repro.data import SyntheticConfig, generate_dataset
 from repro.exec import MasterWorkerExecutor, RunContext, SerialExecutor
-from repro.exec.partition import partition_tasks, partition_tiles
+from repro.exec.partition import TileTask, partition_tasks, partition_tiles
 from repro.parallel.comm import Comm, CommGroup, run_ranks
 from repro.parallel.tiled import (
     TAG_ERROR,
@@ -38,7 +50,7 @@ from repro.parallel.tiled import (
 from repro.parallel.transport import TcpListener, TcpTransport
 
 TIMEOUT = 30.0
-TILE_COLS = 32  # 60 voxels -> 2 column tiles per row panel
+TILE_COLS = 32  # 60 voxels -> 2 column tiles per row panel, 2 chunks each
 
 
 class Decomposition:
@@ -48,9 +60,10 @@ class Decomposition:
     #: Serial reference scores per task_voxels (same row-panel shapes).
     _serial: dict[int, object] = {}
 
-    def __init__(self, kind: str, dataset):
+    def __init__(self, kind: str, dataset, tile_cols: int = TILE_COLS):
         self.kind = kind
         self.dataset = dataset
+        self.tile_cols = tile_cols
         #: Kind of the items that are ready before any result arrives.
         self.item = "task" if kind == "rows" else "tile"
 
@@ -63,12 +76,11 @@ class Decomposition:
         )
 
     def plan(self, task_voxels: int) -> WorkPlan:
-        _, z = preprocess_dataset(self.dataset)
-        n_epochs, n_voxels = z.shape[0], z.shape[1]
+        n_voxels = self.dataset.n_voxels
         if self.kind == "rows":
             return WorkPlan(tasks=partition_tasks(n_voxels, task_voxels))
-        tiles = partition_tiles(n_voxels, task_voxels, TILE_COLS)
-        return WorkPlan(tiles=tiles, n_voxels=n_voxels, n_epochs=n_epochs)
+        tiles = partition_tiles(n_voxels, task_voxels, self.tile_cols)
+        return WorkPlan(tiles=tiles)
 
     def n_items(self, n_panels: int) -> int:
         """Row tasks, or 2 column tiles + 1 score per panel."""
@@ -127,7 +139,7 @@ class Flaky:
 
 
 @pytest.fixture(params=["rows", "tiles"])
-def decomp(request, tiny_dataset) -> Decomposition:
+def decomp(request, tiny_dataset, small_gram_chunks) -> Decomposition:
     return Decomposition(request.param, tiny_dataset)
 
 
@@ -154,6 +166,33 @@ def run_protocol(decomp, task_voxels, n_workers, max_retries=2):
 
     results = run_ranks(n_workers + 1, spmd, timeout=TIMEOUT)
     return results[0], results[1:], ctxs, plan
+
+
+@contextlib.contextmanager
+def tcp_ranks(n_workers: int):
+    """Rank 0's transport and ``{rank: transport}`` of the workers over
+    real loopback sockets — every rank driven by a thread of this
+    process, so monkeypatches reach the workers too."""
+    listener = TcpListener("127.0.0.1", 0)
+    host, port = listener.address
+    transports: dict[int, TcpTransport] = {}
+
+    def connect():
+        t = TcpTransport.connect(host, port, timeout=TIMEOUT)
+        transports[t.rank] = t
+
+    conn_threads = [threading.Thread(target=connect) for _ in range(n_workers)]
+    for t in conn_threads:
+        t.start()
+    master_transport = listener.accept(n_workers, timeout=TIMEOUT)
+    for t in conn_threads:
+        t.join(TIMEOUT)
+    try:
+        yield master_transport, transports
+    finally:
+        master_transport.close()
+        for t in transports.values():
+            t.close()
 
 
 class TestProtocol:
@@ -184,7 +223,7 @@ class TestProtocol:
         with pytest.raises(ValueError, match="exactly one"):
             WorkPlan()
         with pytest.raises(ValueError, match="exactly one"):
-            WorkPlan(tasks=tasks, tiles=tiles, n_voxels=60, n_epochs=32)
+            WorkPlan(tasks=tasks, tiles=tiles)
 
     def test_tags_distinct(self):
         assert len({TAG_REQUEST, TAG_TASK, TAG_RESULT, TAG_STOP, TAG_ERROR}) == 5
@@ -352,45 +391,30 @@ class TestTcpWorkerLoss:
         the failure-free serial run."""
         plan = decomp.plan(40)
         config = decomp.config(40)
-        listener = TcpListener("127.0.0.1", 0)
-        host, port = listener.address
-        transports: dict[int, TcpTransport] = {}
-
-        def connect():
-            t = TcpTransport.connect(host, port, timeout=TIMEOUT)
-            transports[t.rank] = t
-
-        conn_threads = [threading.Thread(target=connect) for _ in range(2)]
-        for t in conn_threads:
-            t.start()
-        master_transport = listener.accept(2, timeout=TIMEOUT)
-        for t in conn_threads:
-            t.join(TIMEOUT)
-
         result: list = []
         errors: list[BaseException] = []
-
-        def run_master():
-            try:
-                # max_retries=1: the loss must not be charged as a failure.
-                result.append(
-                    master_loop(Comm(master_transport, 0), plan, max_retries=1)
-                )
-            except BaseException as exc:  # pragma: no cover - debug aid
-                errors.append(exc)
-
         survivor_done: list[int] = []
 
-        def run_survivor():
-            survivor_done.append(
-                worker_loop(
-                    Comm(transports[1], 1), decomp.dataset, RunContext(config)
-                )
-            )
+        with tcp_ranks(2) as (master_transport, transports):
 
-        master = threading.Thread(target=run_master)
-        master.start()
-        try:
+            def run_master():
+                try:
+                    # max_retries=1: the loss must not be charged as a failure.
+                    result.append(
+                        master_loop(Comm(master_transport, 0), plan, max_retries=1)
+                    )
+                except BaseException as exc:  # pragma: no cover - debug aid
+                    errors.append(exc)
+
+            def run_survivor():
+                survivor_done.append(
+                    worker_loop(
+                        Comm(transports[1], 1), decomp.dataset, RunContext(config)
+                    )
+                )
+
+            master = threading.Thread(target=run_master)
+            master.start()
             victim = Comm(transports[2], 2)
             victim.send(None, 0, TAG_REQUEST)
             _, tag, payload = victim.recv(source=0)
@@ -406,14 +430,117 @@ class TestTcpWorkerLoss:
             master.join(TIMEOUT)
             assert not errors, errors
             assert not master.is_alive() and not survivor.is_alive()
-        finally:
-            master_transport.close()
-            for t in transports.values():
-                t.close()
 
         # The survivor completed every item, including the re-queued one.
         assert survivor_done == [plan.n_items]
         assert_bitwise(result[0], decomp.serial(40))
+
+
+class TestPartialGrams:
+    """What is specific to a tiles plan: tiles return per-chunk partial
+    Grams and the plan adds them in column order — the serial Gram rule
+    — whatever the tile width, transport or arrival order."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 5])
+    @pytest.mark.parametrize("tile_cols", [16, 32, 48])  # 1, 2, 3 chunks
+    def test_tile_width_does_not_move_a_bit(
+        self, tiny_dataset, small_gram_chunks, tile_cols, n_workers
+    ):
+        tiles = Decomposition("tiles", tiny_dataset, tile_cols)
+        scores, completed, _, plan = run_protocol(tiles, 40, n_workers)
+        assert sum(completed) == plan.n_items == 2 * (-(-60 // tile_cols) + 1)
+        assert_bitwise(scores, tiles.serial(40))
+
+    @pytest.mark.parametrize("tile_cols", [16, 32, 48])
+    def test_over_loopback_sockets(
+        self, tiny_dataset, small_gram_chunks, tile_cols
+    ):
+        tiles = Decomposition("tiles", tiny_dataset, tile_cols)
+        plan, config = tiles.plan(12), tiles.config(12)
+        with tcp_ranks(2) as (master_transport, transports):
+            workers = [
+                threading.Thread(
+                    target=worker_loop,
+                    args=(Comm(t, rank), tiny_dataset, RunContext(config)),
+                )
+                for rank, t in transports.items()
+            ]
+            for t in workers:
+                t.start()
+            scores = master_loop(Comm(master_transport, 0), plan)
+            for t in workers:
+                t.join(TIMEOUT)
+        assert_bitwise(scores, tiles.serial(12))
+
+    def test_worker_processes_multi_chunk_multi_tile(self):
+        """The real constant across a real process boundary: at
+        N > 2 chunks a panel is 2 tiles, the first of 2 chunks."""
+        n_voxels = 2 * GRAM_CHUNK_COLS + 400
+        dataset = generate_dataset(
+            SyntheticConfig(
+                n_voxels=n_voxels, n_subjects=2, epochs_per_subject=4,
+                epoch_length=6, n_informative=8, seed=3, name="wide-tiny",
+            )
+        )
+        config = FCMAConfig(task_voxels=3, svm_tol=0.1)
+        voxels = np.array([5, 7, GRAM_CHUNK_COLS, n_voxels - 1, 0])
+        serial = SerialExecutor().run(dataset, RunContext(config), voxels)
+        ctx = RunContext(config)
+        scores = MasterWorkerExecutor(
+            n_workers=2, transport="tcp", partition="tiles"
+        ).run(dataset, ctx, voxels)
+        assert_bitwise(scores, serial)
+        assert ctx.metadata["tile_cols"] == 2 * GRAM_CHUNK_COLS
+        assert ctx.metadata["n_tasks"] == 2 * (2 + 1)  # panels x (tiles + score)
+        # Beyond the dataset broadcast, partial Grams crossed the
+        # socket, not correlation blocks.
+        received = ctx.metadata["counters"]["comm.bytes_recv"]
+        block_bytes = voxels.size * dataset.n_epochs * n_voxels * 4
+        assert received - 2 * dataset.nbytes() < 0.25 * block_bytes
+
+    def test_non_chunk_tile_fails_typed(self, tiny_dataset):
+        """Under the real rule 60 columns are one chunk, so a 32-column
+        tile cuts it: the worker refuses, the master names the tile."""
+        tiles = Decomposition("tiles", tiny_dataset)
+        error, completed, _, _ = run_protocol(tiles, 60, n_workers=1)
+        assert isinstance(error, TaskFailedError)
+        assert str(error).startswith("tile 0 failed after 2 attempts")
+        assert "not whole Gram chunks" in str(error)
+        assert completed == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_arrival_order_with_duplicates_sums_in_column_order(self, data):
+        rows = np.arange(data.draw(st.integers(1, 3)), dtype=np.int64)
+        n_epochs = data.draw(st.integers(1, 4))
+        chunks_per_tile = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        tiles, payloads, c0 = [], [], 0
+        for index, n_chunks in enumerate(chunks_per_tile):
+            c1 = c0 + 10 * n_chunks
+            tiles.append(TileTask(index, 0, rows, c0, c1))
+            # Wide dynamic range, so a different order of additions
+            # would round differently.
+            partials = rng.standard_normal(
+                (n_chunks, rows.size, n_epochs, n_epochs)
+            ) * 10.0 ** rng.integers(-3, 4, (n_chunks, 1, 1, 1))
+            payloads.append(("tile", index, 0, c0, c1, partials.astype(np.float32)))
+            c0 = c1
+        expected = None
+        for payload in payloads:
+            for chunk in payload[5]:
+                expected = chunk.copy() if expected is None else expected + chunk
+
+        arrivals = payloads + data.draw(st.lists(st.sampled_from(payloads), max_size=4))
+        arrivals = data.draw(st.permutations(arrivals))
+        plan = WorkPlan(tiles=tiles)
+        unlocked = [key for payload in arrivals for key in plan.complete(payload)]
+        assert unlocked == [("score", 0)]
+        _, _, score_rows, kernels = plan.message(("score", 0))
+        np.testing.assert_array_equal(score_rows, rows)
+        assert kernels.dtype == np.float32
+        assert kernels.tobytes() == expected.tobytes()
 
 
 class TestEndToEnd:

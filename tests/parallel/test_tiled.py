@@ -37,9 +37,8 @@ def serial_scores(tiny_dataset, config):
 
 def _run_tiled_threads(dataset, config, n_workers, tile_cols=32):
     """The tiled protocol over the in-process thread transport."""
-    _, z = preprocess_dataset(dataset)
-    tiles = partition_tiles(z.shape[1], config.task_voxels, tile_cols)
-    plan = WorkPlan(tiles=tiles, n_voxels=z.shape[1], n_epochs=z.shape[0])
+    tiles = partition_tiles(dataset.n_voxels, config.task_voxels, tile_cols)
+    plan = WorkPlan(tiles=tiles)
     worker_ctxs = [RunContext(config) for _ in range(n_workers)]
 
     def spmd(comm: Comm):
@@ -92,6 +91,7 @@ class TestComputeTile:
         np.testing.assert_array_equal(fresh, cached)
 
 
+@pytest.mark.usefixtures("small_gram_chunks")  # a 32-column tile is 2 chunks
 class TestTiledProtocol:
     def test_single_worker_completes_all_items(self, tiny_dataset, config):
         scores, completed, _ = _run_tiled_threads(

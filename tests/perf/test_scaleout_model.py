@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.kernels import GRAM_CHUNK_COLS
 from repro.data import FACE_SCENE
 from repro.data.presets import DatasetSpec
 from repro.hw import E5_2670, PHI_5110P
@@ -16,6 +17,7 @@ from repro.perf import (
     InterconnectSpec,
     TileCommShape,
     model_correlation_matmul,
+    model_kernel_syrk,
     model_normalization,
     model_panel_comm,
     model_tile2d_compute,
@@ -62,29 +64,42 @@ class TestInterconnectSpec:
 
 class TestTileComm:
     def test_result_bytes_dominate(self):
-        shape = TileCommShape(rows=400, cols=2048, n_epochs=216)
+        """... and are one partial Gram per chunk of the tile."""
+        shape = TileCommShape(rows=400, n_chunks=4, n_epochs=216)
         est = model_tile_comm(shape, GIGABIT_ETHERNET)
-        assert est.bytes_up == 400 * 216 * 2048 * 4
+        assert est.bytes_up == 4 * 400 * 216 * 216 * 4
         assert est.bytes_up > 100 * est.bytes_down
         assert est.seconds > est.bytes_up / GIGABIT_ETHERNET.bandwidth_bytes_s
 
-    def test_panel_comm_ships_full_width(self):
-        est = model_panel_comm(400, 216, 34470, GIGABIT_ETHERNET)
-        assert est.bytes_down > 400 * 216 * 34470 * 4 - 1
+    @pytest.mark.parametrize("n_epochs", [12, 216])
+    def test_payload_ratio_is_chunk_over_epochs(self, n_epochs):
+        """A chunk ships ``rows * E^2`` floats where its normalized
+        block was ``rows * E * GRAM_CHUNK_COLS``."""
+        shape = TileCommShape(rows=60, n_chunks=1, n_epochs=n_epochs)
+        block = 60 * n_epochs * GRAM_CHUNK_COLS * 4
+        assert block / shape.result_bytes == pytest.approx(
+            GRAM_CHUNK_COLS / n_epochs
+        )
+
+    def test_panel_comm_ships_kernels_not_correlations(self):
+        est = model_panel_comm(400, 216, GIGABIT_ETHERNET)
+        assert est.bytes_down == 400 * 216 * 216 * 4 + 400 * 8
         assert est.bytes_up == 400 * 16
         assert est.total_bytes == est.bytes_down + est.bytes_up
 
     def test_faster_fabric_is_faster(self):
-        shape = TileCommShape(rows=100, cols=512, n_epochs=48)
+        shape = TileCommShape(rows=100, n_chunks=1, n_epochs=48)
         slow = model_tile_comm(shape, GIGABIT_ETHERNET).seconds
         fast = model_tile_comm(shape, IN_PROCESS).seconds
         assert fast < slow
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TileCommShape(rows=0, cols=10, n_epochs=10)
+            TileCommShape(rows=0, n_chunks=1, n_epochs=10)
         with pytest.raises(ValueError):
-            model_panel_comm(0, 10, 10, LOOPBACK_TCP)
+            TileCommShape(rows=10, n_chunks=0, n_epochs=10)
+        with pytest.raises(ValueError):
+            model_panel_comm(0, 10, LOOPBACK_TCP)
 
 
 class TestTile2dCompute:
@@ -94,9 +109,12 @@ class TestTile2dCompute:
         )
         matmul = model_correlation_matmul(FACE_SCENE, 400, PHI_5110P, "ours")
         norm = model_normalization(FACE_SCENE, 400, PHI_5110P, "merged")
-        assert seconds == pytest.approx(matmul.seconds + norm.seconds)
+        syrk = model_kernel_syrk(FACE_SCENE, 400, PHI_5110P, "ours")
+        assert seconds == pytest.approx(
+            matmul.seconds + norm.seconds + syrk.seconds
+        )
         assert counters.flops == pytest.approx(
-            matmul.counters.flops + norm.counters.flops
+            matmul.counters.flops + norm.counters.flops + syrk.counters.flops
         )
 
     def test_half_width_tile_costs_half(self):
@@ -143,8 +161,22 @@ class TestPredictScaleout:
         )
         for p in points:
             assert p.elapsed_seconds >= p.comm_seconds
-        # Paper-scale tiles over gigabit are firmly comm-bound at scale.
+        # Paper-scale tiles over gigabit are firmly comm-bound at scale,
+        # even shipping (rows, E, E) Grams (9.5x less at E = 216).
         assert points[-1].comm_bound
+
+    def test_bytes_are_partial_grams_per_chunk_plus_kernels_per_panel(self):
+        """34,470 voxels in 4096-column tiles: 9 tiles of 17 chunks."""
+        (point,) = predict_scaleout(
+            FACE_SCENE, PHI_5110P, GIGABIT_ETHERNET, 34470, 4096, workers=[1]
+        )
+        rows, e = 34470, FACE_SCENE.n_epochs
+        gram = rows * e * e * 4
+        tiles, chunks = 9, 17
+        assert point.comm_bytes == pytest.approx(
+            chunks * gram + tiles * (rows * 8 + 32)  # partials up, tasks down
+            + gram + rows * 8 + rows * 16  # kernels down, scores up
+        )
 
     def test_in_process_small_run_is_compute_bound_at_one_worker(self):
         (point,) = predict_scaleout(
