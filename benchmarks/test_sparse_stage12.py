@@ -11,7 +11,9 @@ times both at a 100k-target-voxel task, asserts the committed >= 3x
 speedup floor and CSR equality, and checks the tentpole memory claim:
 stage 1/2 on the full ``sparse-100k`` preset stays under 2 GB peak RSS
 at 1% density (the dense buffer alone would be ~2.5 GB for one
-256-voxel task).
+256-voxel task).  Beside it, the dense twin of that claim: one
+``optimized`` task on the same preset — whose walk ends in a Gram —
+grows the process by a small fraction of the block it no longer builds.
 
 Recorded metrics that must stay machine-independent (the drift gate
 compares them cross-machine): ``nnz``, ``density``, ``top_k_nnz``.
@@ -281,4 +283,75 @@ class TestSparse100kMemory:
             f"{peak_bytes / 1024**3:.2f} GiB < "
             f"{RSS_CEILING_BYTES / 1024**3:.1f} GiB ceiling, "
             f"nnz={payload['nnz']}",
+        )
+
+
+#: Committed ceiling for what one ``optimized`` 120-row task adds to the
+#: process at the 100k preset (its block alone would be 1.15 GB).
+DENSE_TASK_GROWTH_CEILING_BYTES = 300 * 1024**2
+
+#: Seconds the child may take; a runner too slow to generate the preset
+#: inside it skips instead of passing.
+DENSE_TASK_TIME_CAP = 600
+
+DENSE_RSS_SCRIPT = textwrap.dedent(
+    """
+    import json, resource, sys
+    import numpy as np
+    from repro.core import FCMAConfig
+    from repro.core.pipeline import preprocess_dataset
+    from repro.data import generate_dataset, sparse_100k_config
+    from repro.exec import RunContext, execute_task
+    from repro.obs.live.resources import sample_resources
+
+    dataset = generate_dataset(sparse_100k_config())
+    preprocess_dataset(dataset)  # cached: the task below reuses this z
+    # Restart the peak-RSS mark here, after the dataset and z exist.
+    with open("/proc/self/clear_refs", "w") as f:
+        f.write("5")
+    before = sample_resources()["rss_bytes"]
+    scores = execute_task(
+        dataset,
+        np.arange(int(sys.argv[1]), dtype=np.int64),
+        RunContext(FCMAConfig(variant="optimized")),
+    )
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    print(json.dumps({
+        "growth_bytes": peak - before,
+        "scored": int(scores.voxels.size),
+        "n_epochs": dataset.n_epochs,
+        "n_voxels": dataset.n_voxels,
+    }))
+    """
+)
+
+
+class TestDense100kMemory:
+    def test_optimized_task_grows_rss_under_300mb(self):
+        """One ``optimized`` 120-row task on the sparse-100k preset
+        (E = 24) peaks under 300 MB above the process as it stood once
+        the dataset and ``z`` existed.  The ``(120, 24, 100000)``
+        float32 block alone is 1.15 GB: this passes only because the
+        walk reduces each Gram chunk where it computed it."""
+        if not os.access("/proc/self/clear_refs", os.W_OK):
+            pytest.skip("needs /proc/self/clear_refs to restart the peak-RSS mark")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", DENSE_RSS_SCRIPT, "120"],
+                capture_output=True,
+                text=True,
+                timeout=DENSE_TASK_TIME_CAP,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.skip(f"preset not generated and scored in {DENSE_TASK_TIME_CAP} s")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        payload = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert payload["scored"] == 120
+        block = 120 * payload["n_epochs"] * payload["n_voxels"] * 4
+        assert block > 1024**3
+        growth = payload["growth_bytes"]
+        assert growth < DENSE_TASK_GROWTH_CEILING_BYTES, (
+            f"optimized 100k task grew RSS by {growth / 1024**2:.0f} MiB "
+            f"(ceiling {DENSE_TASK_GROWTH_CEILING_BYTES / 1024**2:.0f} MiB, "
+            f"block {block / 1024**2:.0f} MiB)"
         )

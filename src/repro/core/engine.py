@@ -5,9 +5,12 @@ transform (eq. 4), within-subject z-score (eq. 5) — is one loop.
 :func:`run_engine` walks ``(voxel sweep) x (target-column block)``
 tiles; each tile is gemm-ed, normalized by
 :func:`~repro.core.normalization.fuse_normalize_tile` and handed to a
-pluggable :class:`TileEmitter` *while it is still cache-resident*
-(paper ideas #1 and #2).  The emitter decides what the output *is* — a
-dense array, CSR fragments, or an incremental sliding-window store.
+pluggable :class:`TileEmitter` *where it was computed* (paper ideas #1
+and #2).  The emitter decides what the output *is* — per-chunk Gram
+partials (:class:`GramEmitter`: the walk every ``optimized`` run takes,
+which never holds a ``(V, E, N)`` block), the dense block
+(:class:`DenseEmitter`: the materializing form the oracles read), CSR
+fragments, or an incremental sliding-window store.
 
 The column tiles of one sweep are dealt to a small thread pool
 (:func:`deal`; numpy releases the GIL inside matmul and the ufuncs).
@@ -23,8 +26,8 @@ same columns of the whole-task gemm, and the normalizer reduces along
 epochs only, so every emitter's result is independent of the tile
 width and of the thread budget.  Row slabs are *not* invariant (narrow
 slabs reach a different BLAS edge kernel), which is why
-``DenseEmitter`` keeps all assigned rows in one sweep; ``CSREmitter``
-sweeps rows and is anchored to its own tiling.  Pinned in
+``DenseEmitter`` and ``GramEmitter`` keep all assigned rows in one
+sweep; ``CSREmitter`` sweeps rows and is anchored to its own tiling.  Pinned in
 ``tests/core/test_engine.py`` and the equivalence suites.
 """
 
@@ -48,8 +51,10 @@ __all__ = [
     "TilePlan",
     "TileEmitter",
     "DenseEmitter",
+    "GramEmitter",
     "run_engine",
     "gemm_normalize_tile",
+    "gemm_block_cols",
     "gemm_safe_block",
     "thread_budget",
     "set_host_workers",
@@ -76,9 +81,10 @@ def thread_budget() -> int:
     """Threads one engine/Gram call may use: this process's share of
     the CPUs it is allowed to run on, at least 1.
 
-    The BLAS thread count does not enter.  An L2-sized tile's gemm is
-    below the size at which BLAS starts its own threads, so under the
-    default many-threaded BLAS the engine pool is what uses the cores
+    The BLAS thread count does not enter.  The dense walks issue every
+    gemm in L2-sized column blocks (:func:`gemm_block_cols`), below the
+    size at which BLAS starts its own threads, so under the default
+    many-threaded BLAS the engine pool is what uses the cores
     (measured in docs/perf-models.md: dividing the budget by the BLAS
     threads ran 10 % slower than the parent, not dividing 29 % faster).
     """
@@ -179,10 +185,14 @@ class EngineShape:
 class TilePlan:
     """Tile geometry of one task: ``voxel_sweep`` assigned rows by
     ``target_block`` target columns.  ``None`` means the whole axis;
-    :meth:`resolve` turns both into clamped integers."""
+    :meth:`resolve` turns both into clamped integers.  ``columns`` names
+    the column tiles outright — ascending ``(n0, n1)`` bounds that need
+    not be uniform nor cover the row — and ``target_block`` is then the
+    width of the gemms issued inside each."""
 
     voxel_sweep: int | None = None
     target_block: int | None = None
+    columns: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.voxel_sweep is not None and self.voxel_sweep < 1:
@@ -195,6 +205,7 @@ class TilePlan:
         return TilePlan(
             voxel_sweep=min(self.voxel_sweep or shape.n_assigned, shape.n_assigned),
             target_block=min(self.target_block or shape.n_voxels, shape.n_voxels),
+            columns=self.columns,
         )
 
 
@@ -247,6 +258,7 @@ def gemm_normalize_tile(
     tile: np.ndarray,
     epochs_per_subject: int | None,
     workspace: NormalizationWorkspace | None = None,
+    gemm_cols: int | None = None,
 ) -> np.ndarray:
     """Fused stage 1/2 of one tile, in place in ``tile``.
 
@@ -255,12 +267,23 @@ def gemm_normalize_tile(
     2)`` and ``tile`` a C-contiguous ``(width, E, cols)`` float32
     buffer: the epoch-batched gemm lands voxel-major through an
     axis-swapped view, then the bitwise-exact fused normalizer runs
-    while the tile is cache-resident.  ``epochs_per_subject=None``
-    leaves raw stage-1 correlations.  The one tile body of the engine
-    walk *and* of :func:`repro.parallel.tiled.compute_tile`, so the
-    tiled runtime equals the serial engine by construction.
+    over the whole tile.  ``epochs_per_subject=None`` leaves raw
+    stage-1 correlations.  The one tile body of the engine walk *and*
+    of :func:`repro.parallel.tiled.compute_tile`.
+
+    ``gemm_cols`` issues the gemm in column blocks of that width
+    (:func:`gemm_safe_block` applied) through column slices of the view
+    — the bits of the whole-tile gemm (the module's column-block
+    contract) and no copy — so a tile wider than one gemm should be
+    (:class:`GramEmitter`'s chunk) keeps each BLAS call below the size
+    at which OpenBLAS starts threads of its own under the engine's
+    pool.  Default: one gemm.
     """
-    np.matmul(panel, zt_block, out=tile.swapaxes(0, 1))
+    width, _, cols = tile.shape
+    out = tile.swapaxes(0, 1)
+    step = cols if gemm_cols is None else gemm_safe_block(gemm_cols, width, cols)
+    for b0, b1 in block_bounds(cols, step):
+        np.matmul(panel, zt_block[:, :, b0:b1], out=out[:, :, b0:b1])
     if epochs_per_subject is not None:
         fuse_normalize_tile(tile, epochs_per_subject, workspace=workspace)
     return tile
@@ -306,7 +329,11 @@ def run_engine(
     out = emitter.dense_out(shape)
     per_subject = epochs_per_subject if emitter.fused_normalization else None
     zt = z.swapaxes(1, 2)
-    blocks = block_bounds(n_voxels, plan.target_block)
+    blocks = (
+        list(plan.columns)
+        if plan.columns is not None
+        else block_bounds(n_voxels, plan.target_block)
+    )
     budget = thread_budget() if threads is None else threads
     if workspace is None:
         workspace = NormalizationWorkspace()
@@ -327,7 +354,12 @@ def run_engine(
             else:
                 tile = scratch[slot].tile((v1 - v0, n_epochs, n1 - n0))
             gemm_normalize_tile(
-                panel, zt[:, :, n0:n1], tile, per_subject, scratch[slot]
+                panel,
+                zt[:, :, n0:n1],
+                tile,
+                per_subject,
+                scratch[slot],
+                plan.target_block,
             )
             if out is not None and not in_place:
                 out[v0:v1, :, n0:n1] = tile
@@ -367,6 +399,24 @@ def gemm_safe_block(cols: int, n_assigned: int, n_voxels: int) -> int:
     while cols < n_voxels and n_voxels % cols == 1:
         cols += 1
     return cols
+
+
+def gemm_block_cols(
+    rows: int, n_epochs: int, n_voxels: int, row_budget: int | None = None
+) -> int:
+    """Columns of the engine's L2 block over ``rows`` assigned rows:
+    ``row_budget`` (default ``min(DENSE_TILE_ROWS, rows)``) x
+    :data:`DENSE_TILE_BYTES_PER_ROW` bytes spent on all rows and epochs,
+    in whole cache lines, :func:`gemm_safe_block` applied.  One rule,
+    two readers: the width of :class:`DenseEmitter`'s tile, and of each
+    gemm inside :class:`GramEmitter`'s chunk-wide one — 176 columns at
+    ``(120, 12)``, so ``rows * cols * T`` stays under the ``2**18`` at
+    which OpenBLAS threads a gemm whenever ``T <= E``."""
+    if row_budget is None:
+        row_budget = min(DENSE_TILE_ROWS, rows)
+    cols = row_budget * DENSE_TILE_BYTES_PER_ROW // (rows * n_epochs * 4)
+    cols = max(_COLUMN_QUANTUM, cols // _COLUMN_QUANTUM * _COLUMN_QUANTUM)
+    return gemm_safe_block(cols, rows, n_voxels)
 
 
 class DenseEmitter:
@@ -409,11 +459,13 @@ class DenseEmitter:
         return min(DENSE_TILE_ROWS, shape.n_assigned)
 
     def plan(self, shape: EngineShape) -> TilePlan:
-        column_bytes = shape.n_assigned * shape.n_epochs * 4
-        cols = self._row_budget(shape) * DENSE_TILE_BYTES_PER_ROW // column_bytes
-        cols = max(_COLUMN_QUANTUM, cols // _COLUMN_QUANTUM * _COLUMN_QUANTUM)
         return TilePlan(
-            target_block=gemm_safe_block(cols, shape.n_assigned, shape.n_voxels)
+            target_block=gemm_block_cols(
+                shape.n_assigned,
+                shape.n_epochs,
+                shape.n_voxels,
+                self._row_budget(shape),
+            )
         )
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:
@@ -439,3 +491,82 @@ class DenseEmitter:
     def finalize(self) -> tuple[np.ndarray, int]:
         assert self._out is not None
         return self._out, self.n_tiles
+
+
+class GramEmitter:
+    """Reduces the walk to Gram partials; materializes no block.
+
+    The tiles are the Gram rule's own column chunks
+    (:func:`repro.core.kernels.gram_chunks`) inside ``[col_start,
+    col_stop)`` — the whole row by default, one column tile of it for a
+    tiled worker — over all assigned rows.  ``emit`` turns the
+    normalized chunk, still in its thread's held scratch, into its
+    ``(V, E, E)`` float32 partial by one stacked ``chunk @ chunk^T``:
+    the per-voxel BLAS product
+    :func:`~repro.core.kernels.kernel_matrix_batched` makes of the same
+    columns of a materialized block, so
+    :func:`~repro.core.kernels.sum_gram_partials` of the result is that
+    function's kernels bit for bit.  ``finalize`` returns the partials,
+    ``(n_chunks, V, E, E)`` in ascending column order.
+
+    The gemm inside a chunk is issued in :func:`gemm_block_cols`
+    columns (the plan's ``target_block``): a chunk-wide gemm is large
+    enough for OpenBLAS to thread, which under the engine's own pool
+    oversubscribes the cores.  A one-row task is one tile spanning all
+    its chunks: a one-row product leaves the BLAS gemm path
+    (:func:`gemm_safe_block`), so it is issued once, full width, as the
+    materializing walk issues it.
+    """
+
+    fused_normalization = True
+
+    def __init__(self, col_start: int = 0, col_stop: int | None = None) -> None:
+        self._start, self._stop = col_start, col_stop
+        #: The chunks reduced, the widest tile walked and the width its
+        #: gemms were issued in (introspection/counters).
+        self.chunks: list[tuple[int, int]] = []
+        self.tile_cols = 0
+        self.gemm_cols = 0
+
+    def plan(self, shape: EngineShape) -> TilePlan:
+        # kernels imports this module (deal, thread_budget).
+        from .kernels import gram_chunks
+
+        self.chunks = gram_chunks(shape.n_voxels, self._start, self._stop)
+        columns = tuple(self.chunks)
+        if shape.n_assigned == 1:
+            columns = ((columns[0][0], columns[-1][1]),)
+        return TilePlan(
+            target_block=gemm_block_cols(
+                shape.n_assigned, shape.n_epochs, shape.n_voxels
+            ),
+            columns=columns,
+        )
+
+    def begin(self, shape: EngineShape, plan: TilePlan) -> None:
+        assert plan.columns is not None and plan.target_block is not None
+        self.tile_cols = max(n1 - n0 for n0, n1 in plan.columns)
+        self.gemm_cols = min(plan.target_block, self.tile_cols)
+        self._partials = np.empty(
+            (len(self.chunks), shape.n_assigned, shape.n_epochs, shape.n_epochs),
+            dtype=np.float32,
+        )
+
+    def dense_out(self, shape: EngineShape) -> None:
+        return None
+
+    def emit(
+        self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
+    ) -> None:
+        for k, (c0, c1) in enumerate(self.chunks):
+            if n0 <= c0 and c1 <= n1:
+                chunk = tile[:, :, c0 - n0 : c1 - n0]
+                np.matmul(
+                    chunk, chunk.swapaxes(1, 2), out=self._partials[k, v0:v1]
+                )
+
+    def end_sweep(self, v0: int, v1: int, fragments: Sequence[Any]) -> None:
+        pass
+
+    def finalize(self) -> np.ndarray:
+        return self._partials

@@ -22,10 +22,12 @@ Both follow **the Gram rule** (:func:`gram_chunks`): a voxel's kernel is
 the BLAS product of its first column chunk, plus the product of each
 later chunk in ascending column order, accumulated in float32.  The rule
 — not the call site — fixes the rounding, so a kernel is the same bits
-whether one process Grams the whole row or the tiled runtime's workers
-each Gram the chunks of their own column tile and the master adds the
-partials in order (:mod:`repro.parallel.tiled`).  At ``N`` up to one
-chunk the rule is a single ``matmul``.
+whether these functions Gram a materialized block (the baseline, the
+oracles) or the engine walk reduces each chunk where it computed it and
+never builds the block (:class:`repro.core.engine.GramEmitter` — what
+every ``optimized`` task and every tile of the tiled runtime runs),
+with :func:`sum_gram_partials` adding the partials in order.  At ``N``
+up to one chunk the rule is a single ``matmul``.
 
 The dense pair is bitwise equal: every slice of the stacked GEMM is the
 identical per-voxel BLAS call.

@@ -13,13 +13,17 @@ master/worker runtime (:mod:`repro.parallel.tiled`) — calls.
 one alternative materialization:
 
 * ``baseline`` — the oracle: three separate nodes (per-epoch gemm
-  correlation, separated normalization, LibSVM-style scoring);
+  correlation, separated normalization, LibSVM-style scoring) over a
+  materialized ``(V, E, N)`` block;
 * ``optimized`` — the paper's Section 4 as the tiled engine
-  (``core.engine``): L2-sized column tiles, each gemm-ed and normalized
-  while cache-resident (idea #2) and dealt to the engine's thread pool
-  (the tile is the engine's own 1 MiB default; see
-  ``core.engine.DenseEmitter``), so the graph has a fused
-  ``correlate+normalize`` node followed by a batched ``score``.
+  (``core.engine``), and the walk ends in a Gram: each column chunk of
+  the Gram rule is gemm-ed, normalized and reduced to its ``(V, E, E)``
+  partial kernel where it was computed (ideas #2 and Section 4.4; see
+  ``core.engine.GramEmitter``), dealt to the engine's thread pool, so
+  the fused ``correlate+normalize`` node outputs ``kernels`` — stage 3a
+  is inside the walk and no ``(V, E, N)`` block exists — and ``score``
+  is the batched cross-validation alone.  The body is the one a tiled
+  worker runs over a column range (``parallel.tiled``).
   ``optimized-batched`` is an accepted spelling: the same builder is
   registered under both names and nothing branches on which one a
   config used;
@@ -40,7 +44,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.correlation import correlate_baseline, stage1_input_copies
-from ..core.engine import DenseEmitter, run_engine, thread_budget
+from ..core.engine import GramEmitter, run_engine, thread_budget
+from ..core.kernels import sum_gram_partials
 from ..core.normalization import normalize_separated
 from ..core.results import VoxelScores
 from ..core.sparse import CSREmitter
@@ -187,14 +192,15 @@ def _normalize_separated(
 
 
 def _note_walk(
-    ctx: RunContext, rows: int, tile_cols: int, n_epochs: int
+    ctx: RunContext, rows: int, tile_cols: int, gemm_cols: int, n_epochs: int
 ) -> None:
-    """Record the tile the engine walked (``fcma run --json``): its row
-    budget or sweep, column width and epochs — a tile holds every
-    epoch — and the derived thread budget."""
+    """Record the tile the engine walked (``fcma run --json``): its rows,
+    column width (a Gram chunk, or the sparse tile) and epochs — a tile
+    holds every epoch — the column block its gemm was issued in (the
+    whole sparse tile), and the derived thread budget."""
     ctx.metadata["blocking_plan"] = {
         "voxel_block": rows,
-        "target_block": tile_cols,
+        "target_block": gemm_cols,
         "epoch_block": n_epochs,
         "tile_cols": tile_cols,
         "engine_threads": thread_budget(),
@@ -214,20 +220,29 @@ def _correlate_batched_fused(
     assigned = state["assigned"]
     e_per_subject = state["grouped"].epochs.epochs_per_subject()
     input_copies = stage1_input_copies(z)
-    emitter = DenseEmitter()
+    emitter = GramEmitter()
 
     with ctx.tracer.span("correlate_normalize_batched", kind="kernel") as span:
-        corr, n_tiles = run_engine(z, assigned, e_per_subject, emitter)
-        _note_walk(ctx, emitter.tile_rows, emitter.tile_cols, z.shape[0])
-        span.add_metric("tiles", float(n_tiles))
+        kernels = sum_gram_partials(run_engine(z, assigned, e_per_subject, emitter))
+        n_chunks = len(emitter.chunks)
+        _note_walk(
+            ctx, assigned.size, emitter.tile_cols, emitter.gemm_cols, z.shape[0]
+        )
+        span.add_metric("tiles", float(n_chunks))
         span.add_metric("voxels", float(assigned.size))
-        span.add_metric("bytes_moved", float(z.nbytes + corr.nbytes))
+        # Read z, computed (never stored) the normalized (V, E, N) block.
+        span.add_metric(
+            "bytes_moved",
+            float(z.nbytes + assigned.size * z.shape[0] * z.shape[1] * 4),
+        )
+        span.add_metric("gram_chunks", float(n_chunks))
+        span.add_metric("bytes_out", float(kernels.nbytes))
     _note_emitter(ctx, "dense")
-    ctx.increment("stage12_tiles", n_tiles)
-    ctx.increment("emitter_dense_tiles", n_tiles)
+    ctx.increment("stage12_tiles", n_chunks)
+    ctx.increment("emitter_dense_tiles", n_chunks)
     if input_copies:
         ctx.increment("stage12_out_copies", input_copies)
-    return {"correlations": corr}
+    return {"kernels": kernels}
 
 
 def _correlate_sparse_fused(
@@ -245,7 +260,7 @@ def _correlate_sparse_fused(
     with ctx.tracer.span("correlate_normalize_sparse", kind="kernel") as span:
         result, stats = run_engine(z, assigned, e_per_subject, emitter)
         sweep, t_block = emitter.tile_rows, emitter.tile_cols
-        _note_walk(ctx, sweep, t_block, z.shape[0])
+        _note_walk(ctx, sweep, t_block, t_block, z.shape[0])
         span.add_metric("tiles", float(stats.n_tiles))
         span.add_metric("tiles_pruned", float(stats.tiles_pruned))
         span.add_metric("voxels", float(assigned.size))
@@ -338,6 +353,16 @@ def _score_dense(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]
     return {"scores": scores}
 
 
+def _score_kernels(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
+    assigned = state["assigned"]
+    with ctx.tracer.span("score_voxels", kind="kernel") as span:
+        scores = score_kernel_panel(
+            state["grouped"], ctx.config, assigned, state["kernels"]
+        )
+        span.add_metric("voxels", float(assigned.size))
+    return {"scores": scores}
+
+
 _SEEDS = ("dataset", "assigned")
 
 
@@ -379,12 +404,12 @@ def optimized_graph(config: Any = None) -> StageGraph:
                 "correlate+normalize",
                 _correlate_batched_fused,
                 ("windows", "assigned", "grouped"),
-                ("correlations",),
+                ("kernels",),
             ),
             Stage(
                 "score",
-                _score_dense,
-                ("correlations", "assigned", "grouped"),
+                _score_kernels,
+                ("kernels", "assigned", "grouped"),
                 ("scores",),
             ),
         ),

@@ -193,8 +193,14 @@ def predict_kernel(
     if name == "normalize_separated":
         return _combine([model_normalization(spec, n_assigned, hw, "separated")])
     if name == "correlate_normalize_batched":
+        # The optimized walk ends in a Gram: each chunk is reduced to
+        # its partial kernel where it was computed, so the syrk is this
+        # span's (as a 2-D tile's is below), not score_voxels'.
         sweep = voxel_sweep if voxel_sweep else n_assigned
-        return _combine([model_batched_stage12(spec, n_assigned, hw, sweep)])
+        return _combine([
+            model_batched_stage12(spec, n_assigned, hw, sweep),
+            model_kernel_syrk(spec, n_assigned, hw, "ours"),
+        ])
     if name == "correlate_normalize_tile2d":
         # One 2-D tile of the scale-out path: the blocked gemm + merged
         # normalization + kernel syrk restricted to the tile's column
@@ -202,15 +208,12 @@ def predict_kernel(
         width = cols if cols else spec.n_voxels
         return model_tile2d_compute(spec, n_assigned, min(width, spec.n_voxels), hw)
     if name in ("score_voxels", "score_panel"):
-        if variant == "baseline":
-            syrk_impl, svm_impl = "mkl", "libsvm"
-        else:
-            syrk_impl, svm_impl = "ours", "phisvm"
+        svm_impl = "libsvm" if variant == "baseline" else "phisvm"
         parts = [model_svm_cv(spec, n_assigned, hw, svm_impl)]
-        if name == "score_voxels":
-            # (A tiled run's score_panel receives summed kernels: its
-            # tiles carried the syrk.)
-            parts.insert(0, model_kernel_syrk(spec, n_assigned, hw, syrk_impl))
+        if name == "score_voxels" and variant == "baseline":
+            # Only the baseline scores a materialized block; everywhere
+            # else the walk (or the tiles) carried the syrk.
+            parts.insert(0, model_kernel_syrk(spec, n_assigned, hw, "mkl"))
         return _combine(parts)
     return None
 

@@ -16,20 +16,21 @@ the ``(assigned × all-voxels)`` correlation matrix:
 * **Tiles** — the 2-D scheme that scaled all-pairs Pearson to thousands
   of cores in *Parallel Pairwise Correlation Computation on Intel Xeon
   Phi Clusters*: a ``"tile"`` item is one column block of a row panel's
-  fused stage 1/2 (:func:`~repro.core.engine.gemm_normalize_tile`, the
-  bitwise column-invariant tile body of the engine walk) **reduced
-  where it was computed**.  The linear kernel is additive over column
-  blocks, so the worker walks the tile chunk by chunk
-  (:func:`~repro.core.kernels.gram_chunks`, the Gram rule), keeps each
-  normalized chunk in held scratch and returns only its ``(rows, E, E)``
-  partial Gram.  Tiles land in any order from any worker; when a
-  panel's last tile lands the plan adds all its partials in ascending
-  column order — the serial rule, so the kernels are the serial bits
-  whatever the worker count, tile width, arrival order or retry
-  schedule — and the ``(rows, E, E)`` kernels become a stage-3
-  ``"score"`` item.  No correlation ever crosses the wire or exists on
-  the master: a chunk ships ``rows·E²·4`` bytes instead of
-  ``rows·E·cols·4`` (``GRAM_CHUNK_COLS / E`` times less).
+  fused stage 1/2 **reduced where it was computed** — and it is the
+  serial ``optimized`` node's own body over a column range:
+  :func:`tile_partial_grams` is ``run_engine(..., GramEmitter(c0,
+  c1))``, the engine walk restricted to the tile's chunks of the Gram
+  rule (:func:`~repro.core.kernels.gram_chunks`), with the engine's
+  thread deal when the rank's host budget is above 1.  The linear
+  kernel is additive over column blocks, so the tile returns only each
+  chunk's ``(rows, E, E)`` partial Gram.  Tiles land in any order from
+  any worker; when a panel's last tile lands the plan adds all its
+  partials in ascending column order — the serial rule, so the kernels
+  are the serial bits whatever the worker count, tile width, arrival
+  order or retry schedule — and the ``(rows, E, E)`` kernels become a
+  stage-3 ``"score"`` item.  No correlation ever crosses the wire or
+  exists on the master or the worker: a chunk ships ``rows·E²·4`` bytes
+  instead of ``rows·E·cols·4`` (``GRAM_CHUNK_COLS / E`` times less).
 
 The loops know only the protocol; the plan knows what is ready next
 and what a result unlocks.
@@ -80,8 +81,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.engine import gemm_normalize_tile
-from ..core.kernels import gram_chunks, kernel_matrix_batched, sum_gram_partials
+from ..core.engine import GramEmitter, gemm_normalize_tile, run_engine
+from ..core.kernels import sum_gram_partials
 from ..core.normalization import NormalizationWorkspace
 from ..core.pipeline import preprocess_dataset
 from ..core.results import VoxelScores
@@ -241,14 +242,16 @@ def compute_tile(
     panel: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fused stage-1/2 of one 2-D tile: gemm + in-cache normalize.
+    """Fused stage-1/2 of one 2-D tile, materialized: gemm + normalize.
 
     The engine's own tile body
     (:func:`repro.core.engine.gemm_normalize_tile`) on a C-contiguous
     float32 ``(rows, E, cols)`` block — a fresh one, or ``out`` — so
     "bitwise equal to serial" holds by construction, for any column
     range.  ``panel`` lets the caller reuse the ``z[:, rows]``
-    contiguous copy across column tiles of one row panel.
+    contiguous copy across column tiles of one row panel.  No run path
+    calls it (a ``"tile"`` item is :func:`tile_partial_grams`); it is
+    the block-returning form the benchmark harness drives.
     """
     if panel is None:
         panel = z[:, rows]  # (E, width, T) contiguous copy
@@ -272,35 +275,22 @@ def tile_partial_grams(
     col_stop: int,
     epochs_per_subject: int,
     workspace: NormalizationWorkspace,
-    panel: np.ndarray,
 ) -> np.ndarray:
     """What a ``"tile"`` item returns: the ``(n_chunks, rows, E, E)``
     partial Grams of the tile's column chunks, ascending.
 
-    Each chunk of the Gram rule inside ``[col_start, col_stop)`` —
-    which must be whole chunks of the full row, or this raises — is
-    computed by :func:`compute_tile` into scratch held by ``workspace``
-    and Gram-ed at once; a chunk-wide block is a single chunk under the
-    rule, so its Gram is the one BLAS product per voxel the serial rule
-    makes of the same columns.
+    The serial node's walk (:class:`~repro.core.engine.GramEmitter`)
+    restricted to the chunks of the Gram rule inside ``[col_start,
+    col_stop)`` — which must be whole chunks of the full row, or this
+    raises — in scratch held by ``workspace``.
     """
-    chunks = gram_chunks(z.shape[1], col_start, col_stop)
-    n_epochs = z.shape[0]
-    partials = np.empty(
-        (len(chunks), rows.size, n_epochs, n_epochs), dtype=np.float32
+    partials: np.ndarray = run_engine(
+        z,
+        rows,
+        epochs_per_subject,
+        GramEmitter(col_start, col_stop),
+        workspace=workspace,
     )
-    for k, (c0, c1) in enumerate(chunks):
-        block = compute_tile(
-            z,
-            rows,
-            c0,
-            c1,
-            epochs_per_subject,
-            workspace=workspace,
-            panel=panel,
-            out=workspace.tile((rows.size, n_epochs, c1 - c0)),
-        )
-        partials[k] = kernel_matrix_batched(block)
     return partials
 
 
@@ -440,7 +430,6 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     grouped, z = preprocess_dataset(dataset)
     epochs_per_subject = grouped.epochs.epochs_per_subject()
     workspace = NormalizationWorkspace()
-    panel_cache: tuple[int, np.ndarray] | None = None
     completed = 0
     # In-process ranks (thread transport) see the master's live runtime
     # and can feed per-tile latency histograms directly; TCP worker
@@ -484,20 +473,12 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
             elif kind == "tile":
                 _, _, panel_id, rows, c0, c1 = payload
                 rows = np.asarray(rows, dtype=np.int64)
-                if panel_cache is None or panel_cache[0] != panel_id:
-                    panel_cache = (panel_id, z[:, rows])
                 with ctx.task_span(rows.size, int(rows[0])) as span:
                     with ctx.tracer.span(
                         "correlate_normalize_tile2d", kind="kernel"
                     ) as kspan:
                         partials = tile_partial_grams(
-                            z,
-                            rows,
-                            c0,
-                            c1,
-                            epochs_per_subject,
-                            workspace,
-                            panel_cache[1],
+                            z, rows, c0, c1, epochs_per_subject, workspace
                         )
                         kspan.add_metric("rows", float(rows.size))
                         kspan.add_metric("cols", float(c1 - c0))

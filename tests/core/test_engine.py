@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,10 @@ from repro.core.correlation import correlate_batched, normalize_epoch_data
 from repro.core.engine import (
     DenseEmitter,
     EngineShape,
+    GramEmitter,
     TileEmitter,
     TilePlan,
+    gemm_block_cols,
     gemm_safe_block,
     run_engine,
 )
@@ -102,6 +105,7 @@ class RecordingEmitter:
 class TestProtocolSequence:
     def test_runtime_checkable(self):
         assert isinstance(DenseEmitter(), TileEmitter)
+        assert isinstance(GramEmitter(), TileEmitter)
         assert isinstance(CSREmitter(top_k=3), TileEmitter)
         assert isinstance(
             IncrementalEmitter(np.array([0]), 4), TileEmitter
@@ -286,6 +290,132 @@ class TestDensePlan:
         assert probe._out.tobytes() == reference.tobytes()
 
 
+class TestGramPlan:
+    """The plan of the walk that ends in a Gram (its bits are pinned in
+    ``test_gram_rule.py``, what it never holds just below)."""
+
+    @pytest.mark.parametrize("preset", ["FACE_SCENE", "ATTENTION", "WIDE"])
+    @pytest.mark.parametrize("n_assigned", [1, 16, 120])
+    def test_no_gemm_reaches_the_blas_threading_threshold(self, preset, n_assigned):
+        """OpenBLAS threads a gemm from ``m*n*k`` of ``2 * 2**18``; two
+        engine threads over a threading BLAS oversubscribe the cores, so
+        every gemm of the walk staying below that is a property, not a
+        tuned accident.  The tiles are the Gram rule's chunks, the gemm
+        inside one is issued in ``gemm_block_cols`` columns; a one-row
+        task is the exception by design — one full-width product."""
+        from repro.core.kernels import gram_chunks
+        from repro.data import presets
+
+        if preset == "WIDE":  # the online-wide benchmark task
+            n_epochs, n_voxels, epoch_length, per_subject = 12, 34_470, 12, 12
+        else:
+            spec = getattr(presets, preset)
+            n_epochs, n_voxels = spec.n_epochs, spec.n_voxels
+            epoch_length, per_subject = spec.epoch_length, spec.epochs_per_subject
+        shape = EngineShape(n_assigned, n_epochs, n_voxels, epoch_length, per_subject)
+        plan = GramEmitter().plan(shape)
+        # One rule sizes the dense tile and the gemm inside a chunk.
+        assert plan.target_block == DenseEmitter().plan(shape).target_block
+        assert plan.target_block == gemm_block_cols(n_assigned, n_epochs, n_voxels)
+        if n_assigned == 1:
+            assert plan.columns == ((0, n_voxels),)
+            assert plan.target_block == n_voxels
+            return
+        assert list(plan.columns) == gram_chunks(n_voxels)
+        for n0, n1 in plan.columns:
+            # What gemm_normalize_tile makes of the plan inside this tile.
+            cols = gemm_safe_block(plan.target_block, n_assigned, n1 - n0)
+            assert n_assigned * cols * epoch_length < 2 * 2**18
+            assert (n1 - n0) % cols != 1  # no one-column gemm either
+
+    def test_the_walk_issues_its_gemms_at_the_plans_width(self, monkeypatch):
+        """...and the engine really cuts each chunk's gemm there: 70
+        columns as 32 + 32 + 6-column chunks, each gemm-ed in 16-column
+        blocks (4 rows x 1 KiB over 9 x 6 float32 columns = 18 -> 16)."""
+        from repro.core import kernels
+
+        monkeypatch.setattr(kernels, "GRAM_CHUNK_COLS", 32)
+        monkeypatch.setattr(engine_mod, "DENSE_TILE_BYTES_PER_ROW", 512)
+        z, assigned = _problem(n_voxels=70)
+        gemms, real = [], np.matmul
+
+        def spy(a, b, out=None):
+            if a.shape == (6, 9, 7):  # (E, V, T): a stage-1 gemm
+                gemms.append(b.shape[-1])
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(engine_mod.np, "matmul", spy)
+        partials = run_engine(z, assigned, 3, GramEmitter(), threads=1)
+        assert gemms == [16, 16, 16, 16, 6]
+        block, _ = run_engine(z, assigned, 3, DenseEmitter())
+        assert np.array_equal(
+            kernels.sum_gram_partials(partials), kernel_matrix_batched(block)
+        )
+
+    def test_a_tile_restricts_the_walk_to_its_chunks(self):
+        shape = EngineShape(7, 12, 34_470, 12, 12)
+        emitter = GramEmitter(2 * 2048, 4 * 2048)
+        assert emitter.plan(shape).columns == ((4096, 6144), (6144, 8192))
+        with pytest.raises(ValueError, match="not whole Gram chunks"):
+            GramEmitter(100, 4096).plan(shape)
+
+
+def test_no_block_is_held():
+    """Peak traced memory stays under a quarter of the ``(V, E, N)``
+    block: each chunk is reduced to its partial Gram where it was
+    computed, in scratch the workspace holds — a second task on the
+    same workspace allocates nothing."""
+    n_assigned, n_epochs, n_voxels = 16, 12, 200_000
+    rng = np.random.default_rng(5)
+    z = normalize_epoch_data(
+        rng.standard_normal((n_epochs, n_voxels, 2)).astype(np.float32)
+    )
+    assigned = np.arange(n_assigned)
+    workspace = NormalizationWorkspace()
+    tracemalloc.start()
+    try:
+        partials = run_engine(
+            z, assigned, n_epochs, GramEmitter(), workspace=workspace, threads=1
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = n_assigned * n_epochs * n_voxels * 4
+    assert partials.shape == (98, n_assigned, n_epochs, n_epochs)
+    assert peak < block // 4, f"peak {peak / 1e6:.1f} MB, block {block / 1e6:.1f} MB"
+    held = workspace.allocations
+    assert held == 4  # (tile, normalizer) x (chunk, tail)
+    run_engine(
+        z, assigned + 16, n_epochs, GramEmitter(), workspace=workspace, threads=1
+    )
+    assert workspace.allocations == held
+
+def test_the_optimized_graph_holds_no_block_either():
+    """The same bound through ``execute_task``: the stage graph
+    cannot quietly re-materialize what the walk never built."""
+    from repro.core import FCMAConfig
+    from repro.core.pipeline import preprocess_dataset
+    from repro.data import SyntheticConfig, generate_dataset
+    from repro.exec import RunContext, execute_task
+
+    n_assigned, n_voxels = 16, 200_000
+    dataset = generate_dataset(SyntheticConfig(
+        n_voxels=n_voxels, n_subjects=1, epochs_per_subject=12,
+        epoch_length=4, n_informative=8, seed=1,
+    ))
+    preprocess_dataset(dataset)  # cached: the task below allocates no z
+    ctx = RunContext(FCMAConfig(variant="optimized"))
+    tracemalloc.start()
+    try:
+        scores = execute_task(dataset, np.arange(n_assigned), ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = n_assigned * dataset.n_epochs * n_voxels * 4
+    assert scores.voxels.size == n_assigned
+    assert peak < block // 4, f"peak {peak / 1e6:.1f} MB, block {block / 1e6:.1f} MB"
+
+
 # -- thread budget and tile-width invariance -----------------------------
 
 BUDGETS = (1, 2, 3)
@@ -449,8 +579,8 @@ class TestThreadBudget:
 MULTITHREADED_BLAS_SCENARIO = """
 import numpy as np
 from repro.core.correlation import correlate_batched, normalize_epoch_data
-from repro.core.engine import DenseEmitter, run_engine
-from repro.core.kernels import kernel_matrix_batched
+from repro.core.engine import DenseEmitter, GramEmitter, run_engine
+from repro.core.kernels import kernel_matrix_batched, sum_gram_partials
 from repro.core.normalization import NormalizationWorkspace, normalize_separated
 from repro.core.sparse import CSREmitter
 from repro.parallel.tiled import tile_partial_grams
@@ -479,12 +609,17 @@ for e, n, t, v in ((4, 2500, 12, 24), (6, 5003, 16, 64)):
     # A tile's partials (Gram of a contiguous block of just those
     # columns, what a tiled worker holds) are the serial partials.
     tile_partials = tile_partial_grams(
-        z, assigned, 2048, n, e, NormalizationWorkspace(), z[:, assigned]
+        z, assigned, 2048, n, e, NormalizationWorkspace()
     )
     assert tile_partials.tobytes() == np.stack(partials[1:]).tobytes(), n
     csr = []
     for threads in (1, 2, 3):
         assert kernel_matrix_batched(reference, threads=threads).tobytes() == gram.tobytes()
+        # Fused kernels == materialized kernels: the walk that ends in a
+        # Gram returns the partials of the block it never built.
+        fused = run_engine(z, assigned, e, GramEmitter(), threads=threads)
+        assert fused.tobytes() == np.stack(partials).tobytes(), (n, threads)
+        assert sum_gram_partials(fused).tobytes() == gram.tobytes()
         result, _ = run_engine(
             z, assigned, e,
             CSREmitter(top_k=5, voxel_sweep=16, target_block=1024), threads=threads,

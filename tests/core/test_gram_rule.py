@@ -6,6 +6,9 @@ later chunk in ascending column order, in float32.  Everything that
 builds a dense kernel — the serial score node and the tiled runtime's
 workers, which each Gram only the chunks of their own column tile —
 follows it, which is what makes "tiles == serial" a bitwise statement.
+The optimized walk (``GramEmitter``) never builds the block at all: it
+returns the rule's per-chunk products, and ``TestFusedWalk`` holds them
+against the Gram of the block the materializing walk builds.
 
 The oracle below is literally "matmul per chunk, add in order" over
 chunk bounds written out by hand; it calls nothing from the module.
@@ -16,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.correlation import normalize_epoch_data
+from repro.core.engine import DenseEmitter, GramEmitter, run_engine
 from repro.core.kernels import (
     GRAM_CHUNK_COLS,
     gram_chunks,
@@ -148,3 +153,76 @@ class TestKernels:
         single = np.abs(np.matmul(x, x.transpose(0, 2, 1)) - exact).max()
         chunked = np.abs(kernel_matrix_batched(x) - exact).max()
         assert chunked <= single
+
+
+def _task(n: int, n_assigned: int, n_subjects: int, seed: int = 0):
+    """z-scored epochs ``(E, n, T)`` and sorted assigned rows."""
+    rng = np.random.default_rng(seed)
+    z = normalize_epoch_data(
+        rng.standard_normal((4 * n_subjects, n, 6)).astype(np.float32)
+    )
+    assigned = np.sort(rng.choice(n, min(n_assigned, n), replace=False))
+    return z, assigned
+
+
+class TestFusedWalk:
+    """The walk that ends in a Gram returns the rule's chunk products of
+    the block it never built, bit for bit."""
+
+    @pytest.mark.parametrize("n_assigned", [1, 2, 7, 120])
+    @pytest.mark.parametrize("n", [60, C, C + 1, C + 2, 2 * C + 1, 5003])
+    def test_partials_equal_the_materialized_blocks_chunk_by_chunk(
+        self, n, n_assigned
+    ):
+        for n_subjects in (1, 3):
+            z, assigned = _task(n, n_assigned, n_subjects, seed=n + n_assigned)
+            block, _ = run_engine(z, assigned, 4, DenseEmitter(), threads=1)
+            chunks = gram_chunks(n)
+            expected = [
+                kernel_matrix_batched(block[:, :, c0:c1]) for c0, c1 in chunks
+            ]
+            kernels = kernel_matrix_batched(block)
+            for threads in (1, 2, 3):
+                partials = run_engine(z, assigned, 4, GramEmitter(), threads=threads)
+                assert partials.dtype == np.float32
+                assert len(partials) == len(chunks)
+                for partial, product in zip(partials, expected):
+                    assert np.array_equal(partial, product)
+                assert np.array_equal(sum_gram_partials(partials), kernels)
+
+    def test_a_worker_tile_is_the_serial_walk_over_its_chunks(self):
+        """``tile_partial_grams`` over ``[c0, c1)`` returns exactly the
+        serial walk's partials of those chunks (the real constant; the
+        TCP run of ``tests/parallel/test_master_worker.py`` crosses a
+        process boundary with it)."""
+        from repro.core.normalization import NormalizationWorkspace
+        from repro.parallel.tiled import tile_partial_grams
+
+        z, assigned = _task(2 * C + 907, 7, 2, seed=4)
+        serial = run_engine(z, assigned, 4, GramEmitter(), threads=1)
+        workspace = NormalizationWorkspace()
+        for (c0, c1), chunks in (
+            ((0, C), slice(0, 1)),
+            ((C, 2 * C + 907), slice(1, 3)),
+            ((0, 2 * C + 907), slice(0, 3)),
+        ):
+            tile = tile_partial_grams(z, assigned, c0, c1, 4, workspace)
+            assert np.array_equal(tile, serial[chunks])
+        with pytest.raises(ValueError, match="not whole Gram chunks"):
+            tile_partial_grams(z, assigned, 0, C + 5, 4, workspace)
+
+    def test_a_worker_tile_under_a_shrunk_constant(self, small_gram_chunks):
+        """The fixture the thread-transport protocol suite runs under:
+        60 columns are four 16-column chunks (the last 12 wide)."""
+        from repro.core.normalization import NormalizationWorkspace
+        from repro.parallel.tiled import tile_partial_grams
+
+        z, assigned = _task(60, 9, 2, seed=6)
+        serial = run_engine(z, assigned, 4, GramEmitter(), threads=2)
+        assert len(serial) == 4
+        block, _ = run_engine(z, assigned, 4, DenseEmitter())
+        assert np.array_equal(sum_gram_partials(serial), kernel_matrix_batched(block))
+        workspace = NormalizationWorkspace()
+        for c0, c1 in ((0, 32), (32, 60), (16, 48), (48, 60)):
+            tile = tile_partial_grams(z, assigned, c0, c1, 4, workspace)
+            assert np.array_equal(tile, serial[c0 // 16 : -(-c1 // 16)])

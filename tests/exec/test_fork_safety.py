@@ -27,11 +27,11 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 SCENARIO = """
 import faulthandler, hashlib, os
 os.sched_getaffinity = lambda pid: set(range(4))  # a 4-CPU mask anywhere
-from repro.core import FCMAConfig, engine
+from repro.core import FCMAConfig, kernels
 from repro.data import SyntheticConfig, generate_dataset
 from repro.exec import RunContext, make_executor
 
-engine.DENSE_TILE_BYTES_PER_ROW = 512  # four column tiles at 60 voxels
+kernels.GRAM_CHUNK_COLS = 16  # four chunks (the walk's tiles) at 60 voxels
 dataset = generate_dataset(SyntheticConfig(
     n_voxels=60, n_subjects=4, epochs_per_subject=8, epoch_length=12,
     n_informative=12, n_groups=3, seed=123))
@@ -77,7 +77,7 @@ def test_serial_then_pool_then_thread_ranks_bitwise_equal(tmp_path):
     assert [line[0] for line in lines] == [
         "serial", "pool", "master-worker", "serial"
     ]
-    # The serial runs really walked 16-column tiles on a 4-thread pool
+    # The serial runs really walked 16-column chunks on a 4-thread pool
     # before (and after) the forks.
     assert lines[0][1:3] == lines[3][1:3] == ["4", "16"]
     assert len({line[3] for line in lines}) == 1

@@ -152,11 +152,12 @@ class TestOptimizedBatchedGraph:
         np.testing.assert_array_equal(opt.accuracies, bat.accuracies)
 
     def test_records_plan_and_counters(self, tiny_dataset, monkeypatch):
-        from repro.core import engine
+        from repro.core import engine, kernels
 
-        # Small enough that the 60-voxel brain is several tiles: the
-        # default 8-row budget x 3 KiB over 12 rows x 32 epochs x 4 bytes a
-        # column -> 16 columns.
+        # Small enough that the 60-voxel brain is two tiles of two gemm
+        # blocks: a 32-column Gram chunk, and the 8-row budget x 3 KiB
+        # over 12 rows x 32 epochs x 4 bytes a column -> 16 columns.
+        monkeypatch.setattr(kernels, "GRAM_CHUNK_COLS", 32)
         monkeypatch.setattr(engine, "DENSE_TILE_BYTES_PER_ROW", 3 * 1024)
         ctx = RunContext(FCMAConfig(variant="optimized-batched"))
         execute_task(tiny_dataset, np.arange(12, dtype=np.int64), ctx)
@@ -165,15 +166,16 @@ class TestOptimizedBatchedGraph:
             "voxel_block", "target_block", "epoch_block",
             "tile_cols", "engine_threads",
         }
-        # The walk the engine took: column tile width and thread budget.
-        assert (plan["voxel_block"], plan["tile_cols"]) == (8, 16)
+        # The walk the engine took: all 12 rows by one Gram chunk of
+        # columns, the gemm inside it in 16-column blocks, and the
+        # thread budget.
+        assert (plan["voxel_block"], plan["tile_cols"]) == (12, 32)
+        assert plan["target_block"] == 16
         assert plan["engine_threads"] == thread_budget()
-        # ... and nothing but that walk: the tile is tile_cols wide and
-        # holds every epoch (not a hardware model's B' x E).
-        assert plan["target_block"] == plan["tile_cols"]
+        # A tile holds every epoch (not a hardware model's B' x E).
         assert plan["epoch_block"] == tiny_dataset.n_epochs == 32
-        # One count per column tile: ceil(60 / 16).
+        # One count per chunk walked: ceil(60 / 32).
         assert tiny_dataset.n_voxels == 60
-        assert ctx.counter("stage12_tiles") == 4
-        assert ctx.counter("emitter_dense_tiles") == 4
+        assert ctx.counter("stage12_tiles") == 2
+        assert ctx.counter("emitter_dense_tiles") == 2
         assert set(ctx.stages) == {"preprocess", "correlate+normalize", "score"}

@@ -1,8 +1,11 @@
-"""The live plane's overhead bound, mirroring the tracer's 5% gate.
+"""The live plane's overhead bound: an absolute cost per event.
 
 Same paired-median methodology as ``TestOverhead`` in
 ``tests/obs/test_run_trace.py``: adjacent-in-time pairs cancel load
-drift, the median paired difference shrugs off scheduler spikes.
+drift, the median paired difference shrugs off scheduler spikes.  The
+bound is microseconds per live event published, not a share of the
+run's wall: the plane's cost does not shrink when the pipeline gets
+faster, so a ratio gate tightens — and flakes — with every perf PR.
 """
 
 from __future__ import annotations
@@ -31,13 +34,23 @@ def batched_config() -> FCMAConfig:
     )
 
 
+#: Allowed cost of one live event (a span close folded in, an engine
+#: ``inc`` / ``observe``, or a snapshot built and emitted).  The 5 %
+#: gate this replaces allowed 0.05 x 0.22 s = 11 ms over the same ~26
+#: events of this run, 423 us each; the unit changed, the tolerance did
+#: not widen.
+MAX_US_PER_EVENT = 400.0
+
+
 class TestLiveOverhead:
     def test_live_plane_costs_under_five_percent(
         self, tiny_dataset, batched_config
     ):
         """Full plane on (runtime active + tracer dual-write + 20 Hz
         publisher into a ring) vs plane off, on the optimized-batched
-        pipeline the tracer overhead gate also uses."""
+        pipeline the tracer overhead gate also uses.  (The name predates
+        the per-event unit; the id is kept for the test floor.)"""
+        events: list[float] = []
 
         def run_once(live: bool) -> float:
             ctx = RunContext(batched_config)
@@ -47,32 +60,46 @@ class TestLiveOverhead:
                 return time.perf_counter() - t0
             rt = LiveRuntime()
             rt.attach_tracer(ctx.tracer)
-            publisher = SnapshotPublisher(rt, [RingSink()], interval=0.05)
+            ring = RingSink()
+            publisher = SnapshotPublisher(rt, [ring], interval=0.05)
             publisher.start()
             try:
                 with activated(rt):
                     t0 = time.perf_counter()
                     make_executor("serial").run(tiny_dataset, ctx)
-                    return time.perf_counter() - t0
+                    wall = time.perf_counter() - t0
             finally:
                 publisher.stop()
                 rt.detach_tracer(ctx.tracer)
+            # Everything a serial run publishes: span closes (the tracer
+            # listener), the engine's per-tile inc + observe, snapshots.
+            state = rt.snapshot_state()
+            counters = state["counters"]
+            events.append(
+                sum(v for k, v in counters.items() if k.startswith("spans_"))
+                + counters["engine_tiles"]
+                + state["histograms"]["tile_seconds"]["count"]
+                + len(ring.snapshots())
+            )
+            return wall
 
-        def measure() -> tuple[float, float]:
+        def measure() -> float:
+            """Median paired difference per live event, microseconds."""
+            events.clear()
             pairs = [(run_once(False), run_once(True)) for _ in range(7)]
-            baseline = statistics.median(b for b, _ in pairs)
             overhead = statistics.median(t - b for b, t in pairs)
-            return overhead, baseline
+            return overhead * 1e6 / statistics.median(events)
 
         run_once(True)  # warm caches (BLAS threads, preprocessing)
+        assert events[0] >= 20  # the plane really was fed
         # A loaded CI box can blow any single measurement; re-measure
         # before failing so only a *persistent* overhead trips the gate.
         for _ in range(3):
-            overhead, baseline = measure()
-            if overhead <= baseline * 0.05:
+            cost = measure()
+            if cost <= MAX_US_PER_EVENT:
                 break
-        assert overhead <= baseline * 0.05, (
-            f"live-plane overhead {overhead / baseline:.1%} exceeds 5% "
-            f"(median paired diff {overhead:.4f}s on a "
-            f"{baseline:.4f}s baseline)"
+        assert cost <= MAX_US_PER_EVENT, (
+            f"live plane costs {cost:.0f} us per event, over "
+            f"{MAX_US_PER_EVENT:.0f} us (median paired difference over "
+            f"{statistics.median(events):.0f} events)"
         )

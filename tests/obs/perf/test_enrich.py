@@ -160,13 +160,33 @@ class TestPredictKernel:
         assert base[1] > opt[1]
 
     def test_merged_kernel_sums_its_parts(self):
-        from repro.perf import model_kernel_syrk, model_svm_cv
+        """The syrk sits where the Gram is computed: in the optimized
+        walk (which ends in a Gram), in the baseline's score node (which
+        Grams a materialized block) — never in both."""
+        from repro.perf import (
+            model_batched_stage12,
+            model_kernel_syrk,
+            model_svm_cv,
+        )
 
         counters, seconds = predict_kernel(
-            "score_voxels", FACE_SCENE, 120, E5_2670
+            "correlate_normalize_batched", FACE_SCENE, 120, E5_2670
         )
+        walk = model_batched_stage12(FACE_SCENE, 120, E5_2670, 120)
         syrk = model_kernel_syrk(FACE_SCENE, 120, E5_2670, "ours")
+        assert seconds == pytest.approx(walk.seconds + syrk.seconds)
+        assert counters.flops == pytest.approx(
+            walk.counters.flops + syrk.counters.flops
+        )
+        _, seconds = predict_kernel("score_voxels", FACE_SCENE, 120, E5_2670)
         svm = model_svm_cv(FACE_SCENE, 120, E5_2670, "phisvm")
+        assert seconds == pytest.approx(svm.seconds)
+
+        counters, seconds = predict_kernel(
+            "score_voxels", FACE_SCENE, 120, E5_2670, variant="baseline"
+        )
+        syrk = model_kernel_syrk(FACE_SCENE, 120, E5_2670, "mkl")
+        svm = model_svm_cv(FACE_SCENE, 120, E5_2670, "libsvm")
         assert seconds == pytest.approx(syrk.seconds + svm.seconds)
         assert counters.flops == pytest.approx(
             syrk.counters.flops + svm.counters.flops
