@@ -1,85 +1,46 @@
 #!/usr/bin/env python
 """Cluster scaling study (paper Tables 3-4, Fig. 8).
 
-Feeds per-task times from the kernel performance models into the
-discrete-event cluster simulator and sweeps the coprocessor count,
-regenerating the paper's offline and online scaling tables plus the
-speedup curve — including where and why scaling bends (data
-distribution, master serialization, last-wave imbalance).
+Prints the claims ledger's scaling tables — per-task times from the
+kernel performance models fed through the discrete-event cluster
+simulator, beside the paper's numbers — then what those rows do not
+show: where and why scaling bends (data distribution, master
+serialization, last-wave imbalance).
 
 Run:  python examples/cluster_scaling.py
 """
 
 from __future__ import annotations
 
-from repro.bench import render_table
-from repro.bench.paperdata import (
-    NODE_COUNTS,
-    TABLE3_OFFLINE_SECONDS,
-    TABLE4_ONLINE_SECONDS,
-)
-from repro.cluster import (
-    ClusterConfig,
-    offline_workload,
-    online_workload,
-    simulate,
-)
-from repro.data import ATTENTION, FACE_SCENE
-from repro.hw import PHI_5110P
-from repro.perf import offline_task_seconds, online_task_seconds
-
-TASK_VOXELS = {"face-scene": 120, "attention": 60}
-SPECS = {"face-scene": FACE_SCENE, "attention": ATTENTION}
+from repro.bench import render_table, run_experiment
+from repro.bench.experiments import paper_workload
+from repro.bench.paperdata import NODE_COUNTS
+from repro.cluster import ClusterConfig, simulate
 
 
 def main() -> None:
-    for name, spec in SPECS.items():
-        tv = TASK_VOXELS[name]
+    for exp_id in ("table3", "table4", "fig8"):
+        print(run_experiment(exp_id), end="\n\n")
 
-        # --- offline: nested LOSO over the whole dataset ---------------
-        t_task = offline_task_seconds(spec, PHI_5110P, tv)
-        workload = offline_workload(spec, t_task, tv)
-        print(f"\n=== {name}: offline analysis "
-              f"({workload.n_tasks} tasks x {t_task:.2f} s) ===")
-        rows = []
-        base = None
-        for n in NODE_COUNTS:
-            res = simulate(workload, ClusterConfig(n_workers=n))
-            if base is None:
-                base = res.elapsed_seconds
-            paper = TABLE3_OFFLINE_SECONDS[name][n]
-            rows.append([
-                str(n),
-                f"{res.elapsed_seconds:.0f}",
-                str(paper),
-                f"{base / res.elapsed_seconds:.1f}x",
-                f"{res.utilization:.0%}",
-            ])
-        print(render_table(
-            ["#coproc", "simulated s", "paper s", "speedup", "utilization"],
-            rows,
-        ))
-
-        # --- online: single-subject selection ---------------------------
-        t_online = online_task_seconds(spec, PHI_5110P, tv)
-        online = online_workload(spec, t_online, tv)
-        print(f"\n=== {name}: online voxel selection ===")
-        rows = []
-        for n in NODE_COUNTS:
-            res = simulate(online, ClusterConfig(n_workers=n))
-            paper = TABLE4_ONLINE_SECONDS[name].get(n)
-            rows.append([
-                str(n),
-                f"{res.elapsed_seconds:.2f}",
-                f"{paper:.2f}" if paper is not None else "-",
-                f"{res.distribution_seconds:.2f}",
-            ])
-        print(render_table(
-            ["#coproc", "simulated s", "paper s", "data distribution s"],
-            rows,
-        ))
-        print("note: at high node counts online time saturates on the "
-              "serialized data broadcast — the paper's ~2.2-2.5 s floor.")
+    for name in ("face-scene", "attention"):
+        for mode in ("offline", "online"):
+            workload = paper_workload(mode, name)
+            rows = []
+            for n in NODE_COUNTS:
+                res = simulate(workload, ClusterConfig(n_workers=n))
+                rows.append([
+                    str(n),
+                    f"{res.elapsed_seconds:.2f}",
+                    f"{res.distribution_seconds:.2f}",
+                    f"{res.utilization:.0%}",
+                ])
+            print(render_table(
+                ["#coproc", "simulated s", "data distribution s", "utilization"],
+                rows,
+                title=f"{name}, {mode}: {workload.n_tasks} tasks",
+            ), end="\n\n")
+    print("note: at high node counts online time saturates on the "
+          "serialized data broadcast — the floor of Table 4's 96-node rows.")
 
 
 if __name__ == "__main__":

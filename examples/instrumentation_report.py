@@ -12,17 +12,14 @@ Run:  python examples/instrumentation_report.py
 
 from __future__ import annotations
 
-from repro.bench import render_table
-from repro.data import ATTENTION, FACE_SCENE
-from repro.hw import E5_2670, PHI_5110P
+from repro.bench import claims, render_table, run_experiment
+from repro.data import FACE_SCENE
+from repro.hw import PHI_5110P
 from repro.perf import (
-    baseline_report,
-    format_report,
     model_correlation_matmul,
     model_kernel_syrk,
     model_normalization,
     model_svm_cv,
-    model_task,
     roofline_point,
 )
 
@@ -32,10 +29,10 @@ def main() -> None:
     print(f"machine: {hw}\n")
 
     # --- Table 1: where does the baseline spend its time? -------------
-    rows = baseline_report(FACE_SCENE, 120, hw)
-    print(format_report(rows, title="Baseline instrumentation (Table 1)"))
-    total = sum(r.time_ms for r in rows)
-    print(f"{'Total':28s} {total:8.0f} ms\n")
+    table1 = claims("table1")
+    print(run_experiment("table1", table1))
+    total = sum(c.modelled for c in table1 if c.name.endswith("time ms"))
+    print(f"total baseline task time: {total:,.0f} ms\n")
 
     # --- Tables 5-8: each optimization, quantified. --------------------
     comparisons = [
@@ -80,12 +77,9 @@ def main() -> None:
               f"achieved {p.achieved_gflops:5.0f} GF  ({bound})")
 
     # --- Fig 9/10 headline speedups. -----------------------------------
-    print("\nwhole-task speedups (optimized vs baseline, per voxel):")
-    for spec in (FACE_SCENE, ATTENTION):
-        for hw_name, machine in (("Phi 5110P", PHI_5110P), ("E5-2670", E5_2670)):
-            base = model_task(spec, machine, "baseline").seconds_per_voxel
-            opt = model_task(spec, machine, "optimized").seconds_per_voxel
-            print(f"  {spec.name:12s} on {hw_name:10s}: {base / opt:5.2f}x")
+    print()
+    for exp_id in ("fig9", "fig10"):
+        print(run_experiment(exp_id), end="\n\n")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ __all__ = [
     "FIG8_SPEEDUP_96",
     "FIG9_SPEEDUP",
     "FIG10_XEON_SPEEDUP",
+    "SECTION333_TASK_MEMORY_GB",
     "NODE_COUNTS",
 ]
 
@@ -84,3 +85,7 @@ FIG9_SPEEDUP = {"face-scene": 5.24, "attention": 16.39}
 
 #: Fig. 10 — optimized over baseline on one E5-2670.
 FIG10_XEON_SPEEDUP = {"face-scene": 1.4, "attention": 2.5}
+
+#: Section 3.3.3 — device memory (decimal GB) that "240 voxels'
+#: correlation vectors will consume": why baseline tasks stop at 120.
+SECTION333_TASK_MEMORY_GB = {"face-scene": 8.3}

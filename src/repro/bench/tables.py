@@ -41,9 +41,12 @@ def render_table(
 
 
 def compare_row(
-    label: str, modeled: float, paper: float, unit: str = ""
+    label: str, modeled: float, paper: float | None, unit: str = ""
 ) -> list[str]:
-    """A [label, modeled, paper, ratio] row for reproduction tables."""
+    """A [label, modeled, paper, ratio] row for reproduction tables;
+    ``paper=None`` (the paper prints no such number) leaves dashes."""
+    if paper is None:
+        return [label, f"{modeled:,.2f}{unit}", "-", "-"]
     ratio = modeled / paper if paper else float("inf")
     return [
         label,

@@ -389,14 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     hist.add_argument("--json", action="store_true",
                       help="emit the records as JSON lines")
 
-    cal = perf_sub.add_parser(
+    perf_sub.add_parser(
         "calibrate",
-        help="check model calibration against the paper's published "
-             "tables; exits 1 on drift",
+        help="check every claim of every 'fcma reproduce' id against "
+             "its band; exits 1 on drift",
     )
-    cal.add_argument("--tolerance", type=float, default=1.0,
-                     help="uniform scale on every tolerance band "
-                          "(1.0 = defaults)")
     return parser
 
 
@@ -1072,17 +1069,18 @@ def _cmd_rtfmri(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .perf import baseline_report, format_report, model_task
+    from .bench.experiments import render_claims, speedup, table1
 
     spec = _spec_for(args.dataset)
     hw = _machine_for(args.machine)
     print(f"machine: {hw}")
-    rows = baseline_report(spec, args.task_voxels, hw)
-    print(format_report(rows, title=f"Baseline instrumentation ({spec.name})"))
-    base = model_task(spec, hw, "baseline")
-    opt = model_task(spec, hw, "optimized")
+    print(render_claims(
+        table1(spec, hw, args.task_voxels),
+        title=f"Baseline instrumentation ({spec.name}, "
+              f"{args.task_voxels}-voxel task)",
+    ))
     print(f"\noptimized-over-baseline speedup (per voxel): "
-          f"{base.seconds_per_voxel / opt.seconds_per_voxel:.2f}x")
+          f"{speedup(spec, hw):.2f}x")
     return 0
 
 
@@ -1101,21 +1099,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .cluster import ClusterConfig, offline_workload, online_workload, simulate
-    from .hw import PHI_5110P
-    from .perf import offline_task_seconds, online_task_seconds
+    from .bench.experiments import paper_workload
+    from .cluster import ClusterConfig, simulate
 
-    spec = _spec_for(args.dataset)
-    task_voxels = args.task_voxels
-    if task_voxels is None:
-        task_voxels = 120 if spec.name == "face-scene" else 60
-    if args.mode == "offline":
-        t_task = offline_task_seconds(spec, PHI_5110P, task_voxels)
-        workload = offline_workload(spec, t_task, task_voxels)
-    else:
-        t_task = online_task_seconds(spec, PHI_5110P, task_voxels)
-        workload = online_workload(spec, t_task, task_voxels)
-    print(f"{args.mode} workload on {spec.name}: "
+    workload = paper_workload(args.mode, args.dataset, args.task_voxels)
+    t_task = workload.folds[0].tasks[0].compute_seconds
+    print(f"{args.mode} workload on {args.dataset}: "
           f"{workload.n_tasks} tasks x {t_task * 1e3:.1f} ms")
     base = None
     for n in args.nodes:
@@ -1347,9 +1336,9 @@ def _cmd_perf_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_calibrate(args: argparse.Namespace) -> int:
-    from .obs.perf import run_calibration
+    from .bench import run_gate
 
-    return run_calibration(args.tolerance)
+    return run_gate()
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:

@@ -386,7 +386,6 @@ def spans_from_cluster_trace(trace: "ClusterTrace") -> list[Span]:
                 thread=record.worker,
                 metrics={
                     "wall_seconds": record.finish_s - record.handout_start_s,
-                    "sim_cycles": 0.0,
                     "calls": 1.0,
                 },
                 attrs={

@@ -29,9 +29,6 @@ __all__ = [
     "MetricSpec",
     "METRICS",
     "WALL_SECONDS",
-    "SIM_CYCLES",
-    "CACHE_HITS",
-    "CACHE_MISSES",
     "BYTES_MOVED",
     "TASKS",
     "VOXELS",
@@ -76,12 +73,6 @@ class MetricSpec:
 WALL_SECONDS = MetricSpec(
     "wall_seconds", "s", "wall-clock seconds inside the span", timing=True
 )
-#: Simulated processor cycles (cache-model or cluster-simulator output).
-SIM_CYCLES = MetricSpec("sim_cycles", "cycles", "simulated processor cycles")
-#: Simulated cache hits attributed to the span.
-CACHE_HITS = MetricSpec("cache_hits", "count", "simulated cache hits")
-#: Simulated cache misses attributed to the span.
-CACHE_MISSES = MetricSpec("cache_misses", "count", "simulated cache misses")
 #: Bytes read plus written by the span's kernel(s).
 BYTES_MOVED = MetricSpec("bytes_moved", "bytes", "bytes read + written")
 #: Pipeline tasks completed inside the span.
@@ -170,9 +161,6 @@ METRICS: dict[str, MetricSpec] = {
     spec.name: spec
     for spec in (
         WALL_SECONDS,
-        SIM_CYCLES,
-        CACHE_HITS,
-        CACHE_MISSES,
         BYTES_MOVED,
         TASKS,
         VOXELS,

@@ -12,21 +12,16 @@ analytic models (:mod:`repro.perf`):
   against its series' history, with timing metrics judged only against
   same-machine samples.
 
-Plus the human outputs: the predicted-vs-measured + roofline report
-(:mod:`.report`) and the paper-calibration gate (:mod:`.calibrate`).
-All of it is surfaced by the ``fcma perf`` CLI family.
+Plus the human output: the predicted-vs-measured + roofline report
+(:mod:`.report`).  All of it is surfaced by the ``fcma perf`` CLI
+family, whose paper gate reads the claims ledger in
+:mod:`repro.bench.experiments`.
 
 This subpackage is intentionally *not* imported by ``repro.obs``'s
 ``__init__`` — it depends on :mod:`repro.perf`, which itself imports
 the obs span layer; importing it lazily keeps the layering acyclic.
 """
 
-from .calibrate import (
-    CalibrationCheck,
-    calibration_checks,
-    format_calibration_report,
-    run_calibration,
-)
 from .drift import (
     DEFAULT_EXACT_TOLERANCE,
     DEFAULT_TIMING_SLACK_SECONDS,
@@ -67,7 +62,6 @@ from .report import (
 
 __all__ = [
     "BenchmarkRecord",
-    "CalibrationCheck",
     "DEFAULT_EXACT_TOLERANCE",
     "DEFAULT_HISTORY_PATH",
     "DEFAULT_TIMING_SLACK_SECONDS",
@@ -79,14 +73,12 @@ __all__ = [
     "MODELED_KERNELS",
     "RECORD_SCHEMA",
     "TraceGeometry",
-    "calibration_checks",
     "check_record",
     "config_fingerprint",
     "current_git_sha",
     "default_hardware",
     "default_history_path",
     "enrich_spans",
-    "format_calibration_report",
     "format_density_section",
     "format_perf_report",
     "format_scaleout_section",
@@ -98,5 +90,4 @@ __all__ = [
     "metrics_from_trace",
     "predict_kernel",
     "record_from_trace",
-    "run_calibration",
 ]

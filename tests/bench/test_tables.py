@@ -43,6 +43,9 @@ class TestCompareRow:
         row = compare_row("x", 2.0, 4.0, unit=" ms")
         assert row[1].endswith(" ms")
 
+    def test_unpublished_value_leaves_dashes(self):
+        assert compare_row("x", 2.0, None) == ["x", "2.00", "-", "-"]
+
 
 class TestWithinFactor:
     def test_inside(self):

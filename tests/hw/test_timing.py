@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.paperdata import TABLE1_BASELINE
 from repro.hw import PHI_5110P, PerfCounters, TimeModel
 
 
@@ -60,7 +61,7 @@ class TestMemoryTerms:
     def test_paper_880ms_estimate(self, model):
         """Section 3.3.1: 709 M misses at ~300 ns over 240 threads
         'could be as high as ~880 ms'."""
-        c = PerfCounters(l2_misses=709e6)
+        c = PerfCounters(l2_misses=TABLE1_BASELINE["matmul"][2])
         t = model.latency_time(c)
         assert 0.75 < t < 0.95
 

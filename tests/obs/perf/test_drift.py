@@ -95,9 +95,9 @@ class TestCheckRecord:
     def test_sub_millisecond_jitter_absorbed_by_slack(self):
         # 0.2 ms vs 0.6 ms is a 3x relative blowup but physically
         # meaningless; the absolute slack keeps the gate quiet.
-        history = [_record({"kernel.plan_blocks.wall_seconds": 6e-4})]
+        history = [_record({"kernel.score_batch.wall_seconds": 6e-4})]
         report = check_record(
-            _record({"kernel.plan_blocks.wall_seconds": 2e-4}), history
+            _record({"kernel.score_batch.wall_seconds": 2e-4}), history
         )
         (finding,) = report.findings
         assert finding.deviation > finding.tolerance
@@ -147,9 +147,9 @@ class TestCheckRecord:
         )
 
     def test_slack_configurable_down_to_zero(self):
-        history = [_record({"kernel.plan_blocks.wall_seconds": 6e-4})]
+        history = [_record({"kernel.score_batch.wall_seconds": 6e-4})]
         report = check_record(
-            _record({"kernel.plan_blocks.wall_seconds": 2e-4}),
+            _record({"kernel.score_batch.wall_seconds": 2e-4}),
             history,
             timing_slack_seconds=0.0,
         )

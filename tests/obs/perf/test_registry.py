@@ -52,7 +52,7 @@ def _trace():
             },
         ),
         Span(
-            span_id=4, name="plan_blocks", kind="kernel", t0=4.0, t1=4.5,
+            span_id=4, name="score_batch", kind="kernel", t0=4.0, t1=4.5,
             parent_id=2, metrics={"wall_seconds": 0.5},
         ),
     ]
@@ -205,11 +205,11 @@ class TestMetricsFromTrace:
 
     def test_unenriched_kernel_gets_wall_time_only(self):
         metrics = metrics_from_trace(_trace())
-        assert metrics["kernel.plan_blocks.wall_seconds"] == pytest.approx(
+        assert metrics["kernel.score_batch.wall_seconds"] == pytest.approx(
             0.5
         )
-        assert "kernel.plan_blocks.predicted_seconds" not in metrics
-        assert "kernel.plan_blocks.model_ratio" not in metrics
+        assert "kernel.score_batch.predicted_seconds" not in metrics
+        assert "kernel.score_batch.model_ratio" not in metrics
 
 
 class TestRecordFromTrace:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.paperdata import TABLE1_BASELINE
 from repro.bench.tables import within_factor
 from repro.data import FACE_SCENE
 from repro.hw import E5_2670, PHI_5110P
@@ -21,22 +22,26 @@ class TestSweeps:
         assert NORM_SWEEPS["separated"].miss_sweeps > 1.5
 
 
+#: Table 1's normalization row: (time_ms, mem_refs, l2_misses, VI).
+PAPER_MS, PAPER_REFS, PAPER_MISSES, PAPER_VI = TABLE1_BASELINE["normalization"]
+
+
 class TestAgainstPaper:
     def test_baseline_time_table1(self):
         est = model_normalization(FACE_SCENE, 120, PHI_5110P, "baseline")
-        assert within_factor(est.milliseconds, 766.0, 1.25)
+        assert within_factor(est.milliseconds, PAPER_MS, 1.25)
 
     def test_baseline_refs_table1(self):
         est = model_normalization(FACE_SCENE, 120, PHI_5110P, "baseline")
-        assert within_factor(est.counters.mem_refs, 6.2e9, 1.15)
+        assert within_factor(est.counters.mem_refs, PAPER_REFS, 1.15)
 
     def test_baseline_misses_table1(self):
         est = model_normalization(FACE_SCENE, 120, PHI_5110P, "baseline")
-        assert within_factor(est.counters.l2_misses, 179e6, 1.15)
+        assert within_factor(est.counters.l2_misses, PAPER_MISSES, 1.15)
 
     def test_baseline_vi_table1(self):
         est = model_normalization(FACE_SCENE, 120, PHI_5110P, "baseline")
-        assert est.counters.vectorization_intensity == pytest.approx(8.5)
+        assert est.counters.vectorization_intensity == pytest.approx(PAPER_VI)
 
     def test_merged_faster_than_separated(self):
         merged = model_normalization(FACE_SCENE, 120, PHI_5110P, "merged")

@@ -112,7 +112,7 @@ def _enriched_trace():
         kernel(2, "score_voxels", 0.2, 0.2, 4e10, 1e6, 0.1),
         # Un-modeled helper: no pc.flops, must be skipped.
         Span(
-            span_id=3, name="plan_blocks", kind="kernel", t0=0.4, t1=0.41,
+            span_id=3, name="score_batch", kind="kernel", t0=0.4, t1=0.41,
             metrics={"wall_seconds": 0.01},
         ),
     ]
@@ -140,7 +140,7 @@ class TestRooflineRows:
 
     def test_unmodeled_spans_skipped(self):
         rows = roofline_rows(_enriched_trace(), E5_2670)
-        assert "plan_blocks" not in {r.kernel for r in rows}
+        assert "score_batch" not in {r.kernel for r in rows}
 
     def test_predicted_gflops_rescales_achieved(self):
         fused = roofline_rows(_enriched_trace(), E5_2670)[0]

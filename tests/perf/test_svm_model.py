@@ -4,6 +4,7 @@ calibrated) iteration-count ratio between heuristics."""
 import numpy as np
 import pytest
 
+from repro.bench.paperdata import TABLE1_BASELINE, TABLE8_SVM
 from repro.bench.tables import within_factor
 from repro.data import ATTENTION, FACE_SCENE
 from repro.hw import PHI_5110P
@@ -31,7 +32,7 @@ class TestProblemCount:
 class TestAgainstPaper:
     @pytest.mark.parametrize(
         "variant,paper_ms",
-        [("libsvm", 3600.0), ("libsvm-opt", 1150.0), ("phisvm", 390.0)],
+        [(variant, ms) for variant, (ms, _) in TABLE8_SVM.items()],
     )
     def test_table8_times(self, variant, paper_ms):
         est = model_svm_cv(FACE_SCENE, 120, PHI_5110P, variant)
@@ -50,15 +51,13 @@ class TestAgainstPaper:
         assert 6.0 < lib.seconds / phi.seconds < 13.0  # paper: ~9.2x
 
     def test_vi_from_calibration(self):
-        for variant, (_, vi) in {
-            "libsvm": (0, 1.9), "libsvm-opt": (0, 7.3), "phisvm": (0, 9.8)
-        }.items():
+        for variant, (_, vi) in TABLE8_SVM.items():
             est = model_svm_cv(FACE_SCENE, 120, PHI_5110P, variant)
             assert est.counters.vectorization_intensity == pytest.approx(vi)
 
     def test_libsvm_refs_table1(self):
         est = model_svm_cv(FACE_SCENE, 120, PHI_5110P, "libsvm")
-        assert within_factor(est.counters.mem_refs, 23e9, 1.2)
+        assert within_factor(est.counters.mem_refs, TABLE1_BASELINE["libsvm"][1], 1.2)
 
     def test_bad_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):

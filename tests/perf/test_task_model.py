@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.bench import paperdata
 from repro.bench.tables import within_factor
+from repro.cluster import offline_workload
 from repro.data import ATTENTION, FACE_SCENE
 from repro.hw import E5_2670, PHI_5110P
 from repro.perf.task_model import (
@@ -55,9 +57,10 @@ class TestModelTask:
             model_task(FACE_SCENE, PHI_5110P, "middle")
 
     def test_baseline_task_total_matches_table1_sum(self):
-        """Table 1 rows sum to 6196 ms for the 120-voxel baseline task."""
+        """Table 1 rows sum to ~6.2 s for the 120-voxel baseline task."""
         est = model_task(FACE_SCENE, PHI_5110P, "baseline")
-        assert within_factor(est.seconds, 6.196, 1.2)
+        table1_ms = sum(row[0] for row in paperdata.TABLE1_BASELINE.values())
+        assert within_factor(est.seconds, table1_ms / 1e3, 1.2)
 
 
 class TestFig9:
@@ -65,13 +68,13 @@ class TestFig9:
         base = per_voxel_seconds(FACE_SCENE, PHI_5110P, "baseline")
         opt = per_voxel_seconds(FACE_SCENE, PHI_5110P, "optimized")
         speedup = base / opt
-        assert within_factor(speedup, 5.24, 1.3)
+        assert within_factor(speedup, paperdata.FIG9_SPEEDUP["face-scene"], 1.3)
 
     def test_attention_speedup(self):
         base = per_voxel_seconds(ATTENTION, PHI_5110P, "baseline")
         opt = per_voxel_seconds(ATTENTION, PHI_5110P, "optimized")
         speedup = base / opt
-        assert within_factor(speedup, 16.39, 1.35)
+        assert within_factor(speedup, paperdata.FIG9_SPEEDUP["attention"], 1.35)
 
     def test_attention_gains_more(self):
         fs = per_voxel_seconds(FACE_SCENE, PHI_5110P, "baseline") / per_voxel_seconds(
@@ -85,7 +88,8 @@ class TestFig9:
 
 class TestFig10:
     def test_xeon_speedups_modest(self):
-        for spec, paper in ((FACE_SCENE, 1.4), (ATTENTION, 2.5)):
+        for spec in (FACE_SCENE, ATTENTION):
+            paper = paperdata.FIG10_XEON_SPEEDUP[spec.name]
             base = per_voxel_seconds(spec, E5_2670, "baseline")
             opt = per_voxel_seconds(spec, E5_2670, "optimized")
             assert within_factor(base / opt, paper, 1.45)
@@ -112,14 +116,20 @@ class TestFig11:
 
 
 class TestClusterFeeds:
+    @staticmethod
+    def implied_task_seconds(spec, task_voxels):
+        """Table 3's published single-node seconds over the task count."""
+        n_tasks = offline_workload(spec, 1.0, task_voxels).n_tasks
+        return paperdata.TABLE3_OFFLINE_SECONDS[spec.name][1] / n_tasks
+
     def test_offline_task_seconds_magnitude(self):
         """Table 3's single-node time implies ~1 s per 120-voxel task."""
         t = offline_task_seconds(FACE_SCENE, PHI_5110P, 120)
-        assert within_factor(t, 0.984, 1.35)
+        assert within_factor(t, self.implied_task_seconds(FACE_SCENE, 120), 1.35)
 
     def test_attention_offline_task_seconds(self):
         t = offline_task_seconds(ATTENTION, PHI_5110P, 60)
-        assert within_factor(t, 4.316, 1.35)
+        assert within_factor(t, self.implied_task_seconds(ATTENTION, 60), 1.35)
 
     def test_online_much_cheaper_than_offline(self):
         on = online_task_seconds(FACE_SCENE, PHI_5110P, 120)

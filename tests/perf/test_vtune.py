@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.paperdata import TABLE1_BASELINE
 from repro.bench.tables import within_factor
 from repro.data import FACE_SCENE
 from repro.hw import PHI_5110P
@@ -48,22 +49,25 @@ class TestBaselineReport:
 
     def test_matmul_row(self, rows):
         r = rows["Matrix multiplication"]
-        assert within_factor(r.time_ms, 1830.0, 1.2)
-        assert within_factor(r.mem_refs, 34.9e9, 1.1)
-        assert within_factor(r.l2_misses, 709e6, 1.15)
-        assert r.vector_intensity == pytest.approx(3.6)
+        p_ms, p_refs, p_misses, p_vi = TABLE1_BASELINE["matmul"]
+        assert within_factor(r.time_ms, p_ms, 1.2)
+        assert within_factor(r.mem_refs, p_refs, 1.1)
+        assert within_factor(r.l2_misses, p_misses, 1.15)
+        assert r.vector_intensity == pytest.approx(p_vi)
 
     def test_normalization_row(self, rows):
         r = rows["Normalization"]
-        assert within_factor(r.time_ms, 766.0, 1.2)
-        assert within_factor(r.mem_refs, 6.2e9, 1.15)
-        assert within_factor(r.l2_misses, 179e6, 1.15)
+        p_ms, p_refs, p_misses, _ = TABLE1_BASELINE["normalization"]
+        assert within_factor(r.time_ms, p_ms, 1.2)
+        assert within_factor(r.mem_refs, p_refs, 1.15)
+        assert within_factor(r.l2_misses, p_misses, 1.15)
 
     def test_libsvm_row(self, rows):
         r = rows["LibSVM"]
-        assert within_factor(r.time_ms, 3600.0, 1.2)
-        assert within_factor(r.mem_refs, 23e9, 1.2)
-        assert r.vector_intensity == pytest.approx(1.9)
+        p_ms, p_refs, _, p_vi = TABLE1_BASELINE["libsvm"]
+        assert within_factor(r.time_ms, p_ms, 1.2)
+        assert within_factor(r.mem_refs, p_refs, 1.2)
+        assert r.vector_intensity == pytest.approx(p_vi)
 
     def test_formatting(self, rows):
         text = format_report(list(rows.values()), title="Table 1")

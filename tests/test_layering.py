@@ -21,6 +21,10 @@ import repro
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 RUN_PATH = ("core", "svm", "exec", "parallel", "data", "analysis", "rtfmri", "eval")
 MODELS = ("hw", "perf", "cluster", "bench")
+#: Model modules whose readers are tests by design: the trace-driven
+#: cache simulator is the oracle ``tests/perf/test_matmul_model.py``
+#: holds the closed-form miss arithmetic against.
+TEST_ORACLES = {"repro.hw.cache"}
 
 
 def _type_checking_nodes(tree: ast.AST) -> set[int]:
@@ -40,7 +44,9 @@ def _imported_modules(path: Path) -> list[tuple[int, str]]:
     """``(line, absolute module)`` of every runtime import in ``path``."""
     tree = ast.parse(path.read_text())
     guarded = _type_checking_nodes(tree)
-    package = ("repro", *path.relative_to(PACKAGE_ROOT).parts[:-1])
+    # Files outside the package (benchmarks, examples) import absolutely.
+    inside = PACKAGE_ROOT in path.parents
+    package = ("repro", *path.relative_to(PACKAGE_ROOT).parts[:-1]) if inside else ()
     found: list[tuple[int, str]] = []
     for node in ast.walk(tree):
         if id(node) in guarded:
@@ -82,3 +88,45 @@ def test_importing_the_run_path_loads_no_model_module():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_model_module_has_a_reader():
+    """Each module under ``hw`` / ``perf`` / ``cluster`` / ``bench`` is
+    imported — directly or by a name its package re-exports — by a module
+    under ``src/`` other than its own package ``__init__``, or by
+    ``benchmarks/`` or ``examples/``.  One that only its ``__init__`` and
+    tests read feeds no table, trace enrichment or CLI report."""
+    repo = PACKAGE_ROOT.parents[1]
+    # "repro.perf.density_sweep" -> "repro.perf.sparse_model.density_sweep"
+    defined_in = {
+        f"repro.{package}.{module.rsplit('.', 1)[1]}": module
+        for package in MODELS
+        for _, module in _imported_modules(PACKAGE_ROOT / package / "__init__.py")
+        if module.startswith(f"repro.{package}.")
+    }
+    read: set[str] = set()
+    for root in (PACKAGE_ROOT, repo / "benchmarks", repo / "examples"):
+        for path in root.rglob("*.py"):
+            own = (
+                f"repro.{path.parent.name}."
+                if path.name == "__init__.py" and path.parent.parent == PACKAGE_ROOT
+                else None
+            )
+            read.update(
+                defined_in.get(module, module)
+                for _, module in _imported_modules(path)
+                if own is None or not module.startswith(own)
+            )
+    orphans = [
+        f"repro.{package}.{path.stem}"
+        for package in MODELS
+        for path in sorted((PACKAGE_ROOT / package).glob("*.py"))
+        if path.name != "__init__.py"
+        and f"repro.{package}.{path.stem}" not in TEST_ORACLES
+        and not any(
+            m.startswith(f"repro.{package}.{path.stem}.")
+            or m == f"repro.{package}.{path.stem}"
+            for m in read
+        )
+    ]
+    assert not orphans, f"model modules nothing reads: {orphans}"
