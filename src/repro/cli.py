@@ -34,6 +34,23 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _add_pipeline_opts(p: argparse.ArgumentParser, variant: str) -> None:
+    """The pipeline choice every run-style command shares."""
+    from .exec.registry import available_variants
+
+    p.add_argument("--variant", choices=available_variants(), default=variant,
+                   help="pipeline: baseline (the oracle), optimized (the "
+                        "tiled engine; optimized-batched is the same "
+                        "pipeline) or its sparse-batched CSR materialization")
+    p.add_argument("--task-voxels", type=int, default=120)
+    p.add_argument("--threshold", type=float, default=None,
+                   help="sparse-batched: keep normalized correlations "
+                        "with |value| >= THRESHOLD")
+    p.add_argument("--top-k", type=int, default=None,
+                   help="sparse-batched: keep the K strongest "
+                        "correlations per (voxel, epoch) row")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fcma",
@@ -139,21 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--comm-timeout", type=float, default=None,
                      help="communicator timeout in seconds (default: "
                           "FCMA_COMM_TIMEOUT or 120)")
-    run.add_argument("--variant",
-                     choices=["optimized", "baseline", "optimized-batched",
-                              "sparse-batched"],
-                     default="optimized",
-                     help="pipeline: baseline (the oracle), optimized "
-                          "(the tiled engine; optimized-batched is the "
-                          "same pipeline) or its sparse-batched CSR "
-                          "materialization")
-    run.add_argument("--task-voxels", type=int, default=120)
-    run.add_argument("--threshold", type=float, default=None,
-                     help="sparse-batched: keep normalized correlations "
-                          "with |value| >= THRESHOLD")
-    run.add_argument("--top-k", type=int, default=None,
-                     help="sparse-batched: keep the K strongest "
-                          "correlations per (voxel, epoch) row")
+    _add_pipeline_opts(run, "optimized")
     run.add_argument("--top", type=int, default=20, help="voxels to report")
     run.add_argument("--seed", type=int, default=None,
                      help="RunContext seed (stochastic components only)")
@@ -187,19 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="run voxel selection on a dataset")
     sel.add_argument("dataset", help="input .npz dataset")
     sel.add_argument("--top", type=int, default=20, help="voxels to report")
-    sel.add_argument("--variant",
-                     choices=["optimized", "baseline", "optimized-batched",
-                              "sparse-batched"],
-                     default="optimized")
-    sel.add_argument("--threshold", type=float, default=None,
-                     help="sparse-batched: keep normalized correlations "
-                          "with |value| >= THRESHOLD")
-    sel.add_argument("--top-k", type=int, default=None,
-                     help="sparse-batched: keep the K strongest "
-                          "correlations per (voxel, epoch) row")
+    _add_pipeline_opts(sel, "optimized")
     sel.add_argument("--workers", type=int, default=1,
                      help="process-pool workers (1 = serial)")
-    sel.add_argument("--task-voxels", type=int, default=120)
     sel.add_argument("--output", default=None,
                      help="optional CSV of all voxel scores")
 
@@ -313,15 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series name in the registry")
 
     def _add_run_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--variant",
-                       choices=["optimized", "baseline", "optimized-batched",
-                                "sparse-batched"],
-                       default="optimized-batched")
-        p.add_argument("--task-voxels", type=int, default=120)
-        p.add_argument("--threshold", type=float, default=None,
-                       help="sparse-batched: |value| >= THRESHOLD filter")
-        p.add_argument("--top-k", type=int, default=None,
-                       help="sparse-batched: per-row top-K filter")
+        _add_pipeline_opts(p, "optimized-batched")
         p.add_argument("--machine", choices=["phi", "xeon", "knl"],
                        default="xeon",
                        help="machine model used for counter enrichment")
@@ -355,18 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--latest", action="store_true",
                      help="check the registry's newest record of the "
                           "series against the rest instead of running")
-    chk.add_argument("--timing-tolerance", type=float, default=None,
-                     help="relative band for wall-clock metrics "
-                          "(default 0.5)")
-    chk.add_argument("--exact-tolerance", type=float, default=None,
-                     help="relative band for deterministic metrics "
-                          "(default 1e-6)")
-    chk.add_argument("--timing-slack", type=float, default=None,
-                     metavar="SECONDS",
-                     help="absolute delta under which seconds-valued "
-                          "timing metrics always pass (default 0.01)")
-    chk.add_argument("--min-history", type=int, default=1,
-                     help="comparable observations required per metric")
 
     prep = perf_sub.add_parser(
         "report",
@@ -1232,13 +1205,7 @@ def _cmd_perf_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf_check(args: argparse.Namespace) -> int:
-    from .obs.perf import (
-        DEFAULT_EXACT_TOLERANCE,
-        DEFAULT_TIMING_SLACK_SECONDS,
-        DEFAULT_TIMING_TOLERANCE,
-        HistoryRegistry,
-        check_record,
-    )
+    from .obs.perf import HistoryRegistry, check_record
 
     registry = HistoryRegistry(args.history)
     if args.latest:
@@ -1255,26 +1222,7 @@ def _cmd_perf_check(args: argparse.Namespace) -> int:
         print("perf check: need a dataset or --latest", file=sys.stderr)
         return 2
 
-    report = check_record(
-        current,
-        history,
-        timing_tolerance=(
-            DEFAULT_TIMING_TOLERANCE
-            if args.timing_tolerance is None
-            else args.timing_tolerance
-        ),
-        exact_tolerance=(
-            DEFAULT_EXACT_TOLERANCE
-            if args.exact_tolerance is None
-            else args.exact_tolerance
-        ),
-        timing_slack_seconds=(
-            DEFAULT_TIMING_SLACK_SECONDS
-            if args.timing_slack is None
-            else args.timing_slack
-        ),
-        min_history=args.min_history,
-    )
+    report = check_record(current, history)
     print(report.summary())
     for finding in report.findings:
         if not finding.ok:

@@ -7,11 +7,17 @@ outer cross-validation loop is sequential).  Scaling losses emerge from
 exactly the real mechanisms: the serialized data distribution, the
 master's per-task handout overhead, last-wave load imbalance, and
 optional worker heterogeneity.
+
+There is one event loop (:func:`simulate_records`): :func:`simulate`
+keeps its summary, :func:`repro.cluster.trace.simulate_with_trace` its
+records, and :func:`simulate_with_failures` passes it death times.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -19,7 +25,14 @@ from ..obs.runtime import kernel_span
 from .network import NetworkModel, TEN_GBE
 from .workload import Workload
 
-__all__ = ["ClusterConfig", "SimulationResult", "simulate", "simulate_with_failures", "speedup_curve"]
+__all__ = [
+    "ClusterConfig",
+    "SimulationResult",
+    "TaskRecord",
+    "simulate",
+    "simulate_with_failures",
+    "speedup_curve",
+]
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,119 @@ class SimulationResult:
         return float(self.fold_seconds.sum())
 
 
+@dataclass(frozen=True)
+class TaskRecord:
+    """One task's life cycle in the simulated schedule."""
+
+    fold: int
+    task_index: int
+    worker: int
+    #: When the master began handing the task out.
+    handout_start_s: float
+    #: When the worker began computing.
+    compute_start_s: float
+    #: When the result landed back at the master.
+    finish_s: float
+
+    @property
+    def compute_seconds(self) -> float:
+        """Worker compute time of this task."""
+        return self.finish_s - self.compute_start_s
+
+    @property
+    def queue_seconds(self) -> float:
+        """Time from handout start to compute start (master + network)."""
+        return self.compute_start_s - self.handout_start_s
+
+
+def simulate_records(
+    workload: Workload,
+    config: ClusterConfig,
+    failures: Mapping[int, float] | None = None,
+    detection_timeout_s: float = 0.0,
+) -> tuple[SimulationResult, list[TaskRecord]]:
+    """The event loop: the run's summary and each completed task's
+    record, in handout order.
+
+    A record's times are on its fold's own clock — each fold is a
+    barrier and all clocks restart at 0.  ``failures`` maps worker ->
+    death time in seconds after the distribution, translated to the
+    fold clock here: a task in flight on a dying worker is lost, the
+    master notices ``detection_timeout_s`` later and re-queues it, and
+    the worker takes nothing more.
+    """
+    net = config.network
+    n = config.n_workers
+    rng = np.random.default_rng(config.seed)
+    death = np.full(n, np.inf)
+    for w, t in (failures or {}).items():
+        death[w] = t
+    records: list[TaskRecord] = []
+    fold_times = np.empty(len(workload.folds), dtype=np.float64)
+    busy_total = 0.0
+    fold_start = 0.0
+    for k, fold in enumerate(workload.folds):
+        dies = death - fold_start
+        worker_free = np.zeros(n, dtype=np.float64)
+        master_free = 0.0
+        fold_end = 0.0
+        busy = 0.0
+        pending = deque(enumerate(fold.tasks))
+        while pending:
+            idx, task = pending.popleft()
+            if config.schedule == "dynamic":
+                # Greedy self-scheduling: the next task goes to the
+                # (living) worker that frees up first.
+                alive = np.nonzero(worker_free < dies)[0]
+                if alive.size == 0:
+                    raise RuntimeError(
+                        "all workers dead with work remaining "
+                        f"(fold {k}, {len(pending) + 1} tasks left)"
+                    )
+                w = int(alive[np.argmin(worker_free[alive])])
+            else:
+                # Static round-robin pre-assignment.
+                w = idx % n
+            # The master serializes handouts.
+            handout_start = max(worker_free[w], master_free)
+            master_free = handout_start + config.master_overhead_s
+            compute_start = (
+                handout_start
+                + config.master_overhead_s
+                + net.transfer_time(task.task_bytes)
+            )
+            compute = task.compute_seconds
+            if config.heterogeneity > 0.0:
+                compute *= 1.0 + config.heterogeneity * rng.uniform(-1.0, 1.0)
+            finish = compute_start + compute + net.transfer_time(task.result_bytes)
+            if finish > dies[w]:
+                master_free = max(master_free, dies[w] + detection_timeout_s)
+                worker_free[w] = np.inf
+                pending.append((idx, task))
+                continue
+            worker_free[w] = finish
+            fold_end = max(fold_end, finish)
+            busy += compute
+            records.append(
+                TaskRecord(k, idx, w, handout_start, compute_start, finish)
+            )
+        fold_times[k] = fold_end + fold.serial_seconds
+        fold_start += fold_times[k]
+        busy_total += busy
+
+    distribution = net.broadcast_time(workload.dataset_bytes, n)
+    worker_time = float(fold_times.sum()) * n
+    utilization = busy_total / worker_time if worker_time > 0 else 0.0
+    result = SimulationResult(
+        elapsed_seconds=distribution + float(fold_times.sum()),
+        distribution_seconds=distribution,
+        fold_seconds=fold_times,
+        utilization=min(utilization, 1.0),
+        n_workers=n,
+    )
+    return result, records
+
+
 def simulate(workload: Workload, config: ClusterConfig) -> SimulationResult:
     """Run the event simulation; deterministic for a given config.
 
@@ -84,63 +210,12 @@ def simulate(workload: Workload, config: ClusterConfig) -> SimulationResult:
         "cluster.simulate",
         attrs={"n_workers": config.n_workers, "schedule": config.schedule},
     ) as span:
-        result = _simulate_core(workload, config)
+        result, _ = simulate_records(workload, config)
         if span is not None:
             span.add_metric("tasks", float(workload.n_tasks))
             span.attrs["elapsed_seconds"] = result.elapsed_seconds
             span.attrs["utilization"] = result.utilization
         return result
-
-
-def _simulate_core(workload: Workload, config: ClusterConfig) -> SimulationResult:
-    net = config.network
-    n = config.n_workers
-    rng = np.random.default_rng(config.seed)
-
-    distribution = net.broadcast_time(workload.dataset_bytes, n)
-
-    fold_times = np.empty(len(workload.folds), dtype=np.float64)
-    busy_total = 0.0
-    for k, fold in enumerate(workload.folds):
-        # All clocks restart at the fold barrier.
-        worker_free = np.zeros(n, dtype=np.float64)
-        master_free = 0.0
-        busy = 0.0
-        for idx, task in enumerate(fold.tasks):
-            if config.schedule == "dynamic":
-                # Greedy self-scheduling: the next task goes to the
-                # worker that frees up first; the master serializes
-                # handouts.
-                w = int(np.argmin(worker_free))
-            else:
-                # Static round-robin pre-assignment.
-                w = idx % n
-            handout_done = (
-                max(worker_free[w], master_free)
-                + config.master_overhead_s
-                + net.transfer_time(task.task_bytes)
-            )
-            master_free = max(worker_free[w], master_free) + config.master_overhead_s
-            compute = task.compute_seconds
-            if config.heterogeneity > 0.0:
-                compute *= 1.0 + config.heterogeneity * rng.uniform(-1.0, 1.0)
-            finish = handout_done + compute + net.transfer_time(task.result_bytes)
-            worker_free[w] = finish
-            busy += compute
-        fold_elapsed = float(worker_free.max()) + fold.serial_seconds
-        fold_times[k] = fold_elapsed
-        busy_total += busy
-
-    total = distribution + float(fold_times.sum())
-    worker_time = float(fold_times.sum()) * n
-    utilization = busy_total / worker_time if worker_time > 0 else 0.0
-    return SimulationResult(
-        elapsed_seconds=total,
-        distribution_seconds=distribution,
-        fold_seconds=fold_times,
-        utilization=min(utilization, 1.0),
-        n_workers=n,
-    )
 
 
 def speedup_curve(
@@ -157,28 +232,19 @@ def speedup_curve(
     """
     if not worker_counts:
         raise ValueError("worker_counts must be non-empty")
-    base = simulate(
-        workload,
-        ClusterConfig(
-            n_workers=1,
+
+    def elapsed(n: int) -> float:
+        config = ClusterConfig(
+            n_workers=n,
             network=network,
             master_overhead_s=master_overhead_s,
             heterogeneity=heterogeneity,
-        ),
-    ).elapsed_seconds
-    out: dict[int, tuple[float, float]] = {}
-    for n in worker_counts:
-        elapsed = simulate(
-            workload,
-            ClusterConfig(
-                n_workers=n,
-                network=network,
-                master_overhead_s=master_overhead_s,
-                heterogeneity=heterogeneity,
-            ),
-        ).elapsed_seconds
-        out[n] = (elapsed, base / elapsed)
-    return out
+        )
+        return simulate(workload, config).elapsed_seconds
+
+    base = elapsed(1)
+    times = {n: elapsed(n) for n in worker_counts}
+    return {n: (seconds, base / seconds) for n, seconds in times.items()}
 
 
 def simulate_with_failures(
@@ -196,6 +262,9 @@ def simulate_with_failures(
     protocol implements in :mod:`repro.parallel.tiled`.  Dead
     workers never come back.
 
+    Recovery is the pull protocol's: a ``schedule="static"`` config is
+    honoured while nothing fails and raises ``ValueError`` with
+    ``failures``, since a pre-assigned task has nowhere else to go.
     Raises ``RuntimeError`` if every worker dies before the work is done.
     """
     for w, t in failures.items():
@@ -205,64 +274,9 @@ def simulate_with_failures(
             raise ValueError("failure times must be >= 0")
     if detection_timeout_s < 0:
         raise ValueError("detection_timeout_s must be >= 0")
-
-    net = config.network
-    n = config.n_workers
-    rng = np.random.default_rng(config.seed)
-    distribution = net.broadcast_time(workload.dataset_bytes, n)
-    death = np.full(n, np.inf)
-    for w, t in failures.items():
-        death[w] = t
-
-    fold_times = np.empty(len(workload.folds), dtype=np.float64)
-    busy_total = 0.0
-    clock_base = 0.0  # fold clocks accumulate against the death times
-    for k, fold in enumerate(workload.folds):
-        worker_free = np.full(n, clock_base, dtype=np.float64)
-        master_free = clock_base
-        busy = 0.0
-        pending = list(fold.tasks)
-        while pending:
-            task = pending.pop(0)
-            alive = np.nonzero(worker_free < death)[0]
-            if alive.size == 0:
-                raise RuntimeError(
-                    "all workers dead with work remaining "
-                    f"(fold {k}, {len(pending) + 1} tasks left)"
-                )
-            w = int(alive[np.argmin(worker_free[alive])])
-            handout_done = (
-                max(worker_free[w], master_free)
-                + config.master_overhead_s
-                + net.transfer_time(task.task_bytes)
-            )
-            master_free = max(worker_free[w], master_free) + config.master_overhead_s
-            compute = task.compute_seconds
-            if config.heterogeneity > 0.0:
-                compute *= 1.0 + config.heterogeneity * rng.uniform(-1.0, 1.0)
-            finish = handout_done + compute + net.transfer_time(task.result_bytes)
-            if finish > death[w]:
-                # Task dies with the worker; master re-queues after its
-                # liveness timeout.  The worker is gone for good.
-                master_free = max(master_free, death[w] + detection_timeout_s)
-                worker_free[w] = np.inf
-                pending.append(task)
-                continue
-            worker_free[w] = finish
-            busy += compute
-        finite = worker_free[np.isfinite(worker_free)]
-        fold_end = float(finite.max()) if finite.size else clock_base
-        fold_times[k] = fold_end - clock_base + fold.serial_seconds
-        clock_base = fold_end + fold.serial_seconds
-        busy_total += busy
-
-    total = distribution + float(fold_times.sum())
-    worker_time = float(fold_times.sum()) * n
-    utilization = busy_total / worker_time if worker_time > 0 else 0.0
-    return SimulationResult(
-        elapsed_seconds=total,
-        distribution_seconds=distribution,
-        fold_seconds=fold_times,
-        utilization=min(utilization, 1.0),
-        n_workers=n,
-    )
+    if failures and config.schedule != "dynamic":
+        raise ValueError(
+            "worker failures are recovered by re-queueing: schedule must "
+            f"be 'dynamic', not {config.schedule!r}"
+        )
+    return simulate_records(workload, config, failures, detection_timeout_s)[0]

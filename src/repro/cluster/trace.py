@@ -9,40 +9,14 @@ schedule inspectable in a terminal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import NetworkModel
-from .simulator import ClusterConfig
+from .simulator import ClusterConfig, TaskRecord, simulate_records
 from .workload import Workload
 
 __all__ = ["TaskRecord", "ClusterTrace", "simulate_with_trace", "render_gantt"]
-
-
-@dataclass(frozen=True)
-class TaskRecord:
-    """One task's life cycle in the simulated schedule."""
-
-    fold: int
-    task_index: int
-    worker: int
-    #: When the master began handing the task out.
-    handout_start_s: float
-    #: When the worker began computing.
-    compute_start_s: float
-    #: When the result landed back at the master.
-    finish_s: float
-
-    @property
-    def compute_seconds(self) -> float:
-        """Worker compute time of this task."""
-        return self.finish_s - self.compute_start_s
-
-    @property
-    def queue_seconds(self) -> float:
-        """Time from handout start to compute start (master + network)."""
-        return self.compute_start_s - self.handout_start_s
 
 
 @dataclass(frozen=True)
@@ -93,59 +67,26 @@ def simulate_with_trace(
 ) -> ClusterTrace:
     """The simulator's schedule, with full per-task records.
 
-    Mirrors :func:`repro.cluster.simulator.simulate` exactly (same
-    greedy self-scheduling / static assignment, same RNG) and returns
-    the trace; ``elapsed_seconds`` matches ``simulate``'s to float
-    precision.
+    The records :func:`repro.cluster.simulator.simulate` aggregates,
+    kept — moved from their fold's clock to the run's (the distribution,
+    then each fold after the last) — so ``elapsed_seconds`` is
+    ``simulate``'s value by construction.
     """
-    net: NetworkModel = config.network
-    n = config.n_workers
-    rng = np.random.default_rng(config.seed)
-
-    distribution = net.broadcast_time(workload.dataset_bytes, n)
-    records: list[TaskRecord] = []
-    clock_base = distribution
-    total = distribution
-
-    for k, fold in enumerate(workload.folds):
-        worker_free = np.zeros(n, dtype=np.float64)
-        master_free = 0.0
-        for idx, task in enumerate(fold.tasks):
-            if config.schedule == "dynamic":
-                w = int(np.argmin(worker_free))
-            else:
-                w = idx % n
-            handout_start = max(worker_free[w], master_free)
-            master_free = handout_start + config.master_overhead_s
-            compute_start = (
-                handout_start
-                + config.master_overhead_s
-                + net.transfer_time(task.task_bytes)
-            )
-            compute = task.compute_seconds
-            if config.heterogeneity > 0.0:
-                compute *= 1.0 + config.heterogeneity * rng.uniform(-1.0, 1.0)
-            finish = compute_start + compute + net.transfer_time(task.result_bytes)
-            worker_free[w] = finish
-            records.append(
-                TaskRecord(
-                    fold=k,
-                    task_index=idx,
-                    worker=w,
-                    handout_start_s=clock_base + handout_start,
-                    compute_start_s=clock_base + compute_start,
-                    finish_s=clock_base + finish,
-                )
-            )
-        fold_elapsed = float(worker_free.max()) + fold.serial_seconds
-        clock_base += fold_elapsed
-        total += fold_elapsed
-
+    result, records = simulate_records(workload, config)
+    fold_start = np.cumsum([result.distribution_seconds, *result.fold_seconds])
     return ClusterTrace(
-        records=tuple(records),
-        n_workers=n,
-        elapsed_seconds=total,
-        distribution_seconds=distribution,
+        records=tuple(
+            replace(
+                r,
+                handout_start_s=float(fold_start[r.fold] + r.handout_start_s),
+                compute_start_s=float(fold_start[r.fold] + r.compute_start_s),
+                finish_s=float(fold_start[r.fold] + r.finish_s),
+            )
+            for r in records
+        ),
+        n_workers=config.n_workers,
+        elapsed_seconds=result.elapsed_seconds,
+        distribution_seconds=result.distribution_seconds,
     )
 
 

@@ -188,8 +188,9 @@ def csr_gram_panel(sparse: "Any", start: int, stop: int) -> np.ndarray:
     multiplied with its own transpose — sparse times sparse-transpose,
     ``O(nnz)`` per output row instead of ``O(M * N)`` — and densified
     into the ``(stop - start, M, M)`` float32 kernel stack the batched
-    SMO consumes.  Panel-wise so callers can balance ragged per-voxel
-    nnz across score batches.
+    SMO consumes.  Each voxel's kernel depends on its own band only, so
+    any panelling gives the same bits; the run path Grams the whole
+    result in one panel (:func:`kernel_matrix_batched`).
     """
     n_problems, m, _ = sparse.shape
     if not 0 <= start <= stop <= n_problems:

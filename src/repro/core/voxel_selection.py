@@ -27,7 +27,7 @@ from ..svm.cross_validation import (
     grouped_cross_validation,
     grouped_cross_validation_batch,
 )
-from .kernels import csr_gram_panel, kernel_matrix_baseline, kernel_matrix_batched
+from .kernels import kernel_matrix_baseline, kernel_matrix_batched
 from .results import VoxelScores
 from .sparse import SparseCorrelationResult
 
@@ -213,65 +213,23 @@ def score_voxels_sparse(
 ) -> VoxelScores:
     """Stage 3 straight from a CSR stage-1/2 result.
 
-    Per-voxel Gram kernels come from sparse-times-sparse-transpose row
-    bands (:func:`csr_gram_panel`) and feed the *same* batched SMO
-    cross-validation as the dense path — at ``tau=0`` the scores equal
-    :func:`score_voxels` within float32 kernel tolerance.
-
-    Batches are row panels balanced by ragged per-voxel nnz
-    (:func:`repro.exec.partition.partition_rows_by_nnz`): ``batch_voxels``
-    sets the *average* panel width, and nnz-heavy voxels get narrower
-    panels so every batch Grams a comparable number of stored entries.
-    Falls back to sequential per-voxel CV when batching is disabled, the
-    backend has no batched trainer, or the labels are multiclass.
+    :func:`score_voxels` with the sparse Gram: per-voxel kernels from
+    sparse-times-sparse-transpose row bands
+    (:func:`~repro.core.kernels.csr_gram_panel`, one scipy conversion
+    for the whole result) feed the *same* :func:`score_kernels` — at
+    ``tau=0`` the scores equal the dense path's within float32 kernel
+    tolerance.  What the ``sparse-batched`` walk and score compute
+    between them.
     """
     if not isinstance(sparse, SparseCorrelationResult):
         raise TypeError(
             f"sparse must be a SparseCorrelationResult, got {type(sparse).__name__}"
         )
-    from ..exec.partition import partition_rows_by_nnz
-
-    v, m, _ = sparse.shape
-    voxel_ids = np.asarray(voxel_ids, dtype=np.int64)
-    if voxel_ids.shape != (v,):
-        raise ValueError(f"voxel_ids must have shape ({v},)")
-    labels = np.asarray(labels)
-    fold_ids = np.asarray(fold_ids)
-    if labels.shape != (m,) or fold_ids.shape != (m,):
-        raise ValueError("labels and fold_ids must have one entry per epoch")
-    batchable = (
-        batch_voxels is not None
-        and batch_voxels > 0
-        and hasattr(backend, "fit_kernel_batch")
-        and np.unique(labels).size == 2
+    return score_kernels(
+        kernel_matrix_batched(sparse),
+        voxel_ids,
+        labels,
+        fold_ids,
+        backend,
+        batch_voxels=batch_voxels,
     )
-    accuracies = np.empty(v, dtype=np.float64)
-    if not batchable:
-        for i in range(v):
-            kernel = csr_gram_panel(sparse, i, i + 1)[0]
-            result = grouped_cross_validation(backend, kernel, labels, fold_ids)
-            accuracies[i] = result.accuracy
-        return VoxelScores(voxels=voxel_ids, accuracies=accuracies)
-    voxel_nnz = sparse.row_nnz.reshape(v, m).sum(axis=1)
-    assert batch_voxels is not None
-    nnz_budget = max(1, int(batch_voxels) * max(1, int(voxel_nnz.mean()))) if v else 1
-    for b0, b1 in partition_rows_by_nnz(
-        voxel_nnz, nnz_budget, max_rows=int(batch_voxels)
-    ):
-        with kernel_span("score_batch", attrs={"first_voxel": b0}) as span:
-            kernels = csr_gram_panel(sparse, b0, b1)
-            try:
-                result = grouped_cross_validation_batch(
-                    backend, kernels, labels, fold_ids
-                )
-            except NotImplementedError:
-                return score_voxels_sparse(
-                    sparse, voxel_ids, labels, fold_ids, backend,
-                    batch_voxels=None,
-                )
-            if span is not None:
-                span.add_metric("voxels", float(b1 - b0))
-                span.add_metric("nnz", float(voxel_nnz[b0:b1].sum()))
-                span.add_metric("bytes_moved", float(kernels.nbytes))
-        accuracies[b0:b1] = result.accuracies
-    return VoxelScores(voxels=voxel_ids, accuracies=accuracies)

@@ -64,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         build_graph,
         execute_task,
         optimized_graph,
-        sparse_batched_graph,
     )
 
 _EXPORTS = {
@@ -95,7 +94,6 @@ _EXPORTS = {
     "build_graph": "stage_graph",
     "execute_task": "stage_graph",
     "optimized_graph": "stage_graph",
-    "sparse_batched_graph": "stage_graph",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -464,6 +464,7 @@ class MasterWorkerExecutor:
                     proc.wait(timeout=10)
                 except Exception:
                     proc.kill()
+                    proc.wait()  # reap: kill() alone leaves a zombie
 
 
 #: CLI / factory names of the built-in executors.

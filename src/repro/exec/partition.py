@@ -181,7 +181,10 @@ def partition_rows_by_nnz(
     until adding the next row would push the panel past ``max_nnz``
     stored entries (or past ``max_rows`` rows); a single row heavier
     than the budget still gets its own panel, so every row is covered
-    exactly once.
+    exactly once.  No run calls it — stage 3 Grams the whole CSR result
+    once and batches by ``batch_voxels`` (panels run one after another
+    on one thread, so balancing them balanced nothing); it stays for the
+    frozen benchmark harness.
 
     Returns ``(start, stop)`` half-open panels covering
     ``range(len(row_nnz))`` in order.

@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stage_graph import StageGraph
 
 __all__ = [
+    "BUILTIN_VARIANTS",
     "available_backends",
     "available_variants",
     "backend_factory",
@@ -70,8 +71,11 @@ _BACKENDS: dict[str, BackendFactory] = {
 
 #: Variant builders; the built-ins self-register when stage_graph loads.
 _VARIANTS: dict[str, GraphBuilder] = {}
-#: Names config validation accepts even before stage_graph has loaded.
-_BUILTIN_VARIANTS = ("baseline", "optimized", "optimized-batched", "sparse-batched")
+#: The built-in variant names, typed here once: config validation accepts
+#: them even before stage_graph has loaded, stage_graph registers its
+#: builders over this tuple, and the CLI's ``--variant`` choices read
+#: :func:`available_variants`.
+BUILTIN_VARIANTS = ("baseline", "optimized", "optimized-batched", "sparse-batched")
 
 
 def register_backend(
@@ -108,7 +112,7 @@ def available_backends() -> tuple[str, ...]:
 
 def available_variants() -> tuple[str, ...]:
     """Registered variant names, sorted (built-ins always included)."""
-    return tuple(sorted(set(_VARIANTS) | set(_BUILTIN_VARIANTS)))
+    return tuple(sorted(set(_VARIANTS) | set(BUILTIN_VARIANTS)))
 
 
 def backend_factory(name: str) -> BackendFactory:
@@ -134,7 +138,7 @@ def graph_builder(name: str) -> GraphBuilder:
     lets core config validation consult this registry without creating
     an import cycle through the stage bodies.
     """
-    if name in _BUILTIN_VARIANTS and name not in _VARIANTS:
+    if name in BUILTIN_VARIANTS and name not in _VARIANTS:
         from . import stage_graph  # noqa: F401  (self-registers built-ins)
     try:
         return _VARIANTS[name]
@@ -151,5 +155,5 @@ def _reset_to_defaults() -> None:
     _BACKENDS.update(
         {"phisvm": _phisvm, "libsvm": _libsvm, "libsvm-float32": _libsvm_float32}
     )
-    for name in [n for n in _VARIANTS if n not in _BUILTIN_VARIANTS]:
+    for name in [n for n in _VARIANTS if n not in BUILTIN_VARIANTS]:
         del _VARIANTS[name]

@@ -1,4 +1,4 @@
-"""The FCMA pipeline as an explicit stage graph.
+"""The FCMA pipeline as an explicit stage graph: task = walk ∘ score.
 
 :class:`StageGraph` expresses the paper's three-stage pipeline —
 correlate (Section 3.1 stage 1), normalize (stage 2), SVM-score
@@ -9,26 +9,28 @@ telemetry.  :func:`execute_task` runs one row task through the graph
 and is what every executor — and a ``"task"`` work item of the
 master/worker runtime (:mod:`repro.parallel.tiled`) — calls.
 
-``FCMAConfig.variant`` names the graph.  There are two pipelines and
-one alternative materialization:
+The hand-off between the two halves of a task is the ``(rows, E, E)``
+kernel stack, and each half has one body here:
 
-* ``baseline`` — the oracle: three separate nodes (per-epoch gemm
-  correlation, separated normalization, LibSVM-style scoring) over a
-  materialized ``(V, E, N)`` block;
-* ``optimized`` — the paper's Section 4 as the tiled engine
-  (``core.engine``), and the walk ends in a Gram: each column chunk of
-  the Gram rule is gemm-ed, normalized and reduced to its ``(V, E, E)``
-  partial kernel where it was computed (ideas #2 and Section 4.4; see
-  ``core.engine.GramEmitter``), dealt to the engine's thread pool, so
-  the fused ``correlate+normalize`` node outputs ``kernels`` — stage 3a
-  is inside the walk and no ``(V, E, N)`` block exists — and ``score``
-  is the batched cross-validation alone.  The body is the one a tiled
-  worker runs over a column range (``parallel.tiled``).
-  ``optimized-batched`` is an accepted spelling: the same builder is
-  registered under both names and nothing branches on which one a
-  config used;
-* ``sparse-batched`` — the same engine walk filtered to CSR while each
-  tile is resident, scored through sparse Grams.
+* :func:`walk` — stages 1 → 2 → 3a of some rows over a column range:
+  each column chunk of the Gram rule is gemm-ed, normalized and reduced
+  to its partial kernel where it was computed (ideas #2 and Section 4.4;
+  ``core.engine.GramEmitter``), so no ``(rows, E, N)`` block exists.
+  The only ``run_engine`` call outside ``core``.  A task walks the full
+  width; a ``"tile"`` item of the tiled runtime is the same call on a
+  column range;
+* :func:`score` — stage 3b, the batched cross-validation of those
+  kernels, under one ``score_voxels`` span; a ``"score"`` item is this
+  call.
+
+``FCMAConfig.variant`` names the graph: ``baseline`` — the oracle: three
+separate nodes (per-epoch gemm correlation, separated normalization,
+LibSVM-style scoring) over a materialized ``(V, E, N)`` block, Gram-ed
+inside its ``score`` node — or walk ∘ score, registered as ``optimized``
+(the paper's Section 4), its accepted spelling ``optimized-batched``,
+and ``sparse-batched``, for which :func:`walk` filters each tile to CSR
+while it is resident (``core.sparse.CSREmitter``) and ends in the sparse
+Gram, so no CSR result crosses a stage boundary.
 
 ``baseline`` and ``optimized`` select the same voxels with the same
 accuracies; the equivalence is pinned by ``tests/exec`` and
@@ -37,26 +39,23 @@ accuracies; the equivalence is pinned by ``tests/exec`` and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..core.correlation import correlate_baseline, stage1_input_copies
 from ..core.engine import GramEmitter, run_engine, thread_budget
-from ..core.kernels import sum_gram_partials
-from ..core.normalization import normalize_separated
+from ..core.kernels import kernel_matrix_batched, sum_gram_partials
+from ..core.normalization import NormalizationWorkspace, normalize_separated
 from ..core.results import VoxelScores
 from ..core.sparse import CSREmitter
-from ..core.voxel_selection import (
-    score_kernels,
-    score_voxels,
-    score_voxels_sparse,
-)
+from ..core.voxel_selection import score_kernels, score_voxels
 from ..svm.cross_validation import cv_fold_ids
 from .context import RunContext
-from .registry import create_backend, register_variant
+from .registry import BUILTIN_VARIANTS, create_backend, register_variant
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.dataset import FMRIDataset
@@ -67,11 +66,11 @@ __all__ = [
     "StageGraphError",
     "baseline_graph",
     "optimized_graph",
-    "sparse_batched_graph",
     "build_graph",
     "execute_task",
-    "score_kernel_panel",
+    "score",
     "score_panel",
+    "walk",
 ]
 
 #: A stage body: reads its declared inputs from the state mapping and
@@ -191,102 +190,129 @@ def _normalize_separated(
     return {"correlations": corr}
 
 
-def _note_walk(
-    ctx: RunContext, rows: int, tile_cols: int, gemm_cols: int, n_epochs: int
-) -> None:
-    """Record the tile the engine walked (``fcma run --json``): its rows,
-    column width (a Gram chunk, or the sparse tile) and epochs — a tile
-    holds every epoch — the column block its gemm was issued in (the
-    whole sparse tile), and the derived thread budget."""
-    ctx.metadata["blocking_plan"] = {
-        "voxel_block": rows,
-        "target_block": gemm_cols,
-        "epoch_block": n_epochs,
-        "tile_cols": tile_cols,
-        "engine_threads": thread_budget(),
-    }
+@contextmanager
+def _item_span(ctx: RunContext, rows: NDArray[Any]) -> Iterator[None]:
+    """The ``task`` span of one work item.  :func:`execute_task` opens
+    it around the graph; a tile or score item of the tiled runtime calls
+    :func:`walk` / :func:`score` bare, and gets its own here."""
+    if "task" in ctx.tracer.open_kinds():
+        yield
+        return
+    with ctx.task_span(rows.size, int(rows[0])) as span:
+        yield
+        span.add_metric("voxels", float(rows.size))
 
 
-def _note_emitter(ctx: RunContext, name: str) -> None:
-    """Per-emitter RunContext accounting shared by the engine stages."""
-    ctx.metadata["emitter"] = name
-    ctx.increment(f"emitter_{name}_runs", 1)
+def walk(
+    ctx: RunContext,
+    z: NDArray[Any],
+    rows: NDArray[Any],
+    epochs_per_subject: int,
+    col_start: int = 0,
+    col_stop: int | None = None,
+    workspace: NormalizationWorkspace | None = None,
+) -> NDArray[np.float32]:
+    """Stages 1 → 2 → 3a of ``rows`` over columns ``[col_start,
+    col_stop)``: the first half of a task, and a ``"tile"`` work item.
 
-
-def _correlate_batched_fused(
-    ctx: RunContext, state: Mapping[str, Any]
-) -> Mapping[str, Any]:
-    z = state["windows"]
-    assigned = state["assigned"]
-    e_per_subject = state["grouped"].epochs.epochs_per_subject()
-    input_copies = stage1_input_copies(z)
-    emitter = GramEmitter()
-
-    with ctx.tracer.span("correlate_normalize_batched", kind="kernel") as span:
-        kernels = sum_gram_partials(run_engine(z, assigned, e_per_subject, emitter))
-        n_chunks = len(emitter.chunks)
-        _note_walk(
-            ctx, assigned.size, emitter.tile_cols, emitter.gemm_cols, z.shape[0]
-        )
-        span.add_metric("tiles", float(n_chunks))
-        span.add_metric("voxels", float(assigned.size))
-        # Read z, computed (never stored) the normalized (V, E, N) block.
-        span.add_metric(
-            "bytes_moved",
-            float(z.nbytes + assigned.size * z.shape[0] * z.shape[1] * 4),
-        )
-        span.add_metric("gram_chunks", float(n_chunks))
-        span.add_metric("bytes_out", float(kernels.nbytes))
-    _note_emitter(ctx, "dense")
-    ctx.increment("stage12_tiles", n_chunks)
-    ctx.increment("emitter_dense_tiles", n_chunks)
-    if input_copies:
-        ctx.increment("stage12_out_copies", input_copies)
-    return {"kernels": kernels}
-
-
-def _correlate_sparse_fused(
-    ctx: RunContext, state: Mapping[str, Any]
-) -> Mapping[str, Any]:
+    Returns float32 ``(n_chunks, rows, E, E)`` — one partial Gram per
+    chunk of the Gram rule inside the range, ascending;
+    :func:`~repro.core.kernels.sum_gram_partials` over every chunk of
+    the row is the ``(rows, E, E)`` hand-off to :func:`score`, whether
+    one walk produced them or many.  ``sparse-batched`` walks the full
+    width through ``CSREmitter`` and Grams the CSR per voxel — one
+    chunk.  One kernel span per emitter, around the engine.
+    """
     config = ctx.config
-    z = state["windows"]
-    assigned = state["assigned"]
-    e_per_subject = state["grouped"].epochs.epochs_per_subject()
+    n_epochs, n_voxels = z.shape[0], z.shape[1]
     input_copies = stage1_input_copies(z)
-    # The emitter's own default plan (`sparse_tile_plan`, which depends
-    # on the mode) sizes the tiles; the walked tile is read back.
-    emitter = CSREmitter(threshold=config.threshold, top_k=config.top_k)
+    kind = config.resolved_emitter() or "dense"
+    sparse = kind == "csr"
+    emitter: Any = (
+        # Its own default plan (`sparse_tile_plan`) sizes the tiles.
+        CSREmitter(threshold=config.threshold, top_k=config.top_k)
+        if sparse
+        else GramEmitter(col_start, col_stop)
+    )
+    name = "correlate_normalize_sparse" if sparse else "correlate_normalize_batched"
+    with _item_span(ctx, rows):
+        with ctx.tracer.span(name, kind="kernel") as span:
+            result = run_engine(
+                z, rows, epochs_per_subject, emitter, workspace=workspace
+            )
+            if sparse:
+                csr, stats = result
+                n_tiles, tile_rows = stats.n_tiles, emitter.tile_rows
+                gemm_cols = emitter.tile_cols
+                counters = {
+                    "tiles_pruned": stats.tiles_pruned,
+                    "nnz": stats.nnz,
+                    "elements": stats.elements,
+                }
+                metrics: dict[str, float] = {
+                    "tiles": n_tiles,
+                    "voxels": rows.size,
+                    **counters,
+                    "density": stats.density,
+                    "voxel_sweep": tile_rows,
+                    "target_block": emitter.tile_cols,
+                    "bytes_moved": z.nbytes
+                    + csr.data.nbytes
+                    + csr.indices.nbytes
+                    + csr.indptr.nbytes,
+                }
+            else:
+                partials = result
+                n_tiles, tile_rows = len(partials), rows.size
+                gemm_cols = emitter.gemm_cols
+                counters = {}
+                cols = emitter.chunks[-1][1] - emitter.chunks[0][0]
+                metrics = {
+                    "rows": rows.size,
+                    "cols": cols,
+                    "tiles": n_tiles,
+                    # Read the range's z columns, computed (never
+                    # stored) its normalized (rows, E, cols) block.
+                    "bytes_moved": cols
+                    * (z.nbytes // n_voxels + rows.size * n_epochs * 4),
+                    "gram_chunks": n_tiles,
+                    "bytes_out": partials.nbytes,
+                }
+            for metric, value in metrics.items():
+                span.add_metric(metric, float(value))
+        if sparse:
+            # Stage 3a of the CSR, per voxel: in the walk, but outside
+            # the span, whose model (`model_sparse_stage12`) has no Gram.
+            partials = kernel_matrix_batched(csr)[None]
+        # The tile the engine walked (``fcma run --json``): its rows,
+        # width (a Gram chunk, or the sparse tile), every epoch, the
+        # column block its gemm was issued in, the thread budget.
+        ctx.metadata["blocking_plan"] = {
+            "voxel_block": tile_rows,
+            "target_block": gemm_cols,
+            "epoch_block": n_epochs,
+            "tile_cols": emitter.tile_cols,
+            "engine_threads": thread_budget(),
+        }
+        ctx.metadata["emitter"] = kind
+        ctx.increment(f"emitter_{kind}_runs", 1)
+        ctx.increment("stage12_tiles", n_tiles)
+        ctx.increment(f"emitter_{kind}_tiles", n_tiles)
+        for counter, value in counters.items():
+            ctx.increment(f"stage12_{counter}", value)
+        if input_copies:
+            ctx.increment("stage12_out_copies", input_copies)
+    return partials
 
-    with ctx.tracer.span("correlate_normalize_sparse", kind="kernel") as span:
-        result, stats = run_engine(z, assigned, e_per_subject, emitter)
-        sweep, t_block = emitter.tile_rows, emitter.tile_cols
-        _note_walk(ctx, sweep, t_block, t_block, z.shape[0])
-        span.add_metric("tiles", float(stats.n_tiles))
-        span.add_metric("tiles_pruned", float(stats.tiles_pruned))
-        span.add_metric("voxels", float(assigned.size))
-        span.add_metric("nnz", float(stats.nnz))
-        span.add_metric("elements", float(stats.elements))
-        span.add_metric("density", stats.density)
-        span.add_metric("voxel_sweep", float(sweep))
-        span.add_metric("target_block", float(t_block))
-        span.add_metric(
-            "bytes_moved",
-            float(
-                z.nbytes
-                + result.data.nbytes
-                + result.indices.nbytes
-                + result.indptr.nbytes
-            ),
-        )
-    _note_emitter(ctx, "csr")
-    ctx.increment("stage12_tiles", stats.n_tiles)
-    ctx.increment("emitter_csr_tiles", stats.n_tiles)
-    ctx.increment("stage12_tiles_pruned", stats.tiles_pruned)
-    ctx.increment("stage12_nnz", stats.nnz)
-    ctx.increment("stage12_elements", stats.elements)
-    if input_copies:
-        ctx.increment("stage12_out_copies", input_copies)
-    return {"sparse_correlations": result}
+
+def _walk_node(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
+    partials = walk(
+        ctx,
+        state["windows"],
+        state["assigned"],
+        state["grouped"].epochs.epochs_per_subject(),
+    )
+    return {"kernels": sum_gram_partials(partials)}
 
 
 def _stage3_inputs(
@@ -303,15 +329,35 @@ def _stage3_inputs(
     )
 
 
-def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-    with ctx.tracer.span("score_voxels_sparse", kind="kernel") as span:
-        scores = score_voxels_sparse(
-            state["sparse_correlations"],
-            state["assigned"],
-            *_stage3_inputs(state["grouped"], ctx.config),
-        )
-        span.add_metric("voxels", float(state["assigned"].size))
-        span.add_metric("nnz", float(state["sparse_correlations"].nnz))
+def score(
+    ctx: RunContext,
+    grouped: "FMRIDataset",
+    rows: NDArray[Any],
+    kernels: NDArray[Any] | None = None,
+    *,
+    correlations: NDArray[Any] | None = None,
+) -> VoxelScores:
+    """Stage 3b of ``rows``' ``(rows, E, E)`` kernels: the second half
+    of a task, and a ``"score"`` work item — one ``score_voxels`` kernel
+    span whoever calls.  ``correlations`` is the oracle's door: the
+    ``baseline`` graph hands over its materialized ``(rows, E, N)``
+    block and it is Gram-ed here, inside the span."""
+    with _item_span(ctx, rows), ctx.tracer.span("score_voxels", kind="kernel") as span:
+        if kernels is None:
+            kernels = kernel_matrix_batched(correlations)
+        scores = score_kernels(kernels, rows, *_stage3_inputs(grouped, ctx.config))
+        span.add_metric("voxels", float(rows.size))
+    return scores
+
+
+def _score_node(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
+    scores = score(
+        ctx,
+        state["grouped"],
+        state["assigned"],
+        state.get("kernels"),
+        correlations=state.get("correlations"),
+    )
     return {"scores": scores}
 
 
@@ -322,55 +368,23 @@ def score_panel(
     correlations: NDArray[Any],
     ctx: RunContext,
 ) -> VoxelScores:
-    """Stage 3 of one dense row panel ``(rows, epochs, n_voxels)``: the
-    ``score`` node of the baseline and optimized graphs.  The Gram rule
-    (:mod:`repro.core.kernels`), then the cross-validation body
-    :func:`score_kernel_panel` shares.  ``ctx`` is not read; it is part
-    of the signature the benchmark harness calls.
+    """Stage 3 of one materialized row panel ``(rows, epochs, n_voxels)``
+    — the Gram rule (:mod:`repro.core.kernels`), then the
+    cross-validation :func:`score` runs — in the signature the benchmark
+    harness calls; no run path does.  ``ctx`` is not read.
     """
     return score_voxels(correlations, rows, *_stage3_inputs(grouped, config))
 
 
-def score_kernel_panel(
-    grouped: "FMRIDataset",
-    config: Any,
-    rows: NDArray[Any],
-    kernels: NDArray[Any],
-) -> VoxelScores:
-    """Stage 3b of one row panel's ``(rows, epochs, epochs)`` kernels: a
-    ``"score"`` work item of the tiled runtime, whose tiles already
-    Gram-ed the panel chunk by chunk."""
-    return score_kernels(kernels, rows, *_stage3_inputs(grouped, config))
-
-
-def _score_dense(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-    assigned = state["assigned"]
-    with ctx.tracer.span("score_voxels", kind="kernel") as span:
-        scores = score_panel(
-            state["grouped"], ctx.config, assigned, state["correlations"], ctx
-        )
-        span.add_metric("voxels", float(assigned.size))
-    return {"scores": scores}
-
-
-def _score_kernels(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-    assigned = state["assigned"]
-    with ctx.tracer.span("score_voxels", kind="kernel") as span:
-        scores = score_kernel_panel(
-            state["grouped"], ctx.config, assigned, state["kernels"]
-        )
-        span.add_metric("voxels", float(assigned.size))
-    return {"scores": scores}
-
-
 _SEEDS = ("dataset", "assigned")
+_PREPROCESS = Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows"))
 
 
 def baseline_graph(config: Any = None) -> StageGraph:
     """The Section-3.2 pipeline: three separated stages."""
     return StageGraph(
         stages=(
-            Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
+            _PREPROCESS,
             Stage(
                 "correlate",
                 _correlate_baseline,
@@ -385,7 +399,7 @@ def baseline_graph(config: Any = None) -> StageGraph:
             ),
             Stage(
                 "score",
-                _score_dense,
+                _score_node,
                 ("correlations", "assigned", "grouped"),
                 ("scores",),
             ),
@@ -395,20 +409,23 @@ def baseline_graph(config: Any = None) -> StageGraph:
 
 
 def optimized_graph(config: Any = None) -> StageGraph:
-    """The Section-4 pipeline: the tiled engine, normalization merged
-    into correlation, batched scoring."""
+    """The Section-4 pipeline, task = walk ∘ score: the tiled engine
+    with normalization merged into correlation and the walk ending in a
+    Gram (:func:`walk` — dense chunks, or for ``sparse-batched`` each
+    normalized tile filtered to CSR by ``config.threshold`` /
+    ``config.top_k`` while cache-resident), then batched scoring."""
     return StageGraph(
         stages=(
-            Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
+            _PREPROCESS,
             Stage(
                 "correlate+normalize",
-                _correlate_batched_fused,
+                _walk_node,
                 ("windows", "assigned", "grouped"),
                 ("kernels",),
             ),
             Stage(
                 "score",
-                _score_kernels,
+                _score_node,
                 ("kernels", "assigned", "grouped"),
                 ("scores",),
             ),
@@ -417,39 +434,14 @@ def optimized_graph(config: Any = None) -> StageGraph:
     )
 
 
-def sparse_batched_graph(config: Any = None) -> StageGraph:
-    """Threshold-during-fuse pipeline: CSR stage 1/2, sparse-Gram stage 3.
-
-    Same fused tile engine as ``optimized``, but each normalized tile
-    is filtered (``config.threshold`` /
-    ``config.top_k``) into a CSR block while cache-resident; stage 3
-    Grams the CSR row bands in nnz-balanced panels through the same
-    batched SMO.
-    """
-    return StageGraph(
-        stages=(
-            Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
-            Stage(
-                "correlate+normalize",
-                _correlate_sparse_fused,
-                ("windows", "assigned", "grouped"),
-                ("sparse_correlations",),
-            ),
-            Stage(
-                "score",
-                _score_sparse,
-                ("sparse_correlations", "assigned", "grouped"),
-                ("scores",),
-            ),
-        ),
-        seeds=_SEEDS,
+for _name in BUILTIN_VARIANTS:
+    # One oracle; every other built-in is walk ∘ score, and nothing but
+    # :func:`walk`'s emitter choice branches on which name a config used.
+    register_variant(
+        _name,
+        baseline_graph if _name == "baseline" else optimized_graph,
+        overwrite=True,
     )
-
-
-register_variant("baseline", baseline_graph, overwrite=True)
-register_variant("optimized", optimized_graph, overwrite=True)
-register_variant("optimized-batched", optimized_graph, overwrite=True)
-register_variant("sparse-batched", sparse_batched_graph, overwrite=True)
 
 
 def build_graph(config: Any) -> StageGraph:
@@ -476,9 +468,8 @@ def execute_task(
     if assigned.ndim != 1 or assigned.size == 0:
         raise ValueError("assigned must be a non-empty 1D index array")
     graph = build_graph(ctx.config)
-    with ctx.task_span(assigned.size, int(assigned[0])) as span:
+    with _item_span(ctx, assigned):
         state = graph.run(ctx, dataset=dataset, assigned=assigned)
-        span.add_metric("voxels", float(assigned.size))
     scores = state["scores"]
     assert isinstance(scores, VoxelScores)
     return scores

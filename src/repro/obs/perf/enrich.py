@@ -18,7 +18,6 @@ re-execution, no access to the original arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -28,7 +27,6 @@ from ...hw.spec import HardwareSpec
 from ...perf import (
     IncrementalStepShape,
     KernelEstimate,
-    model_batched_stage12,
     model_correlation_matmul,
     model_incremental_epoch_close,
     model_incremental_tr_update,
@@ -157,10 +155,11 @@ def predict_kernel(
     """Model one kernel span's counters and elapsed seconds.
 
     ``name`` is a stage-graph kernel span name; returns ``None`` for
-    kernels with no model (solver internals).  For the
-    scoring node, ``variant`` selects the implementation pair the run
-    actually used (baseline -> MKL syrk + LibSVM; optimized ->
-    panel syrk + PhiSVM).  The sparse kernel additionally needs its
+    kernels with no model (solver internals).  One body, one answer:
+    the Gram walk is priced over its ``cols`` (default: the full width,
+    a task) whoever ran it, and ``score_voxels`` by ``variant`` alone
+    (baseline -> MKL syrk + LibSVM; everything else -> PhiSVM, the walk
+    carried the syrk).  The sparse kernel additionally needs its
     recorded tile geometry and kept fraction (``target_block``,
     ``density`` — span metrics of ``correlate_normalize_sparse``).
     """
@@ -193,28 +192,23 @@ def predict_kernel(
     if name == "normalize_separated":
         return _combine([model_normalization(spec, n_assigned, hw, "separated")])
     if name == "correlate_normalize_batched":
-        # The optimized walk ends in a Gram: each chunk is reduced to
-        # its partial kernel where it was computed, so the syrk is this
-        # span's (as a 2-D tile's is below), not score_voxels'.
-        sweep = voxel_sweep if voxel_sweep else n_assigned
-        return _combine([
-            model_batched_stage12(spec, n_assigned, hw, sweep),
-            model_kernel_syrk(spec, n_assigned, hw, "ours"),
-        ])
-    if name == "correlate_normalize_tile2d":
-        # One 2-D tile of the scale-out path: the blocked gemm + merged
-        # normalization + kernel syrk restricted to the tile's column
-        # slab (the tile returns its partial Grams).
+        # The Gram walk (``exec.stage_graph.walk``), whoever ran it: the
+        # blocked gemm + merged normalization + kernel syrk over the
+        # walk's column range.  At full width that is the paper's merged
+        # stage 1/2 + blocked syrk (Tables 7 + 5) — a task; a 2-D tile
+        # of the scale-out path is the same model at ``cols / N``.
         width = cols if cols else spec.n_voxels
         return model_tile2d_compute(spec, n_assigned, min(width, spec.n_voxels), hw)
-    if name in ("score_voxels", "score_panel"):
-        svm_impl = "libsvm" if variant == "baseline" else "phisvm"
-        parts = [model_svm_cv(spec, n_assigned, hw, svm_impl)]
-        if name == "score_voxels" and variant == "baseline":
-            # Only the baseline scores a materialized block; everywhere
-            # else the walk (or the tiles) carried the syrk.
-            parts.insert(0, model_kernel_syrk(spec, n_assigned, hw, "mkl"))
-        return _combine(parts)
+    if name == "score_voxels":
+        # Stage 3b (``exec.stage_graph.score``).  Only the baseline
+        # scores a materialized block and so carries the syrk;
+        # everywhere else the walk did.
+        if variant == "baseline":
+            return _combine([
+                model_kernel_syrk(spec, n_assigned, hw, "mkl"),
+                model_svm_cv(spec, n_assigned, hw, "libsvm"),
+            ])
+        return _combine([model_svm_cv(spec, n_assigned, hw, "phisvm")])
     return None
 
 
@@ -224,12 +218,19 @@ MODELED_KERNELS = (
     "normalize_separated",
     "correlate_normalize_batched",
     "correlate_normalize_sparse",
-    "correlate_normalize_tile2d",
     "incremental_tr_update",
     "incremental_epoch_close",
     "score_voxels",
-    "score_panel",
 )
+
+
+#: ``predict_kernel`` keyword <- the span metric that records it.
+_GEOMETRY_METRICS = {
+    "cols": "cols",
+    "voxel_sweep": "voxel_sweep",
+    "target_block": "target_block",
+    "epoch_len": "trs",
+}
 
 
 def enrich_spans(
@@ -286,55 +287,32 @@ def enrich_spans(
             continue
         if "predicted_seconds" in span.metrics:
             continue
+        metrics = span.metrics
+        # Spans that record their own geometry are believed: the walk's
+        # row/column extent, the sparse kernel's tile and kept fraction
+        # (deriving its sweep from the tile count would conflate the two
+        # tiling axes), a streaming step's epoch length.
         n_assigned = int(
-            span.metrics.get("voxels")
+            metrics.get("rows")
+            or metrics.get("voxels")
             or task_voxels.get(span.span_id, 0)
         )
-        sweep: int | None = None
-        target_block: int | None = None
-        density: float | None = None
-        epoch_len: int | None = None
-        cols: int | None = None
-        scale = 1.0
-        if span.name == "correlate_normalize_tile2d":
-            # The 2-D tile records its own geometry: row extent is the
-            # assigned voxel count, column extent bounds the slab.
-            if span.metrics.get("rows"):
-                n_assigned = int(span.metrics["rows"])
-            if span.metrics.get("cols"):
-                cols = int(span.metrics["cols"])
-        elif span.name.startswith("incremental_"):
-            if span.metrics.get("trs"):
-                epoch_len = int(span.metrics["trs"])
-            if span.name == "incremental_tr_update":
-                # The loop records one aggregate span for all updates.
-                scale = float(span.metrics.get("calls") or 1.0)
-        elif span.name == "correlate_normalize_sparse":
-            # The sparse kernel records its tile geometry and kept
-            # fraction explicitly; deriving sweep from the tile count
-            # would conflate the two tiling axes.
-            if span.metrics.get("voxel_sweep"):
-                sweep = int(span.metrics["voxel_sweep"])
-            if span.metrics.get("target_block"):
-                target_block = int(span.metrics["target_block"])
-            if "density" in span.metrics:
-                density = float(span.metrics["density"])
-        else:
-            tiles = span.metrics.get("tiles")
-            if tiles and n_assigned:
-                sweep = max(1, math.ceil(n_assigned / tiles))
+        recorded: dict[str, Any] = {
+            keyword: int(metrics[metric])
+            for keyword, metric in _GEOMETRY_METRICS.items()
+            if metrics.get(metric)
+        }
+        if "density" in metrics:
+            recorded["density"] = float(metrics["density"])
+        # The rtfmri loop records one aggregate span for all updates.
+        scale = (
+            float(metrics.get("calls") or 1.0)
+            if span.name == "incremental_tr_update"
+            else 1.0
+        )
         try:
             predicted = predict_kernel(
-                span.name,
-                spec,
-                n_assigned,
-                hw,
-                variant=variant,
-                voxel_sweep=sweep,
-                target_block=target_block,
-                density=density,
-                epoch_len=epoch_len,
-                cols=cols,
+                span.name, spec, n_assigned, hw, variant=variant, **recorded
             )
         except (ValueError, ZeroDivisionError):
             continue

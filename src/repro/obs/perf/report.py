@@ -173,28 +173,32 @@ def format_scaleout_section(
     hw: HardwareSpec | None = None,
     net: InterconnectSpec | None = None,
 ) -> str | None:
-    """Wire-model table for a trace with 2-D tile spans.
+    """Wire-model table for a trace of the 2-D tiled partition.
 
-    Replays every ``correlate_normalize_tile2d`` and ``score_panel``
-    kernel span through the scale-out communication model
+    A tile or score work item runs its half of a task bare, so its
+    kernel span hangs directly off its ``task`` span (a graph's hangs
+    off a stage): a tile is such a span carrying the walk's ``cols``
+    metric, a panel score the ``score_voxels`` beside it.  Each is
+    replayed through the scale-out communication model
     (:mod:`repro.perf.scaleout_model`) on the chosen interconnect
     (default: loopback TCP, the CI smoke topology) — a tile span's
     ``gram_chunks`` metric sizes the partial Grams it shipped — then
-    appends the
-    predicted strong-scaling envelope for the trace's tile geometry.
-    Returns ``None`` when the trace has no tile spans or no recorded
-    geometry.
+    the predicted strong-scaling envelope for the trace's tile geometry
+    is appended.  Returns ``None`` when the trace has no tile spans or
+    no recorded geometry.
     """
     if hw is None:
         hw = default_hardware()
     if net is None:
         net = LOOPBACK_TCP
     span_list = list(spans)
-    tiles = [
+    kinds: dict[int | None, str] = {s.span_id: s.kind for s in span_list}
+    items = [
         s
         for s in span_list
-        if s.kind == "kernel" and s.name == "correlate_normalize_tile2d"
+        if s.kind == "kernel" and kinds.get(s.parent_id) == "task"
     ]
+    tiles = [s for s in items if "cols" in s.metrics]
     if not tiles:
         return None
     geometry = geometry_from_spans(span_list)
@@ -204,9 +208,7 @@ def format_scaleout_section(
         spec = geometry.spec()
     except ValueError:
         return None
-    panels = [
-        s for s in span_list if s.kind == "kernel" and s.name == "score_panel"
-    ]
+    panels = [s for s in items if s.name == "score_voxels"]
 
     tile_seconds = 0.0
     tile_bytes = 0.0

@@ -12,28 +12,31 @@ the ``(assigned × all-voxels)`` correlation matrix:
 
 * **Rows** — the paper's 1-D decomposition: a ``"task"`` item is one
   row panel run end to end through
-  :func:`repro.exec.stage_graph.execute_task` (every variant).
+  :func:`~repro.exec.stage_graph.execute_task` (every variant) — walk at
+  full width, then score.
 * **Tiles** — the 2-D scheme that scaled all-pairs Pearson to thousands
   of cores in *Parallel Pairwise Correlation Computation on Intel Xeon
-  Phi Clusters*: a ``"tile"`` item is one column block of a row panel's
-  fused stage 1/2 **reduced where it was computed** — and it is the
-  serial ``optimized`` node's own body over a column range:
-  :func:`tile_partial_grams` is ``run_engine(..., GramEmitter(c0,
-  c1))``, the engine walk restricted to the tile's chunks of the Gram
-  rule (:func:`~repro.core.kernels.gram_chunks`), with the engine's
-  thread deal when the rank's host budget is above 1.  The linear
-  kernel is additive over column blocks, so the tile returns only each
-  chunk's ``(rows, E, E)`` partial Gram.  Tiles land in any order from
-  any worker; when a panel's last tile lands the plan adds all its
-  partials in ascending column order — the serial rule, so the kernels
-  are the serial bits whatever the worker count, tile width, arrival
-  order or retry schedule — and the ``(rows, E, E)`` kernels become a
-  stage-3 ``"score"`` item.  No correlation ever crosses the wire or
-  exists on the master or the worker: a chunk ships ``rows·E²·4`` bytes
-  instead of ``rows·E·cols·4`` (``GRAM_CHUNK_COLS / E`` times less).
+  Phi Clusters*: a ``"tile"`` item is
+  :func:`~repro.exec.stage_graph.walk` over the tile's column range —
+  the serial node's own call, restricted to the tile's chunks of the
+  Gram rule (:func:`~repro.core.kernels.gram_chunks`), each **reduced
+  where it was computed**, with the engine's thread deal when the
+  rank's host budget is above 1.  The linear kernel is additive over
+  column blocks, so the tile returns only each chunk's ``(rows, E, E)``
+  partial Gram.  Tiles land in any order from any worker; when a
+  panel's last tile lands the plan adds all its partials in ascending
+  column order — the serial rule, so the kernels are the serial bits
+  whatever the worker count, tile width, arrival order or retry
+  schedule — and the ``(rows, E, E)`` kernels become a ``"score"`` item,
+  :func:`~repro.exec.stage_graph.score`.  No correlation ever crosses
+  the wire or exists on the master or the worker: a chunk ships
+  ``rows·E²·4`` bytes instead of ``rows·E·cols·4``
+  (``GRAM_CHUNK_COLS / E`` times less).
 
-The loops know only the protocol; the plan knows what is ready next
-and what a result unlocks.
+Task = walk ∘ score; a tile is the walk on a column range; a score item
+is score — so the three item kinds are one call each, and this module
+opens no span and types no metric.  The loops know only the protocol;
+the plan knows what is ready next and what a result unlocks.
 
 * **Dispatch order.**  One ready list sorted ``(priority, id)``:
   scores before tiles/tasks, ascending ids — so a re-queued tile or
@@ -81,22 +84,23 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.engine import GramEmitter, gemm_normalize_tile, run_engine
+from ..core.engine import gemm_normalize_tile
 from ..core.kernels import sum_gram_partials
 from ..core.normalization import NormalizationWorkspace
 from ..core.pipeline import preprocess_dataset
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
+from ..exec.context import RunContext
 from ..exec.stage_graph import (
     execute_task,
-    score_kernel_panel,
+    score,
     score_panel,  # re-exported: the dense score body the harness drives
+    walk,
 )
 from ..obs.live.runtime import current_live
 from .comm import Comm, TAG_PEER_LOST, TAG_TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.context import RunContext
     from ..exec.partition import TileTask
 
 __all__ = [
@@ -250,8 +254,8 @@ def compute_tile(
     "bitwise equal to serial" holds by construction, for any column
     range.  ``panel`` lets the caller reuse the ``z[:, rows]``
     contiguous copy across column tiles of one row panel.  No run path
-    calls it (a ``"tile"`` item is :func:`tile_partial_grams`); it is
-    the block-returning form the benchmark harness drives.
+    calls it (a ``"tile"`` item is :func:`~repro.exec.stage_graph.walk`);
+    it is the block-returning form the benchmark harness drives.
     """
     if panel is None:
         panel = z[:, rows]  # (E, width, T) contiguous copy
@@ -276,22 +280,12 @@ def tile_partial_grams(
     epochs_per_subject: int,
     workspace: NormalizationWorkspace,
 ) -> np.ndarray:
-    """What a ``"tile"`` item returns: the ``(n_chunks, rows, E, E)``
-    partial Grams of the tile's column chunks, ascending.
-
-    The serial node's walk (:class:`~repro.core.engine.GramEmitter`)
-    restricted to the chunks of the Gram rule inside ``[col_start,
-    col_stop)`` — which must be whole chunks of the full row, or this
-    raises — in scratch held by ``workspace``.
-    """
-    partials: np.ndarray = run_engine(
-        z,
-        rows,
-        epochs_per_subject,
-        GramEmitter(col_start, col_stop),
-        workspace=workspace,
+    """What a ``"tile"`` item returns, for callers that hold no run:
+    :func:`~repro.exec.stage_graph.walk` on a throwaway context
+    (``[col_start, col_stop)`` must be whole chunks of the full row)."""
+    return walk(
+        RunContext(), z, rows, epochs_per_subject, col_start, col_stop, workspace
     )
-    return partials
 
 
 def master_loop(
@@ -431,10 +425,6 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     epochs_per_subject = grouped.epochs.epochs_per_subject()
     workspace = NormalizationWorkspace()
     completed = 0
-    # In-process ranks (thread transport) see the master's live runtime
-    # and can feed per-tile latency histograms directly; TCP worker
-    # processes see None and publish only via telemetry frames.
-    live = current_live()
     last_telemetry = time.monotonic()
     # Whether the item in hand is a prefetching kind (tile/score); a
     # STOP is accounted like the item before it.
@@ -472,38 +462,24 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
                 )
             elif kind == "tile":
                 _, _, panel_id, rows, c0, c1 = payload
-                rows = np.asarray(rows, dtype=np.int64)
-                with ctx.task_span(rows.size, int(rows[0])) as span:
-                    with ctx.tracer.span(
-                        "correlate_normalize_tile2d", kind="kernel"
-                    ) as kspan:
-                        partials = tile_partial_grams(
-                            z, rows, c0, c1, epochs_per_subject, workspace
-                        )
-                        kspan.add_metric("rows", float(rows.size))
-                        kspan.add_metric("cols", float(c1 - c0))
-                        # Normalized tile computed (and kept) vs shipped.
-                        kspan.add_metric(
-                            "bytes_moved",
-                            float(rows.size * z.shape[0] * (c1 - c0) * 4),
-                        )
-                        kspan.add_metric("gram_chunks", float(len(partials)))
-                        kspan.add_metric("bytes_out", float(partials.nbytes))
-                    span.add_metric("voxels", float(rows.size))
-                if live is not None:
-                    live.observe("tile_seconds", kspan.duration)
+                partials = walk(
+                    ctx,
+                    z,
+                    np.asarray(rows, dtype=np.int64),
+                    epochs_per_subject,
+                    c0,
+                    c1,
+                    workspace,
+                )
                 result = ("tile", ident, panel_id, c0, c1, partials)
             elif kind == "score":
                 _, _, rows, kernels = payload
-                rows = np.asarray(rows, dtype=np.int64)
-                kernels = np.ascontiguousarray(kernels, dtype=np.float32)
-                with ctx.task_span(rows.size, int(rows[0])) as span:
-                    with ctx.tracer.span("score_panel", kind="kernel") as kspan:
-                        scores = score_kernel_panel(
-                            grouped, ctx.config, rows, kernels
-                        )
-                        kspan.add_metric("voxels", float(rows.size))
-                    span.add_metric("voxels", float(rows.size))
+                scores = score(
+                    ctx,
+                    grouped,
+                    np.asarray(rows, dtype=np.int64),
+                    np.ascontiguousarray(kernels, dtype=np.float32),
+                )
                 result = ("score", ident, scores)
             else:
                 raise RuntimeError(f"unknown work kind {kind!r}")

@@ -72,6 +72,31 @@ class TestFailureSimulation:
         healthy = simulate_with_failures(w, config(4), {})
         assert degraded.elapsed_seconds > healthy.elapsed_seconds
 
+    def test_static_schedule_honoured_or_refused(self):
+        """One event loop: without failures a static config runs the
+        static schedule (``simulate``'s, to the bit — it used to be
+        silently replaced by the dynamic one); with failures it raises,
+        since a pre-assigned task cannot be re-queued."""
+        fold = FoldSpec(tasks=tuple(TaskSpec(t) for t in (5.0, 1.0, 1.0, 1.0, 5.0, 1.0)))
+        w = Workload(name="skewed", dataset_bytes=0, folds=(fold, fold))
+        static = ClusterConfig(
+            n_workers=2, network=FAST_NET, master_overhead_s=0.0, schedule="static"
+        )
+        plain = simulate(w, static)
+        assert plain.elapsed_seconds > simulate(w, config(2)).elapsed_seconds
+        same = simulate_with_failures(w, static, {})
+        assert same.elapsed_seconds == plain.elapsed_seconds
+        assert same.utilization == plain.utilization
+        with pytest.raises(ValueError, match="dynamic"):
+            simulate_with_failures(w, static, {0: 1.0})
+
+    def test_no_failures_is_simulate_to_the_bit(self):
+        w = workload(17, 0.7, folds=3)
+        cfg = ClusterConfig(n_workers=4, heterogeneity=0.2, seed=5)
+        a, b = simulate(w, cfg), simulate_with_failures(w, cfg, {})
+        assert a.elapsed_seconds == b.elapsed_seconds
+        assert (a.fold_seconds == b.fold_seconds).all()
+
     def test_validation(self):
         w = workload(4, 1.0)
         with pytest.raises(ValueError, match="unknown worker"):

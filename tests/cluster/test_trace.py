@@ -29,6 +29,23 @@ class TestTraceConsistency:
             plain = simulate(w, cfg)
             assert trace.elapsed_seconds == pytest.approx(plain.elapsed_seconds)
 
+    def test_elapsed_is_simulates_by_construction(self):
+        """The trace keeps the records ``simulate`` aggregates: equal to
+        the bit, with the records on the run's clock."""
+        w = workload(17, 0.7, folds=3)
+        for cfg in (config(4, heterogeneity=0.2, seed=5),
+                    config(3, schedule="static", master_overhead_s=1e-3)):
+            trace = simulate_with_trace(w, cfg)
+            plain = simulate(w, cfg)
+            assert trace.elapsed_seconds == plain.elapsed_seconds
+            assert trace.distribution_seconds == plain.distribution_seconds
+            last = max(r.finish_s for r in trace.records)
+            assert last == pytest.approx(plain.elapsed_seconds)
+            fold_1 = [r for r in trace.records if r.fold == 1]
+            assert min(r.handout_start_s for r in fold_1) == pytest.approx(
+                plain.distribution_seconds + plain.fold_seconds[0]
+            )
+
     def test_all_tasks_recorded(self):
         trace = simulate_with_trace(workload(10, 1.0, folds=3), config(4))
         assert len(trace.records) == 30

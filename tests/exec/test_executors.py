@@ -256,3 +256,53 @@ class TestHostWorkerShare:
             executors_mod._WORKER_SHM = None
             shm.close()
             shm.unlink()
+
+
+class TestSpawnedWorkersAreReaped:
+    def test_hung_tcp_worker_is_killed_and_waited_for(
+        self, tiny_dataset, monkeypatch
+    ):
+        """A spawned worker that outlives its grace is killed *and*
+        reaped: ``kill()`` alone leaves a zombie child behind."""
+        import subprocess
+        import sys
+
+        from repro.exec import executors as executors_mod
+
+        hung: list[subprocess.Popen] = []
+
+        class Impatient:
+            """A Popen whose 10 s grace is 0.2 s."""
+
+            def __init__(self, proc):
+                self.proc = proc
+
+            def wait(self, timeout=None):
+                return self.proc.wait(None if timeout is None else 0.2)
+
+            def kill(self):
+                self.proc.kill()
+
+        def spawn_hung(address, n_workers, timeout=None):
+            hung.extend(
+                subprocess.Popen(
+                    [sys.executable, "-c", "import time; time.sleep(600)"]
+                )
+                for _ in range(n_workers)
+            )
+            return [Impatient(proc) for proc in hung]
+
+        monkeypatch.setattr(executors_mod, "spawn_local_workers", spawn_hung)
+        ctx = RunContext(FCMAConfig(task_voxels=16, comm_timeout=0.5))
+        try:
+            with pytest.raises(Exception):
+                MasterWorkerExecutor(n_workers=2, transport="tcp").run(
+                    tiny_dataset, ctx
+                )
+            assert len(hung) == 2
+            # Reaped, not merely signalled: wait() set the return code.
+            assert all(proc.returncode is not None for proc in hung)
+        finally:
+            for proc in hung:
+                proc.kill()
+                proc.wait()

@@ -34,6 +34,37 @@ class TestBuiltins:
     def test_paper_variants_always_listed(self):
         assert set(available_variants()) >= {"baseline", "optimized"}
 
+    def test_one_variant_table(self):
+        """The built-in names are typed once (``BUILTIN_VARIANTS``): the
+        registry, the stage graph's registrations, the engine-emitter
+        table and every CLI ``--variant`` read or are checked against
+        that tuple."""
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.core.pipeline import _VARIANT_EMITTERS
+        from repro.exec import stage_graph  # noqa: F401  (self-registers)
+
+        builtins = registry.BUILTIN_VARIANTS
+        assert available_variants() == tuple(sorted(builtins))
+        assert set(registry._VARIANTS) == set(builtins)
+        # Every built-in but the oracle runs the engine, through an
+        # emitter the table names.
+        assert set(_VARIANT_EMITTERS) == set(builtins) - {"baseline"}
+        assert set(_VARIANT_EMITTERS.values()) == {"dense", "csr"}
+
+        def variant_choices(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from variant_choices(sub)
+                elif "--variant" in action.option_strings:
+                    yield tuple(action.choices)
+
+        found = list(variant_choices(build_parser()))
+        assert len(found) >= 3
+        assert set(found) == {available_variants()}
+
     def test_builtin_graph_builders_resolve(self):
         for name in ("baseline", "optimized"):
             graph = graph_builder(name)(FCMAConfig(variant=name))

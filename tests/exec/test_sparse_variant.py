@@ -260,3 +260,74 @@ class TestSparseStage3:
         )
         assert scores.accuracies.shape == (4,)
         assert ((scores.accuracies >= 0) & (scores.accuracies <= 1)).all()
+
+
+class TestSparseScoreIsTheDenseScore:
+    """``score_voxels_sparse`` is ``score_kernels`` over the sparse Gram —
+    one batch/fallback loop, one scipy conversion, fixed ``batch_voxels``
+    panels — so its scores are bitwise those, whatever the nnz profile."""
+
+    @staticmethod
+    def _problems():
+        rng = np.random.default_rng(7)
+        v, m, n = 23, 24, 90
+        corr = (0.3 * rng.standard_normal((v, m, n))).astype(np.float32)
+        corr[:, np.tile([0, 1], m // 2) == 1, :8] += 0.4
+        # One hub voxel: nearly every entry survives the threshold, so
+        # an nnz-balanced split would cut the panels around it.
+        corr[5] *= 6.0
+        ragged = threshold_dense(corr, threshold=0.5)
+        voxel_nnz = ragged.row_nnz.reshape(v, m).sum(axis=1)
+        assert voxel_nnz[5] > 5 * np.median(voxel_nnz)
+        return {"tau": ragged, "top-k": threshold_dense(corr, top_k=9)}
+
+    @pytest.mark.parametrize("mode", ["tau", "top-k"])
+    @pytest.mark.parametrize("batch_voxels", [1, 7, 64])
+    def test_batched_bitwise(self, mode, batch_voxels, monkeypatch):
+        from repro.core.sparse import SparseCorrelationResult
+        from repro.core.voxel_selection import score_kernels
+
+        sparse = self._problems()[mode]
+        v, m, _ = sparse.shape
+        ids, labels = np.arange(v) * 3, np.tile([0, 1], m // 2)
+        folds = np.repeat(np.arange(4), m // 4)
+        conversions = []
+        real = SparseCorrelationResult.to_scipy
+        monkeypatch.setattr(
+            SparseCorrelationResult,
+            "to_scipy",
+            lambda self: conversions.append(1) or real(self),
+        )
+        got = score_voxels_sparse(
+            sparse, ids, labels, folds, PhiSVM(tol=1e-4), batch_voxels=batch_voxels
+        )
+        assert len(conversions) == 1
+        want = score_kernels(
+            kernel_matrix_batched(sparse), ids, labels, folds, PhiSVM(tol=1e-4),
+            batch_voxels=batch_voxels,
+        )
+        np.testing.assert_array_equal(got.voxels, want.voxels)
+        np.testing.assert_array_equal(got.accuracies, want.accuracies)
+        # ... and the batch width never shows in the bits.
+        whole = score_kernels(
+            kernel_matrix_batched(sparse), ids, labels, folds, PhiSVM(tol=1e-4)
+        )
+        np.testing.assert_array_equal(got.accuracies, whole.accuracies)
+
+    @pytest.mark.parametrize("mode", ["tau", "top-k"])
+    def test_per_voxel_fallback_bitwise(self, mode):
+        """LibSVM backend, 3-class labels: no batched trainer applies."""
+        from repro.core.voxel_selection import score_kernels
+        from repro.exec.registry import create_backend
+
+        sparse = self._problems()[mode]
+        v, m, _ = sparse.shape
+        ids, labels = np.arange(v), np.tile([0, 1, 2], m // 3)
+        folds = np.repeat(np.arange(4), m // 4)
+        backend = create_backend(FCMAConfig(variant="baseline"))
+        got = score_voxels_sparse(sparse, ids, labels, folds, backend)
+        want = score_kernels(
+            kernel_matrix_batched(sparse), ids, labels, folds, backend
+        )
+        np.testing.assert_array_equal(got.accuracies, want.accuracies)
+        assert np.ptp(got.accuracies) > 0

@@ -162,21 +162,29 @@ class TestPredictKernel:
     def test_merged_kernel_sums_its_parts(self):
         """The syrk sits where the Gram is computed: in the optimized
         walk (which ends in a Gram), in the baseline's score node (which
-        Grams a materialized block) — never in both."""
+        Grams a materialized block) — never in both.  The walk is the
+        blocked gemm + merged normalization + syrk (Tables 7 + 5), the
+        model a tile of it reports a column fraction of — not
+        ``model_batched_stage12``, which charges a ``(V, E, N)`` block
+        the walk never writes."""
         from repro.perf import (
-            model_batched_stage12,
+            model_correlation_matmul,
             model_kernel_syrk,
+            model_normalization,
             model_svm_cv,
         )
 
         counters, seconds = predict_kernel(
             "correlate_normalize_batched", FACE_SCENE, 120, E5_2670
         )
-        walk = model_batched_stage12(FACE_SCENE, 120, E5_2670, 120)
-        syrk = model_kernel_syrk(FACE_SCENE, 120, E5_2670, "ours")
-        assert seconds == pytest.approx(walk.seconds + syrk.seconds)
+        parts = [
+            model_correlation_matmul(FACE_SCENE, 120, E5_2670, "ours"),
+            model_normalization(FACE_SCENE, 120, E5_2670, "merged"),
+            model_kernel_syrk(FACE_SCENE, 120, E5_2670, "ours"),
+        ]
+        assert seconds == pytest.approx(sum(p.seconds for p in parts))
         assert counters.flops == pytest.approx(
-            walk.counters.flops + syrk.counters.flops
+            sum(p.counters.flops for p in parts)
         )
         _, seconds = predict_kernel("score_voxels", FACE_SCENE, 120, E5_2670)
         svm = model_svm_cv(FACE_SCENE, 120, E5_2670, "phisvm")
@@ -191,6 +199,48 @@ class TestPredictKernel:
         assert counters.flops == pytest.approx(
             syrk.counters.flops + svm.counters.flops
         )
+
+    @pytest.mark.parametrize("spec_name", ["FACE_SCENE", "ATTENTION"])
+    @pytest.mark.parametrize("hw", [E5_2670, PHI_5110P], ids=["xeon", "phi"])
+    def test_one_body_one_answer(self, spec_name, hw):
+        """The Gram walk is one body (``exec.stage_graph.walk``), so it
+        has one model: a full-width tile is the serial node, and a tile
+        a quarter as wide is a quarter of it — in seconds and counters."""
+        import repro.data
+        from repro.perf import model_tile2d_compute
+
+        spec = getattr(repro.data, spec_name)
+        name, n = "correlate_normalize_batched", spec.n_voxels
+        node = predict_kernel(name, spec, 120, hw)
+        full = predict_kernel(name, spec, 120, hw, cols=n)
+        quarter = predict_kernel(name, spec, 120, hw, cols=n // 4)
+        assert node == full == model_tile2d_compute(spec, 120, n, hw)
+        frac = (n // 4) / n
+        assert quarter[1] == pytest.approx(node[1] * frac, rel=1e-12)
+        assert quarter[0].flops == pytest.approx(node[0].flops * frac)
+        assert quarter[0].l2_misses == pytest.approx(node[0].l2_misses * frac)
+
+    def test_sparse_run_gets_a_stage3_prediction(self, tiny_dataset):
+        """``sparse-batched`` scores under the one ``score_voxels`` span
+        (the retired ``score_voxels_sparse`` had no model), so its trace
+        carries a stage-3 prediction; the sparse Gram is in the walk."""
+        from repro.core import FCMAConfig
+        from repro.exec import RunContext, make_executor
+
+        ctx = RunContext(
+            FCMAConfig(variant="sparse-batched", top_k=6, task_voxels=40)
+        )
+        make_executor("serial").run(tiny_dataset, ctx)
+        spans = ctx.tracer.spans()
+        assert enrich_spans(spans) > 0
+        kernels = {s.name for s in spans if s.kind == "kernel"}
+        assert {"correlate_normalize_sparse", "score_voxels"} <= kernels
+        assert "score_voxels_sparse" not in kernels
+        scored = [s for s in spans if s.name == "score_voxels"]
+        assert len(scored) == 2
+        for span in scored:
+            assert span.metrics["predicted_seconds"] > 0
+            assert span.metrics["pc.flops"] > 0
 
     def test_default_hardware_is_the_xeon_host(self):
         assert default_hardware() is E5_2670

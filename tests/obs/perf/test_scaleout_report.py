@@ -42,14 +42,19 @@ def tiled_spans(tiny_dataset):
 
 class TestTileKernelEnrichment:
     def test_tile_kernels_are_modeled(self):
-        assert "correlate_normalize_tile2d" in MODELED_KERNELS
-        assert "score_panel" in MODELED_KERNELS
+        """A tile is the walk and a score item is score: their spans are
+        the serial graph's, and the retired names are gone."""
+        assert "correlate_normalize_batched" in MODELED_KERNELS
+        assert "score_voxels" in MODELED_KERNELS
+        assert "correlate_normalize_tile2d" not in MODELED_KERNELS
+        assert "score_panel" not in MODELED_KERNELS
+        assert len(MODELED_KERNELS) == 7
 
     def test_tile_spans_gain_predictions(self, tiled_spans):
         tiles = [
             s
             for s in tiled_spans
-            if s.kind == "kernel" and s.name == "correlate_normalize_tile2d"
+            if s.kind == "kernel" and s.name == "correlate_normalize_batched"
         ]
         assert tiles
         for span in tiles:
@@ -60,7 +65,7 @@ class TestTileKernelEnrichment:
         panels = [
             s
             for s in tiled_spans
-            if s.kind == "kernel" and s.name == "score_panel"
+            if s.kind == "kernel" and s.name == "score_voxels"
         ]
         assert panels
         for span in panels:
@@ -69,11 +74,11 @@ class TestTileKernelEnrichment:
     def test_tile_prediction_scales_with_column_extent(self):
         spec = FACE_SCENE
         full = predict_kernel(
-            "correlate_normalize_tile2d", spec, 400, E5_2670,
+            "correlate_normalize_batched", spec, 400, E5_2670,
             cols=spec.n_voxels,
         )
         half = predict_kernel(
-            "correlate_normalize_tile2d", spec, 400, E5_2670,
+            "correlate_normalize_batched", spec, 400, E5_2670,
             cols=spec.n_voxels // 2,
         )
         assert full is not None and half is not None
@@ -81,7 +86,7 @@ class TestTileKernelEnrichment:
 
     def test_full_width_tile_matches_blocked_merge_models(self):
         predicted = predict_kernel(
-            "correlate_normalize_tile2d", FACE_SCENE, 400, E5_2670,
+            "correlate_normalize_batched", FACE_SCENE, 400, E5_2670,
             cols=FACE_SCENE.n_voxels,
         )
         assert predicted is not None
@@ -94,25 +99,27 @@ class TestTileKernelEnrichment:
         assert predicted[1] == pytest.approx(expected)
 
     def test_score_panel_matches_score_voxels(self):
-        """Neither carries the syrk on the optimized path: a tiled run's
-        tiles and the serial walk's Gram chunks do."""
-        panel = predict_kernel("score_panel", FACE_SCENE, 400, E5_2670)
+        """A panel's score item is the ``score_voxels`` span, and it does
+        not carry the syrk on the optimized path: a tiled run's tiles
+        and the serial walk's Gram chunks do."""
+        assert predict_kernel("score_panel", FACE_SCENE, 400, E5_2670) is None
         voxels = predict_kernel("score_voxels", FACE_SCENE, 400, E5_2670)
-        assert panel is not None and voxels is not None
-        assert panel[1] == pytest.approx(voxels[1])
-        assert panel[1] == pytest.approx(
+        assert voxels is not None
+        assert voxels[1] == pytest.approx(
             model_svm_cv(FACE_SCENE, 400, E5_2670, "phisvm").seconds
         )
 
     def test_score_panel_variant_selects_backend(self):
-        opt = predict_kernel("score_panel", FACE_SCENE, 400, E5_2670)
+        opt = predict_kernel("score_voxels", FACE_SCENE, 400, E5_2670)
         base = predict_kernel(
-            "score_panel", FACE_SCENE, 400, E5_2670, variant="baseline"
+            "score_voxels", FACE_SCENE, 400, E5_2670, variant="baseline"
         )
         assert base is not None and opt is not None
-        assert model_svm_cv(
-            FACE_SCENE, 400, E5_2670, "libsvm"
-        ).seconds == pytest.approx(base[1])
+        # The baseline scores a materialized block: MKL syrk + LibSVM.
+        assert (
+            model_kernel_syrk(FACE_SCENE, 400, E5_2670, "mkl").seconds
+            + model_svm_cv(FACE_SCENE, 400, E5_2670, "libsvm").seconds
+        ) == pytest.approx(base[1])
         assert base[1] != pytest.approx(opt[1])
 
 
@@ -139,7 +146,7 @@ class TestScaleoutSection:
 
     def test_full_report_includes_section(self, tiled_spans):
         report = format_perf_report(tiled_spans)
-        assert "correlate_normalize_tile2d" in report
+        assert "correlate_normalize_batched" in report
         assert "scale-out wire model" in report
 
     def test_slower_fabric_predicts_more_wire_time(self, tiled_spans):
@@ -179,7 +186,7 @@ class TestWireModelFollowsTheWire:
             "master-worker", n_workers=2, transport="tcp", partition="tiles"
         ).run(dataset, ctx, np.arange(0, 80 * 50, 50))
         spans = ctx.tracer.spans()
-        tiles = [s for s in spans if s.name == "correlate_normalize_tile2d"]
+        tiles = [s for s in spans if s.name == "correlate_normalize_batched"]
         assert sorted(s.metrics["gram_chunks"] for s in tiles) == [1, 1, 2, 2]
         for span in tiles:
             chunk_gram = 40 * dataset.n_epochs**2 * 4

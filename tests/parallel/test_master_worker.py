@@ -8,7 +8,7 @@ a guarantee cannot hold for one decomposition and rot for the other.
 
 Failures are injected by monkeypatching the module-level item body the
 worker loop calls — ``tiled.execute_task`` for a row task,
-``tiled.tile_partial_grams`` for a tile.
+``tiled.walk`` for a tile.
 
 A tile returns one partial Gram per chunk of the Gram rule
 (``repro.core.kernels.gram_chunks``), and at 60 voxels the real 2048-
@@ -110,11 +110,11 @@ class Decomposition:
             monkeypatch.setattr(tiled, "execute_task", flaky)
         else:
             flaky = Flaky(
-                tiled.tile_partial_grams,
-                lambda z, rows, c0, *rest: 0 in rows and c0 == 0,
+                tiled.walk,
+                lambda ctx, z, rows, per_subject, c0, *rest: 0 in rows and c0 == 0,
                 n_failures,
             )
-            monkeypatch.setattr(tiled, "tile_partial_grams", flaky)
+            monkeypatch.setattr(tiled, "walk", flaky)
         return flaky
 
 

@@ -124,6 +124,50 @@ class TestTiledProtocol:
         assert busy and all("comm.fetch_wait" in ctx.stages for ctx in busy)
 
 
+class TestATileIsTheWalk:
+    """Task = walk ∘ score: a tile is the serial node's walk on a column
+    range and a score item its score, so the two runs' traces differ in
+    how the area was cut, not in what ran."""
+
+    def test_tiles_and_serial_walk_the_same_area_under_one_name(
+        self, tiny_dataset, config, small_gram_chunks
+    ):
+        serial_ctx = RunContext(config)
+        make_executor("serial").run(tiny_dataset, serial_ctx)
+        _, _, worker_ctxs = _run_tiled_threads(tiny_dataset, config, n_workers=2)
+
+        def kernel_spans(ctxs):
+            return [
+                s for ctx in ctxs for s in ctx.tracer.spans() if s.kind == "kernel"
+            ]
+
+        def walks(spans):
+            return [s for s in spans if "cols" in s.metrics]
+
+        serial, tiled = kernel_spans([serial_ctx]), kernel_spans(worker_ctxs)
+        assert {s.name for s in walks(serial)} == {"correlate_normalize_batched"}
+        assert {s.name for s in walks(tiled)} == {"correlate_normalize_batched"}
+        # 2 panels at full width vs 2 panels x 2 column tiles...
+        assert len(walks(serial)) == 2 and len(walks(tiled)) == 4
+        assert any(s.metrics["cols"] < tiny_dataset.n_voxels for s in walks(tiled))
+
+        def area(spans):
+            return sum(s.metrics["rows"] * s.metrics["cols"] for s in walks(spans))
+
+        # ... of the same (assigned x all-voxels) matrix, in the same chunks.
+        assert area(serial) == area(tiled) == tiny_dataset.n_voxels**2
+        for metric in ("gram_chunks", "tiles", "bytes_moved"):
+            assert sum(s.metrics[metric] for s in walks(serial)) == sum(
+                s.metrics[metric] for s in walks(tiled)
+            )
+        # Stage 3 is one span name too, over the same voxels.
+        for spans in (serial, tiled):
+            scored = [s for s in spans if s.name == "score_voxels"]
+            assert sum(s.metrics["voxels"] for s in scored) == tiny_dataset.n_voxels
+        retired = {"correlate_normalize_tile2d", "score_panel", "score_voxels_sparse"}
+        assert not retired & {s.name for s in serial + tiled}
+
+
 class TestTilesRunTheDenseEngineOnly:
     """The tile workers run the dense tile body and the batched score;
     a variant that means something else must be refused, not ignored."""

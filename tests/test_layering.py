@@ -130,3 +130,43 @@ def test_every_model_module_has_a_reader():
         )
     ]
     assert not orphans, f"model modules nothing reads: {orphans}"
+
+
+def _enclosing_functions_calling(name: str, packages: tuple[str, ...]) -> set[str]:
+    """``file::function`` of every call of ``name`` under ``packages``
+    (``<module>`` for a call outside any function)."""
+    sites: set[str] = set()
+    for package in packages:
+        for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner: dict[int, str] = {}
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for sub in ast.walk(fn):
+                        # Innermost wins: ast.walk visits outer defs first.
+                        owner[id(sub)] = fn.name
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", None) or getattr(
+                        node.func, "attr", None
+                    )
+                    if callee == name:
+                        sites.add(
+                            f"{path.relative_to(PACKAGE_ROOT)}::"
+                            f"{owner.get(id(node), '<module>')}"
+                        )
+    return sites
+
+
+def test_one_walk_body_and_one_stage3_body():
+    """A task is walk ∘ score, and each half has one body: outside
+    ``core`` only ``exec.stage_graph.walk`` drives the engine (the graph
+    node, a tiled worker's ``"tile"`` item and ``tile_partial_grams`` all
+    call it), and one batch/fallback loop (``score_kernels``) feeds the
+    batched cross-validation."""
+    assert _enclosing_functions_calling("run_engine", ("exec", "parallel")) == {
+        "exec/stage_graph.py::walk"
+    }
+    assert _enclosing_functions_calling(
+        "grouped_cross_validation_batch", ("core", "exec", "parallel")
+    ) == {"core/voxel_selection.py::score_kernels"}
