@@ -20,7 +20,6 @@ import numpy as np
 from repro import (
     FCMAConfig,
     ProcessPoolExecutor,
-    RunContext,
     generate_dataset,
     ground_truth_voxels,
 )
@@ -40,12 +39,9 @@ def main() -> None:
 
     # Inner voxel selection fans out across local cores, mirroring the
     # master-worker decomposition of the cluster runs.
-    def runner(training, config):
-        return ProcessPoolExecutor().run(training, RunContext(config))
-
     t0 = time.perf_counter()
     result = run_offline_analysis(
-        dataset, fcma, top_k=top_k, selection_runner=runner
+        dataset, fcma, top_k=top_k, executor=ProcessPoolExecutor()
     )
     elapsed = time.perf_counter() - t0
 

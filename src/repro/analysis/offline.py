@@ -17,7 +17,6 @@ to the held-out subject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from ..exec.registry import create_backend
 from ..svm.kernels import linear_kernel
 
 __all__ = ["FoldResult", "OfflineResult", "run_offline_analysis", "selected_voxel_features"]
-
-#: Signature of a full-brain voxel-selection runner (serial or parallel).
-SelectionRunner = Callable[[FMRIDataset, FCMAConfig], VoxelScores]
 
 
 @dataclass(frozen=True)
@@ -106,18 +102,16 @@ def run_offline_analysis(
     dataset: FMRIDataset,
     config: FCMAConfig = FCMAConfig(),
     top_k: int = 20,
-    selection_runner: SelectionRunner | None = None,
     executor: Executor | None = None,
     context: RunContext | None = None,
 ) -> OfflineResult:
     """Run the full nested leave-one-subject-out analysis.
 
-    ``executor`` picks the voxel-selection backend (serial by default;
-    any :class:`~repro.exec.Executor` works — pool, master-worker, or a
-    third-party one).  ``selection_runner`` remains as the legacy hook
-    and wins over ``executor`` when both are given.  Per-stage wall
-    time accumulates into ``context`` (pass your own to read it back;
-    the final per-fold classifier is charged to ``final-classifier``).
+    ``executor`` runs the voxel selection (serial by default; any
+    :class:`~repro.exec.Executor` works — pool, master-worker, or a
+    third-party one).  Per-stage wall time accumulates into ``context``
+    (pass your own, built on ``config``, to read it back; the final
+    per-fold classifier is charged to ``final-classifier``).
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -127,21 +121,13 @@ def run_offline_analysis(
             "holding one out)"
         )
     ctx = context if context is not None else RunContext(config)
-    if selection_runner is not None:
-        runner = selection_runner
-    else:
-        exe = executor if executor is not None else SerialExecutor()
-
-        def runner(ds: FMRIDataset, cfg: FCMAConfig) -> VoxelScores:
-            return exe.run(ds, ctx if cfg is ctx.config else RunContext(cfg))
-
+    exe = executor if executor is not None else SerialExecutor()
     folds = []
     for held_out in dataset.subject_ids():
         training = dataset.subset_subjects(
             [s for s in dataset.subject_ids() if s != held_out]
         )
-        scores = runner(training, config)
-        selected = scores.top(top_k)
+        selected = exe.run(training, ctx).top(top_k)
 
         # Final classifier: correlation patterns of the selected voxels,
         # trained on the training subjects, tested on the held-out one.

@@ -25,7 +25,7 @@ from ..exec.registry import create_backend
 from ..svm.kernels import linear_kernel
 from ..svm.model import SVMModel
 from ..svm.platt import PlattScaler, fit_platt
-from .offline import SelectionRunner, selected_voxel_features
+from .offline import selected_voxel_features
 
 __all__ = ["OnlineClassifier", "OnlineResult", "run_online_analysis"]
 
@@ -114,7 +114,6 @@ def run_online_analysis(
     subject: int,
     config: FCMAConfig = FCMAConfig(),
     top_k: int = 20,
-    selection_runner: SelectionRunner | None = None,
     executor: Executor | None = None,
     context: RunContext | None = None,
     warm_start_alpha: np.ndarray | None = None,
@@ -122,10 +121,10 @@ def run_online_analysis(
     """Select voxels from one subject's data and train the feedback model.
 
     ``dataset`` may contain many subjects; only ``subject``'s data is
-    used, as in a live scan.  ``executor`` picks the voxel-selection
-    backend (serial by default); the legacy ``selection_runner`` hook
-    wins when both are given.  Stage timings accumulate into
-    ``context`` (classifier training lands under ``train-classifier``).
+    used, as in a live scan.  ``executor`` runs the voxel selection
+    (serial by default).  Stage timings accumulate into ``context``
+    (built on ``config``; classifier training lands under
+    ``train-classifier``).
 
     ``warm_start_alpha`` (one dual per epoch, e.g. a previous model's
     duals padded with zeros for newly arrived epochs) warm-starts the
@@ -136,16 +135,8 @@ def run_online_analysis(
         raise ValueError("top_k must be >= 1")
     single = dataset.single_subject(subject)
     ctx = context if context is not None else RunContext(config)
-    if selection_runner is not None:
-        runner = selection_runner
-    else:
-        exe = executor if executor is not None else SerialExecutor()
-
-        def runner(ds: FMRIDataset, cfg: FCMAConfig) -> VoxelScores:
-            return exe.run(ds, ctx if cfg is ctx.config else RunContext(cfg))
-
-    scores = runner(single, config)
-    selected = scores.top(top_k)
+    exe = executor if executor is not None else SerialExecutor()
+    selected = exe.run(single, ctx).top(top_k)
 
     with ctx.timer("train-classifier"):
         features, labels, _ = selected_voxel_features(single, selected.voxels)

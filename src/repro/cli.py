@@ -51,6 +51,14 @@ def _add_pipeline_opts(p: argparse.ArgumentParser, variant: str) -> None:
                         "correlations per (voxel, epoch) row")
 
 
+def _pipeline_config(args: argparse.Namespace, **extra: object):
+    """The :class:`FCMAConfig` those options describe."""
+    from .core import FCMAConfig
+
+    return FCMAConfig(variant=args.variant, task_voxels=args.task_voxels,
+                      threshold=args.threshold, top_k=args.top_k, **extra)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fcma",
@@ -158,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "FCMA_COMM_TIMEOUT or 120)")
     _add_pipeline_opts(run, "optimized")
     run.add_argument("--top", type=int, default=20, help="voxels to report")
-    run.add_argument("--seed", type=int, default=None,
-                     help="RunContext seed (stochastic components only)")
     run.add_argument("--json", action="store_true",
                      help="emit the run report (per-stage timings, task "
                           "stream, top voxels) as JSON")
@@ -690,19 +696,12 @@ class _LivePlane:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .core import FCMAConfig
     from .data import load_dataset
     from .exec import RunContext, make_executor
 
     dataset = load_dataset(args.dataset)
-    config = FCMAConfig(
-        variant=args.variant,
-        task_voxels=args.task_voxels,
-        threshold=args.threshold,
-        top_k=args.top_k,
-        comm_timeout=args.comm_timeout,
-    )
-    ctx = RunContext(config, seed=args.seed)
+    config = _pipeline_config(args, comm_timeout=args.comm_timeout)
+    ctx = RunContext(config)
     mw_opts: dict[str, object] = {}
     if args.transport != "thread" or args.partition != "rows":
         if args.executor != "master-worker":
@@ -848,13 +847,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    from .core import FCMAConfig
     from .data import load_dataset
     from .exec import RunContext, make_executor
 
     dataset = load_dataset(args.dataset)
-    config = FCMAConfig(variant=args.variant, task_voxels=args.task_voxels,
-                        threshold=args.threshold, top_k=args.top_k)
+    config = _pipeline_config(args)
     executor = make_executor("pool" if args.workers > 1 else "serial",
                              n_workers=args.workers)
     scores = executor.run(dataset, RunContext(config))
@@ -1159,14 +1156,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _perf_run_record(args: argparse.Namespace):
     """Run a dataset serially, enrich the trace, build a history record."""
-    from .core import FCMAConfig
     from .data import load_dataset
     from .exec import RunContext, make_executor
     from .obs.perf import config_fingerprint, enrich_spans, record_from_trace
 
     dataset = load_dataset(args.dataset)
-    config = FCMAConfig(variant=args.variant, task_voxels=args.task_voxels,
-                        threshold=args.threshold, top_k=args.top_k)
+    config = _pipeline_config(args)
     ctx = RunContext(config)
     make_executor("serial").run(dataset, ctx)
     spans = ctx.tracer.spans()

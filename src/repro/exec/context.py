@@ -74,8 +74,7 @@ class RunContext:
         measure tracing overhead — a disabled tracer records nothing,
         run counters included.
 
-    All recorded state lives in the tracer, which has its own locking,
-    so the master-worker executor's thread ranks may share one context.
+    All recorded state lives in the tracer, which has its own locking.
     """
 
     def __init__(
@@ -191,26 +190,22 @@ class RunContext:
             )
 
     def merge(self, other: "RunContext") -> None:
-        """Fold another context's telemetry into this one.
-
-        Used by executors whose workers each accumulate privately (the
-        process pool cannot share memory; master-worker ranks could but
-        merging keeps the hot path lock-free).  The other context's
-        spans — stage time, tasks and counters alike — are re-rooted
-        under the calling thread's open span (the run span, when merged
-        by an executor).
+        """Fold another in-process context's telemetry into this one:
+        its spans — stage time, tasks and counters alike — are re-rooted
+        under the calling thread's open span.  (Executors fold worker
+        telemetry in with :meth:`merge_export`, whatever the worker is.)
         """
         self.tracer.merge(other.tracer)
 
     def export(self) -> dict[str, Any]:
         """Picklable telemetry snapshot (no locks, no config): the span
-        records process-pool and TCP workers ship home; fold it back
-        with :meth:`merge_export`."""
+        records every worker — pool process, thread rank, TCP rank —
+        ships home; fold it back with :meth:`merge_export`."""
         return {"spans": self.tracer.export()}
 
     def merge_export(self, payload: Mapping[str, Any]) -> None:
-        """Fold an :meth:`export` snapshot from another process in,
-        re-rooted under the calling thread's open span."""
+        """Fold an :meth:`export` snapshot from a worker in, re-rooted
+        under the calling thread's open span."""
         self.tracer.merge(payload["spans"])
 
     # -- reading (derived views over the trace) --------------------------

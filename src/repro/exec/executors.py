@@ -12,10 +12,13 @@ equivalence test):
   (:mod:`repro.exec.shared_dataset`) over a local process pool;
 * :class:`MasterWorkerExecutor` — the paper's pull-based master/worker
   runtime (:mod:`repro.parallel.tiled`: one loop, row tasks or 2-D
-  tiles) over thread or TCP ranks.
+  tiles) over one fleet: thread or TCP ranks, all running
+  :func:`repro.parallel.tcp_worker.run_worker`.
 
-Executors measure and model nothing.  A finished run's task stream
-(``ctx.task_seconds``) is what
+Worker telemetry reaches the caller's context one way
+(:meth:`RunContext.merge_export`: pool results, thread reports, TCP
+reports).  Executors measure and model nothing.  A finished run's task
+stream (``ctx.task_seconds``) is what
 :func:`repro.cluster.measured_workload` turns into a simulator replay,
 after the fact and outside the run.
 """
@@ -25,7 +28,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor as _StdProcessPool
-from typing import Any, Protocol, runtime_checkable
+from contextlib import contextmanager
+from typing import Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,14 +38,9 @@ from ..core.engine import set_host_workers
 from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
-from ..obs.live.runtime import current_live
-from ..parallel.comm import Comm, default_timeout, run_ranks
-from ..parallel.tiled import (
-    WorkPlan,
-    collect_worker_reports,
-    master_loop,
-    worker_loop,
-)
+from ..obs.live.runtime import LiveRuntime, current_live
+from ..parallel.comm import Comm, CommGroup, RankThreads
+from ..parallel.tiled import WorkPlan, master_loop
 from ..parallel.transport import TcpListener, spawn_local_workers
 from .context import RunContext
 from .partition import (
@@ -90,6 +89,23 @@ def _task_stream(
     return partition_tasks(dataset.n_voxels, ctx.config.task_voxels, voxels)
 
 
+def _declare(
+    n_tasks: int, n_workers: int | None = None, n_tiles: int | None = None
+) -> LiveRuntime | None:
+    """Declare the run's denominators to the live plane (returned, if
+    one is active), so the first snapshot already knows 0/N.  Task spans
+    that close in this process tick completions through the tracer's
+    listener; the coordinator ticks for work done in others."""
+    live = current_live()
+    if live is not None:
+        live.set_total("tasks", n_tasks)
+        if n_workers is not None:
+            live.set_gauge("n_workers", float(n_workers))
+        if n_tiles is not None:
+            live.set_total("tiles", n_tiles)
+    return live
+
+
 def _finish(
     ctx: RunContext, executor: "Executor", n_tasks: int, elapsed: float
 ) -> None:
@@ -114,12 +130,7 @@ class SerialExecutor:
         with ctx.run_span(self.name, dataset):
             t0 = time.perf_counter()
             tasks = _task_stream(dataset, ctx, voxels)
-            live = current_live()
-            if live is not None:
-                # Completions tick through the tracer's close listener
-                # (every task span closes on ctx.tracer in-process), so
-                # only the denominator is declared here.
-                live.set_total("tasks", len(tasks))
+            _declare(len(tasks))
             parts = [execute_task(dataset, task, ctx) for task in tasks]
             scores = VoxelScores.concatenate(parts).sorted_by_accuracy()
             _finish(ctx, self, len(tasks), time.perf_counter() - t0)
@@ -199,10 +210,7 @@ class ProcessPoolExecutor:
                 return scores
             workers = min(n_workers, len(tasks))
             config = ctx.config
-            live = current_live()
-            if live is not None:
-                live.set_total("tasks", len(tasks))
-                live.set_gauge("n_workers", float(workers))
+            live = _declare(len(tasks), workers)
             shm, handle = share_dataset(dataset)
             try:
                 with _StdProcessPool(
@@ -211,12 +219,9 @@ class ProcessPoolExecutor:
                     initargs=(handle, config, workers),
                 ) as pool:
                     # pool.map yields results lazily *in submission
-                    # order* (results
-                    # stay bitwise-identical to collecting the full
-                    # list), which lets the parent tick live progress as
-                    # each task's result arrives — worker-process task
-                    # spans close out of reach of this process's tracer
-                    # listener.
+                    # order* (bitwise-identical to collecting the full
+                    # list), so the parent ticks live progress as each
+                    # task's result arrives.
                     results: list[tuple[VoxelScores, dict[str, Any]]] = []
                     for item in pool.map(
                         _run_assigned_timed,
@@ -304,15 +309,11 @@ class MasterWorkerExecutor:
         ctx: RunContext,
         voxels: NDArray[Any] | None,
     ) -> WorkPlan:
-        """The run's work plan; declares its denominators to the live
-        plane so the first snapshot already knows 0/N."""
+        """The run's work plan, declared to the live plane."""
         config = ctx.config
         tasks = _task_stream(dataset, ctx, voxels)
-        live = current_live()
-        if live is not None:
-            live.set_total("tasks", len(tasks))
-            live.set_gauge("n_workers", float(self.n_workers))
         if self.partition == "rows":
+            _declare(len(tasks), self.n_workers)
             return WorkPlan(tasks=tasks)
         # The master plans from the voxel count alone: it never holds
         # preprocessed data, correlations or panel buffers.
@@ -323,8 +324,7 @@ class MasterWorkerExecutor:
         tiles = partition_tiles(n_voxels, config.task_voxels, cols, voxels)
         # The width walked (the partition widens degenerate splits).
         ctx.metadata["tile_cols"] = max(t.n_cols for t in tiles)
-        if live is not None:
-            live.set_total("tiles", len(tiles))
+        _declare(len(tasks), self.n_workers, len(tiles))
         return WorkPlan(tiles=tiles)
 
     def run(
@@ -341,117 +341,93 @@ class MasterWorkerExecutor:
                 f"variant {ctx.config.variant!r} does not run through it "
                 f"(use partition='rows')"
             )
-        configured = ctx.config.comm_timeout
-        timeout = default_timeout() if configured is None else float(configured)
+        timeout = ctx.config.comm_timeout  # None: FCMA_COMM_TIMEOUT or 120 s
         with ctx.run_span(self.name, dataset):
             t0 = time.perf_counter()
             plan = self._plan(dataset, ctx, voxels)
-            # How ranks come to exist, and how their telemetry reaches
-            # ``ctx``, is all that differs between the transports.
-            run_transport = (
-                self._run_tcp if self.transport == "tcp" else self._run_threads
+            # One fleet: every worker rank runs ``run_worker`` and the
+            # master's sequence is below, once.  How ranks come to exist
+            # and go away is all that differs between the transports.
+            ranks = (
+                self._tcp_ranks(ctx, timeout)
+                if self.transport == "tcp"
+                else self._thread_ranks(timeout)
             )
-            scores = run_transport(dataset, ctx, plan, timeout)
+            with ranks as (comm, host_workers):
+                # The paper's master "first distributes brain data to
+                # the worker nodes and then sends tasks".
+                comm.bcast(
+                    {
+                        "config": ctx.config,
+                        "dataset": dataset,
+                        "host_workers": host_workers,
+                    }
+                )
+                reports: dict[int, Any] = {}
+                scores = master_loop(comm, plan, self.max_retries, reports)
+                for _rank, report in sorted(reports.items()):
+                    ctx.merge_export(report["export"])
+                # Rank 0's end; every worker's came home in its report.
+                stats = comm.stats
+                ctx.increment("comm.bytes_sent", stats.bytes_sent)
+                ctx.increment("comm.bytes_recv", stats.bytes_recv)
             _finish(ctx, self, plan.n_items, time.perf_counter() - t0)
             ctx.metadata["n_workers"] = self.n_workers
             ctx.metadata["transport"] = self.transport
             ctx.metadata["partition"] = self.partition
         return scores
 
-    def _serve(
-        self, comm: Comm, plan: WorkPlan, reports: dict[int, Any] | None = None
-    ) -> VoxelScores:
-        """Rank 0 of either transport: the one master-loop call site."""
-        return master_loop(comm, plan, self.max_retries, reports)
+    @contextmanager
+    def _thread_ranks(
+        self, timeout: float | None
+    ) -> Iterator[tuple[Comm, dict[int, int]]]:
+        """Worker ranks as threads of this process over a
+        :class:`~repro.parallel.comm.CommGroup`: the broadcast shares the
+        dataset by reference, and they split this process's cores as
+        their engine thread budgets (the caller's budget is restored)."""
+        # Imported here so ``python -m repro.parallel.tcp_worker`` does
+        # not find itself already imported by its own package.
+        from ..parallel.tcp_worker import run_worker
 
-    def _run_threads(
-        self,
-        dataset: FMRIDataset,
-        ctx: RunContext,
-        plan: WorkPlan,
-        timeout: float,
-    ) -> VoxelScores:
-        # Per-rank contexts keep the hot path lock-free; merged below.
-        worker_ctxs = [RunContext(ctx.config) for _ in range(self.n_workers)]
-        # Rank 0's comm stats, surfaced after the join so the counters
-        # attach to the run span (main thread), not a detached counter
-        # root on the spmd thread.
-        master_stats: list[Any] = []
-
-        def spmd(comm: Comm) -> Any:
-            # The paper's master "first distributes brain data to the
-            # worker nodes": the broadcast shares the dataset reference.
-            ds = comm.bcast(dataset if comm.rank == 0 else None)
-            if comm.rank == 0:
-                result = self._serve(comm, plan)
-                master_stats.append(comm.stats)
-                return result
-            return worker_loop(comm, ds, worker_ctxs[comm.rank - 1])
-
-        # The worker ranks are threads of this process: they split its
-        # cores as their engine thread budgets.
+        group = CommGroup(self.n_workers + 1, timeout=timeout)
+        workers = range(1, group.size)
         alone = set_host_workers(self.n_workers)
+        ranks = RankThreads(group, workers, run_worker)
         try:
-            results = run_ranks(self.n_workers + 1, spmd, timeout=timeout)
+            yield group.comm(0), dict.fromkeys(workers, self.n_workers)
         finally:
+            ranks.join()
             set_host_workers(alone)
-        for wctx in worker_ctxs:
-            ctx.merge(wctx)
-        for stats in master_stats:
-            ctx.increment("comm.bytes_sent", stats.bytes_sent)
-            ctx.increment("comm.bytes_recv", stats.bytes_recv)
-        scores = results[0]
-        assert isinstance(scores, VoxelScores)
-        return scores
 
-    def _run_tcp(
-        self,
-        dataset: FMRIDataset,
-        ctx: RunContext,
-        plan: WorkPlan,
-        timeout: float,
-    ) -> VoxelScores:
+    @contextmanager
+    def _tcp_ranks(
+        self, ctx: RunContext, timeout: float | None
+    ) -> Iterator[tuple[Comm, dict[int, int]]]:
+        """Worker ranks as processes joined over ``host:port`` (spawned
+        here, or ``fcma worker --connect`` elsewhere): accepted, probed
+        for socket heartbeats, then closed and reaped."""
         listener = TcpListener(self.host, self.port)
-        address = listener.address
+        ctx.metadata["tcp_address"] = list(listener.address)
         procs: list[Any] = []
         transport = None
         live = current_live()
         try:
             if self.spawn:
                 procs = spawn_local_workers(
-                    address, self.n_workers, timeout=timeout
+                    listener.address, self.n_workers, timeout=timeout
                 )
             transport = listener.accept(self.n_workers, timeout=timeout)
             if live is not None:
                 # Socket-level heartbeat ages are fresher than protocol
                 # traffic; snapshots read them straight off the transport.
                 live.set_heartbeat_probe(transport.heartbeat_ages)
-            comm = Comm(transport, 0)
             hosts = transport.peer_hosts()
-            comm.bcast(
-                {
-                    "config": ctx.config,
-                    "dataset": dataset,
-                    # Per rank, the workers sharing its host (and so
-                    # its cores): the divisor of its thread budget.
-                    "host_workers": {
-                        rank: list(hosts.values()).count(host)
-                        for rank, host in hosts.items()
-                    },
-                }
-            )
-            early_reports: dict[int, Any] = {}
-            scores = self._serve(comm, plan, early_reports)
-            reports = collect_worker_reports(
-                comm, set(transport.alive_workers()), early_reports
-            )
-            for _rank, report in sorted(reports.items()):
-                ctx.merge_export(report["export"])
-            stats = comm.stats
-            ctx.increment("comm.bytes_sent", stats.bytes_sent)
-            ctx.increment("comm.bytes_recv", stats.bytes_recv)
-            ctx.metadata["tcp_address"] = list(address)
-            return scores
+            # Per rank, the workers sharing its host (and so its cores):
+            # the divisor of its thread budget.
+            yield Comm(transport, 0), {
+                rank: list(hosts.values()).count(host)
+                for rank, host in hosts.items()
+            }
         finally:
             if live is not None:
                 live.set_heartbeat_probe(None)

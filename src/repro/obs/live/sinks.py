@@ -230,7 +230,7 @@ def render_prometheus(snapshot: Mapping[str, Any]) -> str:
         series(
             "fcma_worker_completed",
             "gauge",
-            "Work items completed per worker rank (self-reported).",
+            "Work items completed per worker rank (the master's count).",
             completed_samples,
         )
 

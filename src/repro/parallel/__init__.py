@@ -17,7 +17,6 @@ from .comm import (
 from .tiled import (
     TaskFailedError,
     WorkPlan,
-    collect_worker_reports,
     master_loop,
     worker_loop,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "TcpTransport",
     "Transport",
     "WorkPlan",
-    "collect_worker_reports",
     "default_timeout",
     "master_loop",
     "run_ranks",

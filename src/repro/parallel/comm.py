@@ -5,10 +5,10 @@ not available in this environment, so this module provides the subset
 of the MPI API the master/worker runtime uses — ``send``/``recv`` with
 tags and ``bcast`` — over a *transport* seam:
 
-* :class:`CommGroup` is the in-process thread transport (the historical
-  default): rank mailboxes are queues and everything runs
-  deterministically in one process.  Results through this transport are
-  bitwise-identical to the pre-transport implementation.
+* :class:`CommGroup` is the in-process thread transport (the
+  default): rank mailboxes are queues and the ranks are threads of this
+  process (:class:`RankThreads`).  Nothing crosses a wire, so its byte
+  counters are :func:`payload_nbytes` — what the wire would carry.
 * :class:`repro.parallel.transport.TcpTransport` speaks the same
   interface over length-prefixed socket frames, so the unchanged
   master-worker protocol spans real processes and hosts.
@@ -17,18 +17,19 @@ A transport implements the small :class:`Transport` surface —
 ``deliver`` / ``poll`` / ``stash`` / ``stats`` — and :class:`Comm`
 layers the MPI-flavoured API (selective receive, broadcast, timeout
 errors with rank/tag/elapsed context) on top.  Every blocking call is
-a receive, so :class:`CommTimeoutError` has one source.
+a receive, so :class:`CommTimeoutError` has one source, and a lost rank
+is :data:`TAG_PEER_LOST` in rank 0's mailbox on both.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import queue
-import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 __all__ = [
     "ANY_SOURCE",
@@ -37,11 +38,12 @@ __all__ = [
     "CommGroup",
     "CommStats",
     "CommTimeoutError",
+    "RankThreads",
     "TAG_PEER_LOST",
-    "TAG_TELEMETRY",
     "Transport",
     "default_timeout",
     "payload_nbytes",
+    "payload_parts",
     "run_ranks",
 ]
 
@@ -63,18 +65,14 @@ _TIMEOUT_ENV_VAR = "FCMA_COMM_TIMEOUT"
 #: tags must stay below it.
 _COLL_TAG_BASE = 1_000_000
 
-#: Control tag a transport delivers when a peer dies (connection reset,
-#: missed heartbeats).  Payload is ``None``; the source rank is the lost
-#: peer.  Only transports with real failure domains (TCP) emit it — the
-#: thread transport cannot lose a rank silently.
-TAG_PEER_LOST = _COLL_TAG_BASE + 99
+#: Control tag of :meth:`Comm.bcast` messages.
+_TAG_BCAST = _COLL_TAG_BASE + 1
 
-#: Control tag for live-telemetry frames piggybacked on the transport
-#: (:meth:`Comm.send_telemetry`).  Workers emit small progress dicts at
-#: a bounded rate; the master folds them into the active
-#: :class:`~repro.obs.live.runtime.LiveRuntime` (or drops them when no
-#: live plane is running).  Loops that predate the tag must ignore it.
-TAG_TELEMETRY = _COLL_TAG_BASE + 98
+#: Control tag a transport delivers when a peer dies (connection reset,
+#: missed heartbeats, a rank thread that exited abnormally).  Payload is
+#: ``None``; the source rank is the lost peer.  No transport loses a
+#: rank silently.
+TAG_PEER_LOST = _COLL_TAG_BASE + 99
 
 
 def default_timeout() -> float:
@@ -101,9 +99,9 @@ class CommTimeoutError(TimeoutError):
 class CommStats:
     """Per-rank traffic accounting a transport maintains.
 
-    Byte counts are exact for framed transports (TCP) and payload-size
-    estimates (:func:`payload_nbytes`) for the in-process transport,
-    where no serialization happens.
+    Byte counts are the frame bodies sent for framed transports (TCP)
+    and the same size measured without sending
+    (:func:`payload_nbytes`) for the in-process transport.
     """
 
     bytes_sent: int = 0
@@ -119,44 +117,22 @@ class CommStats:
         self.bytes_recv += int(nbytes)
         self.msgs_recv += 1
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "bytes_sent": self.bytes_sent,
-            "bytes_recv": self.bytes_recv,
-            "msgs_sent": self.msgs_sent,
-            "msgs_recv": self.msgs_recv,
-        }
+
+def payload_parts(obj: Any) -> list[Any]:
+    """A message payload as the TCP transport frames it: its pickle
+    (protocol 5), then its numpy buffers out of band — referenced,
+    never copied."""
+    buffers: list[pickle.PickleBuffer] = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    return [data, *(b.raw() for b in buffers)]
 
 
 def payload_nbytes(obj: Any) -> int:
-    """Cheap wire-size estimate of a message payload.
-
-    Counts numpy buffers exactly (they dominate) and containers
-    recursively; everything else is a flat object-header estimate.  The
-    thread transport uses this so ``comm.bytes_sent``/``bytes_recv``
-    stay meaningful without serializing anything.
+    """Wire size of a message payload: the bytes of its
+    :func:`payload_parts`.  The thread transport charges this, so
+    ``comm.bytes_*`` mean the same on both transports.
     """
-    nbytes = getattr(obj, "nbytes", None)
-    if isinstance(nbytes, (int, float)):
-        return int(nbytes)
-    if isinstance(obj, (tuple, list)):
-        return 56 + sum(payload_nbytes(item) for item in obj)
-    if isinstance(obj, dict):
-        return 64 + sum(
-            payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
-        )
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
-        return 49 + len(obj)
-    if obj is None:
-        return 8
-    if hasattr(obj, "__dataclass_fields__"):
-        return 56 + sum(
-            payload_nbytes(getattr(obj, name))
-            for name in obj.__dataclass_fields__
-        )
-    return int(sys.getsizeof(obj, 64))
+    return sum(len(memoryview(p)) for p in payload_parts(obj))
 
 
 #: One queued message: ``(source, tag, payload, arrival_monotonic)``.
@@ -227,7 +203,9 @@ class CommGroup:
     # -- Transport interface ---------------------------------------------
 
     def deliver(self, src: int, dest: int, tag: int, payload: Any) -> int:
-        nbytes = payload_nbytes(payload)
+        # Threads share a broadcast by reference: only its pickle counts.
+        shared = tag == _TAG_BCAST
+        nbytes = len(payload_parts(payload)[0]) if shared else payload_nbytes(payload)
         self._boxes[dest].put((src, tag, payload, time.monotonic()))
         self._stats[dest].add_recv(nbytes)
         return nbytes
@@ -265,18 +243,11 @@ class Comm:
         return self._transport.size
 
     @property
-    def transport(self) -> Transport:
-        """The fabric this endpoint speaks over."""
-        return self._transport
-
-    @property
     def stats(self) -> CommStats:
         """This rank's traffic counters (bytes/messages sent+received)."""
         return self._transport.stats(self._rank)
 
     # -- point to point ----------------------------------------------------
-
-    _COLL_TAG_BASE = _COLL_TAG_BASE
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Deliver ``obj`` to ``dest``'s mailbox (non-blocking buffered)."""
@@ -286,26 +257,11 @@ class Comm:
             raise ValueError(
                 f"user tags must be in [0, {_COLL_TAG_BASE})"
             )
-        nbytes = self._transport.deliver(self._rank, dest, tag, obj)
-        self.stats.add_sent(nbytes)
+        self._send_internal(obj, dest, tag)
 
     def _send_internal(self, obj: Any, dest: int, tag: int) -> None:
         nbytes = self._transport.deliver(self._rank, dest, tag, obj)
         self.stats.add_sent(nbytes)
-
-    def send_telemetry(self, obj: Any, dest: int = 0) -> None:
-        """Best-effort live-telemetry frame to ``dest`` (default master).
-
-        Rides the control-tag space (:data:`TAG_TELEMETRY`), so it never
-        collides with user tags, and swallows connection errors —
-        telemetry must never take a healthy worker down with it.
-        """
-        if not 0 <= dest < self.size:
-            raise ValueError(f"dest {dest} out of range")
-        try:
-            self._send_internal(obj, dest, TAG_TELEMETRY)
-        except (ConnectionError, OSError):
-            pass
 
     def recv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
@@ -366,14 +322,56 @@ class Comm:
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root`` to everyone; returns it."""
-        tag = _COLL_TAG_BASE + 1
         if self._rank == root:
             for dest in range(self.size):
                 if dest != root:
-                    self._send_internal(obj, dest, tag)
+                    self._send_internal(obj, dest, _TAG_BCAST)
             return obj
-        _, _, received, _ = self.recv_timed(source=root, tag=tag)
+        _, _, received, _ = self.recv_timed(source=root, tag=_TAG_BCAST)
         return received
+
+
+class RankThreads:
+    """Ranks of one :class:`CommGroup` as threads of this process, each
+    running ``target(comm)``.  A worker rank that exits abnormally is a
+    lost peer — rank 0's mailbox gets :data:`TAG_PEER_LOST` at once, so
+    a master blocked in ``recv`` re-queues or gives up now instead of at
+    the timeout — and its exception is kept in :attr:`failures`.
+    """
+
+    def __init__(
+        self,
+        group: CommGroup,
+        ranks: Iterable[int],
+        target: Callable[[Comm], Any],
+    ):
+        self._group = group
+        self._target = target
+        #: Return value per rank that finished.
+        self.results: dict[int, Any] = {}
+        #: ``(rank, exception)`` per rank that raised, earliest first.
+        self.failures: list[tuple[int, BaseException]] = []
+        self._threads = [
+            threading.Thread(target=self._run, args=(r,), name=f"rank-{r}")
+            for r in ranks
+        ]
+        for t in self._threads:
+            t.start()
+
+    def _run(self, rank: int) -> None:
+        try:
+            self.results[rank] = self._target(self._group.comm(rank))
+        except BaseException as exc:  # noqa: BLE001 - kept for the caller
+            self.failures.append((rank, exc))
+            if rank != 0:  # what a closed socket is to the TCP transport
+                self._group.deliver(rank, 0, TAG_PEER_LOST, None)
+
+    def join(self) -> None:
+        """Wait for every rank, each up to the group's timeout."""
+        for t in self._threads:
+            t.join(timeout=self._group.timeout)
+        if any(t.is_alive() for t in self._threads):
+            raise TimeoutError("rank threads did not finish before timeout")
 
 
 def run_ranks(
@@ -383,35 +381,16 @@ def run_ranks(
 ) -> list[Any]:
     """SPMD launcher: run ``target(comm)`` on ``size`` thread ranks.
 
-    Returns each rank's return value in rank order.  Exceptions in any
-    rank are re-raised in the caller after all threads stop (the first
-    failing rank wins).  ``timeout`` defaults to :func:`default_timeout`
-    (the ``FCMA_COMM_TIMEOUT`` environment variable, or 120 s).
+    Returns each rank's return value in rank order.  If any rank raised,
+    the *earliest* failure is re-raised in the caller (chained as
+    ``__cause__``) after all threads stop: a rank that died takes its
+    peers down by timeout or peer loss, and those are consequences.
+    ``timeout`` defaults to :func:`default_timeout` (the
+    ``FCMA_COMM_TIMEOUT`` environment variable, or 120 s).
     """
-    resolved = default_timeout() if timeout is None else timeout
-    group = CommGroup(size, timeout=resolved)
-    results: list[Any] = [None] * size
-    errors: list[tuple[int, BaseException]] = []
-    lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        try:
-            results[rank] = target(group.comm(rank))
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            with lock:
-                errors.append((rank, exc))
-
-    threads = [
-        threading.Thread(target=runner, args=(r,), name=f"rank-{r}")
-        for r in range(size)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=resolved)
-    if any(t.is_alive() for t in threads):
-        raise TimeoutError("rank threads did not finish before timeout")
-    if errors:
-        rank, exc = min(errors, key=lambda e: e[0])
+    ranks = RankThreads(CommGroup(size, timeout=timeout), range(size), target)
+    ranks.join()
+    if ranks.failures:
+        rank, exc = ranks.failures[0]
         raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-    return results
+    return [ranks.results.get(r) for r in range(size)]

@@ -1,25 +1,27 @@
-"""TCP worker process entry point: ``python -m repro.parallel.tcp_worker``.
+"""Every worker rank's entry, and the TCP worker process around it.
 
-One process, one worker rank.  Connects to a listening master
-(:class:`~repro.parallel.transport.TcpListener`), receives the run's
-config + dataset over the broadcast, serves the pull protocol (each
-work item's kind says what to run), then ships its telemetry back
-(TAG_DONE) so the master's trace covers work that happened in this
-process.
+:func:`run_worker` is the rank program of the master/worker fleet on
+either transport — thread ranks call it as TCP worker processes do:
+receive the run's config + dataset from the rank-0 broadcast, serve the
+pull protocol to its end, report (TAG_DONE) so the master's trace covers
+work that happened here.
 
-Also exposed as ``fcma worker --connect HOST:PORT`` — the command to
-start on *other* hosts when the master runs with
-``--transport tcp --listen``.
+``python -m repro.parallel.tcp_worker --connect HOST:PORT`` is one
+process, one rank, joining a listening master
+(:class:`~repro.parallel.transport.TcpListener`); also exposed as ``fcma
+worker --connect HOST:PORT`` — the command to start on *other* hosts
+when the master runs with ``--transport tcp --listen``.
 """
 
 from __future__ import annotations
 
 import argparse
+from contextlib import suppress
 from typing import Sequence
 
 from ..core.engine import set_host_workers
 from ..exec.context import RunContext
-from .comm import Comm, default_timeout
+from .comm import Comm
 from .tiled import TAG_DONE, worker_loop
 from .transport import TcpTransport
 
@@ -38,30 +40,22 @@ def run_worker(comm: Comm) -> int:
     """The SPMD worker body every transport shares.
 
     Receives ``{"config", "dataset", "host_workers"}`` from the rank-0
-    broadcast, pulls work until stopped, then reports
-    telemetry:
-    ``{"export": <RunContext.export()>, "stats": <comm byte counters>,
-    "completed": <n items>}`` under TAG_DONE.  Returns the completed
-    item count.
+    broadcast (``host_workers[rank]`` = the worker ranks sharing this
+    rank's cores, the divisor of its engine thread budget), then runs
+    :func:`~repro.parallel.tiled.worker_loop` — the only call of it
+    under ``src/``.  A rank that dies outside an item still reports,
+    best effort (the master may be what it lost), naming the error.
     """
     setup = comm.bcast(None)
-    set_host_workers(setup.get("host_workers", {}).get(comm.rank, 1))
+    set_host_workers(setup["host_workers"][comm.rank])
     ctx = RunContext(setup["config"])
-    completed = worker_loop(comm, setup["dataset"], ctx)
-    stats = comm.stats
-    ctx.increment("comm.bytes_sent", stats.bytes_sent)
-    ctx.increment("comm.bytes_recv", stats.bytes_recv)
-    comm.send(
-        {
-            "rank": comm.rank,
-            "export": ctx.export(),
-            "stats": stats.as_dict(),
-            "completed": completed,
-        },
-        0,
-        TAG_DONE,
-    )
-    return completed
+    try:
+        return worker_loop(comm, setup["dataset"], ctx)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        with suppress(ConnectionError, OSError):
+            comm.send({"export": ctx.export(), "error": error}, 0, TAG_DONE)
+        raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -84,11 +78,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     host, port = parse_endpoint(args.connect)
-    timeout = args.timeout if args.timeout is not None else default_timeout()
-    transport = TcpTransport.connect(host, port, timeout=timeout)
+    transport = TcpTransport.connect(host, port, timeout=args.timeout)
     try:
-        comm = Comm(transport, transport.rank)
-        run_worker(comm)
+        run_worker(Comm(transport, transport.rank))
     finally:
         transport.close()
     return 0

@@ -38,6 +38,12 @@ is score — so the three item kinds are one call each, and this module
 opens no span and types no metric.  The loops know only the protocol;
 the plan knows what is ready next and what a result unlocks.
 
+* **A rank's lifecycle is REQUEST … STOP → DONE**, closed inside the
+  two loops on every transport: the worker answers TAG_STOP with its
+  report (its telemetry export, the one way it goes home), and the
+  master returns once every rank has reported or been lost.  Per-rank
+  live progress is the master's own count of the results it received.
+
 * **Dispatch order.**  One ready list sorted ``(priority, id)``:
   scores before tiles/tasks, ascending ids — so a re-queued tile or
   task (its id is lower than every id still pending) goes out before
@@ -52,8 +58,9 @@ the plan knows what is ready next and what a result unlocks.
   task after reporting this one.
 * **Fault tolerance at item granularity.**  TAG_ERROR re-queues the one
   item (up to ``max_retries`` attempts, then :class:`TaskFailedError`
-  once the healthy items are done); TAG_PEER_LOST re-queues everything
-  the dead worker had in flight without charging the retry budget; a
+  once the healthy items are done); TAG_PEER_LOST — or a report naming
+  the error a rank died of outside an item — re-queues everything the
+  dead worker had in flight without charging the retry budget; a
   worker that asks while all current work is in flight is *parked*, so
   it stays available to absorb those re-queues.  Because the kernels
   are bitwise deterministic, results are identical whichever worker
@@ -98,7 +105,7 @@ from ..exec.stage_graph import (
     walk,
 )
 from ..obs.live.runtime import current_live
-from .comm import Comm, TAG_PEER_LOST, TAG_TELEMETRY
+from .comm import Comm, TAG_PEER_LOST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.partition import TileTask
@@ -106,7 +113,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TaskFailedError",
     "WorkPlan",
-    "collect_worker_reports",
     "compute_tile",
     "master_loop",
     "score_panel",
@@ -120,13 +126,7 @@ TAG_TASK = 2     # master -> worker: a work item (table above)
 TAG_RESULT = 3   # worker -> master: the item's result (table above)
 TAG_STOP = 4     # master -> worker: no more work
 TAG_ERROR = 5    # worker -> master: ((kind, id), error message)
-TAG_DONE = 6     # worker -> master: post-stop telemetry (ctx export, comm stats)
-
-#: Minimum seconds between a worker's live-telemetry frames.  Bounds the
-#: piggybacked traffic to ~2 tiny messages per second per worker no
-#: matter how fast items complete; workers send unconditionally (the
-#: frames are dropped at the master when no live plane is active).
-TELEMETRY_INTERVAL = 0.5
+TAG_DONE = 6     # worker -> master: the rank's report, its last message
 
 #: Work-item key: ("task", task index), ("tile", tile index) or
 #: ("score", panel id).
@@ -300,6 +300,10 @@ def master_loop(
     it asks; results arrive in any order.  Even after an item has
     failed for good the master keeps serving the healthy ones, so one
     bad item yields the maximum information before the raise.
+
+    Returns once every rank has answered its TAG_STOP with a TAG_DONE
+    report (``reports[rank]``) or been lost — by TAG_PEER_LOST, or by a
+    report naming the ``error`` it died of outside an item.
     """
     if comm.rank != 0:
         raise ValueError("master_loop must run on rank 0")
@@ -307,6 +311,8 @@ def master_loop(
         raise ValueError("max_retries must be >= 1")
     if comm.size - 1 < 1:
         raise ValueError("need at least one worker rank")
+    if reports is None:
+        reports = {}
 
     ready = sorted(plan.initial(), key=_dispatch_order)
     attempts: dict[WorkKey, int] = {}
@@ -314,7 +320,9 @@ def master_loop(
     failure: tuple[WorkKey, str] | None = None
     parked: deque[int] = deque()
     active = set(range(1, comm.size))
-    stopped: set[int] = set()
+    #: TAG_RESULTs per source rank: the live plane's per-worker progress.
+    served: Counter[int] = Counter()
+    live = current_live()
 
     def dispatch(dest: int) -> None:
         key = ready.pop(0)
@@ -325,39 +333,56 @@ def master_loop(
     def work_outstanding() -> bool:
         return bool(ready or any(in_flight.values()))
 
-    def stop(rank: int) -> None:
-        comm.send(None, rank, TAG_STOP)
-        stopped.add(rank)
-
     def drain_parked() -> None:
         while parked and ready:
             dispatch(parked.popleft())
         if not work_outstanding():
             while parked:
-                stop(parked.popleft())
+                comm.send(None, parked.popleft(), TAG_STOP)
 
-    live = current_live()
-    while len(stopped) < len(active):
+    def lose(rank: int) -> None:
+        if live is not None:
+            live.worker_lost(rank)
+        if rank not in active:
+            return
+        active.discard(rank)
+        if rank in parked:
+            parked.remove(rank)
+        for key in sorted(in_flight.pop(rank, set())):
+            # A dead worker is not an item failure: give the item
+            # its attempt back and re-queue in sorted order.
+            attempts[key] = max(0, attempts.get(key, 1) - 1)
+            bisect.insort(ready, key, key=_dispatch_order)
+        if not active and work_outstanding():
+            died = "".join(
+                f"; rank {r} died of {report['error']}"
+                for r, report in sorted(reports.items())
+                if report["error"]
+            )
+            raise RuntimeError(
+                f"all workers lost with {len(ready)} work item(s) "
+                f"unfinished{died}"
+            )
+        drain_parked()
+
+    while active - reports.keys():
         src, tag, payload = comm.recv()
+        if tag == TAG_RESULT:
+            served[src] += 1
         if live is not None and tag != TAG_PEER_LOST:
             # Any protocol traffic is a sign of life for heartbeat ages.
-            live.heartbeat(src)
-        if tag == TAG_TELEMETRY:
-            if live is not None and isinstance(payload, dict):
-                live.heartbeat(src, completed=payload.get("completed"))
-        elif tag == TAG_DONE:
-            # Post-stop telemetry from an already-stopped worker (TCP
-            # workers report before disconnecting); collected here for
-            # collect_worker_reports to pick up after the loop.
-            if reports is not None:
-                reports[src] = payload
+            live.heartbeat(src, completed=served[src])
+        if tag == TAG_DONE:
+            reports[src] = payload
+            if payload["error"]:
+                lose(src)
         elif tag == TAG_REQUEST:
             if ready:
                 dispatch(src)
             elif work_outstanding():
                 parked.append(src)  # may absorb a re-queue later
             else:
-                stop(src)
+                comm.send(None, src, TAG_STOP)
         elif tag == TAG_RESULT:
             kind, ident = payload[0], payload[1]
             in_flight.get(src, set()).discard((kind, ident))
@@ -378,24 +403,7 @@ def master_loop(
                 live.inc("task_errors")
             drain_parked()
         elif tag == TAG_PEER_LOST:
-            if live is not None:
-                live.worker_lost(src)
-            if src not in active:
-                continue
-            active.discard(src)
-            stopped.discard(src)
-            if src in parked:
-                parked.remove(src)
-            for key in sorted(in_flight.pop(src, set())):
-                # A dead worker is not an item failure: give the item
-                # its attempt back and re-queue in sorted order.
-                attempts[key] = max(0, attempts.get(key, 1) - 1)
-                bisect.insort(ready, key, key=_dispatch_order)
-            if not active and work_outstanding():
-                raise RuntimeError(
-                    f"all workers lost with {len(ready)} work item(s) unfinished"
-                )
-            drain_parked()
+            lose(src)
         else:
             raise RuntimeError(f"master got unexpected tag {tag} from {src}")
 
@@ -408,7 +416,8 @@ def master_loop(
 
 
 def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
-    """Pull work items until stopped; returns items completed.
+    """A worker rank's lifecycle, REQUEST ... STOP -> DONE; returns
+    items completed.
 
     A tile/score item is prefetched: the request for the *next* item
     goes out before this one computes, the exposed wait lands in the
@@ -417,7 +426,9 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     ``"task"`` item is requested only after the previous one has been
     reported, and records nothing outside its own task span.  Item
     failures are reported per item (TAG_ERROR) and the loop keeps
-    serving.
+    serving.  TAG_STOP is answered with the rank's report: ``{"export":
+    ctx.export(), "error": None}`` under TAG_DONE, the export carrying
+    this end's ``comm.bytes_sent`` / ``bytes_recv`` as run counters.
     """
     if comm.rank == 0:
         raise ValueError("worker_loop must not run on rank 0")
@@ -425,7 +436,6 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     epochs_per_subject = grouped.epochs.epochs_per_subject()
     workspace = NormalizationWorkspace()
     completed = 0
-    last_telemetry = time.monotonic()
     # Whether the item in hand is a prefetching kind (tile/score); a
     # STOP is accounted like the item before it.
     overlap = False
@@ -445,6 +455,10 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
                 max(0.0, (arrived - t_request) - exposed),
             )
         if tag == TAG_STOP:
+            stats = comm.stats
+            ctx.increment("comm.bytes_sent", stats.bytes_sent)
+            ctx.increment("comm.bytes_recv", stats.bytes_recv)
+            comm.send({"export": ctx.export(), "error": None}, 0, TAG_DONE)
             return completed
         if tag == TAG_PEER_LOST:
             raise RuntimeError("master connection lost")
@@ -488,33 +502,6 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
         else:
             comm.send(result, 0, TAG_RESULT)
             completed += 1
-            now = time.monotonic()
-            if now - last_telemetry >= TELEMETRY_INTERVAL:
-                comm.send_telemetry({"completed": completed})
-                last_telemetry = now
         if not overlap:
             comm.send(None, 0, TAG_REQUEST)
             t_request = time.monotonic()
-
-
-def collect_worker_reports(
-    comm: Comm, expected: set[int], collected: dict[int, Any] | None = None
-) -> dict[int, Any]:
-    """Gather each worker's post-stop TAG_DONE telemetry payload.
-
-    ``collected`` carries reports the master loop already absorbed
-    while other workers were still active (its ``reports=`` out-param).
-    Workers that die between their STOP and their report shrink the
-    expectation via TAG_PEER_LOST instead of deadlocking the collect.
-    """
-    reports: dict[int, Any] = dict(collected or {})
-    waiting = set(expected) - set(reports)
-    while waiting:
-        src, tag, payload = comm.recv()
-        if tag == TAG_DONE:
-            reports[src] = payload
-            waiting.discard(src)
-        elif tag == TAG_PEER_LOST:
-            waiting.discard(src)
-        # anything else (stale duplicate results) is ignored
-    return reports

@@ -48,6 +48,7 @@ from .comm import (
     Message,
     TAG_PEER_LOST,
     default_timeout,
+    payload_parts,
 )
 
 __all__ = [
@@ -120,9 +121,7 @@ def _read_frame(
 
 def _msg_frame(src: int, dest: int, tag: int, payload: Any) -> list[Any]:
     """Encode a message as sendable parts (header bytes + buffers)."""
-    buffers: list[pickle.PickleBuffer] = []
-    data = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
-    chunks: list[Any] = [data] + [b.raw() for b in buffers]
+    chunks = payload_parts(payload)
     head = bytearray(_MAGIC)
     head.append(_K_MSG)
     head += _HEAD.pack(src, dest, tag, len(chunks))
@@ -338,14 +337,11 @@ class TcpTransport:
             )
 
     def deliver(self, src: int, dest: int, tag: int, payload: Any) -> int:
-        if dest == self._rank:
-            parts = _msg_frame(src, dest, tag, payload)
-            nbytes = sum(len(memoryview(p)) for p in parts[1:])
-            self._local_deliver(src, tag, _decode(parts[1:]), nbytes)
-            return nbytes
         parts = _msg_frame(src, dest, tag, payload)
         nbytes = sum(len(memoryview(p)) for p in parts[1:])
-        if self._rank == 0:
+        if dest == self._rank:
+            self._local_deliver(src, tag, _decode(parts[1:]), nbytes)
+        elif self._rank == 0:
             peer = self._peers.get(dest)
             if peer is None:
                 raise ValueError(f"dest {dest} out of range")

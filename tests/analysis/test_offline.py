@@ -110,15 +110,19 @@ class TestValidation:
             run_offline_analysis(ds, fcma, top_k=0)
 
     def test_custom_selection_runner(self, analysis_inputs):
-        """A custom runner (e.g. the parallel executor) is honoured."""
+        """A custom executor (e.g. a third-party backend) runs every
+        fold's selection."""
+        from repro.exec import SerialExecutor
+
         cfg, ds, fcma = analysis_inputs
         calls = []
 
-        def runner(training, config):
-            calls.append(training.n_subjects)
-            from repro.exec import RunContext, SerialExecutor
+        class Counting:
+            name = "counting"
 
-            return SerialExecutor().run(training, RunContext(config))
+            def run(self, dataset, ctx, voxels=None):
+                calls.append(dataset.n_subjects)
+                return SerialExecutor().run(dataset, ctx, voxels)
 
-        run_offline_analysis(ds, fcma, top_k=5, selection_runner=runner)
+        run_offline_analysis(ds, fcma, top_k=5, executor=Counting())
         assert calls == [cfg.n_subjects - 1] * cfg.n_subjects

@@ -70,3 +70,51 @@ def small_gram_chunks(monkeypatch) -> int:
 
     monkeypatch.setattr(kernels, "GRAM_CHUNK_COLS", 16)
     return 16
+
+
+@pytest.fixture()
+def join_tcp_workers():
+    """``join(n) -> port``: start ``n`` worker ranks as threads of this
+    process that join the TCP master about to listen on ``port``
+    (``MasterWorkerExecutor(transport="tcp", port=port, spawn=False)``)
+    and run the fleet's rank program — so monkeypatches reach them,
+    which spawned worker processes never see."""
+    import socket
+    import threading
+    import time
+
+    from repro.parallel.comm import Comm
+    from repro.parallel.tcp_worker import run_worker
+    from repro.parallel.transport import TcpTransport
+
+    threads: list[threading.Thread] = []
+
+    def rank(port: int) -> None:
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                transport = TcpTransport.connect("127.0.0.1", port, timeout=30.0)
+                break
+            except OSError:  # the master is not listening yet
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
+        try:
+            run_worker(Comm(transport, transport.rank))
+        except Exception:  # noqa: BLE001 - a dying rank is the master's to report
+            pass
+        finally:
+            transport.close()
+
+    def join(n_workers: int) -> int:
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        for _ in range(n_workers):
+            threads.append(threading.Thread(target=rank, args=(port,), daemon=True))
+            threads[-1].start()
+        return port
+
+    yield join
+    for thread in threads:
+        thread.join(30.0)

@@ -78,8 +78,14 @@ class TestTraceEquivalence:
     @staticmethod
     def _task_forest(ctx):
         """The per-task spans only: drops the run root
-        (executor-specific attrs)."""
-        return [s for s in ctx.tracer.spans() if s.kind != "run"]
+        (executor-specific attrs) and each worker rank's two
+        ``comm.bytes_*`` counter spans (its end of the wire, not
+        dataflow)."""
+        return [
+            s
+            for s in ctx.tracer.spans()
+            if s.kind != "run" and not s.name.startswith("comm.bytes_")
+        ]
 
     @pytest.mark.parametrize("name", ["pool", "master-worker"])
     @pytest.mark.parametrize("variant", ["optimized", "optimized-batched"])
@@ -201,6 +207,84 @@ class TestTelemetry:
         np.testing.assert_array_equal(reference.voxels, scores.voxels)
 
 
+class TestOneFleet:
+    """Thread ranks and TCP ranks boot, serve and report by the same
+    code, so the same plan leaves the same trace on either transport
+    and ``comm.bytes_*`` means one thing: every rank's end, summed."""
+
+    @staticmethod
+    def _run(dataset, config, partition, **kwargs):
+        ctx = RunContext(config)
+        scores = MasterWorkerExecutor(
+            n_workers=2, partition=partition, **kwargs
+        ).run(dataset, ctx)
+        return scores, ctx
+
+    @pytest.mark.parametrize("partition", ["rows", "tiles"])
+    def test_transports_leave_the_same_trace_and_counters(
+        self, tiny_dataset, small_gram_chunks, join_tcp_workers, partition
+    ):
+        config = FCMAConfig(task_voxels=40, target_block=32, comm_timeout=30)
+        serial = SerialExecutor().run(tiny_dataset, RunContext(config))
+        threads, thread_ctx = self._run(tiny_dataset, config, partition)
+        tcp, tcp_ctx = self._run(
+            tiny_dataset, config, partition,
+            transport="tcp", port=join_tcp_workers(2), spawn=False,
+        )
+        for scores in (threads, tcp):
+            np.testing.assert_array_equal(scores.voxels, serial.voxels)
+            np.testing.assert_array_equal(scores.accuracies, serial.accuracies)
+        # Which rank drew which item — and so how many waits it timed —
+        # is scheduling; everything else in the two traces is the same
+        # dataflow under the same names.
+        waits = {"comm.fetch_wait", "overlap_hidden_seconds"}
+
+        def dataflow(ctx):
+            return [s for s in ctx.tracer.spans() if s.name not in waits]
+
+        assert_same_structure(
+            dataflow(thread_ctx),
+            dataflow(tcp_ctx),
+            ignore_metrics=frozenset(TIMING_METRICS)
+            | {"ctr.comm.bytes_sent", "ctr.comm.bytes_recv"},
+        )
+        thread_totals = thread_ctx.metadata["counters"]
+        tcp_totals = tcp_ctx.metadata["counters"]
+        assert set(thread_totals) == set(tcp_totals)
+        # Threads share the broadcast dataset by reference; sockets
+        # carry it once per worker.  Beyond it, the same bytes.
+        broadcast = 2 * tiny_dataset.nbytes()
+        for key in ("comm.bytes_sent", "comm.bytes_recv"):
+            assert thread_totals[key] == pytest.approx(
+                tcp_totals[key] - broadcast, rel=0.10
+            ), key
+
+    @pytest.mark.parametrize("transport", ["thread", "tcp"])
+    def test_rank_dying_outside_an_item_fails_the_run_by_name(
+        self, tiny_dataset, join_tcp_workers, monkeypatch, transport
+    ):
+        """No transport loses a rank silently: the master hears of the
+        death at once, not at ``comm_timeout``, and says what it was."""
+        import time
+
+        import repro.parallel.tiled as tiled
+
+        def no_room(dataset):
+            raise MemoryError("no room for the epochs")
+
+        monkeypatch.setattr(tiled, "preprocess_dataset", no_room)
+        kwargs = (
+            {"transport": "tcp", "port": join_tcp_workers(2), "spawn": False}
+            if transport == "tcp"
+            else {}
+        )
+        ctx = RunContext(FCMAConfig(task_voxels=40, comm_timeout=30))
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="MemoryError: no room"):
+            MasterWorkerExecutor(n_workers=2, **kwargs).run(tiny_dataset, ctx)
+        assert time.monotonic() - started < 5.0
+
+
 class TestProtocolAndFactory:
     def test_builtin_executors_satisfy_protocol(self):
         for name in EXECUTOR_NAMES:
@@ -226,19 +310,26 @@ class TestHostWorkerShare:
     def test_thread_ranks_split_the_host_for_the_run_only(
         self, tiny_dataset, fast_fcma_config, monkeypatch
     ):
+        from repro.core import engine
         from repro.exec import executors as executors_mod
+        from repro.parallel import tcp_worker as worker_mod
 
         calls: list[int] = []
 
         def record(n: int) -> int:
             calls.append(n)
-            return 1
+            return engine.set_host_workers(n)
 
+        # The executor declares and restores; every rank hears its share
+        # in the broadcast, as a TCP rank would.
         monkeypatch.setattr(executors_mod, "set_host_workers", record)
+        monkeypatch.setattr(worker_mod, "set_host_workers", record)
+        before = (engine._host_workers, engine.thread_budget())
         MasterWorkerExecutor(n_workers=3).run(
             tiny_dataset, RunContext(fast_fcma_config)
         )
-        assert calls == [3, 1]  # declared for the ranks, restored after
+        assert calls == [3, 3, 3, 3, before[0]]  # restored after
+        assert (engine._host_workers, engine.thread_budget()) == before
 
     def test_pool_initializer_declares_the_pool_size(self, tiny_dataset):
         from repro.core import engine

@@ -228,16 +228,25 @@ class TestMasterWorkerLive:
             assert entry["lost"] is False
             assert entry["stale"] is False
 
+    @staticmethod
+    def _assert_workers_sum_to_total(live: dict) -> None:
+        # Per-rank progress is the master's own count of the results it
+        # received: exact, so it sums to the items served.
+        reported = sum(entry["completed"] for entry in live["workers"].values())
+        assert reported == live["progress"]["total"] > 0
+
     def test_worker_completions_cover_tasks(self, tcp_live_run):
         report, _ = tcp_live_run
-        live = report["live"]
-        reported = sum(
-            entry["completed"] or 0.0
-            for entry in live["workers"].values()
-        )
-        # Self-reports are rate-limited, so they can lag the master's
-        # count but never exceed the total work issued.
-        assert 0.0 <= reported <= live["progress"]["total"]
+        self._assert_workers_sum_to_total(report["live"])
+
+    def test_thread_worker_completions_cover_tasks(self, dataset_path):
+        code, stdout = _run_cli([
+            "run", dataset_path, "--task-voxels", "20", "--json",
+            "--executor", "master-worker", "--transport", "thread",
+            "--partition", "tiles", "--workers", "2", "--live",
+        ])
+        assert code == 0
+        self._assert_workers_sum_to_total(json.loads(stdout)["live"])
 
     def test_stream_monotonic_over_tcp(self, tcp_live_run):
         _, events = tcp_live_run

@@ -90,6 +90,24 @@ class TestRunRanks:
         with pytest.raises(RuntimeError, match="rank 1 failed"):
             run_ranks(2, spmd)
 
+    def test_earliest_failure_wins_and_rank_0_hears_of_it_at_once(self):
+        """A rank thread that dies is a lost peer: rank 0 gets
+        TAG_PEER_LOST now, not a timeout later, and what ``run_ranks``
+        raises is the death, not its consequence on a lower rank."""
+        import time
+
+        def spmd(comm: Comm):
+            if comm.rank == 1:
+                raise MemoryError("no room")
+            src, tag, _ = comm.recv()
+            raise RuntimeError(f"lost rank {src} (tag {tag})")
+
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="rank 1 failed") as excinfo:
+            run_ranks(2, spmd, timeout=30.0)
+        assert time.monotonic() - started < 5.0
+        assert isinstance(excinfo.value.__cause__, MemoryError)
+
     def test_size_properties(self):
         def spmd(comm: Comm):
             return (comm.rank, comm.size)

@@ -181,7 +181,7 @@ class TestTilesRunTheDenseEngineOnly:
         def no_ranks(*args, **kw):
             raise AssertionError("ranks were spawned")
 
-        monkeypatch.setattr(executors_mod, "run_ranks", no_ranks)
+        monkeypatch.setattr(executors_mod, "RankThreads", no_ranks)
         executor = make_executor("master-worker", n_workers=2, partition="tiles")
         ctx = RunContext(FCMAConfig(task_voxels=40, **kwargs))
         with pytest.raises(ValueError, match="dense engine only"):

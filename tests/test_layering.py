@@ -170,3 +170,33 @@ def test_one_walk_body_and_one_stage3_body():
     assert _enclosing_functions_calling(
         "grouped_cross_validation_batch", ("core", "exec", "parallel")
     ) == {"core/voxel_selection.py::score_kernels"}
+
+
+def test_one_fleet():
+    """Thread ranks and TCP ranks are one fleet: every worker rank on
+    either transport enters through ``run_worker`` (the one caller of
+    ``worker_loop``), a rank's report is received by one loop
+    (``master_loop``; no second ``collect_worker_reports``), per-rank
+    progress is the master's own count (no ``TAG_TELEMETRY`` side
+    channel) and worker telemetry reaches a context one way
+    (``merge_export``; ``RunContext.merge`` has no caller)."""
+    assert _enclosing_functions_calling("worker_loop", (".",)) == {
+        "parallel/tcp_worker.py::run_worker"
+    }
+    sources = {
+        path: path.read_text() for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+    }
+    for retired in ("TAG_TELEMETRY", "send_telemetry", "collect_worker_reports"):
+        mentions = [str(p) for p, text in sources.items() if retired in text]
+        assert not mentions, f"{retired} still appears in {mentions}"
+    context_merges = [
+        f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}"
+        for path, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "merge"
+        # ``<...>.tracer.merge(...)`` is Tracer.merge, the substrate.
+        and getattr(node.func.value, "attr", getattr(node.func.value, "id", None))
+        != "tracer"
+    ]
+    assert not context_merges, f"RunContext.merge callers: {context_merges}"
