@@ -626,9 +626,8 @@ class _LivePlane:
     Owns the :class:`~repro.obs.live.LiveRuntime`, the sink stack
     (in-memory ring always; JSON-lines / Prometheus when asked for),
     and the periodic publisher.  ``start``/``stop`` bracket the run:
-    activation makes the runtime visible to executors and loops via
-    :func:`~repro.obs.live.current_live`, and ``stop`` returns the
-    final snapshot for the run report.
+    the runtime folds the spans the run's tracer closes in between, and
+    ``stop`` returns the final snapshot for the run report.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -658,28 +657,19 @@ class _LivePlane:
             self.runtime, sinks, interval=args.live_interval
         )
 
-    def start(self, tracer=None) -> None:
+    def start(self, tracer) -> None:
         if not self.enabled:
             return
-        from .obs.live import activate
-
-        if tracer is not None:
-            self._tracer = tracer
-            self.runtime.attach_tracer(tracer)
-        activate(self.runtime)
+        self._tracer = tracer
+        self.runtime.attach_tracer(tracer)
         self._publisher.start()
 
     def stop(self) -> dict | None:
         if not self.enabled or self._publisher is None:
             return None
-        from .obs.live import deactivate
-
         self.final = self._publisher.stop()
         self._publisher = None
-        deactivate()
-        if self._tracer is not None:
-            self.runtime.detach_tracer(self._tracer)
-            self._tracer = None
+        self.runtime.detach_tracer(self._tracer)
         return self.final
 
     def summary_line(self) -> str | None:
@@ -927,9 +917,8 @@ def _cmd_rtfmri(args: argparse.Namespace) -> int:
         live.runtime.set_gauge(
             "rtfmri_latency_budget_s", args.latency_budget_ms / 1e3
         )
-    # The session's internal training/retrain executors declare task
-    # totals through the process-global hook; the matching completions
-    # tick through the tracer's close listener, so both seams attach.
+    # Training and retrain runs record their plans and tasks, and the
+    # feedback loop its steps, on the session's tracer: the plane folds it.
     live.start(session.context.tracer)
     try:
         result = session.run()

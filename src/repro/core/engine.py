@@ -35,14 +35,12 @@ from __future__ import annotations
 
 import os
 import queue
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ..obs.live.runtime import current_live
 from .normalization import NormalizationWorkspace, fuse_normalize_tile
 from .tiling import block_bounds, iter_blocks
 
@@ -342,13 +340,11 @@ def run_engine(
     # A full-width tile is a contiguous row slab of the output: compute
     # it in place (the incremental emitter's per-epoch plane).
     in_place = out is not None and len(blocks) == 1 and out.flags.c_contiguous
-    live = current_live()
     for v0, v1 in iter_blocks(shape.n_assigned, plan.voxel_sweep):
         panel = z[:, assigned[v0:v1]]  # (E, width, T) contiguous copy
 
         def tile_body(slot: int, i: int) -> Any:
             n0, n1 = blocks[i]
-            t_tile = time.perf_counter() if live is not None else 0.0
             if out is not None and in_place:
                 tile = out[v0:v1]
             else:
@@ -363,11 +359,7 @@ def run_engine(
             )
             if out is not None and not in_place:
                 out[v0:v1, :, n0:n1] = tile
-            kept = emitter.emit(tile, v0, v1, n0, n1)
-            if live is not None:
-                live.inc("engine_tiles")
-                live.observe("tile_seconds", time.perf_counter() - t_tile)
-            return kept
+            return emitter.emit(tile, v0, v1, n0, n1)
 
         emitter.end_sweep(v0, v1, deal(len(blocks), len(scratch), tile_body))
     return emitter.finalize()

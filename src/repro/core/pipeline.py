@@ -65,8 +65,9 @@ class FCMAConfig:
     How work is carved is derived, not configured here beyond
     ``task_voxels`` / ``target_block``: the pool's tasks per message
     (``exec.partition.auto_chunksize``), the 2-D runtime's tile width
-    (``exec.partition.tile_cols_for``) and the dense engine's tile
-    (``core.engine.DenseEmitter``: 1 MiB, no knob).
+    (``exec.partition.tile_cols_for``) and the dense engine's walk
+    (``core.engine.GramEmitter``: the Gram rule's chunks, each gemm
+    issued in ``core.engine.gemm_block_cols`` columns; no knob).
     """
 
     variant: Variant = "optimized"

@@ -38,7 +38,6 @@ from ..core.engine import set_host_workers
 from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
-from ..obs.live.runtime import LiveRuntime, current_live
 from ..parallel.comm import Comm, CommGroup, RankThreads
 from ..parallel.tiled import WorkPlan, master_loop
 from ..parallel.transport import TcpListener, spawn_local_workers
@@ -89,21 +88,18 @@ def _task_stream(
     return partition_tasks(dataset.n_voxels, ctx.config.task_voxels, voxels)
 
 
-def _declare(
-    n_tasks: int, n_workers: int | None = None, n_tiles: int | None = None
-) -> LiveRuntime | None:
-    """Declare the run's denominators to the live plane (returned, if
-    one is active), so the first snapshot already knows 0/N.  Task spans
-    that close in this process tick completions through the tracer's
-    listener; the coordinator ticks for work done in others."""
-    live = current_live()
-    if live is not None:
-        live.set_total("tasks", n_tasks)
-        if n_workers is not None:
-            live.set_gauge("n_workers", float(n_workers))
-        if n_tiles is not None:
-            live.set_total("tiles", n_tiles)
-    return live
+def _record_plan(
+    ctx: RunContext, n_tasks: int, n_workers: int, n_tiles: int | None = None
+) -> None:
+    """Record the run's plan on its trace — one zero-width ``event`` the
+    live plane folds into its totals, so the first snapshot already
+    knows 0/N."""
+    metrics = {"tasks": float(n_tasks)}
+    if n_tiles is not None:
+        metrics["tiles"] = float(n_tiles)
+    ctx.tracer.record(
+        "plan", kind="event", metrics=metrics, attrs={"n_workers": n_workers}
+    )
 
 
 def _finish(
@@ -130,7 +126,7 @@ class SerialExecutor:
         with ctx.run_span(self.name, dataset):
             t0 = time.perf_counter()
             tasks = _task_stream(dataset, ctx, voxels)
-            _declare(len(tasks))
+            _record_plan(ctx, len(tasks), 1)
             parts = [execute_task(dataset, task, ctx) for task in tasks]
             scores = VoxelScores.concatenate(parts).sorted_by_accuracy()
             _finish(ctx, self, len(tasks), time.perf_counter() - t0)
@@ -210,7 +206,7 @@ class ProcessPoolExecutor:
                 return scores
             workers = min(n_workers, len(tasks))
             config = ctx.config
-            live = _declare(len(tasks), workers)
+            _record_plan(ctx, len(tasks), workers)
             shm, handle = share_dataset(dataset)
             try:
                 with _StdProcessPool(
@@ -220,17 +216,20 @@ class ProcessPoolExecutor:
                 ) as pool:
                     # pool.map yields results lazily *in submission
                     # order* (bitwise-identical to collecting the full
-                    # list), so the parent ticks live progress as each
-                    # task's result arrives.
+                    # list), so the trace records each task's result as
+                    # it arrives.
                     results: list[tuple[VoxelScores, dict[str, Any]]] = []
-                    for item in pool.map(
-                        _run_assigned_timed,
-                        tasks,
-                        chunksize=auto_chunksize(len(tasks), workers),
+                    for i, item in enumerate(
+                        pool.map(
+                            _run_assigned_timed,
+                            tasks,
+                            chunksize=auto_chunksize(len(tasks), workers),
+                        )
                     ):
                         results.append(item)
-                        if live is not None:
-                            live.inc("tasks")
+                        ctx.tracer.record(
+                            "result", kind="event", attrs={"item": f"task:{i}"}
+                        )
             finally:
                 shm.close()
                 shm.unlink()
@@ -309,11 +308,11 @@ class MasterWorkerExecutor:
         ctx: RunContext,
         voxels: NDArray[Any] | None,
     ) -> WorkPlan:
-        """The run's work plan, declared to the live plane."""
+        """The run's work plan, recorded on its trace."""
         config = ctx.config
         tasks = _task_stream(dataset, ctx, voxels)
         if self.partition == "rows":
-            _declare(len(tasks), self.n_workers)
+            _record_plan(ctx, len(tasks), self.n_workers)
             return WorkPlan(tasks=tasks)
         # The master plans from the voxel count alone: it never holds
         # preprocessed data, correlations or panel buffers.
@@ -324,7 +323,7 @@ class MasterWorkerExecutor:
         tiles = partition_tiles(n_voxels, config.task_voxels, cols, voxels)
         # The width walked (the partition widens degenerate splits).
         ctx.metadata["tile_cols"] = max(t.n_cols for t in tiles)
-        _declare(len(tasks), self.n_workers, len(tiles))
+        _record_plan(ctx, len(tasks), self.n_workers, len(tiles))
         return WorkPlan(tiles=tiles)
 
     def run(
@@ -404,23 +403,18 @@ class MasterWorkerExecutor:
         self, ctx: RunContext, timeout: float | None
     ) -> Iterator[tuple[Comm, dict[int, int]]]:
         """Worker ranks as processes joined over ``host:port`` (spawned
-        here, or ``fcma worker --connect`` elsewhere): accepted, probed
-        for socket heartbeats, then closed and reaped."""
+        here, or ``fcma worker --connect`` elsewhere): accepted, then
+        closed and reaped."""
         listener = TcpListener(self.host, self.port)
         ctx.metadata["tcp_address"] = list(listener.address)
         procs: list[Any] = []
         transport = None
-        live = current_live()
         try:
             if self.spawn:
                 procs = spawn_local_workers(
                     listener.address, self.n_workers, timeout=timeout
                 )
             transport = listener.accept(self.n_workers, timeout=timeout)
-            if live is not None:
-                # Socket-level heartbeat ages are fresher than protocol
-                # traffic; snapshots read them straight off the transport.
-                live.set_heartbeat_probe(transport.heartbeat_ages)
             hosts = transport.peer_hosts()
             # Per rank, the workers sharing its host (and so its cores):
             # the divisor of its thread budget.
@@ -429,8 +423,6 @@ class MasterWorkerExecutor:
                 for rank, host in hosts.items()
             }
         finally:
-            if live is not None:
-                live.set_heartbeat_probe(None)
             if transport is not None:
                 transport.close()
             else:

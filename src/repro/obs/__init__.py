@@ -38,19 +38,6 @@ from .export import (
     to_chrome_trace,
     write_jsonl,
 )
-from .live import (
-    SNAPSHOT_SCHEMA,
-    JsonlSink,
-    LiveRuntime,
-    PrometheusFileSink,
-    RingSink,
-    SnapshotPublisher,
-    activate,
-    activated,
-    build_snapshot,
-    current_live,
-    deactivate,
-)
 from .metrics import (
     METRICS,
     MetricSpec,
@@ -64,29 +51,18 @@ from .tracer import SpanHandle, Tracer
 
 __all__ = [
     "IncrementalJsonlWriter",
-    "JsonlSink",
     "KINDS",
     "METRICS",
-    "LiveRuntime",
     "MetricSpec",
-    "PrometheusFileSink",
-    "RingSink",
     "SCHEMA",
-    "SNAPSHOT_SCHEMA",
-    "SnapshotPublisher",
     "Span",
     "SpanHandle",
     "SpanNode",
     "TIMING_METRICS",
     "Tracer",
-    "activate",
-    "activated",
     "assert_same_structure",
-    "build_snapshot",
     "build_tree",
-    "current_live",
     "current_tracer",
-    "deactivate",
     "format_metrics_table",
     "from_chrome_trace",
     "is_known_metric",

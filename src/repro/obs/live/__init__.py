@@ -1,22 +1,14 @@
 """Live telemetry plane: in-flight metrics, heartbeats, progress/ETA.
 
-See :mod:`repro.obs.live.runtime` for the aggregate the hot paths write
-into, :mod:`repro.obs.live.snapshot` for the ``repro.live/v1`` snapshot
-schema and the periodic publisher, :mod:`repro.obs.live.sinks` for the
-JSON-lines / Prometheus / ring outputs, and
+See :mod:`repro.obs.live.runtime` for the aggregate folded from a run's
+span stream, :mod:`repro.obs.live.snapshot` for the ``repro.live/v1``
+snapshot schema and the periodic publisher, :mod:`repro.obs.live.sinks`
+for the JSON-lines / Prometheus / ring outputs, and
 :mod:`repro.obs.live.view` for the ``fcma top`` rendering.
 """
 
 from .resources import sample_resources
-from .runtime import (
-    DEFAULT_BUCKETS,
-    LiveHistogram,
-    LiveRuntime,
-    activate,
-    activated,
-    current_live,
-    deactivate,
-)
+from .runtime import DEFAULT_BUCKETS, LiveHistogram, LiveRuntime
 from .sinks import (
     JsonlSink,
     PrometheusFileSink,
@@ -38,11 +30,7 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "Sink",
     "SnapshotPublisher",
-    "activate",
-    "activated",
     "build_snapshot",
-    "current_live",
-    "deactivate",
     "read_latest_snapshot",
     "read_snapshots",
     "render_snapshot",

@@ -1,56 +1,54 @@
-"""The in-flight telemetry runtime: counters, gauges, histograms, heartbeats.
+"""The in-flight telemetry plane: a fold over the run's own trace.
 
 Post-hoc tracing (:mod:`repro.obs.tracer`) answers "what happened";
 this module answers "what is happening".  A :class:`LiveRuntime` is a
-small lock-protected aggregate the hot paths update as work completes:
+small lock-protected aggregate — monotonic counters, gauges, totals
+(the denominators progress and ETA are derived from), fixed-bucket
+histograms with cheap p50/p99, and per-rank state — with exactly one
+input: the close listener :meth:`LiveRuntime.attach_tracer` registers
+on the run's tracer.  Every fact the plane shows is a span, written
+once where the fact is known, and :data:`FOLD` says what each closed
+span adds:
 
-* **monotonic counters** (``inc``) — task/tile completions, span
-  closes, comm bytes;
-* **gauges** (``set_gauge``) — worker counts, latency budgets;
-* **totals** (``set_total``) — the blocking plan's known task/tile
-  counts, the denominators progress and ETA are derived from;
-* **fixed-bucket histograms** (``observe``) — per-TR / per-tile
-  latency distributions with cheap p50/p99 estimates;
-* **per-rank heartbeats** (``heartbeat`` / ``worker_lost``) — ages fed
-  either by protocol traffic at the master or by a transport-level
-  probe (:meth:`set_heartbeat_probe`).
+=========================================  ==================================
+span (``kind:name``)                       folds into
+=========================================  ==================================
+any                                        counter ``spans_<kind>``
+``task:*``                                 counter ``tasks``, histogram
+                                           ``task_seconds``
+``kernel:correlate_normalize_batched`` /   counter ``engine_tiles`` (the
+``_sparse``                                walk's ``tiles`` metric)
+``stage:stream``                           counter ``rtfmri_steps``,
+                                           histogram ``rtfmri_step_seconds``
+``event:plan``                             totals ``tasks`` / ``tiles``,
+                                           gauge ``n_workers``
+``event:result``                           counter ``tasks`` or ``tiles`` (by
+                                           ``item``); rank ``worker`` heard,
+                                           its ``completed`` + 1
+``event:request`` / ``done``               rank ``worker`` heard
+``event:error``                            counter ``task_errors``; rank heard
+``event:lost``                             rank ``worker`` lost
+=========================================  ==================================
 
-The tracer dual-writes into the runtime through the listener seam
-(:meth:`attach_tracer` registers :meth:`on_span_close`), so every
-closed ``task`` span becomes a completion tick and a latency sample
-without touching executor code.
-
-One runtime may be installed process-global (:func:`activate` /
-:func:`current_live`) so deep loops — the engine's tile loop, the
-master-worker protocol loops, the rtfmri feedback step — can publish
-without threading a handle through every signature.  The global is a
-plain module attribute, *not* a ``ContextVar``: master-worker ranks run
-on freshly spawned threads where context vars do not propagate.  All
-publish methods are cheap no-ops to guard (``live is not None``), and
-the whole plane costs nothing when no runtime is active.
+Spans merged from another tracer (a worker's export) do not notify, so
+a worker's task spans never count twice against the coordinator's
+``result`` events.  A rank's age is the time since the master last
+heard from it.  Nothing outside this package writes to a runtime but
+the CLI, which sets the one static gauge a command declares.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..span import Span
     from ..tracer import Tracer
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "LiveHistogram",
-    "LiveRuntime",
-    "activate",
-    "activated",
-    "current_live",
-    "deactivate",
-]
+__all__ = ["DEFAULT_BUCKETS", "FOLD", "LiveHistogram", "LiveRuntime"]
 
 #: Default histogram bucket upper bounds: a 1-2-5 ladder from 10 µs to
 #: 500 s, covering per-TR feedback steps through multi-minute stages.
@@ -58,9 +56,8 @@ DEFAULT_BUCKETS: tuple[float, ...] = tuple(
     m * (10.0**e) for e in range(-5, 3) for m in (1.0, 2.0, 5.0)
 )
 
-#: Seconds of heartbeat silence after which a worker is flagged stale in
-#: snapshots.  Matches the TCP transport's loss threshold, so a stale
-#: flag here is the early warning of the peer-loss path firing.
+#: Seconds the master has not heard from a worker after which it is
+#: flagged stale in snapshots (the TCP transport's loss threshold).
 DEFAULT_STALE_AFTER = 30.0
 
 
@@ -133,10 +130,10 @@ class LiveHistogram:
 
 @dataclass
 class _WorkerState:
-    """Last-seen bookkeeping for one remote rank."""
+    """What the master last heard from one worker rank."""
 
     last_seen: float
-    completed: float | None = None
+    completed: float = 0.0
     lost: bool = False
 
 
@@ -149,7 +146,7 @@ class LiveRuntime:
         Monotonic seconds source (default ``time.monotonic``); inject a
         fake for deterministic tests.
     stale_after:
-        Heartbeat age (seconds) past which a worker is flagged stale in
+        Seconds unheard past which a worker is flagged stale in
         snapshots.
     """
 
@@ -170,9 +167,8 @@ class LiveRuntime:
         self._totals: dict[str, float] = {}
         self._hists: dict[str, LiveHistogram] = {}
         self._workers: dict[int, _WorkerState] = {}
-        self._probe: Callable[[], Mapping[int, float]] | None = None
 
-    # -- publishing (hot path) -------------------------------------------
+    # -- the plane's primitives (written by the fold) ---------------------
 
     def inc(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to a monotonic counter (negative deltas rejected)."""
@@ -202,71 +198,37 @@ class LiveRuntime:
                 hist = self._hists.setdefault(name, LiveHistogram())
             hist.observe(value)
 
-    def heartbeat(
-        self, rank: int, completed: float | None = None
-    ) -> None:
-        """Note a sign of life from ``rank`` (any protocol traffic)."""
+    def heartbeat(self, rank: int, completed: float = 0.0) -> None:
+        """Note that the master heard from ``rank``; ``completed`` adds
+        to its count of results received."""
         now = self.clock()
         with self._lock:
-            state = self._workers.get(rank)
-            if state is None:
-                state = self._workers.setdefault(rank, _WorkerState(now))
+            state = self._workers.setdefault(rank, _WorkerState(now))
             state.last_seen = now
             state.lost = False
-            if completed is not None:
-                state.completed = float(completed)
+            state.completed += completed
 
     def worker_lost(self, rank: int) -> None:
-        """Flag ``rank`` as lost (the transport's peer-loss verdict)."""
+        """Flag ``rank`` as lost (the master's peer-loss verdict)."""
         now = self.clock()
         with self._lock:
-            state = self._workers.get(rank)
-            if state is None:
-                state = self._workers.setdefault(rank, _WorkerState(now))
-            state.lost = True
+            self._workers.setdefault(rank, _WorkerState(now)).lost = True
 
-    def set_heartbeat_probe(
-        self, probe: Callable[[], Mapping[int, float]] | None
-    ) -> None:
-        """Install a transport-level age source (rank -> seconds).
-
-        Probe ages override the message-derived ages at snapshot time —
-        the TCP transport knows socket liveness more precisely than the
-        protocol traffic does.
-        """
-        with self._lock:
-            self._probe = probe
-
-    # -- tracer dual-write -----------------------------------------------
+    # -- the one input ---------------------------------------------------
 
     def on_span_close(self, span: "Span") -> None:
-        """Tracer listener: fold one closed span into the live aggregate.
-
-        Every close ticks ``spans_<kind>``; ``task`` spans additionally
-        tick the ``tasks`` completion counter and feed the
-        ``task_seconds`` histogram.  Merged (foreign) spans do not
-        notify, so executors that count completions at the master never
-        double-count against this listener.
-        """
-        wall = float(span.metrics.get("wall_seconds", span.duration))
-        with self._lock:
-            key = f"spans_{span.kind}"
-            self._counters[key] = self._counters.get(key, 0.0) + 1.0
-            if span.kind == "task":
-                self._counters["tasks"] = self._counters.get("tasks", 0.0) + 1.0
-                hist = self._hists.get("task_seconds")
-                if hist is None:
-                    hist = self._hists.setdefault(
-                        "task_seconds", LiveHistogram()
-                    )
-                hist.observe(wall)
+        """Tracer listener: fold one closed span in (see :data:`FOLD`)."""
+        self.inc(f"spans_{span.kind}")
+        fold = FOLD.get((span.kind, span.name)) or FOLD.get((span.kind, None))
+        if fold is not None:
+            fold(self, span)
 
     def attach_tracer(self, tracer: "Tracer") -> None:
-        """Register the dual-write listener on ``tracer``."""
+        """Fold every span ``tracer`` closes from now on."""
         tracer.add_listener(self.on_span_close)
 
     def detach_tracer(self, tracer: "Tracer") -> None:
-        """Remove the dual-write listener from ``tracer``."""
+        """Stop folding ``tracer``'s spans."""
         tracer.remove_listener(self.on_span_close)
 
     # -- reading ---------------------------------------------------------
@@ -281,27 +243,9 @@ class LiveRuntime:
             return self._counters.get(name, 0.0)
 
     def snapshot_state(self) -> dict[str, Any]:
-        """A consistent copy of all live state (one lock acquisition).
-
-        The heartbeat probe (if any) is sampled *outside* the lock —
-        it belongs to the transport and must not nest under ours.
-        """
-        probe = self._probe
-        probe_ages: Mapping[int, float] = probe() if probe is not None else {}
+        """A consistent copy of all live state (one lock acquisition)."""
         now = self.clock()
         with self._lock:
-            workers: dict[int, dict[str, Any]] = {}
-            for rank, state in self._workers.items():
-                workers[rank] = {
-                    "age_s": max(0.0, now - state.last_seen),
-                    "completed": state.completed,
-                    "lost": state.lost,
-                }
-            for rank, age in probe_ages.items():
-                entry = workers.setdefault(
-                    rank, {"age_s": 0.0, "completed": None, "lost": False}
-                )
-                entry["age_s"] = float(age)
             return {
                 "elapsed_s": now - self._t0,
                 "counters": dict(self._counters),
@@ -310,44 +254,74 @@ class LiveRuntime:
                 "histograms": {
                     name: hist.state() for name, hist in self._hists.items()
                 },
-                "workers": workers,
+                "workers": {
+                    rank: {
+                        "age_s": max(0.0, now - state.last_seen),
+                        "completed": state.completed,
+                        "lost": state.lost,
+                    }
+                    for rank, state in self._workers.items()
+                },
             }
 
 
-# -- the process-global active runtime -------------------------------------
-
-_ACTIVE: LiveRuntime | None = None
-_ACTIVE_LOCK = threading.Lock()
+# -- the fold ---------------------------------------------------------------
 
 
-def activate(runtime: LiveRuntime) -> None:
-    """Install ``runtime`` as the process-global live runtime."""
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        _ACTIVE = runtime
+def _wall(span: "Span") -> float:
+    return float(span.metrics.get("wall_seconds", span.duration))
 
 
-def deactivate() -> None:
-    """Clear the process-global live runtime."""
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        _ACTIVE = None
+def _task(rt: LiveRuntime, span: "Span") -> None:
+    rt.inc("tasks")
+    rt.observe("task_seconds", _wall(span))
 
 
-def current_live() -> LiveRuntime | None:
-    """The active runtime, or ``None`` when no live plane is running."""
-    return _ACTIVE
+def _walk(rt: LiveRuntime, span: "Span") -> None:
+    rt.inc("engine_tiles", span.metrics.get("tiles", 0.0))
 
 
-@contextmanager
-def activated(runtime: LiveRuntime) -> Iterator[LiveRuntime]:
-    """Scoped :func:`activate` / :func:`deactivate` (restores previous)."""
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        previous = _ACTIVE
-        _ACTIVE = runtime
-    try:
-        yield runtime
-    finally:
-        with _ACTIVE_LOCK:
-            _ACTIVE = previous
+def _stream_step(rt: LiveRuntime, span: "Span") -> None:
+    rt.inc("rtfmri_steps")
+    rt.observe("rtfmri_step_seconds", _wall(span))
+
+
+def _plan(rt: LiveRuntime, span: "Span") -> None:
+    for name in ("tasks", "tiles"):
+        if name in span.metrics:
+            rt.set_total(name, span.metrics[name])
+    rt.set_gauge("n_workers", float(span.attrs["n_workers"]))
+
+
+def _message(rt: LiveRuntime, span: "Span") -> None:
+    """A message the coordinator received: a result ticks its item's
+    kind; any message refreshes the rank it came from."""
+    if span.name == "result":
+        tile = str(span.attrs.get("item", "")).startswith("tile:")
+        rt.inc("tiles" if tile else "tasks")
+    elif span.name == "error":
+        rt.inc("task_errors")
+    rank = span.attrs.get("worker")
+    if rank is None:
+        return
+    if span.name == "lost":
+        rt.worker_lost(rank)
+    else:
+        rt.heartbeat(rank, completed=float(span.name == "result"))
+
+
+#: What a closed span adds to the plane, by ``(kind, name)``; a ``None``
+#: name matches every span of the kind.  Spans with no entry only tick
+#: ``spans_<kind>``.
+FOLD: dict[tuple[str, str | None], Callable[[LiveRuntime, "Span"], None]] = {
+    ("task", None): _task,
+    ("kernel", "correlate_normalize_batched"): _walk,
+    ("kernel", "correlate_normalize_sparse"): _walk,
+    ("stage", "stream"): _stream_step,
+    ("event", "plan"): _plan,
+    ("event", "request"): _message,
+    ("event", "result"): _message,
+    ("event", "error"): _message,
+    ("event", "done"): _message,
+    ("event", "lost"): _message,
+}

@@ -22,8 +22,10 @@ __all__ = [
 ]
 
 #: The span taxonomy, outermost first.  ``counter`` spans are synthetic
-#: zero-width records carrying metrics with no timed region of their own.
-KINDS = ("run", "task", "stage", "kernel", "counter")
+#: zero-width records carrying metrics with no timed region of their own;
+#: ``event`` spans are zero-width records of a fact the coordinator
+#: learned at an instant (the run's ``plan``, a worker message).
+KINDS = ("run", "task", "stage", "kernel", "counter", "event")
 
 
 @dataclass

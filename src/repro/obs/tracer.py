@@ -91,8 +91,8 @@ class Tracer:
     def add_listener(self, listener: Callable[[Span], None]) -> None:
         """Register a callback fired on every locally closed span.
 
-        Listeners are the dual-write seam of the live telemetry plane
-        (:mod:`repro.obs.live`) and the incremental trace writer: they
+        Listeners are the live telemetry plane's one input
+        (:mod:`repro.obs.live`) and the incremental trace writer's: they
         fire when a ``with``-managed span exits and when :meth:`record`
         appends a synthetic span, but **not** for spans folded in via
         :meth:`merge` — merged worker exports were already observed (or

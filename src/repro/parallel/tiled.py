@@ -35,14 +35,17 @@ the ``(assigned × all-voxels)`` correlation matrix:
 
 Task = walk ∘ score; a tile is the walk on a column range; a score item
 is score — so the three item kinds are one call each, and this module
-opens no span and types no metric.  The loops know only the protocol;
+opens no timed span and types no metric.  The loops know only the protocol;
 the plan knows what is ready next and what a result unlocks.
 
 * **A rank's lifecycle is REQUEST … STOP → DONE**, closed inside the
   two loops on every transport: the worker answers TAG_STOP with its
   report (its telemetry export, the one way it goes home), and the
-  master returns once every rank has reported or been lost.  Per-rank
-  live progress is the master's own count of the results it received.
+  master returns once every rank has reported or been lost.  Each
+  message the master receives is one ``event`` span on the run's trace
+  (``request`` / ``result`` / ``error`` / ``done`` / ``lost``, attrs
+  ``worker`` and ``item``): the protocol view, and all the live plane
+  knows of per-rank progress.
 
 * **Dispatch order.**  One ready list sorted ``(priority, id)``:
   scores before tiles/tasks, ascending ids — so a re-queued tile or
@@ -104,7 +107,7 @@ from ..exec.stage_graph import (
     score_panel,  # re-exported: the dense score body the harness drives
     walk,
 )
-from ..obs.live.runtime import current_live
+from ..obs.runtime import current_tracer
 from .comm import Comm, TAG_PEER_LOST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -303,7 +306,9 @@ def master_loop(
 
     Returns once every rank has answered its TAG_STOP with a TAG_DONE
     report (``reports[rank]``) or been lost — by TAG_PEER_LOST, or by a
-    report naming the ``error`` it died of outside an item.
+    report naming the ``error`` it died of outside an item.  Each
+    message received is one ``event`` span on the ambient tracer (the
+    run's, inside its run span).
     """
     if comm.rank != 0:
         raise ValueError("master_loop must run on rank 0")
@@ -320,9 +325,15 @@ def master_loop(
     failure: tuple[WorkKey, str] | None = None
     parked: deque[int] = deque()
     active = set(range(1, comm.size))
-    #: TAG_RESULTs per source rank: the live plane's per-worker progress.
-    served: Counter[int] = Counter()
-    live = current_live()
+    tracer = current_tracer()
+
+    def heard(event: str, rank: int, key: WorkKey | None = None) -> None:
+        """Record one received message on the run's trace."""
+        if tracer is not None:
+            attrs: dict[str, Any] = {"worker": rank}
+            if key is not None:
+                attrs["item"] = f"{key[0]}:{key[1]}"
+            tracer.record(event, kind="event", attrs=attrs)
 
     def dispatch(dest: int) -> None:
         key = ready.pop(0)
@@ -341,8 +352,6 @@ def master_loop(
                 comm.send(None, parked.popleft(), TAG_STOP)
 
     def lose(rank: int) -> None:
-        if live is not None:
-            live.worker_lost(rank)
         if rank not in active:
             return
         active.discard(rank)
@@ -367,16 +376,14 @@ def master_loop(
 
     while active - reports.keys():
         src, tag, payload = comm.recv()
-        if tag == TAG_RESULT:
-            served[src] += 1
-        if live is not None and tag != TAG_PEER_LOST:
-            # Any protocol traffic is a sign of life for heartbeat ages.
-            live.heartbeat(src, completed=served[src])
         if tag == TAG_DONE:
+            # A report naming an error is the rank's death notice.
+            heard("lost" if payload["error"] else "done", src)
             reports[src] = payload
             if payload["error"]:
                 lose(src)
         elif tag == TAG_REQUEST:
+            heard("request", src)
             if ready:
                 dispatch(src)
             elif work_outstanding():
@@ -385,24 +392,23 @@ def master_loop(
                 comm.send(None, src, TAG_STOP)
         elif tag == TAG_RESULT:
             kind, ident = payload[0], payload[1]
+            heard("result", src, (kind, ident))
             in_flight.get(src, set()).discard((kind, ident))
-            if live is not None:
-                live.inc("tiles" if kind == "tile" else "tasks")
             for key in plan.complete(payload):
                 bisect.insort(ready, key, key=_dispatch_order)
             drain_parked()
         elif tag == TAG_ERROR:
             key, message = payload
             key = (key[0], key[1])
+            heard("error", src, key)
             in_flight.get(src, set()).discard(key)
             if attempts.get(key, 0) < max_retries:
                 bisect.insort(ready, key, key=_dispatch_order)
             elif failure is None:
                 failure = (key, message)
-            if live is not None:
-                live.inc("task_errors")
             drain_parked()
         elif tag == TAG_PEER_LOST:
+            heard("lost", src)
             lose(src)
         else:
             raise RuntimeError(f"master got unexpected tag {tag} from {src}")

@@ -380,21 +380,6 @@ class TcpTransport:
         """Address each worker rank connected from (master endpoint only)."""
         return {r: p.sock.getpeername()[0] for r, p in self._peers.items()}
 
-    def heartbeat_ages(self) -> dict[int, float]:
-        """Seconds since each live worker was last heard from.
-
-        Socket-level liveness (data frames and transport heartbeats both
-        refresh ``last_seen``), so it is fresher than protocol traffic
-        alone.  Master endpoint only; the live telemetry plane installs
-        this as its heartbeat probe for TCP runs.
-        """
-        now = time.monotonic()
-        return {
-            r: max(0.0, now - p.last_seen)
-            for r, p in self._peers.items()
-            if p.alive
-        }
-
     # -- internals -------------------------------------------------------
 
     def _local_deliver(self, src: int, tag: int, payload: Any, nbytes: int) -> None:

@@ -34,7 +34,6 @@ from ..core.pipeline import FCMAConfig
 from ..data.dataset import FMRIDataset
 from ..data.epochs import Epoch, EpochTable
 from ..exec.context import RunContext
-from ..obs.live.runtime import current_live
 from ..svm.model import SVMModel, encode_labels
 from .assembler import CompletedEpoch, EpochAssembler
 from .scanner import ScannerSimulator, Volume
@@ -294,7 +293,6 @@ class ClosedLoopSession:
         since_retrain = 0
         discard_seen = 0
         update_seconds = 0.0
-        live = current_live()
 
         def start_streaming(training: OnlineResult) -> None:
             nonlocal emitter, partial_buf
@@ -395,11 +393,9 @@ class ClosedLoopSession:
                 update_seconds += perf_counter() - update_start
             step_seconds = perf_counter() - step_start
             stats.step_latencies_s.append(step_seconds)
-            if live is not None:
-                # Live p50/p99 of the feedback step against the latency
-                # budget gauge the CLI sets — the rtfmri dashboard line.
-                live.observe("rtfmri_step_seconds", step_seconds)
-                live.inc("rtfmri_steps")
+            # One zero-width ``stream`` stage span per step: the trace's
+            # step record, and the live plane's step histogram.
+            self.context.add_time("stream", step_seconds)
 
         for volume in self._scanner.stream():
             if result is None:
@@ -431,11 +427,6 @@ class ClosedLoopSession:
         if emitter is not None:
             stats.epochs_evicted += emitter.epochs_evicted
         if stats.step_latencies_s:
-            self.context.add_time(
-                "stream",
-                float(sum(stats.step_latencies_s)),
-                calls=len(stats.step_latencies_s),
-            )
             if emitter is not None and stats.trs_streamed:
                 # One aggregate kernel span for the per-TR updates — a
                 # live span per TR would cost as much as the update.

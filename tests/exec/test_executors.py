@@ -78,13 +78,15 @@ class TestTraceEquivalence:
     @staticmethod
     def _task_forest(ctx):
         """The per-task spans only: drops the run root
-        (executor-specific attrs) and each worker rank's two
-        ``comm.bytes_*`` counter spans (its end of the wire, not
+        (executor-specific attrs), the coordinator's ``event`` spans
+        (its plan and the messages it received) and each worker rank's
+        two ``comm.bytes_*`` counter spans (its end of the wire, not
         dataflow)."""
         return [
             s
             for s in ctx.tracer.spans()
-            if s.kind != "run" and not s.name.startswith("comm.bytes_")
+            if s.kind not in ("run", "event")
+            and not s.name.startswith("comm.bytes_")
         ]
 
     @pytest.mark.parametrize("name", ["pool", "master-worker"])
@@ -102,18 +104,22 @@ class TestTraceEquivalence:
         )
 
     def test_pool_full_trace_matches_serial(self, tiny_dataset):
-        """The pool's whole tree — run span included — matches serial:
-        worker task spans re-root under the master's run span."""
+        """The pool's whole tree — run span and plan included — matches
+        serial: worker task spans re-root under the master's run span.
+        Beyond it the pool records one ``result`` event per task."""
         config = FCMAConfig(
             variant="optimized-batched",
             task_voxels=16, target_block=32,
         )
         reference = self._run("serial", tiny_dataset, config)
         ctx = self._run("pool", tiny_dataset, config)
+        results = [s for s in ctx.tracer.spans() if s.name == "result"]
+        assert [s.kind for s in results] == ["event"] * len(reference.task_seconds)
         assert span_structure(
             reference.tracer.spans(), ignore_metrics=self.IGNORED_METRICS
         ) == span_structure(
-            ctx.tracer.spans(), ignore_metrics=self.IGNORED_METRICS
+            [s for s in ctx.tracer.spans() if s not in results],
+            ignore_metrics=self.IGNORED_METRICS,
         )
 
     def test_different_dataflow_is_detected(self, tiny_dataset):
@@ -258,6 +264,54 @@ class TestOneFleet:
             assert thread_totals[key] == pytest.approx(
                 tcp_totals[key] - broadcast, rel=0.10
             ), key
+
+    @staticmethod
+    def _live(executor, dataset, config) -> dict:
+        """The final live snapshot of one run: a runtime folding the
+        run's own trace, nothing else attached."""
+        from repro.obs.live import LiveRuntime, build_snapshot
+
+        ctx = RunContext(config)
+        rt = LiveRuntime()
+        rt.attach_tracer(ctx.tracer)
+        executor.run(dataset, ctx)
+        return build_snapshot(rt, seq=0, final=True, resource_sampler=lambda: None)
+
+    @pytest.mark.parametrize("partition", ["rows", "tiles"])
+    def test_one_plan_reads_the_same_live_counters_on_every_transport(
+        self, tiny_dataset, join_tcp_workers, partition
+    ):
+        config = FCMAConfig(task_voxels=20, target_block=32, comm_timeout=30)
+        snaps = {
+            transport: self._live(
+                MasterWorkerExecutor(n_workers=2, partition=partition, **kwargs),
+                tiny_dataset,
+                config,
+            )
+            for transport, kwargs in (
+                ("thread", {}),
+                ("tcp", {"transport": "tcp", "port": join_tcp_workers(2),
+                         "spawn": False}),
+            )
+        }
+        thread, tcp = snaps["thread"], snaps["tcp"]
+        assert thread["counters"] == tcp["counters"]
+        assert thread["progress"]["by_kind"] == tcp["progress"]["by_kind"]
+        assert {k: h["count"] for k, h in thread["histograms"].items()} == {
+            k: h["count"] for k, h in tcp["histograms"].items()
+        }
+        for snap in (thread, tcp):
+            assert snap["progress"]["fraction"] == 1.0
+            completed = sum(w["completed"] for w in snap["workers"].values())
+            assert completed == snap["progress"]["total"] > 0
+
+    def test_serial_and_pool_agree_on_live_progress(self, tiny_dataset):
+        config = FCMAConfig(task_voxels=20, target_block=32)
+        serial = self._live(SerialExecutor(), tiny_dataset, config)
+        pool = self._live(ProcessPoolExecutor(n_workers=2), tiny_dataset, config)
+        assert serial["counters"]["tasks"] == pool["counters"]["tasks"] == 3
+        assert serial["progress"]["by_kind"] == pool["progress"]["by_kind"]
+        assert pool["progress"]["fraction"] == 1.0
 
     @pytest.mark.parametrize("transport", ["thread", "tcp"])
     def test_rank_dying_outside_an_item_fails_the_run_by_name(

@@ -162,11 +162,10 @@ class TestRtfmriLive:
     def test_step_histogram_and_training_progress(
         self, dataset_path, tmp_path
     ):
-        """The feedback loop lands per-TR samples in the
+        """The feedback loop's per-step ``stream`` spans land in the
         ``rtfmri_step_seconds`` histogram, and the session's internal
-        training executor drives progress to completion (totals from
-        the process-global hook, completions from the attached
-        tracer)."""
+        training executor drives progress to completion (its ``plan``
+        event and task spans) — all folded from the session's tracer."""
         events = tmp_path / "rt.jsonl"
         code, stdout = _run_cli([
             "rtfmri", dataset_path, "--training-epochs", "4",

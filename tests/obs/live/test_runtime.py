@@ -1,4 +1,4 @@
-"""LiveRuntime unit tests: counters, histograms, heartbeats, dual-write.
+"""LiveRuntime unit tests: counters, histograms, heartbeats, the fold.
 
 Everything time-dependent runs on the deterministic fake clock so ages,
 elapsed seconds, and staleness are asserted exactly; the concurrency
@@ -13,13 +13,7 @@ import threading
 import pytest
 
 from repro.obs import Tracer
-from repro.obs.live import (
-    LiveRuntime,
-    activate,
-    activated,
-    current_live,
-    deactivate,
-)
+from repro.obs.live import LiveRuntime
 from repro.obs.live.runtime import DEFAULT_BUCKETS, LiveHistogram
 
 
@@ -44,6 +38,22 @@ def clock() -> ManualClock:
 @pytest.fixture()
 def rt(clock: ManualClock) -> LiveRuntime:
     return LiveRuntime(clock=clock, stale_after=30.0)
+
+
+@pytest.fixture()
+def traced(rt: LiveRuntime) -> Tracer:
+    """A tracer whose spans ``rt`` folds."""
+    tracer = Tracer()
+    rt.attach_tracer(tracer)
+    return tracer
+
+
+def message(tracer: Tracer, name: str, worker: int, item: str | None = None):
+    """One protocol event, as the master loop records it."""
+    attrs: dict = {"worker": worker}
+    if item is not None:
+        attrs["item"] = item
+    tracer.record(name, kind="event", attrs=attrs)
 
 
 class TestCounters:
@@ -151,21 +161,29 @@ class TestHeartbeats:
         rt.heartbeat(2)
         assert rt.snapshot_state()["workers"][2]["lost"] is False
 
-    def test_probe_age_overrides_message_age(self, rt, clock):
-        rt.heartbeat(1)
+    def test_probe_age_overrides_message_age(self, rt, traced, clock):
+        """A rank's age is the master's last-heard time: every message
+        event from it refreshes the age, and a ``result`` adds one to
+        its ``completed`` (the transport's socket probe is gone)."""
+        message(traced, "request", 1)
         clock.advance(10.0)
-        rt.set_heartbeat_probe(lambda: {1: 0.5, 3: 2.0})
+        message(traced, "result", 1, "tile:0")
+        message(traced, "request", 3)
+        clock.advance(0.5)
         workers = rt.snapshot_state()["workers"]
-        assert workers[1]["age_s"] == 0.5
-        # Probe-only ranks appear even without protocol traffic.
-        assert workers[3]["age_s"] == 2.0
+        assert workers[1] == {"age_s": 0.5, "completed": 1.0, "lost": False}
+        # A rank appears with its first message, before any result.
+        assert workers[3] == {"age_s": 0.5, "completed": 0.0, "lost": False}
+        assert rt.counter("tiles") == 1.0 and rt.counter("tasks") == 0.0
 
-    def test_probe_cleared(self, rt, clock):
-        rt.heartbeat(1)
-        rt.set_heartbeat_probe(lambda: {1: 0.1})
-        rt.set_heartbeat_probe(None)
+    def test_probe_cleared(self, rt, traced, clock):
+        """``lost`` (a peer-loss message, or a report naming the error a
+        rank died of) flags the rank without refreshing its age."""
+        message(traced, "request", 1)
         clock.advance(4.0)
-        assert rt.snapshot_state()["workers"][1]["age_s"] == 4.0
+        message(traced, "lost", 1)
+        worker = rt.snapshot_state()["workers"][1]
+        assert worker["lost"] is True and worker["age_s"] == 4.0
 
 
 class TestTracerDualWrite:
@@ -210,23 +228,82 @@ class TestTracerDualWrite:
 
 
 class TestActivation:
+    """There is no process-global runtime: a runtime folds exactly the
+    tracers it is attached to."""
+
     def test_activate_deactivate(self):
-        rt = LiveRuntime()
-        assert current_live() is None
-        activate(rt)
-        try:
-            assert current_live() is rt
-        finally:
-            deactivate()
-        assert current_live() is None
+        a, b = LiveRuntime(), LiveRuntime()
+        ta, tb = Tracer(), Tracer()
+        a.attach_tracer(ta)
+        b.attach_tracer(tb)
+        ta.record("plan", kind="event", metrics={"tasks": 3.0},
+                  attrs={"n_workers": 1})
+        tb.record("plan", kind="event", metrics={"tasks": 5.0},
+                  attrs={"n_workers": 2})
+        with ta.span("t", kind="task"):
+            pass
+        assert a.snapshot_state()["totals"] == {"tasks": 3.0}
+        assert b.snapshot_state()["totals"] == {"tasks": 5.0}
+        assert (a.counter("tasks"), b.counter("tasks")) == (1.0, 0.0)
 
     def test_activated_restores_previous(self):
-        outer, inner = LiveRuntime(), LiveRuntime()
-        with activated(outer):
-            with activated(inner):
-                assert current_live() is inner
-            assert current_live() is outer
-        assert current_live() is None
+        """Runs on two threads at once, each on its own tracer, reach
+        only their own runtime."""
+        pairs = [(LiveRuntime(), Tracer()) for _ in range(2)]
+        for rt, tracer in pairs:
+            rt.attach_tracer(tracer)
+
+        def run(tracer: Tracer, n_tasks: int) -> None:
+            for _ in range(n_tasks):
+                with tracer.span("t", kind="task"):
+                    pass
+
+        threads = [
+            threading.Thread(target=run, args=(tracer, n))
+            for (_, tracer), n in zip(pairs, (3, 7))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [rt.counter("tasks") for rt, _ in pairs] == [3.0, 7.0]
+
+
+class TestFold:
+    """What each span the run writes adds to the plane (``FOLD``)."""
+
+    def test_plan_declares_totals_and_workers(self, rt, traced):
+        traced.record("plan", kind="event", metrics={"tasks": 4.0, "tiles": 6.0},
+                      attrs={"n_workers": 2})
+        state = rt.snapshot_state()
+        assert state["totals"] == {"tasks": 4.0, "tiles": 6.0}
+        assert state["counters"]["tasks"] == state["counters"]["tiles"] == 0.0
+        assert state["gauges"] == {"n_workers": 2.0}
+
+    def test_results_tick_their_item_kind(self, rt, traced):
+        for item in ("tile:0", "tile:1", "score:0"):
+            message(traced, "result", 1, item)
+        traced.record("result", kind="event", attrs={"item": "task:0"})  # pool
+        message(traced, "error", 2, "tile:3")
+        assert rt.counter("tiles") == 2.0
+        assert rt.counter("tasks") == 2.0
+        assert rt.counter("task_errors") == 1.0
+        workers = rt.snapshot_state()["workers"]
+        assert workers[1]["completed"] == 3.0 and workers[2]["completed"] == 0.0
+
+    def test_walk_tiles_and_stream_steps(self, rt, traced):
+        with traced.span("correlate_normalize_batched", kind="kernel") as span:
+            span.add_metric("tiles", 3.0)
+        with traced.span("score_voxels", kind="kernel"):
+            pass
+        for seconds in (0.001, 0.002):
+            traced.record("stream", kind="stage", seconds=seconds)
+        state = rt.snapshot_state()
+        assert state["counters"]["engine_tiles"] == 3.0
+        assert state["counters"]["rtfmri_steps"] == 2.0
+        steps = state["histograms"]["rtfmri_step_seconds"]
+        assert steps["count"] == 2 and steps["sum"] == pytest.approx(0.003)
+        assert "tile_seconds" not in state["histograms"]
 
 
 class TestThreadSafety:
@@ -247,7 +324,7 @@ class TestThreadSafety:
                     rt.inc("bytes", 3.0)
                     rt.observe("task_seconds", 0.001 * (i % 7))
                     rt.set_gauge(f"g{rank}", float(i))
-                    rt.heartbeat(rank, completed=i + 1)
+                    rt.heartbeat(rank, completed=1)
                     if i % 100 == 0:
                         rt.snapshot_state()
             except BaseException as exc:  # pragma: no cover - fail path

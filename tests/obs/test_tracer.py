@@ -262,4 +262,4 @@ class TestThreadSafety:
 
 
 def test_kinds_vocabulary_is_stable():
-    assert KINDS == ("run", "task", "stage", "kernel", "counter")
+    assert KINDS == ("run", "task", "stage", "kernel", "counter", "event")

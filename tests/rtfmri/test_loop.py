@@ -90,3 +90,26 @@ class TestValidation:
         result.events = []
         assert result.feedback_accuracy == 0.0
         assert result.max_feedback_latency_s == 0.0
+
+
+class TestStreamTrace:
+    def test_one_stream_span_per_feedback_step(self):
+        """Each feedback step is one zero-width ``stream`` stage span,
+        so the stage still sums to the step latencies, call for call."""
+        cfg = SyntheticConfig(
+            n_voxels=60, n_subjects=1, epochs_per_subject=10, epoch_length=12,
+            n_informative=8, n_groups=2, seed=3,
+        )
+        session = ClosedLoopSession(
+            ScannerSimulator(generate_dataset(cfg), subject=0),
+            FCMAConfig(online_folds=4, target_block=32),
+            training_epochs=8,
+            top_k=6,
+        )
+        steps = session.run().streaming.step_latencies_s
+        spans = [s for s in session.context.tracer.spans() if s.name == "stream"]
+        assert len(spans) == len(steps) > 0
+        assert {(s.kind, s.duration) for s in spans} == {("stage", 0.0)}
+        stream = session.context.stages["stream"]
+        assert stream.calls == len(steps)
+        assert stream.seconds == sum(steps)

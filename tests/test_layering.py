@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,3 +201,44 @@ def test_one_fleet():
         != "tracer"
     ]
     assert not context_merges, f"RunContext.merge callers: {context_merges}"
+
+
+def test_one_event_source():
+    """The live plane is a fold over the run's trace: nothing under
+    ``src/`` outside ``obs/live`` and the CLI imports it, the
+    process-global hook and the socket probe are gone, and the only
+    write to a runtime from outside the package is the CLI's one
+    static gauge (``fcma rtfmri --latency-budget-ms``)."""
+    live = PACKAGE_ROOT / "obs" / "live"
+    outside = [
+        path
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        if live not in path.parents and path != PACKAGE_ROOT / "cli.py"
+    ]
+    importers = {
+        f"{path.relative_to(PACKAGE_ROOT)}:{line}"
+        for path in outside
+        for line, module in _imported_modules(path)
+        if module == "repro.obs.live" or module.startswith("repro.obs.live.")
+    }
+    assert not importers, f"live plane imported by {importers}"
+    sources = {path: path.read_text() for path in sorted(PACKAGE_ROOT.rglob("*.py"))}
+    for retired in (
+        "current_live", "activate", "deactivate", "activated",
+        "set_heartbeat_probe", "heartbeat_ages",
+    ):
+        mentions = [
+            str(p.relative_to(PACKAGE_ROOT))
+            for p, text in sources.items()
+            if re.search(rf"\b{retired}\b", text)
+        ]
+        assert not mentions, f"{retired} still appears in {mentions}"
+    writes = [
+        (str(path.relative_to(PACKAGE_ROOT)), node.func.attr)
+        for path in [*outside, PACKAGE_ROOT / "cli.py"]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None)
+        in ("inc", "set_gauge", "set_total", "observe", "heartbeat", "worker_lost")
+    ]
+    assert writes == [("cli.py", "set_gauge")], writes
