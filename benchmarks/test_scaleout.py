@@ -3,10 +3,13 @@
 Regenerates the scale-out story of the paper's Fig. 8 at benchmark
 scale: the tiled protocol runs at 1/2/4 workers, every run is verified
 bitwise-equal to the serial reference, and the measured elapsed times
-are recorded next to two predictions — the cluster-simulator replay of
-the measured task stream (:func:`repro.cluster.measured_workload` over
-each run's ``ctx.task_seconds``, made here after the run) and the
-analytic wire model (:func:`repro.perf.predict_scaleout`).
+are recorded next to two predictions of the one cluster simulator —
+the replay of the measured task stream
+(:func:`repro.cluster.measured_workload` over each run's
+``ctx.task_seconds``, made here after the run) and the modelled tiled
+workload of the same geometry (:func:`repro.cluster.tiled_workload`:
+the runtime's tile and score items, every message on the master's
+link).
 
 Geometry note: a tile returns one partial Gram per chunk of the Gram
 rule (``repro.core.kernels.gram_chunks``, 2048 columns) and is a whole
@@ -34,18 +37,22 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    IN_PROCESS,
+    LOOPBACK_TCP,
     ClusterConfig,
     FoldSpec,
     Workload,
     measured_workload,
     simulate,
+    speedup_curve,
+    tiled_workload,
 )
 from repro.core import FCMAConfig
-from repro.data import SyntheticConfig, generate_dataset
+from repro.core.kernels import GRAM_CHUNK_COLS
+from repro.data import FACE_SCENE, SyntheticConfig, generate_dataset
 from repro.data.presets import DatasetSpec
 from repro.exec import RunContext, make_executor
 from repro.hw import E5_2670
-from repro.perf import IN_PROCESS, predict_scaleout
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_scaleout.json"
 WORKERS = (1, 2, 4)
@@ -153,19 +160,27 @@ class TestPredictedVsMeasured:
         assert speedups[4] >= SPEEDUP_FLOOR
         assert speedups[2] <= speedups[4] + 1e-9
 
-    def test_analytic_model_agrees_on_compute_bound_scaling(self, workload):
-        ds, cfg = workload
-        spec = _dataset_spec(ds)
-        tile_cols = min(spec.n_voxels, 64)
-        points = predict_scaleout(
-            spec, E5_2670, IN_PROCESS, cfg.task_voxels, tile_cols,
-            workers=WORKERS,
+    def test_analytic_model_agrees_on_compute_bound_scaling(
+        self, workload, scaling_runs
+    ):
+        """The one predictor where compute dominates and where it does not.
+
+        Table 2's face-scene data in 120-voxel panels of one-chunk tiles
+        over loopback is compute-bound: the simulated curve is within
+        5 % of linear.  At this bench's own geometry an item computes
+        for milliseconds and the master spends 1 ms handing each out,
+        so the curve stays far below linear, as the measured row does.
+        """
+        paper = speedup_curve(
+            tiled_workload(FACE_SCENE, E5_2670, 120, GRAM_CHUNK_COLS),
+            [1, 2, 4],
+            network=LOOPBACK_TCP,
         )
-        assert not points[0].comm_bound
-        model_speedup = (
-            points[0].elapsed_seconds / points[-1].elapsed_seconds
-        )
-        assert model_speedup >= SPEEDUP_FLOOR
+        for n in (2, 4):
+            assert paper[n][1] == pytest.approx(n, rel=0.05)
+        bench = _tiled_curve(workload, scaling_runs)
+        # Measured: ~0.96x at 4 workers; compute alone would say 4x.
+        assert bench[WORKERS[-1]][1] < 0.5 * WORKERS[-1]
 
 
 class TestOverlapCounters:
@@ -216,27 +231,31 @@ def _dataset_spec(ds) -> DatasetSpec:
     )
 
 
+def _tiled_curve(workload, scaling_runs):
+    """The simulator's curve for this bench's tiled geometry, in-process."""
+    ds, cfg = workload
+    tile_cols = int(scaling_runs[1][1].metadata["tile_cols"])
+    return speedup_curve(
+        tiled_workload(_dataset_spec(ds), E5_2670, cfg.task_voxels, tile_cols),
+        list(WORKERS),
+        network=IN_PROCESS,
+    )
+
+
 def test_record_scaling_curves(
     workload, scaling_runs, serial_reference, record_benchmark, save_table
 ):
     """Persist measured-vs-predicted curves to BENCH_scaleout.json."""
     ds, cfg = workload
     _, ctx1 = scaling_runs[1]
-    spec = _dataset_spec(ds)
-    tile_cols = int(scaling_runs[1][1].metadata.get("tile_cols", 64))
-    model_points = {
-        p.n_workers: p
-        for p in predict_scaleout(
-            spec, E5_2670, IN_PROCESS, cfg.task_voxels, tile_cols,
-            workers=WORKERS,
-        )
-    }
+    tile_cols = int(scaling_runs[1][1].metadata["tile_cols"])
+    tiled = _tiled_curve(workload, scaling_runs)
 
     # Metric-name classes matter to the drift gate (`fcma perf check`):
     # names ending in ``_seconds``/``model_ratio`` are wall-clock class
     # (same-machine, generous tolerance); everything else is exact-gated
     # across machines, so only deterministic quantities (geometry and
-    # the analytic model curve) may use bare names.
+    # the modelled tiled curve) may use bare names.
     record: dict = {
         "n_voxels": ds.n_voxels,
         "task_voxels": cfg.task_voxels,
@@ -247,29 +266,28 @@ def test_record_scaling_curves(
     lines = [
         "strong scaling: tiled master-worker (thread transport)",
         f"  {'n':>3} {'measured_s':>11} {'sim_pred_s':>11} "
-        f"{'sim_speedup':>11} {'model_speedup':>13} {'weak_eff':>9}",
+        f"{'sim_speedup':>11} {'tiled_speedup':>13} {'weak_eff':>9}",
     ]
     sim_base = _replay(ctx1, 1).elapsed_seconds
-    model_base = model_points[1].elapsed_seconds
     for n in WORKERS:
         _scores, ctx = scaling_runs[n]
         measured = float(ctx.metadata["measured_elapsed_s"])
         sim = _replay(ctx1, n)
         sim_speedup = sim_base / sim.elapsed_seconds
-        model_speedup = model_base / model_points[n].elapsed_seconds
+        tiled_speedup = tiled[n][1]
         weak_eff = _weak_scaling_efficiency(ctx1, n)
         record[f"measured_{n}w_wall_seconds"] = measured
         record[f"sim_{n}w_elapsed_seconds"] = sim.elapsed_seconds
         record[f"sim_{n}w_speedup_model_ratio"] = sim_speedup
         record[f"sim_{n}w_utilization_model_ratio"] = sim.utilization
-        record[f"model_speedup_{n}w"] = model_speedup
+        record[f"tiled_sim_speedup_{n}w"] = tiled_speedup
         record[f"weak_{n}w_efficiency_model_ratio"] = weak_eff
         record[f"hook_{n}w_elapsed_seconds"] = _replay(
             ctx, n, ds.nbytes()
         ).elapsed_seconds
         lines.append(
             f"  {n:>3} {measured:>11.3f} {sim.elapsed_seconds:>11.3f} "
-            f"{sim_speedup:>10.2f}x {model_speedup:>12.2f}x "
+            f"{sim_speedup:>10.2f}x {tiled_speedup:>12.2f}x "
             f"{weak_eff:>8.2f}"
         )
     gate_speedup = record[f"sim_{WORKERS[-1]}w_speedup_model_ratio"]

@@ -1074,12 +1074,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"(speedup {base / res.elapsed_seconds:6.1f}x, "
               f"utilization {res.utilization:.0%})")
     if args.trace:
-        from .cluster.trace import simulate_with_trace
-        from .obs import spans_from_cluster_trace, write_jsonl
+        from .cluster import simulate_records
+        from .obs import spans_from_simulation, write_jsonl
 
         n = max(args.nodes)
-        trace = simulate_with_trace(workload, ClusterConfig(n_workers=n))
-        n_spans = write_jsonl(spans_from_cluster_trace(trace), args.trace)
+        schedule = simulate_records(workload, ClusterConfig(n_workers=n))
+        n_spans = write_jsonl(spans_from_simulation(*schedule), args.trace)
         print(f"trace: {n_spans} spans ({n}-worker schedule) "
               f"-> {args.trace}")
     return 0

@@ -1,15 +1,23 @@
 """Cluster substrate: network model, workloads, and the discrete-event
-master-worker simulator that regenerates the paper's scaling results."""
+master-worker simulator that answers every scaling question — the
+paper's Tables 3-4 and Fig. 8, and the tiled runtime's strong scaling."""
 
-from .network import TEN_GBE, NetworkModel
+from .network import (
+    GIGABIT_ETHERNET,
+    IN_PROCESS,
+    LOOPBACK_TCP,
+    TEN_GBE,
+    NetworkModel,
+)
 from .simulator import (
     ClusterConfig,
     SimulationResult,
+    TaskRecord,
     simulate,
+    simulate_records,
     simulate_with_failures,
     speedup_curve,
 )
-from .trace import ClusterTrace, TaskRecord, render_gantt, simulate_with_trace
 from .workload import (
     FoldSpec,
     TaskSpec,
@@ -17,12 +25,17 @@ from .workload import (
     measured_workload,
     offline_workload,
     online_workload,
+    score_task,
+    tile_task,
+    tiled_workload,
 )
 
 __all__ = [
     "ClusterConfig",
-    "ClusterTrace",
     "FoldSpec",
+    "GIGABIT_ETHERNET",
+    "IN_PROCESS",
+    "LOOPBACK_TCP",
     "NetworkModel",
     "SimulationResult",
     "TEN_GBE",
@@ -32,9 +45,11 @@ __all__ = [
     "measured_workload",
     "offline_workload",
     "online_workload",
-    "render_gantt",
+    "score_task",
     "simulate",
+    "simulate_records",
     "simulate_with_failures",
-    "simulate_with_trace",
     "speedup_curve",
+    "tile_task",
+    "tiled_workload",
 ]

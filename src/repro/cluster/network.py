@@ -1,17 +1,26 @@
-"""Network model for the simulated cluster.
+"""Network model for the simulated cluster: the master's star link.
 
 The paper's testbed interconnect is an Arista 10 GbE switch.  We model a
-full-bisection switch where each endpoint has one 10 Gb/s link: a
-point-to-point transfer costs latency plus bytes/bandwidth, and a
-master-rooted broadcast is serialized on the master's uplink (the
-distribution pattern of the paper's master-worker framework).
+star around the master: a point-to-point transfer costs latency plus
+bytes/bandwidth, and every byte to or from a worker crosses the
+master's one link — the dataset broadcast is serialized there, and so
+is each work item's bandwidth term in the simulator's loop (the traffic
+pattern of the paper's master-worker framework).  One type, four
+presets: the paper's fabric and the three links the repo's own runs
+cross.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["NetworkModel", "TEN_GBE"]
+__all__ = [
+    "GIGABIT_ETHERNET",
+    "IN_PROCESS",
+    "LOOPBACK_TCP",
+    "NetworkModel",
+    "TEN_GBE",
+]
 
 
 @dataclass(frozen=True)
@@ -20,7 +29,7 @@ class NetworkModel:
 
     #: One-way message latency in seconds (switch + stack).
     latency_s: float = 50e-6
-    #: Per-link sustained bandwidth in bytes/second.
+    #: Sustained bandwidth of the master's link in bytes/second.
     bandwidth_bytes_per_s: float = 1.25e9  # 10 Gb/s
 
     def __post_init__(self) -> None:
@@ -51,3 +60,9 @@ class NetworkModel:
 
 #: The paper's interconnect.
 TEN_GBE = NetworkModel()
+#: The thread transport: a queue hand-off, payloads move by reference.
+IN_PROCESS = NetworkModel(latency_s=2e-6, bandwidth_bytes_per_s=2.0e10)
+#: Localhost TCP through the loopback device (the CI smoke topology).
+LOOPBACK_TCP = NetworkModel(latency_s=25e-6, bandwidth_bytes_per_s=3.0e9)
+#: Commodity gigabit Ethernet between hosts.
+GIGABIT_ETHERNET = NetworkModel(latency_s=60e-6, bandwidth_bytes_per_s=117e6)

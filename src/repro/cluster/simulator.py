@@ -1,16 +1,18 @@
 """Discrete-event simulation of the FCMA master-worker cluster.
 
 Reproduces the elapsed-time behaviour of the paper's cluster runs
-(Tables 3-4, Fig. 8): a master distributes the dataset once, then serves
-tasks to coprocessor workers on demand; each fold is a barrier (the
-outer cross-validation loop is sequential).  Scaling losses emerge from
-exactly the real mechanisms: the serialized data distribution, the
-master's per-task handout overhead, last-wave load imbalance, and
-optional worker heterogeneity.
+(Tables 3-4, Fig. 8) and of the tiled runtime's strong scaling: a
+master distributes the dataset once, then serves tasks to workers on
+demand; each fold is a barrier (the outer cross-validation loop is
+sequential).  Scaling losses emerge from exactly the real mechanisms:
+the serialized data distribution, the master's per-task handout
+overhead, the master's one link (every message's bytes cross it),
+last-wave load imbalance, and optional worker heterogeneity.
 
 There is one event loop (:func:`simulate_records`): :func:`simulate`
-keeps its summary, :func:`repro.cluster.trace.simulate_with_trace` its
-records, and :func:`simulate_with_failures` passes it death times.
+keeps its summary, ``fcma simulate --trace`` its records
+(:func:`repro.obs.export.spans_from_simulation`), and
+:func:`simulate_with_failures` passes it death times.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "SimulationResult",
     "TaskRecord",
     "simulate",
+    "simulate_records",
     "simulate_with_failures",
     "speedup_curve",
 ]
@@ -157,9 +160,14 @@ def simulate_records(
             else:
                 # Static round-robin pre-assignment.
                 w = idx % n
-            # The master serializes handouts.
+            # The master serializes handouts, and its one link carries
+            # every handout's bytes both ways, as it does the broadcast.
             handout_start = max(worker_free[w], master_free)
-            master_free = handout_start + config.master_overhead_s
+            master_free = (
+                handout_start
+                + config.master_overhead_s
+                + (task.task_bytes + task.result_bytes) / net.bandwidth_bytes_per_s
+            )
             compute_start = (
                 handout_start
                 + config.master_overhead_s

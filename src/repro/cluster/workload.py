@@ -13,17 +13,27 @@ Builders mirror the paper's two experiments:
 * :func:`online_workload` — single-subject voxel selection (Table 4):
   one fold, single subject's data.
 
-:func:`measured_workload` is the third source: the per-task seconds a
+:func:`tiled_workload` is the third: the tiled master-worker runtime's
+work items over one fold — the strong-scaling question of the repo's
+own runtime, priced by the same simulator.
+
+:func:`measured_workload` is the fourth source: the per-task seconds a
 real run recorded (``RunContext.task_seconds``), replayed as one fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
+from ..core.kernels import gram_chunks
 from ..data.presets import DatasetSpec
 from ..exec.partition import n_tasks as _partition_n_tasks
+from ..exec.partition import partition_tiles
+from ..hw.spec import HardwareSpec
+from ..perf.svm_model import model_svm_cv
+from ..perf.task_model import model_walk
 
 __all__ = [
     "TaskSpec",
@@ -32,7 +42,15 @@ __all__ = [
     "measured_workload",
     "offline_workload",
     "online_workload",
+    "score_task",
+    "tile_task",
+    "tiled_workload",
 ]
+
+#: float32 payload elements.
+_F32 = 4
+#: Bytes per scored voxel in a result (int64 id + float64 accuracy).
+_SCORE_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -163,6 +181,64 @@ def online_workload(
         name=f"online/{spec.name}",
         dataset_bytes=spec.bold_bytes() // spec.n_subjects,
         folds=(fold,),
+    )
+
+
+def tile_task(
+    spec: DatasetSpec, hw: HardwareSpec, rows: int, cols: int, n_chunks: int
+) -> TaskSpec:
+    """One tile item of the tiled runtime: a walk of ``rows`` voxels over
+    ``cols`` columns.  Its descriptor (row ids + column range) goes down;
+    one ``(rows, E, E)`` float32 partial Gram per Gram-rule chunk comes
+    back — the worker keeps the block it computed."""
+    if n_chunks < 1:
+        raise ValueError("a tile holds at least one Gram chunk")
+    return TaskSpec(
+        model_walk(spec, rows, cols, hw)[1],
+        task_bytes=rows * 8 + 32,
+        result_bytes=n_chunks * rows * spec.n_epochs**2 * _F32,
+    )
+
+
+def score_task(spec: DatasetSpec, hw: HardwareSpec, rows: int) -> TaskSpec:
+    """One score item: a panel's summed ``(rows, E, E)`` kernels and row
+    ids go down, each voxel's id and accuracy come back."""
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
+    return TaskSpec(
+        model_svm_cv(spec, rows, hw, "phisvm").seconds,
+        task_bytes=rows * spec.n_epochs**2 * _F32 + rows * 8,
+        result_bytes=rows * _SCORE_BYTES,
+    )
+
+
+def tiled_workload(
+    spec: DatasetSpec, hw: HardwareSpec, task_voxels: int, tile_cols: int
+) -> Workload:
+    """The tiled master-worker runtime's whole-brain run as one fold.
+
+    The plan is :func:`~repro.exec.partition.partition_tiles`'; each row
+    panel's tile items come in dispatch order, then its score item (the
+    runtime serves a ready score before the next panel's tiles).  Tiles
+    must be whole Gram chunks, as the runtime's are
+    (:func:`~repro.exec.partition.tile_cols_for`).  Every worker gets
+    the dataset once.
+    """
+    n = spec.n_voxels
+    tasks: list[TaskSpec] = []
+    for _, panel in groupby(
+        partition_tiles(n, task_voxels, tile_cols), key=lambda t: t.panel
+    ):
+        tiles = list(panel)
+        rows = tiles[0].n_rows
+        for t in tiles:
+            chunks = gram_chunks(n, t.col_start, t.col_stop)
+            tasks.append(tile_task(spec, hw, rows, t.n_cols, len(chunks)))
+        tasks.append(score_task(spec, hw, rows))
+    return Workload(
+        name=f"tiled/{spec.name}",
+        dataset_bytes=spec.bold_bytes(),
+        folds=(FoldSpec(tasks=tuple(tasks), label="tiled-selection"),),
     )
 
 

@@ -34,7 +34,7 @@ from .export import (
     metrics_table,
     read_jsonl,
     render_tree,
-    spans_from_cluster_trace,
+    spans_from_simulation,
     to_chrome_trace,
     write_jsonl,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "read_jsonl",
     "render_tree",
     "span_structure",
-    "spans_from_cluster_trace",
+    "spans_from_simulation",
     "to_chrome_trace",
     "use_tracer",
     "validate_metric",

@@ -13,9 +13,10 @@ Three interchange forms, all lossless for span structure and metrics:
   :func:`format_metrics_table`) — per-(kind, name) metric sums, the
   paper-figure-style per-stage breakdown.
 
-:func:`spans_from_cluster_trace` bridges the discrete-event cluster
+:func:`spans_from_simulation` bridges the discrete-event cluster
 simulator: a simulated schedule becomes a span tree (one worker per
-``tid``) exportable to the same formats as a measured run.
+``tid``) exportable to the same formats as a measured run — the one view
+of a simulated schedule.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, TextIO
 
 from .span import Span, SpanNode, build_tree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.trace import ClusterTrace
+    from ..cluster.simulator import SimulationResult, TaskRecord
 
 __all__ = [
     "SCHEMA",
@@ -40,7 +41,7 @@ __all__ = [
     "metrics_table",
     "format_metrics_table",
     "render_tree",
-    "spans_from_cluster_trace",
+    "spans_from_simulation",
 ]
 
 #: Schema tag written into every export; bump on breaking changes.
@@ -336,52 +337,60 @@ def render_tree(spans: Iterable[Span], max_depth: int | None = None) -> str:
 # -- cluster-simulator bridge ---------------------------------------------
 
 
-def spans_from_cluster_trace(trace: "ClusterTrace") -> list[Span]:
+def spans_from_simulation(
+    result: "SimulationResult", records: Sequence["TaskRecord"]
+) -> list[Span]:
     """A simulated schedule as a span tree.
 
-    The run span covers the whole simulated makespan; the one-time data
+    ``result`` and ``records`` are what
+    :func:`repro.cluster.simulator.simulate_records` returns.  The run
+    span covers the whole simulated makespan; the one-time data
     distribution becomes a kernel span; each task record becomes a task
-    span on its worker's ``tid`` with its queue/compute split carried as
-    attributes.  Timestamps are *simulated* seconds on the simulator's
-    clock — the Chrome export shows the schedule exactly as
-    :func:`repro.cluster.trace.render_gantt` does, but zoomable.
+    span on its worker's ``tid``, moved from its fold's clock to the
+    run's (the distribution, then each fold after the last), with its
+    queue/compute split carried as attributes.  Timestamps are
+    *simulated* seconds — the Chrome export is the schedule's Gantt
+    chart.
     """
+    fold_start = [result.distribution_seconds]
+    for seconds in result.fold_seconds:
+        fold_start.append(fold_start[-1] + float(seconds))
     spans: list[Span] = [
         Span(
             span_id=0,
             name="simulated-run",
             kind="run",
             t0=0.0,
-            t1=trace.elapsed_seconds,
+            t1=result.elapsed_seconds,
             metrics={
-                "wall_seconds": trace.elapsed_seconds,
-                "tasks": float(len(trace.records)),
+                "wall_seconds": result.elapsed_seconds,
+                "tasks": float(len(records)),
                 "calls": 1.0,
             },
-            attrs={"n_workers": trace.n_workers, "simulated": True},
+            attrs={"n_workers": result.n_workers, "simulated": True},
         ),
         Span(
             span_id=1,
             name="distribute-data",
             kind="kernel",
             t0=0.0,
-            t1=trace.distribution_seconds,
+            t1=result.distribution_seconds,
             parent_id=0,
             metrics={
-                "wall_seconds": trace.distribution_seconds,
+                "wall_seconds": result.distribution_seconds,
                 "calls": 1.0,
             },
         ),
     ]
-    next_id = 2
-    for record in trace.records:
+    for span_id, record in enumerate(records, start=2):
+        offset = fold_start[record.fold]
         spans.append(
             Span(
-                span_id=next_id,
+                span_id=span_id,
                 name=f"fold{record.fold}-task{record.task_index}",
                 kind="task",
-                t0=record.handout_start_s,
-                t1=record.finish_s,
+                t0=offset + record.handout_start_s,
+                t1=offset + record.finish_s,
                 parent_id=0,
                 thread=record.worker,
                 metrics={
@@ -396,5 +405,4 @@ def spans_from_cluster_trace(trace: "ClusterTrace") -> list[Span]:
                 },
             )
         )
-        next_id += 1
     return spans

@@ -34,7 +34,7 @@ from ...perf import (
     model_normalization,
     model_sparse_stage12,
     model_svm_cv,
-    model_tile2d_compute,
+    model_walk,
 )
 from ..span import Span, SpanNode, build_tree
 
@@ -198,7 +198,7 @@ def predict_kernel(
         # stage 1/2 + blocked syrk (Tables 7 + 5) — a task; a 2-D tile
         # of the scale-out path is the same model at ``cols / N``.
         width = cols if cols else spec.n_voxels
-        return model_tile2d_compute(spec, n_assigned, min(width, spec.n_voxels), hw)
+        return model_walk(spec, n_assigned, min(width, spec.n_voxels), hw)
     if name == "score_voxels":
         # Stage 3b (``exec.stage_graph.score``).  Only the baseline
         # scores a materialized block and so carries the syrk;

@@ -14,18 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ...cluster import (
+    LOOPBACK_TCP,
+    NetworkModel,
+    TaskSpec,
+    score_task,
+    speedup_curve,
+    tile_task,
+    tiled_workload,
+)
 from ...hw.spec import HardwareSpec
 from ...perf import (
-    LOOPBACK_TCP,
-    InterconnectSpec,
-    TileCommShape,
     dense_crossover_density,
     density_sweep,
     format_density_sweep,
     format_roofline_report,
-    model_panel_comm,
-    model_tile_comm,
-    predict_scaleout,
     roofline_rows,
 )
 from ..span import Span
@@ -171,21 +174,21 @@ def format_density_section(
 def format_scaleout_section(
     spans: Iterable[Span],
     hw: HardwareSpec | None = None,
-    net: InterconnectSpec | None = None,
+    net: NetworkModel | None = None,
 ) -> str | None:
     """Wire-model table for a trace of the 2-D tiled partition.
 
     A tile or score work item runs its half of a task bare, so its
     kernel span hangs directly off its ``task`` span (a graph's hangs
     off a stage): a tile is such a span carrying the walk's ``cols``
-    metric, a panel score the ``score_voxels`` beside it.  Each is
-    replayed through the scale-out communication model
-    (:mod:`repro.perf.scaleout_model`) on the chosen interconnect
-    (default: loopback TCP, the CI smoke topology) — a tile span's
-    ``gram_chunks`` metric sizes the partial Grams it shipped — then
-    the predicted strong-scaling envelope for the trace's tile geometry
-    is appended.  Returns ``None`` when the trace has no tile spans or
-    no recorded geometry.
+    metric, a panel score the ``score_voxels`` beside it.  Each becomes
+    the tiled workload's item (:func:`repro.cluster.tile_task` /
+    :func:`repro.cluster.score_task`; a tile span's ``gram_chunks``
+    metric sizes the partial Grams it shipped) and its two messages are
+    priced on the chosen link (default: loopback TCP, the CI smoke
+    topology); then the simulator's strong-scaling curve for the
+    trace's tile geometry is appended.  Returns ``None`` when the trace
+    has no tile spans or no recorded geometry.
     """
     if hw is None:
         hw = default_hardware()
@@ -210,58 +213,52 @@ def format_scaleout_section(
         return None
     panels = [s for s in items if s.name == "score_voxels"]
 
-    tile_seconds = 0.0
-    tile_bytes = 0.0
-    max_rows = 0
-    max_cols = 0
-    for s in tiles:
-        rows = int(s.metrics.get("rows", 0)) or 1
-        cols = int(s.metrics.get("cols", 0)) or 1
-        max_rows = max(max_rows, rows)
-        max_cols = max(max_cols, cols)
-        n_chunks = int(s.metrics.get("gram_chunks", 0)) or 1
-        est = model_tile_comm(
-            TileCommShape(rows=rows, n_chunks=n_chunks, n_epochs=spec.n_epochs),
-            net,
+    def wire(tasks: list[TaskSpec]) -> tuple[float, float]:
+        """(MB, ms) of the tasks' messages on ``net``."""
+        nbytes = sum(t.task_bytes + t.result_bytes for t in tasks)
+        seconds = sum(
+            net.transfer_time(t.task_bytes) + net.transfer_time(t.result_bytes)
+            for t in tasks
         )
-        tile_seconds += est.seconds
-        tile_bytes += est.total_bytes
-    panel_seconds = 0.0
-    panel_bytes = 0.0
-    for s in panels:
-        rows = int(s.metrics.get("voxels", 0)) or 1
-        est = model_panel_comm(rows, spec.n_epochs, net)
-        panel_seconds += est.seconds
-        panel_bytes += est.total_bytes
+        return nbytes / 1e6, seconds * 1e3
 
+    def metric(span: Span, name: str) -> int:
+        return int(span.metrics.get(name, 0)) or 1
+
+    tile_mb, tile_ms = wire([
+        tile_task(
+            spec, hw, metric(s, "rows"), metric(s, "cols"),
+            metric(s, "gram_chunks"),
+        )
+        for s in tiles
+    ])
     lines = [
-        f"scale-out wire model ({net.name}: "
+        "scale-out wire model (master link: "
         f"{net.latency_s * 1e6:.0f} us latency, "
-        f"{net.bandwidth_bytes_s / 1e9:.2f} GB/s)",
+        f"{net.bandwidth_bytes_per_s / 1e9:.2f} GB/s)",
         f"  {len(tiles)} tile transfer(s): "
-        f"{tile_bytes / 1e6:>8.2f} MB  {tile_seconds * 1e3:>8.2f} ms predicted",
+        f"{tile_mb:>8.2f} MB  {tile_ms:>8.2f} ms predicted",
     ]
     if panels:
+        panel_mb, panel_ms = wire(
+            [score_task(spec, hw, metric(s, "voxels")) for s in panels]
+        )
         lines.append(
             f"  {len(panels)} panel transfer(s): "
-            f"{panel_bytes / 1e6:>8.2f} MB  "
-            f"{panel_seconds * 1e3:>8.2f} ms predicted"
+            f"{panel_mb:>8.2f} MB  {panel_ms:>8.2f} ms predicted"
         )
-    if max_rows and max_cols:
-        points = predict_scaleout(
-            spec, hw, net, max_rows, max_cols, workers=(1, 2, 4, 8)
-        )
-        base = points[0].elapsed_seconds
-        curve = "  ".join(
-            f"{p.n_workers}w {base / p.elapsed_seconds:.2f}x"
-            + ("*" if p.comm_bound else "")
-            for p in points
-        )
-        lines.append(
-            f"  predicted strong scaling (rows={max_rows}, cols={max_cols}; "
-            "* = comm-bound):"
-        )
-        lines.append(f"    {curve}")
+    rows = max(metric(s, "rows") for s in tiles)
+    cols = max(metric(s, "cols") for s in tiles)
+    curve = speedup_curve(
+        tiled_workload(spec, hw, rows, cols), [1, 2, 4, 8], network=net
+    )
+    lines.append(
+        f"  predicted strong scaling (rows={rows}, cols={cols}; "
+        "simulated on the master's link):"
+    )
+    lines.append(
+        "    " + "  ".join(f"{n}w {speedup:.2f}x" for n, (_, speedup) in curve.items())
+    )
     return "\n".join(lines)
 
 

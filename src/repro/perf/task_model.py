@@ -5,7 +5,10 @@ system-level results are built from:
 
 * per-task and per-voxel times for the baseline and optimized
   implementations on either machine (Figs. 9-11);
-* the per-task seconds that drive the cluster simulator (Tables 3-4).
+* the per-task seconds that drive the cluster simulator (Tables 3-4);
+* the cost of one walk over a column range (:func:`model_walk`): the
+  optimized task's stage 1/2 + kernel precompute, which is what a walk
+  span enriches with and what a tile item of the tiled workload costs.
 
 Task sizing reproduces Section 5.4.1: the baseline can only hold the
 full correlation data of a task in the coprocessor's ~6 GB (120 voxels
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..data.presets import DatasetSpec
+from ..hw.counters import PerfCounters
 from ..hw.spec import HardwareSpec
 from .base import KernelEstimate
 from .matmul_model import model_correlation_matmul, model_kernel_syrk
@@ -29,6 +33,7 @@ __all__ = [
     "baseline_task_voxels",
     "OPTIMIZED_TASK_VOXELS",
     "model_task",
+    "model_walk",
     "per_voxel_seconds",
     "offline_task_seconds",
     "online_task_seconds",
@@ -91,6 +96,41 @@ class TaskEstimate:
         return self.seconds / self.n_voxels_task
 
 
+def _walk_stages(
+    spec: DatasetSpec, rows: int, hw: HardwareSpec
+) -> tuple[KernelEstimate, KernelEstimate, KernelEstimate]:
+    """The optimized walk at full width: blocked gemm, merged
+    normalization, blocked kernel syrk."""
+    return (
+        model_correlation_matmul(spec, rows, hw, "ours"),
+        model_normalization(spec, rows, hw, "merged"),
+        model_kernel_syrk(spec, rows, hw, "ours"),
+    )
+
+
+def model_walk(
+    spec: DatasetSpec, rows: int, cols: int, hw: HardwareSpec
+) -> tuple[PerfCounters, float]:
+    """Counters + seconds of one walk of ``rows`` assigned voxels over
+    ``cols`` target columns: fused correlate+normalize, then the Gram of
+    what it computed.
+
+    The linear kernel is additive over columns, so a walk over a column
+    range costs that fraction of the full-width stages — the same
+    first-principles counters, scaled by ``cols / N``.  At full width it
+    is an optimized task's stages 1-2 + kernel precompute.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be >= 1")
+    if cols > spec.n_voxels:
+        raise ValueError("cols cannot exceed the dataset's voxel count")
+    frac = cols / spec.n_voxels
+    matmul, norm, syrk = _walk_stages(spec, rows, hw)
+    counters = (matmul.counters + norm.counters + syrk.counters).scaled(frac)
+    seconds = (matmul.seconds + norm.seconds + syrk.seconds) * frac
+    return counters, seconds
+
+
 def model_task(
     spec: DatasetSpec,
     hw: HardwareSpec,
@@ -115,12 +155,13 @@ def model_task(
         )
     if variant == "optimized":
         v = n_voxels_task or OPTIMIZED_TASK_VOXELS
+        correlation, normalization, kernel_precompute = _walk_stages(spec, v, hw)
         return TaskEstimate(
             variant=variant,
             n_voxels_task=v,
-            correlation=model_correlation_matmul(spec, v, hw, "ours"),
-            normalization=model_normalization(spec, v, hw, "merged"),
-            kernel_precompute=model_kernel_syrk(spec, v, hw, "ours"),
+            correlation=correlation,
+            normalization=normalization,
+            kernel_precompute=kernel_precompute,
             svm=model_svm_cv(spec, v, hw, "phisvm"),
         )
     raise ValueError(f"unknown variant {variant!r}")

@@ -65,7 +65,18 @@ class TestExactSchedules:
         w = simple_workload(8, 1.0, dataset_bytes=10**9)
         res = simulate(w, ClusterConfig(n_workers=4, network=net, master_overhead_s=0))
         assert res.distribution_seconds == pytest.approx(4.0)  # 4 serialized sends
-        assert res.elapsed_seconds == pytest.approx(4.0 + 2.0)
+        # Two waves of 1 s, plus the wave's ten 1 KiB messages on the
+        # master's link: four down, three up-and-down, then the last up.
+        assert res.elapsed_seconds == pytest.approx(4.0 + 2.0 + 10 * 1024 / 1e9)
+
+    def test_every_message_crosses_the_master_link(self):
+        """Eight 1 GB results on a 1 GB/s star take 8 s however many
+        workers send them: the bytes share the master's one link."""
+        net = NetworkModel(latency_s=0.0, bandwidth_bytes_per_s=1e9)
+        fold = FoldSpec(tasks=(TaskSpec(0.0, result_bytes=10**9),) * 8)
+        w = Workload(name="bytes", dataset_bytes=0, folds=(fold,))
+        res = simulate(w, ClusterConfig(n_workers=8, network=net, master_overhead_s=0))
+        assert res.elapsed_seconds >= 8.0
 
     def test_serial_fold_seconds_added(self):
         fold = FoldSpec(tasks=(TaskSpec(1.0),), serial_seconds=0.5)

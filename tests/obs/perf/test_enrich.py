@@ -207,14 +207,14 @@ class TestPredictKernel:
         has one model: a full-width tile is the serial node, and a tile
         a quarter as wide is a quarter of it — in seconds and counters."""
         import repro.data
-        from repro.perf import model_tile2d_compute
+        from repro.perf import model_walk
 
         spec = getattr(repro.data, spec_name)
         name, n = "correlate_normalize_batched", spec.n_voxels
         node = predict_kernel(name, spec, 120, hw)
         full = predict_kernel(name, spec, 120, hw, cols=n)
         quarter = predict_kernel(name, spec, 120, hw, cols=n // 4)
-        assert node == full == model_tile2d_compute(spec, 120, n, hw)
+        assert node == full == model_walk(spec, 120, n, hw)
         frac = (n // 4) / n
         assert quarter[1] == pytest.approx(node[1] * frac, rel=1e-12)
         assert quarter[0].flops == pytest.approx(node[0].flops * frac)

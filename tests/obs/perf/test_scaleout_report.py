@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import GIGABIT_ETHERNET, IN_PROCESS
 from repro.core import FCMAConfig
 from repro.data import FACE_SCENE
 from repro.exec import RunContext, make_executor
@@ -17,7 +18,6 @@ from repro.obs.perf import (
     predict_kernel,
 )
 from repro.perf import (
-    GIGABIT_ETHERNET,
     model_correlation_matmul,
     model_kernel_syrk,
     model_normalization,
@@ -140,9 +140,12 @@ class TestScaleoutSection:
         assert format_scaleout_section(ctx.tracer.spans()) is None
 
     def test_explicit_interconnect_named_in_header(self, tiled_spans):
+        """The header names the link by what it is: latency, bandwidth."""
         section = format_scaleout_section(tiled_spans, net=GIGABIT_ETHERNET)
         assert section is not None
-        assert "gigabit-ethernet" in section
+        assert section.splitlines()[0] == (
+            "scale-out wire model (master link: 60 us latency, 0.12 GB/s)"
+        )
 
     def test_full_report_includes_section(self, tiled_spans):
         report = format_perf_report(tiled_spans)
@@ -150,8 +153,6 @@ class TestScaleoutSection:
         assert "scale-out wire model" in report
 
     def test_slower_fabric_predicts_more_wire_time(self, tiled_spans):
-        from repro.perf import IN_PROCESS
-
         fast = format_scaleout_section(tiled_spans, net=IN_PROCESS)
         slow = format_scaleout_section(tiled_spans, net=GIGABIT_ETHERNET)
         assert fast is not None and slow is not None

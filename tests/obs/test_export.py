@@ -7,8 +7,7 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.cluster.trace import simulate_with_trace
+from repro.cluster import ClusterConfig, simulate_records
 from repro.cluster.workload import FoldSpec, TaskSpec, Workload
 from repro.obs import (
     SCHEMA,
@@ -18,7 +17,7 @@ from repro.obs import (
     metrics_table,
     read_jsonl,
     render_tree,
-    spans_from_cluster_trace,
+    spans_from_simulation,
     to_chrome_trace,
     write_jsonl,
 )
@@ -175,7 +174,7 @@ class TestRenderTree:
 
 class TestClusterBridge:
     @pytest.fixture()
-    def cluster_trace(self):
+    def schedule(self):
         workload = Workload(
             name="w",
             dataset_bytes=1_000_000,
@@ -183,22 +182,22 @@ class TestClusterBridge:
                 FoldSpec(tasks=tuple(TaskSpec(0.5) for _ in range(6))),
             ),
         )
-        return simulate_with_trace(workload, ClusterConfig(n_workers=2))
+        return simulate_records(workload, ClusterConfig(n_workers=2))
 
-    def test_schedule_becomes_span_tree(self, cluster_trace):
-        spans = spans_from_cluster_trace(cluster_trace)
+    def test_schedule_becomes_span_tree(self, schedule):
+        spans = spans_from_simulation(*schedule)
         run = spans[0]
         assert run.kind == "run" and run.attrs["simulated"] is True
         assert run.metrics["tasks"] == 6.0
-        assert run.t1 == cluster_trace.elapsed_seconds
+        assert run.t1 == schedule[0].elapsed_seconds
         assert spans[1].name == "distribute-data"
         tasks = [s for s in spans if s.kind == "task"]
         assert len(tasks) == 6
         assert all(s.parent_id == 0 for s in tasks)
         assert {s.thread for s in tasks} == {0, 1}
 
-    def test_exports_like_a_measured_trace(self, cluster_trace, tmp_path):
-        spans = spans_from_cluster_trace(cluster_trace)
+    def test_exports_like_a_measured_trace(self, schedule, tmp_path):
+        spans = spans_from_simulation(*schedule)
         path = tmp_path / "sim.jsonl"
         write_jsonl(spans, path)
         assert read_jsonl(path) == spans

@@ -283,3 +283,21 @@ class TestModelCommands:
         rc = main(["simulate", "--mode", "online", "--nodes", "1"])
         assert rc == 0
         assert "online workload" in capsys.readouterr().out
+
+    def test_simulate_trace_is_the_largest_schedule(self, capsys, tmp_path):
+        """``--trace`` writes the span tree of the largest node count's
+        schedule, and ``fcma trace`` reads it like a measured run's."""
+        from repro.bench.experiments import paper_workload
+        from repro.cluster import ClusterConfig, simulate
+
+        path = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--nodes", "1", "4", "--trace", str(path)]) == 0
+        assert "(4-worker schedule)" in capsys.readouterr().out
+        assert main(["trace", str(path), "--view", "chrome"]) == 0
+        events = json.loads(capsys.readouterr().out)["traceEvents"]
+        (run,) = [e for e in events if e["cat"] == "run"]
+        expected = simulate(
+            paper_workload("offline", "face-scene"), ClusterConfig(n_workers=4)
+        )
+        assert run["args"]["t1_s"] == expected.elapsed_seconds
+        assert {e["tid"] for e in events if e["cat"] == "task"} == {0, 1, 2, 3}

@@ -242,3 +242,82 @@ def test_one_event_source():
         in ("inc", "set_gauge", "set_total", "observe", "heartbeat", "worker_lost")
     ]
     assert writes == [("cli.py", "set_gauge")], writes
+
+
+def _iterated_attributes(node: ast.AST) -> list[ast.AST]:
+    """Expressions ``node`` iterates: loop and comprehension sources, and
+    what it hands to ``enumerate`` / ``deque`` / ``iter``."""
+    found: list[ast.AST] = []
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.For, ast.AsyncFor, ast.comprehension)):
+            found.append(sub.iter)
+        elif isinstance(sub, ast.Call) and getattr(
+            sub.func, "id", getattr(sub.func, "attr", None)
+        ) in ("enumerate", "deque", "iter"):
+            found += sub.args
+    return found
+
+
+def test_one_scaling_answer():
+    """How the master-worker protocol scales has one answer: the
+    cluster simulator on one link type.  The analytic envelope
+    (``perf/scaleout_model.py``) and its second link type are gone, a
+    simulated schedule has one view (the span tree, not
+    ``cluster/trace.py``'s Gantt), exactly one dataclass describes a
+    link (a latency in seconds beside a bandwidth in bytes/s), and
+    ``simulate_records`` is the one function that walks a fold's tasks
+    (``FoldSpec``'s own methods aside)."""
+    for retired in ("perf/scaleout_model.py", "cluster/trace.py"):
+        assert not (PACKAGE_ROOT / retired).exists(), retired
+    sources = {path: path.read_text() for path in sorted(PACKAGE_ROOT.rglob("*.py"))}
+    retired_names = ("InterconnectSpec", "predict_scaleout", "ScaleoutPoint", "render_gantt")
+    for name in retired_names:
+        mentions = [
+            str(p.relative_to(PACKAGE_ROOT))
+            for p, text in sources.items()
+            if re.search(rf"\b{name}\b", text)
+        ]
+        assert not mentions, f"{name} still appears in {mentions}"
+
+    links = []
+    walkers = set()
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = {
+                getattr(d, "id", None) or getattr(getattr(d, "func", None), "id", None)
+                for d in cls.decorator_list
+            }
+            fields = [
+                stmt.target.id
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+            # A link: a latency in seconds and a bandwidth in bytes/s
+            # (a machine's memory latency / bandwidth are not links).
+            if (
+                "dataclass" in decorators
+                and any(f.endswith("latency_s") for f in fields)
+                and any(f.startswith("bandwidth_bytes") for f in fields)
+            ):
+                links.append(f"{path.relative_to(PACKAGE_ROOT)}::{cls.name}")
+        own = {
+            id(fn)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "FoldSpec"
+            for fn in cls.body
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(fn) in own:
+                continue
+            if any(
+                isinstance(sub, ast.Attribute) and sub.attr == "tasks"
+                for source in _iterated_attributes(fn)
+                for sub in ast.walk(source)
+            ):
+                walkers.add(f"{path.relative_to(PACKAGE_ROOT)}::{fn.name}")
+    assert links == ["cluster/network.py::NetworkModel"], links
+    assert walkers == {"cluster/simulator.py::simulate_records"}, walkers
+    test_every_model_module_has_a_reader()
