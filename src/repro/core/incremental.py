@@ -19,10 +19,11 @@ engine's streaming materialization:
   per-epoch planes, evicting the oldest beyond ``window_epochs``.
 * **Stage 2 on demand** (:meth:`IncrementalEmitter.normalized`): the
   window stack is Fisher-transformed and z-scored by the engine's own
-  normalizer, so at every TR the normalized window equals the dense
-  engine (``run_engine`` + ``DenseEmitter``) over the same epochs bit
-  for bit (pinned by the hypothesis suite in
-  ``tests/core/test_incremental.py``).
+  normalizer, so at every TR the normalized window equals the block the
+  engine materializes over the same epochs (``run_engine`` +
+  ``DenseEmitter``, the oracles' form; an ``optimized`` run walks the
+  same tiles into Gram partials with ``GramEmitter``) bit for bit
+  (pinned by the hypothesis suite in ``tests/core/test_incremental.py``).
 
 Epochs may be ragged: each plane remembers its own epoch length, and
 nothing requires consecutive epochs to span the same number of TRs.

@@ -21,12 +21,14 @@ through an LRU cache, as LibSVM itself does).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
 from ..obs.runtime import kernel_span
+from . import native
 from .heuristics import SelectionState, WorkingSetSelector, SecondOrderSelector
 
 __all__ = [
@@ -466,13 +468,16 @@ class _BatchAdaptivePhases:
         self.use_second = self.use_second[keep]
 
     def _rates(self, gap_end: np.ndarray, cost: float) -> np.ndarray:
+        """Convergence per unit cost of the phase just ended, in float32:
+        ``log(start / gap_end) / (probe * cost)`` (``np.log`` of the
+        float32 ratio, then a float32 division), and ``inf`` where either
+        gap is not positive — the rule ``_smo.c``'s ``probe_rate``
+        repeats, with numpy's float32 log.
+        """
         assert self._gap_start is not None
         start = self._gap_start
         with np.errstate(divide="ignore", invalid="ignore"):
-            shrink = np.log(
-                np.maximum(start, 1e-300) / np.maximum(gap_end, 1e-300)
-            )
-            rate = shrink / (self._probe * cost)
+            rate = np.log(start / gap_end) / (self._probe * cost)
         return np.where((start <= 0) | (gap_end <= 0), np.inf, rate)
 
     def step(self, gap: np.ndarray) -> None:
@@ -508,57 +513,16 @@ def _batch_metrics(r: BatchSMOResult) -> dict[str, float]:
     }
 
 
-@_traced("smo.solve_batch", _batch_metrics)
-def solve_smo_batch(
+def _check_batch(
     kernels: np.ndarray,
     y: np.ndarray,
-    c: float = 1.0,
-    tol: float = 1e-3,
-    max_iter: int | None = None,
-    selection: str = "adaptive",
-) -> BatchSMOResult:
-    """Solve ``P`` independent C-SVC duals simultaneously.
-
-    The paper keeps 240+ voxel problems resident on the coprocessor with
-    one thread per problem; here the batch axis plays that role: every
-    SMO ingredient — working-set selection, the two-variable analytic
-    update, gradient maintenance — is one vectorized operation across
-    all resident problems, so the Python-interpreter cost of an
-    iteration is paid once per *sweep* instead of once per problem.  In
-    FCMA stage 3 the batch axis is voxels × cross-validation folds.
-
-    Problems whose KKT gap drops below ``tol`` freeze (their variables
-    stop moving); once at most half of the resident rows are still live
-    the frozen ones are *retired* — their state is written to the result
-    and the per-problem arrays are compacted to the live rows, so a few
-    stragglers do not drag a full-width sweep behind them.  The kernel
-    stack is never compacted: resident row ``r`` reads
-    ``kernels[slot[r]]``.  The batch loops until every problem converges
-    or ``max_iter`` sweeps elapse.
-
-    Parameters
-    ----------
-    kernels:
-        Stacked symmetric PSD kernels, shape ``(P, n, n)``.  The solve
-        runs in the stack's floating dtype (float32 for PhiSVM).
-    y:
-        Labels in {-1, +1}: shape ``(n,)`` (shared by all problems) or
-        ``(P, n)`` (one row per problem — the fold-stacked
-        cross-validation case, where every fold trains on other epochs).
-    c, tol, max_iter:
-        As in :func:`solve_smo`; ``max_iter`` caps batch sweeps, which
-        equals the per-problem iteration cap of the sequential solver.
-    selection:
-        ``"adaptive"`` (default, mirrors PhiSVM's
-        :class:`~repro.svm.heuristics.AdaptiveSelector` per problem),
-        ``"second"`` (WSS 2 throughout) or ``"first"`` (WSS 1).
-
-    A problem solved in a batch follows the same iterate trajectory as
-    :func:`solve_smo` on it alone with the matching selector: selection
-    argmax/argmin tie-breaks, the update arithmetic, and the float32
-    rounding are identical, whatever else shares the batch and whenever
-    its neighbours retire.
-    """
+    c: float,
+    tol: float,
+    max_iter: int | None,
+    selection: str,
+) -> tuple[np.ndarray, np.ndarray, float, float, int, str]:
+    """Validate a batch; returns it with ``y`` as a ``(P, n)`` row per
+    problem in the kernels' dtype and ``max_iter`` resolved."""
     kernels = np.asarray(kernels)
     if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
         raise ValueError(
@@ -580,14 +544,65 @@ def solve_smo_batch(
         raise ValueError("C must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dtype = kernels.dtype
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
+    y_all = np.ascontiguousarray(y, dtype=kernels.dtype)
+    return kernels, y_all, c, tol, max_iter, selection
+
+
+def _batch_result(
+    alpha: np.ndarray,
+    grad: np.ndarray,
+    iterations: np.ndarray,
+    gap: np.ndarray,
+    converged: np.ndarray,
+    sweeps: int,
+    y_all: np.ndarray,
+    c: float,
+) -> BatchSMOResult:
+    """Assemble the result from each problem's final state."""
+    objective = (
+        0.5 * (alpha * grad).sum(axis=1) - 0.5 * alpha.sum(axis=1)
+    ).astype(np.float64)
+    return BatchSMOResult(
+        alpha=alpha,
+        rho=_batch_calculate_rho(y_all, grad, alpha, float(c)),
+        iterations=iterations,
+        converged=converged,
+        objective=objective,
+        gap=gap,
+        sweeps=sweeps,
+    )
+
+
+def _lockstep(
+    kernels: np.ndarray,
+    y_all: np.ndarray,
+    c: float,
+    tol: float,
+    max_iter: int,
+    selection: str,
+) -> BatchSMOResult:
+    """The numpy body: every problem advances one iteration per sweep.
+
+    Every SMO ingredient — working-set selection, the two-variable
+    analytic update, gradient maintenance — is one vectorized operation
+    across all resident problems, so the interpreter cost of an
+    iteration is paid once per *sweep* instead of once per problem.
+    Problems whose KKT gap drops below ``tol`` freeze (their variables
+    stop moving); once at most half of the resident rows are still live
+    the frozen ones are *retired* — their state is written to the result
+    and the per-problem arrays are compacted to the live rows, so a few
+    stragglers do not drag a full-width sweep behind them.  The kernel
+    stack is never compacted: resident row ``r`` reads
+    ``kernels[slot[r]]``.
+    """
+    dtype = kernels.dtype
+    p, n = y_all.shape
     cval = dtype.type(c)
     tau = dtype.type(_TAU)
 
     # One row per problem, written when the problem retires (or at the end).
-    y_all = np.ascontiguousarray(y, dtype=dtype)
     out_alpha = np.empty((p, n), dtype=dtype)
     out_grad = np.empty((p, n), dtype=dtype)
     out_iterations = np.empty(p, dtype=np.int64)
@@ -743,25 +758,147 @@ def solve_smo_batch(
             alpha[rows, j] = new_aj
             step_i = new_ai - ai
             step_j = new_aj - aj
-            if step_i.any() or step_j.any():
+            # Only live rows whose pair moved touch their gradient, so a
+            # row's state never depends on its neighbours (a zero step
+            # times an Inf kernel entry would be NaN).
+            moved = live & ((step_i != 0.0) | (step_j != 0.0))
+            if moved.any():
                 # grad += Q_i step_i + Q_j step_j with Q_ab = y_a y_b K_ab;
                 # the labels are exact sign flips, so they factor out of
                 # the rounded products without changing them.
-                grad += yf * (
-                    k_i * (yi * step_i)[:, None] + k_j * (yj * step_j)[:, None]
+                grad += np.where(
+                    moved[:, None],
+                    yf * (k_i * (yi * step_i)[:, None]
+                          + k_j * (yj * step_j)[:, None]),
+                    0.0,
                 )
 
     write_back()
-    objective = (
-        0.5 * (out_alpha * out_grad).sum(axis=1) - 0.5 * out_alpha.sum(axis=1)
-    ).astype(np.float64)
-    rho = _batch_calculate_rho(y_all, out_grad, out_alpha, float(c))
-    return BatchSMOResult(
-        alpha=out_alpha,
-        rho=rho,
-        iterations=out_iterations,
-        converged=converged,
-        objective=objective,
-        gap=out_gap,
-        sweeps=sweeps,
+    return _batch_result(
+        out_alpha, out_grad, out_iterations, out_gap, converged, sweeps, y_all, c
     )
+
+
+def _solve_smo_batch_numpy(
+    kernels: np.ndarray,
+    y: np.ndarray,
+    c: float = 1.0,
+    tol: float = 1e-3,
+    max_iter: int | None = None,
+    selection: str = "adaptive",
+) -> BatchSMOResult:
+    """:func:`solve_smo_batch` through its numpy body, always: the
+    fallback, and the bitwise oracle of the native body."""
+    return _lockstep(*_check_batch(kernels, y, c, tol, max_iter, selection))
+
+
+def _float32_threshold(tol: float) -> float:
+    """The float32 ``t`` with ``g >= t`` exactly when the numpy body's
+    ``gap >= tol`` holds for a float32 gap ``g``.
+
+    numpy compares a Python float in float32 (``t = float32(tol)``) and
+    a float64 scalar in float64 (``t`` is then ``tol`` rounded up).
+    """
+    with np.errstate(over="ignore"):
+        t = np.float32(tol)
+        if not (np.array([t]) >= tol)[0]:
+            t = np.nextafter(t, np.float32(np.inf))
+    return float(t)
+
+
+def _solve_native(
+    lib: Any,
+    kernels: np.ndarray,
+    y_all: np.ndarray,
+    c: float,
+    tol: float,
+    max_iter: int,
+    selection: str,
+) -> BatchSMOResult:
+    """The native body: one ``smo_solve_batch`` call (ctypes releases the
+    GIL for it), which deals the problems to ``thread_budget()`` threads
+    of its own."""
+    # Imported here: repro.core imports repro.svm.
+    from ..core.engine import thread_budget
+
+    p, n = y_all.shape
+    kernels = np.ascontiguousarray(kernels)
+    alpha = np.empty((p, n), dtype=np.float32)
+    grad = np.empty_like(alpha)
+    iterations = np.empty(p, dtype=np.int64)
+    gap = np.empty(p, dtype=np.float32)
+    converged = np.empty(p, dtype=bool)
+    lib.smo_solve_batch(
+        p, n, kernels.ctypes.data, y_all.ctypes.data,
+        float(np.float32(c)), _float32_threshold(tol),
+        math.ceil(min(max_iter, 2**62)), native.SELECTIONS[selection],
+        alpha.ctypes.data, grad.ctypes.data, iterations.ctypes.data,
+        gap.ctypes.data, converged.ctypes.data, thread_budget(),
+    )
+    return _batch_result(
+        alpha, grad, iterations, gap.astype(np.float64), converged,
+        int(iterations.max(initial=0)), y_all, c,
+    )
+
+
+def solve_smo_batch(
+    kernels: np.ndarray,
+    y: np.ndarray,
+    c: float = 1.0,
+    tol: float = 1e-3,
+    max_iter: int | None = None,
+    selection: str = "adaptive",
+) -> BatchSMOResult:
+    """Solve ``P`` independent C-SVC duals.
+
+    The paper's PhiSVM keeps 240+ voxel problems resident on the
+    coprocessor and gives each to one thread running compiled code
+    (§4.4); here a float32 stack does the same: the compiled
+    ``smo_solve_batch`` (:mod:`repro.svm.native`, built on first use)
+    deals the problems to :func:`~repro.core.engine.thread_budget`
+    threads, each solving one problem at a time, with the GIL released.
+    Any other dtype, or a process where the library could not be built
+    or loaded, runs the numpy body instead: all problems advance in
+    lockstep, one vectorized sweep per iteration, and converged ones
+    retire from the sweep.  Both bodies give every field bitwise the
+    same value; the ``smo.solve_batch`` span's ``body`` attribute says
+    which ran (``"native"`` or ``"numpy"``).  In FCMA stage 3 the batch
+    axis is voxels × cross-validation folds.
+
+    Parameters
+    ----------
+    kernels:
+        Stacked symmetric PSD kernels, shape ``(P, n, n)``.  The solve
+        runs in the stack's floating dtype (float32 for PhiSVM).
+    y:
+        Labels in {-1, +1}: shape ``(n,)`` (shared by all problems) or
+        ``(P, n)`` (one row per problem — the fold-stacked
+        cross-validation case, where every fold trains on other epochs).
+    c, tol, max_iter:
+        As in :func:`solve_smo`; ``max_iter`` caps each problem's
+        iterations, and ``sweeps`` is the largest count.
+    selection:
+        ``"adaptive"`` (default, mirrors PhiSVM's
+        :class:`~repro.svm.heuristics.AdaptiveSelector` per problem),
+        ``"second"`` (WSS 2 throughout) or ``"first"`` (WSS 1).
+
+    A problem solved in a batch follows the same iterate trajectory as
+    :func:`solve_smo` on it alone with the matching selector: selection
+    argmax/argmin tie-breaks, the update arithmetic, and the float32
+    rounding are identical, whatever else shares the batch.  One rule
+    differs: the adaptive heuristic measures its probe rates in float32
+    here (:meth:`_BatchAdaptivePhases._rates`) and in float64
+    ``math.log`` there, so on a near-tie of the two rates the committed
+    heuristic — and from then on the trajectory — can differ.
+    """
+    args = _check_batch(kernels, y, c, tol, max_iter, selection)
+    stack = args[0]
+    # Empty problems (n = 0) keep the numpy body's error.
+    lib = native.solver() if stack.dtype == np.float32 and stack.shape[1] else None
+    body = "numpy" if lib is None else "native"
+    with kernel_span("smo.solve_batch", {"body": body}) as span:
+        result = _lockstep(*args) if lib is None else _solve_native(lib, *args)
+        if span is not None:
+            for name, value in _batch_metrics(result).items():
+                span.add_metric(name, value)
+        return result

@@ -22,9 +22,12 @@ from repro.obs.live import LiveRuntime, RingSink, SnapshotPublisher
 
 @pytest.fixture(scope="module")
 def batched_config() -> FCMAConfig:
+    # Three tasks: 26 spans feed the plane however fast the run is (at
+    # two tasks the 18 spans needed a run slow enough for the 20 Hz
+    # publisher to add the rest).
     return FCMAConfig(
         variant="optimized-batched",
-        task_voxels=40,
+        task_voxels=20,
         target_block=32,
     )
 

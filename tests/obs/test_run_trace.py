@@ -23,6 +23,7 @@ from repro.core import FCMAConfig
 from repro.data import save_dataset
 from repro.exec import RunContext, make_executor
 from repro.obs import SCHEMA, Tracer, build_tree, read_jsonl
+from repro.svm import native
 
 GOLDEN = Path(__file__).parent / "golden" / "run_report_schema.json"
 
@@ -88,6 +89,12 @@ class TestTraceShape:
         agg = traced_ctx.tracer.aggregate(kind="kernel")
         assert agg["smo.solve_batch"]["iterations"] > 0
         assert agg["correlate_normalize_batched"]["bytes_moved"] > 0
+        # Each solve names the body that ran it.
+        body = "numpy" if native.solver() is None else "native"
+        solves = [
+            s for s in traced_ctx.tracer.spans() if s.name == "smo.solve_batch"
+        ]
+        assert solves and {s.attrs["body"] for s in solves} == {body}
 
 
 class TestTraceMatchesRunContext:

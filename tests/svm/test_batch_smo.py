@@ -6,10 +6,19 @@ solver with the matching selector, so the batched stage 3 is a pure
 performance change, not a numerics change.
 """
 
+import logging
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.svm import (
     AdaptiveSelector,
     FirstOrderSelector,
@@ -17,9 +26,27 @@ from repro.svm import (
     SecondOrderSelector,
     grouped_cross_validation,
     grouped_cross_validation_batch,
+    native,
     solve_smo,
     solve_smo_batch,
 )
+from repro.svm.smo import _solve_smo_batch_numpy
+
+#: Both bodies: the dispatching entry point (native on float32 stacks)
+#: and the numpy body it falls back to.
+BODIES = (solve_smo_batch, _solve_smo_batch_numpy)
+FIELDS = ("alpha", "rho", "iterations", "converged", "objective", "gap", "sweeps")
+
+
+def assert_same_bits(a, b):
+    """Every field of two BatchSMOResults bitwise equal (NaN included)."""
+    for field in FIELDS:
+        x = np.atleast_1d(getattr(a, field))
+        y = np.atleast_1d(getattr(b, field))
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        np.testing.assert_array_equal(
+            x.view(np.uint8), y.view(np.uint8), err_msg=field
+        )
 
 
 def random_problem(n, d, seed):
@@ -120,17 +147,18 @@ class TestTrajectoryEquivalence:
 )
 def test_mixed_batch_matches_solo_property(b, n, d, seed, c):
     """Property: batch-solving B random problems of mixed difficulty is
-    indistinguishable from solving each alone."""
+    indistinguishable from solving each alone, through either body."""
     kernels, y = random_batch(b, n, d, seed)
-    batch = solve_smo_batch(kernels, y, c=c, tol=1e-3, selection="adaptive")
-    assert batch.alpha.min() >= -1e-9 and batch.alpha.max() <= c + 1e-9
-    for i in range(b):
-        seq = solve_smo(
-            kernels[i], y, c=c, tol=1e-3, selector=AdaptiveSelector()
-        )
-        np.testing.assert_array_equal(batch.alpha[i], seq.alpha)
-        assert batch.iterations[i] == seq.iterations
-        assert bool(batch.converged[i]) == seq.converged
+    for solve in BODIES:
+        batch = solve(kernels, y, c=c, tol=1e-3, selection="adaptive")
+        assert batch.alpha.min() >= -1e-9 and batch.alpha.max() <= c + 1e-9
+        for i in range(b):
+            seq = solve_smo(
+                kernels[i], y, c=c, tol=1e-3, selector=AdaptiveSelector()
+            )
+            np.testing.assert_array_equal(batch.alpha[i], seq.alpha)
+            assert batch.iterations[i] == seq.iterations
+            assert bool(batch.converged[i]) == seq.converged
 
 
 class TestFitKernelBatch:
@@ -220,12 +248,19 @@ def ladder_batch(seps, n, d, seed):
 
 
 def assert_matches_alone(batch, kernels, ys, selection, **solver_args):
-    """Every problem of ``batch`` equals its own solve, whoever shared it.
+    """Every problem of ``batch`` equals its own solve, whoever shared it,
+    and both bodies agree.
 
+    Against the same batch through either body: every field bitwise.
     Against ``solve_smo``: alpha / iterations / converged bitwise, the
     gap as the float32 the batch solver carries, rho to float32 summation
-    order.  Against a batch of one: every field bitwise.
+    order.  Against a batch of one through either body: every field
+    bitwise.
     """
+    for solve in BODIES:
+        assert_same_bits(
+            solve(kernels, ys, selection=selection, **solver_args), batch
+        )
     for p in range(kernels.shape[0]):
         seq = solve_smo(
             kernels[p], ys[p], selector=SELECTORS[selection](), **solver_args
@@ -235,13 +270,16 @@ def assert_matches_alone(batch, kernels, ys, selection, **solver_args):
         assert bool(batch.converged[p]) == seq.converged
         assert np.float32(batch.gap[p]) == np.float32(seq.gap_history[-1])
         np.testing.assert_allclose(batch.rho[p], seq.rho, atol=1e-6)
-        one = solve_smo_batch(
-            kernels[p : p + 1], ys[p : p + 1], selection=selection, **solver_args
-        )
-        for field in ("alpha", "rho", "iterations", "converged", "objective", "gap"):
-            np.testing.assert_array_equal(
-                getattr(batch, field)[p], getattr(one, field)[0], err_msg=field
+        for solve in BODIES:
+            one = solve(
+                kernels[p : p + 1], ys[p : p + 1], selection=selection,
+                **solver_args,
             )
+            for field in FIELDS[:-1]:
+                np.testing.assert_array_equal(
+                    getattr(batch, field)[p], getattr(one, field)[0],
+                    err_msg=field,
+                )
 
 
 @pytest.fixture
@@ -261,13 +299,17 @@ def compactions(monkeypatch):
 
 
 class TestRetirement:
+    """Retirement is the numpy body's (the native body solves each
+    problem to its end alone); ``assert_matches_alone`` then holds the
+    native body to the same bits."""
+
     #: Half the batch converges inside the first probe phases, the rest
     #: spread over two more orders of magnitude.
     SEPS = (8.0, 8.0, 4.0, 4.0, 2.0, 2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
 
     def test_retires_repeatedly_including_inside_a_probe_phase(self, compactions):
         kernels, ys = ladder_batch(self.SEPS, n=32, d=4, seed=7)
-        batch = solve_smo_batch(kernels, ys, c=5.0, selection="adaptive")
+        batch = _solve_smo_batch_numpy(kernels, ys, c=5.0, selection="adaptive")
         assert batch.iterations.max() >= 10 * max(1, batch.iterations.min())
         assert len(compactions) >= 3
         assert compactions[0][0].startswith("probe")
@@ -280,17 +322,17 @@ class TestRetirement:
     @pytest.mark.parametrize("selection", ["first", "second"])
     def test_fixed_heuristics_survive_retirement(self, selection):
         kernels, ys = ladder_batch(self.SEPS, n=24, d=3, seed=11)
-        batch = solve_smo_batch(kernels, ys, c=5.0, selection=selection)
+        batch = _solve_smo_batch_numpy(kernels, ys, c=5.0, selection=selection)
         assert batch.iterations.max() >= 10 * max(1, batch.iterations.min())
         assert_matches_alone(batch, kernels, ys, selection, c=5.0)
 
     def test_max_iter_hit_while_others_are_retired(self, compactions):
         kernels, ys = ladder_batch(self.SEPS, n=32, d=4, seed=7)
-        full = solve_smo_batch(kernels, ys, c=5.0)
+        full = _solve_smo_batch_numpy(kernels, ys, c=5.0)
         # One sweep past the third slowest (it needs that last selection
         # to see its gap close); the two slowest overrun the cap.
         cap = int(np.sort(full.iterations)[-3]) + 1
-        batch = solve_smo_batch(kernels, ys, c=5.0, max_iter=cap)
+        batch = _solve_smo_batch_numpy(kernels, ys, c=5.0, max_iter=cap)
         stragglers = full.iterations > cap
         assert stragglers.sum() == 2 and compactions
         np.testing.assert_array_equal(batch.converged, ~stragglers)
@@ -303,7 +345,7 @@ class TestRetirement:
 
     def test_batch_of_one_never_retires(self, compactions):
         kernels, ys = ladder_batch((0.0,), n=24, d=4, seed=3)
-        batch = solve_smo_batch(kernels, ys)
+        batch = _solve_smo_batch_numpy(kernels, ys)
         assert not compactions
         assert batch.converged.all() and batch.sweeps == batch.iterations[0]
         assert_matches_alone(batch, kernels, ys, "adaptive")
@@ -312,7 +354,7 @@ class TestRetirement:
         kernel, y = ladder_problem(24, 4, seed=5, sep=0.5)
         kernels = np.ascontiguousarray(np.stack([kernel] * 5), dtype=np.float32)
         ys = np.stack([y] * 5)
-        batch = solve_smo_batch(kernels, ys)
+        batch = _solve_smo_batch_numpy(kernels, ys)
         assert not compactions
         assert np.unique(batch.iterations).size == 1
         assert batch.sweeps == batch.iterations[0]
@@ -401,3 +443,148 @@ class TestPerProblemLabels:
         models = PhiSVM().fit_kernel_batch(kernels, ys)
         with pytest.raises(ValueError, match="labels must have shape"):
             models.accuracy(kernels, ys[:, :-1])
+
+
+# ---------------------------------------------------------------------------
+# Two bodies, one answer: the native problem solve and the numpy lockstep
+# ---------------------------------------------------------------------------
+
+def test_native_body_is_built_where_a_compiler_is():
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip("no compiler: the numpy body is the only body")
+    assert native.solver() is not None
+
+
+def stack_of(kind, p, n, d, rng):
+    """A float32 ``(p, n, n)`` stack of one of the parity suite's kinds."""
+    x = rng.standard_normal((p, n, d)).astype(np.float32)
+    if kind == "duplicated":
+        # Repeated samples: K_ii + K_jj - 2 K_ij == 0 for a repeated
+        # pair, so the update divides by TAU.
+        x[:, 1::2] = x[:, : n // 2]
+    kernels = x @ x.transpose(0, 2, 1)
+    if kind == "zeros":
+        kernels[:] = 0.0
+    if kind == "nonfinite":
+        for _ in range(rng.integers(1, 4)):
+            b, r, col = rng.integers(p), rng.integers(n), rng.integers(n)
+            value = rng.choice([np.nan, np.inf, -np.inf])
+            kernels[b, r, col] = kernels[b, col, r] = value
+    return np.ascontiguousarray(kernels, dtype=np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["psd", "duplicated", "zeros", "nonfinite"]),
+    p=st.integers(1, 6),
+    n=st.integers(2, 20),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    shared_labels=st.booleans(),
+    selection=st.sampled_from(["first", "second", "adaptive"]),
+    c=st.sampled_from([0.5, 1.0, 5.0]),
+    max_iter=st.sampled_from([None, 0, 1, 7, 40]),
+    threads=st.sampled_from([1, 2]),
+)
+def test_native_body_matches_numpy_body_property(
+    kind, p, n, d, seed, shared_labels, selection, c, max_iter, threads
+):
+    """Property: every BatchSMOResult field is bitwise the numpy body's —
+    random PSD stacks, repeated samples (quad <= 0), all-zero kernels,
+    NaN/Inf entries (the first NaN wins an argmax in both), iteration
+    caps that leave problems unconverged, on one thread or two."""
+    rng = np.random.default_rng(seed)
+    kernels = stack_of(kind, p, n, d, rng)
+    ys = np.where(rng.uniform(size=(p, n)) > 0.5, 1, -1)
+    y = ys[0] if shared_labels else ys
+    with mock.patch("repro.core.engine.thread_budget", return_value=threads):
+        result = solve_smo_batch(
+            kernels, y, c=c, max_iter=max_iter, selection=selection
+        )
+    assert_same_bits(
+        result,
+        _solve_smo_batch_numpy(
+            kernels, y, c=c, max_iter=max_iter, selection=selection
+        ),
+    )
+
+
+def test_more_threads_than_cores_write_every_row_once():
+    """Eight threads on a short switch interval share the output arrays
+    (one row per problem, one writer per row): same bits as the numpy
+    body."""
+    kernels, ys = ladder_batch((8.0, 4.0, 2.0, 1.0, 0.5, 0.0) * 4, n=24, d=4, seed=12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch("repro.core.engine.thread_budget", return_value=8):
+            result = solve_smo_batch(kernels, ys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_bits(result, _solve_smo_batch_numpy(kernels, ys))
+
+
+class TestFallback:
+    """No compiler, or nowhere to put the library: the numpy body runs,
+    with one warning and one attempt per process."""
+
+    @pytest.fixture(params=["no-compiler", "unwritable-cache"])
+    def unavailable(self, request, monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "_lib", native._UNTRIED)
+        if request.param == "no-compiler":
+            monkeypatch.setattr(native, "COMPILER", "no-such-compiler")
+        else:
+            blocker = tmp_path / "a-file"
+            blocker.write_text("")
+            monkeypatch.setattr(native, "cache_dir", lambda: blocker / "repro")
+        loads = []
+        load = native._load
+
+        def counted():
+            loads.append(1)
+            return load()
+
+        monkeypatch.setattr(native, "_load", counted)
+        return loads
+
+    def test_same_bits_one_warning_one_attempt(self, unavailable, caplog):
+        kernels, ys = ladder_batch((1.0, 0.5, 0.0, 2.0), n=20, d=3, seed=4)
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            first = solve_smo_batch(kernels, ys)
+            second = solve_smo_batch(kernels, ys)
+        assert native.solver() is None
+        assert_same_bits(first, _solve_smo_batch_numpy(kernels, ys))
+        assert_same_bits(second, first)
+        warned = [r for r in caplog.records if r.name == native.__name__]
+        assert len(warned) == 1 and "numpy" in warned[0].getMessage()
+        assert len(unavailable) == 1
+
+
+@pytest.mark.skipif(shutil.which(native.COMPILER) is None, reason="no compiler")
+def test_builds_on_first_use_into_the_cache_and_reuses_it(tmp_path):
+    """Importing builds nothing; the first solve builds once; a later
+    process loads the cached library without compiling."""
+    src = Path(repro.__file__).resolve().parents[1]
+    probe = (
+        "import sys; from repro.svm import native; "
+        "print(sorted(p.name for p in native.cache_dir().glob('*')) "
+        "if native.cache_dir().exists() else []); "
+        "print(native.solver() is not None); "
+        "print(sorted(p.name for p in native.cache_dir().glob('*')))"
+    )
+    env = {"HOME": str(tmp_path), "PYTHONPATH": str(src), "PATH": os.environ["PATH"]}
+
+    def run():
+        return subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.split("\n")
+
+    first = run()
+    (library,) = (tmp_path / ".cache" / "repro").glob("smo-*.so")
+    built_at = library.stat().st_mtime_ns
+    second = run()
+    assert first[:2] == ["[]", "True"]
+    assert first[2] == second[0] == second[2] == repr([library.name])
+    assert second[1] == "True"
+    assert library.stat().st_mtime_ns == built_at
