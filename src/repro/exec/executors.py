@@ -366,6 +366,12 @@ class MasterWorkerExecutor:
                 scores = master_loop(comm, plan, self.max_retries, reports)
                 for _rank, report in sorted(reports.items()):
                     ctx.merge_export(report["export"])
+                # A forked TCP rank is not this process's child, so its
+                # memory is only known from its own report.
+                ctx.metadata["worker_peak_rss_mb"] = {
+                    rank: report["peak_rss_mb"]
+                    for rank, report in sorted(reports.items())
+                }
                 # Rank 0's end; every worker's came home in its report.
                 stats = comm.stats
                 ctx.increment("comm.bytes_sent", stats.bytes_sent)

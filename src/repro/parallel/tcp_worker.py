@@ -6,26 +6,38 @@ receive the run's config + dataset from the rank-0 broadcast, serve the
 pull protocol to its end, report (TAG_DONE) so the master's trace covers
 work that happened here.
 
-``python -m repro.parallel.tcp_worker --connect HOST:PORT`` is one
-process, one rank, joining a listening master
-(:class:`~repro.parallel.transport.TcpListener`); also exposed as ``fcma
-worker --connect HOST:PORT`` — the command to start on *other* hosts
-when the master runs with ``--transport tcp --listen``.
+:func:`serve` is one process, one rank, joining a listening master
+(:class:`~repro.parallel.transport.TcpListener`).  It runs in two kinds
+of process:
+
+* ``python -m repro.parallel.tcp_worker --connect HOST:PORT``, also
+  exposed as ``fcma worker --connect HOST:PORT`` — the command to start
+  on *other* hosts when the master runs with ``--transport tcp
+  --listen``;
+* a child of :func:`fork_server`, the pre-imported parent from which
+  :func:`~repro.parallel.transport.spawn_local_workers` forks the
+  master's *local* ranks, so they skip the interpreter boot.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import signal
+import sys
+import traceback
+import warnings
 from contextlib import suppress
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from ..core.engine import set_host_workers
 from ..exec.context import RunContext
 from .comm import Comm
-from .tiled import TAG_DONE, worker_loop
+from .tiled import TAG_DONE, rank_report, worker_loop
 from .transport import TcpTransport
 
-__all__ = ["main", "parse_endpoint", "run_worker"]
+__all__ = ["fork_server", "main", "parse_endpoint", "run_worker", "serve"]
 
 
 def parse_endpoint(value: str) -> tuple[str, int]:
@@ -54,8 +66,76 @@ def run_worker(comm: Comm) -> int:
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         with suppress(ConnectionError, OSError):
-            comm.send({"export": ctx.export(), "error": error}, 0, TAG_DONE)
+            comm.send(rank_report(ctx, error), 0, TAG_DONE)
         raise
+
+
+def serve(host: str, port: int, timeout: float | None = None) -> int:
+    """Join the master listening on ``host:port`` as one worker rank and
+    serve it to the end; returns 0 (a failure raises)."""
+    transport = TcpTransport.connect(host, port, timeout=timeout)
+    try:
+        run_worker(Comm(transport, transport.rank))
+    finally:
+        transport.close()
+    return 0
+
+
+def fork_server(requests: int, replies: int) -> None:
+    """The warm parent of a master's local worker ranks.
+
+    Started once per master process by
+    :func:`~repro.parallel.transport.spawn_local_workers`, with this
+    module — numpy and the whole worker — already imported.  A single
+    thread reads spawn requests from the ``requests`` pipe, one JSON
+    line ``[host, port, timeout, n]`` each, and forks (``os.fork``)
+    ``n`` children that run :func:`serve`, answering ``pid <pid>`` per
+    child on the ``replies`` pipe.  A child never returns into this loop: it
+    leaves through ``os._exit`` after writing ``exit <pid> <code>`` on
+    ``replies`` — the master's only way to learn the code, because the
+    server ignores SIGCHLD and so the kernel reaps its children.
+
+    EOF on ``requests`` — the master closed it, or died — ends the
+    server.  SIGINT is ignored here (a terminal's Ctrl-C is for the
+    master, whose exit closes the pipe) and restored in the children.
+    """
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Python >= 3.12 warns on fork() in a process with other OS
+    # threads; this one's only others are BLAS's idle pool, which
+    # OpenBLAS re-creates in the child (tests/exec/test_fork_safety.py).
+    warnings.filterwarnings(
+        "ignore", message=".*fork", category=DeprecationWarning
+    )
+    with open(requests, "rb") as lines:
+        for line in lines:
+            host, port, timeout, n_workers = json.loads(line)
+            for _ in range(n_workers):
+                pid = os.fork()
+                if pid == 0:
+                    _forked_worker(requests, replies, host, port, timeout)
+                os.write(replies, b"pid %d\n" % pid)
+
+
+def _forked_worker(
+    requests: int, replies: int, host: str, port: int, timeout: float | None
+) -> NoReturn:
+    """A :func:`fork_server` child: :func:`serve`, report, ``_exit``."""
+    code = 1
+    try:
+        os.close(requests)  # the server alone sees the master's EOF
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        code = serve(host, port, timeout)
+    except BaseException:  # noqa: BLE001 - this process ends below either way
+        traceback.print_exc()
+    finally:
+        with suppress(OSError, ValueError):
+            sys.stdout.flush()
+            sys.stderr.flush()
+        with suppress(OSError):  # the master may be gone
+            os.write(replies, b"exit %d %d\n" % (os.getpid(), code))
+        os._exit(code)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -78,12 +158,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     host, port = parse_endpoint(args.connect)
-    transport = TcpTransport.connect(host, port, timeout=args.timeout)
-    try:
-        run_worker(Comm(transport, transport.rank))
-    finally:
-        transport.close()
-    return 0
+    return serve(host, port, args.timeout)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

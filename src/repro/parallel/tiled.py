@@ -40,9 +40,10 @@ the plan knows what is ready next and what a result unlocks.
 
 * **A rank's lifecycle is REQUEST … STOP → DONE**, closed inside the
   two loops on every transport: the worker answers TAG_STOP with its
-  report (its telemetry export, the one way it goes home), and the
-  master returns once every rank has reported or been lost.  Each
-  message the master receives is one ``event`` span on the run's trace
+  report (:func:`rank_report`: its telemetry export, the one way it
+  goes home, and its process's peak RSS), and the master returns once
+  every rank has reported or been lost.  Each message the master
+  receives is one ``event`` span on the run's trace
   (``request`` / ``result`` / ``error`` / ``done`` / ``lost``, attrs
   ``worker`` and ``item``): the protocol view, and all the live plane
   knows of per-rank progress.
@@ -87,6 +88,7 @@ chunk of ``[c0, c1)`` in ascending column order; ``kernels`` is float32
 from __future__ import annotations
 
 import bisect
+import resource
 import time
 from collections import Counter, deque
 from typing import TYPE_CHECKING, Any, Sequence
@@ -118,6 +120,7 @@ __all__ = [
     "WorkPlan",
     "compute_tile",
     "master_loop",
+    "rank_report",
     "score_panel",
     "tile_partial_grams",
     "worker_loop",
@@ -134,6 +137,16 @@ TAG_DONE = 6     # worker -> master: the rank's report, its last message
 #: Work-item key: ("task", task index), ("tile", tile index) or
 #: ("score", panel id).
 WorkKey = tuple[str, int]
+
+
+def rank_report(ctx: RunContext, error: str | None = None) -> dict[str, Any]:
+    """A rank's TAG_DONE payload: ``{"export", "error", "peak_rss_mb"}``
+    — its telemetry export, the error it died of outside an item (None
+    on a clean stop) and its process's peak resident set (``ru_maxrss``,
+    KiB on Linux), which the master's own ``RUSAGE_CHILDREN`` cannot see
+    for a rank that is not its child."""
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"export": ctx.export(), "error": error, "peak_rss_mb": peak_kib / 1024}
 
 
 class TaskFailedError(RuntimeError):
@@ -432,9 +445,9 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     ``"task"`` item is requested only after the previous one has been
     reported, and records nothing outside its own task span.  Item
     failures are reported per item (TAG_ERROR) and the loop keeps
-    serving.  TAG_STOP is answered with the rank's report: ``{"export":
-    ctx.export(), "error": None}`` under TAG_DONE, the export carrying
-    this end's ``comm.bytes_sent`` / ``bytes_recv`` as run counters.
+    serving.  TAG_STOP is answered with the rank's report,
+    :func:`rank_report`, under TAG_DONE, the export carrying this end's
+    ``comm.bytes_sent`` / ``bytes_recv`` as run counters.
     """
     if comm.rank == 0:
         raise ValueError("worker_loop must not run on rank 0")
@@ -464,7 +477,7 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
             stats = comm.stats
             ctx.increment("comm.bytes_sent", stats.bytes_sent)
             ctx.increment("comm.bytes_recv", stats.bytes_recv)
-            comm.send({"export": ctx.export(), "error": None}, 0, TAG_DONE)
+            comm.send(rank_report(ctx), 0, TAG_DONE)
             return completed
         if tag == TAG_PEER_LOST:
             raise RuntimeError("master connection lost")

@@ -29,15 +29,21 @@ via the executor) unless given explicitly.
 
 from __future__ import annotations
 
+import atexit
+import json
 import os
 import pickle
 import queue
+import select
+import signal
 import socket
 import struct
 import subprocess
 import sys
 import threading
 import time
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -548,26 +554,231 @@ def worker_command(
     return cmd
 
 
+class _ForkedWorker:
+    """A ``Popen``-like handle — ``pid``, ``wait(timeout)``, ``kill()``,
+    ``returncode`` — on one worker the fork server forked.
+
+    The worker is the server's child, not this process's, so it is
+    watched through a pidfd (Linux; readable once the process is gone)
+    and its exit code is the ``exit`` line it wrote before
+    ``os._exit``; one killed before it could write reads ``-SIGKILL``.  The kernel reaps
+    it (the server ignores SIGCHLD): nothing here can leave a zombie.
+    """
+
+    def __init__(self, server: "_ForkServer", pid: int):
+        self.pid = pid
+        self.returncode: int | None = None
+        self._server = server
+        try:
+            self._pidfd: int | None = os.pidfd_open(pid)
+        except ProcessLookupError:  # already gone
+            self._pidfd = None
+
+    def wait(self, timeout: float | None = None) -> int:
+        """Block until the worker is gone; ``subprocess.TimeoutExpired``
+        after ``timeout`` seconds."""
+        if self.returncode is not None:
+            return self.returncode
+        if self._pidfd is not None:
+            if not _readable(self._pidfd, timeout):
+                raise subprocess.TimeoutExpired(f"worker pid {self.pid}", timeout or 0)
+            os.close(self._pidfd)
+            self._pidfd = None
+        code = self._server.exit_code(self.pid)
+        self.returncode = -signal.SIGKILL if code is None else code
+        return self.returncode
+
+    def kill(self) -> None:
+        """SIGKILL the worker (a no-op once it is gone)."""
+        if self._pidfd is not None:
+            with suppress(ProcessLookupError):
+                signal.pidfd_send_signal(self._pidfd, signal.SIGKILL)
+
+
+class _ForkServer:
+    """This process's :func:`~repro.parallel.tcp_worker.fork_server`:
+    the subprocess, its request pipe and its reply pipe.
+
+    It fits only the process that started it and the environment it
+    started with: BLAS thread variables and ``FCMA_COMM_TIMEOUT`` are
+    read at import, so a changed ``os.environ`` (or CPU affinity, which
+    sets the engine's thread budget) needs a new server.
+    """
+
+    def __init__(self) -> None:
+        import repro
+
+        self.owner = os.getpid()
+        self.environ = dict(os.environ)
+        self.affinity = _affinity()
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(self.environ)
+        existing = env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = (
+            src_root + os.pathsep + existing if existing else src_root
+        )
+        request_end, self._requests = os.pipe()
+        self._replies, reply_end = os.pipe()
+        try:
+            self.proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-c",
+                    "from repro.parallel.tcp_worker import fork_server; "
+                    f"fork_server({request_end}, {reply_end})",
+                ],
+                env=env,
+                pass_fds=(request_end, reply_end),
+            )
+        except BaseException:
+            os.close(self._requests)
+            os.close(self._replies)
+            raise
+        finally:
+            os.close(request_end)
+            os.close(reply_end)
+        os.set_blocking(self._replies, False)
+        self._lock = threading.Lock()
+        self._pending = b""
+        self._spawned: deque[int] = deque()
+        self._exits: dict[int, int] = {}
+        self._closed = False
+
+    def fits(self) -> bool:
+        """Still running, for this process, in this environment."""
+        return (
+            self.owner == os.getpid()
+            and self.proc.poll() is None
+            and dict(os.environ) == self.environ
+            and _affinity() == self.affinity
+        )
+
+    def spawn(
+        self, host: str, port: int, n_workers: int, timeout: float | None
+    ) -> list[_ForkedWorker]:
+        """Fork ``n_workers`` workers joining ``host:port`` with
+        communicator ``timeout``; waits as long for their pids (the
+        first request also waits for the server's own start)."""
+        request = json.dumps([host, port, timeout, n_workers]) + "\n"
+        wait = default_timeout() if timeout is None else timeout
+        deadline = time.monotonic() + wait
+        with self._lock:
+            os.write(self._requests, request.encode())
+            while len(self._spawned) < n_workers:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    # Its late replies would answer the next request:
+                    # a dead server is replaced on next use instead.
+                    self.proc.kill()
+                    raise CommTimeoutError(
+                        f"fork server started {len(self._spawned)}/"
+                        f"{n_workers} workers within {wait}s"
+                    )
+                if not self._read(left):
+                    raise ConnectionError(
+                        f"worker fork server exited with {self.proc.wait()}"
+                    )
+            pids = [self._spawned.popleft() for _ in range(n_workers)]
+        return [_ForkedWorker(self, pid) for pid in pids]
+
+    def exit_code(self, pid: int) -> int | None:
+        """The code worker ``pid`` reported, if it did (call once it
+        is gone: its report is written before it exits)."""
+        with self._lock:
+            if not self._closed:
+                self._read(0)
+            return self._exits.pop(pid, None)
+
+    def _read(self, timeout: float) -> bool:
+        """Take in what the reply pipe holds, waiting up to ``timeout``
+        for the first byte; False at EOF (the server and every child
+        of it are gone)."""
+        ready = _readable(self._replies, timeout)
+        while ready:
+            chunk = os.read(self._replies, 1 << 16)
+            if not chunk:
+                return False
+            *lines, self._pending = (self._pending + chunk).split(b"\n")
+            for line in lines:
+                kind, *fields = line.split()
+                if kind == b"pid":
+                    self._spawned.append(int(fields[0]))
+                else:  # b"exit"
+                    self._exits[int(fields[0])] = int(fields[1])
+            ready = _readable(self._replies, 0)
+        return True
+
+    def close(self) -> None:
+        """EOF the server and wait for it (a stuck one is killed)."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            os.close(self._requests)
+            try:
+                self.proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+            with suppress(OSError):
+                self._read(0)
+            os.close(self._replies)
+
+
+def _readable(fd: int, timeout: float | None) -> bool:
+    """Whether ``fd`` is readable (or hung up) within ``timeout``
+    seconds; None blocks."""
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    return bool(poller.poll(None if timeout is None else timeout * 1000))
+
+
+def _affinity() -> frozenset[int] | None:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return frozenset(affinity(0)) if affinity else None
+
+
+_fork_server: _ForkServer | None = None
+_fork_server_lock = threading.Lock()
+
+
+def _close_fork_server() -> None:
+    """At exit: close this process's server (not one inherited by fork)."""
+    server = _fork_server
+    if server is not None and server.owner == os.getpid():
+        server.close()
+
+
+def _local_fork_server() -> _ForkServer:
+    """This process's fork server, started (or replaced) when it does
+    not :meth:`~_ForkServer.fits`."""
+    global _fork_server
+    with _fork_server_lock:
+        server = _fork_server
+        if server is None or not server.fits():
+            if server is None:
+                atexit.register(_close_fork_server)
+            elif server.owner == os.getpid():
+                server.close()
+            server = _fork_server = _ForkServer()
+        return server
+
+
 def spawn_local_workers(
     address: tuple[str, int],
     n_workers: int,
     timeout: float | None = None,
-) -> list[subprocess.Popen[bytes]]:
-    """Launch ``n_workers`` local worker processes joining ``address``.
+) -> list[_ForkedWorker]:
+    """Start ``n_workers`` local worker ranks joining ``address``.
 
-    ``PYTHONPATH`` is extended with this package's source root so the
-    children import the same ``repro`` regardless of the caller's cwd.
+    They are forked from this process's fork server
+    (:func:`_local_fork_server`), which booted an interpreter and
+    imported the worker once, so a rank starts in milliseconds.  The
+    server is started on first use with ``PYTHONPATH`` extended by this
+    package's source root, so it imports the same ``repro`` regardless
+    of the caller's cwd, and inherits this process's stdio, which the
+    workers keep.  ``timeout`` is the ranks' communicator timeout
+    (default: :func:`default_timeout`) and the wait for their pids.
     """
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = (
-        src_root + os.pathsep + existing if existing else src_root
-    )
     host, port = address
-    cmd = worker_command(host, port, timeout=timeout)
-    return [
-        subprocess.Popen(cmd, env=env) for _ in range(n_workers)
-    ]
+    return _local_fork_server().spawn(host, port, n_workers, timeout)

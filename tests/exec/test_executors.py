@@ -202,6 +202,18 @@ class TestTelemetry:
         if name == "master-worker":
             assert totals["comm.bytes_sent"] > 0 and totals["comm.bytes_recv"] > 0
 
+    @pytest.mark.parametrize("transport", ["thread", "tcp"])
+    def test_every_rank_reports_its_peak_memory(self, tiny_dataset, transport):
+        """A forked TCP rank is the fork server's child, so the master's
+        ``RUSAGE_CHILDREN`` never sees it: its report says what it used."""
+        ctx = RunContext(FCMAConfig(task_voxels=20, target_block=32))
+        MasterWorkerExecutor(
+            n_workers=2, transport=transport, partition="tiles"
+        ).run(tiny_dataset, ctx)
+        peaks = ctx.metadata["worker_peak_rss_mb"]
+        assert set(peaks) == {1, 2}
+        assert all(mb > 0 for mb in peaks.values())
+
     def test_pool_single_worker_falls_back_to_serial(
         self, tiny_dataset, fast_fcma_config
     ):

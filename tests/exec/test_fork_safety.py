@@ -4,8 +4,10 @@ A process-global ``ThreadPoolExecutor`` deadlocks the process-pool
 executor: the forked child inherits the pool object but none of its
 threads, and its first engine call waits forever.  The engine scopes its
 pool to one call instead; this pins it with an in-process multi-thread
-engine run *followed by* a fork.  Everything runs in a child interpreter
-so a regression fails on a timeout instead of hanging the suite.
+engine run *followed by* a fork.  The TCP fork server forks every local
+rank from a process whose BLAS pool is running; a 2-worker run with
+threaded ranks pins that.  Everything runs in a child interpreter so a
+regression fails on a timeout instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -48,18 +50,57 @@ for name in ("serial", "pool", "master-worker", "serial"):
 """
 
 
-def _python(code: str, timeout: float, tmp_path: Path) -> str:
-    """Run ``code`` in a fresh interpreter; returns its stdout.
+#: A 2-worker TCP tiles run whose tiles are two Gram chunks, so each
+#: forked rank deals them over its 2-thread engine budget while
+#: OpenBLAS, unpinned, runs its own pool; then the serial twin.  Every
+#: interpreter of the run (master, fork server, so the forked ranks)
+#: reads a 4-CPU mask from ``sitecustomize``.
+TCP_SCENARIO = """
+import faulthandler, hashlib
+import numpy as np
+from repro.core import FCMAConfig
+from repro.core.engine import set_host_workers, thread_budget
+from repro.core.kernels import GRAM_CHUNK_COLS
+from repro.data import SyntheticConfig, generate_dataset
+from repro.exec import RunContext, make_executor
+
+faulthandler.dump_traceback_later(240, exit=True)
+n_voxels = 2 * GRAM_CHUNK_COLS + 400
+dataset = generate_dataset(SyntheticConfig(
+    n_voxels=n_voxels, n_subjects=2, epochs_per_subject=4, epoch_length=6,
+    n_informative=8, seed=3))
+config = FCMAConfig(task_voxels=3, svm_tol=0.1)
+voxels = np.array([5, 7, GRAM_CHUNK_COLS, n_voxels - 1, 0])
+alone = set_host_workers(2)
+print("rank-budget", thread_budget())
+set_host_workers(alone)
+for name, kwargs in (
+    ("master-worker", {"transport": "tcp", "partition": "tiles"}),
+    ("serial", {}),
+):
+    scores = make_executor(name, n_workers=2, **kwargs).run(
+        dataset, RunContext(config), voxels)
+    print(name, hashlib.sha256(
+        scores.voxels.tobytes() + scores.accuracies.tobytes()).hexdigest())
+"""
+
+
+def _python(
+    code: str, timeout: float, tmp_path: Path, env: dict[str, str] | None = None
+) -> str:
+    """Run ``code`` in a fresh interpreter (``env`` default: ours with
+    ``PYTHONPATH`` = the source root); returns its stdout.
 
     Output goes to files, not pipes, and the child gets its own session:
-    deadlocked pool workers would hold a pipe open past the watchdog's
-    exit, and are killed with the group either way.
+    deadlocked pool workers (or forked TCP ranks, or their fork server)
+    would hold a pipe open past the watchdog's exit, and are killed
+    with the group either way.
     """
     out, err = tmp_path / "stdout", tmp_path / "stderr"
     with out.open("w") as o, err.open("w") as e:
         proc = subprocess.Popen(
             [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=SRC),
+            env=env or dict(os.environ, PYTHONPATH=SRC),
             stdout=o, stderr=e, start_new_session=True,
         )
         try:
@@ -93,3 +134,21 @@ def test_tcp_worker_import_leaves_scipy_submodules_out(tmp_path):
         tmp_path,
     )
     assert loaded.strip() == "[]"
+
+
+def test_ranks_forked_beside_a_running_blas_pool_finish_bitwise(tmp_path):
+    """Fork safety of the fork server: it imported numpy (so OpenBLAS
+    started its threads) before it forks each rank, and each rank then
+    runs the engine's own 2-thread deal.  Hangs fail on the timeout."""
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "import os\nos.sched_getaffinity = lambda pid: set(range(4))\n"
+    )
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = f"{site}{os.pathsep}{SRC}"
+    stdout = _python(TCP_SCENARIO, 300, tmp_path, env)
+    lines = dict(line.split() for line in stdout.splitlines())
+    assert lines["rank-budget"] == "2"
+    assert lines["master-worker"] == lines["serial"]

@@ -8,6 +8,7 @@ Prometheus exposition file, and ETA convergence on mid-run snapshots.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.data import save_dataset
+from repro.data import generate_dataset, save_dataset
 from repro.obs.live import SNAPSHOT_SCHEMA
 from repro.obs.live.view import read_snapshots
 
@@ -34,6 +35,17 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 def dataset_path(tiny_dataset, tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("ds") / "tiny.npz"
     save_dataset(tiny_dataset, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def wide_dataset_path(tiny_config, tmp_path_factory) -> str:
+    """The tiny dataset widened to 600 voxels: a serial run lasts a few
+    hundred milliseconds, long enough for a stream of mid-run snapshots
+    at a 20 ms interval (the 60-voxel run finishes inside one or two)."""
+    config = dataclasses.replace(tiny_config, n_voxels=600, name="wide")
+    path = tmp_path_factory.mktemp("ds") / "wide.npz"
+    save_dataset(generate_dataset(config), path)
     return str(path)
 
 
@@ -84,7 +96,9 @@ class TestSerialLive:
                 golden["progress_keys"]
             )
 
-    def test_eta_converges_on_midrun_snapshots(self, dataset_path, tmp_path):
+    def test_eta_converges_on_midrun_snapshots(
+        self, wide_dataset_path, tmp_path
+    ):
         """Acceptance: past 50% progress the remaining-work ETA must be
         within 50% of the true remaining wall time (known post hoc).
 
@@ -99,7 +113,7 @@ class TestSerialLive:
         for attempt in range(3):
             events = tmp_path / f"eta-{attempt}.jsonl"
             code, _ = _run_cli([
-                "run", dataset_path, "--task-voxels", "5", "--json",
+                "run", wide_dataset_path, "--task-voxels", "5", "--json",
                 "--live-events", str(events), "--live-interval", "0.02",
             ])
             assert code == 0

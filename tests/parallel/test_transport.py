@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import FCMAConfig
+from repro.exec import MasterWorkerExecutor, RunContext, SerialExecutor
+from repro.parallel import transport as transport_mod
 from repro.parallel.comm import (
     ANY_SOURCE,
     ANY_TAG,
@@ -218,3 +225,117 @@ class TestListener:
             assert got == {"a", "b"}
         finally:
             master.close()
+
+
+class TestForkServer:
+    """Local TCP ranks are forked from one pre-imported server per
+    master process (:func:`repro.parallel.transport.spawn_local_workers`)."""
+
+    @staticmethod
+    def _run(dataset, partition="tiles"):
+        config = FCMAConfig(task_voxels=20, target_block=32, comm_timeout=30)
+        serial = SerialExecutor().run(dataset, RunContext(config))
+        scores = MasterWorkerExecutor(
+            n_workers=2, transport="tcp", partition=partition
+        ).run(dataset, RunContext(config))
+        np.testing.assert_array_equal(scores.voxels, serial.voxels)
+        np.testing.assert_array_equal(scores.accuracies, serial.accuracies)
+        return transport_mod._fork_server.proc.pid
+
+    @staticmethod
+    def _gone(pid: int) -> bool:
+        """No process ``pid`` exists any more (a zombie would answer)."""
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return True
+            time.sleep(0.01)
+        return False
+
+    def test_runs_in_one_process_share_one_server(self, tiny_dataset):
+        first = self._run(tiny_dataset, "tiles")
+        assert self._run(tiny_dataset, "rows") == first
+
+    def test_a_killed_server_is_replaced(self, tiny_dataset):
+        server = transport_mod._local_fork_server()
+        server.proc.kill()
+        server.proc.wait(TIMEOUT)
+        assert self._run(tiny_dataset) != server.proc.pid
+
+    def test_a_changed_environment_starts_a_new_server(
+        self, tiny_dataset, monkeypatch
+    ):
+        before = self._run(tiny_dataset)
+        monkeypatch.setenv("FCMA_FORK_SERVER_TEST", "1")
+        after = self._run(tiny_dataset)
+        assert after != before
+        assert self._gone(before)  # closed, not left behind
+
+    def test_a_failing_worker_exits_nonzero_and_the_server_serves_on(
+        self, tiny_dataset
+    ):
+        server = transport_mod._local_fork_server()
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        (worker,) = server.spawn("127.0.0.1", port, 1, timeout=TIMEOUT)
+        # ``serve`` raised ConnectionRefusedError; the child reported
+        # its code and left through ``os._exit`` (not a kill: -9).
+        assert worker.wait(TIMEOUT) == 1
+        assert self._gone(worker.pid)
+        assert self._run(tiny_dataset) == server.proc.pid
+
+    def test_hung_forked_worker_is_killed_after_the_grace_and_gone(
+        self, tiny_dataset, monkeypatch, tmp_path
+    ):
+        """The twin of ``TestSpawnedWorkersAreReaped`` with the real
+        handle under ``_tcp_ranks``' grace, kill and reap: a worker
+        stuck in ``time.sleep`` is SIGKILLed after the grace and gone
+        (the kernel reaped it; the server ignores SIGCHLD)."""
+        from repro.exec import executors as executors_mod
+
+        # Workers that sleep instead of serving: the changed PYTHONPATH
+        # starts a new server (the environment rule), whose
+        # sitecustomize replaces ``serve`` before anything is forked.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import time\n"
+            "import repro.parallel.tcp_worker as worker\n"
+            "worker.serve = lambda *args: time.sleep(600)\n"
+        )
+        monkeypatch.setenv(
+            "PYTHONPATH",
+            os.pathsep.join(
+                filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])
+            ),
+        )
+        forked: list = []
+
+        class Impatient:
+            """The real handle, its 10 s grace cut to 0.2 s."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def wait(self, timeout=None):
+                return self.handle.wait(None if timeout is None else 0.2)
+
+            def kill(self):
+                self.handle.kill()
+
+        def spawn(address, n_workers, timeout=None):
+            # The run's 0.5 s is for the accept; the new server's boot
+            # gets the usual wait.
+            forked.extend(
+                transport_mod.spawn_local_workers(address, n_workers, TIMEOUT)
+            )
+            return [Impatient(handle) for handle in forked]
+
+        monkeypatch.setattr(executors_mod, "spawn_local_workers", spawn)
+        ctx = RunContext(FCMAConfig(task_voxels=16, comm_timeout=0.5))
+        with pytest.raises(CommTimeoutError):
+            MasterWorkerExecutor(n_workers=2, transport="tcp").run(tiny_dataset, ctx)
+        assert len(forked) == 2
+        assert [handle.returncode for handle in forked] == [-signal.SIGKILL] * 2
+        assert all(self._gone(handle.pid) for handle in forked)
