@@ -11,16 +11,20 @@ Two execution strategies, bitwise identical:
   correlation array (the baseline; re-reads everything from memory).
 * :func:`fuse_normalize_tile` — the engine's merged path (optimization
   idea #2): the same arithmetic as ``normalize_separated`` (including
-  degenerate populations) expressed as the minimum number of full-tile
-  vector passes, with all scratch buffers owned by a reusable
-  :class:`NormalizationWorkspace`.  :func:`repro.core.engine.run_engine`
-  calls it once per L2-sized tile, right after the tile's gemm, while
-  the tile is still cache-resident.
+  degenerate populations), its z-score tail one compiled call per tile
+  (the numpy body is the fallback and the oracle), with all scratch
+  buffers owned by a reusable :class:`NormalizationWorkspace`.
+  :func:`repro.core.engine.run_engine` calls it once per L2-sized tile,
+  right after the tile's gemm, while the tile is still cache-resident.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
+
+from .. import native
 
 __all__ = [
     "fisher_z",
@@ -28,6 +32,7 @@ __all__ = [
     "normalize_separated",
     "NormalizationWorkspace",
     "fuse_normalize_tile",
+    "normalizer_body",
 ]
 
 #: Correlations are clipped to +-(1 - _CLIP_EPS) before arctanh so that
@@ -176,21 +181,70 @@ def fuse_normalize_tile(
 ) -> np.ndarray:
     """Fisher-z + within-subject z-score of a whole tile, fast path.
 
-    Bitwise-equal to ``normalize_separated(tile, epochs_per_subject)``
-    but with the redundant passes stripped out: ``np.std``'s internal
-    re-computation of the centered values is replaced by reusing the
-    in-place centered tile, the masked ``where=`` divide (4x the cost of
-    a plain divide) becomes a plain divide against a std with degenerate
-    entries set to ``inf``, and the final zero-fill of degenerate
-    populations touches only the affected columns instead of the whole
-    broadcast mask.  The op-for-op float32 sequence of the reference is
-    otherwise preserved (same reductions, same order), which is what
-    makes the equality exact rather than approximate.
+    Bitwise-equal to ``normalize_separated(tile, epochs_per_subject)``.
+    numpy clips and arctanhs the tile (its float32 ``arctanh`` is the
+    reference's, to the ulp); the z-score tail is one call of the
+    compiled ``normalize_zscore`` (:mod:`repro.native`, built on first
+    use), which makes the reference's float32 operations in its order,
+    population by population while each is cache-resident, with the
+    GIL released, so the engine's threads normalize concurrently.  A
+    process where the library could not be built or loaded runs the
+    numpy body, :func:`_fuse_normalize_tile_numpy`, as does a
+    one-column tile (numpy sums a contiguous population pairwise, the
+    compiled tail in order).
 
     ``tile`` must be a C-contiguous float32 view of voxel-major
     correlations ``(V, M, N)`` with ``M`` divisible by
     ``epochs_per_subject``; it is normalized in place and returned.
     """
+    return _fuse(tile, epochs_per_subject, eps, workspace, native.solver())
+
+
+def normalizer_body() -> str:
+    """Which body :func:`fuse_normalize_tile` runs: ``"native"`` or
+    ``"numpy"``."""
+    return "numpy" if native.solver() is None else "native"
+
+
+def _fuse_normalize_tile_numpy(
+    tile: np.ndarray,
+    epochs_per_subject: int,
+    eps: float = 1e-12,
+    workspace: NormalizationWorkspace | None = None,
+) -> np.ndarray:
+    """:func:`fuse_normalize_tile` through its numpy body, always: the
+    fallback, and the bitwise oracle of the native body.
+
+    The reference with the redundant passes stripped out: ``np.std``'s
+    internal re-computation of the centered values is replaced by
+    reusing the in-place centered tile, the masked ``where=`` divide
+    (4x the cost of a plain divide) becomes a plain divide against a
+    std with degenerate entries set to ``inf``, and the final zero-fill
+    of degenerate populations touches only the affected columns instead
+    of the whole broadcast mask.  The op-for-op float32 sequence of the
+    reference is otherwise preserved (same reductions, same order),
+    which is what makes the equality exact rather than approximate.
+    """
+    return _fuse(tile, epochs_per_subject, eps, workspace, None)
+
+
+def _float32_bound(eps: float) -> float:
+    """The float32 ``t`` with ``s <= t`` exactly when the numpy body's
+    ``s <= eps`` holds for a float32 ``s`` (a Python float compares in
+    float32, a float64 scalar in float64)."""
+    t = np.float32(eps)
+    if not t <= eps:
+        t = np.nextafter(t, np.float32(-np.inf))
+    return float(t)
+
+
+def _fuse(
+    tile: np.ndarray,
+    epochs_per_subject: int,
+    eps: float,
+    workspace: NormalizationWorkspace | None,
+    lib: Any,
+) -> np.ndarray:
     tile = np.asarray(tile)
     if tile.dtype != np.float32:
         raise TypeError(f"expected float32 correlations, got {tile.dtype}")
@@ -216,6 +270,15 @@ def fuse_normalize_tile(
     limit = np.float32(1.0 - _CLIP_EPS)
     np.clip(tile, -limit, limit, out=tile)
     np.arctanh(tile, out=tile)
+
+    if lib is not None and n > 1:
+        # Equation 5 in C; ``mean`` and ``std`` lend it a row each, and
+        # ``sq``'s pages are never touched.
+        lib.normalize_zscore(
+            tile.ctypes.data, n_rows * (m // e), e, n, _float32_bound(eps),
+            mean.ctypes.data, std.ctypes.data,
+        )
+        return tile
 
     # Equation 5.  np.mean == umr_sum + true_divide(count); replicating
     # it keeps the accumulation order (and therefore the bits) of the

@@ -49,7 +49,11 @@ from numpy.typing import NDArray
 from ..core.correlation import correlate_baseline, stage1_input_copies
 from ..core.engine import GramEmitter, run_engine, thread_budget
 from ..core.kernels import kernel_matrix_batched, sum_gram_partials
-from ..core.normalization import NormalizationWorkspace, normalize_separated
+from ..core.normalization import (
+    NormalizationWorkspace,
+    normalize_separated,
+    normalizer_body,
+)
 from ..core.results import VoxelScores
 from ..core.sparse import CSREmitter
 from ..core.voxel_selection import score_kernels, score_voxels
@@ -236,7 +240,9 @@ def walk(
     )
     name = "correlate_normalize_sparse" if sparse else "correlate_normalize_batched"
     with _item_span(ctx, rows):
-        with ctx.tracer.span(name, kind="kernel") as span:
+        # ``body``: which fused normalizer ran (``native`` / ``numpy``).
+        attrs = {"body": normalizer_body()}
+        with ctx.tracer.span(name, kind="kernel", attrs=attrs) as span:
             result = run_engine(
                 z, rows, epochs_per_subject, emitter, workspace=workspace
             )

@@ -15,8 +15,8 @@
  * C: they never call malloc, so they take no malloc arena, and a batch
  * leaves the process's heap as it found it.
  *
- * Built on first use by repro.svm.native:
- *     gcc -O2 -fPIC -shared -ffp-contract=off -pthread _smo.c -lm
+ * Built on first use by repro.native, into one library with
+ * core/_normalize.c (see its header for the build line).
  */
 
 #include <math.h>

@@ -28,7 +28,7 @@ from typing import Any, Callable, Protocol, TypeVar, runtime_checkable
 import numpy as np
 
 from ..obs.runtime import kernel_span
-from . import native
+from .. import native
 from .heuristics import SelectionState, WorkingSetSelector, SecondOrderSelector
 
 __all__ = [
@@ -854,7 +854,7 @@ def solve_smo_batch(
     The paper's PhiSVM keeps 240+ voxel problems resident on the
     coprocessor and gives each to one thread running compiled code
     (§4.4); here a float32 stack does the same: the compiled
-    ``smo_solve_batch`` (:mod:`repro.svm.native`, built on first use)
+    ``smo_solve_batch`` (:mod:`repro.native`, built on first use)
     deals the problems to :func:`~repro.core.engine.thread_budget`
     threads, each solving one problem at a time, with the GIL released.
     Any other dtype, or a process where the library could not be built

@@ -1,21 +1,29 @@
 """Tests for stage 2: Fisher transform and within-subject z-scoring."""
 
+import logging
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import native
 from repro.core.correlation import (
     correlate_baseline,
     correlate_batched,
     normalize_epoch_data,
 )
-from repro.core.engine import run_engine
+from repro.core.engine import GramEmitter, run_engine
 from repro.core.normalization import (
+    _CLIP_EPS,
+    _fuse_normalize_tile_numpy,
     fisher_z,
     fuse_normalize_tile,
     normalize_separated,
+    normalizer_body,
     zscore_within_subject,
 )
+from repro.core.sparse import CSREmitter
 
 from .test_engine import BlockedDense
 
@@ -337,3 +345,183 @@ class TestFusedNormalizeSweep:
             fuse_normalize_tile(corr[:, :, 0:3], 4)
         with pytest.raises(ValueError, match="divisible"):
             fuse_normalize_tile(np.zeros((2, 5, 3), dtype=np.float32), 4)
+
+
+# ---------------------------------------------------------------------------
+# Two bodies, one answer: the compiled z-score tail and the numpy body
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    """Bit for bit, but for one freedom: where a population holds NaNs
+    of different payloads, which payload propagates may differ (the
+    compiled sum may add a NaN pair in the other operand order), so a
+    lane that differs must be NaN in both."""
+    differ = got.view(np.uint32) != want.view(np.uint32)
+    assert np.isnan(got[differ]).all() and np.isnan(want[differ]).all()
+
+
+def numpy_deviation(tile, e):
+    """The numpy body's float32 deviation of every population."""
+    v, m, n = tile.shape
+    limit = np.float32(1.0 - _CLIP_EPS)
+    z = np.arctanh(np.clip(tile, -limit, limit)).reshape(v, m // e, e, n)
+    mean = np.add.reduce(z, axis=2, keepdims=True) / np.float32(e)
+    return np.sqrt(np.add.reduce(np.square(z - mean), axis=2) / np.float32(e))
+
+
+def test_native_normalizer_is_built_where_a_compiler_is():
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip("no compiler: the numpy body is the only body")
+    assert native.solver() is not None
+    assert normalizer_body() == "native"
+
+
+SPECIALS = ("nan", "nan-payload", "negative-zero", "constant", "zero-population")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=st.integers(1, 3),
+    s=st.integers(1, 3),
+    e=st.sampled_from([1, 2, 3, 4, 12]),
+    n=st.integers(1, 70),
+    seed=st.integers(0, 10_000),
+    specials=st.lists(st.sampled_from(SPECIALS), max_size=4),
+    eps_edge=st.sampled_from([None, "below", "at", "above", "below64", "above64"]),
+)
+def test_native_body_matches_numpy_body_property(v, s, e, n, seed, specials, eps_edge):
+    """Property: the tile is bitwise the numpy body's — values beyond
+    +-1 (clipped), NaN (np.nan and random payloads, signalling ones
+    included), -0.0, constant and all -0.0 populations, and an ``eps``
+    within an ulp of a population's deviation (a Python float compares
+    in float32, a float64 scalar in float64)."""
+    rng = np.random.default_rng(seed)
+    tile = rng.uniform(-1.5, 1.5, (v, s * e, n)).astype(np.float32)
+    grouped = tile.reshape(v, s, e, n)
+    for special in specials:
+        i, j, k = rng.integers(v), rng.integers(s), rng.integers(n)
+        if special == "nan":
+            grouped[i, j, rng.integers(e), k] = np.nan
+        elif special == "nan-payload":
+            bits = 0x7F800000 | int(rng.integers(1, 2**22)) | int(rng.integers(2)) << 31
+            grouped.view(np.uint32)[i, j, rng.integers(e), k] = bits
+        elif special == "negative-zero":
+            grouped[i, j, rng.integers(e), k] = -0.0
+        elif special == "constant":
+            grouped[i, j, :, k] = rng.uniform(-1.5, 1.5)
+        else:
+            grouped[i, j, :, k] = -0.0
+    eps = 1e-12
+    with np.errstate(invalid="ignore"):
+        at = rng.integers(v), rng.integers(s), rng.integers(n)
+        dev = numpy_deviation(tile, e)[at]
+        if eps_edge is not None and np.isfinite(dev):
+            eps = {
+                "below": float(np.nextafter(dev, np.float32(-np.inf))),
+                "at": float(dev),
+                "above": float(np.nextafter(dev, np.float32(np.inf))),
+                "below64": np.float64(dev) * (1 - 2**-40),
+                "above64": np.float64(dev) * (1 + 2**-40),
+            }[eps_edge]
+        got = fuse_normalize_tile(tile.copy(), e, eps)
+        want = _fuse_normalize_tile_numpy(tile.copy(), e, eps)
+    assert_same_bits(got, want)
+
+
+def test_one_nan_payload_propagates_bit_for_bit():
+    """NaNs of one payload (np.nan, as data carries it) leave no freedom:
+    every lane, NaN or not, has the numpy body's bits."""
+    tile = corr_array(v=3, subjects=2, e=12, n=37, seed=4)
+    tile[0, 2:5, 3] = np.nan
+    tile[1, 13, :] = np.nan
+    tile[2, :, 30] = np.nan
+    got = fuse_normalize_tile(tile.copy(), 12)
+    want = _fuse_normalize_tile_numpy(tile.copy(), 12)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_one_column_tile_has_the_numpy_bits():
+    """numpy sums a one-column tile's populations along their contiguous
+    axis, pairwise from 8 epochs on; that tile takes the numpy body."""
+    tile = corr_array(v=64, subjects=2, e=12, n=1, seed=8)
+    got = fuse_normalize_tile(tile.copy(), 12)
+    want = _fuse_normalize_tile_numpy(tile.copy(), 12)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestEngineEitherBody:
+    """``run_engine`` through each emitter, one thread or two, multi-tile
+    walks: the same bits whichever normalizer body ran."""
+
+    EMITTERS = {
+        "dense": lambda: BlockedDense(8),
+        "gram": GramEmitter,
+        "csr": lambda: CSREmitter(top_k=5, target_block=8),
+    }
+
+    @staticmethod
+    def _bytes(kind, result):
+        if kind == "dense":
+            return result[0].tobytes()
+        if kind == "gram":
+            return result.tobytes()
+        csr = result[0]
+        return csr.indptr.tobytes() + csr.indices.tobytes() + csr.data.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["dense", "gram", "csr"])
+    def test_same_bits_with_either_body(
+        self, kind, threads, small_gram_chunks, monkeypatch
+    ):
+        rng = np.random.default_rng(21)
+        raw = rng.standard_normal((6, 37, 9)).astype(np.float32)
+        raw[:, 5] = raw[:, 4]  # duplicated time courses: constant populations
+        z = normalize_epoch_data(raw)
+        assigned = np.array([0, 3, 4, 5, 11, 20, 36])
+        make = self.EMITTERS[kind]
+
+        def walk():
+            result = run_engine(z, assigned, 3, make(), threads=threads)
+            return self._bytes(kind, result)
+
+        native_bits = walk()
+        monkeypatch.setattr(native, "_lib", None)
+        assert normalizer_body() == "numpy"
+        assert walk() == native_bits
+
+
+class TestFallback:
+    """No compiler, or nowhere to put the library: the numpy body
+    normalizes, with one warning and one attempt per process."""
+
+    @pytest.fixture(params=["no-compiler", "unwritable-cache"])
+    def unavailable(self, request, monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "_lib", native._UNTRIED)
+        if request.param == "no-compiler":
+            monkeypatch.setattr(native, "COMPILER", "no-such-compiler")
+        else:
+            blocker = tmp_path / "a-file"
+            blocker.write_text("")
+            monkeypatch.setattr(native, "cache_dir", lambda: blocker / "repro")
+        loads = []
+        load = native._load
+
+        def counted():
+            loads.append(1)
+            return load()
+
+        monkeypatch.setattr(native, "_load", counted)
+        return loads
+
+    def test_same_bits_one_warning_one_attempt(self, unavailable, caplog):
+        tile = corr_array(v=4, subjects=2, e=4, n=33, seed=6)
+        tile[1, 0:4, 7] = 0.25  # a constant population
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            first = fuse_normalize_tile(tile.copy(), 4)
+            second = fuse_normalize_tile(tile.copy(), 4)
+        assert normalizer_body() == "numpy"
+        assert first.tobytes() == _fuse_normalize_tile_numpy(tile.copy(), 4).tobytes()
+        assert second.tobytes() == first.tobytes()
+        warned = [r for r in caplog.records if r.name == native.__name__]
+        assert len(warned) == 1 and "numpy" in warned[0].getMessage()
+        assert len(unavailable) == 1

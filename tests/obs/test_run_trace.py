@@ -20,10 +20,11 @@ import pytest
 
 from repro.cli import main
 from repro.core import FCMAConfig
+from repro.core.normalization import normalizer_body
 from repro.data import save_dataset
 from repro.exec import RunContext, make_executor
 from repro.obs import SCHEMA, Tracer, build_tree, read_jsonl
-from repro.svm import native
+from repro import native
 
 GOLDEN = Path(__file__).parent / "golden" / "run_report_schema.json"
 
@@ -95,6 +96,20 @@ class TestTraceShape:
             s for s in traced_ctx.tracer.spans() if s.name == "smo.solve_batch"
         ]
         assert solves and {s.attrs["body"] for s in solves} == {body}
+
+    def test_walk_names_its_normalizer(self, traced_ctx, tiny_dataset):
+        """Both walk spans, dense and sparse, say which fused normalizer
+        body ran."""
+        sparse = RunContext(
+            FCMAConfig(variant="sparse-batched", task_voxels=40, top_k=6)
+        )
+        make_executor("serial").run(tiny_dataset, sparse)
+        for ctx, name in (
+            (traced_ctx, "correlate_normalize_batched"),
+            (sparse, "correlate_normalize_sparse"),
+        ):
+            walks = [s for s in ctx.tracer.spans() if s.name == name]
+            assert walks and {s.attrs["body"] for s in walks} == {normalizer_body()}
 
 
 class TestTraceMatchesRunContext:

@@ -26,6 +26,23 @@ from repro.parallel.transport import TcpListener, TcpTransport, worker_command
 
 TIMEOUT = 20.0
 
+#: Worker ends this module's in-process fabrics opened; a test closes
+#: its master, :func:`close_worker_ends` the rest.
+_worker_ends: list[TcpTransport] = []
+
+
+@pytest.fixture(autouse=True)
+def close_worker_ends():
+    yield
+    while _worker_ends:
+        _worker_ends.pop().close()
+
+
+def _join(host: str, port: int) -> TcpTransport:
+    transport = TcpTransport.connect(host, port, timeout=TIMEOUT)
+    _worker_ends.append(transport)
+    return transport
+
 
 def _fabric(n_workers: int):
     """Accept ``n_workers`` in-process connections; returns all comms.
@@ -40,7 +57,7 @@ def _fabric(n_workers: int):
 
     def connect():
         try:
-            workers.append(TcpTransport.connect(host, port, timeout=TIMEOUT))
+            workers.append(_join(host, port))
         except BaseException as exc:  # pragma: no cover - debug aid
             errors.append(exc)
 
@@ -156,9 +173,7 @@ class TestFailureDetection:
         host, port = listener.address
         worker_holder: list[TcpTransport] = []
         t = threading.Thread(
-            target=lambda: worker_holder.append(
-                TcpTransport.connect(host, port, timeout=TIMEOUT)
-            )
+            target=lambda: worker_holder.append(_join(host, port))
         )
         t.start()
         master = listener.accept(1, timeout=0.3)

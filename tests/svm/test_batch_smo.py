@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import native
 from repro.svm import (
     AdaptiveSelector,
     FirstOrderSelector,
@@ -26,7 +27,6 @@ from repro.svm import (
     SecondOrderSelector,
     grouped_cross_validation,
     grouped_cross_validation_batch,
-    native,
     solve_smo,
     solve_smo_batch,
 )
@@ -566,7 +566,7 @@ def test_builds_on_first_use_into_the_cache_and_reuses_it(tmp_path):
     process loads the cached library without compiling."""
     src = Path(repro.__file__).resolve().parents[1]
     probe = (
-        "import sys; from repro.svm import native; "
+        "import sys; from repro import native; "
         "print(sorted(p.name for p in native.cache_dir().glob('*')) "
         "if native.cache_dir().exists() else []); "
         "print(native.solver() is not None); "
@@ -581,7 +581,7 @@ def test_builds_on_first_use_into_the_cache_and_reuses_it(tmp_path):
         ).stdout.split("\n")
 
     first = run()
-    (library,) = (tmp_path / ".cache" / "repro").glob("smo-*.so")
+    (library,) = (tmp_path / ".cache" / "repro").glob("native-*.so")
     built_at = library.stat().st_mtime_ns
     second = run()
     assert first[:2] == ["[]", "True"]
