@@ -3,7 +3,10 @@
 Pearson correlation between voxel time courses is reduced to matrix
 multiplication by the equation-2 normalization: subtract each epoch
 vector's mean and divide by its root sum of squares, after which
-``corr(X, Y) = X' . Y'``.  Stage 1 then computes, for every epoch, the
+``corr(X, Y) = X' . Y'``.  :func:`epoch_windows` makes that input once
+per dataset, one compiled pass per epoch window read in place from the
+subject's BOLD (the numpy body is the fallback and the bitwise
+oracle).  Stage 1 then computes, for every epoch, the
 correlations between a task's *assigned* voxels and **all** brain voxels
 — a multiplication of a small ``(V, T)`` matrix with a tall-skinny
 ``(T, N)`` matrix.
@@ -28,21 +31,30 @@ corresponding to a single voxel are contiguous" (Fig. 4).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
+from .. import native
 from ..data.dataset import FMRIDataset
 from ..data.epochs import Epoch
 from .engine import check_stage1_inputs, validate_dense_out
+from .normalization import _float32_bound
 
 __all__ = [
     "normalize_epoch_data",
     "epoch_windows",
+    "windows_body",
     "correlate_baseline",
     "correlate_batched",
     "stage1_input_copies",
 ]
+
+
+#: Longest window the native body normalizes: numpy sums a row of at
+#: most this many values in one pairwise block (``PW_BLOCKSIZE``), and
+#: splits a longer one recursively, which the numpy body alone does.
+_PAIRWISE_BLOCK = 128
 
 
 def normalize_epoch_data(epoch_stack: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -51,29 +63,109 @@ def normalize_epoch_data(epoch_stack: np.ndarray, eps: float = 1e-12) -> np.ndar
     ``epoch_stack`` has shape ``(n_epochs, n_voxels, epoch_len)``.  Each
     voxel's epoch vector is mean-centered and scaled by its root sum of
     squares so that the dot product of two normalized vectors equals
-    their Pearson correlation.  Zero-variance vectors are mapped to zero
-    (their correlation with anything is defined as 0 rather than NaN).
+    their Pearson correlation.  Zero-variance vectors — a norm ``<=
+    eps``, or ``epoch_len`` copies of one finite value — are mapped to
+    zero (their correlation with anything is defined as 0 rather than
+    NaN).  A vector holding NaN or Inf is not constant: its NaNs
+    propagate.
+
+    A float32 stack whose rows are contiguous goes through the compiled
+    ``normalize_windows`` (:mod:`repro.native`), one call per epoch;
+    anything else, rows of more than 128 values, and a process without
+    the library run the numpy body, :func:`_normalize_epoch_data_numpy`.
+    Both give the same bits.
     """
     epoch_stack = np.asarray(epoch_stack)
     if epoch_stack.ndim != 3:
         raise ValueError(
             f"epoch stack must be (epochs, voxels, time), got {epoch_stack.shape}"
         )
-    x = epoch_stack.astype(np.float32, copy=True)
-    x -= x.mean(axis=2, keepdims=True)
-    norms = np.sqrt((x * x).sum(axis=2, keepdims=True))
-    np.divide(x, norms, out=x, where=norms > eps)
-    x[np.broadcast_to(norms <= eps, x.shape)] = 0.0
-    return x
+    windows = list(epoch_stack)
+    lib = _native_body(windows, epoch_stack.shape)
+    if lib is None:
+        return _normalize_epoch_data_numpy(epoch_stack, eps)
+    return _normalize_windows(lib, windows, epoch_stack.shape, eps)
 
 
 def epoch_windows(dataset: FMRIDataset, epochs: Sequence[Epoch] | None = None) -> np.ndarray:
     """Equation-2-normalized epoch windows straight from a dataset.
 
     Shape ``(n_epochs, n_voxels, epoch_len)``; epochs default to the
-    dataset's table order.
+    dataset's table order.  Bitwise
+    ``normalize_epoch_data(dataset.epoch_stack(epochs))``, but the
+    native body reads each window in place from its subject's BOLD, so
+    the one output is the only array made.
     """
-    return normalize_epoch_data(dataset.epoch_stack(epochs))
+    table = list(dataset.epochs) if epochs is None else list(epochs)
+    windows = [dataset.epoch_matrix(e) for e in table]
+    lengths = {e.length for e in table}
+    if len(lengths) == 1:
+        shape = (len(table), dataset.n_voxels, lengths.pop())
+        lib = _native_body(windows, shape)
+        if lib is not None:
+            return _normalize_windows(lib, windows, shape, 1e-12)
+    return normalize_epoch_data(dataset.epoch_stack(table))
+
+
+def windows_body(epoch_length: int) -> str:
+    """Which body :func:`epoch_windows` runs on a dataset's windows of
+    ``epoch_length`` TRs: ``"native"`` or ``"numpy"``."""
+    native_ok = 1 <= epoch_length <= _PAIRWISE_BLOCK
+    return "native" if native_ok and native.solver() is not None else "numpy"
+
+
+def _native_body(windows: list[np.ndarray], shape: tuple[int, ...]) -> Any:
+    """The library if every window is a float32 ``shape[1:]`` array with
+    contiguous rows and a row is one pairwise block, else ``None``."""
+    t = shape[2]
+    if not 1 <= t <= _PAIRWISE_BLOCK:
+        return None
+    for w in windows:
+        if not (
+            w.dtype == np.float32
+            and w.shape == shape[1:]
+            and w.flags.aligned
+            and (t == 1 or w.strides[1] == 4)
+            and w.strides[0] % 4 == 0
+        ):
+            return None
+    return native.solver()
+
+
+def _normalize_windows(
+    lib: Any, windows: list[np.ndarray], shape: tuple[int, int, int], eps: float
+) -> np.ndarray:
+    """One ``normalize_windows`` call per epoch into one new stack, on
+    the calling thread: dealing the epochs to the engine's threads was
+    no faster on two vCPUs and started a Python thread per call, under
+    which a process's peak RSS spread six times wider
+    (docs/perf-models.md, Stage 1 input)."""
+    _, n, t = shape
+    out = np.empty(shape, dtype=np.float32)
+    bound = _float32_bound(eps)
+    base, step = out.ctypes.data, n * t * out.itemsize
+    for e, w in enumerate(windows):
+        lib.normalize_windows(
+            w.ctypes.data, w.strides[0] // 4, n, t, bound, base + e * step
+        )
+    return out
+
+
+def _normalize_epoch_data_numpy(
+    epoch_stack: np.ndarray, eps: float = 1e-12
+) -> np.ndarray:
+    """:func:`normalize_epoch_data` through its numpy body, always: the
+    fallback, and the bitwise oracle of the native body."""
+    x = epoch_stack.astype(np.float32, copy=True)
+    # Equal values sum to a mean that need not round back to them; the
+    # centred row is then ulps, not zeros, and would scale to +-1/sqrt(t).
+    first = x[:, :, :1]
+    constant = (x == first).all(axis=2, keepdims=True) & np.isfinite(first)
+    x -= x.mean(axis=2, keepdims=True)
+    norms = np.sqrt((x * x).sum(axis=2, keepdims=True))
+    np.divide(x, norms, out=x, where=norms > eps)
+    x[np.broadcast_to((norms <= eps) | constant, x.shape)] = 0.0
+    return x
 
 
 def correlate_baseline(z: np.ndarray, assigned: np.ndarray) -> np.ndarray:

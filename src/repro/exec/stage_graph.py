@@ -46,7 +46,11 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.correlation import correlate_baseline, stage1_input_copies
+from ..core.correlation import (
+    correlate_baseline,
+    stage1_input_copies,
+    windows_body,
+)
 from ..core.engine import GramEmitter, run_engine, thread_budget
 from ..core.kernels import kernel_matrix_batched, sum_gram_partials
 from ..core.normalization import (
@@ -72,6 +76,7 @@ __all__ = [
     "optimized_graph",
     "build_graph",
     "execute_task",
+    "name_windows_body",
     "score",
     "score_panel",
     "walk",
@@ -171,7 +176,17 @@ def _preprocess(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
     from ..core.pipeline import preprocess_dataset
 
     ds, z = preprocess_dataset(state["dataset"])
+    name_windows_body(ctx, ds)
     return {"grouped": ds, "windows": z}
+
+
+def name_windows_body(ctx: RunContext, grouped: "FMRIDataset") -> None:
+    """Tag the open ``preprocess`` stage span with ``body``: which
+    equation-2 normalizer (``native`` / ``numpy``) made the windows.
+    The serial graph's node and a tiled worker rank's start call it."""
+    span = ctx.tracer.current()
+    if span is not None:
+        span.attrs["body"] = windows_body(grouped.epoch_length)
 
 
 def _correlate_baseline(

@@ -1,19 +1,20 @@
 """The compiled kernels, built on first use: one library, one loader.
 
-Two native entry points, each behind a numpy body that gives the same
-bits: ``smo_solve_batch`` (``svm/_smo.c``, stage 3's SMO problem solve)
-and ``normalize_zscore`` (``core/_normalize.c``, the z-score tail of
-stage 2's fused normalizer).  :func:`solver` compiles both sources with
-``gcc`` into one library the first time a process asks for it (never
-at import), into a per-user cache directory under a name keyed by the
-sources, the flags and the compiler binary; the library is published
-with an atomic rename, so concurrent first runs at worst compile twice,
-and later processes only load it (``ctypes``).  The float32 log the SMO
-adaptive heuristic uses must round as ``np.log`` does, so a freshly
-loaded library is checked against it.  Any failure — no compiler, an
-unwritable cache, a failed build or check — makes the library
-unavailable for the rest of the process, logged once; callers then run
-their numpy bodies.
+Three native entry points, each behind a numpy body that gives the
+same bits: ``smo_solve_batch`` (``svm/_smo.c``, stage 3's SMO problem
+solve), ``normalize_zscore`` (``core/_normalize.c``, the z-score tail of
+stage 2's fused normalizer) and ``normalize_windows`` (the same file,
+stage 1's equation-2 input normalization).  :func:`solver` compiles
+both sources with ``gcc`` into one library the first time a process
+asks for it (never at import), into a per-user cache directory under a
+name keyed by the sources, the flags and the compiler binary; the
+library is published with an atomic rename, so concurrent first runs
+at worst compile twice, and later processes only load it (``ctypes``).
+The float32 log the SMO adaptive heuristic uses must round as
+``np.log`` does, so a freshly loaded library is checked against it.
+Any failure — no compiler, an unwritable cache, a failed build or
+check — makes the library unavailable for the rest of the process,
+logged once; callers then run their numpy bodies.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ SOURCES = (
     Path(__file__).parent / "core" / "_normalize.c",
 )
 COMPILER = "gcc"
-#: -O3 vectorizes the normalizer's loops (at -O2 they stay scalar and
-#: lose to numpy) and -fno-math-errno its sqrtf.  Without -ffast-math no
-#: sum is reordered, and -ffp-contract=off forbids fused multiply-adds,
-#: so both kernels keep their numpy bits.  No -march: the cache is keyed
+#: -O3 vectorizes the normalizers' loops (at -O2 they stay scalar and
+#: lose to numpy) and -fno-math-errno their sqrtf.  Without -ffast-math
+#: no sum is reordered, and -ffp-contract=off forbids fused multiply-adds,
+#: so every kernel keeps its numpy bits.  No -march: the cache is keyed
 #: by compiler, not by CPU (the normalizer carries per-CPU clones).
 FLAGS = (
     "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno", "-pthread",
@@ -122,6 +123,8 @@ def _load() -> Any:
     lib.smo_log_f32.argtypes = [ptr, ptr, i64]
     lib.normalize_zscore.restype = None
     lib.normalize_zscore.argtypes = [ptr, i64, i64, i64, f32, ptr, ptr]
+    lib.normalize_windows.restype = None
+    lib.normalize_windows.argtypes = [ptr, i64, i64, i64, f32, ptr]
     x = _log_probe()
     out = np.empty_like(x)
     lib.smo_log_f32(x.ctypes.data, out.ctypes.data, x.size)
@@ -131,8 +134,8 @@ def _load() -> Any:
 
 
 def solver() -> Any:
-    """The loaded library (``smo_solve_batch``, ``normalize_zscore``), or
-    ``None`` if unavailable."""
+    """The loaded library (``smo_solve_batch``, ``normalize_zscore``,
+    ``normalize_windows``), or ``None`` if unavailable."""
     global _lib
     if _lib is _UNTRIED:
         with _lock:

@@ -105,6 +105,7 @@ from ..data.dataset import FMRIDataset
 from ..exec.context import RunContext
 from ..exec.stage_graph import (
     execute_task,
+    name_windows_body,
     score,
     score_panel,  # re-exported: the dense score body the harness drives
     walk,
@@ -438,7 +439,9 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     """A worker rank's lifecycle, REQUEST ... STOP -> DONE; returns
     items completed.
 
-    A tile/score item is prefetched: the request for the *next* item
+    The rank starts with the serial graph's ``preprocess`` stage, under
+    its own span, which comes home in the rank's report.  A tile/score
+    item is prefetched: the request for the *next* item
     goes out before this one computes, the exposed wait lands in the
     ``comm.fetch_wait`` stage and the hidden fraction (message arrived
     while computing) in the ``overlap_hidden_seconds`` counter.  A
@@ -451,7 +454,9 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     """
     if comm.rank == 0:
         raise ValueError("worker_loop must not run on rank 0")
-    grouped, z = preprocess_dataset(dataset)
+    with ctx.timer("preprocess"):
+        grouped, z = preprocess_dataset(dataset)
+        name_windows_body(ctx, grouped)
     epochs_per_subject = grouped.epochs.epochs_per_subject()
     workspace = NormalizationWorkspace()
     completed = 0

@@ -1,15 +1,20 @@
 """Tests for stage 1: epoch normalization and correlation computation."""
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import native
 from repro.core import engine, iter_blocks
 from repro.core.correlation import (
+    _normalize_epoch_data_numpy,
     correlate_baseline,
     correlate_batched,
     epoch_windows,
     normalize_epoch_data,
+    windows_body,
 )
 from repro.core.engine import DenseEmitter, run_engine
 from repro.core.normalization import normalize_separated
@@ -39,11 +44,34 @@ class TestNormalizeEpochData:
         ref = np.corrcoef(s[0].astype(np.float64))
         np.testing.assert_allclose(ours, ref, atol=1e-5)
 
-    def test_constant_voxel_zeroed(self):
-        s = stack(2, 3, 8)
-        s[:, 1, :] = 5.0
-        z = normalize_epoch_data(s)
+    @pytest.mark.parametrize(
+        "body",
+        [normalize_epoch_data, _normalize_epoch_data_numpy],
+        ids=["dispatch", "numpy"],
+    )
+    @pytest.mark.parametrize("value", [5.0, 1000.1, 123.456])
+    def test_constant_voxel_zeroed(self, value, body):
+        """``t`` equal values map to zeros in either body, also where
+        their float32 mean does not round back to the value (1000.1 and
+        123.456 at t = 12), which left ulps that scaled to +-1/sqrt(t)."""
+        s = stack(2, 3, 12)
+        s[:, 1, :] = value
+        z = body(s)
         np.testing.assert_array_equal(z[:, 1, :], 0.0)
+        assert not np.signbit(z[:, 1, :]).any()
+
+    @pytest.mark.parametrize(
+        "body",
+        [normalize_epoch_data, _normalize_epoch_data_numpy],
+        ids=["dispatch", "numpy"],
+    )
+    def test_non_finite_row_is_not_constant(self, body):
+        """Equal Infs are no constant: the row keeps its NaNs."""
+        s = stack(1, 3, 12)
+        s[0, 1, :] = np.inf
+        with np.errstate(invalid="ignore"):
+            z = body(s)
+        assert np.isnan(z[0, 1, :]).all()
 
     def test_requires_3d(self):
         with pytest.raises(ValueError):
@@ -57,6 +85,109 @@ class TestNormalizeEpochData:
 
     def test_output_float32(self):
         assert normalize_epoch_data(stack().astype(np.float64)).dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# Two bodies, one answer: the compiled equation-2 pass and the numpy body
+# ---------------------------------------------------------------------------
+
+def test_native_windows_built_where_a_compiler_is():
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip("no compiler: the numpy body is the only body")
+    assert native.solver().normalize_windows
+    assert windows_body(12) == "native"
+    # numpy splits a row of more than 128 values; its body takes those.
+    assert windows_body(128) == "native" and windows_body(129) == "numpy"
+
+
+def assert_same_bits(got, want):
+    """Bit for bit, but for one freedom: a lane that differs must be NaN
+    in both (which of two NaN payloads an operation propagates is the
+    instruction's choice)."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    differ = got.view(np.uint32) != want.view(np.uint32)
+    assert np.isnan(got[differ]).all() and np.isnan(want[differ]).all()
+
+
+def numpy_norms(raw):
+    """The numpy body's float32 root sum of squares of every row."""
+    x = raw.astype(np.float32)
+    x = x - x.mean(axis=2, keepdims=True)
+    return np.sqrt((x * x).sum(axis=2))
+
+
+WINDOW_SPECIALS = (
+    "nan", "inf", "-inf", "negative-zero", "constant", "zero-row", "inf-row",
+)
+EPS_EDGES = (None, "below", "at", "above", "below64", "at64", "above64")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    e=st.integers(1, 3),
+    n=st.integers(1, 40),
+    t=st.one_of(st.integers(2, 40), st.sampled_from([1, 127, 128, 129, 200])),
+    strided=st.booleans(),
+    seed=st.integers(0, 10_000),
+    specials=st.lists(st.sampled_from(WINDOW_SPECIALS), max_size=4),
+    eps_edge=st.sampled_from(EPS_EDGES),
+)
+def test_native_windows_match_numpy_body_property(
+    e, n, t, strided, seed, specials, eps_edge
+):
+    """Property: ``normalize_epoch_data`` is bitwise the numpy body —
+    every ``t`` numpy sums in one pairwise block (below 8, 8, and every
+    remainder mod 8), the numpy-only rows above 128, rows read at a
+    stride from a wider array, magnitudes 1e-8 to 1e4, NaN, +-Inf, -0.0,
+    constant, all-zero and all-Inf rows, and an ``eps`` an ulp below, at
+    or above a row's norm (a Python float compares in float32, a float64
+    scalar in float64)."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8, 4, (e, n, 1))
+    wide = (rng.standard_normal((e, n, t + 5)) * scale).astype(np.float32)
+    raw = wide[:, :, 2 : 2 + t] if strided else np.ascontiguousarray(wide[:, :, :t])
+    for special in specials:
+        i, v, k = rng.integers(e), rng.integers(n), rng.integers(t)
+        if special in ("nan", "inf", "-inf"):
+            raw[i, v, k] = float(special)
+        elif special == "negative-zero":
+            raw[i, v, k] = -0.0
+        elif special == "constant":
+            raw[i, v, :] = raw[i, v, k]
+        elif special == "inf-row":
+            raw[i, v, :] = np.inf
+        else:
+            raw[i, v, :] = 0.0
+    eps = 1e-12
+    with np.errstate(invalid="ignore", over="ignore"):
+        norm = numpy_norms(raw)[rng.integers(e), rng.integers(n)]
+        if eps_edge is not None and np.isfinite(norm):
+            down = np.nextafter(norm, np.float32(-np.inf))
+            up = np.nextafter(norm, np.float32(np.inf))
+            eps = {
+                "below": float(down),
+                "at": float(norm),
+                "above": float(up),
+                "below64": np.float64(norm) * (1 - 2**-40),
+                "at64": np.float64(norm),
+                "above64": np.float64(norm) * (1 + 2**-40),
+            }[eps_edge]
+        got = normalize_epoch_data(raw, eps)
+        want = _normalize_epoch_data_numpy(raw, eps)
+    assert_same_bits(got, want)
+
+
+def test_one_nan_payload_normalizes_bit_for_bit():
+    """NaNs of one payload (np.nan, as data carries it) leave no freedom:
+    every lane, NaN or not, has the numpy body's bits."""
+    raw = stack(3, 20, 12, seed=5)
+    raw[0, 3, 4] = np.nan
+    raw[1, 7, :] = np.nan
+    raw[2, :, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = normalize_epoch_data(raw)
+        want = _normalize_epoch_data_numpy(raw)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCorrelateBaseline:
@@ -149,6 +280,33 @@ class TestCorrelateBlocked:
 
 
 class TestEpochWindows:
+    @pytest.mark.parametrize("table", ["grouped", "ungrouped", "subset"])
+    def test_gathered_equals_normalized_stack(self, tiny_dataset, table):
+        """Each window read in place from its subject's BOLD gives the
+        bits of normalizing the stacked copies: multi-subject, in table
+        order or grouped, or a shuffled subset of epochs."""
+        ds = tiny_dataset.grouped_by_subject() if table == "grouped" else tiny_dataset
+        epochs = list(ds.epochs)
+        if table == "subset":
+            order = np.random.default_rng(3).permutation(len(epochs))[:11]
+            epochs = [epochs[i] for i in order]
+        assert len({e.subject for e in epochs}) > 1
+        got = epoch_windows(ds, epochs)
+        want = normalize_epoch_data(ds.epoch_stack(epochs))
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == _normalize_epoch_data_numpy(
+            ds.epoch_stack(epochs)
+        ).tobytes()
+
+    def test_mixed_lengths_rejected(self, tiny_dataset):
+        first, second = list(tiny_dataset.epochs)[:2]
+        short = type(first)(
+            subject=first.subject, start=first.start,
+            length=first.length - 1, condition=first.condition,
+        )
+        with pytest.raises(ValueError, match="uniform epoch length"):
+            epoch_windows(tiny_dataset, [short, second])
+
     def test_from_dataset(self, tiny_dataset):
         z = epoch_windows(tiny_dataset)
         assert z.shape == (

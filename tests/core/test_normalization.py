@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro import native
 from repro.core.correlation import (
+    _normalize_epoch_data_numpy,
     correlate_baseline,
     correlate_batched,
+    epoch_windows,
     normalize_epoch_data,
+    windows_body,
 )
 from repro.core.engine import GramEmitter, run_engine
 from repro.core.normalization import (
@@ -522,6 +525,27 @@ class TestFallback:
         assert normalizer_body() == "numpy"
         assert first.tobytes() == _fuse_normalize_tile_numpy(tile.copy(), 4).tobytes()
         assert second.tobytes() == first.tobytes()
+        warned = [r for r in caplog.records if r.name == native.__name__]
+        assert len(warned) == 1 and "numpy" in warned[0].getMessage()
+        assert len(unavailable) == 1
+
+    def test_windows_same_bits_one_warning_one_attempt(
+        self, unavailable, caplog, tiny_dataset
+    ):
+        """The equation-2 pass falls back with the z-score tail: the
+        same library, so one warning and one attempt for both."""
+        raw = tiny_dataset.epoch_stack()
+        raw[:, 5, :] = 1000.1  # constant rows
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            first = normalize_epoch_data(raw)
+            gathered = epoch_windows(tiny_dataset)
+            fuse_normalize_tile(corr_array(), 4)
+        assert windows_body(tiny_dataset.epoch_length) == "numpy"
+        assert first.tobytes() == _normalize_epoch_data_numpy(raw).tobytes()
+        assert not first[:, 5, :].any()
+        assert gathered.tobytes() == _normalize_epoch_data_numpy(
+            tiny_dataset.epoch_stack()
+        ).tobytes()
         warned = [r for r in caplog.records if r.name == native.__name__]
         assert len(warned) == 1 and "numpy" in warned[0].getMessage()
         assert len(unavailable) == 1

@@ -81,12 +81,16 @@ class TestTraceEquivalence:
         (executor-specific attrs), the coordinator's ``event`` spans
         (its plan and the messages it received) and each worker rank's
         two ``comm.bytes_*`` counter spans (its end of the wire, not
-        dataflow)."""
+        dataflow) and its start's ``preprocess`` span (outside every
+        task, directly under the run)."""
+        spans = ctx.tracer.spans()
+        runs = {s.span_id for s in spans if s.kind == "run"}
         return [
             s
-            for s in ctx.tracer.spans()
+            for s in spans
             if s.kind not in ("run", "event")
             and not s.name.startswith("comm.bytes_")
+            and not (s.name == "preprocess" and s.parent_id in runs)
         ]
 
     @pytest.mark.parametrize("name", ["pool", "master-worker"])

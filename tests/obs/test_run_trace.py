@@ -20,6 +20,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import FCMAConfig
+from repro.core.correlation import windows_body
 from repro.core.normalization import normalizer_body
 from repro.data import save_dataset
 from repro.exec import RunContext, make_executor
@@ -110,6 +111,35 @@ class TestTraceShape:
         ):
             walks = [s for s in ctx.tracer.spans() if s.name == name]
             assert walks and {s.attrs["body"] for s in walks} == {normalizer_body()}
+
+
+    def test_preprocess_names_its_body(self, traced_ctx, tiny_dataset):
+        """Every ``preprocess`` span says which equation-2 body made the
+        windows."""
+        spans = [s for s in traced_ctx.tracer.spans() if s.name == "preprocess"]
+        assert len(spans) == len(traced_ctx.task_seconds)
+        body = windows_body(tiny_dataset.epoch_length)
+        assert {s.attrs["body"] for s in spans} == {body}
+
+    @pytest.mark.parametrize("transport", ["thread", "tcp"])
+    def test_each_worker_rank_records_its_preprocess(
+        self, tiny_dataset, transport
+    ):
+        """A tiled run's worker ranks each open the serial graph's
+        ``preprocess`` stage span once, and it comes home in the rank's
+        report, under the run, with its ``body``."""
+        ctx = RunContext(FCMAConfig(task_voxels=40))
+        make_executor(
+            "master-worker", n_workers=2, transport=transport, partition="tiles"
+        ).run(tiny_dataset, ctx)
+        spans = ctx.tracer.spans()
+        (run,) = [s for s in spans if s.kind == "run"]
+        preprocess = [s for s in spans if s.name == "preprocess"]
+        assert len(preprocess) == 2
+        for span in preprocess:
+            assert span.kind == "stage" and span.parent_id == run.span_id
+            assert span.attrs["body"] == windows_body(tiny_dataset.epoch_length)
+        assert "preprocess" in ctx.timing_report()["stages"]
 
 
 class TestTraceMatchesRunContext:
