@@ -10,8 +10,9 @@ keep 240+ voxel problems resident on the coprocessor.
 Two implementations are provided:
 
 * :func:`kernel_matrix_baseline` — one BLAS call per voxel: the
-  ``baseline`` pipeline's syrk, and what the per-voxel fallback of
-  stage 3 (multiclass, LibSVM, ``batch_voxels=0``) always uses.
+  ``baseline`` pipeline's syrk, and what the per-voxel reference of
+  stage 3 (:func:`~repro.core.voxel_selection.score_voxels_reference`)
+  uses.
 * :func:`kernel_matrix_batched` — **all V voxel kernels at once** as a
   stacked ``(V, M, N) @ (V, N, M)`` GEMM, the batch axis that keeps many
   voxel problems in flight the way the paper keeps 240+ problems

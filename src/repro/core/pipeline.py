@@ -84,9 +84,9 @@ class FCMAConfig:
     #: Folds for single-subject (online) CV, used when the dataset has
     #: only one subject and LOSO is impossible.
     online_folds: int = 4
-    #: Voxel problems per stage-3 batch (stacked-GEMM kernels + the
-    #: multi-problem SMO solver).  0 forces the per-voxel reference
-    #: path; backends without a batched trainer fall back automatically.
+    #: Voxels per stage-3 score block (one multi-problem SMO call over
+    #: their voxels x folds problems); the width never shows in the
+    #: scores.  Backends without a batched trainer score per voxel.
     batch_voxels: int = DEFAULT_BATCH_VOXELS
     #: ``sparse-batched`` only: keep normalized correlations with
     #: ``|value| >= threshold`` (mutually exclusive with ``top_k``;
@@ -115,8 +115,8 @@ class FCMAConfig:
             raise ValueError("target_block must be >= 1")
         if self.online_folds < 2:
             raise ValueError("online_folds must be >= 2")
-        if self.batch_voxels < 0:
-            raise ValueError("batch_voxels must be >= 0")
+        if self.batch_voxels < 1:
+            raise ValueError("batch_voxels must be >= 1")
         if self.threshold is not None and not self.threshold >= 0.0:
             raise ValueError("threshold must be >= 0")
         if self.top_k is not None and self.top_k < 1:

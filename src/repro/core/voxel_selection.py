@@ -8,10 +8,11 @@ folds are pure submatrix slices.
 
 Two drivers are provided.  :func:`score_voxels` (the default path) is
 two halves: all kernels from one stacked GEMM, then :func:`score_kernels`
-works **batch-at-a-time** — blocks of ``batch_voxels`` problems are
-cross-validated by the multi-problem SMO solver, which keeps every
-problem in the block in flight simultaneously — the software analogue
-of the paper's "240+ voxel problems resident on the coprocessor".
+works **batch-at-a-time** — blocks of ``batch_voxels`` voxels are
+cross-validated by one multi-problem SMO call, whose problems (voxels x
+folds) are dealt to the engine's threads, one compiled solve each —
+the paper's PhiSVM, where "a thread takes full responsibility for the
+cross validation of one voxel" (§4.4).
 :func:`score_voxels_reference` is the one-voxel-at-a-time loop kept as
 the reference implementation; the batched path reproduces its
 trajectories exactly (see the solver equivalence tests).
@@ -108,7 +109,7 @@ def score_voxels(
     labels: np.ndarray,
     fold_ids: np.ndarray,
     backend: KernelBackend,
-    batch_voxels: int | None = DEFAULT_BATCH_VOXELS,
+    batch_voxels: int = DEFAULT_BATCH_VOXELS,
 ) -> VoxelScores:
     """Score every assigned voxel by grouped-CV accuracy.
 
@@ -140,16 +141,16 @@ def score_kernels(
     labels: np.ndarray,
     fold_ids: np.ndarray,
     backend: KernelBackend,
-    batch_voxels: int | None = DEFAULT_BATCH_VOXELS,
+    batch_voxels: int = DEFAULT_BATCH_VOXELS,
 ) -> VoxelScores:
     """Stage 3b: grouped-CV accuracy of ``(V, M, M)`` precomputed kernels.
 
-    Blocks of ``batch_voxels`` problems are cross-validated at once
-    through the backend's multi-problem solver (``fit_kernel_batch``).
-    Falls back to sequential per-voxel CV over the same kernels when
-    batching is disabled (``batch_voxels=None``/``0``), when the backend
-    has no batched trainer (e.g. the LibSVM-like baseline), or when the
-    labels are multiclass (one-vs-one voting is per-problem).
+    Blocks of ``batch_voxels`` (>= 1) voxels are cross-validated at once
+    through the backend's multi-problem solver (``fit_kernel_batch``);
+    the width never shows in the scores.  Falls back to sequential
+    per-voxel CV over the same kernels when the backend has no batched
+    trainer (e.g. the LibSVM-like baseline) or when the labels are
+    multiclass (one-vs-one voting is per-problem).
     """
     kernels = np.asarray(kernels)
     voxel_ids = np.asarray(voxel_ids, dtype=np.int64)
@@ -163,6 +164,8 @@ def score_kernels(
         )
     if labels.shape != (m,) or fold_ids.shape != (m,):
         raise ValueError("labels and fold_ids must have one entry per epoch")
+    if batch_voxels < 1:
+        raise ValueError("batch_voxels must be >= 1")
     accuracies = np.empty(v, dtype=np.float64)
 
     def per_voxel() -> VoxelScores:
@@ -173,15 +176,8 @@ def score_kernels(
             accuracies[i] = result.accuracy
         return VoxelScores(voxels=voxel_ids, accuracies=accuracies)
 
-    batchable = (
-        batch_voxels is not None
-        and batch_voxels > 0
-        and hasattr(backend, "fit_kernel_batch")
-        and np.unique(labels).size == 2
-    )
-    if not batchable:
+    if not hasattr(backend, "fit_kernel_batch") or np.unique(labels).size != 2:
         return per_voxel()
-    assert batch_voxels is not None
     for b0 in range(0, v, batch_voxels):
         b1 = min(b0 + batch_voxels, v)
         with kernel_span(
@@ -209,7 +205,7 @@ def score_voxels_sparse(
     labels: np.ndarray,
     fold_ids: np.ndarray,
     backend: KernelBackend,
-    batch_voxels: int | None = DEFAULT_BATCH_VOXELS,
+    batch_voxels: int = DEFAULT_BATCH_VOXELS,
 ) -> VoxelScores:
     """Stage 3 straight from a CSR stage-1/2 result.
 

@@ -43,8 +43,6 @@ __all__ = [
     "TARGET_BLOCK",
     "ITERATIONS",
     "PROBLEMS",
-    "SWEEPS",
-    "OCCUPANCY",
     "TRS",
     "CALLS",
     "PREDICTED_SECONDS",
@@ -109,19 +107,9 @@ VOXEL_SWEEP = MetricSpec("voxel_sweep", "voxels", "sparse tile slab width")
 TARGET_BLOCK = MetricSpec("target_block", "voxels", "sparse tile column width")
 #: Solver (SMO) working-set iterations performed.
 ITERATIONS = MetricSpec("iterations", "count", "solver iterations")
-#: Independent SVM problems one lockstep solve carried (rows of its
+#: Independent SVM problems one batched solve carried (rows of its
 #: batch axis: voxels x cross-validation folds in FCMA stage 3).
-PROBLEMS = MetricSpec("problems", "count", "SVM problems in a lockstep solve")
-#: Lockstep sweeps a batched solve ran (== its slowest problem's
-#: iterations); each costs one fixed round of array dispatches.
-SWEEPS = MetricSpec("sweeps", "count", "lockstep sweeps of a batched solve")
-#: iterations / (sweeps * problems): the share of an un-retired
-#: lockstep's row-sweeps that did SMO work.  Near 1 the solve is
-#: dispatch-bound (cost ~ sweeps); low values mean a few stragglers
-#: set the sweep count.
-OCCUPANCY = MetricSpec(
-    "occupancy", "fraction", "live share of a lockstep solve's row-sweeps"
-)
+PROBLEMS = MetricSpec("problems", "count", "SVM problems in a batched solve")
 #: TR volumes folded into a streaming kernel span (the incremental
 #: engine's epoch length / update count).
 TRS = MetricSpec("trs", "count", "TR volumes processed by the span")
@@ -177,8 +165,6 @@ METRICS: dict[str, MetricSpec] = {
         TARGET_BLOCK,
         ITERATIONS,
         PROBLEMS,
-        SWEEPS,
-        OCCUPANCY,
         TRS,
         CALLS,
         PREDICTED_SECONDS,

@@ -1,6 +1,6 @@
 /*
- * One float32 C-SVC dual, solved the way the lockstep body of
- * repro.svm.smo.solve_smo_batch solves each of its rows.
+ * One float32 C-SVC dual, solved the way repro.svm.smo.solve_smo solves
+ * it (its iteration is the numpy body of solve_smo_batch).
  *
  *     min_a  (1/2) a^T Q a - e^T a,   0 <= a_i <= C,   y^T a = 0
  *
@@ -83,8 +83,8 @@ void smo_log_f32(const float *x, float *out, int64_t n)
 
 /*
  * Convergence per unit cost of one probe phase, the float32 rule of
- * _BatchAdaptivePhases._rates: log(start / end) / (probe * cost), and
- * +inf when either gap is not positive.
+ * AdaptiveSelector._rate: log(start / end) / (probe * cost), and +inf
+ * when either gap is not positive.
  */
 static float probe_rate(float start, float end, float cost)
 {

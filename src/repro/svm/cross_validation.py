@@ -172,11 +172,10 @@ def grouped_cross_validation_batch(
     pure stacked submatrix slices ``kernels[:, train, train]``.  All
     ``F`` folds train in **one** ``fit_kernel_batch`` call over a
     ``(B * F, n_train, n_train)`` stack with per-problem labels (voxel
-    major, fold minor), so the lockstep solver runs as many sweeps as
-    the slowest (voxel, fold) problem needs — not the sum over folds of
-    each fold's slowest.  Folds of unequal training size cannot share a
-    stack; they are grouped by size, one call per distinct size in
-    ascending order, never padded.  The stack is a copy of
+    major, fold minor), one solver call per batch instead of one per
+    fold.  Folds of unequal training size cannot share a stack; they
+    are grouped by size, one call per distinct size in ascending order,
+    never padded.  The stack is a copy of
     ``B * F * n_train**2`` kernel entries.  Fold semantics are identical
     to the sequential driver, including the degenerate-training-fold
     rule (accuracy 0 for every problem).

@@ -78,19 +78,22 @@ class WorkingSetSelector(Protocol):
 
 
 def _first_order_pair(state: SelectionState) -> tuple[int, int, float, float]:
-    """Maximal violating pair; returns (i, j, gmax, gap)."""
+    """Maximal violating pair; returns (i, j, gmax, gap) in the solve's dtype.
+
+    The gap is ``gmax - gmin`` in that dtype, and 0 (optimal) when either
+    extreme is non-finite: an empty I_up or I_low (single class, or no
+    feasible direction) or a NaN/Inf gradient — ``_smo.c``'s rule.
+    """
     minus_yg = -(state.y * state.grad)
     i_up, i_low = state.masks()
-    if not i_up.any() or not i_low.any():
-        # Degenerate (single-class or empty feasible direction): optimal.
-        return 0, 0, 0.0, 0.0
     up_vals = np.where(i_up, minus_yg, -np.inf)
     low_vals = np.where(i_low, minus_yg, np.inf)
     i = int(np.argmax(up_vals))
     j = int(np.argmin(low_vals))
-    gmax = float(up_vals[i])
-    gap = gmax - float(low_vals[j])
-    return i, j, gmax, gap
+    gmax, gmin = up_vals[i], low_vals[j]
+    if not (np.isfinite(gmax) and np.isfinite(gmin)):
+        return i, j, gmax, minus_yg.dtype.type(0)
+    return i, j, gmax, gmax - gmin
 
 
 class FirstOrderSelector:
@@ -173,11 +176,12 @@ class AdaptiveSelector:
         self.usage = {"first": 0, "second": 0}
 
     def _rate(self, gap_start: float, gap_end: float, cost: float) -> float:
-        """Convergence per unit cost: log gap shrinkage / (iters * cost)."""
+        """Convergence per unit cost, in the gaps' dtype: ``log(start /
+        end) / (probe * cost)`` (numpy's log), and ``inf`` when either gap
+        is not positive — the rule ``_smo.c``'s ``probe_rate`` repeats."""
         if gap_start <= 0 or gap_end <= 0:
             return math.inf  # converged during the phase: infinitely good
-        shrink = math.log(gap_start / max(gap_end, 1e-300))
-        return shrink / (self._probe_iters * cost)
+        return np.log(gap_start / gap_end) / (self._probe_iters * cost)
 
     def _advance_phase(self, gap: float) -> None:
         start = self._gap_at_phase_start

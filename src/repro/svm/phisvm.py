@@ -134,9 +134,9 @@ class PhiSVM:
         trains on different epochs).  The two classes are common to the
         batch and every problem must see both.  This is the batch
         analogue of :meth:`fit_kernel`: each problem follows the same
-        SMO trajectory it would follow alone, but the working-set
-        selection and updates for all P problems are single vectorized
-        operations per sweep.
+        SMO trajectory it would follow alone, through
+        :func:`~repro.svm.smo.solve_smo_batch` (one compiled solve per
+        problem, dealt to the engine's threads).
         """
         kernels = np.asarray(kernels)
         if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:

@@ -38,6 +38,7 @@ class TestConfig:
             {"online_folds": 1},
             {"batch_voxels": -1},
             {"svm_tol": 0},
+            {"batch_voxels": 0},
         ],
     )
     def test_validation(self, kwargs):

@@ -45,7 +45,7 @@ class TestScoreVoxels:
         corr, labels, folds = correlations(seed=1)
         svm = PhiSVM(tol=1e-4)
         a = score_voxels(corr, np.arange(3), labels, folds, svm)
-        b = score_voxels(corr, np.arange(3), labels, folds, svm, batch_voxels=0)
+        b = score_voxels_reference(corr, np.arange(3), labels, folds, svm)
         np.testing.assert_array_equal(a.accuracies, b.accuracies)
 
     def test_validation(self):
@@ -62,7 +62,7 @@ class TestScoreKernels:
     """The second half of ``score_voxels``: what a tiled ``"score"``
     item runs on kernels its tiles Gram-ed elsewhere."""
 
-    @pytest.mark.parametrize("batch_voxels", [64, 2, 0])
+    @pytest.mark.parametrize("batch_voxels", [64, 2, 1])
     def test_gram_then_score_kernels_is_score_voxels(self, batch_voxels):
         corr, labels, folds = correlations(v=5, seed=2)
         ids = np.arange(5)
@@ -85,6 +85,10 @@ class TestScoreKernels:
             score_kernels(corr, np.arange(3), labels, folds, PhiSVM())
         with pytest.raises(ValueError, match="per epoch"):
             score_kernels(kernels, np.arange(3), labels, folds[:-1], PhiSVM())
+        with pytest.raises(ValueError, match="batch_voxels"):
+            score_kernels(
+                kernels, np.arange(3), labels, folds, PhiSVM(), batch_voxels=0
+            )
 
 
 class TestBatchedPath:
@@ -104,14 +108,14 @@ class TestBatchedPath:
             batched.accuracies, reference.accuracies, atol=1e-6
         )
 
-    def test_batch_disabled_falls_back(self):
+    def test_one_voxel_blocks_match_reference(self):
         corr, labels, folds = correlations(seed=3)
         svm = PhiSVM(tol=1e-4)
-        off = score_voxels(
-            corr, np.arange(3), labels, folds, svm, batch_voxels=0
+        narrow = score_voxels(
+            corr, np.arange(3), labels, folds, svm, batch_voxels=1
         )
         ref = score_voxels_reference(corr, np.arange(3), labels, folds, svm)
-        np.testing.assert_array_equal(off.accuracies, ref.accuracies)
+        np.testing.assert_array_equal(narrow.accuracies, ref.accuracies)
 
     def test_backend_without_batch_trainer_falls_back(self):
         """The LibSVM-like baseline has no batched trainer, even behind

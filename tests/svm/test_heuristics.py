@@ -75,6 +75,27 @@ class TestFirstOrderPair:
         _, _, _, gap = _first_order_pair(state)
         assert gap == 0.0
 
+    @pytest.mark.parametrize(
+        "label, value", [(1, np.inf), (-1, -np.inf), (1, np.nan)]
+    )
+    def test_nonfinite_extreme_gives_zero_gap(self, label, value):
+        """The compiled solve's rule: a non-finite extreme is optimal."""
+        state = make_state(seed=2)
+        k = np.flatnonzero(state.y == label)[0]
+        state.grad[k] = -state.y[k] * value  # -y G = value: an extreme
+        _, _, _, gap = _first_order_pair(state)
+        assert gap == 0.0
+
+    def test_gap_in_the_state_dtype(self):
+        state = make_state(seed=9)
+        state.y = state.y.astype(np.float32)
+        state.grad = np.float32(-1.0) + np.float32(1e-3) * np.arange(
+            state.y.size, dtype=np.float32
+        )
+        i, j, gmax, gap = _first_order_pair(state)
+        minus_yg = -(state.y * state.grad)
+        assert gap.dtype == np.float32 and gap == minus_yg[i] - minus_yg[j]
+
 
 class TestSecondOrder:
     def test_same_i_as_first_order(self):
@@ -124,6 +145,14 @@ class TestAdaptive:
             sel.select(state)
         # next phase is probe_first again
         assert sel._phase == "probe_first"
+
+    def test_rate_is_a_float32_log(self):
+        sel = AdaptiveSelector(probe_iters=8)
+        start, end = np.float32(2.0), np.float32(0.3)
+        rate = sel._rate(start, end, 2.0)
+        assert rate.dtype == np.float32
+        assert rate == np.log(start / end) / np.float32(16.0)
+        assert sel._rate(np.float32(0.0), end, 1.0) == np.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):
