@@ -1,8 +1,8 @@
 """Measured benchmarks of the execution core on real FCMA work.
 
-Runs the actual executors — serial reference, master-worker protocol,
-and zero-copy process pool — over a small synthetic dataset.  On a
-multi-core machine the pool shows real speedup; on a single-core CI box
+Runs the actual executors — serial reference and the master-worker
+protocol over thread ranks — over a small synthetic dataset.  On a
+multi-core machine the ranks show real speedup; on a single-core CI box
 these still verify the protocol's overhead stays bounded and the
 outputs stay identical.
 """
@@ -14,7 +14,6 @@ from repro.core import FCMAConfig
 from repro.data import SyntheticConfig, generate_dataset
 from repro.exec import (
     MasterWorkerExecutor,
-    ProcessPoolExecutor,
     RunContext,
     SerialExecutor,
 )
@@ -38,14 +37,6 @@ def test_serial_selection(benchmark, workload):
 def test_mpi_protocol_selection(benchmark, workload):
     ds, cfg = workload
     executor = MasterWorkerExecutor(n_workers=2)
-    scores = benchmark(lambda: executor.run(ds, RunContext(cfg)))
-    reference = SerialExecutor().run(ds, RunContext(cfg))
-    np.testing.assert_allclose(scores.accuracies, reference.accuracies)
-
-
-def test_process_pool_selection(benchmark, workload):
-    ds, cfg = workload
-    executor = ProcessPoolExecutor(n_workers=2)
     scores = benchmark(lambda: executor.run(ds, RunContext(cfg)))
     reference = SerialExecutor().run(ds, RunContext(cfg))
     np.testing.assert_allclose(scores.accuracies, reference.accuracies)

@@ -11,16 +11,16 @@ that regenerates its scaling results.
 Quickstart::
 
     from repro import generate_dataset, quickstart_config, FCMAConfig
-    from repro import ProcessPoolExecutor, RunContext
+    from repro import MasterWorkerExecutor, RunContext
 
     dataset = generate_dataset(quickstart_config())
-    scores = ProcessPoolExecutor().run(dataset, RunContext(FCMAConfig()))
+    scores = MasterWorkerExecutor().run(dataset, RunContext(FCMAConfig()))
     print(scores.top(10).voxels)
 
 Subpackages
 -----------
 ``repro.core``      the three-stage pipeline (the paper's contribution)
-``repro.exec``      execution core: stage graph, RunContext, executors
+``repro.exec``      execution core: the task body, RunContext, executors
 ``repro.svm``       SMO solver, PhiSVM, LibSVM-like baseline
 ``repro.data``      dataset model, synthetic fMRI generator, presets
 ``repro.parallel``  MPI-like comm, TCP transport, the master/worker runtime
@@ -58,7 +58,6 @@ from .data import (
 )
 from .exec import (
     MasterWorkerExecutor,
-    ProcessPoolExecutor,
     RunContext,
     SerialExecutor,
     make_executor,
@@ -83,7 +82,6 @@ __all__ = [
     "OfflineResult",
     "OnlineResult",
     "PhiSVM",
-    "ProcessPoolExecutor",
     "RunContext",
     "SVMModel",
     "ScannerSimulator",

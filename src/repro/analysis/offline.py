@@ -108,10 +108,10 @@ def run_offline_analysis(
     """Run the full nested leave-one-subject-out analysis.
 
     ``executor`` runs the voxel selection (serial by default; any
-    :class:`~repro.exec.Executor` works — pool, master-worker, or a
-    third-party one).  Per-stage wall time accumulates into ``context``
-    (pass your own, built on ``config``, to read it back; the final
-    per-fold classifier is charged to ``final-classifier``).
+    :class:`~repro.exec.Executor` works, master-worker included).
+    Per-stage wall time accumulates into ``context`` (pass your own,
+    built on ``config``, to read it back; the final per-fold classifier
+    is charged to ``final-classifier``).
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")

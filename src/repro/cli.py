@@ -36,9 +36,9 @@ __all__ = ["main", "build_parser"]
 
 def _add_pipeline_opts(p: argparse.ArgumentParser, variant: str) -> None:
     """The pipeline choice every run-style command shares."""
-    from .exec.registry import available_variants
+    from .exec.registry import VARIANTS
 
-    p.add_argument("--variant", choices=available_variants(), default=variant,
+    p.add_argument("--variant", choices=VARIANTS, default=variant,
                    help="pipeline: baseline (the oracle), optimized (the "
                         "tiled engine; optimized-batched is the same "
                         "pipeline) or its sparse-batched CSR materialization")
@@ -49,6 +49,15 @@ def _add_pipeline_opts(p: argparse.ArgumentParser, variant: str) -> None:
     p.add_argument("--top-k", type=int, default=None,
                    help="sparse-batched: keep the K strongest "
                         "correlations per (voxel, epoch) row")
+
+
+def _positive_int(text: str) -> int:
+    """A worker count (``--workers``, ``--hosts``): at least 1, else
+    argparse exits 2."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _pipeline_config(args: argparse.Namespace, **extra: object):
@@ -115,12 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
     scn.add_argument("--executor",
-                     choices=["serial", "pool", "master-worker"],
+                     choices=["serial", "master-worker"],
                      default="serial",
-                     help="executor running voxel selection (all produce "
+                     help="executor running voxel selection (both produce "
                           "identical selections)")
-    scn.add_argument("--workers", type=int, default=2,
-                     help="worker count for pool/master-worker")
+    scn.add_argument("--workers", type=_positive_int, default=2,
+                     help="master-worker rank count")
     scn.add_argument("--min-auc", type=float, default=None,
                      help="fail (exit 1) when the best ROC-AUC across "
                           "the matrix is below this floor")
@@ -139,12 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="voxel selection on a chosen executor, timings via RunContext",
     )
     run.add_argument("dataset", help="input .npz dataset")
-    run.add_argument("--executor", choices=["serial", "pool", "master-worker"],
+    run.add_argument("--executor", choices=["serial", "master-worker"],
                      default="serial",
-                     help="execution backend (all produce identical results)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker count (pool defaults to CPUs, "
-                          "master-worker to 2)")
+                     help="execution backend (both produce identical results)")
+    run.add_argument("--workers", type=_positive_int, default=None,
+                     help="master-worker rank count (default 2)")
     run.add_argument("--transport", choices=["thread", "tcp"],
                      default="thread",
                      help="master-worker rank fabric: in-process threads "
@@ -157,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--listen", default=None, metavar="HOST:PORT",
                      help="tcp transport: address to listen on "
                           "(default 127.0.0.1:0 = any free port)")
-    run.add_argument("--hosts", type=int, default=None, metavar="N",
+    run.add_argument("--hosts", type=_positive_int, default=None, metavar="N",
                      help="tcp transport: wait for N externally started "
                           "workers ('fcma worker --connect HOST:PORT' on "
                           "each host) instead of spawning local processes")
@@ -197,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("dataset", help="input .npz dataset")
     sel.add_argument("--top", type=int, default=20, help="voxels to report")
     _add_pipeline_opts(sel, "optimized")
-    sel.add_argument("--workers", type=int, default=1,
-                     help="process-pool workers (1 = serial)")
+    sel.add_argument("--workers", type=_positive_int, default=1,
+                     help="master-worker thread ranks (1 = serial)")
     sel.add_argument("--output", default=None,
                      help="optional CSV of all voxel scores")
 
@@ -842,8 +850,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
     dataset = load_dataset(args.dataset)
     config = _pipeline_config(args)
-    executor = make_executor("pool" if args.workers > 1 else "serial",
-                             n_workers=args.workers)
+    executor = make_executor(
+        "master-worker" if args.workers > 1 else "serial", n_workers=args.workers
+    )
     scores = executor.run(dataset, RunContext(config))
     top = scores.top(args.top)
     print(f"dataset: {dataset}")

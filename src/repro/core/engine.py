@@ -96,8 +96,14 @@ def deal(n_items: int, threads: int, work: Callable[[int, int], Any]) -> list[An
     one queue by up to ``threads`` slots.
 
     Slot 0 is the calling thread and the rest a pool that lives for this
-    call only: a process-global pool would be inherited, without its
-    threads, by a ``ProcessPoolExecutor`` fork and deadlock there.
+    call only.  A process-global pool would be inherited, without its
+    threads, by any ``os.fork()`` child, whose first deal would wait on
+    them forever (``tests/exec/test_fork_safety.py``).  Nor would one
+    save memory: a process-lifetime pool (this deal, one module-level
+    ``ThreadPoolExecutor`` reset at fork) read ``online-wide``
+    ``peak_rss_mb`` 141.8-153.7 MB, median 142.9, against 132.5-153.6,
+    median 134.2, for this form (8 alternating runs each, 2-vCPU VM,
+    while pool threads still allocated their own scratch).
     Pulling (rather than pre-assigning) shares means a slot on a slow or
     late-starting core just takes fewer items; at one slot this is the
     plain loop.  ``work`` may use ``slot`` to index per-thread scratch.
@@ -340,6 +346,20 @@ def run_engine(
     # A full-width tile is a contiguous row slab of the output: compute
     # it in place (the incremental emitter's per-epoch plane).
     in_place = out is not None and len(blocks) == 1 and out.flags.c_contiguous
+    # Size every slot for the widest tile here, on the calling thread,
+    # so a pool thread only takes views.  glibc gives each new thread a
+    # malloc arena of its own; scratch a short-lived pool thread
+    # allocated there stayed resident or not depending on which thread
+    # took the ragged tail, and spread one workload's peak RSS over
+    # 133-155 MB from one run to the next (docs/perf-models.md).
+    widest = (plan.voxel_sweep, n_epochs, max(n1 - n0 for n0, n1 in blocks))
+    for slot_scratch in scratch:
+        if not in_place:
+            slot_scratch.tile(widest)
+        if per_subject is not None:
+            slot_scratch.buffers(
+                (widest[0], n_epochs // per_subject, per_subject, widest[2])
+            )
     for v0, v1 in iter_blocks(shape.n_assigned, plan.voxel_sweep):
         panel = z[:, assigned[v0:v1]]  # (E, width, T) contiguous copy
 

@@ -113,7 +113,6 @@ class IncrementalEmitter:
         self._vara = np.empty(v, dtype=np.float64)
         self._mask = np.empty((v, n), dtype=bool)
         self._norm_ws = NormalizationWorkspace()
-        self._norm_shape: tuple[Any, ...] = ()
 
         #: Lifetime counters (introspection / RunContext).
         self.trs_seen = 0
@@ -345,11 +344,6 @@ class IncrementalEmitter:
         )
         for e, plane in enumerate(self._window):
             stack[:, e, :] = plane
-        if (stack.shape, e_per) != self._norm_shape:
-            # The stack grows while the window fills: hold scratch for
-            # the current shape only, reused once the window is full.
-            self._norm_shape = (stack.shape, e_per)
-            self._norm_ws = NormalizationWorkspace()
         fuse_normalize_tile(stack, e_per, workspace=self._norm_ws)
         return stack
 

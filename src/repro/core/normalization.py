@@ -104,66 +104,58 @@ def normalize_separated(
 
 
 class NormalizationWorkspace:
-    """Reusable scratch for the engine's tile walk, keyed by shape.
+    """Reusable scratch for the engine's tile walk.
 
     Fresh ``np.empty`` allocations per tile would page-fault megabytes
-    of scratch on every call.  The workspace keeps the :data:`KEEP` most
-    recently used shapes of each buffer kind — the steady and
-    ragged-tail blocks of both tile axes — so a walk (and a caller that
-    reuses the workspace across tasks) allocates each shape once, while
-    a caller whose shape keeps changing retains a bounded set.
-    ``allocations`` counts buffer sets made.  Not thread-safe: the
-    engine gives pool thread ``k`` its own :meth:`slot`.
+    of scratch on every call.  The workspace holds one flat float32
+    buffer per part — the tile, and the normalizer's ``(mean, std,
+    sq)`` set — grown to the largest shape asked for, and serves every
+    shape as a C-contiguous view of its prefix: the steady and
+    ragged-tail blocks of a walk (and a caller that reuses the
+    workspace across tasks) share one allocation per kind, and a caller
+    whose shape keeps changing retains only its largest.
+    ``allocations`` counts the times a kind was (re)allocated.  Not
+    thread-safe: the engine gives pool thread ``k`` its own
+    :meth:`slot`, and sizes it on the dealing thread (see
+    :func:`repro.core.engine.run_engine`).
     """
 
-    #: Shapes retained per buffer kind: (steady, tail) rows x columns.
-    KEEP = 4
-
     def __init__(self) -> None:
-        self._norm: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
-        self._tiles: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._held: dict[str, tuple[np.ndarray, ...]] = {}
         self._slots: list[NormalizationWorkspace] = []
-        #: Buffer sets allocated so far (this slot only).
+        #: Kinds (re)allocated so far (this slot only).
         self.allocations = 0
 
-    def _held(
-        self,
-        cache: dict[tuple[int, ...], tuple[np.ndarray, ...]],
-        shape: tuple[int, ...],
-        *parts: tuple[int, ...],
+    def _views(
+        self, kind: str, *shapes: tuple[int, ...]
     ) -> tuple[np.ndarray, ...]:
-        held = cache.pop(shape, None)
-        if held is None:
-            if len(cache) == self.KEEP:
-                del cache[next(iter(cache))]  # least recently used
-            held = tuple(np.empty(part, dtype=np.float32) for part in parts)
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        held = self._held.get(kind)
+        if held is None or any(h.size < n for h, n in zip(held, sizes)):
+            old = [0] * len(sizes) if held is None else [h.size for h in held]
+            held = tuple(
+                np.empty(max(n, o), dtype=np.float32) for n, o in zip(sizes, old)
+            )
+            self._held[kind] = held
             self.allocations += 1
-        cache[shape] = held  # most recently used last
-        return held
+        return tuple(h[:n].reshape(s) for h, n, s in zip(held, sizes, shapes))
 
     def buffers(
         self, grouped_shape: tuple[int, int, int, int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mean, std, sq) scratch for a ``(V, S, E, N)`` grouped tile."""
         v, s, _, n = grouped_shape
-        mean, std, sq = self._held(
-            self._norm, grouped_shape, (v, s, 1, n), (v, s, 1, n), grouped_shape
-        )
+        mean, std, sq = self._views("norm", (v, s, 1, n), (v, s, 1, n), grouped_shape)
         return mean, std, sq
 
     def tile(self, shape: tuple[int, int, int]) -> np.ndarray:
         """The ``(V, E, N)`` float32 tile the gemm writes into."""
-        return self._held(self._tiles, shape, shape)[0]
+        return self._views("tile", shape)[0]
 
     @property
     def nbytes(self) -> int:
         """Bytes of scratch retained (this slot only)."""
-        return sum(
-            part.nbytes
-            for cache in (self._norm, self._tiles)
-            for held in cache.values()
-            for part in held
-        )
+        return sum(part.nbytes for held in self._held.values() for part in held)
 
     def slot(self, k: int) -> "NormalizationWorkspace":
         """Scratch of pool thread ``k``; thread 0 uses the workspace

@@ -3,8 +3,8 @@ FCMA pipeline (Sections 3.1.2, 4).
 
 What a single worker does for one task — correlate the assigned voxels
 for every epoch (stage 1), normalize (stage 2), score each voxel by SVM
-cross-validation (stage 3) — lives in the stage graph
-(:func:`repro.exec.stage_graph.execute_task`).  This module holds what
+cross-validation (stage 3) — is
+:func:`repro.exec.stage_graph.execute_task`.  This module holds what
 every task of a run shares:
 
 :class:`FCMAConfig` selects between the *baseline* implementation
@@ -33,13 +33,12 @@ __all__ = [
     "clear_preprocess_cache",
 ]
 
-#: Pipeline variant / SVM backend names.  No longer ``Literal`` types:
-#: any name registered with :mod:`repro.exec.registry` is valid, so
-#: third-party variants and backends plug in without editing this file.
+#: Pipeline variant / SVM backend names: the keys of the fixed tables in
+#: :mod:`repro.exec.registry` (``VARIANTS`` / ``BACKENDS``).
 Variant = str
 Backend = str
 
-#: Engine emitter each engine-backed variant's stage graph materializes
+#: Engine emitter each engine-backed variant's walk materializes
 #: through (``resolved_emitter``); ``baseline`` never touches the engine.
 _VARIANT_EMITTERS = {
     "optimized": "dense",
@@ -56,15 +55,14 @@ class FCMAConfig:
     default SVM backend are derived from it.  Two pipelines exist:
     ``optimized`` (the default, the paper's Section 4 — the tiled
     engine with a dense emitter; ``optimized-batched`` is an accepted
-    spelling of the same graph) and ``baseline`` (the Section 3.2
+    spelling of the same pipeline) and ``baseline`` (the Section 3.2
     implementation in all three stages, LibSVM-like solver unless
     ``svm_backend`` overrides it), kept as the oracle.
     ``sparse-batched`` is the optimized engine materializing CSR
     (``threshold``/``top_k``) instead of a dense array.
 
     How work is carved is derived, not configured here beyond
-    ``task_voxels`` / ``target_block``: the pool's tasks per message
-    (``exec.partition.auto_chunksize``), the 2-D runtime's tile width
+    ``task_voxels`` / ``target_block``: the 2-D runtime's tile width
     (``exec.partition.tile_cols_for``) and the dense engine's walk
     (``core.engine.GramEmitter``: the Gram rule's chunks, each gemm
     issued in ``core.engine.gemm_block_cols`` columns; no knob).
@@ -101,12 +99,18 @@ class FCMAConfig:
     comm_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        from ..exec.registry import available_backends, available_variants
+        from ..exec.registry import BACKENDS, VARIANTS
 
-        if self.variant not in available_variants():
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.svm_backend is not None and self.svm_backend not in available_backends():
-            raise ValueError(f"unknown svm_backend {self.svm_backend!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(
+                f"unknown variant {self.variant!r}; choose from "
+                f"{', '.join(VARIANTS)}"
+            )
+        if self.svm_backend is not None and self.svm_backend not in BACKENDS:
+            raise ValueError(
+                f"unknown svm_backend {self.svm_backend!r}; choose from "
+                f"{', '.join(BACKENDS)}"
+            )
         if self.svm_c <= 0 or self.svm_tol <= 0:
             raise ValueError("svm_c and svm_tol must be positive")
         if self.task_voxels < 1:
@@ -138,8 +142,8 @@ class FCMAConfig:
     def resolved_emitter(self) -> str | None:
         """The engine emitter the variant materializes through:
         ``dense`` for ``optimized`` / ``optimized-batched``, ``csr`` for
-        ``sparse-batched``, ``None`` for ``baseline`` (and any
-        registered variant that never touches the tiled engine).
+        ``sparse-batched``, ``None`` for ``baseline``, which never
+        touches the tiled engine.
         """
         return _VARIANT_EMITTERS.get(self.variant)
 

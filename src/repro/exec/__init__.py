@@ -1,17 +1,15 @@
-"""Unified execution core: stage graph, RunContext, pluggable executors.
+"""Unified execution core: the task body, RunContext, two executors.
 
 This package is the single seam every FCMA entry point runs through:
 
 * :mod:`repro.exec.partition` — the one task-partitioning helper;
 * :mod:`repro.exec.context` — :class:`RunContext`, the shared carrier of
   config, seeds, and per-stage instrumentation;
-* :mod:`repro.exec.stage_graph` — the pipeline as explicit stage nodes
-  with typed inputs/outputs;
-* :mod:`repro.exec.registry` — named SVM backends and pipeline variants;
-* :mod:`repro.exec.executors` — serial, process-pool, and master-worker
-  executors producing bitwise-identical results from one task stream;
-* :mod:`repro.exec.shared_dataset` — the zero-copy shared-memory
-  dataset handle the process pool rides on.
+* :mod:`repro.exec.stage_graph` — one task's stages: the ``baseline``
+  oracle, or walk ∘ score;
+* :mod:`repro.exec.registry` — the fixed variant and SVM-backend tables;
+* :mod:`repro.exec.executors` — the serial and master-worker executors,
+  producing bitwise-identical results from one task stream.
 
 Exports resolve lazily (PEP 562), so importing a leaf such as
 ``repro.exec.stage_graph`` does not load the executors.  One
@@ -37,34 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         EXECUTOR_NAMES,
         Executor,
         MasterWorkerExecutor,
-        ProcessPoolExecutor,
         SerialExecutor,
         make_executor,
     )
-    from .partition import (
-        auto_chunksize,
-        n_tasks,
-        partition_rows_by_nnz,
-        partition_tasks,
-    )
-    from .registry import (
-        available_backends,
-        available_variants,
-        backend_factory,
-        create_backend,
-        graph_builder,
-        register_backend,
-        register_variant,
-    )
-    from .stage_graph import (
-        Stage,
-        StageGraph,
-        StageGraphError,
-        baseline_graph,
-        build_graph,
-        execute_task,
-        optimized_graph,
-    )
+    from .partition import n_tasks, partition_rows_by_nnz, partition_tasks
+    from .registry import create_backend
+    from .stage_graph import execute_task
 
 _EXPORTS = {
     "RunContext": "context",
@@ -73,27 +49,13 @@ _EXPORTS = {
     "EXECUTOR_NAMES": "executors",
     "Executor": "executors",
     "MasterWorkerExecutor": "executors",
-    "ProcessPoolExecutor": "executors",
     "SerialExecutor": "executors",
     "make_executor": "executors",
-    "auto_chunksize": "partition",
     "n_tasks": "partition",
     "partition_rows_by_nnz": "partition",
     "partition_tasks": "partition",
-    "available_backends": "registry",
-    "available_variants": "registry",
-    "backend_factory": "registry",
     "create_backend": "registry",
-    "graph_builder": "registry",
-    "register_backend": "registry",
-    "register_variant": "registry",
-    "Stage": "stage_graph",
-    "StageGraph": "stage_graph",
-    "StageGraphError": "stage_graph",
-    "baseline_graph": "stage_graph",
-    "build_graph": "stage_graph",
     "execute_task": "stage_graph",
-    "optimized_graph": "stage_graph",
 }
 
 __all__ = sorted(_EXPORTS)

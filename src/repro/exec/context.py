@@ -1,7 +1,7 @@
 """RunContext: the one telemetry and configuration carrier of a run.
 
-Every executor — serial, process pool, master-worker, and the rtfmri
-closed loop — threads a :class:`RunContext` through the stage graph, so
+Every executor — serial, master-worker, and the rtfmri closed loop —
+threads a :class:`RunContext` through each task's stages, so
 per-stage wall time and run counters are recorded the same way no
 matter which path executed the work.  Reports and the ``--json`` CLI
 output consume this object instead of scattering
@@ -20,7 +20,7 @@ the trace afterwards, through :mod:`repro.obs.perf`).
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ContextManager, Iterator, Mapping
 
@@ -121,15 +121,8 @@ class RunContext:
             span_cm.__exit__(None, None, None)
             handle.seconds = span.duration
 
-    def run_span(
-        self, executor: str, dataset: Any = None
-    ) -> ContextManager[Span | None]:
+    def run_span(self, executor: str, dataset: Any = None) -> ContextManager[Span]:
         """The root ``run`` span an executor wraps its whole run in.
-
-        No-op (yields ``None``) if a run span is already open on the
-        calling thread, so executors that delegate to one another —
-        e.g. the pool's single-worker fallback to the serial path —
-        do not nest a second root.
 
         When the executor passes the dataset it is running, the span
         carries the dataset *geometry* (voxels, subjects, epochs, epoch
@@ -137,8 +130,6 @@ class RunContext:
         alone is enough for the performance observatory
         (:mod:`repro.obs.perf`) to recompute model predictions.
         """
-        if "run" in self.tracer.open_kinds():
-            return nullcontext(None)
         attrs: dict[str, Any] = {"executor": executor}
         attrs["variant"] = getattr(self.config, "variant", None)
         attrs["task_voxels"] = getattr(self.config, "task_voxels", None)
@@ -152,7 +143,7 @@ class RunContext:
 
     def task_span(self, n_voxels: int, first_voxel: int) -> ContextManager[Span]:
         """The per-task span :func:`~repro.exec.stage_graph.execute_task`
-        wraps one task's stage-graph run in."""
+        wraps one task's stages in."""
         return self.tracer.span(
             "task",
             kind="task",
@@ -199,8 +190,8 @@ class RunContext:
 
     def export(self) -> dict[str, Any]:
         """Picklable telemetry snapshot (no locks, no config): the span
-        records every worker — pool process, thread rank, TCP rank —
-        ships home; fold it back with :meth:`merge_export`."""
+        records every worker — thread rank or TCP rank — ships home;
+        fold it back with :meth:`merge_export`."""
         return {"spans": self.tracer.export()}
 
     def merge_export(self, payload: Mapping[str, Any]) -> None:

@@ -1,4 +1,4 @@
-"""Pluggable executors: one task stream, three ways to run it.
+"""Executors: one task stream, two ways to run it.
 
 Every executor consumes the same inputs — a dataset, a
 :class:`~repro.exec.context.RunContext`, and the task stream produced by
@@ -8,26 +8,21 @@ across backends for a fixed seed (pinned by the cross-executor
 equivalence test):
 
 * :class:`SerialExecutor` — in-process reference loop;
-* :class:`ProcessPoolExecutor` — the zero-copy shared-memory fan-out
-  (:mod:`repro.exec.shared_dataset`) over a local process pool;
 * :class:`MasterWorkerExecutor` — the paper's pull-based master/worker
   runtime (:mod:`repro.parallel.tiled`: one loop, row tasks or 2-D
   tiles) over one fleet: thread or TCP ranks, all running
   :func:`repro.parallel.tcp_worker.run_worker`.
 
 Worker telemetry reaches the caller's context one way
-(:meth:`RunContext.merge_export`: pool results, thread reports, TCP
-reports).  Executors measure and model nothing.  A finished run's task
-stream (``ctx.task_seconds``) is what
-:func:`repro.cluster.measured_workload` turns into a simulator replay,
-after the fact and outside the run.
+(:meth:`RunContext.merge_export`: thread and TCP ranks' reports alike).
+Executors measure and model nothing.  A finished run's task stream
+(``ctx.task_seconds``) is what :func:`repro.cluster.measured_workload`
+turns into a simulator replay, after the fact and outside the run.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor as _StdProcessPool
 from contextlib import contextmanager
 from typing import Any, Iterator, Protocol, runtime_checkable
 
@@ -35,30 +30,18 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.engine import set_host_workers
-from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
 from ..parallel.comm import Comm, CommGroup, RankThreads
 from ..parallel.tiled import WorkPlan, master_loop
 from ..parallel.transport import TcpListener, spawn_local_workers
 from .context import RunContext
-from .partition import (
-    auto_chunksize,
-    partition_tasks,
-    partition_tiles,
-    tile_cols_for,
-)
-from .shared_dataset import (
-    SharedDatasetHandle,
-    attach_shared_dataset,
-    share_dataset,
-)
+from .partition import partition_tasks, partition_tiles, tile_cols_for
 from .stage_graph import execute_task
 
 __all__ = [
     "Executor",
     "MasterWorkerExecutor",
-    "ProcessPoolExecutor",
     "SerialExecutor",
     "EXECUTOR_NAMES",
     "make_executor",
@@ -130,118 +113,6 @@ class SerialExecutor:
             parts = [execute_task(dataset, task, ctx) for task in tasks]
             scores = VoxelScores.concatenate(parts).sorted_by_accuracy()
             _finish(ctx, self, len(tasks), time.perf_counter() - t0)
-        return scores
-
-
-# -- process pool ---------------------------------------------------------
-
-# Worker-process globals installed by the pool initializer; module-level
-# so the per-task pickle payload stays tiny.  The shared-memory segment
-# is held to keep the dataset's zero-copy views backed for the worker's
-# lifetime.
-_WORKER_DATASET: FMRIDataset | None = None
-_WORKER_CONFIG: FCMAConfig | None = None
-_WORKER_SHM: Any = None
-
-
-def _init_worker(
-    handle: SharedDatasetHandle, config: FCMAConfig, host_workers: int
-) -> None:
-    global _WORKER_DATASET, _WORKER_CONFIG, _WORKER_SHM
-    _WORKER_DATASET, _WORKER_SHM = attach_shared_dataset(handle)
-    _WORKER_CONFIG = config
-    # The pool's processes share this host's cores: each engine call
-    # gets an equal share of them as its thread budget.
-    set_host_workers(host_workers)
-    # Warm the task-invariant preprocessing (grouped epochs + normalized
-    # windows) once per worker instead of lazily inside the first task.
-    preprocess_dataset(_WORKER_DATASET)
-
-
-def _run_assigned_timed(
-    assigned: NDArray[np.int64],
-) -> tuple[VoxelScores, dict[str, Any]]:
-    """Worker body: run one task, return scores + telemetry snapshot."""
-    assert _WORKER_DATASET is not None and _WORKER_CONFIG is not None
-    ctx = RunContext(_WORKER_CONFIG)
-    scores = execute_task(_WORKER_DATASET, assigned, ctx)
-    return scores, ctx.export()
-
-
-class ProcessPoolExecutor:
-    """Zero-copy shared-memory fan-out over a local process pool.
-
-    The BOLD data is packed into one ``SharedMemory`` segment and
-    workers attach views, so the per-pool pickle payload is metadata
-    only; per-task messages carry voxel indices, scores, and a tiny
-    telemetry snapshot that merges into the caller's context (stage
-    seconds sum across workers, i.e. they report aggregate CPU time,
-    not wall time).
-
-    Falls back to the serial path for one worker (or one task) so
-    worker-count sweeps stay uniform.
-    """
-
-    name = "pool"
-
-    def __init__(self, n_workers: int | None = None):
-        if n_workers is not None and n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-
-    def run(
-        self,
-        dataset: FMRIDataset,
-        ctx: RunContext,
-        voxels: NDArray[Any] | None = None,
-    ) -> VoxelScores:
-        with ctx.run_span(self.name, dataset):
-            t0 = time.perf_counter()
-            n_workers = self.n_workers or os.cpu_count() or 1
-            tasks = _task_stream(dataset, ctx, voxels)
-            if n_workers == 1 or len(tasks) == 1:
-                scores = SerialExecutor().run(dataset, ctx, voxels)
-                ctx.metadata["executor"] = self.name
-                ctx.metadata["n_workers"] = 1
-                return scores
-            workers = min(n_workers, len(tasks))
-            config = ctx.config
-            _record_plan(ctx, len(tasks), workers)
-            shm, handle = share_dataset(dataset)
-            try:
-                with _StdProcessPool(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(handle, config, workers),
-                ) as pool:
-                    # pool.map yields results lazily *in submission
-                    # order* (bitwise-identical to collecting the full
-                    # list), so the trace records each task's result as
-                    # it arrives.
-                    results: list[tuple[VoxelScores, dict[str, Any]]] = []
-                    for i, item in enumerate(
-                        pool.map(
-                            _run_assigned_timed,
-                            tasks,
-                            chunksize=auto_chunksize(len(tasks), workers),
-                        )
-                    ):
-                        results.append(item)
-                        ctx.tracer.record(
-                            "result", kind="event", attrs={"item": f"task:{i}"}
-                        )
-            finally:
-                shm.close()
-                shm.unlink()
-            # Merging inside the run span re-roots every worker's task
-            # spans under it, so the final trace is one tree.
-            for _, payload in results:
-                ctx.merge_export(payload)
-            scores = VoxelScores.concatenate(
-                [scores for scores, _ in results]
-            ).sorted_by_accuracy()
-            _finish(ctx, self, len(tasks), time.perf_counter() - t0)
-            ctx.metadata["n_workers"] = workers
         return scores
 
 
@@ -442,7 +313,7 @@ class MasterWorkerExecutor:
 
 
 #: CLI / factory names of the built-in executors.
-EXECUTOR_NAMES = ("serial", "pool", "master-worker")
+EXECUTOR_NAMES = ("serial", "master-worker")
 
 
 def make_executor(
@@ -450,13 +321,19 @@ def make_executor(
     n_workers: int | None = None,
     **kwargs: Any,
 ) -> Executor:
-    """Build a built-in executor by name (the CLI ``--executor`` values)."""
+    """Build a built-in executor by name (the CLI ``--executor`` values).
+
+    ``n_workers`` is the master-worker rank count; ``None`` takes its
+    default (2), and the serial executor has none to set.  Below 1 is
+    an error whichever executor is named."""
+    if n_workers is not None and n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
     if name == "serial":
         return SerialExecutor()
-    if name == "pool":
-        return ProcessPoolExecutor(n_workers=n_workers, **kwargs)
     if name == "master-worker":
-        return MasterWorkerExecutor(n_workers=n_workers or 2, **kwargs)
+        if n_workers is not None:
+            kwargs["n_workers"] = n_workers
+        return MasterWorkerExecutor(**kwargs)
     raise KeyError(
         f"unknown executor {name!r}; choose from {', '.join(EXECUTOR_NAMES)}"
     )

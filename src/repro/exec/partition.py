@@ -2,10 +2,9 @@
 
 "The tasks are defined by partitioning the correlation matrices along
 their rows" (paper Section 3.1.1).  Every execution path — the serial
-driver, the process-pool executor, the master-worker protocol, and the
-cluster simulator's workload builders — used to carve those row ranges
-independently; they all delegate here now, so a change to the task
-decomposition happens exactly once.
+driver, the master-worker protocol, and the cluster simulator's
+workload builders — carves those row ranges here, so a change to the
+task decomposition happens exactly once.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "partition_tiles",
     "tile_cols_for",
     "n_tasks",
-    "auto_chunksize",
     "partition_rows_by_nnz",
 ]
 
@@ -221,14 +219,3 @@ def n_tasks(n_voxels: int, task_voxels: int) -> int:
     if n_voxels < 1:
         raise ValueError("n_voxels must be >= 1")
     return n_blocks(n_voxels, task_voxels)
-
-
-def auto_chunksize(n_tasks: int, n_workers: int) -> int:
-    """Tasks per worker message: ~4 chunks per worker.
-
-    Amortizes result round-trips while keeping the last wave short
-    enough that dynamic scheduling can still balance it.
-    """
-    if n_tasks < 1 or n_workers < 1:
-        raise ValueError("n_tasks and n_workers must be >= 1")
-    return max(1, n_blocks(n_tasks, n_workers * 4))

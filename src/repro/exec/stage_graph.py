@@ -1,11 +1,9 @@
-"""The FCMA pipeline as an explicit stage graph: task = walk ∘ score.
+"""One FCMA task, stage by stage: task = walk ∘ score.
 
-:class:`StageGraph` expresses the paper's three-stage pipeline —
-correlate (Section 3.1 stage 1), normalize (stage 2), SVM-score
-(stage 3) — as named nodes with declared inputs and outputs.  Each
-node's wall time is charged to the :class:`~repro.exec.context.RunContext`
-under the node's name, so every executor emits identical per-stage
-telemetry.  :func:`execute_task` runs one row task through the graph
+The paper's three-stage pipeline — correlate (Section 3.1 stage 1),
+normalize (stage 2), SVM-score (stage 3) — runs as a fixed sequence of
+named stages, each under ``ctx.timer(<name>)``, so every executor emits
+identical per-stage telemetry.  :func:`execute_task` runs one row task
 and is what every executor — and a ``"task"`` work item of the
 master/worker runtime (:mod:`repro.parallel.tiled`) — calls.
 
@@ -23,14 +21,15 @@ kernel stack, and each half has one body here:
   kernels, under one ``score_voxels`` span; a ``"score"`` item is this
   call.
 
-``FCMAConfig.variant`` names the graph: ``baseline`` — the oracle: three
-separate nodes (per-epoch gemm correlation, separated normalization,
-LibSVM-style scoring) over a materialized ``(V, E, N)`` block, Gram-ed
-inside its ``score`` node — or walk ∘ score, registered as ``optimized``
-(the paper's Section 4), its accepted spelling ``optimized-batched``,
-and ``sparse-batched``, for which :func:`walk` filters each tile to CSR
-while it is resident (``core.sparse.CSREmitter``) and ends in the sparse
-Gram, so no CSR result crosses a stage boundary.
+``FCMAConfig.variant`` picks the stages: ``baseline`` — the oracle:
+``preprocess`` → ``correlate`` (per-epoch gemm) → ``normalize``
+(separated) → ``score`` (LibSVM-style) over a materialized ``(V, E, N)``
+block, Gram-ed inside its ``score`` stage — or, for every other name,
+``preprocess`` → ``correlate+normalize`` (:func:`walk`) → ``score``:
+``optimized`` (the paper's Section 4), its accepted spelling
+``optimized-batched``, and ``sparse-batched``, for which :func:`walk`
+filters each tile to CSR while it is resident (``core.sparse.CSREmitter``)
+and ends in the sparse Gram, so no CSR result crosses a stage boundary.
 
 ``baseline`` and ``optimized`` select the same voxels with the same
 accuracies; the equivalence is pinned by ``tests/exec`` and
@@ -40,8 +39,7 @@ accuracies; the equivalence is pinned by ``tests/exec`` and
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,18 +61,12 @@ from ..core.sparse import CSREmitter
 from ..core.voxel_selection import score_kernels, score_voxels
 from ..svm.cross_validation import cv_fold_ids
 from .context import RunContext
-from .registry import BUILTIN_VARIANTS, create_backend, register_variant
+from .registry import create_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.dataset import FMRIDataset
 
 __all__ = [
-    "Stage",
-    "StageGraph",
-    "StageGraphError",
-    "baseline_graph",
-    "optimized_graph",
-    "build_graph",
     "execute_task",
     "name_windows_body",
     "score",
@@ -82,137 +74,34 @@ __all__ = [
     "walk",
 ]
 
-#: A stage body: reads its declared inputs from the state mapping and
-#: returns its outputs as a new mapping.
-StageFn = Callable[[RunContext, Mapping[str, Any]], Mapping[str, Any]]
-
-
-class StageGraphError(ValueError):
-    """An ill-formed stage graph (dangling input, duplicate name, ...)."""
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One node of the pipeline: a named, typed transformation."""
-
-    name: str
-    fn: StageFn
-    #: State keys the node reads; each must be seeded or produced by an
-    #: earlier node.
-    inputs: tuple[str, ...]
-    #: State keys the node must produce.
-    outputs: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise StageGraphError("stage name must be non-empty")
-        if not self.outputs:
-            raise StageGraphError(f"stage {self.name!r} declares no outputs")
-
-
-@dataclass(frozen=True)
-class StageGraph:
-    """A linear chain of stages with validated dataflow.
-
-    ``validate`` checks the chain once at build time: names unique,
-    every input either in ``seeds`` (the keys the caller provides) or
-    produced by an earlier stage.  ``run`` then executes the chain,
-    timing each node through the context.
-    """
-
-    stages: tuple[Stage, ...]
-    #: State keys the caller seeds (the graph's external inputs).
-    seeds: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise :class:`StageGraphError` if the dataflow is broken."""
-        if not self.stages:
-            raise StageGraphError("a stage graph needs at least one stage")
-        seen: set[str] = set()
-        available = set(self.seeds)
-        for stage in self.stages:
-            if stage.name in seen:
-                raise StageGraphError(f"duplicate stage name {stage.name!r}")
-            seen.add(stage.name)
-            missing = [k for k in stage.inputs if k not in available]
-            if missing:
-                raise StageGraphError(
-                    f"stage {stage.name!r} reads {missing} before any "
-                    f"earlier stage (or seed) produces them"
-                )
-            available.update(stage.outputs)
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        """Node names in execution order (the timing keys)."""
-        return tuple(s.name for s in self.stages)
-
-    def run(self, ctx: RunContext, **seeds: Any) -> dict[str, Any]:
-        """Execute the chain; returns the final state mapping."""
-        missing = [k for k in self.seeds if k not in seeds]
-        if missing:
-            raise StageGraphError(f"missing seed values: {missing}")
-        state: dict[str, Any] = dict(seeds)
-        for stage in self.stages:
-            inputs = {k: state[k] for k in stage.inputs}
-            with ctx.timer(stage.name):
-                produced = stage.fn(ctx, inputs)
-            absent = [k for k in stage.outputs if k not in produced]
-            if absent:
-                raise StageGraphError(
-                    f"stage {stage.name!r} did not produce {absent}"
-                )
-            state.update(produced)
-        return state
-
-
 # -- the FCMA stage bodies ------------------------------------------------
 
 
-def _preprocess(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
+def _preprocess(
+    ctx: RunContext, dataset: "FMRIDataset"
+) -> tuple["FMRIDataset", NDArray[Any]]:
     from ..core.pipeline import preprocess_dataset
 
-    ds, z = preprocess_dataset(state["dataset"])
-    name_windows_body(ctx, ds)
-    return {"grouped": ds, "windows": z}
+    with ctx.timer("preprocess"):
+        grouped, z = preprocess_dataset(dataset)
+        name_windows_body(ctx, grouped)
+    return grouped, z
 
 
 def name_windows_body(ctx: RunContext, grouped: "FMRIDataset") -> None:
     """Tag the open ``preprocess`` stage span with ``body``: which
     equation-2 normalizer (``native`` / ``numpy``) made the windows.
-    The serial graph's node and a tiled worker rank's start call it."""
+    A task's ``preprocess`` stage and a tiled worker rank's start call
+    it."""
     span = ctx.tracer.current()
     if span is not None:
         span.attrs["body"] = windows_body(grouped.epoch_length)
 
 
-def _correlate_baseline(
-    ctx: RunContext, state: Mapping[str, Any]
-) -> Mapping[str, Any]:
-    with ctx.tracer.span("correlate_baseline", kind="kernel") as span:
-        corr = correlate_baseline(state["windows"], state["assigned"])
-        span.add_metric("voxels", float(state["assigned"].size))
-        span.add_metric("bytes_moved", float(state["windows"].nbytes + corr.nbytes))
-    return {"correlations": corr}
-
-
-def _normalize_separated(
-    ctx: RunContext, state: Mapping[str, Any]
-) -> Mapping[str, Any]:
-    corr = state["correlations"]
-    with ctx.tracer.span("normalize_separated", kind="kernel") as span:
-        normalize_separated(corr, state["grouped"].epochs.epochs_per_subject())
-        span.add_metric("bytes_moved", float(2 * corr.nbytes))
-    return {"correlations": corr}
-
-
 @contextmanager
 def _item_span(ctx: RunContext, rows: NDArray[Any]) -> Iterator[None]:
     """The ``task`` span of one work item.  :func:`execute_task` opens
-    it around the graph; a tile or score item of the tiled runtime calls
+    it around the task's stages; a tile or score item of the tiled runtime calls
     :func:`walk` / :func:`score` bare, and gets its own here."""
     if "task" in ctx.tracer.open_kinds():
         yield
@@ -326,16 +215,6 @@ def walk(
     return partials
 
 
-def _walk_node(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-    partials = walk(
-        ctx,
-        state["windows"],
-        state["assigned"],
-        state["grouped"].epochs.epochs_per_subject(),
-    )
-    return {"kernels": sum_gram_partials(partials)}
-
-
 def _stage3_inputs(
     grouped: "FMRIDataset", config: Any
 ) -> tuple[NDArray[Any], NDArray[Any], Any, int]:
@@ -361,7 +240,7 @@ def score(
     """Stage 3b of ``rows``' ``(rows, E, E)`` kernels: the second half
     of a task, and a ``"score"`` work item — one ``score_voxels`` kernel
     span whoever calls.  ``correlations`` is the oracle's door: the
-    ``baseline`` graph hands over its materialized ``(rows, E, N)``
+    ``baseline`` pipeline hands over its materialized ``(rows, E, N)``
     block and it is Gram-ed here, inside the span."""
     with _item_span(ctx, rows), ctx.tracer.span("score_voxels", kind="kernel") as span:
         if kernels is None:
@@ -369,17 +248,6 @@ def score(
         scores = score_kernels(kernels, rows, *_stage3_inputs(grouped, ctx.config))
         span.add_metric("voxels", float(rows.size))
     return scores
-
-
-def _score_node(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-    scores = score(
-        ctx,
-        state["grouped"],
-        state["assigned"],
-        state.get("kernels"),
-        correlations=state.get("correlations"),
-    )
-    return {"scores": scores}
 
 
 def score_panel(
@@ -397,80 +265,38 @@ def score_panel(
     return score_voxels(correlations, rows, *_stage3_inputs(grouped, config))
 
 
-_SEEDS = ("dataset", "assigned")
-_PREPROCESS = Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows"))
-
-
-def baseline_graph(config: Any = None) -> StageGraph:
+def _baseline_task(
+    ctx: RunContext, grouped: "FMRIDataset", z: NDArray[Any], assigned: NDArray[Any]
+) -> VoxelScores:
     """The Section-3.2 pipeline: three separated stages."""
-    return StageGraph(
-        stages=(
-            _PREPROCESS,
-            Stage(
-                "correlate",
-                _correlate_baseline,
-                ("windows", "assigned"),
-                ("correlations",),
-            ),
-            Stage(
-                "normalize",
-                _normalize_separated,
-                ("correlations", "grouped"),
-                ("correlations",),
-            ),
-            Stage(
-                "score",
-                _score_node,
-                ("correlations", "assigned", "grouped"),
-                ("scores",),
-            ),
-        ),
-        seeds=_SEEDS,
-    )
+    with ctx.timer("correlate"):
+        with ctx.tracer.span("correlate_baseline", kind="kernel") as span:
+            corr = correlate_baseline(z, assigned)
+            span.add_metric("voxels", float(assigned.size))
+            span.add_metric("bytes_moved", float(z.nbytes + corr.nbytes))
+    with ctx.timer("normalize"):
+        with ctx.tracer.span("normalize_separated", kind="kernel") as span:
+            normalize_separated(corr, grouped.epochs.epochs_per_subject())
+            span.add_metric("bytes_moved", float(2 * corr.nbytes))
+    with ctx.timer("score"):
+        scores = score(ctx, grouped, assigned, correlations=corr)
+    return scores
 
 
-def optimized_graph(config: Any = None) -> StageGraph:
+def _walk_score_task(
+    ctx: RunContext, grouped: "FMRIDataset", z: NDArray[Any], assigned: NDArray[Any]
+) -> VoxelScores:
     """The Section-4 pipeline, task = walk ∘ score: the tiled engine
     with normalization merged into correlation and the walk ending in a
     Gram (:func:`walk` — dense chunks, or for ``sparse-batched`` each
-    normalized tile filtered to CSR by ``config.threshold`` /
-    ``config.top_k`` while cache-resident), then batched scoring."""
-    return StageGraph(
-        stages=(
-            _PREPROCESS,
-            Stage(
-                "correlate+normalize",
-                _walk_node,
-                ("windows", "assigned", "grouped"),
-                ("kernels",),
-            ),
-            Stage(
-                "score",
-                _score_node,
-                ("kernels", "assigned", "grouped"),
-                ("scores",),
-            ),
-        ),
-        seeds=_SEEDS,
-    )
-
-
-for _name in BUILTIN_VARIANTS:
-    # One oracle; every other built-in is walk ∘ score, and nothing but
-    # :func:`walk`'s emitter choice branches on which name a config used.
-    register_variant(
-        _name,
-        baseline_graph if _name == "baseline" else optimized_graph,
-        overwrite=True,
-    )
-
-
-def build_graph(config: Any) -> StageGraph:
-    """The stage graph for a config's registered pipeline variant."""
-    from .registry import graph_builder
-
-    builder = graph_builder(config.variant)
-    return builder(config)
+    normalized tile filtered to CSR while cache-resident), then batched
+    scoring."""
+    with ctx.timer("correlate+normalize"):
+        eps = grouped.epochs.epochs_per_subject()
+        kernels = sum_gram_partials(walk(ctx, z, assigned, eps))
+    with ctx.timer("score"):
+        scores = score(ctx, grouped, assigned, kernels)
+    return scores
 
 
 def execute_task(
@@ -478,7 +304,7 @@ def execute_task(
     assigned: NDArray[Any],
     ctx: RunContext,
 ) -> VoxelScores:
-    """Run one task's assigned voxels through the configured graph.
+    """Run one task's assigned voxels through the configured variant.
 
     The single implementation behind every executor; the task runs
     inside a ``task`` span (so per-stage wall time lands in ``ctx`` and
@@ -488,9 +314,10 @@ def execute_task(
     assigned = np.asarray(assigned, dtype=np.int64)
     if assigned.ndim != 1 or assigned.size == 0:
         raise ValueError("assigned must be a non-empty 1D index array")
-    graph = build_graph(ctx.config)
+    # One oracle; every other variant is walk ∘ score, and nothing but
+    # :func:`walk`'s emitter choice branches on which name a config used.
+    task = _baseline_task if ctx.config.variant == "baseline" else _walk_score_task
     with _item_span(ctx, assigned):
-        state = graph.run(ctx, dataset=dataset, assigned=assigned)
-    scores = state["scores"]
-    assert isinstance(scores, VoxelScores)
+        grouped, z = _preprocess(ctx, dataset)
+        scores = task(ctx, grouped, z, assigned)
     return scores

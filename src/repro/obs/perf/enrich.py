@@ -4,13 +4,13 @@ The tracer records what *happened* (wall seconds per kernel); the
 ``repro.perf`` models know what *should* happen on a given machine
 (elapsed time, memory references, L2 misses, GFLOPS — the paper's
 Table 1/5–8 vocabulary).  :func:`enrich_spans` joins the two on the
-spans themselves: every kernel span the stage graph emits gains the
+spans themselves: every kernel span a task's stages emit gains the
 modeled :class:`~repro.hw.counters.PerfCounters` under the existing
 ``pc.`` metric namespace plus ``predicted_seconds`` /
 ``predicted_gflops``, so a single trace file carries measured-vs-
 predicted side by side.
 
-The join key is the kernel span *name* (the stage graph's fixed
+The join key is the kernel span *name* (the task stages' fixed
 vocabulary) plus the geometry the run span records
 (:meth:`repro.exec.context.RunContext.run_span` with a dataset) — no
 re-execution, no access to the original arrays.

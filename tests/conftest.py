@@ -115,6 +115,12 @@ def join_tcp_workers():
             threads[-1].start()
         return port
 
+    from repro.core import engine
+
+    alone = engine._host_workers
     yield join
     for thread in threads:
         thread.join(30.0)
+    # In-process ranks set this process's host share from the broadcast,
+    # as a TCP worker process does for itself; put the caller's back.
+    engine.set_host_workers(alone)

@@ -384,7 +384,7 @@ def test_no_block_is_held():
     assert partials.shape == (98, n_assigned, n_epochs, n_epochs)
     assert peak < block // 4, f"peak {peak / 1e6:.1f} MB, block {block / 1e6:.1f} MB"
     held = workspace.allocations
-    assert held == 4  # (tile, normalizer) x (chunk, tail)
+    assert held == 2  # tile, normalizer; the tail chunk is a view of both
     run_engine(
         z, assigned + 16, n_epochs, GramEmitter(), workspace=workspace, threads=1
     )
@@ -512,7 +512,7 @@ class TestThreadAndTileInvariance:
     def test_scratch_allocated_once_across_tasks(self):
         """Steady tile + ragged tail: every task after the first reuses
         the workspace's scratch (no per-task RSS creep), and a thread
-        never holds more than one tile + normalizer set per shape."""
+        holds one tile + normalizer set, the tail a view of it."""
         z, assigned = _problem(n_voxels=23)
         workspace = NormalizationWorkspace()
         counts = []
@@ -521,13 +521,34 @@ class TestThreadAndTileInvariance:
                 z, assigned, 3, BlockedDense(5), workspace=workspace, threads=1
             )
             counts.append(workspace.allocations)
-        assert counts == [4, 4, 4]  # (tile, normalizer) x (steady, tail)
+        assert counts == [2, 2, 2]  # tile, normalizer
         for _ in range(3):
             run_engine(
                 z, assigned, 3, BlockedDense(5), workspace=workspace, threads=2
             )
-        assert workspace.allocations == 4
-        assert workspace.slot(1).allocations <= 4
+        assert workspace.allocations == 2
+        assert workspace.slot(1).allocations == 2
+
+    def test_pool_threads_allocate_no_scratch(self, monkeypatch):
+        """Every slot's scratch is sized on the calling thread: what a
+        short-lived pool thread allocates lands in a malloc arena of its
+        own, whose resident size then depends on which thread took the
+        ragged tail."""
+        allocating = []
+        views = NormalizationWorkspace._views
+
+        def recording(self, kind, *shapes):
+            before = self.allocations
+            out = views(self, kind, *shapes)
+            if self.allocations != before:
+                allocating.append(threading.get_ident())
+            return out
+
+        monkeypatch.setattr(NormalizationWorkspace, "_views", recording)
+        z, assigned = _problem(n_voxels=23)
+        for emitter in (BlockedDense(5), GramEmitter()):
+            run_engine(z, assigned, 3, emitter, threads=2)
+        assert allocating and set(allocating) == {threading.get_ident()}
 
 
 class TestThreadBudget:

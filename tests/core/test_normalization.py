@@ -211,7 +211,8 @@ class TestFuseNormalizeTile:
         fuse_normalize_tile(b, 3, workspace=ws)
         second = ws.buffers(b.reshape(4, 2, 3, 6).shape)
         for x, y in zip(first, second):
-            assert x is y  # same buffers, no reallocation
+            assert x.ctypes.data == y.ctypes.data  # same buffers
+        assert ws.allocations == 1  # no reallocation
 
     def test_workspace_reallocates_on_shape_change(self):
         from repro.core.normalization import NormalizationWorkspace
@@ -220,37 +221,44 @@ class TestFuseNormalizeTile:
         m1 = ws.buffers((2, 2, 3, 5))[0]
         m2 = ws.buffers((3, 2, 3, 5))[0]
         assert m1 is not m2
+        assert not np.shares_memory(m1, m2)  # grown, not overrun
+        assert ws.allocations == 2
 
     def test_workspace_retains_a_bounded_set_of_shapes(self):
-        """Least-recently-used shapes are dropped: a caller whose shape
-        keeps changing does not pin every size it has ever used, while
-        the steady/tail blocks of a walk (four shapes) all stay."""
+        """One buffer per kind, grown to the largest shape asked for:
+        a caller whose shape keeps changing does not pin every size it
+        has ever used, and every smaller shape (the ragged tail of a
+        walk) is a contiguous view of what is held."""
         from repro.core.normalization import NormalizationWorkspace
 
         ws = NormalizationWorkspace()
-        assert ws.KEEP == 4
         sizes = []
         for w in range(1, 30):  # one population of w epochs, growing
             ws.buffers((4, 1, w, 50))
             ws.tile((4, w, 50))
             sizes.append(ws.nbytes)
         assert ws.allocations == 2 * 29
-        # Retained: the four newest shapes of each kind, nothing older
-        # (tile + sq at (4, w, 50), mean + std at (4, 1, 50), float32).
-        assert sizes[-1] == sum(
-            2 * 4 * w * 50 * 4 + 2 * 4 * 50 * 4 for w in (26, 27, 28, 29)
-        )
+        # Retained: the largest shape of each kind, nothing older
+        # (tile + sq at (4, 29, 50), mean + std at (4, 1, 50), float32).
+        assert sizes[-1] == 2 * 4 * 29 * 50 * 4 + 2 * 4 * 50 * 4
         assert sizes == sorted(sizes)  # ...and never more than that
-        # Cycling through the kept set allocates nothing.
-        kept = [ws.buffers((4, 1, w, 50))[2] for w in (26, 27, 28, 29)]
-        again = [ws.buffers((4, 1, w, 50))[2] for w in (26, 27, 28, 29)]
-        assert all(a is b for a, b in zip(kept, again))
+        # Any shape that fits is a view of the held buffers.
+        held = ws.tile((4, 29, 50))
+        for shape in ((4, 26, 50), (2, 29, 50), (4, 29, 49), (1, 1, 1)):
+            view = ws.tile(shape)
+            assert view.shape == shape and view.flags.c_contiguous
+            assert view.ctypes.data == held.ctypes.data
+        mean, std, sq = ws.buffers((3, 1, 7, 50))
+        assert (mean.shape, std.shape, sq.shape) == (
+            (3, 1, 1, 50), (3, 1, 1, 50), (3, 1, 7, 50)
+        )
+        assert not np.shares_memory(mean, std)
         assert ws.allocations == 2 * 29
-        # A hit refreshes the entry: 26 was just used, so 27 goes first.
-        ws.buffers((4, 1, 26, 50))
-        ws.buffers((4, 1, 5, 50))
-        assert ws.buffers((4, 1, 26, 50))[2] is kept[0]
-        assert ws.buffers((4, 1, 27, 50))[2] is not kept[1]
+        assert ws.nbytes == sizes[-1]
+        # A larger element count grows the kind, once.
+        ws.tile((4, 30, 50))
+        ws.tile((4, 29, 50))
+        assert ws.allocations == 2 * 29 + 1
 
     def test_in_place_and_returns_input(self):
         from repro.core.normalization import fuse_normalize_tile
@@ -323,8 +331,8 @@ class TestFusedNormalizeSweep:
         assert got.tobytes() == ref.tobytes()
 
     def test_workspace_reuse_across_calls(self):
-        """Steady block + ragged tail: each shape is allocated once, so
-        the allocation count is constant after the first sweep."""
+        """Steady block + ragged tail: the tail is a view of the
+        steady block's buffers, so one set is allocated, once."""
         from repro.core.normalization import NormalizationWorkspace
 
         ws = NormalizationWorkspace()
@@ -336,7 +344,7 @@ class TestFusedNormalizeSweep:
             _sweep_blocks(got, 3, 6, 3, workspace=ws)  # widths 3, 3, 2
             assert got.tobytes() == ref.tobytes()
             counts.append(ws.allocations)
-        assert counts == [2, 2, 2]
+        assert counts == [1, 1, 1]
 
     def test_validation(self):
         """A column block of a wider array is not a tile: the engine

@@ -55,9 +55,8 @@ class TestConfig:
         ],
     )
     def test_removed_knobs_are_not_ignored_kwargs(self, knob):
-        """``variant`` is the one dispatch axis, the pool's chunk size
-        is derived (``auto_chunksize``) and the dense tile is the
-        engine's own (no measured search, no stored plans): the deleted
+        """``variant`` is the one dispatch axis, no executor takes a
+        chunk size and the dense tile is the engine's own (no measured search, no stored plans): the deleted
         fields must fail loudly rather than come back as
         accepted-and-ignored."""
         with pytest.raises(TypeError, match=knob):

@@ -1,8 +1,8 @@
 """Cross-path accuracy invariance on a ground-truth scenario preset.
 
 The accuracy gate is only trustworthy if *every* compute path reports
-the same number: dense and CSR emitters, under the serial, process-pool
-and master-worker executors, must produce identical voxel selections on
+the same number: dense and CSR emitters, under the serial and
+master-worker executors, must produce identical voxel selections on
 a scenario dataset — hence identical :class:`SelectionScore`s.  The
 incremental (streaming) emitter has no batch-selection variant, so it
 is pinned at the correlation plane instead: streaming the scenario's
@@ -29,7 +29,7 @@ from repro.data.designs import (
 from repro.eval import score_selection
 from repro.exec import RunContext, make_executor
 
-EXECUTORS = ("serial", "pool", "master-worker")
+EXECUTORS = ("serial", "master-worker")
 #: Engine-backed emitters with a batch-selection variant.
 EMITTER_CONFIGS = {
     "dense": dict(variant="optimized-batched"),
@@ -57,8 +57,8 @@ def truth():
 
 
 def _select(dataset, emitter: str, executor: str):
-    # task_voxels=12 carves 3 tasks, so pool/master-worker really
-    # exercise fan-out and merge.
+    # task_voxels=12 carves 3 tasks, so master-worker really exercises
+    # fan-out and merge.
     config = FCMAConfig(
         target_block=64, task_voxels=12, **EMITTER_CONFIGS[emitter]
     )

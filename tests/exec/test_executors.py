@@ -1,8 +1,9 @@
-"""Executors: one task stream, three backends, identical results.
+"""Executors: one task stream, two executors, identical results.
 
 The cross-executor equivalence test is the contract the whole exec
-subsystem hangs on: serial, process-pool, and master-worker runs of the
-same dataset + config must produce *bitwise-identical* VoxelScores.
+subsystem hangs on: serial and master-worker runs (thread or TCP ranks)
+of the same dataset + config must produce *bitwise-identical*
+VoxelScores.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.exec.executors import (
     EXECUTOR_NAMES,
     Executor,
     MasterWorkerExecutor,
-    ProcessPoolExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -28,7 +28,7 @@ def _make(name: str) -> Executor:
 
 
 class TestCrossExecutorEquivalence:
-    @pytest.mark.parametrize("name", ["pool", "master-worker"])
+    @pytest.mark.parametrize("name", ["master-worker"])
     @pytest.mark.parametrize(
         "variant", ["baseline", "optimized", "optimized-batched"]
     )
@@ -93,7 +93,7 @@ class TestTraceEquivalence:
             and not (s.name == "preprocess" and s.parent_id in runs)
         ]
 
-    @pytest.mark.parametrize("name", ["pool", "master-worker"])
+    @pytest.mark.parametrize("name", ["master-worker"])
     @pytest.mark.parametrize("variant", ["optimized", "optimized-batched"])
     def test_task_spans_match_serial(self, tiny_dataset, name, variant):
         config = FCMAConfig(
@@ -107,41 +107,14 @@ class TestTraceEquivalence:
             ignore_metrics=self.IGNORED_METRICS,
         )
 
-    def test_pool_full_trace_matches_serial(self, tiny_dataset):
-        """The pool's whole tree — run span and plan included — matches
-        serial: worker task spans re-root under the master's run span.
-        Beyond it the pool records one ``result`` event per task."""
-        config = FCMAConfig(
-            variant="optimized-batched",
-            task_voxels=16, target_block=32,
-        )
-        reference = self._run("serial", tiny_dataset, config)
-        ctx = self._run("pool", tiny_dataset, config)
-        results = [s for s in ctx.tracer.spans() if s.name == "result"]
-        assert [s.kind for s in results] == ["event"] * len(reference.task_seconds)
-        assert span_structure(
-            reference.tracer.spans(), ignore_metrics=self.IGNORED_METRICS
-        ) == span_structure(
-            [s for s in ctx.tracer.spans() if s not in results],
-            ignore_metrics=self.IGNORED_METRICS,
-        )
-
     def test_different_dataflow_is_detected(self, tiny_dataset):
-        """``optimized`` and ``optimized-batched`` are one stage graph —
-        same stage functions, same span tree — and the comparison is not
-        vacuous: ``baseline`` records another dataflow."""
-        from repro.exec.stage_graph import build_graph
-
+        """``optimized`` and ``optimized-batched`` are one pipeline —
+        same span tree — and the comparison is not vacuous: ``baseline``
+        records another dataflow."""
         configs = {
             variant: FCMAConfig(variant=variant, task_voxels=16, target_block=32)
             for variant in ("optimized", "optimized-batched", "baseline")
         }
-        assert [
-            (s.name, s.fn) for s in build_graph(configs["optimized"]).stages
-        ] == [
-            (s.name, s.fn)
-            for s in build_graph(configs["optimized-batched"]).stages
-        ]
         forests = {
             variant: self._task_forest(self._run("serial", tiny_dataset, config))
             for variant, config in configs.items()
@@ -182,11 +155,10 @@ class TestTelemetry:
     @pytest.mark.parametrize(
         "name, kwargs",
         [
-            ("pool", {}),
             ("master-worker", {}),
             ("master-worker", {"transport": "tcp"}),
         ],
-        ids=["pool", "mw-thread", "mw-tcp"],
+        ids=["mw-thread", "mw-tcp"],
     )
     def test_worker_counters_reach_the_run_total(
         self, tiny_dataset, name, kwargs
@@ -203,8 +175,7 @@ class TestTelemetry:
         assert ctx.metadata["counters"] == totals
         for key in ("stage12_tiles", "emitter_dense_tiles", "emitter_dense_runs"):
             assert totals[key] == reference.counters()[key] > 0
-        if name == "master-worker":
-            assert totals["comm.bytes_sent"] > 0 and totals["comm.bytes_recv"] > 0
+        assert totals["comm.bytes_sent"] > 0 and totals["comm.bytes_recv"] > 0
 
     @pytest.mark.parametrize("transport", ["thread", "tcp"])
     def test_every_rank_reports_its_peak_memory(self, tiny_dataset, transport):
@@ -217,16 +188,6 @@ class TestTelemetry:
         peaks = ctx.metadata["worker_peak_rss_mb"]
         assert set(peaks) == {1, 2}
         assert all(mb > 0 for mb in peaks.values())
-
-    def test_pool_single_worker_falls_back_to_serial(
-        self, tiny_dataset, fast_fcma_config
-    ):
-        ctx = RunContext(fast_fcma_config)
-        scores = ProcessPoolExecutor(n_workers=1).run(tiny_dataset, ctx)
-        assert ctx.metadata["executor"] == "pool"
-        assert ctx.metadata["n_workers"] == 1
-        reference = SerialExecutor().run(tiny_dataset, RunContext(fast_fcma_config))
-        np.testing.assert_array_equal(reference.voxels, scores.voxels)
 
 
 class TestOneFleet:
@@ -321,14 +282,6 @@ class TestOneFleet:
             completed = sum(w["completed"] for w in snap["workers"].values())
             assert completed == snap["progress"]["total"] > 0
 
-    def test_serial_and_pool_agree_on_live_progress(self, tiny_dataset):
-        config = FCMAConfig(task_voxels=20, target_block=32)
-        serial = self._live(SerialExecutor(), tiny_dataset, config)
-        pool = self._live(ProcessPoolExecutor(n_workers=2), tiny_dataset, config)
-        assert serial["counters"]["tasks"] == pool["counters"]["tasks"] == 3
-        assert serial["progress"]["by_kind"] == pool["progress"]["by_kind"]
-        assert pool["progress"]["fraction"] == 1.0
-
     @pytest.mark.parametrize("transport", ["thread", "tcp"])
     def test_rank_dying_outside_an_item_fails_the_run_by_name(
         self, tiny_dataset, join_tcp_workers, monkeypatch, transport
@@ -365,8 +318,14 @@ class TestProtocolAndFactory:
             make_executor("nope")
 
     def test_worker_count_validation(self):
-        with pytest.raises(ValueError):
-            ProcessPoolExecutor(n_workers=0)
+        """One rule: ``None`` is the default (2 ranks), below 1 raises,
+        whichever executor is named."""
+        assert make_executor("master-worker").n_workers == 2
+        assert make_executor("master-worker", n_workers=None).n_workers == 2
+        for name in EXECUTOR_NAMES:
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match=">= 1"):
+                    make_executor(name, n_workers=bad)
         with pytest.raises(ValueError):
             MasterWorkerExecutor(n_workers=0)
         with pytest.raises(ValueError):
@@ -400,23 +359,6 @@ class TestHostWorkerShare:
         )
         assert calls == [3, 3, 3, 3, before[0]]  # restored after
         assert (engine._host_workers, engine.thread_budget()) == before
-
-    def test_pool_initializer_declares_the_pool_size(self, tiny_dataset):
-        from repro.core import engine
-        from repro.exec import executors as executors_mod
-        from repro.exec.shared_dataset import share_dataset
-
-        shm, handle = share_dataset(tiny_dataset)
-        try:
-            executors_mod._init_worker(handle, FCMAConfig(), 2)
-            assert engine.set_host_workers(1) == 2
-        finally:
-            engine.set_host_workers(1)
-            executors_mod._WORKER_DATASET = None
-            executors_mod._WORKER_SHM.close()
-            executors_mod._WORKER_SHM = None
-            shm.close()
-            shm.unlink()
 
 
 class TestSpawnedWorkersAreReaped:

@@ -1,12 +1,12 @@
 """Fork safety of the engine's thread pool, and the worker import diet.
 
-A process-global ``ThreadPoolExecutor`` deadlocks the process-pool
-executor: the forked child inherits the pool object but none of its
-threads, and its first engine call waits forever.  The engine scopes its
-pool to one call instead; this pins it with an in-process multi-thread
-engine run *followed by* a fork.  The TCP fork server forks every local
-rank from a process whose BLAS pool is running; a 2-worker run with
-threaded ranks pins that.  Everything runs in a child interpreter so a
+A process-global ``ThreadPoolExecutor`` deadlocks any forked child: it
+inherits the pool object but none of its threads, and its first engine
+call waits forever.  The engine scopes its pool to one call instead;
+this pins it with an in-process multi-thread engine run *followed by*
+an ``os.fork()`` child running the engine on two threads.  The TCP fork
+server forks every local rank from a process whose BLAS pool is
+running; a 2-worker run with threaded ranks pins that.  Everything runs in a child interpreter so a
 regression fails on a timeout instead of hanging the suite.
 """
 
@@ -23,13 +23,17 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-#: Arms a per-run watchdog (dumps every stack, exits non-zero), then
-#: runs serial -> pool -> thread-rank master-worker -> serial again and
-#: prints one result digest per run.
+#: Arms a per-step watchdog (dumps every stack, exits non-zero), then
+#: runs serial -> an ``os.fork()`` child's 2-thread engine walk ->
+#: thread-rank master-worker -> serial again and prints one digest per
+#: step (the fork step beside the parent's own walk of the same rows).
 SCENARIO = """
-import faulthandler, hashlib, os
+import faulthandler, hashlib, os, sys
+import numpy as np
 os.sched_getaffinity = lambda pid: set(range(4))  # a 4-CPU mask anywhere
 from repro.core import FCMAConfig, kernels
+from repro.core.engine import GramEmitter, run_engine
+from repro.core.pipeline import preprocess_dataset
 from repro.data import SyntheticConfig, generate_dataset
 from repro.exec import RunContext, make_executor
 
@@ -38,7 +42,8 @@ dataset = generate_dataset(SyntheticConfig(
     n_voxels=60, n_subjects=4, epochs_per_subject=8, epoch_length=12,
     n_informative=12, n_groups=3, seed=123))
 config = FCMAConfig(variant="optimized-batched", task_voxels=16)
-for name in ("serial", "pool", "master-worker", "serial"):
+
+def select(name):
     faulthandler.dump_traceback_later(90, exit=True)
     ctx = RunContext(config, seed=0)
     scores = make_executor(name, n_workers=2).run(dataset, ctx)
@@ -47,6 +52,27 @@ for name in ("serial", "pool", "master-worker", "serial"):
         scores.voxels.tobytes() + scores.accuracies.tobytes()).hexdigest()
     plan = ctx.metadata.get("blocking_plan", {})  # in-process runs only
     print(name, plan.get("engine_threads"), plan.get("tile_cols"), digest)
+
+def walk_digest():
+    grouped, z = preprocess_dataset(dataset)
+    partials = run_engine(z, np.arange(16), grouped.epochs.epochs_per_subject(),
+                          GramEmitter(), threads=2)
+    return hashlib.sha256(partials.tobytes()).hexdigest()
+
+select("serial")
+print("walk", walk_digest())
+sys.stdout.flush()
+# Disarmed here: a child forked while the watchdog runs inherits its
+# state without its thread, and re-arming would wait on that thread.
+pid = os.fork()
+if pid == 0:
+    faulthandler.dump_traceback_later(90, exit=True)
+    print("fork", walk_digest(), flush=True)
+    os._exit(0)
+status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+assert status == 0, f"forked child exited {status}"
+select("master-worker")
+select("serial")
 """
 
 
@@ -92,9 +118,9 @@ def _python(
     ``PYTHONPATH`` = the source root); returns its stdout.
 
     Output goes to files, not pipes, and the child gets its own session:
-    deadlocked pool workers (or forked TCP ranks, or their fork server)
-    would hold a pipe open past the watchdog's exit, and are killed
-    with the group either way.
+    a deadlocked forked child (or forked TCP ranks, or their fork
+    server) would hold a pipe open past the watchdog's exit, and is
+    killed with the group either way.
     """
     out, err = tmp_path / "stdout", tmp_path / "stderr"
     with out.open("w") as o, err.open("w") as e:
@@ -112,16 +138,18 @@ def _python(
     return out.read_text()
 
 
-def test_serial_then_pool_then_thread_ranks_bitwise_equal(tmp_path):
+def test_serial_then_fork_then_thread_ranks_bitwise_equal(tmp_path):
     stdout = _python(SCENARIO, 400, tmp_path)
     lines = [line.split() for line in stdout.splitlines()]
     assert [line[0] for line in lines] == [
-        "serial", "pool", "master-worker", "serial"
+        "serial", "walk", "fork", "master-worker", "serial"
     ]
     # The serial runs really walked 16-column chunks on a 4-thread pool
-    # before (and after) the forks.
-    assert lines[0][1:3] == lines[3][1:3] == ["4", "16"]
-    assert len({line[3] for line in lines}) == 1
+    # before (and after) the fork.
+    assert lines[0][1:3] == lines[4][1:3] == ["4", "16"]
+    # The forked child's 2-thread walk finished, with the parent's bits.
+    assert lines[1][1] == lines[2][1]
+    assert len({lines[i][3] for i in (0, 3, 4)}) == 1
 
 
 def test_tcp_worker_import_leaves_scipy_submodules_out(tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from repro.core.kernels import GRAM_CHUNK_COLS, gram_chunks
 from repro.exec.partition import (
     TileTask,
-    auto_chunksize,
     n_tasks,
     partition_tasks,
     partition_tiles,
@@ -163,16 +162,3 @@ class TestTileColsFor:
         with pytest.raises(ValueError):
             tile_cols_for(100, 32, 0, 2)
 
-
-class TestAutoChunksize:
-    def test_four_chunks_per_worker(self):
-        assert auto_chunksize(32, 2) == 4
-
-    def test_never_below_one(self):
-        assert auto_chunksize(1, 64) == 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            auto_chunksize(0, 2)
-        with pytest.raises(ValueError):
-            auto_chunksize(5, 0)

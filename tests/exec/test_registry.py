@@ -1,4 +1,4 @@
-"""Backend/variant registries replacing the Literal string dispatch."""
+"""The fixed dispatch tables: variant names and SVM backends."""
 
 from __future__ import annotations
 
@@ -7,50 +7,32 @@ import pytest
 
 from repro.core import FCMAConfig
 from repro.exec import RunContext, execute_task
-from repro.exec import registry
-from repro.exec.registry import (
-    available_backends,
-    available_variants,
-    backend_factory,
-    create_backend,
-    graph_builder,
-    register_backend,
-    register_variant,
-)
-from repro.svm.libsvm_like import LibSVMClassifier
-from repro.svm.multiclass import as_multiclass
-
-
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    yield
-    registry._reset_to_defaults()
+from repro.exec.registry import BACKENDS, VARIANTS, create_backend
 
 
 class TestBuiltins:
     def test_paper_backends_preseeded(self):
-        assert available_backends() == ("libsvm", "libsvm-float32", "phisvm")
+        assert tuple(BACKENDS) == ("libsvm", "libsvm-float32", "phisvm")
 
     def test_paper_variants_always_listed(self):
-        assert set(available_variants()) >= {"baseline", "optimized"}
+        assert set(VARIANTS) >= {"baseline", "optimized"}
 
     def test_one_variant_table(self):
-        """The built-in names are typed once (``BUILTIN_VARIANTS``): the
-        registry, the stage graph's registrations, the engine-emitter
-        table and every CLI ``--variant`` read or are checked against
-        that tuple."""
+        """The variant names are typed once (``VARIANTS``): config
+        validation, the engine-emitter table and every CLI ``--variant``
+        read or are checked against that tuple."""
         import argparse
 
         from repro.cli import build_parser
         from repro.core.pipeline import _VARIANT_EMITTERS
-        from repro.exec import stage_graph  # noqa: F401  (self-registers)
 
-        builtins = registry.BUILTIN_VARIANTS
-        assert available_variants() == tuple(sorted(builtins))
-        assert set(registry._VARIANTS) == set(builtins)
-        # Every built-in but the oracle runs the engine, through an
+        assert VARIANTS == tuple(sorted(VARIANTS))
+        for name in VARIANTS:
+            sparse = {"top_k": 4} if name == "sparse-batched" else {}
+            assert FCMAConfig(variant=name, **sparse).variant == name
+        # Every variant but the oracle runs the engine, through an
         # emitter the table names.
-        assert set(_VARIANT_EMITTERS) == set(builtins) - {"baseline"}
+        assert set(_VARIANT_EMITTERS) == set(VARIANTS) - {"baseline"}
         assert set(_VARIANT_EMITTERS.values()) == {"dense", "csr"}
 
         def variant_choices(parser):
@@ -63,76 +45,27 @@ class TestBuiltins:
 
         found = list(variant_choices(build_parser()))
         assert len(found) >= 3
-        assert set(found) == {available_variants()}
+        assert set(found) == {VARIANTS}
 
-    def test_builtin_graph_builders_resolve(self):
-        for name in ("baseline", "optimized"):
-            graph = graph_builder(name)(FCMAConfig(variant=name))
-            assert "score" in graph.stage_names
+    def test_builtin_graph_builders_resolve(self, tiny_dataset):
+        """Every variant resolves to a task whose last stage scores."""
+        for name in VARIANTS:
+            sparse = {"top_k": 4} if name == "sparse-batched" else {}
+            ctx = RunContext(FCMAConfig(variant=name, **sparse))
+            execute_task(tiny_dataset, np.arange(4), ctx)
+            assert list(ctx.stages)[-1] == "score"
 
     def test_unknown_backend_lists_options(self):
-        with pytest.raises(KeyError, match="phisvm"):
-            backend_factory("nope")
+        with pytest.raises(ValueError, match="phisvm"):
+            FCMAConfig(svm_backend="nope")
 
     def test_unknown_variant_lists_options(self):
-        with pytest.raises(KeyError, match="baseline"):
-            graph_builder("nope")
+        with pytest.raises(ValueError, match="baseline"):
+            FCMAConfig(variant="nope")
 
 
 class TestRegistration:
-    def test_custom_backend_usable_through_config(self, tiny_dataset):
-        calls = []
-
-        def factory(config):
-            calls.append(config.svm_c)
-            return as_multiclass(
-                LibSVMClassifier(c=config.svm_c, tol=config.svm_tol)
-            )
-
-        register_backend("my-svm", factory)
-        config = FCMAConfig(svm_backend="my-svm", svm_c=2.0)
-        backend = create_backend(config)
-        assert calls == [2.0]
-        assert hasattr(backend, "fit_kernel")
-
-    def test_custom_backend_scores_voxels(self, tiny_dataset):
-        register_backend(
-            "libsvm-again",
-            lambda cfg: as_multiclass(
-                LibSVMClassifier(c=cfg.svm_c, tol=cfg.svm_tol)
-            ),
-        )
-        custom = execute_task(
-            tiny_dataset,
-            np.arange(10),
-            RunContext(FCMAConfig(svm_backend="libsvm-again", task_voxels=40)),
-        )
-        stock = execute_task(
-            tiny_dataset,
-            np.arange(10),
-            RunContext(FCMAConfig(svm_backend="libsvm", task_voxels=40)),
-        )
-        np.testing.assert_array_equal(custom.voxels, stock.voxels)
-        np.testing.assert_array_equal(custom.accuracies, stock.accuracies)
-
-    def test_custom_variant_accepted_by_config_validation(self):
-        from repro.exec.stage_graph import baseline_graph
-
-        register_variant("my-variant", baseline_graph)
-        config = FCMAConfig(variant="my-variant")  # would raise if unknown
-        assert graph_builder("my-variant") is baseline_graph
-        assert config.variant == "my-variant"
-
-    def test_duplicate_registration_rejected_without_overwrite(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("phisvm", lambda cfg: None)
-        register_backend("phisvm", registry._phisvm, overwrite=True)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("", lambda cfg: None)
-        with pytest.raises(ValueError):
-            register_variant("", lambda cfg: None)
+    """No name outside the tables gets past config validation."""
 
     def test_config_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="variant"):

@@ -21,7 +21,8 @@ from repro.core.engine import run_engine
 from repro.core.sparse import CSREmitter, threshold_dense
 from repro.core.voxel_selection import score_voxels, score_voxels_sparse
 from repro.data import generate_dataset, quickstart_config, save_dataset
-from repro.exec import RunContext, available_variants, make_executor
+from repro.exec import RunContext, make_executor
+from repro.exec.registry import VARIANTS
 from repro.exec.partition import partition_rows_by_nnz
 from repro.svm import PhiSVM, grouped_cross_validation
 
@@ -101,7 +102,7 @@ class TestSparseVariantEndToEnd:
         assert counters["stage12_tiles_pruned"] == counters["stage12_tiles"]
 
     def test_variant_registered(self):
-        assert "sparse-batched" in available_variants()
+        assert "sparse-batched" in VARIANTS
 
 
 class TestConfigValidation:

@@ -1,4 +1,5 @@
-"""Stage graph: validation, telemetry, and the per-task entry point."""
+"""One task's stages: the variant's fixed sequence, its telemetry, and
+the per-task entry point."""
 
 from __future__ import annotations
 
@@ -8,100 +9,28 @@ import pytest
 from repro.core import FCMAConfig
 from repro.core.engine import thread_budget
 from repro.exec.context import RunContext
-from repro.exec.stage_graph import (
-    Stage,
-    StageGraph,
-    StageGraphError,
-    baseline_graph,
-    build_graph,
-    execute_task,
-    optimized_graph,
-)
+from repro.exec.stage_graph import execute_task
 
 
-def _passthrough(ctx, state):
-    return {"out": state.get("x", 0)}
-
-
-class TestGraphValidation:
-    def test_empty_graph_rejected(self):
-        with pytest.raises(StageGraphError, match="at least one"):
-            StageGraph(stages=(), seeds=("x",))
-
-    def test_duplicate_stage_names_rejected(self):
-        s = Stage("dup", _passthrough, ("x",), ("out",))
-        with pytest.raises(StageGraphError, match="duplicate"):
-            StageGraph(stages=(s, s), seeds=("x", "out"))
-
-    def test_dangling_input_rejected(self):
-        s = Stage("needs-y", _passthrough, ("y",), ("out",))
-        with pytest.raises(StageGraphError, match="'needs-y'"):
-            StageGraph(stages=(s,), seeds=("x",))
-
-    def test_empty_stage_name_rejected(self):
-        with pytest.raises(StageGraphError, match="non-empty"):
-            Stage("", _passthrough, (), ("out",))
-
-    def test_stage_without_outputs_rejected(self):
-        with pytest.raises(StageGraphError, match="outputs"):
-            Stage("s", _passthrough, (), ())
-
-    def test_later_stage_may_read_earlier_outputs(self):
-        graph = StageGraph(
-            stages=(
-                Stage("a", lambda c, s: {"mid": s["x"] + 1}, ("x",), ("mid",)),
-                Stage("b", lambda c, s: {"out": s["mid"] * 2}, ("mid",), ("out",)),
-            ),
-            seeds=("x",),
-        )
-        state = graph.run(RunContext(), x=3)
-        assert state["out"] == 8
-
-    def test_run_rejects_missing_seed(self):
-        graph = StageGraph(
-            stages=(Stage("a", _passthrough, ("x",), ("out",)),), seeds=("x",)
-        )
-        with pytest.raises(StageGraphError, match="missing seed"):
-            graph.run(RunContext())
-
-    def test_run_rejects_stage_that_breaks_its_contract(self):
-        graph = StageGraph(
-            stages=(Stage("liar", lambda c, s: {}, (), ("out",)),), seeds=()
-        )
-        with pytest.raises(StageGraphError, match="did not produce"):
-            graph.run(RunContext())
-
-    def test_run_times_each_stage(self):
-        graph = StageGraph(
-            stages=(Stage("a", _passthrough, ("x",), ("out",)),), seeds=("x",)
-        )
-        ctx = RunContext()
-        graph.run(ctx, x=1)
-        assert ctx.stages["a"].calls == 1
+def _stage_names(dataset, variant: str) -> tuple[str, ...]:
+    """The stages one task of ``variant`` timed, in order."""
+    ctx = RunContext(FCMAConfig(variant=variant))
+    execute_task(dataset, np.arange(10), ctx)
+    return tuple(ctx.stages)
 
 
 class TestBuiltinGraphs:
-    def test_stage_names_mirror_the_paper(self):
-        assert baseline_graph().stage_names == (
+    def test_stage_names_mirror_the_paper(self, tiny_dataset):
+        assert _stage_names(tiny_dataset, "baseline") == (
             "preprocess",
             "correlate",
             "normalize",
             "score",
         )
-        assert optimized_graph().stage_names == (
+        assert _stage_names(tiny_dataset, "optimized") == (
             "preprocess",
             "correlate+normalize",
             "score",
-        )
-
-    def test_build_graph_resolves_config_variant(self):
-        assert (
-            build_graph(FCMAConfig(variant="baseline")).stage_names
-            == baseline_graph().stage_names
-        )
-        assert (
-            build_graph(FCMAConfig(variant="optimized")).stage_names
-            == optimized_graph().stage_names
         )
 
 
@@ -131,10 +60,9 @@ class TestExecuteTask:
 
 
 class TestOptimizedBatchedGraph:
-    def test_stage_names(self):
-        assert (
-            build_graph(FCMAConfig(variant="optimized-batched")).stage_names
-            == optimized_graph().stage_names
+    def test_stage_names(self, tiny_dataset):
+        assert _stage_names(tiny_dataset, "optimized-batched") == _stage_names(
+            tiny_dataset, "optimized"
         )
 
     def test_matches_optimized_variant(self, tiny_dataset):

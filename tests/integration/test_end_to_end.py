@@ -6,7 +6,6 @@ import pytest
 from repro import (
     FCMAConfig,
     MasterWorkerExecutor,
-    ProcessPoolExecutor,
     RunContext,
     SerialExecutor,
     generate_dataset,
@@ -56,14 +55,14 @@ class TestROIRecovery:
 
 class TestExecutionPathsAgree:
     def test_all_three_runtimes_identical(self, system):
+        """Serial, thread ranks and TCP worker processes: bitwise alike."""
         _, ds, fcma = system
         serial = SerialExecutor().run(ds, RunContext(fcma))
-        procs = ProcessPoolExecutor(n_workers=2).run(ds, RunContext(fcma))
-        mpi = MasterWorkerExecutor(n_workers=2).run(ds, RunContext(fcma))
-        np.testing.assert_array_equal(serial.voxels, procs.voxels)
-        np.testing.assert_allclose(serial.accuracies, procs.accuracies)
-        np.testing.assert_array_equal(serial.voxels, mpi.voxels)
-        np.testing.assert_allclose(serial.accuracies, mpi.accuracies)
+        for transport in ("thread", "tcp"):
+            ranks = MasterWorkerExecutor(n_workers=2, transport=transport)
+            scores = ranks.run(ds, RunContext(fcma))
+            np.testing.assert_array_equal(serial.voxels, scores.voxels)
+            np.testing.assert_array_equal(serial.accuracies, scores.accuracies)
 
     def test_baseline_variant_same_ranking(self, system):
         """Baseline and optimized pipelines rank the informative set

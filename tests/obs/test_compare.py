@@ -28,7 +28,7 @@ def _trace(step: float, executor: str = "serial", voxels: float = 40.0):
 class TestStructure:
     def test_timing_and_environment_ignored(self):
         a = _trace(step=1.0, executor="serial")
-        b = _trace(step=0.001, executor="pool")
+        b = _trace(step=0.001, executor="master-worker")
         assert span_structure(a) == span_structure(b)
         assert_same_structure(a, b)
 

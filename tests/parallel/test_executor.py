@@ -1,9 +1,9 @@
-"""The serial and process-pool executors through their public entry."""
+"""The serial and master-worker executors through their public entry."""
 
 import numpy as np
 import pytest
 
-from repro.exec import ProcessPoolExecutor, RunContext, SerialExecutor
+from repro.exec import MasterWorkerExecutor, RunContext, SerialExecutor
 
 
 class TestSerial:
@@ -22,25 +22,18 @@ class TestSerial:
 class TestParallel:
     def test_matches_serial(self, tiny_dataset, fast_fcma_config):
         serial = SerialExecutor().run(tiny_dataset, RunContext(fast_fcma_config))
-        par = ProcessPoolExecutor(n_workers=2).run(
+        par = MasterWorkerExecutor(n_workers=2).run(
             tiny_dataset, RunContext(fast_fcma_config)
         )
         np.testing.assert_array_equal(serial.voxels, par.voxels)
         np.testing.assert_allclose(serial.accuracies, par.accuracies)
 
-    def test_one_worker_falls_back_to_serial(self, tiny_dataset, fast_fcma_config):
-        par = ProcessPoolExecutor(n_workers=1).run(
-            tiny_dataset, RunContext(fast_fcma_config)
-        )
-        serial = SerialExecutor().run(tiny_dataset, RunContext(fast_fcma_config))
-        np.testing.assert_allclose(par.accuracies, serial.accuracies)
-
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ProcessPoolExecutor(n_workers=0)
+            MasterWorkerExecutor(n_workers=0)
 
     def test_voxel_subset(self, tiny_dataset, fast_fcma_config):
-        par = ProcessPoolExecutor(n_workers=2).run(
+        par = MasterWorkerExecutor(n_workers=2).run(
             tiny_dataset, RunContext(fast_fcma_config), voxels=np.arange(10)
         )
         assert len(par) == 10

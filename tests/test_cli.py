@@ -33,6 +33,18 @@ class TestParser:
         assert args.dataset == "face-scene"
         assert args.machine == "phi"
 
+    @pytest.mark.parametrize("command", [
+        ["run", "ds.npz"], ["select", "ds.npz"], ["scenarios"],
+        ["run", "ds.npz", "--hosts"],
+    ])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_worker_counts_below_one_exit_2(self, command, count, capsys):
+        flag = [] if command[-1] == "--hosts" else ["--workers"]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, *flag, count])
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_loadable_dataset(self, dataset_file):
@@ -173,7 +185,7 @@ class TestScenarios:
 
 
 class TestRun:
-    @pytest.mark.parametrize("executor", ["serial", "pool", "master-worker"])
+    @pytest.mark.parametrize("executor", ["serial", "master-worker"])
     def test_runs_on_every_executor(self, dataset_file, capsys, executor):
         rc = main([
             "run", str(dataset_file), "--executor", executor,
@@ -202,11 +214,15 @@ class TestRun:
 
     def test_executors_print_identical_rankings(self, dataset_file, capsys):
         tops = []
-        for executor in ("serial", "pool", "master-worker"):
+        for executor, transport in (
+            ("serial", "thread"),
+            ("master-worker", "thread"),
+            ("master-worker", "tcp"),
+        ):
             rc = main([
                 "run", str(dataset_file), "--executor", executor,
-                "--workers", "2", "--task-voxels", "40", "--top", "5",
-                "--json",
+                "--transport", transport, "--workers", "2",
+                "--task-voxels", "40", "--top", "5", "--json",
             ])
             assert rc == 0
             tops.append(json.loads(capsys.readouterr().out)["top"])
@@ -235,6 +251,15 @@ class TestSelect:
         assert len(lines) == 81
         accs = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert (np.diff(accs) <= 1e-9).all()  # sorted descending
+        # Two master-worker thread ranks write the serial file, byte
+        # for byte.
+        ranks = tmp_path / "ranks.csv"
+        rc = main([
+            "select", str(dataset_file), "--top", "2", "--task-voxels", "40",
+            "--workers", "2", "--output", str(ranks),
+        ])
+        assert rc == 0
+        assert ranks.read_bytes() == csv.read_bytes()
 
     def test_baseline_variant(self, dataset_file, capsys):
         rc = main([
