@@ -701,11 +701,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, comm_timeout=args.comm_timeout)
     ctx = RunContext(config)
     mw_opts: dict[str, object] = {}
-    if args.transport != "thread" or args.partition != "rows":
-        if args.executor != "master-worker":
+    if args.executor != "master-worker":
+        # The serial executor has no ranks: a rank option would be
+        # silently ignored.
+        given = [
+            flag
+            for flag, set_ in (
+                ("--workers", args.workers is not None),
+                ("--transport", args.transport != "thread"),
+                ("--partition", args.partition != "rows"),
+                ("--listen", args.listen is not None),
+                ("--hosts", args.hosts is not None),
+            )
+            if set_
+        ]
+        if given:
             print(
-                "error: --transport/--partition require "
-                "--executor master-worker",
+                f"error: {'/'.join(given)} require --executor master-worker",
                 file=sys.stderr,
             )
             return 2

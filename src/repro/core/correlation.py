@@ -87,24 +87,36 @@ def normalize_epoch_data(epoch_stack: np.ndarray, eps: float = 1e-12) -> np.ndar
     return _normalize_windows(lib, windows, epoch_stack.shape, eps)
 
 
-def epoch_windows(dataset: FMRIDataset, epochs: Sequence[Epoch] | None = None) -> np.ndarray:
+def epoch_windows(
+    dataset: FMRIDataset,
+    epochs: Sequence[Epoch] | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Equation-2-normalized epoch windows straight from a dataset.
 
     Shape ``(n_epochs, n_voxels, epoch_len)``; epochs default to the
     dataset's table order.  Bitwise
     ``normalize_epoch_data(dataset.epoch_stack(epochs))``, but the
     native body reads each window in place from its subject's BOLD, so
-    the one output is the only array made.
+    the one output is the only array made.  ``out`` (C-contiguous
+    float32 of that shape) receives the windows instead of a new array
+    — a shared mapping the master's local ranks read.
     """
     table = list(dataset.epochs) if epochs is None else list(epochs)
     windows = [dataset.epoch_matrix(e) for e in table]
     lengths = {e.length for e in table}
     if len(lengths) == 1:
         shape = (len(table), dataset.n_voxels, lengths.pop())
+        if out is not None:
+            validate_dense_out(out, shape)
         lib = _native_body(windows, shape)
         if lib is not None:
-            return _normalize_windows(lib, windows, shape, 1e-12)
-    return normalize_epoch_data(dataset.epoch_stack(table))
+            return _normalize_windows(lib, windows, shape, 1e-12, out)
+    stack = normalize_epoch_data(dataset.epoch_stack(table))
+    if out is None:
+        return stack
+    out[...] = stack
+    return out
 
 
 def windows_body(epoch_length: int) -> str:
@@ -133,7 +145,11 @@ def _native_body(windows: list[np.ndarray], shape: tuple[int, ...]) -> Any:
 
 
 def _normalize_windows(
-    lib: Any, windows: list[np.ndarray], shape: tuple[int, int, int], eps: float
+    lib: Any,
+    windows: list[np.ndarray],
+    shape: tuple[int, int, int],
+    eps: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One ``normalize_windows`` call per epoch into one new stack, on
     the calling thread: dealing the epochs to the engine's threads was
@@ -141,7 +157,8 @@ def _normalize_windows(
     which a process's peak RSS spread six times wider
     (docs/perf-models.md, Stage 1 input)."""
     _, n, t = shape
-    out = np.empty(shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
     bound = _float32_bound(eps)
     base, step = out.ctypes.data, n * t * out.itemsize
     for e, w in enumerate(windows):

@@ -168,18 +168,28 @@ _PREPROCESS_CACHE: "weakref.WeakKeyDictionary[FMRIDataset, tuple[FMRIDataset, np
 )
 
 
-def preprocess_dataset(dataset: FMRIDataset) -> tuple[FMRIDataset, np.ndarray]:
+def preprocess_dataset(
+    dataset: FMRIDataset, out: np.ndarray | None = None
+) -> tuple[FMRIDataset, np.ndarray]:
     """Subject-grouped dataset + normalized epoch windows, memoized.
 
     Returns ``(grouped_dataset, z)`` where ``z`` is the equation-2
     normalized epoch stack of the grouped dataset.  Cached by dataset
     identity; treat both returns as read-only.
+
+    ``out`` — an empty C-contiguous float32 ``(E, N, T)`` array, such as
+    a mapping other processes read — takes the windows: made straight
+    into it, made read-only, and cached in place of any earlier ``z``,
+    so later calls read this one copy.
     """
     hit = _PREPROCESS_CACHE.get(dataset)
-    if hit is None:
-        ds = dataset.grouped_by_subject()
-        hit = (ds, epoch_windows(ds))
-        _PREPROCESS_CACHE[dataset] = hit
+    if out is None and hit is not None:
+        return hit
+    ds = dataset.grouped_by_subject() if hit is None else hit[0]
+    z = epoch_windows(ds, out=out)
+    if out is not None:
+        z.flags.writeable = False
+    hit = _PREPROCESS_CACHE[dataset] = (ds, z)
     return hit
 
 

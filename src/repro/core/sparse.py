@@ -43,7 +43,8 @@ from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from .engine import EngineShape, TilePlan
+from .engine import EngineShape, TilePlan, thread_budget
+from .tiling import block_bounds
 
 __all__ = [
     "SPARSE_TILE_BYTES",
@@ -421,9 +422,10 @@ class CSREmitter:
         self._voxel_sweep = voxel_sweep
         self._target_block = target_block
         # Top-k select buffers, a pair of tile-sized arrays per engine
-        # thread, held so the footprint does not depend on the
-        # allocator: ``emit`` pops a pair and appends it back (both
-        # atomic on a list), so a pair is only ever in one tile's hands.
+        # thread, made by ``begin`` on the calling thread so the
+        # footprint does not depend on the allocator: ``emit`` pops a
+        # pair and appends it back (both atomic on a list), so a pair
+        # is only ever in one tile's hands.
         self._scratch: List[Tuple[np.ndarray, np.ndarray]] = []
         self._scratch_size = 0
         self._rows: List[np.ndarray] = []
@@ -452,8 +454,19 @@ class CSREmitter:
         assert plan.voxel_sweep is not None and plan.target_block is not None
         self._shape = shape.dense_shape
         self._rows, self._cols, self._vals = [], [], []
-        self._scratch = []
         self._scratch_size = plan.voxel_sweep * shape.n_epochs * plan.target_block
+        # One pair per engine thread that can hold a tile, made here: a
+        # pair a pool thread allocated would sit in that thread's own
+        # malloc arena (``run_engine`` sizes its scratch the same way).
+        n_blocks = (
+            len(plan.columns)
+            if plan.columns is not None
+            else len(block_bounds(shape.n_voxels, plan.target_block))
+        )
+        self._scratch = [
+            self._new_scratch()
+            for _ in range(min(thread_budget(), n_blocks) if self._top_k else 0)
+        ]
         self.n_tiles = 0
         self.tiles_pruned = 0
         self.stats = None
@@ -461,6 +474,13 @@ class CSREmitter:
 
     def dense_out(self, shape: EngineShape) -> None:
         return None  # nothing dense survives: emit filters each tile
+
+    def _new_scratch(self) -> Tuple[np.ndarray, np.ndarray]:
+        """One top-k select pair: magnitudes and partition buffers."""
+        return (
+            np.empty(self._scratch_size, dtype=np.float32),
+            np.empty(self._scratch_size, dtype=np.float32),
+        )
 
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
@@ -495,11 +515,8 @@ class CSREmitter:
         kk = min(self._top_k, nb)
         try:
             scratch = self._scratch.pop()
-        except IndexError:
-            scratch = (
-                np.empty(self._scratch_size, dtype=np.float32),
-                np.empty(self._scratch_size, dtype=np.float32),
-            )
+        except IndexError:  # more engine threads than the budget (a test's)
+            scratch = self._new_scratch()
         counts, flat = _topk_select(block, kk, scratch)
         self._scratch.append(scratch)
         vals = block.reshape(-1)[flat]

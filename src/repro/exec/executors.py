@@ -22,8 +22,9 @@ turns into a simulator replay, after the fact and outside the run.
 
 from __future__ import annotations
 
+import os
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -33,11 +34,12 @@ from ..core.engine import set_host_workers
 from ..core.results import VoxelScores
 from ..data.dataset import FMRIDataset
 from ..parallel.comm import Comm, CommGroup, RankThreads
+from ..parallel.shared import SharedWindows, memory_file
 from ..parallel.tiled import WorkPlan, master_loop
 from ..parallel.transport import TcpListener, spawn_local_workers
 from .context import RunContext
 from .partition import partition_tasks, partition_tiles, tile_cols_for
-from .stage_graph import execute_task
+from .stage_graph import execute_task, preprocess
 
 __all__ = [
     "Executor",
@@ -217,19 +219,20 @@ class MasterWorkerExecutor:
             plan = self._plan(dataset, ctx, voxels)
             # One fleet: every worker rank runs ``run_worker`` and the
             # master's sequence is below, once.  How ranks come to exist
-            # and go away is all that differs between the transports.
+            # and go away, and what they are given to work from, is all
+            # that differs between the transports.
             ranks = (
-                self._tcp_ranks(ctx, timeout)
+                self._tcp_ranks(ctx, dataset, timeout)
                 if self.transport == "tcp"
-                else self._thread_ranks(timeout)
+                else self._thread_ranks(ctx, dataset, timeout)
             )
-            with ranks as (comm, host_workers):
+            with ranks as (comm, host_workers, source):
                 # The paper's master "first distributes brain data to
                 # the worker nodes and then sends tasks".
                 comm.bcast(
                     {
                         "config": ctx.config,
-                        "dataset": dataset,
+                        "source": source,
                         "host_workers": host_workers,
                     }
                 )
@@ -255,50 +258,63 @@ class MasterWorkerExecutor:
 
     @contextmanager
     def _thread_ranks(
-        self, timeout: float | None
-    ) -> Iterator[tuple[Comm, dict[int, int]]]:
+        self, ctx: RunContext, dataset: FMRIDataset, timeout: float | None
+    ) -> Iterator[tuple[Comm, dict[int, int], Any]]:
         """Worker ranks as threads of this process over a
-        :class:`~repro.parallel.comm.CommGroup`: the broadcast shares the
-        dataset by reference, and they split this process's cores as
-        their engine thread budgets (the caller's budget is restored)."""
+        :class:`~repro.parallel.comm.CommGroup`: rank 0 makes the
+        windows, the broadcast shares them by reference, and the ranks
+        split this process's cores as their engine thread budgets (the
+        caller's budget is restored)."""
         # Imported here so ``python -m repro.parallel.tcp_worker`` does
         # not find itself already imported by its own package.
         from ..parallel.tcp_worker import run_worker
 
+        windows = preprocess(ctx, dataset)
         group = CommGroup(self.n_workers + 1, timeout=timeout)
         workers = range(1, group.size)
         alone = set_host_workers(self.n_workers)
         ranks = RankThreads(group, workers, run_worker)
         try:
-            yield group.comm(0), dict.fromkeys(workers, self.n_workers)
+            yield group.comm(0), dict.fromkeys(workers, self.n_workers), windows
         finally:
             ranks.join()
             set_host_workers(alone)
 
     @contextmanager
     def _tcp_ranks(
-        self, ctx: RunContext, timeout: float | None
-    ) -> Iterator[tuple[Comm, dict[int, int]]]:
-        """Worker ranks as processes joined over ``host:port`` (spawned
-        here, or ``fcma worker --connect`` elsewhere): accepted, then
-        closed and reaped."""
+        self, ctx: RunContext, dataset: FMRIDataset, timeout: float | None
+    ) -> Iterator[tuple[Comm, dict[int, int], Any]]:
+        """Worker ranks as processes joined over ``host:port``: accepted,
+        then closed and reaped.
+
+        Ranks spawned here share this host: while they fork and
+        connect, rank 0 makes the windows in a memory file
+        (:mod:`repro.parallel.shared`) and they are sent its handle, open
+        until every rank has reported.  Ranks that joined (``fcma worker
+        --connect``) are sent the dataset and make their own."""
         listener = TcpListener(self.host, self.port)
         ctx.metadata["tcp_address"] = list(listener.address)
         procs: list[Any] = []
         transport = None
         try:
-            if self.spawn:
-                procs = spawn_local_workers(
-                    listener.address, self.n_workers, timeout=timeout
-                )
-            transport = listener.accept(self.n_workers, timeout=timeout)
-            hosts = transport.peer_hosts()
-            # Per rank, the workers sharing its host (and so its cores):
-            # the divisor of its thread budget.
-            yield Comm(transport, 0), {
-                rank: list(hosts.values()).count(host)
-                for rank, host in hosts.items()
-            }
+            with ExitStack() as files:
+                source: Any = dataset
+                if self.spawn:
+                    procs = spawn_local_workers(
+                        listener.address, self.n_workers, timeout=timeout
+                    )
+                    shape = (dataset.n_epochs, dataset.n_voxels, dataset.epoch_length)
+                    fd, out = files.enter_context(memory_file(shape))
+                    epochs, _ = preprocess(ctx, dataset, out)
+                    source = SharedWindows(epochs, os.getpid(), fd, shape)
+                transport = listener.accept(self.n_workers, timeout=timeout)
+                hosts = transport.peer_hosts()
+                # Per rank, the workers sharing its host (and so its
+                # cores): the divisor of its thread budget.
+                yield Comm(transport, 0), {
+                    rank: list(hosts.values()).count(host)
+                    for rank, host in hosts.items()
+                }, source
         finally:
             if transport is not None:
                 transport.close()

@@ -39,7 +39,7 @@ accuracies; the equivalence is pinned by ``tests/exec`` and
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,10 +65,12 @@ from .registry import create_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.dataset import FMRIDataset
+    from ..data.epochs import EpochTable
 
 __all__ = [
+    "Windows",
     "execute_task",
-    "name_windows_body",
+    "preprocess",
     "score",
     "score_panel",
     "walk",
@@ -77,25 +79,39 @@ __all__ = [
 # -- the FCMA stage bodies ------------------------------------------------
 
 
-def _preprocess(
-    ctx: RunContext, dataset: "FMRIDataset"
-) -> tuple["FMRIDataset", NDArray[Any]]:
+class Windows(NamedTuple):
+    """What every stage after ``preprocess`` reads of a dataset: its
+    subject-grouped epoch table and the equation-2 windows ``z``,
+    ``(E, N, T)`` float32 in that table's order.  No BOLD."""
+
+    epochs: "EpochTable"
+    z: NDArray[Any]
+
+
+#: A task's input: a dataset, or the windows already made from one.
+Source = Union["FMRIDataset", Windows]
+
+
+def preprocess(
+    ctx: RunContext, source: Source, out: NDArray[Any] | None = None
+) -> Windows:
+    """The ``preprocess`` stage: a dataset's windows
+    (:func:`~repro.core.pipeline.preprocess_dataset`, memoized per
+    dataset, into ``out`` when given), or windows made before, as
+    they are.  The span's ``body`` says which equation-2 normalizer
+    (``native`` / ``numpy``) makes them."""
     from ..core.pipeline import preprocess_dataset
 
     with ctx.timer("preprocess"):
-        grouped, z = preprocess_dataset(dataset)
-        name_windows_body(ctx, grouped)
-    return grouped, z
-
-
-def name_windows_body(ctx: RunContext, grouped: "FMRIDataset") -> None:
-    """Tag the open ``preprocess`` stage span with ``body``: which
-    equation-2 normalizer (``native`` / ``numpy``) made the windows.
-    A task's ``preprocess`` stage and a tiled worker rank's start call
-    it."""
-    span = ctx.tracer.current()
-    if span is not None:
-        span.attrs["body"] = windows_body(grouped.epoch_length)
+        if isinstance(source, Windows):
+            windows = source
+        else:
+            grouped, z = preprocess_dataset(source, out)
+            windows = Windows(grouped.epochs, z)
+        span = ctx.tracer.current()
+        if span is not None:
+            span.attrs["body"] = windows_body(windows.epochs.epoch_length)
+    return windows
 
 
 @contextmanager
@@ -216,11 +232,10 @@ def walk(
 
 
 def _stage3_inputs(
-    grouped: "FMRIDataset", config: Any
+    epochs: "EpochTable", config: Any
 ) -> tuple[NDArray[Any], NDArray[Any], Any, int]:
     """What every stage-3 scorer reads beyond its panel, in their shared
     argument order: labels, CV fold ids, SVM backend, batch width."""
-    epochs = grouped.epochs
     return (
         epochs.labels(),
         cv_fold_ids(epochs, config.online_folds),
@@ -231,7 +246,7 @@ def _stage3_inputs(
 
 def score(
     ctx: RunContext,
-    grouped: "FMRIDataset",
+    epochs: "EpochTable",
     rows: NDArray[Any],
     kernels: NDArray[Any] | None = None,
     *,
@@ -245,7 +260,7 @@ def score(
     with _item_span(ctx, rows), ctx.tracer.span("score_voxels", kind="kernel") as span:
         if kernels is None:
             kernels = kernel_matrix_batched(correlations)
-        scores = score_kernels(kernels, rows, *_stage3_inputs(grouped, ctx.config))
+        scores = score_kernels(kernels, rows, *_stage3_inputs(epochs, ctx.config))
         span.add_metric("voxels", float(rows.size))
     return scores
 
@@ -262,11 +277,11 @@ def score_panel(
     cross-validation :func:`score` runs — in the signature the benchmark
     harness calls; no run path does.  ``ctx`` is not read.
     """
-    return score_voxels(correlations, rows, *_stage3_inputs(grouped, config))
+    return score_voxels(correlations, rows, *_stage3_inputs(grouped.epochs, config))
 
 
 def _baseline_task(
-    ctx: RunContext, grouped: "FMRIDataset", z: NDArray[Any], assigned: NDArray[Any]
+    ctx: RunContext, epochs: "EpochTable", z: NDArray[Any], assigned: NDArray[Any]
 ) -> VoxelScores:
     """The Section-3.2 pipeline: three separated stages."""
     with ctx.timer("correlate"):
@@ -276,15 +291,15 @@ def _baseline_task(
             span.add_metric("bytes_moved", float(z.nbytes + corr.nbytes))
     with ctx.timer("normalize"):
         with ctx.tracer.span("normalize_separated", kind="kernel") as span:
-            normalize_separated(corr, grouped.epochs.epochs_per_subject())
+            normalize_separated(corr, epochs.epochs_per_subject())
             span.add_metric("bytes_moved", float(2 * corr.nbytes))
     with ctx.timer("score"):
-        scores = score(ctx, grouped, assigned, correlations=corr)
+        scores = score(ctx, epochs, assigned, correlations=corr)
     return scores
 
 
 def _walk_score_task(
-    ctx: RunContext, grouped: "FMRIDataset", z: NDArray[Any], assigned: NDArray[Any]
+    ctx: RunContext, epochs: "EpochTable", z: NDArray[Any], assigned: NDArray[Any]
 ) -> VoxelScores:
     """The Section-4 pipeline, task = walk ∘ score: the tiled engine
     with normalization merged into correlation and the walk ending in a
@@ -292,15 +307,15 @@ def _walk_score_task(
     normalized tile filtered to CSR while cache-resident), then batched
     scoring."""
     with ctx.timer("correlate+normalize"):
-        eps = grouped.epochs.epochs_per_subject()
+        eps = epochs.epochs_per_subject()
         kernels = sum_gram_partials(walk(ctx, z, assigned, eps))
     with ctx.timer("score"):
-        scores = score(ctx, grouped, assigned, kernels)
+        scores = score(ctx, epochs, assigned, kernels)
     return scores
 
 
 def execute_task(
-    dataset: "FMRIDataset",
+    source: Source,
     assigned: NDArray[Any],
     ctx: RunContext,
 ) -> VoxelScores:
@@ -309,7 +324,9 @@ def execute_task(
     The single implementation behind every executor; the task runs
     inside a ``task`` span (so per-stage wall time lands in ``ctx`` and
     the task's total appears in ``ctx.task_seconds``, both derived from
-    the trace).
+    the trace).  ``source`` is a dataset or its :class:`Windows` (a
+    worker rank's ``"task"`` item); either way the task's
+    :func:`preprocess` stage hands the stages the windows.
     """
     assigned = np.asarray(assigned, dtype=np.int64)
     if assigned.ndim != 1 or assigned.size == 0:
@@ -318,6 +335,6 @@ def execute_task(
     # :func:`walk`'s emitter choice branches on which name a config used.
     task = _baseline_task if ctx.config.variant == "baseline" else _walk_score_task
     with _item_span(ctx, assigned):
-        grouped, z = _preprocess(ctx, dataset)
-        scores = task(ctx, grouped, z, assigned)
+        epochs, z = preprocess(ctx, source)
+        scores = task(ctx, epochs, z, assigned)
     return scores

@@ -2,9 +2,10 @@
 
 :func:`run_worker` is the rank program of the master/worker fleet on
 either transport — thread ranks call it as TCP worker processes do:
-receive the run's config + dataset from the rank-0 broadcast, serve the
-pull protocol to its end, report (TAG_DONE) so the master's trace covers
-work that happened here.
+receive the run's config and its input from the rank-0 broadcast (the
+master's windows, or the dataset), serve the pull protocol to its end,
+report (TAG_DONE) so the master's trace covers work that happened
+here.
 
 :func:`serve` is one process, one rank, joining a listening master
 (:class:`~repro.parallel.transport.TcpListener`).  It runs in two kinds
@@ -14,9 +15,10 @@ of process:
   exposed as ``fcma worker --connect HOST:PORT`` — the command to start
   on *other* hosts when the master runs with ``--transport tcp
   --listen``;
-* a child of :func:`fork_server`, the pre-imported parent from which
-  :func:`~repro.parallel.transport.spawn_local_workers` forks the
-  master's *local* ranks, so they skip the interpreter boot.
+* a child of :func:`fork_server`, the pre-imported, :func:`warm`
+  parent from which :func:`~repro.parallel.transport.spawn_local_workers`
+  forks the master's *local* ranks, so they skip the interpreter boot
+  and every first-use load.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ import warnings
 from contextlib import suppress
 from typing import NoReturn, Sequence
 
+from .. import native
 from ..core.engine import set_host_workers
 from ..exec.context import RunContext
 from .comm import Comm
+from .shared import SharedWindows
 from .tiled import TAG_DONE, rank_report, worker_loop
 from .transport import TcpTransport
 
-__all__ = ["fork_server", "main", "parse_endpoint", "run_worker", "serve"]
+__all__ = ["fork_server", "main", "parse_endpoint", "run_worker", "serve", "warm"]
 
 
 def parse_endpoint(value: str) -> tuple[str, int]:
@@ -51,18 +55,26 @@ def parse_endpoint(value: str) -> tuple[str, int]:
 def run_worker(comm: Comm) -> int:
     """The SPMD worker body every transport shares.
 
-    Receives ``{"config", "dataset", "host_workers"}`` from the rank-0
+    Receives ``{"config", "source", "host_workers"}`` from the rank-0
     broadcast (``host_workers[rank]`` = the worker ranks sharing this
     rank's cores, the divisor of its engine thread budget), then runs
     :func:`~repro.parallel.tiled.worker_loop` — the only call of it
-    under ``src/``.  A rank that dies outside an item still reports,
-    best effort (the master may be what it lost), naming the error.
+    under ``src/`` — on the source: the master's
+    :class:`~repro.exec.stage_graph.Windows` (a thread rank), a
+    :class:`~repro.parallel.shared.SharedWindows` handle it maps (a
+    rank the master spawned), or the dataset (a rank that joined).  A
+    rank that dies outside an item — one that cannot map the handle
+    included — still reports, best effort (the master may be what it
+    lost), naming the error.
     """
     setup = comm.bcast(None)
     set_host_workers(setup["host_workers"][comm.rank])
     ctx = RunContext(setup["config"])
     try:
-        return worker_loop(comm, setup["dataset"], ctx)
+        source = setup["source"]
+        if isinstance(source, SharedWindows):
+            source = source.open()
+        return worker_loop(comm, source, ctx)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         with suppress(ConnectionError, OSError):
@@ -81,16 +93,27 @@ def serve(host: str, port: int, timeout: float | None = None) -> int:
     return 0
 
 
+def warm() -> None:
+    """Pay, once, what a fresh worker process pays on its first items:
+    the native library's load (:func:`repro.native.solver`) and the
+    ``numpy.ma`` import ``np.unique`` makes on its first call (the
+    fold-id table of the first ``score``).  :func:`fork_server` calls it
+    before serving, so no forked rank does."""
+    import numpy.ma  # noqa: F401 - imported for its side effect
+
+    native.solver()
+
+
 def fork_server(requests: int, replies: int) -> None:
     """The warm parent of a master's local worker ranks.
 
     Started once per master process by
     :func:`~repro.parallel.transport.spawn_local_workers`, with this
-    module — numpy and the whole worker — already imported.  A single
-    thread reads spawn requests from the ``requests`` pipe, one JSON
-    line ``[host, port, timeout, n]`` each, and forks (``os.fork``)
-    ``n`` children that run :func:`serve`, answering ``pid <pid>`` per
-    child on the ``replies`` pipe.  A child never returns into this loop: it
+    module — numpy and the whole worker — already imported, and then
+    :func:`warm`.  A single thread reads spawn requests from the
+    ``requests`` pipe, one JSON line ``[host, port, timeout, n]`` each,
+    and forks (``os.fork``) ``n`` children that run :func:`serve`,
+    answering ``pid <pid>`` per child on the ``replies`` pipe.  A child never returns into this loop: it
     leaves through ``os._exit`` after writing ``exit <pid> <code>`` on
     ``replies`` — the master's only way to learn the code, because the
     server ignores SIGCHLD and so the kernel reaps its children.
@@ -107,6 +130,7 @@ def fork_server(requests: int, replies: int) -> None:
     warnings.filterwarnings(
         "ignore", message=".*fork", category=DeprecationWarning
     )
+    warm()
     with open(requests, "rb") as lines:
         for line in lines:
             host, port, timeout, n_workers = json.loads(line)

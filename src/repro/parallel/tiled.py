@@ -99,13 +99,13 @@ from numpy.typing import NDArray
 from ..core.engine import gemm_normalize_tile
 from ..core.kernels import sum_gram_partials
 from ..core.normalization import NormalizationWorkspace
-from ..core.pipeline import preprocess_dataset
 from ..core.results import VoxelScores
-from ..data.dataset import FMRIDataset
 from ..exec.context import RunContext
 from ..exec.stage_graph import (
+    Source,
+    Windows,
     execute_task,
-    name_windows_body,
+    preprocess,
     score,
     score_panel,  # re-exported: the dense score body the harness drives
     walk,
@@ -435,14 +435,17 @@ def master_loop(
     return plan.result()
 
 
-def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
+def worker_loop(comm: Comm, source: Source, ctx: "RunContext") -> int:
     """A worker rank's lifecycle, REQUEST ... STOP -> DONE; returns
     items completed.
 
-    The rank starts with the serial graph's ``preprocess`` stage, under
-    its own span, which comes home in the rank's report.  A tile/score
-    item is prefetched: the request for the *next* item
-    goes out before this one computes, the exposed wait lands in the
+    Every item is served from :class:`~repro.exec.stage_graph.Windows`
+    alone: the epoch table and ``z``.  Given them (a local rank: rank 0
+    made them) the rank starts at once; given a dataset (a rank that
+    joined from elsewhere) it makes them itself first, under the serial
+    graph's ``preprocess`` stage span, which comes home in the rank's
+    report.  A tile/score item is prefetched: the request for the *next*
+    item goes out before this one computes, the exposed wait lands in the
     ``comm.fetch_wait`` stage and the hidden fraction (message arrived
     while computing) in the ``overlap_hidden_seconds`` counter.  A
     ``"task"`` item is requested only after the previous one has been
@@ -454,10 +457,9 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
     """
     if comm.rank == 0:
         raise ValueError("worker_loop must not run on rank 0")
-    with ctx.timer("preprocess"):
-        grouped, z = preprocess_dataset(dataset)
-        name_windows_body(ctx, grouped)
-    epochs_per_subject = grouped.epochs.epochs_per_subject()
+    windows = source if isinstance(source, Windows) else preprocess(ctx, source)
+    epochs, z = windows
+    epochs_per_subject = epochs.epochs_per_subject()
     workspace = NormalizationWorkspace()
     completed = 0
     # Whether the item in hand is a prefetching kind (tile/score); a
@@ -496,7 +498,7 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
         try:
             if kind == "task":
                 result: tuple[Any, ...] = (
-                    "task", ident, execute_task(dataset, payload[2], ctx)
+                    "task", ident, execute_task(windows, payload[2], ctx)
                 )
             elif kind == "tile":
                 _, _, panel_id, rows, c0, c1 = payload
@@ -514,7 +516,7 @@ def worker_loop(comm: Comm, dataset: FMRIDataset, ctx: "RunContext") -> int:
                 _, _, rows, kernels = payload
                 scores = score(
                     ctx,
-                    grouped,
+                    epochs,
                     np.asarray(rows, dtype=np.int64),
                     np.ascontiguousarray(kernels, dtype=np.float32),
                 )

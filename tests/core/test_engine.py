@@ -550,6 +550,27 @@ class TestThreadAndTileInvariance:
             run_engine(z, assigned, 3, emitter, threads=2)
         assert allocating and set(allocating) == {threading.get_ident()}
 
+    def test_pool_threads_allocate_no_top_k_scratch(self, monkeypatch):
+        """The CSR emitter's top-k select pairs, one per engine thread
+        that can hold a tile, are made by ``begin`` on the calling
+        thread; pool threads only pop them."""
+        import repro.core.sparse as sparse_mod
+
+        allocating = []
+        new_scratch = CSREmitter._new_scratch
+
+        def recording(self):
+            allocating.append(threading.get_ident())
+            return new_scratch(self)
+
+        monkeypatch.setattr(CSREmitter, "_new_scratch", recording)
+        monkeypatch.setattr(sparse_mod, "thread_budget", lambda: 2)
+        z, assigned = _problem(n_voxels=23)
+        emitter = CSREmitter(top_k=3, voxel_sweep=4, target_block=8)
+        run_engine(z, assigned, 3, emitter, threads=2)
+        assert emitter.n_tiles > 2  # both threads took tiles
+        assert allocating == [threading.get_ident()] * 2
+
 
 class TestThreadBudget:
     def test_budget_is_affinity_over_host_workers(self, monkeypatch):

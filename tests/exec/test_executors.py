@@ -193,7 +193,20 @@ class TestTelemetry:
 class TestOneFleet:
     """Thread ranks and TCP ranks boot, serve and report by the same
     code, so the same plan leaves the same trace on either transport
-    and ``comm.bytes_*`` means one thing: every rank's end, summed."""
+    and ``comm.bytes_*`` means one thing: every rank's end, summed.
+    What a fleet is given differs only by where its ranks live: ranks
+    of this process or spawned on this host work from rank 0's windows;
+    ranks that joined are sent the dataset and make their own."""
+
+    @staticmethod
+    def _preprocess_spans(ctx):
+        """The ``preprocess`` stage spans directly under the run — the
+        windows' making, outside every task."""
+        spans = ctx.tracer.spans()
+        (run,) = [s for s in spans if s.kind == "run"]
+        return [
+            s for s in spans if s.name == "preprocess" and s.parent_id == run.span_id
+        ]
 
     @staticmethod
     def _run(dataset, config, partition, **kwargs):
@@ -218,12 +231,18 @@ class TestOneFleet:
             np.testing.assert_array_equal(scores.voxels, serial.voxels)
             np.testing.assert_array_equal(scores.accuracies, serial.accuracies)
         # Which rank drew which item — and so how many waits it timed —
-        # is scheduling; everything else in the two traces is the same
+        # is scheduling, and who made the windows is the fleet's
+        # (below); everything else in the two traces is the same
         # dataflow under the same names.
         waits = {"comm.fetch_wait", "overlap_hidden_seconds"}
 
         def dataflow(ctx):
-            return [s for s in ctx.tracer.spans() if s.name not in waits]
+            making = {s.span_id for s in self._preprocess_spans(ctx)}
+            return [
+                s
+                for s in ctx.tracer.spans()
+                if s.name not in waits and s.span_id not in making
+            ]
 
         assert_same_structure(
             dataflow(thread_ctx),
@@ -231,16 +250,39 @@ class TestOneFleet:
             ignore_metrics=frozenset(TIMING_METRICS)
             | {"ctr.comm.bytes_sent", "ctr.comm.bytes_recv"},
         )
+        # Rank 0 made the thread ranks' windows; each joined rank its own.
+        assert len(self._preprocess_spans(thread_ctx)) == 1
+        assert len(self._preprocess_spans(tcp_ctx)) == 2
         thread_totals = thread_ctx.metadata["counters"]
         tcp_totals = tcp_ctx.metadata["counters"]
         assert set(thread_totals) == set(tcp_totals)
-        # Threads share the broadcast dataset by reference; sockets
-        # carry it once per worker.  Beyond it, the same bytes.
+        # Threads share rank 0's windows by reference; joined ranks are
+        # sent the dataset, once each.  Beyond it, the same bytes.
         broadcast = 2 * tiny_dataset.nbytes()
         for key in ("comm.bytes_sent", "comm.bytes_recv"):
             assert thread_totals[key] == pytest.approx(
                 tcp_totals[key] - broadcast, rel=0.10
             ), key
+
+    @pytest.mark.parametrize("partition", ["rows", "tiles"])
+    def test_spawned_ranks_count_the_thread_ranks_bytes(
+        self, tiny_dataset, partition
+    ):
+        """Ranks spawned on this host map rank 0's windows: no dataset
+        crosses their sockets, so they count what thread ranks count."""
+        config = FCMAConfig(task_voxels=40, target_block=32)
+        serial = SerialExecutor().run(tiny_dataset, RunContext(config))
+        threads, thread_ctx = self._run(tiny_dataset, config, partition)
+        tcp, tcp_ctx = self._run(tiny_dataset, config, partition, transport="tcp")
+        for scores in (threads, tcp):
+            np.testing.assert_array_equal(scores.voxels, serial.voxels)
+            np.testing.assert_array_equal(scores.accuracies, serial.accuracies)
+        for ctx in (thread_ctx, tcp_ctx):
+            assert len(self._preprocess_spans(ctx)) == 1
+        thread_totals = thread_ctx.metadata["counters"]
+        tcp_totals = tcp_ctx.metadata["counters"]
+        for key in ("comm.bytes_sent", "comm.bytes_recv"):
+            assert thread_totals[key] == pytest.approx(tcp_totals[key], rel=0.10), key
 
     @staticmethod
     def _live(executor, dataset, config) -> dict:
@@ -256,7 +298,7 @@ class TestOneFleet:
 
     @pytest.mark.parametrize("partition", ["rows", "tiles"])
     def test_one_plan_reads_the_same_live_counters_on_every_transport(
-        self, tiny_dataset, join_tcp_workers, partition
+        self, tiny_dataset, partition
     ):
         config = FCMAConfig(task_voxels=20, target_block=32, comm_timeout=30)
         snaps = {
@@ -267,8 +309,7 @@ class TestOneFleet:
             )
             for transport, kwargs in (
                 ("thread", {}),
-                ("tcp", {"transport": "tcp", "port": join_tcp_workers(2),
-                         "spawn": False}),
+                ("tcp", {"transport": "tcp"}),
             )
         }
         thread, tcp = snaps["thread"], snaps["tcp"]
@@ -292,10 +333,10 @@ class TestOneFleet:
 
         import repro.parallel.tiled as tiled
 
-        def no_room(dataset):
-            raise MemoryError("no room for the epochs")
+        def no_room():
+            raise MemoryError("no room for the workspace")
 
-        monkeypatch.setattr(tiled, "preprocess_dataset", no_room)
+        monkeypatch.setattr(tiled, "NormalizationWorkspace", no_room)
         kwargs = (
             {"transport": "tcp", "port": join_tcp_workers(2), "spawn": False}
             if transport == "tcp"

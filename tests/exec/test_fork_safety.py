@@ -180,3 +180,40 @@ def test_ranks_forked_beside_a_running_blas_pool_finish_bitwise(tmp_path):
     lines = dict(line.split() for line in stdout.splitlines())
     assert lines["rank-budget"] == "2"
     assert lines["master-worker"] == lines["serial"]
+
+
+#: Windows made by the numpy body (no native load), then ``warm()``, then
+#: a tiny walk + score: the loads a forked rank would otherwise pay.
+WARM_SCENARIO = """
+import sys
+import numpy as np
+from repro import native
+from repro.core import FCMAConfig
+from repro.core.correlation import _normalize_epoch_data_numpy
+from repro.core.kernels import sum_gram_partials
+from repro.data import SyntheticConfig, generate_dataset
+from repro.exec import RunContext
+from repro.exec.stage_graph import score, walk
+from repro.parallel.tcp_worker import warm
+
+grouped = generate_dataset(SyntheticConfig(
+    n_voxels=40, n_subjects=2, epochs_per_subject=4, epoch_length=6,
+    n_informative=8, n_groups=1, seed=1)).grouped_by_subject()
+z = _normalize_epoch_data_numpy(grouped.epoch_stack())
+warm()
+print(native._lib is not native._UNTRIED)
+before = set(sys.modules)
+ctx, rows = RunContext(FCMAConfig()), np.arange(8)
+kernels = sum_gram_partials(walk(ctx, z, rows, grouped.epochs.epochs_per_subject()))
+score(ctx, grouped.epochs, rows, kernels)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_warm_leaves_a_rank_nothing_to_load(tmp_path):
+    """The fork server's ``warm()`` loads the native library and
+    ``numpy.ma`` (which ``np.unique`` imports on first call), so a
+    forked rank's first walk + score imports nothing."""
+    loaded, new_modules = _python(WARM_SCENARIO, 120, tmp_path).splitlines()
+    assert loaded == "True"
+    assert new_modules == "[]"

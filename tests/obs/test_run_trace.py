@@ -121,21 +121,27 @@ class TestTraceShape:
         body = windows_body(tiny_dataset.epoch_length)
         assert {s.attrs["body"] for s in spans} == {body}
 
-    @pytest.mark.parametrize("transport", ["thread", "tcp"])
-    def test_each_worker_rank_records_its_preprocess(
-        self, tiny_dataset, transport
+    @pytest.mark.parametrize("fleet", ["thread", "tcp", "tcp-joined"])
+    def test_whoever_makes_the_windows_records_preprocess(
+        self, tiny_dataset, join_tcp_workers, fleet
     ):
-        """A tiled run's worker ranks each open the serial graph's
-        ``preprocess`` stage span once, and it comes home in the rank's
-        report, under the run, with its ``body``."""
-        ctx = RunContext(FCMAConfig(task_voxels=40))
+        """A tiled run's windows are made under the serial graph's
+        ``preprocess`` stage span, once per maker, under the run, with
+        its ``body``: by rank 0 for thread ranks and ranks it spawned
+        (they map rank 0's windows), and by each rank that joined, whose
+        span comes home in its report."""
+        if fleet == "tcp-joined":
+            kwargs = {"transport": "tcp", "port": join_tcp_workers(2), "spawn": False}
+        else:
+            kwargs = {"transport": fleet}
+        ctx = RunContext(FCMAConfig(task_voxels=40, comm_timeout=30))
         make_executor(
-            "master-worker", n_workers=2, transport=transport, partition="tiles"
+            "master-worker", n_workers=2, partition="tiles", **kwargs
         ).run(tiny_dataset, ctx)
         spans = ctx.tracer.spans()
         (run,) = [s for s in spans if s.kind == "run"]
         preprocess = [s for s in spans if s.name == "preprocess"]
-        assert len(preprocess) == 2
+        assert len(preprocess) == (2 if fleet == "tcp-joined" else 1)
         for span in preprocess:
             assert span.kind == "stage" and span.parent_id == run.span_id
             assert span.attrs["body"] == windows_body(tiny_dataset.epoch_length)

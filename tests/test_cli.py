@@ -45,6 +45,23 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [
+        ["--workers", "3"],
+        ["--listen", "127.0.0.1:5555"],
+        ["--hosts", "2"],
+        ["--transport", "tcp"],
+        ["--partition", "tiles"],
+    ])
+    def test_rank_options_on_the_serial_executor_exit_2(
+        self, dataset_file, option, capsys
+    ):
+        """The serial executor has no ranks: a rank option is an error,
+        not silently ignored."""
+        argv = ["run", str(dataset_file), "--executor", "serial", *option]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{option[0]} require --executor master-worker" in err
+
 
 class TestGenerate:
     def test_writes_loadable_dataset(self, dataset_file):
@@ -187,9 +204,12 @@ class TestScenarios:
 class TestRun:
     @pytest.mark.parametrize("executor", ["serial", "master-worker"])
     def test_runs_on_every_executor(self, dataset_file, capsys, executor):
+        # The serial executor has no ranks to count (``--workers`` there
+        # is an error: TestParser).
+        ranks = ["--workers", "2"] if executor == "master-worker" else []
         rc = main([
-            "run", str(dataset_file), "--executor", executor,
-            "--workers", "2", "--task-voxels", "40", "--top", "3",
+            "run", str(dataset_file), "--executor", executor, *ranks,
+            "--task-voxels", "40", "--top", "3",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -214,14 +234,13 @@ class TestRun:
 
     def test_executors_print_identical_rankings(self, dataset_file, capsys):
         tops = []
-        for executor, transport in (
-            ("serial", "thread"),
-            ("master-worker", "thread"),
-            ("master-worker", "tcp"),
+        for executor, ranks in (
+            ("serial", []),
+            ("master-worker", ["--transport", "thread", "--workers", "2"]),
+            ("master-worker", ["--transport", "tcp", "--workers", "2"]),
         ):
             rc = main([
-                "run", str(dataset_file), "--executor", executor,
-                "--transport", transport, "--workers", "2",
+                "run", str(dataset_file), "--executor", executor, *ranks,
                 "--task-voxels", "40", "--top", "5", "--json",
             ])
             assert rc == 0
