@@ -1,25 +1,17 @@
 """Shared benchmark fixtures.
 
 Every benchmark regenerates one of the paper's tables or figures,
-asserts its shape claims (who wins, by roughly what factor), and writes
-the paper-vs-reproduced comparison to ``benchmarks/results/<name>.txt``
-so the artifacts survive the run (``--benchmark-only`` captures stdout).
-
-Timed benchmarks additionally record their measurements through the
-performance-observatory history registry
-(``benchmarks/results/history.jsonl``; see :mod:`repro.obs.perf`), so
-every run lands as a structured record with git sha, timestamp, and
-machine fingerprint — the input ``fcma perf check`` judges future runs
-against.  The legacy root-level ``BENCH_*.json`` files are kept as a
-compatibility mirror for existing CI artifact uploads.
+asserts its shape claims (who wins, by roughly what factor) and its
+deterministic numbers (at equality), and writes the paper-vs-reproduced
+comparison to ``benchmarks/results/<name>.txt`` so the artifacts
+survive the run (``--benchmark-only`` captures stdout).  Whether a
+change made the pipeline slower is judged by the end-to-end harness's
+paired runs (``benchmarks/e2e``), not by these files.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any, Callable, Mapping
 
 import pytest
 
@@ -42,45 +34,3 @@ def save_table(results_dir):
         print(f"\n{text}\n[saved to {path}]")
 
     return _save
-
-
-@pytest.fixture(scope="session")
-def record_benchmark(
-    results_dir,
-) -> Callable[[str, Mapping[str, Any], Path | None], Path]:
-    """record_benchmark(name, payload, legacy_path=None) -> history path.
-
-    Splits the payload into metrics (numbers) and attrs (everything
-    else), appends a :class:`~repro.obs.perf.BenchmarkRecord` to the
-    history registry, and — when ``legacy_path`` is given — mirrors the
-    raw payload to the legacy root-level JSON file.
-    """
-    from repro.obs.perf import BenchmarkRecord, HistoryRegistry
-
-    env_path = os.environ.get("FCMA_HISTORY_PATH")
-    registry = HistoryRegistry(
-        env_path if env_path else results_dir / "history.jsonl"
-    )
-
-    def _record(
-        name: str,
-        payload: Mapping[str, Any],
-        legacy_path: Path | None = None,
-    ) -> Path:
-        metrics: dict[str, float] = {}
-        attrs: dict[str, Any] = {}
-        for key, value in payload.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                attrs[key] = value
-            else:
-                metrics[key] = float(value)
-        if legacy_path is not None:
-            legacy_path.write_text(
-                json.dumps(dict(payload), indent=2) + "\n"
-            )
-            attrs["legacy_mirror"] = legacy_path.name
-        return registry.append(
-            BenchmarkRecord(name=name, metrics=metrics, attrs=attrs)
-        )
-
-    return _record

@@ -5,13 +5,11 @@ and cross-validates the whole block through the multi-problem SMO
 solver, paying the Python-interpreter cost of an SMO iteration once per
 *sweep* instead of once per voxel.  This bench times both drivers on the
 face-scene-scaled task geometry, asserts the committed >= 3x speedup
-floor, verifies score equality, and records the measurement through the
-benchmark history registry (plus the legacy ``BENCH_stage3.json`` mirror
-at the repo root) so regressions are diffable and checkable.
+floor, verifies score equality, and writes the measurement to
+``benchmarks/results/batched_stage3.txt``.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +19,6 @@ from repro.svm import PhiSVM
 
 #: Committed floor: the batched path must beat per-voxel by this factor.
 SPEEDUP_FLOOR = 3.0
-
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_stage3.json"
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +36,7 @@ def stage3_task():
 
 class TestBatchedStage3:
     def test_batched_beats_reference_3x(
-        self, benchmark, stage3_task, save_table, record_benchmark
+        self, benchmark, stage3_task, save_table
     ):
         corr, ids, labels, folds = stage3_task
         svm = PhiSVM()
@@ -71,22 +67,11 @@ class TestBatchedStage3:
             f"batched stage 3 only {speedup:.2f}x over per-voxel "
             f"(floor {SPEEDUP_FLOOR}x)"
         )
-
-        record = {
-            "benchmark": "batched stage 3 vs per-voxel reference",
-            "preset": "face-scene-scaled task (V=96, M=72, N=240, LOSO)",
-            "batch_voxels": 64,
-            "reference_seconds": round(reference_seconds, 4),
-            "batched_seconds": round(batched_seconds, 4),
-            "speedup": round(speedup, 2),
-            "floor": SPEEDUP_FLOOR,
-        }
-        record_benchmark("bench_stage3", record, BENCH_JSON)
         save_table(
             "batched_stage3",
             f"batched stage 3: {speedup:.1f}x over per-voxel "
             f"({reference_seconds:.2f}s -> {batched_seconds:.2f}s), "
-            f"floor {SPEEDUP_FLOOR}x [also in {BENCH_JSON.name}]",
+            f"floor {SPEEDUP_FLOOR}x",
         )
 
     def test_batched_kernels_only(self, benchmark, stage3_task):

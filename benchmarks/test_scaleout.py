@@ -16,22 +16,21 @@ rule (``repro.core.kernels.gram_chunks``, 2048 columns) and is a whole
 number of chunks wide.  This workload's 240 voxels are one chunk, so
 every row panel is **one** tile (``tile_cols`` = 240) plus its score
 item at every worker count — 8 work items for the 4 panels, where the
-block-shipping runtime planned 2 tiles per panel at 4 workers.  Every
-check is unchanged; the count metrics in ``BENCH_scaleout.json`` /
-``history.jsonl`` moved once with that PR.
+block-shipping runtime planned 2 tiles per panel at 4 workers.  The
+geometry counts and the modelled tiled curve are deterministic and are
+pinned at equality in :func:`test_record_scaling_curves`.
 
 Single-core CI note: on a one-core box (``nproc`` = 1, the common CI
 case) wall-clock cannot improve with worker count — thread workers
 time-share the core — so the >= 1.5x strong-scaling gate is asserted on
 the simulator replay, which is deterministic for a given task stream.
-Measured elapsed is still recorded so multi-core machines show the real
-curve in the history registry.
+Measured elapsed is still written to ``benchmarks/results/scaleout.txt``
+so multi-core machines show the real curve.  Whether the tiled runtime
+got slower is judged by the end-to-end benchmark's ``scaleout-tiles``
+workload, not here.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +53,6 @@ from repro.data.presets import DatasetSpec
 from repro.exec import RunContext, make_executor
 from repro.hw import E5_2670
 
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_scaleout.json"
 WORKERS = (1, 2, 4)
 SPEEDUP_FLOOR = 1.5
 
@@ -242,27 +240,24 @@ def _tiled_curve(workload, scaling_runs):
     )
 
 
-def test_record_scaling_curves(
-    workload, scaling_runs, serial_reference, record_benchmark, save_table
-):
-    """Persist measured-vs-predicted curves to BENCH_scaleout.json."""
+#: The modelled tiled workload's strong-scaling curve at this geometry
+#: (:func:`_tiled_curve`): a function of the geometry and the machine
+#: and network models only, so it is pinned, not measured.
+TILED_SIM_SPEEDUP = {1: 1.0, 2: 1.1557996622132898, 4: 1.1507370094870053}
+
+
+def test_record_scaling_curves(workload, scaling_runs, save_table):
+    """Write measured-vs-predicted curves to ``results/scaleout.txt``;
+    pin the geometry and the modelled curve."""
     ds, cfg = workload
     _, ctx1 = scaling_runs[1]
     tile_cols = int(scaling_runs[1][1].metadata["tile_cols"])
     tiled = _tiled_curve(workload, scaling_runs)
 
-    # Metric-name classes matter to the drift gate (`fcma perf check`):
-    # names ending in ``_seconds``/``model_ratio`` are wall-clock class
-    # (same-machine, generous tolerance); everything else is exact-gated
-    # across machines, so only deterministic quantities (geometry and
-    # the modelled tiled curve) may use bare names.
-    record: dict = {
-        "n_voxels": ds.n_voxels,
-        "task_voxels": cfg.task_voxels,
-        "tile_cols": tile_cols,
-        "workers": list(WORKERS),
-        "speedup_floor": SPEEDUP_FLOOR,
-    }
+    assert (ds.n_voxels, cfg.task_voxels, tile_cols) == (240, 60, 240)
+    assert {n: tiled[n][1] for n in WORKERS} == pytest.approx(
+        TILED_SIM_SPEEDUP, rel=1e-6
+    )
     lines = [
         "strong scaling: tiled master-worker (thread transport)",
         f"  {'n':>3} {'measured_s':>11} {'sim_pred_s':>11} "
@@ -276,30 +271,15 @@ def test_record_scaling_curves(
         sim_speedup = sim_base / sim.elapsed_seconds
         tiled_speedup = tiled[n][1]
         weak_eff = _weak_scaling_efficiency(ctx1, n)
-        record[f"measured_{n}w_wall_seconds"] = measured
-        record[f"sim_{n}w_elapsed_seconds"] = sim.elapsed_seconds
-        record[f"sim_{n}w_speedup_model_ratio"] = sim_speedup
-        record[f"sim_{n}w_utilization_model_ratio"] = sim.utilization
-        record[f"tiled_sim_speedup_{n}w"] = tiled_speedup
-        record[f"weak_{n}w_efficiency_model_ratio"] = weak_eff
-        record[f"hook_{n}w_elapsed_seconds"] = _replay(
-            ctx, n, ds.nbytes()
-        ).elapsed_seconds
         lines.append(
             f"  {n:>3} {measured:>11.3f} {sim.elapsed_seconds:>11.3f} "
             f"{sim_speedup:>10.2f}x {tiled_speedup:>12.2f}x "
             f"{weak_eff:>8.2f}"
         )
-    gate_speedup = record[f"sim_{WORKERS[-1]}w_speedup_model_ratio"]
-    record["sim_speedup_meets_floor"] = gate_speedup >= SPEEDUP_FLOOR
+    gate_speedup = sim_base / _replay(ctx1, WORKERS[-1]).elapsed_seconds
     lines.append(
         f"  gate: simulator speedup at {WORKERS[-1]}w = "
         f"{gate_speedup:.2f}x (floor {SPEEDUP_FLOOR}x)"
     )
-    assert record["sim_speedup_meets_floor"]
-
-    path = record_benchmark("bench_scaleout", record, BENCH_JSON)
+    assert gate_speedup >= SPEEDUP_FLOOR
     save_table("scaleout", "\n".join(lines))
-    assert BENCH_JSON.exists()
-    assert json.loads(BENCH_JSON.read_text())["workers"] == list(WORKERS)
-    assert path.exists()

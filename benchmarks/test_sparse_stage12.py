@@ -15,10 +15,9 @@ at 1% density (the dense buffer alone would be ~2.5 GB for one
 ``optimized`` task on the same preset — whose walk ends in a Gram —
 grows the process by a small fraction of the block it no longer builds.
 
-Recorded metrics that must stay machine-independent (the drift gate
-compares them cross-machine): ``nnz``, ``density``, ``top_k_nnz``.
-Timing metrics (``*_seconds``, ``speedup``) only compare within one
-machine fingerprint.
+Machine-independent numbers are pinned at equality: the task
+geometry's top-k count (``top_k_nnz``) and the 100k preset's ``nnz`` /
+``density``.  Timings go to ``benchmarks/results/*.txt`` only.
 """
 
 import json
@@ -27,7 +26,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +35,6 @@ from repro.core.normalization import normalize_separated
 from repro.core.engine import DenseEmitter, run_engine
 from repro.core.sparse import (
     CSREmitter,
-    sparse_tile_plan,
     threshold_dense,
 )
 from repro.data import SPARSE_100K
@@ -48,8 +45,6 @@ SPEEDUP_FLOOR = 3.0
 #: Committed ceiling for the 100k-preset stage-1/2 subprocess peak RSS.
 RSS_CEILING_BYTES = 2 * 1024**3
 
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_sparse.json"
-
 #: Task geometry for the timed comparison: a 64-voxel task against the
 #: sparse-100k brain (3 subjects x 8 epochs, T=12, N=100k).
 V, N_SUBJECTS, E_PER_SUBJECT, N, T = 64, 3, 8, 100_000, 12
@@ -58,6 +53,9 @@ E = N_SUBJECTS * E_PER_SUBJECT
 #: Kept fraction the threshold is quantile-picked for.
 TARGET_DENSITY = 0.01
 
+#: Entries a top-k 1% filter keeps on the timed task: rows x k.
+TOP_K_NNZ = 1_536_000
+
 
 @pytest.fixture(scope="module")
 def sparse_task():
@@ -65,14 +63,6 @@ def sparse_task():
     z = normalize_epoch_data(rng.standard_normal((E, N, T)).astype(np.float32))
     assigned = np.arange(V, dtype=np.int64)
     return z, assigned
-
-
-@pytest.fixture(scope="module")
-def tile_plan():
-    """The engine's own dispatch-amortizing tiling (not the dense
-    planner's L2 tiles, which drown this filter-bound loop in per-tile
-    overhead)."""
-    return sparse_tile_plan(V, E, N)
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +88,8 @@ def timing_enabled(request):
 
 class TestSparseStage12:
     def test_sparse_beats_dense_threshold_3x(
-        self, timing_enabled, sparse_task, tile_plan, quantile_tau,
-        save_table, record_benchmark,
+        self, timing_enabled, sparse_task, quantile_tau,
+        save_table,
     ):
         z, assigned = sparse_task
         tau = quantile_tau
@@ -138,6 +128,7 @@ class TestSparseStage12:
         np.testing.assert_allclose(result.data, reference.data, atol=3e-7)
         measured_density = stats.density
         assert 0.5 * TARGET_DENSITY < measured_density < 2 * TARGET_DENSITY
+        assert V * E * int(N * TARGET_DENSITY) == TOP_K_NNZ
 
         if not timing_enabled:
             # --benchmark-disable (CI smoke): correctness checked above.
@@ -149,28 +140,11 @@ class TestSparseStage12:
             f"sparse stage 1/2 only {speedup:.2f}x over dense+threshold "
             f"(floor {SPEEDUP_FLOOR}x)"
         )
-
-        record = {
-            "benchmark": "sparse thresholded stage 1/2 vs dense+threshold",
-            "preset": f"sparse-100k task (V={V}, E={E}, N={N}, T={T})",
-            "voxel_sweep": str(tile_plan[0]),
-            "target_block": str(tile_plan[1]),
-            "dense_threshold_seconds": round(reference_seconds, 4),
-            "sparse_seconds": round(sparse_seconds, 4),
-            "speedup": round(speedup, 2),
-            "floor": str(SPEEDUP_FLOOR),
-            # tau-mode density depends on BLAS last-bit behavior, so
-            # it is an attr; top_k_nnz is the machine-exact count.
-            "density": f"{measured_density:.5f}",
-            "top_k_nnz": float(V * E * int(N * TARGET_DENSITY)),
-        }
-        record_benchmark("bench_sparse_stage12", record, BENCH_JSON)
         save_table(
             "sparse_stage12",
             f"sparse stage 1/2: {speedup:.1f}x over dense+threshold "
             f"({reference_seconds:.2f}s -> {sparse_seconds:.2f}s at "
-            f"density {measured_density:.3%}), floor {SPEEDUP_FLOOR}x "
-            f"[also in {BENCH_JSON.name}]",
+            f"density {measured_density:.3%}), floor {SPEEDUP_FLOOR}x",
         )
 
     def test_sparse_vs_fused_dense_secondary(
@@ -242,7 +216,7 @@ RSS_SCRIPT = textwrap.dedent(
 
 
 class TestSparse100kMemory:
-    def test_stage12_100k_preset_under_2gb(self, record_benchmark, save_table):
+    def test_stage12_100k_preset_under_2gb(self, save_table):
         """The tentpole claim: one 256-voxel stage-1/2 task on the full
         sparse-100k preset, at 1% density via top-k, finishes in a
         subprocess whose peak RSS stays under 2 GB.  The dense
@@ -264,19 +238,8 @@ class TestSparse100kMemory:
             f"(ceiling {RSS_CEILING_BYTES / 1024**3:.1f} GiB)"
         )
         # top-k nnz is exact and machine-independent: rows x k.
-        assert payload["nnz"] == 256 * 24 * top_k
-        record = {
-            "benchmark": "sparse-100k stage 1/2 peak RSS",
-            "preset": "sparse-100k (V=256 task, N=100000, top-k 1%)",
-            # RSS is allocator/host-dependent: recorded as an attr so
-            # the drift gate only judges the machine-independent nnz
-            # and density; the 2 GB ceiling is asserted above.
-            "peak_rss_bytes": str(peak_bytes),
-            "rss_ceiling_bytes": str(RSS_CEILING_BYTES),
-            "nnz": float(payload["nnz"]),
-            "density": round(payload["density"], 5),
-        }
-        record_benchmark("bench_sparse_100k_rss", record)
+        assert payload["nnz"] == 256 * 24 * top_k == 6_144_000
+        assert payload["density"] == pytest.approx(TARGET_DENSITY, rel=1e-6)
         save_table(
             "sparse_100k_rss",
             f"sparse-100k stage 1/2 (256-voxel task, top-k 1%): peak RSS "

@@ -4,8 +4,7 @@ Commands
 --------
 ``generate``  write a synthetic dataset to a .npz file
 ``scenarios`` ground-truth accuracy matrix: sweep design x SNR x SF x
-              subjects, score voxel selection against planted truth,
-              and optionally record ``acc.*`` metrics to the history
+              subjects, score voxel selection against planted truth
 ``run``       voxel selection on any executor, with per-stage timings
 ``select``    run FCMA voxel selection on a dataset file
 ``offline``   nested leave-one-subject-out analysis
@@ -15,10 +14,9 @@ Commands
 ``trace``     inspect or convert a span trace written by ``run --trace``
 ``top``       live dashboard over the snapshot stream a ``run --live
               --live-events`` (or ``rtfmri --live-events``) is writing
-``perf``      the performance observatory: record runs into the
-              benchmark history, check for drift, render
-              predicted-vs-measured and roofline reports, and gate
-              model calibration against the paper's numbers
+``perf``      the performance observatory: render predicted-vs-measured
+              and roofline reports from a trace, and gate model
+              calibration against the paper's numbers
 """
 
 from __future__ import annotations
@@ -135,13 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "the matrix is below this floor")
     scn.add_argument("--json", action="store_true",
                      help="emit the matrix report as JSON")
-    scn.add_argument("--history", default=None, metavar="PATH",
-                     help="append the matrix's acc.* metrics to the "
-                          "benchmark history registry at PATH (gate with "
-                          "'fcma perf check --latest')")
-    scn.add_argument("--history-name", default="scenario-accuracy",
-                     metavar="NAME",
-                     help="series name the history record is filed under")
 
     run = sub.add_parser(
         "run",
@@ -183,11 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="jsonl",
                      help="trace file format: JSON-lines span records or "
                           "a Chrome trace_event file for chrome://tracing")
-    run.add_argument("--history", default=None, metavar="PATH",
-                     help="append this run's metrics to the benchmark "
-                          "history registry at PATH (JSON-lines)")
-    run.add_argument("--history-name", default="fcma-run", metavar="NAME",
-                     help="series name the history record is filed under")
     _add_live_args(run)
 
     wrk = sub.add_parser(
@@ -244,13 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "exceeds this many milliseconds")
     rt.add_argument("--json", action="store_true",
                     help="emit the session report as JSON")
-    rt.add_argument("--history", default=None, metavar="PATH",
-                    help="append the session's latency/accuracy metrics "
-                         "to the benchmark history registry at PATH "
-                         "(gate drift with 'fcma perf check --latest')")
-    rt.add_argument("--history-name", default="rtfmri-session",
-                    metavar="NAME",
-                    help="series name the history record is filed under")
     _add_live_args(rt)
 
     rep = sub.add_parser("report", help="instrumentation report (Table 1)")
@@ -307,74 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="--follow: redraw interval (default 1.0)")
 
     perf = sub.add_parser(
-        "perf", help="performance observatory (history, drift, reports)"
+        "perf", help="performance observatory (reports, calibration)"
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    def _add_history_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--history", default=None, metavar="PATH",
-                       help="history registry path (default: "
-                            "benchmarks/results/history.jsonl, or "
-                            "$FCMA_HISTORY_PATH)")
-        p.add_argument("--name", default="fcma-run", metavar="NAME",
-                       help="series name in the registry")
-
-    def _add_run_opts(p: argparse.ArgumentParser) -> None:
-        _add_pipeline_opts(p, "optimized-batched")
-        p.add_argument("--machine", choices=["phi", "xeon", "knl"],
-                       default="xeon",
-                       help="machine model used for counter enrichment")
-
-    rec = perf_sub.add_parser(
-        "record",
-        help="run a dataset (serial), enrich the trace with model "
-             "predictions, and append a record to the history registry",
-    )
-    rec.add_argument("dataset", nargs="?", default=None,
-                     help="input .npz dataset (omit with --ingest)")
-    _add_history_opts(rec)
-    _add_run_opts(rec)
-    rec.add_argument("--trace", default=None, metavar="PATH",
-                     help="also write the enriched span trace to PATH")
-    rec.add_argument("--ingest", default=None, metavar="BENCH_JSON",
-                     help="instead of running: ingest a legacy "
-                          "BENCH_*.json blob into the registry")
-    rec.add_argument("--json", action="store_true",
-                     help="emit the appended record as JSON")
-
-    chk = perf_sub.add_parser(
-        "check",
-        help="judge a run against the recorded history; exits 1 on "
-             "drift, 2 when nothing was checkable",
-    )
-    chk.add_argument("dataset", nargs="?", default=None,
-                     help="dataset to run and check (omit with --latest)")
-    _add_history_opts(chk)
-    _add_run_opts(chk)
-    chk.add_argument("--latest", action="store_true",
-                     help="check the registry's newest record of the "
-                          "series against the rest instead of running")
 
     prep = perf_sub.add_parser(
         "report",
         help="predicted-vs-measured + roofline report from a trace file",
     )
     prep.add_argument("trace_file",
-                      help="JSON-lines trace (run --trace / perf record "
-                           "--trace); enriched on the fly if needed")
+                      help="JSON-lines trace written by 'fcma run "
+                           "--trace'; enriched on the fly if needed")
     prep.add_argument("--machine", choices=["phi", "xeon", "knl"],
                       default="xeon")
-
-    hist = perf_sub.add_parser(
-        "history", help="list records in the history registry"
-    )
-    hist.add_argument("--history", default=None, metavar="PATH")
-    hist.add_argument("--name", default=None, metavar="NAME",
-                      help="restrict to one series")
-    hist.add_argument("--limit", type=int, default=None,
-                      help="show only the newest N records")
-    hist.add_argument("--json", action="store_true",
-                      help="emit the records as JSON lines")
 
     perf_sub.add_parser(
         "calibrate",
@@ -509,7 +433,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     from .eval import (
         default_matrix,
         format_accuracy_table,
-        matrix_record,
         max_roc_auc,
         run_matrix,
         smoke_matrix,
@@ -547,15 +470,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     best = max_roc_auc(results)
     below_floor = args.min_auc is not None and best < args.min_auc
 
-    history_path = None
-    if args.history:
-        from .obs.perf import HistoryRegistry
-
-        record = matrix_record(
-            matrix, results, name=args.history_name, executor=args.executor
-        )
-        history_path = str(HistoryRegistry(args.history).append(record))
-
     if args.json:
         report: dict[str, object] = {
             "matrix": {
@@ -583,11 +497,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         if args.min_auc is not None:
             report["min_auc"] = args.min_auc
             report["passed"] = not below_floor
-        if history_path is not None:
-            report["history"] = {
-                "path": history_path,
-                "name": args.history_name,
-            }
         print(json.dumps(report, indent=2))
     else:
         print(format_accuracy_table(results))
@@ -597,9 +506,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             verdict = "BELOW" if below_floor else "meets"
             print(f"accuracy floor: best ROC-AUC {best:.3f} {verdict} "
                   f"{args.min_auc:.3f}")
-        if history_path is not None:
-            print(f"history: recorded '{args.history_name}' "
-                  f"-> {history_path}")
     return 1 if below_floor else 0
 
 
@@ -778,37 +684,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     top = scores.top(args.top)
 
     trace_info = None
-    history_path = None
-    spans = ctx.tracer.spans()
-    if args.trace or args.history:
+    if args.trace:
         # Attach model predictions (pc.* counters, predicted_seconds,
         # predicted_gflops) to the kernel spans before they leave the
         # process; the trace file then carries measured-vs-predicted.
         from .obs.perf import enrich_spans
 
+        spans = ctx.tracer.spans()
         enrich_spans(spans)
-    if args.trace:
         n_spans = _write_trace(spans, args.trace, args.trace_format)
         trace_info = {
             "path": args.trace,
             "format": args.trace_format,
             "n_spans": n_spans,
         }
-    if args.history:
-        from .obs.perf import (
-            HistoryRegistry,
-            config_fingerprint,
-            record_from_trace,
-        )
-
-        record = record_from_trace(
-            spans,
-            args.history_name,
-            config_hash=config_fingerprint(config),
-            attrs={"executor": args.executor},
-        )
-        history_path = str(HistoryRegistry(args.history).append(record))
-
     if args.json:
         report = ctx.timing_report()
         report["dataset"] = str(dataset)
@@ -820,11 +709,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ]
         if trace_info is not None:
             report["trace"] = trace_info
-        if history_path is not None:
-            report["history"] = {
-                "path": history_path,
-                "name": args.history_name,
-            }
         if live.final is not None:
             report["live"] = live.final
         print(json.dumps(report, indent=2))
@@ -843,8 +727,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if trace_info is not None:
         print(f"trace: {trace_info['n_spans']} spans "
               f"({trace_info['format']}) -> {trace_info['path']}")
-    if history_path is not None:
-        print(f"history: appended '{args.history_name}' -> {history_path}")
     live_line = live.summary_line()
     if live_line is not None:
         print(live_line)
@@ -948,43 +830,6 @@ def _cmd_rtfmri(args: argparse.Namespace) -> int:
     stats = result.streaming
     p99_ms = stats.p99_step_latency_s * 1e3
 
-    history_path = None
-    if args.history:
-        from .obs.perf import (
-            BenchmarkRecord,
-            HistoryRegistry,
-            config_fingerprint,
-        )
-
-        record = BenchmarkRecord(
-            name=args.history_name,
-            metrics={
-                "median_step_seconds": stats.median_step_latency_s,
-                "p99_step_seconds": stats.p99_step_latency_s,
-                "max_step_seconds": stats.max_step_latency_s,
-                "training_wall_seconds": result.training_latency_s,
-                "feedback_wall_seconds": result.max_feedback_latency_s,
-                "feedback_accuracy": result.feedback_accuracy,
-                "feedback_events": float(len(result.events)),
-                "trs_streamed": float(stats.trs_streamed),
-                "partial_updates": float(stats.partial_updates),
-                "epochs_completed": float(stats.epochs_completed),
-                "epochs_evicted": float(stats.epochs_evicted),
-                "warm_started_retrains": float(stats.warm_started_retrains),
-            },
-            config_hash=config_fingerprint(
-                config,
-                {
-                    "training_epochs": args.training_epochs,
-                    "top_k": args.top_k,
-                    "retrain_every": args.retrain_every,
-                    "window_epochs": args.window_epochs,
-                },
-            ),
-            attrs={"subject": args.subject, "dataset": str(dataset)},
-        )
-        history_path = str(HistoryRegistry(args.history).append(record))
-
     over_budget = (
         args.latency_budget_ms is not None
         and p99_ms > args.latency_budget_ms
@@ -1012,11 +857,6 @@ def _cmd_rtfmri(args: argparse.Namespace) -> int:
         if args.latency_budget_ms is not None:
             report["latency_budget_ms"] = args.latency_budget_ms
             report["within_budget"] = not over_budget
-        if history_path is not None:
-            report["history"] = {
-                "path": history_path,
-                "name": args.history_name,
-            }
         if live.final is not None:
             report["live"] = live.final
         print(json.dumps(report, indent=2))
@@ -1039,9 +879,6 @@ def _cmd_rtfmri(args: argparse.Namespace) -> int:
             verdict = "OVER" if over_budget else "within"
             print(f"latency budget: p99 {p99_ms:.3f} ms {verdict} "
                   f"{args.latency_budget_ms:.3f} ms")
-        if history_path is not None:
-            print(f"history: recorded '{args.history_name}' "
-                  f"-> {history_path}")
         live_line = live.summary_line()
         if live_line is not None:
             print(live_line)
@@ -1164,92 +1001,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         time.sleep(args.refresh)
 
 
-def _perf_run_record(args: argparse.Namespace):
-    """Run a dataset serially, enrich the trace, build a history record."""
-    from .data import load_dataset
-    from .exec import RunContext, make_executor
-    from .obs.perf import config_fingerprint, enrich_spans, record_from_trace
-
-    dataset = load_dataset(args.dataset)
-    config = _pipeline_config(args)
-    ctx = RunContext(config)
-    make_executor("serial").run(dataset, ctx)
-    spans = ctx.tracer.spans()
-    enrich_spans(spans, hw=_machine_for(args.machine))
-    record = record_from_trace(
-        spans,
-        args.name,
-        config_hash=config_fingerprint(config, {"machine": args.machine}),
-        attrs={"machine_model": args.machine},
-    )
-    return record, spans
-
-
-def _cmd_perf_record(args: argparse.Namespace) -> int:
-    from .obs.perf import HistoryRegistry, ingest_legacy_bench
-
-    registry = HistoryRegistry(args.history)
-    if args.ingest:
-        record = ingest_legacy_bench(args.ingest)
-    elif args.dataset:
-        record, spans = _perf_run_record(args)
-        if args.trace:
-            n_spans = _write_trace(spans, args.trace, "jsonl")
-            print(f"trace: {n_spans} spans -> {args.trace}", file=sys.stderr)
-    else:
-        print("perf record: need a dataset or --ingest", file=sys.stderr)
-        return 2
-    path = registry.append(record)
-    if args.json:
-        print(json.dumps(record.to_dict(), indent=2))
-    else:
-        print(f"recorded '{record.name}' ({len(record.metrics)} metrics, "
-              f"sha {record.git_sha[:12]}, machine {record.machine_id}) "
-              f"-> {path}")
-    return 0
-
-
-def _cmd_perf_check(args: argparse.Namespace) -> int:
-    from .obs.perf import HistoryRegistry, check_record
-
-    registry = HistoryRegistry(args.history)
-    if args.latest:
-        records = registry.records(args.name)
-        if not records:
-            print(f"perf check: no '{args.name}' records in "
-                  f"{registry.path}", file=sys.stderr)
-            return 2
-        current, history = records[-1], records[:-1]
-    elif args.dataset:
-        current, _ = _perf_run_record(args)
-        history = registry.records(args.name)
-    else:
-        print("perf check: need a dataset or --latest", file=sys.stderr)
-        return 2
-
-    report = check_record(current, history)
-    print(report.summary())
-    for finding in report.findings:
-        if not finding.ok:
-            kind = "timing" if finding.timing else "deterministic"
-            print(f"  DRIFT {finding.metric}: {finding.current:.6g} vs "
-                  f"median {finding.baseline:.6g} over {finding.n_history} "
-                  f"records ({kind}, deviation {finding.deviation:.1%} > "
-                  f"±{finding.tolerance:.1%})")
-    known_hashes = {r.config_hash for r in history if r.config_hash}
-    if current.config_hash and known_hashes and (
-        current.config_hash not in known_hashes
-    ):
-        print(f"  note: config hash {current.config_hash} not seen in "
-              f"history ({len(known_hashes)} known) — deltas may reflect "
-              f"a config change, not a regression")
-    if report.checked == 0:
-        print("  nothing checkable against history "
-              "(fresh series or all-foreign machines)", file=sys.stderr)
-        return 2
-    return 0 if report.ok else 1
-
-
 def _cmd_perf_report(args: argparse.Namespace) -> int:
     from .obs import read_jsonl
     from .obs.perf import enrich_spans, format_perf_report
@@ -1265,29 +1016,6 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_history(args: argparse.Namespace) -> int:
-    from .obs.perf import HistoryRegistry
-
-    registry = HistoryRegistry(args.history)
-    records = registry.records(args.name)
-    if args.limit is not None:
-        records = records[-args.limit:]
-    if args.json:
-        for record in records:
-            print(json.dumps(record.to_dict(), sort_keys=True))
-        return 0
-    if not records:
-        print(f"no records in {registry.path}"
-              + (f" for series '{args.name}'" if args.name else ""))
-        return 0
-    print(f"{len(records)} record(s) in {registry.path}:")
-    for record in records:
-        print(f"  {record.timestamp}  {record.git_sha[:12]:<12} "
-              f"{record.machine_id}  {record.name:<24} "
-              f"{len(record.metrics)} metrics")
-    return 0
-
-
 def _cmd_perf_calibrate(args: argparse.Namespace) -> int:
     from .bench import run_gate
 
@@ -1296,10 +1024,7 @@ def _cmd_perf_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_perf(args: argparse.Namespace) -> int:
     return {
-        "record": _cmd_perf_record,
-        "check": _cmd_perf_check,
         "report": _cmd_perf_report,
-        "history": _cmd_perf_history,
         "calibrate": _cmd_perf_calibrate,
     }[args.perf_command](args)
 

@@ -149,7 +149,8 @@ def sparse_100k_config(
     n_voxels: int = SPARSE_100K.n_voxels, seed: int = 2026
 ) -> SyntheticConfig:
     """sparse-100k at full geometry: the <2 GB RSS target of the sparse
-    stage-1/2 backend (BENCH_sparse) materializes this preset.
+    stage-1/2 backend (``benchmarks/test_sparse_stage12.py``,
+    ``TestSparse100kMemory``) materializes this preset.
 
     Only stage 1/2 is meant to run at this size; the nested
     cross-validation would be prohibitively slow on all 100k voxels.

@@ -4,9 +4,9 @@ The :mod:`repro.eval` package closes the loop the benchmarks leave
 open: every perf suite gates *speed* and *bitwise equivalence*, this
 package gates whether voxel selection is *right*.  It scores rankings
 against the planted informative set (:mod:`repro.eval.accuracy`) and
-sweeps scenario grids whose results land in the benchmark-history
-registry under the ``acc.*`` vocabulary (:mod:`repro.eval.scenarios`),
-so ``fcma perf check`` drift-gates accuracy exactly like timing.
+sweeps scenario grids whose results flatten under the ``acc.*`` names
+(:mod:`repro.eval.scenarios`); the accuracy benchmark pins them at
+equality against the committed ``BENCH_accuracy.json``.
 """
 
 from .accuracy import (

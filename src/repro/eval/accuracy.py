@@ -16,7 +16,7 @@ metrics against the planted set:
 
 All three are pure functions of the ranking and the planted set, so
 they are exactly as deterministic as the pipeline that produced the
-scores — the property the accuracy drift gate relies on.
+scores — the property the accuracy benchmark's equality check relies on.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class SelectionScore:
     n_scored: int
 
     def as_metrics(self, prefix: str = "") -> dict[str, float]:
-        """Flat metric dict (registry vocabulary under ``prefix``)."""
+        """Flat metric dict, each name under ``prefix``."""
         return {
             f"{prefix}roc_auc": self.roc_auc,
             f"{prefix}average_precision": self.average_precision,

@@ -8,19 +8,20 @@ scenario generates the dataset, runs FCMA voxel selection through a
 real executor, and scores the ranking against the planted informative
 set (:func:`repro.eval.accuracy.score_selection`).
 
-Results flatten into the benchmark-history registry under the ``acc.*``
-metric vocabulary: ``acc.<design>.snr<q>.sf<q>.subj<n>.roc_auc`` (and
-``.average_precision`` / ``.top_k_hit_rate``) are deterministic metrics
-— ``fcma perf check`` compares them cross-machine at exact tolerance,
-drift-gating accuracy exactly like timing; the per-scenario
-``...wall_seconds`` lands in the timing class (same-machine only).
+Results flatten into one dict under the ``acc.*`` names
+(:func:`matrix_record`): ``acc.<design>.snr<q>.sf<q>.subj<n>.roc_auc``
+(and ``.average_precision`` / ``.top_k_hit_rate``) are deterministic —
+a pure function of the matrix and the pipeline — so the accuracy
+benchmark holds a fresh run equal to the committed
+``BENCH_accuracy.json``; only the per-scenario ``...wall_seconds``
+varies from run to run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Callable
 
 from ..core.pipeline import FCMAConfig
 from ..core.results import VoxelScores
@@ -33,7 +34,6 @@ from ..data.designs import (
 )
 from ..exec.context import RunContext
 from ..exec.executors import make_executor
-from ..obs.perf.registry import BenchmarkRecord, config_fingerprint
 from .accuracy import SelectionScore, score_selection
 
 __all__ = [
@@ -54,9 +54,8 @@ __all__ = [
 def scenario_fcma_config() -> FCMAConfig:
     """The pipeline configuration every accuracy scenario runs under.
 
-    One shared config keeps the recorded ``acc.*`` metrics comparable
-    across the CLI, the benchmark suite, and CI — the drift gate judges
-    like against like.
+    One shared config keeps the ``acc.*`` metrics comparable across the
+    CLI, the benchmark suite, and CI.
     """
     return FCMAConfig(target_block=64)
 
@@ -90,7 +89,7 @@ class ScenarioResult:
     wall_seconds: float
 
     def metrics(self) -> dict[str, float]:
-        """Registry metrics under the scenario's ``acc.`` prefix."""
+        """This scenario's metrics under its ``acc.`` prefix."""
         prefix = f"acc.{self.scenario.key}"
         out = self.score.as_metrics(f"{prefix}.")
         out[f"{prefix}.wall_seconds"] = self.wall_seconds
@@ -219,16 +218,17 @@ def matrix_record(
     matrix: ScenarioMatrix,
     results: list[ScenarioResult],
     *,
-    name: str = "scenario-accuracy",
     executor: str = "serial",
-) -> BenchmarkRecord:
-    """Flatten a matrix run into one benchmark-history record."""
+) -> dict[str, object]:
+    """Flatten a matrix run into one plain dict: every scenario's
+    ``acc.*`` metrics, then the grid that produced them (the layout of
+    ``BENCH_accuracy.json``)."""
     if not results:
         raise ValueError("cannot record an empty matrix run")
-    metrics: dict[str, float] = {}
+    record: dict[str, object] = {}
     for result in results:
-        metrics.update(result.metrics())
-    attrs: dict[str, Any] = {
+        record.update(result.metrics())
+    record.update({
         "suite": "scenario-accuracy",
         "executor": executor,
         "n_scenarios": len(results),
@@ -238,13 +238,8 @@ def matrix_record(
         "subjects": list(matrix.subjects),
         "n_voxels": matrix.n_voxels,
         "seed": matrix.seed,
-    }
-    return BenchmarkRecord(
-        name=name,
-        metrics=metrics,
-        config_hash=config_fingerprint(matrix, scenario_fcma_config()),
-        attrs=attrs,
-    )
+    })
+    return record
 
 
 def format_accuracy_table(results: list[ScenarioResult]) -> str:

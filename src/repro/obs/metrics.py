@@ -1,7 +1,7 @@
 """The typed metric vocabulary spans may carry.
 
 Every metric attached to a :class:`~repro.obs.span.Span` is a float
-keyed by a name from this registry.  The fixed vocabulary covers the
+keyed by a name from this vocabulary.  The fixed names cover the
 paper's evaluation quantities (wall time, memory references / bytes
 moved, cache hits and misses, simulated cycles) plus pipeline progress
 counts (tasks, voxels, tiles, solver iterations); two open namespaces
@@ -10,11 +10,7 @@ extend it without registration:
 * ``pc.<field>`` — a :class:`~repro.hw.counters.PerfCounters` field
   (the paper's Table-1 vocabulary) attributed to the span;
 * ``ctr.<name>`` — a free-form run counter (tiles walked, wire bytes,
-  ...) written by :meth:`repro.exec.context.RunContext.increment`;
-* ``acc.<scenario>.<metric>`` — ground-truth accuracy scores from the
-  scenario harness (:mod:`repro.eval.scenarios`): deterministic
-  retrieval metrics (``roc_auc``, ``average_precision``,
-  ``top_k_hit_rate``) plus a timing-classified ``wall_seconds``.
+  ...) written by :meth:`repro.exec.context.RunContext.increment`.
 
 Exporters and the regression harness rely on :func:`is_timing_metric`
 to know which metrics are wall-clock-dependent (and therefore excluded
@@ -175,8 +171,8 @@ METRICS: dict[str, MetricSpec] = {
 }
 
 #: Open namespaces: ``pc.`` (PerfCounters fields), ``ctr.`` (run
-#: counters), ``acc.`` (scenario accuracy scores).
-_OPEN_PREFIXES = ("pc.", "ctr.", "acc.")
+#: counters).
+_OPEN_PREFIXES = ("pc.", "ctr.")
 
 
 def is_known_metric(name: str) -> bool:
@@ -193,8 +189,8 @@ def is_timing_metric(name: str) -> bool:
 def validate_metric(name: str, value: float) -> float:
     """Check a metric assignment; returns the value as ``float``.
 
-    Raises ``ValueError`` for unknown names (outside both the registry
-    and the open namespaces) and non-finite values — catching typos at
+    Raises ``ValueError`` for unknown names (outside both the fixed
+    vocabulary and the open namespaces) and non-finite values — catching typos at
     the recording site instead of at export time.
     """
     if not is_known_metric(name):

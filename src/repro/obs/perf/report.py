@@ -1,7 +1,7 @@
 """Human-readable predicted-vs-measured reports from enriched traces.
 
-One enriched trace file (``fcma run --trace`` + :func:`enrich_spans`,
-or ``fcma perf record --trace``) carries everything the paper's
+One enriched trace file (``fcma run --trace``, which applies
+:func:`enrich_spans`) carries everything the paper's
 per-kernel evaluation tables need: measured wall time, model-predicted
 time, modeled memory references / L2 misses, and GFLOPS.  This module
 renders that into the ``fcma perf report`` text: a per-kernel
@@ -283,7 +283,7 @@ def format_perf_report(
     if not comparisons:
         return (
             "no enriched kernel spans in trace "
-            "(run `fcma perf record` or enrich_spans first)"
+            "(write it with `fcma run --trace` or call enrich_spans first)"
         )
     lines = [
         "predicted vs measured (per kernel, summed over calls)",

@@ -19,8 +19,8 @@ keep its state current: run batch stage 1/2 over the whole retained
 window from scratch (``model_full_recompute_step``).  Its cost scales
 with the window depth ``W`` while the incremental update stays flat, so
 the modeled median-step speedup (``incremental_speedup``) is the
-model-side counterpart of the measured ``BENCH_incremental.json``
-floor.
+model-side counterpart of the measured >= 5x floor of
+``benchmarks/test_incremental_stage12.py``.
 
 All three estimates share the machine model and calibration family of
 the batch engine, so they are directly comparable to
@@ -215,9 +215,9 @@ def incremental_speedup(
     Both step costs are flat across an epoch (the incremental update by
     construction, the naive recompute because the window dominates the
     in-progress TRs), so the median ratio is just the ratio of the two
-    models.  This is the model-side counterpart of the measured
-    ``BENCH_incremental.json`` floor (>= 5x): the model should predict
-    comfortably above it at any realistic window.
+    models.  This is the model-side counterpart of the measured >= 5x
+    floor of ``benchmarks/test_incremental_stage12.py``: the model
+    should predict comfortably above it at any realistic window.
     """
     naive = model_full_recompute_step(shape, hw)
     step = model_incremental_tr_update(shape, hw)

@@ -4,7 +4,8 @@ ROC-AUC is pinned against a brute-force pairwise comparison (the
 Mann-Whitney definition) under hypothesis-drawn rankings including
 ties; average precision and the top-k hit rate against hand-computed
 examples.  Everything here must be a pure function of the ranking —
-the accuracy drift gate depends on it.
+the accuracy benchmark's equality check against ``BENCH_accuracy.json``
+depends on it.
 """
 
 from __future__ import annotations
@@ -179,13 +180,3 @@ class TestScoreSelection:
             "acc.block.snr6.sf1.subj4.average_precision": 0.8,
             "acc.block.snr6.sf1.subj4.top_k_hit_rate": 0.7,
         }
-
-    def test_registry_accepts_acc_namespace(self):
-        from repro.obs.metrics import is_known_metric
-        from repro.obs.perf.drift import is_timing_name
-
-        assert is_known_metric("acc.block.snr6.sf1.subj4.roc_auc")
-        # Retrieval metrics drift-gate at exact tolerance; the per-
-        # scenario wall time lands in the timing class.
-        assert not is_timing_name("acc.block.snr6.sf1.subj4.roc_auc")
-        assert is_timing_name("acc.block.snr6.sf1.subj4.wall_seconds")

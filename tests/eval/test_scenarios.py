@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -130,12 +132,13 @@ class TestMatrixRecording:
     def test_record_flattens_every_scenario(self, run):
         matrix, results = run
         record = matrix_record(matrix, results)
-        assert record.name == "scenario-accuracy"
-        auc_keys = [k for k in record.metrics if k.endswith(".roc_auc")]
+        auc_keys = [k for k in record if k.endswith(".roc_auc")]
         assert len(auc_keys) == len(results) == 1
-        assert record.attrs["suite"] == "scenario-accuracy"
-        assert record.attrs["n_scenarios"] == 1
-        assert record.config_hash
+        assert record["suite"] == "scenario-accuracy"
+        assert record["n_scenarios"] == 1
+        assert record["seed"] == matrix.seed
+        # A plain dict: it round-trips through JSON unchanged.
+        assert json.loads(json.dumps(record)) == record
 
     def test_record_requires_results(self):
         with pytest.raises(ValueError, match="empty"):

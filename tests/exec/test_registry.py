@@ -44,7 +44,7 @@ class TestBuiltins:
                     yield tuple(action.choices)
 
         found = list(variant_choices(build_parser()))
-        assert len(found) >= 3
+        assert len(found) == 2  # fcma run and fcma select
         assert set(found) == {VARIANTS}
 
     def test_builtin_graph_builders_resolve(self, tiny_dataset):

@@ -1,14 +1,14 @@
-"""``fcma perf`` end to end: record, history, report, run --history."""
+"""``fcma perf report`` end to end, and the pinned numbers of one run."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
 from repro.obs import read_jsonl
-from repro.obs.perf import HistoryRegistry
 
 
 @pytest.fixture(scope="module")
@@ -21,123 +21,92 @@ def dataset_file(tmp_path_factory):
     return path
 
 
-def _record_args(dataset_file, history, *extra):
-    return [
-        "perf", "record", str(dataset_file),
-        "--history", str(history), "--name", "smoke",
-        "--task-voxels", "40", *extra,
-    ]
-
-
-class TestPerfRecord:
-    def test_run_appends_enriched_record(self, dataset_file, tmp_path,
-                                         capsys):
-        history = tmp_path / "history.jsonl"
-        trace = tmp_path / "trace.jsonl"
-        rc = main(_record_args(dataset_file, history, "--trace", str(trace)))
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "recorded 'smoke'" in captured.out
-        assert "spans ->" in captured.err
-
-        (record,) = HistoryRegistry(history).records("smoke")
-        assert record.metrics["run.tasks"] >= 1
-        assert record.config_hash
-        assert record.attrs["machine_model"] == "xeon"
-        assert record.attrs["executor"] == "serial"
-        # Model predictions made it into the flattened vocabulary.
-        assert any(
-            k.endswith(".predicted_seconds") for k in record.metrics
-        )
-        assert any(".pc.l2_misses" in k for k in record.metrics)
-
-        # The side trace is a readable, already-enriched span file.
-        spans = read_jsonl(trace)
-        assert any("predicted_seconds" in s.metrics for s in spans)
-
-    def test_json_output_is_the_record(self, dataset_file, tmp_path,
-                                       capsys):
-        history = tmp_path / "history.jsonl"
-        assert main(_record_args(dataset_file, history, "--json")) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["type"] == "record"
-        assert payload["name"] == "smoke"
-
-    def test_ingest_legacy_blob(self, tmp_path, capsys):
-        blob = tmp_path / "BENCH_stage3.json"
-        blob.write_text(json.dumps({"speedup": 5.0, "floor": 3.0}))
-        history = tmp_path / "history.jsonl"
-        rc = main(
-            ["perf", "record", "--ingest", str(blob),
-             "--history", str(history)]
-        )
-        assert rc == 0
-        (record,) = HistoryRegistry(history).records("bench_stage3")
-        assert record.metrics["speedup"] == 5.0
-
-    def test_no_dataset_no_ingest_exits_two(self, tmp_path, capsys):
-        rc = main(
-            ["perf", "record", "--history", str(tmp_path / "h.jsonl")]
-        )
-        assert rc == 2
-        assert "need a dataset or --ingest" in capsys.readouterr().err
-
-
-class TestPerfCheckAgainstRealRun:
-    def test_second_run_is_drift_free(self, dataset_file, tmp_path,
-                                      capsys):
-        """Two runs of identical code+geometry on one machine: all
-        deterministic metrics match exactly, so the gate stays green."""
-        history = tmp_path / "history.jsonl"
-        assert main(_record_args(dataset_file, history)) == 0
-        capsys.readouterr()
-        rc = main(
-            ["perf", "check", str(dataset_file), "--history", str(history),
-             "--name", "smoke", "--task-voxels", "40"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, out
-        assert "OK: smoke" in out
-
-
-class TestPerfHistory:
-    def test_lists_and_limits(self, tmp_path, capsys):
-        from repro.obs.perf import BenchmarkRecord
-
-        history = tmp_path / "history.jsonl"
-        registry = HistoryRegistry(history)
-        for i in range(3):
-            registry.append(
-                BenchmarkRecord(name="s", metrics={"i": float(i)})
-            )
-        assert main(["perf", "history", "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "3 record(s)" in out
-
+@pytest.fixture(scope="module")
+def traces(dataset_file, tmp_path_factory):
+    """Two enriched traces of the same serial run (``fcma run --trace``)."""
+    out = tmp_path_factory.mktemp("perfcli-traces")
+    paths = []
+    for i in range(2):
+        path = out / f"trace{i}.jsonl"
         assert main(
-            ["perf", "history", "--history", str(history), "--json",
-             "--limit", "2"]
+            ["run", str(dataset_file), "--task-voxels", "40",
+             "--trace", str(path)]
         ) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[-1])["metrics"]["i"] == 2.0
+        paths.append(path)
+    return paths
 
-    def test_empty_store_reports_empty(self, tmp_path, capsys):
-        assert main(
-            ["perf", "history", "--history", str(tmp_path / "h.jsonl")]
-        ) == 0
-        assert "no records" in capsys.readouterr().out
+
+#: Model outputs a kernel span carries once enriched, summed over calls.
+_KERNEL_PREDICTIONS = (
+    "predicted_seconds", "pc.flops", "pc.l2_misses", "pc.l2_remote_hits"
+)
+
+
+def _deterministic(spans) -> dict[str, float]:
+    """A run's numbers that do not depend on the clock: run counters,
+    task and stage-call counts, and each enriched kernel's modelled
+    counters and predicted time (with the GFLOPS they imply)."""
+    out: Counter[str] = Counter()
+    for span in spans:
+        for name, value in span.metrics.items():
+            if name.startswith("ctr."):
+                out[f"counter.{name[4:]}"] += value
+        if span.kind == "task":
+            out["run.tasks"] += 1
+        elif span.kind == "stage":
+            out[f"stage.{span.name}.calls"] += span.metrics.get("calls", 1.0)
+        elif span.kind == "kernel" and "predicted_seconds" in span.metrics:
+            for name in _KERNEL_PREDICTIONS:
+                if name in span.metrics:
+                    out[f"kernel.{span.name}.{name}"] += span.metrics[name]
+    for key in [k for k in out if k.endswith(".predicted_seconds")]:
+        prefix = key.removesuffix(".predicted_seconds")
+        out[f"{prefix}.predicted_gflops"] = (
+            out[f"{prefix}.pc.flops"] / out[key] / 1e9
+        )
+    return dict(out)
+
+
+#: The quickstart run above (60 voxels, seed 11, 40-voxel tasks, Xeon
+#: model): counts exact, model outputs to 1e-6 relative.
+PINNED_COUNTS = {
+    "counter.emitter_dense_runs": 2,
+    "counter.emitter_dense_tiles": 2,
+    "counter.stage12_tiles": 2,
+    "run.tasks": 2,
+    "stage.correlate+normalize.calls": 2,
+    "stage.preprocess.calls": 2,
+    "stage.score.calls": 2,
+    "kernel.correlate_normalize_batched.pc.flops": 6220800,
+    "kernel.correlate_normalize_batched.pc.l2_misses": 18765,
+    "kernel.correlate_normalize_batched.pc.l2_remote_hits": 4320,
+    "kernel.score_voxels.pc.flops": 8386560,
+    "kernel.score_voxels.pc.l2_misses": 2880,
+}
+PINNED_MODEL = {
+    "kernel.correlate_normalize_batched.predicted_seconds":
+        4.2109739010989013e-05,
+    "kernel.correlate_normalize_batched.predicted_gflops":
+        147.72829625889185,
+    "kernel.score_voxels.predicted_seconds": 0.0002376,
+    "kernel.score_voxels.predicted_gflops": 35.2969696969697,
+}
+
+
+class TestPinnedQuickstartRun:
+    def test_two_runs_match_the_pinned_numbers(self, traces):
+        first, second = (_deterministic(read_jsonl(p)) for p in traces)
+        assert first == second
+        assert {k: first.get(k) for k in PINNED_COUNTS} == PINNED_COUNTS
+        assert {k: first.get(k) for k in PINNED_MODEL} == pytest.approx(
+            PINNED_MODEL, rel=1e-6
+        )
 
 
 class TestPerfReport:
-    def test_renders_both_sections(self, dataset_file, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        trace = tmp_path / "trace.jsonl"
-        assert main(
-            _record_args(dataset_file, history, "--trace", str(trace))
-        ) == 0
+    def test_renders_both_sections(self, traces, capsys):
         capsys.readouterr()
-        assert main(["perf", "report", str(trace)]) == 0
+        assert main(["perf", "report", str(traces[0])]) == 0
         out = capsys.readouterr().out
         assert "predicted vs measured" in out
         assert "roofline: peak" in out
@@ -150,25 +119,10 @@ class TestPerfReport:
 
 
 class TestRunHistoryFlag:
-    def test_run_history_appends_and_reports(self, dataset_file, tmp_path,
-                                             capsys):
-        history = tmp_path / "history.jsonl"
-        rc = main(
-            ["run", str(dataset_file), "--task-voxels", "40",
-             "--history", str(history), "--history-name", "run-series",
-             "--json"]
-        )
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["history"]["name"] == "run-series"
-        (record,) = HistoryRegistry(history).records("run-series")
-        # No --trace, but --history still enriches before flattening.
-        assert any(
-            k.endswith(".predicted_seconds") for k in record.metrics
-        )
-
     def test_run_without_history_has_no_history_key(self, dataset_file,
                                                     capsys):
+        """``fcma run`` keeps no benchmark history: its report has no
+        ``history`` key (and the flag itself is gone: test_cli)."""
         rc = main(
             ["run", str(dataset_file), "--task-voxels", "40", "--json"]
         )

@@ -89,7 +89,7 @@ class TestEstimates:
         assert est.counters.l2_misses < (TR_UPDATE_PASSES + 1) * plane_lines
 
     def test_speedup_beats_measured_floor(self):
-        """The model must predict above BENCH_incremental.json's 5x
+        """The model must predict above the incremental benchmark's 5x
         floor at both the benchmark scale and the paper dataset."""
         bench = IncrementalStepShape(
             n_assigned=20, n_voxels=2_000, epoch_len=12, window_epochs=16

@@ -45,6 +45,25 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "ds.npz", "--history", "h.jsonl"],
+        ["rtfmri", "ds.npz", "--history", "h.jsonl"],
+        ["scenarios", "--history", "h.jsonl"],
+        ["perf", "record", "ds.npz"],
+        ["perf", "check", "--latest"],
+        ["perf", "history"],
+    ])
+    def test_benchmark_history_flags_and_commands_exit_2(self, argv, capsys):
+        """No command keeps a benchmark history: timing is judged by the
+        end-to-end benchmark's paired runs alone."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --history" in err or (
+            "invalid choice" in err
+        )
+
     @pytest.mark.parametrize("option", [
         ["--workers", "3"],
         ["--listen", "127.0.0.1:5555"],
@@ -186,19 +205,48 @@ class TestScenarios:
         assert main([*self.ARGS, "--min-auc", "1.01"]) == 1
         assert "BELOW" in capsys.readouterr().out
 
-    def test_json_report_and_history(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        rc = main([*self.ARGS, "--json", "--history", str(history)])
+    def test_json_report(self, capsys):
+        rc = main([*self.ARGS, "--json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n_scenarios"] == 1
         (scenario,) = report["scenarios"]
         assert scenario["key"] == "block.snr6.sf1.subj3"
         assert 0.0 <= scenario["roc_auc"] <= 1.0
-        assert report["history"]["name"] == "scenario-accuracy"
-        record = json.loads(history.read_text().splitlines()[-1])
-        assert record["name"] == "scenario-accuracy"
-        assert any(k.startswith("acc.") for k in record["metrics"])
+
+
+class TestRtfmri:
+    def test_streaming_ci_session_is_pinned(self, tmp_path, capsys):
+        """The closed-loop session the streaming CI job runs (quickstart,
+        60 voxels, one subject of 20 epochs, seed 17; 8 training epochs,
+        top 20 voxels): its counts and feedback accuracy are a function
+        of the data, pinned at equality."""
+        path = tmp_path / "rt.npz"
+        assert main([
+            "generate", str(path), "--preset", "quickstart",
+            "--voxels", "60", "--subjects", "1",
+            "--epochs-per-subject", "20", "--seed", "17",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "rtfmri", str(path), "--training-epochs", "8", "--top-k", "20",
+            "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["feedback_events"] == 12
+        assert report["feedback_accuracy"] == 0.8333333333333334
+        streaming = {
+            k: report["streaming"][k]
+            for k in ("trs_streamed", "partial_updates", "epochs_completed",
+                      "epochs_evicted", "warm_started_retrains")
+        }
+        assert streaming == {
+            "trs_streamed": 144,
+            "partial_updates": 132,
+            "epochs_completed": 12,
+            "epochs_evicted": 0,
+            "warm_started_retrains": 0,
+        }
 
 
 class TestRun:

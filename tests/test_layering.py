@@ -76,9 +76,10 @@ def test_run_path_packages_import_no_model():
 
 
 def test_importing_the_run_path_loads_no_model_module():
-    """What every ``fcma run`` and every TCP worker process imports."""
+    """What every ``fcma run``, every TCP worker process and the
+    scenario harness (``repro.eval``) import."""
     code = (
-        "import sys, repro, repro.cli, repro.parallel.tcp_worker\n"
+        "import sys, repro, repro.cli, repro.parallel.tcp_worker, repro.eval\n"
         "print([m for m in sys.modules if m.startswith("
         f"{tuple('repro.' + m for m in MODELS)!r})])"
     )
