@@ -6,7 +6,7 @@ solver, paying the Python-interpreter cost of an SMO iteration once per
 *sweep* instead of once per voxel.  This bench times both drivers on the
 face-scene-scaled task geometry, asserts the committed >= 3x speedup
 floor, verifies score equality, and writes the measurement to
-``benchmarks/results/batched_stage3.txt``.
+``benchmarks/results/latest/batched_stage3.txt``.
 """
 
 import time

@@ -14,7 +14,8 @@ bit for bit after every epoch.
 
 The stream's counts (TRs streamed, epochs completed and evicted, the
 window) are machine-independent and pinned at equality, timing on or
-off; timings go to ``benchmarks/results/incremental_stage12.txt`` only.
+off; timings go to ``benchmarks/results/latest/incremental_stage12.txt``
+only.
 """
 
 import time

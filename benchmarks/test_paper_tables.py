@@ -2,7 +2,7 @@
 
 One parametrized bench per experiment id: time the ledger's builder,
 write the text ``fcma reproduce <id>`` prints to
-``benchmarks/results/<name>.txt``, and assert every claim sits in its
+``benchmarks/results/latest/<name>.txt``, and assert every claim sits in its
 band (``repro.bench.experiments`` owns values, paper numbers and bands).
 What stays here is each table's *shape* claim — who wins, what is
 monotone, which mechanism explains a gap — read off the same entries.

@@ -24,8 +24,9 @@ Single-core CI note: on a one-core box (``nproc`` = 1, the common CI
 case) wall-clock cannot improve with worker count — thread workers
 time-share the core — so the >= 1.5x strong-scaling gate is asserted on
 the simulator replay, which is deterministic for a given task stream.
-Measured elapsed is still written to ``benchmarks/results/scaleout.txt``
-so multi-core machines show the real curve.  Whether the tiled runtime
+Measured elapsed is still written to
+``benchmarks/results/latest/scaleout.txt`` so multi-core machines show
+the real curve.  Whether the tiled runtime
 got slower is judged by the end-to-end benchmark's ``scaleout-tiles``
 workload, not here.
 """

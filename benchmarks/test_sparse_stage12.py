@@ -17,7 +17,7 @@ grows the process by a small fraction of the block it no longer builds.
 
 Machine-independent numbers are pinned at equality: the task
 geometry's top-k count (``top_k_nnz``) and the 100k preset's ``nnz`` /
-``density``.  Timings go to ``benchmarks/results/*.txt`` only.
+``density``.  Timings go to ``benchmarks/results/latest/*.txt`` only.
 """
 
 import json

@@ -45,7 +45,7 @@ COMPILER = "gcc"
 #: lose to numpy) and -fno-math-errno their sqrtf.  Without -ffast-math
 #: no sum is reordered, and -ffp-contract=off forbids fused multiply-adds,
 #: so every kernel keeps its numpy bits.  No -march: the cache is keyed
-#: by compiler, not by CPU (the normalizer carries per-CPU clones).
+#: by compiler, not by CPU (both sources carry per-CPU clones).
 FLAGS = (
     "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno", "-pthread",
 )
@@ -117,7 +117,7 @@ def _load() -> Any:
     lib.smo_solve_batch.restype = ctypes.c_int
     lib.smo_solve_batch.argtypes = [
         i64, i64, ptr, ptr, f32, f32, i64, ctypes.c_int,
-        ptr, ptr, ptr, ptr, ptr, ctypes.c_int,
+        ptr, ptr, ptr, ptr, ptr, ptr, i64, ctypes.c_int,
     ]
     lib.smo_log_f32.restype = None
     lib.smo_log_f32.argtypes = [ptr, ptr, i64]

@@ -158,6 +158,22 @@ class BatchCrossValidationResult:
         )
 
 
+def _gather_blocks(
+    kernels: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``kernels[:, rows[g]][:, :, cols[g]]`` for each fold ``g``, as one
+    C-contiguous ``(B, G, len(rows[g]), len(cols[g]))`` stack: two axis
+    takes per fold, each written into its place.  One 4-D fancy index
+    gives the same array in about 2.5x the time."""
+    out = np.empty(
+        (kernels.shape[0], rows.shape[0], rows.shape[1], cols.shape[1]),
+        dtype=kernels.dtype,
+    )
+    for g in range(rows.shape[0]):
+        out[:, g] = kernels.take(rows[g], axis=1).take(cols[g], axis=2)
+    return out
+
+
 def grouped_cross_validation_batch(
     backend: BatchKernelBackend,
     kernels: np.ndarray,
@@ -175,8 +191,10 @@ def grouped_cross_validation_batch(
     major, fold minor), one solver call per batch instead of one per
     fold.  Folds of unequal training size cannot share a stack; they
     are grouped by size, one call per distinct size in ascending order,
-    never padded.  The stack is a copy of
-    ``B * F * n_train**2`` kernel entries.  Fold semantics are identical
+    never padded.  Each group's training stack is one C-contiguous copy
+    of ``B * G * n_train**2`` kernel entries for its ``G`` folds (its
+    test blocks, ``B * G * n_test * n_train``, are gathered after the
+    fit has let it go).  Fold semantics are identical
     to the sequential driver, including the degenerate-training-fold
     rule (accuracy 0 for every problem).
     """
@@ -197,7 +215,6 @@ def grouped_cross_validation_batch(
     accuracies = np.zeros((b, folds.size))
     sizes = np.zeros(folds.size, dtype=np.int64)
     iterations = np.zeros((b, folds.size), dtype=np.int64)
-    voxel = np.arange(b)[:, None, None, None]
     trainable: dict[int, list[int]] = {}  # n_train -> fold positions
     for k, fold in enumerate(folds):
         test_mask = fold_ids == fold
@@ -208,18 +225,16 @@ def grouped_cross_validation_batch(
         ks = trainable[n_train]
         train_idx = np.stack([np.nonzero(fold_ids != folds[k])[0] for k in ks])
         test_idx = np.stack([np.nonzero(fold_ids == folds[k])[0] for k in ks])
-        # (B, G, ., n_train) gathers, G problems per voxel.  Indexing the
-        # voxel axis with an array too (not a slice) makes the result
-        # C-contiguous, so the reshapes are views, not second copies.  The
-        # training stack is an argument temporary: it is gone before the
-        # test blocks are gathered.
+        # (B, G, ., n_train) stacks, G problems per voxel; the reshapes
+        # are views.  The training stack is an argument temporary: it is
+        # gone before the test blocks are gathered.
         models = backend.fit_kernel_batch(
-            kernels[voxel, train_idx[:, :, None], train_idx[:, None, :]].reshape(
+            _gather_blocks(kernels, train_idx, train_idx).reshape(
                 -1, n_train, n_train
             ),
             np.tile(labels[train_idx], (b, 1)),
         )
-        test_blocks = kernels[voxel, test_idx[:, :, None], train_idx[:, None, :]]
+        test_blocks = _gather_blocks(kernels, test_idx, train_idx)
         fold_accuracies = models.accuracy(
             test_blocks.reshape(-1, n - n_train, n_train),
             np.tile(labels[test_idx], (b, 1)),

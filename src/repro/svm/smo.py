@@ -572,6 +572,12 @@ def _float32_threshold(tol: float) -> float:
     return float(t)
 
 
+#: ``_smo.c``'s ``LANES`` and ``SCRATCH_ROWS``: the vector block its
+#: scans pad each row to, and the rows each thread needs.
+_SMO_LANES = 16
+_SMO_SCRATCH_ROWS = 10
+
+
 def _solve_native(
     lib: Any,
     kernels: np.ndarray,
@@ -594,13 +600,24 @@ def _solve_native(
     iterations = np.empty(p, dtype=np.int64)
     gap = np.empty(p, dtype=np.float32)
     converged = np.empty(p, dtype=bool)
-    lib.smo_solve_batch(
+    threads = max(1, min(thread_budget(), p))
+    # Each thread's scratch rows, allocated here so that no C thread
+    # calls malloc: _smo.c's SCRATCH_ROWS rows of n rounded up to its
+    # LANES floats, plus LANES floats to reach a 64-byte boundary.
+    padded = -(-n // _SMO_LANES) * _SMO_LANES
+    scratch = np.empty(
+        threads * _SMO_SCRATCH_ROWS * padded + _SMO_LANES, dtype=np.float32
+    )
+    ran = lib.smo_solve_batch(
         p, n, kernels.ctypes.data, y_all.ctypes.data,
         float(np.float32(c)), _float32_threshold(tol),
         math.ceil(min(max_iter, 2**62)), native.SELECTIONS[selection],
         alpha.ctypes.data, grad.ctypes.data, iterations.ctypes.data,
-        gap.ctypes.data, converged.ctypes.data, thread_budget(),
+        gap.ctypes.data, converged.ctypes.data, scratch.ctypes.data,
+        scratch.size, threads,
     )
+    if ran < 1:
+        raise RuntimeError("smo_solve_batch was given too little scratch")
     return _batch_result(
         alpha, grad, iterations, gap.astype(np.float64), converged, y_all, c
     )

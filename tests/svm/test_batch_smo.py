@@ -437,19 +437,31 @@ def stack_of(kind, p, n, d, rng):
     kernels = x @ x.transpose(0, 2, 1)
     if kind == "zeros":
         kernels[:] = 0.0
-    if kind == "nonfinite":
+    if kind in ("nonfinite", "nonfinite-tail"):
         for _ in range(rng.integers(1, 4)):
             b, r, col = rng.integers(p), rng.integers(n), rng.integers(n)
+            if kind == "nonfinite-tail":
+                # The last sample: the tail lane of the native scans.
+                r = n - 1
             value = rng.choice([np.nan, np.inf, -np.inf])
             kernels[b, r, col] = kernels[b, col, r] = value
     return np.ascontiguousarray(kernels, dtype=np.float32)
 
 
+#: Problem sizes: small ones, and either side of the native scans'
+#: 16-float vector blocks (a full block, a one-lane tail, a 15-lane tail).
+SIZES = st.one_of(
+    st.integers(2, 20),
+    st.sampled_from([15, 16, 17, 31, 32, 33, 63, 64, 65]),
+    st.integers(21, 80),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["psd", "duplicated", "zeros", "nonfinite"]),
+    kind=st.sampled_from(["psd", "duplicated", "zeros", "nonfinite", "nonfinite-tail"]),
     p=st.integers(1, 6),
-    n=st.integers(2, 20),
+    n=SIZES,
     d=st.integers(1, 5),
     seed=st.integers(0, 10_000),
     shared_labels=st.booleans(),
@@ -465,8 +477,9 @@ def test_native_body_matches_numpy_body_property(
     and alpha / iterations / converged / gap are ``solve_smo``'s on each
     problem alone — random PSD stacks, repeated samples (quad <= 0),
     all-zero kernels, NaN/Inf entries (the first NaN wins an argmax in
-    both), iteration caps that leave problems unconverged, on one thread
-    or two."""
+    both), also in the last sample, iteration caps that leave problems
+    unconverged, sizes on and either side of the native scans' vector
+    blocks, on one thread or two."""
     rng = np.random.default_rng(seed)
     kernels = stack_of(kind, p, n, d, rng)
     ys = np.where(rng.uniform(size=(p, n)) > 0.5, 1, -1)
@@ -493,6 +506,39 @@ def test_native_body_matches_numpy_body_property(
         assert bool(result.converged[q]) == alone.converged
         last = alone.gap_history[-1] if alone.gap_history.size else 0.0
         assert np.float32(result.gap[q]) == np.float32(last)
+
+
+@pytest.mark.parametrize("selection", ["first", "second", "adaptive"])
+def test_native_body_matches_numpy_body_on_a_large_problem(selection):
+    """n = 1,100 is more samples than any fixed-size buffer in the native
+    body would hold: its scratch rows come from the caller, sized by n."""
+    rng = np.random.default_rng(1100)
+    kernels = stack_of("psd", 2, 1100, 4, rng)
+    y = np.where(rng.uniform(size=1100) > 0.5, 1, -1)
+    with mock.patch("repro.core.engine.thread_budget", return_value=2):
+        result = solve_smo_batch(kernels, y, max_iter=40, selection=selection)
+    assert_same_bits(
+        result,
+        _solve_smo_batch_numpy(kernels, y, max_iter=40, selection=selection),
+    )
+    assert (result.iterations == 40).all()
+
+
+@pytest.mark.parametrize("selection", ["first", "second", "adaptive"])
+def test_a_signed_zero_tie_goes_to_the_first_index(selection):
+    """Exact small-integer kernels drive gradients to exact zeros, and
+    -y G is -0 where y = +1 but +0 where y = -1: here an extreme is a
+    -0 / +0 tie.  The native scans must take its first index, as
+    np.argmax does: a scan that ordered -0 below +0 would make the
+    first-order solve here run 5 iterations to the numpy body's 2."""
+    x = np.array([[-1, 0], [0, 1], [0, -1], [-1, 1]], dtype=np.float32)
+    kernels = (x @ x.T)[None]
+    y = np.array([1, 1, -1, -1])
+    result = solve_smo_batch(kernels, y, max_iter=5, selection=selection)
+    assert_same_bits(
+        result,
+        _solve_smo_batch_numpy(kernels, y, max_iter=5, selection=selection),
+    )
 
 
 def test_adaptive_solve_survives_an_infinite_kernel():
