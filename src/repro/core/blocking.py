@@ -10,8 +10,9 @@ with ``B'`` an integral multiple of the VPU width (ideas #1 and #3).
 The plan is an analytic *model* of a compiled kernel on a described
 machine, so no run consults it: the engine that executes here sizes its
 own tiles (:class:`~repro.core.engine.GramEmitter` walks the Gram rule's
-column chunks and issues each gemm in
-:func:`~repro.core.engine.gemm_block_cols` columns).  The plan is for
+column chunks and issues each gemm at most
+:func:`~repro.core.engine.gemm_block_cols` columns wide, the widest
+OpenBLAS runs on one thread).  The plan is for
 whoever compares that walk against the paper's sizing — the benchmark
 harness, the block-size ablation, the tests.
 """

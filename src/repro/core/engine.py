@@ -13,22 +13,28 @@ which never holds a ``(V, E, N)`` block), the dense block
 fragments, or an incremental sliding-window store.
 
 The column tiles of one sweep are dealt to a small thread pool
-(:func:`deal`; numpy releases the GIL inside matmul and the ufuncs).
+(:func:`deal`; numpy releases the GIL inside matmul and the ufuncs);
+a sweep of fewer tiles than threads is dealt as ``(tile, share)``
+items instead, so no thread idles.
 Its size is derived, never configured: :func:`thread_budget` is this
 process's CPU affinity divided by the worker processes/ranks the
 executor placed on the host (:func:`set_host_workers`); a budget of 1
 runs the same loop inline.  The pool lives for one deal, so nothing
 survives into a fork.
 
-Bitwise contract: a task is split by **columns, never by assigned
-rows**.  A gemm restricted to a column block returns the bits of the
-same columns of the whole-task gemm, and the normalizer reduces along
-epochs only, so every emitter's result is independent of the tile
-width and of the thread budget.  Row slabs are *not* invariant (narrow
-slabs reach a different BLAS edge kernel), which is why
-``DenseEmitter`` and ``GramEmitter`` keep all assigned rows in one
-sweep; ``CSREmitter`` sweeps rows and is anchored to its own tiling.  Pinned in
-``tests/core/test_engine.py`` and the equivalence suites.
+Bitwise contract: the gemm splits by **columns only**; the per-row
+passes after it may split by rows.  A gemm restricted to a column
+block returns the bits of the same columns of the whole-task gemm, the
+normalizer reduces along one row's epochs, and a Gram partial is one
+BLAS product per row, so every emitter's result is independent of the
+tile width and of the thread budget.  Row slabs of the *gemm* are not
+invariant (narrow slabs reach a different BLAS edge kernel), which is
+why ``DenseEmitter`` and ``GramEmitter`` keep all assigned rows in one
+sweep; a sweep with fewer tiles than threads splits each tile's gemm
+into column shares and then its normalize + emit into row slabs
+(:attr:`TilePlan.row_slabs`).  ``CSREmitter`` sweeps rows and is
+anchored to its own tiling.  Pinned in ``tests/core/test_engine.py``,
+``tests/core/test_gram_rule.py`` and the equivalence suites.
 """
 
 from __future__ import annotations
@@ -79,12 +85,14 @@ def thread_budget() -> int:
     """Threads one engine/Gram call may use: this process's share of
     the CPUs it is allowed to run on, at least 1.
 
-    The BLAS thread count does not enter.  The dense walks issue every
-    gemm in L2-sized column blocks (:func:`gemm_block_cols`), below the
-    size at which BLAS starts its own threads, so under the default
-    many-threaded BLAS the engine pool is what uses the cores
-    (measured in docs/perf-models.md: dividing the budget by the BLAS
-    threads ran 10 % slower than the parent, not dividing 29 % faster).
+    The BLAS thread count does not enter.  The Gram walk issues every
+    gemm at most :func:`gemm_block_cols` wide, the widest block at or
+    below the size at which OpenBLAS starts threads of its own, and gives
+    every budgeted thread a share even of a one-chunk task, so under
+    the default many-threaded BLAS the engine pool is what uses the
+    cores (measured in docs/perf-models.md: dividing the budget by the
+    BLAS threads ran 10 % slower than the parent, not dividing 29 %
+    faster).
     """
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -192,11 +200,16 @@ class TilePlan:
     :meth:`resolve` turns both into clamped integers.  ``columns`` names
     the column tiles outright — ascending ``(n0, n1)`` bounds that need
     not be uniform nor cover the row — and ``target_block`` is then the
-    width of the gemms issued inside each."""
+    widest gemm issued inside each."""
 
     voxel_sweep: int | None = None
     target_block: int | None = None
     columns: tuple[tuple[int, int], ...] | None = None
+    #: ``emit`` is per row: it may see any row slab of a tile, on any
+    #: thread, and returns nothing.  A sweep of fewer tiles than
+    #: threads then splits each tile's gemm into column shares and its
+    #: normalize + ``emit`` into row slabs (see :func:`run_engine`).
+    row_slabs: bool = False
 
     def __post_init__(self) -> None:
         if self.voxel_sweep is not None and self.voxel_sweep < 1:
@@ -210,6 +223,7 @@ class TilePlan:
             voxel_sweep=min(self.voxel_sweep or shape.n_assigned, shape.n_assigned),
             target_block=min(self.target_block or shape.n_voxels, shape.n_voxels),
             columns=self.columns,
+            row_slabs=self.row_slabs,
         )
 
 
@@ -272,16 +286,18 @@ def gemm_normalize_tile(
     buffer: the epoch-batched gemm lands voxel-major through an
     axis-swapped view, then the bitwise-exact fused normalizer runs
     over the whole tile.  ``epochs_per_subject=None`` leaves raw
-    stage-1 correlations.  The one tile body of the engine walk *and*
-    of :func:`repro.parallel.tiled.compute_tile`.
+    stage-1 correlations: the engine walk calls it so for each column
+    share of a tile (any strided column slice of one) and normalizes
+    afterwards, whole or by row slabs; :func:`repro.parallel.tiled.
+    compute_tile` calls it for a whole normalized tile.
 
     ``gemm_cols`` issues the gemm in column blocks of that width
     (:func:`gemm_safe_block` applied) through column slices of the view
     — the bits of the whole-tile gemm (the module's column-block
     contract) and no copy — so a tile wider than one gemm should be
-    (:class:`GramEmitter`'s chunk) keeps each BLAS call below the size
-    at which OpenBLAS starts threads of its own under the engine's
-    pool.  Default: one gemm.
+    (:class:`GramEmitter`'s chunk) keeps each BLAS call at or below the
+    size at which OpenBLAS starts threads of its own under the engine's
+    pool (:func:`gemm_block_cols`).  Default: one gemm.
     """
     width, _, cols = tile.shape
     out = tile.swapaxes(0, 1)
@@ -307,9 +323,13 @@ def run_engine(
     ``z`` is equation-2-normalized data ``(E, N, T)``; ``assigned`` the
     task's voxel rows.  The emitter's plan sets the tile geometry; the
     engine owns the gemms, the (``emitter.fused_normalization``) fused
-    normalizer and the thread deal.  ``threads`` overrides
-    :func:`thread_budget` — an internal argument for tests; results do
-    not depend on it.
+    normalizer and the thread deal.  A sweep's items are its tiles.
+    Under a ``row_slabs`` plan, a sweep of fewer tiles than threads is
+    dealt twice instead: first ``ceil(threads / tiles)`` column shares
+    of each tile's gemm, then row slabs of each tile — at least one per
+    thread, each at most the 1 MiB L2 tile — through the normalizer and
+    ``emit``.  ``threads`` overrides :func:`thread_budget` — an
+    internal argument for tests; results do not depend on it.
     """
     z, assigned = check_stage1_inputs(z, assigned)
     n_epochs, n_voxels, epoch_length = z.shape
@@ -339,10 +359,16 @@ def run_engine(
         else block_bounds(n_voxels, plan.target_block)
     )
     budget = thread_budget() if threads is None else threads
+    # Fewer tiles than threads: each tile's gemm is ``shares`` column
+    # shares, and its post-gemm passes are row slabs.
+    shares = -(-budget // len(blocks)) if plan.row_slabs else 1
     if workspace is None:
         workspace = NormalizationWorkspace()
-    # Per-thread scratch: one L2 tile plus its normalizer workspace.
-    scratch = [workspace.slot(k) for k in range(max(1, min(budget, len(blocks))))]
+    # Per-thread scratch: one tile plus its normalizer workspace.  A
+    # split tile is held across both deals, by the slot of its index.
+    n_slots = max(1, min(budget, len(blocks) * shares))
+    scratch = [workspace.slot(k) for k in range(n_slots)]
+    holders = len(blocks) if shares > 1 else n_slots
     # A full-width tile is a contiguous row slab of the output: compute
     # it in place (the incremental emitter's per-epoch plane).
     in_place = out is not None and len(blocks) == 1 and out.flags.c_contiguous
@@ -353,35 +379,65 @@ def run_engine(
     # took the ragged tail, and spread one workload's peak RSS over
     # 133-155 MB from one run to the next (docs/perf-models.md).
     widest = (plan.voxel_sweep, n_epochs, max(n1 - n0 for n0, n1 in blocks))
-    for slot_scratch in scratch:
-        if not in_place:
+    # A split tile's slab: at least one per thread, at most the 1 MiB
+    # L2 tile, so its passes run while it is cache-resident.
+    slab_rows = plan.voxel_sweep
+    if shares > 1:
+        l2_bytes = DENSE_TILE_ROWS * DENSE_TILE_BYTES_PER_ROW
+        l2_rows = l2_bytes // (4 * n_epochs * widest[2])
+        slab_rows = max(1, min(-(-slab_rows // shares), l2_rows))
+    for k, slot_scratch in enumerate(scratch):
+        if not in_place and k < holders:
             slot_scratch.tile(widest)
         if per_subject is not None:
             slot_scratch.buffers(
-                (widest[0], n_epochs // per_subject, per_subject, widest[2])
+                (slab_rows, n_epochs // per_subject, per_subject, widest[2])
             )
     for v0, v1 in iter_blocks(shape.n_assigned, plan.voxel_sweep):
         panel = z[:, assigned[v0:v1]]  # (E, width, T) contiguous copy
+        slabs = block_bounds(v1 - v0, slab_rows)
+        splits = [
+            _split_columns(n1 - n0, v1 - v0, plan.target_block, shares)
+            for n0, n1 in blocks
+        ]
 
-        def tile_body(slot: int, i: int) -> Any:
-            n0, n1 = blocks[i]
+        def tile_of(slot: int, i: int) -> np.ndarray:
             if out is not None and in_place:
-                tile = out[v0:v1]
-            else:
-                tile = scratch[slot].tile((v1 - v0, n_epochs, n1 - n0))
-            gemm_normalize_tile(
-                panel,
-                zt[:, :, n0:n1],
-                tile,
-                per_subject,
-                scratch[slot],
-                plan.target_block,
-            )
-            if out is not None and not in_place:
-                out[v0:v1, :, n0:n1] = tile
-            return emitter.emit(tile, v0, v1, n0, n1)
+                return out[v0:v1]
+            n0, n1 = blocks[i]
+            holder = scratch[i if shares > 1 else slot]
+            return holder.tile((v1 - v0, n_epochs, n1 - n0))
 
-        emitter.end_sweep(v0, v1, deal(len(blocks), len(scratch), tile_body))
+        def gemm_share(slot: int, item: int) -> Any:
+            i, share = divmod(item, shares)
+            (n0, _), tile = blocks[i], tile_of(slot, i)
+            ranges, gemm_cols = splits[i]
+            for c0, c1 in ranges[share : share + 1]:
+                gemm_normalize_tile(
+                    panel,
+                    zt[:, :, n0 + c0 : n0 + c1],
+                    tile[:, :, c0:c1],
+                    None,
+                    gemm_cols=gemm_cols,
+                )
+            return emit_slab(slot, item) if shares == 1 else None
+
+        def emit_slab(slot: int, item: int) -> Any:
+            i, k = divmod(item, len(slabs))
+            (n0, n1), (r0, r1) = blocks[i], slabs[k]
+            slab = tile_of(slot, i)[r0:r1]
+            if per_subject is not None:
+                fuse_normalize_tile(slab, per_subject, workspace=scratch[slot])
+            if out is not None and not in_place:
+                out[v0 + r0 : v0 + r1, :, n0:n1] = slab
+            return emitter.emit(slab, v0 + r0, v0 + r1, n0, n1)
+
+        fragments = deal(len(blocks) * shares, n_slots, gemm_share)
+        if shares > 1:
+            n_slabs = len(slabs)
+            fragments = deal(len(blocks) * n_slabs, n_slots, emit_slab)[::n_slabs]
+        emitter.end_sweep(v0, v1, fragments)
+        del fragments  # not held through the next sweep or finalize
     return emitter.finalize()
 
 
@@ -399,6 +455,11 @@ DENSE_TILE_ROWS = 8
 #: Tile widths are whole cache lines of float32.
 _COLUMN_QUANTUM = 16
 
+#: ``m * n * k`` up to which OpenBLAS runs a gemm on the calling
+#: thread (``SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD``); the
+#: Gram walk's gemms stay at or below it (:func:`gemm_block_cols`).
+BLAS_THREADING_MNK = 2**18
+
 
 def gemm_safe_block(cols: int, n_assigned: int, n_voxels: int) -> int:
     """Widen a column block until no tile of an ``n_assigned``-row walk
@@ -413,22 +474,41 @@ def gemm_safe_block(cols: int, n_assigned: int, n_voxels: int) -> int:
     return cols
 
 
-def gemm_block_cols(
-    rows: int, n_epochs: int, n_voxels: int, row_budget: int | None = None
-) -> int:
-    """Columns of the engine's L2 block over ``rows`` assigned rows:
-    ``row_budget`` (default ``min(DENSE_TILE_ROWS, rows)``) x
-    :data:`DENSE_TILE_BYTES_PER_ROW` bytes spent on all rows and epochs,
-    in whole cache lines, :func:`gemm_safe_block` applied.  One rule,
-    two readers: the width of :class:`DenseEmitter`'s tile, and of each
-    gemm inside :class:`GramEmitter`'s chunk-wide one — 176 columns at
-    ``(120, 12)``, so ``rows * cols * T`` stays under the ``2**18`` at
-    which OpenBLAS threads a gemm whenever ``T <= E``."""
-    if row_budget is None:
-        row_budget = min(DENSE_TILE_ROWS, rows)
-    cols = row_budget * DENSE_TILE_BYTES_PER_ROW // (rows * n_epochs * 4)
-    cols = max(_COLUMN_QUANTUM, cols // _COLUMN_QUANTUM * _COLUMN_QUANTUM)
-    return gemm_safe_block(cols, rows, n_voxels)
+def gemm_block_cols(rows: int, epoch_length: int, n_voxels: int) -> int:
+    """Widest gemm the Gram walk issues over ``rows`` assigned rows:
+    the widest whole number of cache lines with ``rows * cols * T <=``
+    :data:`BLAS_THREADING_MNK`, at least one line,
+    :func:`gemm_safe_block` applied.  ``T`` is the epoch length, the
+    gemm's inner dimension; the epoch count does not enter, since each
+    epoch is its own BLAS call.  176 columns at 120 rows x ``T = 12``,
+    592 at 36 rows: a gemm that OpenBLAS would thread oversubscribes
+    the cores under the engine's own pool, and a narrower one pays
+    more dispatches and strided writes for nothing."""
+    cols = BLAS_THREADING_MNK // (rows * epoch_length)
+    return gemm_safe_block(_whole_lines(cols), rows, n_voxels)
+
+
+def _split_columns(
+    cols: int, rows: int, width: int, shares: int
+) -> tuple[list[tuple[int, int]], int]:
+    """A tile's column ``shares`` and the gemm width inside each: at
+    most ``shares`` near-equal ranges of whole gemms, each gemm at most
+    ``width`` wide, in whole cache lines, :func:`gemm_safe_block`
+    applied (so no range or gemm is one column wide).  One share is
+    the whole tile at ``width``."""
+    if shares == 1:
+        return [(0, cols)], width
+    per_share = -(-cols // shares)
+    gemms = -(-per_share // width)
+    lines = -(-per_share // (gemms * _COLUMN_QUANTUM))
+    gemm = min(width, lines * _COLUMN_QUANTUM)
+    span = gemm_safe_block(gemms * gemm, rows, cols)
+    return block_bounds(cols, span), gemm
+
+
+def _whole_lines(cols: int) -> int:
+    """``cols`` rounded down to whole cache lines of float32, at least one."""
+    return max(_COLUMN_QUANTUM, cols // _COLUMN_QUANTUM * _COLUMN_QUANTUM)
 
 
 class DenseEmitter:
@@ -439,9 +519,12 @@ class DenseEmitter:
     tile spends ``rows * DENSE_TILE_BYTES_PER_ROW`` bytes on *all*
     assigned rows, which fixes its column width; ``rows`` is a byte
     budget, not a row slice.  The default budget is
-    ``min(DENSE_TILE_ROWS, n_assigned)`` — the 1 MiB tile every run
-    walks; ``voxel_sweep`` overrides it (the block-size ablation and the
-    benchmark harness pass the paper planner's voxel block ``B``).
+    ``min(DENSE_TILE_ROWS, n_assigned)`` — a 1 MiB tile; ``voxel_sweep``
+    overrides it (the block-size ablation and the benchmark harness's
+    dense drive pass the paper planner's voxel block ``B``).  The tile
+    keeps this byte rule rather than :func:`gemm_block_cols`: that
+    drive and the ablation scale the tile by ``B``, which the gemm
+    width rule would ignore.  No run path materializes the block.
     Output lands in a caller buffer or one allocation, which the engine
     fills tile by tile.  ``finalize`` returns ``(out, n_tiles)``,
     ``n_tiles`` counting the column tiles walked,
@@ -471,12 +554,11 @@ class DenseEmitter:
         return min(DENSE_TILE_ROWS, shape.n_assigned)
 
     def plan(self, shape: EngineShape) -> TilePlan:
+        tile_bytes = self._row_budget(shape) * DENSE_TILE_BYTES_PER_ROW
+        cols = tile_bytes // (shape.n_assigned * shape.n_epochs * 4)
         return TilePlan(
-            target_block=gemm_block_cols(
-                shape.n_assigned,
-                shape.n_epochs,
-                shape.n_voxels,
-                self._row_budget(shape),
+            target_block=gemm_safe_block(
+                _whole_lines(cols), shape.n_assigned, shape.n_voxels
             )
         )
 
@@ -521,21 +603,25 @@ class GramEmitter:
     function's kernels bit for bit.  ``finalize`` returns the partials,
     ``(n_chunks, V, E, E)`` in ascending column order.
 
-    The gemm inside a chunk is issued in :func:`gemm_block_cols`
-    columns (the plan's ``target_block``): a chunk-wide gemm is large
-    enough for OpenBLAS to thread, which under the engine's own pool
-    oversubscribes the cores.  A one-row task is one tile spanning all
-    its chunks: a one-row product leaves the BLAS gemm path
-    (:func:`gemm_safe_block`), so it is issued once, full width, as the
-    materializing walk issues it.
+    The gemm inside a chunk is issued at most :func:`gemm_block_cols`
+    columns wide (the plan's ``target_block``): a chunk-wide gemm is
+    large enough for OpenBLAS to thread, which under the engine's own
+    pool oversubscribes the cores.  ``emit`` is per row, so the plan
+    sets :attr:`TilePlan.row_slabs`: a task of fewer chunks than
+    threads (every brain of up to 2,048 voxels is one chunk) has each
+    chunk's gemm dealt in column shares and its normalize + Gram in row
+    slabs, and no engine thread idles.  A one-row task is one tile
+    spanning all its chunks: a one-row product leaves the BLAS gemm
+    path (:func:`gemm_safe_block`), so it is issued once, full width, as
+    the materializing walk issues it, on one thread.
     """
 
     fused_normalization = True
 
     def __init__(self, col_start: int = 0, col_stop: int | None = None) -> None:
         self._start, self._stop = col_start, col_stop
-        #: The chunks reduced, the widest tile walked and the width its
-        #: gemms were issued in (introspection/counters).
+        #: The chunks reduced, the widest tile walked and the widest
+        #: gemm issued in it (introspection/counters).
         self.chunks: list[tuple[int, int]] = []
         self.tile_cols = 0
         self.gemm_cols = 0
@@ -550,9 +636,10 @@ class GramEmitter:
             columns = ((columns[0][0], columns[-1][1]),)
         return TilePlan(
             target_block=gemm_block_cols(
-                shape.n_assigned, shape.n_epochs, shape.n_voxels
+                shape.n_assigned, shape.epoch_length, shape.n_voxels
             ),
             columns=columns,
+            row_slabs=shape.n_assigned > 1,
         )
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:

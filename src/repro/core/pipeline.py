@@ -64,8 +64,10 @@ class FCMAConfig:
     How work is carved is derived, not configured here beyond
     ``task_voxels`` / ``target_block``: the 2-D runtime's tile width
     (``exec.partition.tile_cols_for``) and the dense engine's walk
-    (``core.engine.GramEmitter``: the Gram rule's chunks, each gemm
-    issued in ``core.engine.gemm_block_cols`` columns; no knob).
+    (``core.engine.GramEmitter``: the Gram rule's chunks, each gemm at
+    most ``core.engine.gemm_block_cols`` columns, ``rows * cols * T <=
+    2**18``, and a task of fewer chunks than threads split into column
+    shares and row slabs; no knob).
     """
 
     variant: Variant = "optimized"

@@ -294,48 +294,75 @@ class TestGramPlan:
     """The plan of the walk that ends in a Gram (its bits are pinned in
     ``test_gram_rule.py``, what it never holds just below)."""
 
-    @pytest.mark.parametrize("preset", ["FACE_SCENE", "ATTENTION", "WIDE"])
-    @pytest.mark.parametrize("n_assigned", [1, 16, 120])
-    def test_no_gemm_reaches_the_blas_threading_threshold(self, preset, n_assigned):
-        """OpenBLAS threads a gemm from ``m*n*k`` of ``2 * 2**18``; two
-        engine threads over a threading BLAS oversubscribe the cores, so
-        every gemm of the walk staying below that is a property, not a
-        tuned accident.  The tiles are the Gram rule's chunks, the gemm
-        inside one is issued in ``gemm_block_cols`` columns; a one-row
-        task is the exception by design — one full-width product."""
-        from repro.core.kernels import gram_chunks
+    def test_the_gemm_width_rule(self):
+        """The widest whole cache lines with ``rows * cols * T`` at most
+        OpenBLAS's threading threshold: the same 176 columns as the old
+        1 MiB / E rule at 120 rows x ``T = 12`` whatever ``E``, 592 for
+        the 36-row offline task; a one-row task is one full-width
+        product."""
+        assert engine_mod.BLAS_THREADING_MNK == 2**18
+        assert gemm_block_cols(120, 12, 34_470) == 176
+        assert gemm_block_cols(36, 12, 1_200) == 592
+        assert gemm_block_cols(36, 12, 300) == 300
+        assert gemm_block_cols(1, 12, 34_470) == 34_470
+
+    @pytest.mark.parametrize("preset", ["FACE_SCENE", "ATTENTION", "WIDE", "OFFLINE"])
+    @pytest.mark.parametrize("n_assigned", [1, 16, 36, 120])
+    def test_no_gemm_reaches_the_blas_threading_threshold(
+        self, monkeypatch, preset, n_assigned
+    ):
+        """OpenBLAS threads a gemm above ``m*n*k = 2**18``; two engine
+        threads over a threading BLAS oversubscribe the cores, so every
+        stage-1 gemm the walk issues, at any thread count, staying at or
+        below that is a property, not a tuned accident.  ``FACE_SCENE``
+        at 120 rows is the paper's task; ``OFFLINE`` (36 rows, one
+        1,200-column chunk, 72 epochs) is the offline-facescene task,
+        dealt in column shares from two threads on.  A one-row task is
+        the exception by design: one full-width product.  The spy
+        computes nothing (nor does the normalizer), so the walk at
+        Table 2's geometry costs only the scratch's untouched pages."""
         from repro.data import presets
 
+        per_subject = epoch_length = 12
         if preset == "WIDE":  # the online-wide benchmark task
-            n_epochs, n_voxels, epoch_length, per_subject = 12, 34_470, 12, 12
+            n_epochs, n_voxels = 12, 34_470
+        elif preset == "OFFLINE":
+            n_epochs, n_voxels = 72, 1_200
         else:
             spec = getattr(presets, preset)
             n_epochs, n_voxels = spec.n_epochs, spec.n_voxels
             epoch_length, per_subject = spec.epoch_length, spec.epochs_per_subject
-        shape = EngineShape(n_assigned, n_epochs, n_voxels, epoch_length, per_subject)
-        plan = GramEmitter().plan(shape)
-        # One rule sizes the dense tile and the gemm inside a chunk.
-        assert plan.target_block == DenseEmitter().plan(shape).target_block
-        assert plan.target_block == gemm_block_cols(n_assigned, n_epochs, n_voxels)
-        if n_assigned == 1:
-            assert plan.columns == ((0, n_voxels),)
-            assert plan.target_block == n_voxels
-            return
-        assert list(plan.columns) == gram_chunks(n_voxels)
-        for n0, n1 in plan.columns:
-            # What gemm_normalize_tile makes of the plan inside this tile.
-            cols = gemm_safe_block(plan.target_block, n_assigned, n1 - n0)
-            assert n_assigned * cols * epoch_length < 2 * 2**18
-            assert (n1 - n0) % cols != 1  # no one-column gemm either
+        z = np.broadcast_to(np.float32(0), (n_epochs, n_voxels, epoch_length))
+        assigned = np.arange(n_assigned)
+        gemms: list[int] = []
+
+        def spy(a, b, out=None):
+            if a.shape == (n_epochs, n_assigned, epoch_length):  # stage 1
+                gemms.append(b.shape[-1])
+            return out
+
+        monkeypatch.setattr(engine_mod.np, "matmul", spy)
+        monkeypatch.setattr(
+            engine_mod, "fuse_normalize_tile", lambda tile, *a, **k: tile
+        )
+        for threads in (1, 2, 3):
+            gemms.clear()
+            run_engine(z, assigned, per_subject, GramEmitter(), threads=threads)
+            if n_assigned == 1:
+                assert gemms == [n_voxels]
+                continue
+            assert sum(gemms) == n_voxels  # every column, once
+            assert n_assigned * max(gemms) * epoch_length <= 2**18, threads
+            assert min(gemms) > 1  # no one-column gemm either
 
     def test_the_walk_issues_its_gemms_at_the_plans_width(self, monkeypatch):
         """...and the engine really cuts each chunk's gemm there: 70
         columns as 32 + 32 + 6-column chunks, each gemm-ed in 16-column
-        blocks (4 rows x 1 KiB over 9 x 6 float32 columns = 18 -> 16)."""
+        blocks (a threshold of 9 rows x 7 x 16 columns)."""
         from repro.core import kernels
 
         monkeypatch.setattr(kernels, "GRAM_CHUNK_COLS", 32)
-        monkeypatch.setattr(engine_mod, "DENSE_TILE_BYTES_PER_ROW", 512)
+        monkeypatch.setattr(engine_mod, "BLAS_THREADING_MNK", 9 * 7 * 16)
         z, assigned = _problem(n_voxels=70)
         gemms, real = [], np.matmul
 
@@ -484,8 +511,10 @@ class TestThreadAndTileInvariance:
     def test_stress_more_threads_than_cores(self):
         """Eight threads on two-column tiles with a microsecond switch
         interval: tiles land in disjoint slices of the shared output and
-        the shared top-k slab, so a lost or misplaced write would change
-        the bytes."""
+        the shared top-k slab, and the one-chunk Gram walk's column
+        shares and row slabs in disjoint parts of its one tile and of
+        the partials, so a lost or misplaced write would change the
+        bytes."""
         z, assigned = _problem(n_epochs=6, n_voxels=62, n_assigned=12)
 
         def run(threads):
@@ -498,7 +527,8 @@ class TestThreadAndTileInvariance:
                 CSREmitter(top_k=5, voxel_sweep=5, target_block=2),
                 threads=threads,
             )
-            return dense.tobytes(), _csr_bytes(csr)
+            gram = run_engine(z, assigned, 3, GramEmitter(), threads=threads)
+            return dense.tobytes(), _csr_bytes(csr), gram.tobytes()
 
         reference = run(1)
         interval = sys.getswitchinterval()
@@ -668,6 +698,16 @@ for e, n, t, v in ((4, 2500, 12, 24), (6, 5003, 16, 64)):
         )
         csr.append((result.indices.tobytes(), result.data.tobytes()))
     assert csr[0] == csr[1] == csr[2]
+# A one-chunk task at 2 and 3 threads: its gemm dealt in column shares,
+# its normalize + Gram in row slabs.
+z = normalize_epoch_data(rng.standard_normal((24, 1200, 12)).astype(np.float32))
+assigned = np.sort(rng.choice(1200, 36, replace=False))
+block = normalize_separated(correlate_batched(z, assigned), 12)
+serial = run_engine(z, assigned, 12, GramEmitter(), threads=1)
+assert serial.tobytes() == kernel_matrix_batched(block)[None].tobytes()
+for threads in (2, 3):
+    split = run_engine(z, assigned, 12, GramEmitter(), threads=threads)
+    assert split.tobytes() == serial.tobytes(), threads
 print("ok")
 """
 
@@ -675,8 +715,9 @@ print("ok")
 @pytest.mark.parametrize("blas_threads", ["2", "4"])
 def test_invariance_holds_under_multithreaded_blas(blas_threads):
     """A multi-threaded BLAS splits M and N differently per gemm shape;
-    the column-split and thread-budget invariance — and the Gram rule's
-    "a tile's partials are the serial partials" — must survive that
+    the column-split and thread-budget invariance — the Gram rule's
+    "a tile's partials are the serial partials" and the one-chunk
+    task's column shares and row slabs — must survive that
     (the default ``fcma run`` configuration, which the benchmark
     harness — BLAS pinned to one thread — never sees)."""
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))

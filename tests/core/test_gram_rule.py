@@ -226,3 +226,79 @@ class TestFusedWalk:
         for c0, c1 in ((0, 32), (32, 60), (16, 48), (48, 60)):
             tile = tile_partial_grams(z, assigned, c0, c1, 4, workspace)
             assert np.array_equal(tile, serial[c0 // 16 : -(-c1 // 16)])
+
+
+def _hostile_task(n: int, n_assigned: int, seed: int = 0):
+    """``(24, n, 12)`` z-scored epochs whose voxel 0 is constant and
+    voxel 1 NaN, and sorted assigned rows holding both (the constant
+    one alone at one row; rows repeat when they outnumber the voxels)."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((24, n, 12)).astype(np.float32)
+    raw[:, 0] = 1.0
+    raw[:, 1, 5] = np.nan
+    z = normalize_epoch_data(raw)
+    rest = rng.choice(np.arange(2, n), max(0, n_assigned - 2), replace=n_assigned > n)
+    return z, np.sort(np.concatenate([[0, 1], rest]))[:n_assigned]
+
+
+class TestSplitWalk:
+    """A task of fewer chunks than threads is walked as ``(chunk, share)``
+    items: each chunk's gemm in column shares, then its normalize and
+    Gram in row slabs.  The partials keep every bit."""
+
+    @pytest.mark.parametrize("per_subject", [2, 12])
+    @pytest.mark.parametrize("n_assigned", [1, 2, 3, 36, 120])
+    @pytest.mark.parametrize("n", [17, 1_200, C + 1, 2 * C + 1])
+    def test_partials_equal_the_one_thread_walk_and_the_block(
+        self, n, n_assigned, per_subject
+    ):
+        z, assigned = _hostile_task(n, n_assigned, seed=n + n_assigned)
+        serial = run_engine(z, assigned, per_subject, GramEmitter(), threads=1)
+        block, _ = run_engine(z, assigned, per_subject, DenseEmitter(), threads=1)
+        expected = [
+            kernel_matrix_batched(block[:, :, c0:c1]) for c0, c1 in gram_chunks(n)
+        ]
+        assert serial.tobytes() == np.stack(expected).tobytes()
+        assert np.isnan(serial[:, assigned == 1]).all()
+        for threads in (2, 3, 4):
+            split = run_engine(z, assigned, per_subject, GramEmitter(), threads=threads)
+            assert split.tobytes() == serial.tobytes(), threads
+
+    def test_a_one_chunk_task_keeps_both_threads_busy(self, monkeypatch):
+        """At two threads a one-chunk task does gemm work and emit work
+        on both slots.  A thread's first stage-1 gemm, and its first
+        ``emit``, waits at a two-party barrier, which passes only once
+        the other slot arrives too: a walk that left one idle breaks it."""
+        import threading
+
+        from repro.core import engine
+
+        z, assigned = _hostile_task(1_200, 36, seed=1)
+        serial = run_engine(z, assigned, 12, GramEmitter(), threads=1)
+        panel = (z.shape[0], assigned.size, z.shape[2])
+        barriers = {
+            phase: threading.Barrier(2, timeout=20) for phase in ("gemm", "emit")
+        }
+        seen: dict[str, set[int]] = {phase: set() for phase in barriers}
+
+        def meet(phase: str) -> None:
+            if threading.get_ident() not in seen[phase]:
+                seen[phase].add(threading.get_ident())
+                barriers[phase].wait()
+
+        matmul, emit = np.matmul, GramEmitter.emit
+
+        def gemm_spy(a, b, out=None):
+            if a.shape == panel:
+                meet("gemm")
+            return matmul(a, b, out=out)
+
+        def emit_spy(self, tile, *bounds):
+            meet("emit")
+            return emit(self, tile, *bounds)
+
+        monkeypatch.setattr(engine.np, "matmul", gemm_spy)
+        monkeypatch.setattr(GramEmitter, "emit", emit_spy)
+        partials = run_engine(z, assigned, 12, GramEmitter(), threads=2)
+        assert len(seen["gemm"]) == len(seen["emit"]) == 2
+        assert partials.tobytes() == serial.tobytes()

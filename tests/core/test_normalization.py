@@ -461,8 +461,9 @@ def test_one_column_tile_has_the_numpy_bits():
 
 
 class TestEngineEitherBody:
-    """``run_engine`` through each emitter, one thread or two, multi-tile
-    walks: the same bits whichever normalizer body ran."""
+    """``run_engine`` through each emitter, one thread or more, multi-tile
+    walks: the same bits whichever normalizer body ran (at four threads
+    the Gram walk's three chunks are split into row slabs)."""
 
     EMITTERS = {
         "dense": lambda: BlockedDense(8),
@@ -479,7 +480,7 @@ class TestEngineEitherBody:
         csr = result[0]
         return csr.indptr.tobytes() + csr.indices.tobytes() + csr.data.tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["dense", "gram", "csr"])
     def test_same_bits_with_either_body(
         self, kind, threads, small_gram_chunks, monkeypatch

@@ -83,10 +83,10 @@ class TestOptimizedBatchedGraph:
         from repro.core import engine, kernels
 
         # Small enough that the 60-voxel brain is two tiles of two gemm
-        # blocks: a 32-column Gram chunk, and the 8-row budget x 3 KiB
-        # over 12 rows x 32 epochs x 4 bytes a column -> 16 columns.
+        # blocks: a 32-column Gram chunk, and a BLAS threading threshold
+        # of 12 rows x 12 samples x 16 columns -> 16 columns.
         monkeypatch.setattr(kernels, "GRAM_CHUNK_COLS", 32)
-        monkeypatch.setattr(engine, "DENSE_TILE_BYTES_PER_ROW", 3 * 1024)
+        monkeypatch.setattr(engine, "BLAS_THREADING_MNK", 12 * 12 * 16)
         ctx = RunContext(FCMAConfig(variant="optimized-batched"))
         execute_task(tiny_dataset, np.arange(12, dtype=np.int64), ctx)
         plan = ctx.metadata["blocking_plan"]
@@ -95,8 +95,8 @@ class TestOptimizedBatchedGraph:
             "tile_cols", "engine_threads",
         }
         # The walk the engine took: all 12 rows by one Gram chunk of
-        # columns, the gemm inside it in 16-column blocks, and the
-        # thread budget.
+        # columns, the gemm inside it in blocks of at most 16 columns,
+        # and the thread budget.
         assert (plan["voxel_block"], plan["tile_cols"]) == (12, 32)
         assert plan["target_block"] == 16
         assert plan["engine_threads"] == thread_budget()
