@@ -52,7 +52,9 @@ class OnlineClassifier:
         whole brain for the new epoch and Fisher-transforms them.  (The
         within-subject z-score needs a population; at scan time the
         Fisher-z pattern is classified directly, standard practice for
-        incremental rtfMRI feedback.)
+        per-epoch rtfMRI feedback.)  The closed loop calls this on each
+        completed epoch's window, inside its ``incremental_epoch_close``
+        kernel span.
         """
         window = np.asarray(epoch_window)
         if window.ndim != 2:
@@ -65,9 +67,8 @@ class OnlineClassifier:
     def classify_features(self, feats: np.ndarray) -> int:
         """Predicted condition from an already-computed feature row.
 
-        The streaming loop computes features incrementally (the engine's
-        :class:`~repro.core.incremental.IncrementalEmitter` produces the
-        same Fisher-z row bit for bit); this entry point lets it share
+        The closed loop times :meth:`features_for_epoch` on its own
+        (its epoch-close kernel span); this entry point lets it share
         the kernel-block + predict step with :meth:`classify_epoch`.
         """
         block = linear_kernel(

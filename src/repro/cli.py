@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = sub.add_parser(
         "rtfmri", help="closed-loop streaming session (train, then "
-                       "per-TR incremental feedback)"
+                       "per-epoch feedback)"
     )
     rt.add_argument("dataset", help="input .npz dataset (replayed as a scan)")
     rt.add_argument("--subject", type=int, default=0)
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adaptive mode: refresh the decoder after every "
                          "N feedback epochs (warm-started SMO)")
     rt.add_argument("--window-epochs", type=int, default=None,
-                    help="sliding window: retain only the most recent N "
+                    help="sliding window: retrain on only the most recent N "
                          "completed epochs (default: keep everything)")
     rt.add_argument("--latency-budget-ms", type=float, default=None,
                     help="fail (exit 1) when the p99 per-TR step latency "
@@ -845,9 +845,7 @@ def _cmd_rtfmri(args: argparse.Namespace) -> int:
             "retrain_count": session.retrain_count,
             "streaming": {
                 "trs_streamed": stats.trs_streamed,
-                "partial_updates": stats.partial_updates,
                 "epochs_completed": stats.epochs_completed,
-                "epochs_evicted": stats.epochs_evicted,
                 "warm_started_retrains": stats.warm_started_retrains,
                 "median_step_ms": stats.median_step_latency_s * 1e3,
                 "p99_step_ms": p99_ms,
@@ -869,8 +867,7 @@ def _cmd_rtfmri(args: argparse.Namespace) -> int:
                  f"({stats.warm_started_retrains} warm-started)"
                  if session.retrain_count else ""))
         print(f"streaming: {stats.trs_streamed} TRs, "
-              f"{stats.epochs_completed} epochs completed, "
-              f"{stats.epochs_evicted} evicted")
+              f"{stats.epochs_completed} epochs completed")
         print(f"step latency: median "
               f"{stats.median_step_latency_s * 1e3:.3f} ms, "
               f"p99 {p99_ms:.3f} ms, "

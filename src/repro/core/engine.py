@@ -9,8 +9,8 @@ pluggable :class:`TileEmitter` *where it was computed* (paper ideas #1
 and #2).  The emitter decides what the output *is* — per-chunk Gram
 partials (:class:`GramEmitter`: the walk every ``optimized`` run takes,
 which never holds a ``(V, E, N)`` block), the dense block
-(:class:`DenseEmitter`: the materializing form the oracles read), CSR
-fragments, or an incremental sliding-window store.
+(:class:`DenseEmitter`: the materializing form the oracles read) or
+CSR fragments.
 
 The column tiles of one sweep are dealt to a small thread pool
 (:func:`deal`; numpy releases the GIL inside matmul and the ufuncs);
@@ -233,33 +233,23 @@ class TileEmitter(Protocol):
 
     The engine drives one call sequence per run::
 
-        plan(shape) -> begin(shape, resolved_plan) -> dense_out(shape)
+        plan(shape) -> begin(shape, resolved_plan)
         emit(tile, v0, v1, n0, n1) ...    # every tile of a sweep
         end_sweep(v0, v1, fragments)      # after each voxel sweep
         finalize() -> result
 
-    ``dense_out`` returns a ``(V, E, N)`` buffer the engine fills tile
-    by tile, or ``None`` when the emitter keeps only what ``emit`` sees.
-    ``emit`` may run on a pool thread, concurrently with other tiles of
-    the same sweep: it must touch only state owned by its tile and
-    *return* what it keeps.  ``end_sweep`` runs on the calling thread
-    and receives those return values in ascending column order, so the
-    engine — not thread arrival — fixes fragment order.  The emitted
-    tile is scratch reused for a later block; copy what you keep.
-
-    ``fused_normalization`` declares whether tiles are stage-2
-    normalized before ``emit`` (dense/CSR) or arrive as raw stage-1
-    correlations (the incremental emitter defers stage 2 to its
-    sliding-window view).
+    Every tile reaches ``emit`` stage-2 normalized.  ``emit`` may run on
+    a pool thread, concurrently with other tiles of the same sweep: it
+    must touch only state owned by its tile and *return* what it keeps.
+    ``end_sweep`` runs on the calling thread and receives those return
+    values in ascending column order, so the engine — not thread
+    arrival — fixes fragment order.  The emitted tile is scratch reused
+    for a later block; copy what you keep.
     """
-
-    fused_normalization: bool
 
     def plan(self, shape: EngineShape) -> TilePlan: ...
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None: ...
-
-    def dense_out(self, shape: EngineShape) -> np.ndarray | None: ...
 
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
@@ -322,14 +312,14 @@ def run_engine(
 
     ``z`` is equation-2-normalized data ``(E, N, T)``; ``assigned`` the
     task's voxel rows.  The emitter's plan sets the tile geometry; the
-    engine owns the gemms, the (``emitter.fused_normalization``) fused
-    normalizer and the thread deal.  A sweep's items are its tiles.
-    Under a ``row_slabs`` plan, a sweep of fewer tiles than threads is
-    dealt twice instead: first ``ceil(threads / tiles)`` column shares
-    of each tile's gemm, then row slabs of each tile — at least one per
-    thread, each at most the 1 MiB L2 tile — through the normalizer and
-    ``emit``.  ``threads`` overrides :func:`thread_budget` — an
-    internal argument for tests; results do not depend on it.
+    engine owns the gemms, the fused normalizer and the thread deal.  A
+    sweep's items are its tiles.  Under a ``row_slabs`` plan, a sweep of
+    fewer tiles than threads is dealt twice instead: first
+    ``ceil(threads / tiles)`` column shares of each tile's gemm, then
+    row slabs of each tile — at least one per thread, each at most the
+    1 MiB L2 tile — through the normalizer and ``emit``.  ``threads``
+    overrides :func:`thread_budget` — an internal argument for tests;
+    results do not depend on it.
     """
     z, assigned = check_stage1_inputs(z, assigned)
     n_epochs, n_voxels, epoch_length = z.shape
@@ -350,8 +340,6 @@ def run_engine(
     plan = emitter.plan(shape).resolve(shape)
     assert plan.voxel_sweep is not None and plan.target_block is not None
     emitter.begin(shape, plan)
-    out = emitter.dense_out(shape)
-    per_subject = epochs_per_subject if emitter.fused_normalization else None
     zt = z.swapaxes(1, 2)
     blocks = (
         list(plan.columns)
@@ -369,9 +357,6 @@ def run_engine(
     n_slots = max(1, min(budget, len(blocks) * shares))
     scratch = [workspace.slot(k) for k in range(n_slots)]
     holders = len(blocks) if shares > 1 else n_slots
-    # A full-width tile is a contiguous row slab of the output: compute
-    # it in place (the incremental emitter's per-epoch plane).
-    in_place = out is not None and len(blocks) == 1 and out.flags.c_contiguous
     # Size every slot for the widest tile here, on the calling thread,
     # so a pool thread only takes views.  glibc gives each new thread a
     # malloc arena of its own; scratch a short-lived pool thread
@@ -387,12 +372,11 @@ def run_engine(
         l2_rows = l2_bytes // (4 * n_epochs * widest[2])
         slab_rows = max(1, min(-(-slab_rows // shares), l2_rows))
     for k, slot_scratch in enumerate(scratch):
-        if not in_place and k < holders:
+        if k < holders:
             slot_scratch.tile(widest)
-        if per_subject is not None:
-            slot_scratch.buffers(
-                (slab_rows, n_epochs // per_subject, per_subject, widest[2])
-            )
+        slot_scratch.buffers(
+            (slab_rows, n_epochs // epochs_per_subject, epochs_per_subject, widest[2])
+        )
     for v0, v1 in iter_blocks(shape.n_assigned, plan.voxel_sweep):
         panel = z[:, assigned[v0:v1]]  # (E, width, T) contiguous copy
         slabs = block_bounds(v1 - v0, slab_rows)
@@ -402,8 +386,6 @@ def run_engine(
         ]
 
         def tile_of(slot: int, i: int) -> np.ndarray:
-            if out is not None and in_place:
-                return out[v0:v1]
             n0, n1 = blocks[i]
             holder = scratch[i if shares > 1 else slot]
             return holder.tile((v1 - v0, n_epochs, n1 - n0))
@@ -426,10 +408,7 @@ def run_engine(
             i, k = divmod(item, len(slabs))
             (n0, n1), (r0, r1) = blocks[i], slabs[k]
             slab = tile_of(slot, i)[r0:r1]
-            if per_subject is not None:
-                fuse_normalize_tile(slab, per_subject, workspace=scratch[slot])
-            if out is not None and not in_place:
-                out[v0 + r0 : v0 + r1, :, n0:n1] = slab
+            fuse_normalize_tile(slab, epochs_per_subject, workspace=scratch[slot])
             return emitter.emit(slab, v0 + r0, v0 + r1, n0, n1)
 
         fragments = deal(len(blocks) * shares, n_slots, gemm_share)
@@ -525,13 +504,11 @@ class DenseEmitter:
     keeps this byte rule rather than :func:`gemm_block_cols`: that
     drive and the ablation scale the tile by ``B``, which the gemm
     width rule would ignore.  No run path materializes the block.
-    Output lands in a caller buffer or one allocation, which the engine
-    fills tile by tile.  ``finalize`` returns ``(out, n_tiles)``,
-    ``n_tiles`` counting the column tiles walked,
-    ``ceil(N / tile_cols)`` (the ``stage12_tiles`` counter).
+    Output lands in a caller buffer or one allocation, made and checked
+    by ``begin``; ``emit`` copies each tile into it.  ``finalize``
+    returns ``(out, n_tiles)``, ``n_tiles`` counting the column tiles
+    walked, ``ceil(N / tile_cols)`` (the ``stage12_tiles`` counter).
     """
-
-    fused_normalization = True
 
     def __init__(
         self,
@@ -566,18 +543,16 @@ class DenseEmitter:
         assert plan.target_block is not None
         self.n_tiles, self.tile_cols = 0, plan.target_block
         self.tile_rows = self._row_budget(shape)
-
-    def dense_out(self, shape: EngineShape) -> np.ndarray:
         if self._out is None:
             self._out = np.empty(shape.dense_shape, dtype=np.float32)
         else:
             validate_dense_out(self._out, shape.dense_shape)
-        return self._out
 
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int
     ) -> None:
-        pass  # the engine already copied the tile into dense_out
+        assert self._out is not None
+        self._out[v0:v1, :, n0:n1] = tile
 
     def end_sweep(self, v0: int, v1: int, fragments: Sequence[Any]) -> None:
         self.n_tiles += len(fragments)
@@ -616,8 +591,6 @@ class GramEmitter:
     the materializing walk issues it, on one thread.
     """
 
-    fused_normalization = True
-
     def __init__(self, col_start: int = 0, col_stop: int | None = None) -> None:
         self._start, self._stop = col_start, col_stop
         #: The chunks reduced, the widest tile walked and the widest
@@ -650,9 +623,6 @@ class GramEmitter:
             (len(self.chunks), shape.n_assigned, shape.n_epochs, shape.n_epochs),
             dtype=np.float32,
         )
-
-    def dense_out(self, shape: EngineShape) -> None:
-        return None
 
     def emit(
         self, tile: np.ndarray, v0: int, v1: int, n0: int, n1: int

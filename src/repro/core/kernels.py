@@ -9,15 +9,15 @@ keep 240+ voxel problems resident on the coprocessor.
 
 Two implementations are provided:
 
-* :func:`kernel_matrix_baseline` — one BLAS call per voxel: the
-  ``baseline`` pipeline's syrk, and what the per-voxel reference of
-  stage 3 (:func:`~repro.core.voxel_selection.score_voxels_reference`)
-  uses.
+* :func:`kernel_matrix_baseline` — one BLAS call per voxel: what the
+  per-voxel reference of stage 3
+  (:func:`~repro.core.voxel_selection.score_voxels_reference`) uses.
 * :func:`kernel_matrix_batched` — **all V voxel kernels at once** as a
   stacked ``(V, M, N) @ (V, N, M)`` GEMM, the batch axis that keeps many
   voxel problems in flight the way the paper keeps 240+ problems
-  resident on the coprocessor.  CSR input is Gram-ed per voxel by
-  :func:`csr_gram_panel`.
+  resident on the coprocessor.  The ``baseline`` pipeline Grams its
+  materialized block with it (:func:`repro.exec.stage_graph.score`).
+  CSR input is Gram-ed per voxel by :func:`csr_gram_panel`.
 
 Both follow **the Gram rule** (:func:`gram_chunks`): a voxel's kernel is
 the BLAS product of its first column chunk, plus the product of each

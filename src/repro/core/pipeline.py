@@ -52,12 +52,12 @@ class FCMAConfig:
     """Knobs of the single-worker pipeline.
 
     ``variant`` is the one dispatch axis; the engine emitter and the
-    default SVM backend are derived from it.  Two pipelines exist:
+    SVM backend are derived from it.  Two pipelines exist:
     ``optimized`` (the default, the paper's Section 4 — the tiled
     engine with a dense emitter; ``optimized-batched`` is an accepted
     spelling of the same pipeline) and ``baseline`` (the Section 3.2
-    implementation in all three stages, LibSVM-like solver unless
-    ``svm_backend`` overrides it), kept as the oracle.
+    implementation in all three stages, LibSVM-like solver), kept as
+    the oracle.
     ``sparse-batched`` is the optimized engine materializing CSR
     (``threshold``/``top_k``) instead of a dense array.
 
@@ -71,9 +71,6 @@ class FCMAConfig:
     """
 
     variant: Variant = "optimized"
-    #: SVM backend; None picks the variant's native one (PhiSVM for
-    #: optimized, LibSVM-like for baseline).
-    svm_backend: Backend | None = None
     svm_c: float = 1.0
     svm_tol: float = 1e-3
     #: Assigned voxels per worker task (120 for face-scene in the paper).
@@ -101,17 +98,12 @@ class FCMAConfig:
     comm_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        from ..exec.registry import BACKENDS, VARIANTS
+        from ..exec.registry import VARIANTS
 
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; choose from "
                 f"{', '.join(VARIANTS)}"
-            )
-        if self.svm_backend is not None and self.svm_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown svm_backend {self.svm_backend!r}; choose from "
-                f"{', '.join(BACKENDS)}"
             )
         if self.svm_c <= 0 or self.svm_tol <= 0:
             raise ValueError("svm_c and svm_tol must be positive")
@@ -150,13 +142,12 @@ class FCMAConfig:
         return _VARIANT_EMITTERS.get(self.variant)
 
     def resolved_backend(self) -> Backend:
-        """The backend actually used, resolving the variant default."""
-        if self.svm_backend is not None:
-            return self.svm_backend
+        """The SVM backend the variant runs: the LibSVM-like solver for
+        ``baseline``, PhiSVM for every other variant."""
         return "libsvm" if self.variant == "baseline" else "phisvm"
 
     def with_variant(self, variant: Variant) -> "FCMAConfig":
-        """Copy with a different variant (backend default re-resolves)."""
+        """Copy with a different variant (the backend follows it)."""
         return replace(self, variant=variant)
 
 

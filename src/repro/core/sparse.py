@@ -402,8 +402,6 @@ class CSREmitter:
     SparseStage12Stats)``; the stats stay available on ``.stats``.
     """
 
-    fused_normalization = True
-
     def __init__(
         self,
         *,
@@ -471,9 +469,6 @@ class CSREmitter:
         self.tiles_pruned = 0
         self.stats = None
         self.tile_rows, self.tile_cols = plan.voxel_sweep, plan.target_block
-
-    def dense_out(self, shape: EngineShape) -> None:
-        return None  # nothing dense survives: emit filters each tile
 
     def _new_scratch(self) -> Tuple[np.ndarray, np.ndarray]:
         """One top-k select pair: magnitudes and partition buffers."""

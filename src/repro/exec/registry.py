@@ -4,8 +4,9 @@
 once, in :data:`VARIANTS`: config validation and the CLI's
 ``--variant`` choices read the tuple, and
 :func:`repro.exec.stage_graph.execute_task` runs ``baseline`` (the
-oracle) or, for every other name, walk ∘ score.  The SVM backends are
-the paper's three, :data:`BACKENDS` maps each name to the factory
+oracle) or, for every other name, walk ∘ score.  The SVM backend
+follows from it (``baseline`` → the LibSVM-like solver, every other
+variant → PhiSVM): :data:`BACKENDS` maps each name to the factory
 :func:`create_backend` calls.
 """
 
@@ -41,19 +42,9 @@ def _libsvm(config: "FCMAConfig") -> "KernelBackend":
     return as_multiclass(LibSVMClassifier(c=config.svm_c, tol=config.svm_tol))
 
 
-def _libsvm_float32(config: "FCMAConfig") -> "KernelBackend":
-    from ..svm.libsvm_like import LibSVMClassifier
-    from ..svm.multiclass import as_multiclass
-
-    return as_multiclass(
-        LibSVMClassifier(c=config.svm_c, tol=config.svm_tol, single_precision=True)
-    )
-
-
 #: SVM backend name -> factory.
 BACKENDS: dict[str, BackendFactory] = {
     "libsvm": _libsvm,
-    "libsvm-float32": _libsvm_float32,
     "phisvm": _phisvm,
 }
 

@@ -106,8 +106,8 @@ ITERATIONS = MetricSpec("iterations", "count", "solver iterations")
 #: Independent SVM problems one batched solve carried (rows of its
 #: batch axis: voxels x cross-validation folds in FCMA stage 3).
 PROBLEMS = MetricSpec("problems", "count", "SVM problems in a batched solve")
-#: TR volumes folded into a streaming kernel span (the incremental
-#: engine's epoch length / update count).
+#: TR volumes a streaming kernel span covered (the length of the epoch
+#: the rtfmri loop's feedback kernel classified).
 TRS = MetricSpec("trs", "count", "TR volumes processed by the span")
 #: Times the spanned operation ran (aggregation weight for merged spans).
 CALLS = MetricSpec("calls", "count", "number of calls aggregated")

@@ -29,7 +29,6 @@ from ...perf import (
     KernelEstimate,
     model_correlation_matmul,
     model_incremental_epoch_close,
-    model_incremental_tr_update,
     model_kernel_syrk,
     model_normalization,
     model_sparse_stage12,
@@ -174,18 +173,14 @@ def predict_kernel(
                 density if density is not None else 1.0,
             )
         ])
-    if name in ("incremental_tr_update", "incremental_epoch_close"):
-        # Streaming kernels of the rtfmri loop: per-span cost of one
-        # update / one epoch close (the span's ``calls`` metric scales
-        # an aggregated tr-update span back up in enrich_spans).
+    if name == "incremental_epoch_close":
+        # The rtfmri loop's feedback kernel: one completed epoch's
+        # selected-voxel correlations with the whole brain.
         shape = IncrementalStepShape(
             n_assigned=n_assigned,
             n_voxels=spec.n_voxels,
             epoch_len=epoch_len if epoch_len else spec.epoch_length,
-            window_epochs=spec.n_epochs,
         )
-        if name == "incremental_tr_update":
-            return _combine([model_incremental_tr_update(shape, hw)])
         return _combine([model_incremental_epoch_close(shape, hw)])
     if name == "correlate_baseline":
         return _combine([model_correlation_matmul(spec, n_assigned, hw, "mkl")])
@@ -218,7 +213,6 @@ MODELED_KERNELS = (
     "normalize_separated",
     "correlate_normalize_batched",
     "correlate_normalize_sparse",
-    "incremental_tr_update",
     "incremental_epoch_close",
     "score_voxels",
 )
@@ -304,12 +298,6 @@ def enrich_spans(
         }
         if "density" in metrics:
             recorded["density"] = float(metrics["density"])
-        # The rtfmri loop records one aggregate span for all updates.
-        scale = (
-            float(metrics.get("calls") or 1.0)
-            if span.name == "incremental_tr_update"
-            else 1.0
-        )
         try:
             predicted = predict_kernel(
                 span.name, spec, n_assigned, hw, variant=variant, **recorded
@@ -319,9 +307,6 @@ def enrich_spans(
         if predicted is None:
             continue
         counters, seconds = predicted
-        if scale != 1.0:
-            counters = counters.scaled(scale)
-            seconds *= scale
         for field_name in (
             "mem_reads",
             "mem_writes",

@@ -17,18 +17,7 @@ from .matmul_model import (
     model_kernel_syrk,
     syrk_shape_for,
 )
-from .incremental_model import (
-    ACCUMULATOR_BYTES,
-    TR_UPDATE_FLOPS_PER_ELEMENT,
-    TR_UPDATE_PASSES,
-    IncrementalStepShape,
-    amortized_step_seconds,
-    incremental_speedup,
-    incremental_step_shape_for,
-    model_full_recompute_step,
-    model_incremental_epoch_close,
-    model_incremental_tr_update,
-)
+from .incremental_model import IncrementalStepShape, model_incremental_epoch_close
 from .norm_model import NORM_SWEEPS, NormSweeps, model_normalization
 from .stage12_model import (
     DISPATCH_OVERHEAD_SECONDS,
@@ -80,7 +69,6 @@ from .vtune import (
 )
 
 __all__ = [
-    "ACCUMULATOR_BYTES",
     "BatchedStage12Shape",
     "CALIBRATION",
     "CSR_ASSEMBLY_PASSES",
@@ -103,10 +91,7 @@ __all__ = [
     "SparseStage12Shape",
     "SvmVariant",
     "SyrkShape",
-    "TR_UPDATE_FLOPS_PER_ELEMENT",
-    "TR_UPDATE_PASSES",
     "TaskEstimate",
-    "amortized_step_seconds",
     "arch_key",
     "attainable_gflops",
     "baseline_report",
@@ -121,14 +106,10 @@ __all__ = [
     "format_report",
     "format_roofline_report",
     "get_calibration",
-    "incremental_speedup",
-    "incremental_step_shape_for",
     "max_resident_voxels",
     "model_batched_stage12",
     "model_correlation_matmul",
-    "model_full_recompute_step",
     "model_incremental_epoch_close",
-    "model_incremental_tr_update",
     "model_kernel_syrk",
     "model_normalization",
     "model_sparse_stage12",

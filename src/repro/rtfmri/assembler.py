@@ -109,10 +109,9 @@ class EpochAssembler:
     def in_progress(self) -> np.ndarray | None:
         """Volumes buffered in the open epoch, ``(n_voxels, t)``.
 
-        ``None`` when no labeled epoch is being assembled.  Lets a
-        streaming consumer that attaches mid-scan (e.g. the closed
-        loop's feedback phase right after training) seed its per-TR
-        state with the TRs the assembler has already absorbed.
+        ``None`` when no labeled epoch is being assembled.  The closed
+        loop reads it when training ends, to count the open epoch's TRs
+        the assembler has already absorbed as streamed.
         """
         if not self._current:
             return None

@@ -5,15 +5,15 @@ Orchestrates a full closed-loop session:
 1. **Training phase** — the first ``training_epochs`` completed epochs
    are accumulated; FCMA then selects voxels from them and trains the
    feedback classifier (the paper's online analysis, Section 5.2.2).
-2. **Feedback phase** — volumes stream through an
-   :class:`~repro.core.incremental.IncrementalEmitter`: every TR folds
-   into the in-progress epoch's running sums (an ``O(V*N)`` update, no
-   recompute over earlier TRs), and the moment an epoch completes its
-   correlation plane comes out of the engine's own batch gemm — so the
-   feedback decision is bit-for-bit the one a full recompute would make,
-   at a per-TR step cost that stays flat as the scan grows.  Per-TR step
-   latencies are recorded (:class:`StreamingStats`) so a deployment can
-   gate the p99 against the scanner's TR budget.
+2. **Feedback phase** — each volume goes to the
+   :class:`~repro.rtfmri.assembler.EpochAssembler`, which only buffers
+   it; the moment an epoch completes, the classifier computes the
+   selected voxels' Fisher-z correlations with the whole brain over the
+   window the assembler holds
+   (:meth:`~repro.analysis.online.OnlineClassifier.features_for_epoch`)
+   and classifies them.  A TR that closes no epoch costs the buffering
+   alone.  Per-TR step latencies are recorded (:class:`StreamingStats`)
+   so a deployment can gate the p99 against the scanner's TR budget.
 
 Retraining (``retrain_every``) re-runs voxel selection on everything
 collected so far — or on a sliding window of the most recent
@@ -29,7 +29,6 @@ from time import perf_counter
 import numpy as np
 
 from ..analysis.online import OnlineResult, run_online_analysis
-from ..core.incremental import IncrementalEmitter
 from ..core.pipeline import FCMAConfig
 from ..data.dataset import FMRIDataset
 from ..data.epochs import Epoch, EpochTable
@@ -64,21 +63,17 @@ class FeedbackEvent:
 
 @dataclass
 class StreamingStats:
-    """Per-TR telemetry of the feedback phase's streaming engine."""
+    """Per-TR telemetry of the feedback phase."""
 
     #: Wall-clock seconds each feedback-phase volume took end to end
-    #: (running-sum update, partial correlations, and — on epoch
-    #: boundaries — the epoch plane + classification).
+    #: (buffering it and — on epoch boundaries — the epoch's features,
+    #: classification and any retrain).
     step_latencies_s: list[float] = field(default_factory=list)
-    #: Volumes folded into the incremental state.
+    #: Labeled volumes buffered for feedback epochs, counting those of
+    #: the epoch open when training ended.
     trs_streamed: int = 0
-    #: Partial-correlation refreshes performed (one per streamed TR
-    #: once the in-progress epoch has two volumes).
-    partial_updates: int = 0
-    #: Epoch planes produced by the streaming engine.
+    #: Epochs classified in the feedback phase.
     epochs_completed: int = 0
-    #: Planes dropped off the sliding window.
-    epochs_evicted: int = 0
     #: Retrains that resumed from the previous model's duals.
     warm_started_retrains: int = 0
 
@@ -152,9 +147,9 @@ class ClosedLoopSession:
         selection and retrain on everything seen so far (warm-starting
         the SMO solve from the previous duals).
     window_epochs:
-        Sliding window: keep only the most recent N completed epochs
-        for the streaming engine and for retraining; ``None`` (default)
-        keeps everything.  Must be at least ``training_epochs``.
+        Sliding window: retrain on only the most recent N completed
+        epochs; ``None`` (default) keeps everything.  Must be at least
+        ``training_epochs``.
     context:
         Optional :class:`~repro.exec.RunContext`; the session times its
         phases through it (``train``, ``feedback``, ``retrain``,
@@ -274,37 +269,13 @@ class ClosedLoopSession:
 
     # -- streaming feedback ----------------------------------------------
 
-    def _make_emitter(self, training: OnlineResult) -> IncrementalEmitter:
-        """A streaming engine bound to the current selected voxels."""
-        return IncrementalEmitter(
-            training.classifier.voxels,
-            self._scanner.n_voxels,
-            window_epochs=self._window_epochs,
-        )
-
     def run(self) -> ClosedLoopResult:
         """Consume the whole scan; returns the session outcome."""
         assembler = EpochAssembler()
         collected: list[CompletedEpoch] = []
         result: ClosedLoopResult | None = None
-        emitter: IncrementalEmitter | None = None
-        partial_buf: np.ndarray | None = None
         stats = StreamingStats()
         since_retrain = 0
-        discard_seen = 0
-        update_seconds = 0.0
-
-        def start_streaming(training: OnlineResult) -> None:
-            nonlocal emitter, partial_buf
-            if emitter is not None:
-                # Rebinding to a new voxel set: bank the outgoing
-                # engine's eviction tally before it goes away.
-                stats.epochs_evicted += emitter.epochs_evicted
-            emitter = self._make_emitter(training)
-            partial_buf = np.empty(
-                (training.classifier.voxels.size, self._scanner.n_voxels),
-                dtype=np.float32,
-            )
 
         def handle_training(epoch: CompletedEpoch | None) -> None:
             nonlocal result
@@ -319,24 +290,21 @@ class ClosedLoopSession:
                     training_latency_s=train_timer.seconds,
                     streaming=stats,
                 )
-                start_streaming(training)
 
         def classify_completed(epoch: CompletedEpoch) -> None:
-            """Close the streaming epoch, classify its plane, retrain."""
-            nonlocal since_retrain, emitter
-            assert result is not None and emitter is not None
+            """Classify the completed epoch's window, then retrain."""
+            nonlocal since_retrain
+            assert result is not None
+            classifier = result.training.classifier
             with self.context.timer("feedback") as feedback_timer:
                 with self.context.tracer.span(
                     "incremental_epoch_close", kind="kernel"
                 ) as close_span:
-                    trs = emitter.trs_in_epoch
-                    plane = emitter.complete_epoch()
-                    close_span.add_metric("voxels", float(emitter.n_assigned))
-                    close_span.add_metric("trs", float(trs))
-                assert plane is not None  # assembler saw >= min_length TRs
+                    feats = classifier.features_for_epoch(epoch.window)
+                    close_span.add_metric("voxels", float(classifier.voxels.size))
+                    close_span.add_metric("trs", float(epoch.window.shape[1]))
                 stats.epochs_completed += 1
-                feats = emitter.fisher_features(plane)
-                predicted = result.training.classifier.classify_features(feats)
+                predicted = classifier.classify_features(feats)
             result.events.append(
                 FeedbackEvent(
                     epoch_index=epoch.index,
@@ -353,44 +321,26 @@ class ClosedLoopSession:
                 self._retrain_every is not None
                 and since_retrain >= self._retrain_every
             ):
-                previous = result.training
                 window = self._window(collected)
                 with self.context.timer("retrain"):
-                    alpha = self._warm_start_alpha(previous, window)
-                    training = self._train(window, warm_start_alpha=alpha)
-                result.training = training
+                    alpha = self._warm_start_alpha(result.training, window)
+                    result.training = self._train(window, warm_start_alpha=alpha)
                 self.retrain_count += 1
                 since_retrain = 0
-                # Selection may have picked different voxels: rebind the
-                # streaming engine (safe here — complete_epoch just
-                # reset the in-progress state, so nothing carries over).
-                if not np.array_equal(
-                    training.classifier.voxels, previous.classifier.voxels
-                ):
-                    start_streaming(training)
                 if alpha is not None:
                     stats.warm_started_retrains += 1
 
-        def handle_feedback(
-            completed: CompletedEpoch | None, volume: Volume | None
-        ) -> None:
-            """One feedback-phase step: epoch boundary, then this TR."""
-            nonlocal discard_seen, update_seconds
-            assert emitter is not None
+        def handle_feedback(volume: Volume | None) -> None:
+            """One feedback-phase step: buffer this TR (``None``: end of
+            scan), classifying the epoch it closes."""
             step_start = perf_counter()
+            completed = (
+                assembler.flush() if volume is None else assembler.push(volume)
+            )
             if completed is not None:
                 classify_completed(completed)
-            elif assembler.discarded > discard_seen:
-                # The assembler dropped a too-short fragment; mirror it.
-                emitter.discard_partial_epoch()
-            discard_seen = assembler.discarded
             if volume is not None and volume.condition is not None:
-                update_start = perf_counter()
-                emitter.push_tr(volume.data)
                 stats.trs_streamed += 1
-                if emitter.partial_correlations(out=partial_buf) is not None:
-                    stats.partial_updates += 1
-                update_seconds += perf_counter() - update_start
             step_seconds = perf_counter() - step_start
             stats.step_latencies_s.append(step_seconds)
             # One zero-width ``stream`` stage span per step: the trace's
@@ -400,23 +350,19 @@ class ClosedLoopSession:
         for volume in self._scanner.stream():
             if result is None:
                 handle_training(assembler.push(volume))
-                if result is not None and emitter is not None:
+                if result is not None:
                     # Training finished on this volume; the assembler may
-                    # already hold the open epoch's first TRs — seed the
-                    # streaming state so its window matches.
+                    # already hold the open epoch's first TRs.
                     pending = assembler.in_progress
                     if pending is not None:
-                        for t in range(pending.shape[1]):
-                            emitter.push_tr(pending[:, t])
-                            stats.trs_streamed += 1
-                    discard_seen = assembler.discarded
+                        stats.trs_streamed += pending.shape[1]
             else:
-                handle_feedback(assembler.push(volume), volume)
+                handle_feedback(volume)
 
         if result is None:
             handle_training(assembler.flush())
         else:
-            handle_feedback(assembler.flush(), None)
+            handle_feedback(None)
 
         if result is None:
             raise RuntimeError(
@@ -424,25 +370,8 @@ class ClosedLoopSession:
                 f"completed ({assembler.epochs_emitted} seen)"
             )
 
-        if emitter is not None:
-            stats.epochs_evicted += emitter.epochs_evicted
         if stats.step_latencies_s:
-            if emitter is not None and stats.trs_streamed:
-                # One aggregate kernel span for the per-TR updates — a
-                # live span per TR would cost as much as the update.
-                self.context.tracer.record(
-                    "incremental_tr_update",
-                    kind="kernel",
-                    seconds=update_seconds,
-                    metrics={
-                        "voxels": float(emitter.n_assigned),
-                        "calls": float(stats.trs_streamed),
-                    },
-                )
             self.context.increment("rtfmri_trs", stats.trs_streamed)
-            self.context.increment(
-                "rtfmri_partial_updates", stats.partial_updates
-            )
             self.context.increment(
                 "rtfmri_epochs_completed", stats.epochs_completed
             )

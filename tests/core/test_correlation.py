@@ -19,7 +19,7 @@ from repro.core.correlation import (
 from repro.core.engine import DenseEmitter, run_engine
 from repro.core.normalization import normalize_separated
 
-from .test_engine import BlockedDense
+from .test_engine import BlockedDense, raw_blocks
 
 
 def stack(n_epochs=4, n_voxels=12, t=10, seed=0):
@@ -248,7 +248,7 @@ class TestCorrelateBlocked:
         monkeypatch.setattr(engine, "DENSE_TILE_BYTES_PER_ROW", 16 * 80)
         z = normalize_epoch_data(stack(4, 53, 9, seed=4))
         assigned = np.array([0, 2, 5, 11, 12])
-        raw, _ = run_engine(z, assigned, 1, BlockedDense(tb, fused=False))
+        raw = raw_blocks(z, assigned, tb)
         assert raw.tobytes() == correlate_batched(z, assigned).tobytes()
         # Up to 1-ulp differences: BLAS picks shape-dependent kernels.
         np.testing.assert_allclose(
@@ -351,7 +351,7 @@ def test_blocked_equals_baseline_property(n_epochs, n_voxels, t, tb, seed):
     """Property: any tiling computes the same correlations bitwise."""
     z = normalize_epoch_data(stack(n_epochs, n_voxels, t, seed))
     assigned = np.arange(n_voxels)
-    blocked, _ = run_engine(z, assigned, 1, BlockedDense(tb, fused=False))
+    blocked = raw_blocks(z, assigned, tb)
     assert blocked.tobytes() == correlate_batched(z, assigned).tobytes()
     np.testing.assert_allclose(
         correlate_baseline(z, assigned), blocked, atol=3e-7, rtol=0

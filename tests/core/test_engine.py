@@ -1,11 +1,11 @@
 """Engine/emitter conformance: the protocol contract.
 
 Every emitter must observe the same call sequence from
-:func:`repro.core.engine.run_engine` — ``plan -> begin -> dense_out ->
-emit* / end_sweep* -> finalize`` — and the built-in emitters must
-reproduce their pre-refactor entry points bitwise (pinned in
-``test_stage12_equivalence.py`` / ``test_sparse_equivalence.py`` /
-``test_incremental.py``; this module pins the *protocol*).
+:func:`repro.core.engine.run_engine` — ``plan -> begin -> emit* /
+end_sweep* -> finalize`` — and the built-in emitters must reproduce
+their pre-refactor entry points bitwise (pinned in
+``test_stage12_equivalence.py`` / ``test_sparse_equivalence.py``; this
+module pins the *protocol*).
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from repro.core.engine import (
     TileEmitter,
     TilePlan,
     gemm_block_cols,
+    gemm_normalize_tile,
     gemm_safe_block,
     run_engine,
 )
-from repro.core.incremental import IncrementalEmitter
 from repro.core.kernels import kernel_matrix_batched
 from repro.core.normalization import NormalizationWorkspace, normalize_separated
 from repro.core.sparse import CSREmitter
+from repro.core.tiling import block_bounds
 
 
 def _problem(n_epochs=6, n_voxels=23, epoch_len=7, n_assigned=9, seed=3):
@@ -53,13 +54,11 @@ def _problem(n_epochs=6, n_voxels=23, epoch_len=7, n_assigned=9, seed=3):
 
 class BlockedDense(DenseEmitter):
     """A dense emitter whose column block the test chooses (made
-    gemm-safe like the real plan), instead of deriving it from bytes.
-    ``fused=False`` leaves raw stage-1 correlations in the tiles."""
+    gemm-safe like the real plan), instead of deriving it from bytes."""
 
-    def __init__(self, cols: int, *, fused: bool = True, **kwargs):
+    def __init__(self, cols: int, **kwargs):
         super().__init__(**kwargs)
         self._cols = cols
-        self.fused_normalization = fused
 
     def plan(self, shape: EngineShape) -> TilePlan:
         return TilePlan(
@@ -69,14 +68,29 @@ class BlockedDense(DenseEmitter):
         )
 
 
+def raw_blocks(z: np.ndarray, assigned: np.ndarray, cols: int) -> np.ndarray:
+    """Raw stage-1 correlations ``(V, E, N)``, walked in column blocks
+    of ``cols`` (made gemm-safe like the real plan), each block through
+    the call ``run_engine``'s gemm shares make: the column-block
+    contract every emitter's tiles rest on."""
+    n_epochs, n_voxels, _ = z.shape
+    panel = z[:, assigned]  # (E, V, T) contiguous copy, as the engine's
+    zt = z.swapaxes(1, 2)
+    width = gemm_safe_block(cols, assigned.size, n_voxels)
+    out = np.empty((assigned.size, n_epochs, n_voxels), dtype=np.float32)
+    for n0, n1 in block_bounds(n_voxels, width):
+        tile = np.empty((assigned.size, n_epochs, n1 - n0), dtype=np.float32)
+        gemm_normalize_tile(panel, zt[:, :, n0:n1], tile, None, gemm_cols=width)
+        out[:, :, n0:n1] = tile
+    return out
+
+
 class RecordingEmitter:
     """Protocol probe: records the engine's call sequence."""
 
-    def __init__(self, fused: bool, target_block: int | None = None):
-        self.fused_normalization = fused
+    def __init__(self, target_block: int | None = None):
         self._target_block = target_block
         self.calls: list[tuple] = []
-        self._out: np.ndarray | None = None
 
     def plan(self, shape: EngineShape) -> TilePlan:
         self.calls.append(("plan", shape))
@@ -84,11 +98,6 @@ class RecordingEmitter:
 
     def begin(self, shape: EngineShape, plan: TilePlan) -> None:
         self.calls.append(("begin", shape, plan))
-
-    def dense_out(self, shape: EngineShape) -> np.ndarray:
-        self.calls.append(("dense_out", shape))
-        self._out = np.empty(shape.dense_shape, dtype=np.float32)
-        return self._out
 
     def emit(self, tile, v0, v1, n0, n1):
         self.calls.append(("emit", v0, v1, n0, n1, tile.shape))
@@ -107,20 +116,17 @@ class TestProtocolSequence:
         assert isinstance(DenseEmitter(), TileEmitter)
         assert isinstance(GramEmitter(), TileEmitter)
         assert isinstance(CSREmitter(top_k=3), TileEmitter)
-        assert isinstance(
-            IncrementalEmitter(np.array([0]), 4), TileEmitter
-        )
-        assert isinstance(RecordingEmitter(fused=True), TileEmitter)
+        assert isinstance(RecordingEmitter(), TileEmitter)
 
     def test_full_width_sequence(self):
         z, assigned = _problem()
-        probe = RecordingEmitter(fused=True)
+        probe = RecordingEmitter()
         calls = run_engine(z, assigned, 3, probe)
         names = [c[0] for c in calls]
-        # plan -> begin -> dense_out -> (emit, end_sweep)* -> finalize
-        assert names[:3] == ["plan", "begin", "dense_out"]
+        # plan -> begin -> (emit, end_sweep)* -> finalize
+        assert names[:2] == ["plan", "begin"]
         assert names[-1] == "finalize"
-        body = names[3:-1]
+        body = names[2:-1]
         assert body == ["emit", "end_sweep"] * (len(body) // 2)
         # Full-width emits span the whole target axis.
         for call in calls:
@@ -131,7 +137,7 @@ class TestProtocolSequence:
 
     def test_tiled_sequence_covers_geometry(self):
         z, assigned = _problem()
-        probe = RecordingEmitter(fused=False, target_block=8)
+        probe = RecordingEmitter(target_block=8)
         calls = run_engine(z, assigned, 3, probe)
         emitted = np.zeros((assigned.size, z.shape[1]), dtype=int)
         for call in calls:
@@ -148,7 +154,7 @@ class TestProtocolSequence:
 
     def test_begin_sees_resolved_plan(self):
         z, assigned = _problem()
-        probe = RecordingEmitter(fused=True)
+        probe = RecordingEmitter()
         calls = run_engine(z, assigned, 3, probe)
         (_, shape, plan) = next(c for c in calls if c[0] == "begin")
         assert shape.n_assigned == assigned.size
@@ -159,7 +165,7 @@ class TestProtocolSequence:
     def test_epoch_divisibility_validated(self):
         z, assigned = _problem(n_epochs=6)
         with pytest.raises(ValueError, match="divisible"):
-            run_engine(z, assigned, 4, RecordingEmitter(fused=True))
+            run_engine(z, assigned, 4, RecordingEmitter())
 
 
 class TestBuiltinEmitterReturns:
@@ -177,12 +183,6 @@ class TestBuiltinEmitterReturns:
         result, stats = run_engine(z, assigned, 3, CSREmitter(top_k=4))
         assert result.nnz == assigned.size * z.shape[0] * 4
         assert stats.n_tiles >= 1
-
-    def test_incremental(self):
-        z, assigned = _problem()
-        emitter = IncrementalEmitter(assigned, z.shape[1])
-        window = run_engine(z, assigned, 1, emitter)
-        assert window == z.shape[0] == emitter.window_size
 
     def test_dense_out_validation(self):
         z, assigned = _problem()
@@ -276,18 +276,6 @@ class TestDensePlan:
         assert gemm_safe_block(8, 5, 33) == 9  # no 1-column tail
         assert gemm_safe_block(99, 5, 30) == 30
         assert gemm_safe_block(8, 1, 30) == 30  # 1 row: one tile
-
-    def test_full_width_tile_is_computed_in_the_output(self):
-        """One tile spanning the target axis is gemm-ed and normalized
-        in the emitter's buffer: no scratch tile, no copy (the
-        incremental emitter's per-epoch plane)."""
-        z, assigned = _problem()
-        workspace = NormalizationWorkspace()
-        probe = RecordingEmitter(fused=True)
-        run_engine(z, assigned, 3, probe, workspace=workspace)
-        assert workspace.allocations == 1  # the normalizer set, no tile
-        reference = normalize_separated(correlate_batched(z, assigned), 3)
-        assert probe._out.tobytes() == reference.tobytes()
 
 
 class TestGramPlan:

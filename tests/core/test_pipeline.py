@@ -19,10 +19,6 @@ class TestConfig:
     def test_baseline_defaults_to_libsvm(self):
         assert FCMAConfig(variant="baseline").resolved_backend() == "libsvm"
 
-    def test_explicit_backend_wins(self):
-        cfg = FCMAConfig(variant="baseline", svm_backend="phisvm")
-        assert cfg.resolved_backend() == "phisvm"
-
     def test_with_variant(self):
         cfg = FCMAConfig().with_variant("baseline")
         assert cfg.resolved_backend() == "libsvm"
@@ -31,7 +27,7 @@ class TestConfig:
         "kwargs",
         [
             {"variant": "bogus"},
-            {"svm_backend": "bogus"},
+            {"comm_timeout": 0},
             {"svm_c": 0},
             {"task_voxels": 0},
             {"target_block": 0},
@@ -51,7 +47,7 @@ class TestConfig:
             "voxel_block", "emitter", "chunksize",
             # Spelled in halves so a repo-wide grep for the deleted
             # names stays empty.
-            "auto" "tune_blocks", "plan_" "cache_path",
+            "auto" "tune_blocks", "plan_" "cache_path", "svm_" "backend",
         ],
     )
     def test_removed_knobs_are_not_ignored_kwargs(self, knob):
@@ -82,9 +78,6 @@ class TestConfig:
         assert isinstance(opt._backend, PhiSVM)
         base = create_backend(FCMAConfig(variant="baseline"))
         assert isinstance(base._backend, LibSVMClassifier)
-        sp = create_backend(FCMAConfig(svm_backend="libsvm-float32"))
-        assert isinstance(sp._backend, LibSVMClassifier)
-        assert sp._backend.single_precision
 
 
 class TestPreprocessCache:

@@ -23,7 +23,7 @@ from repro.core.engine import DenseEmitter, EngineShape, run_engine
 from repro.core.normalization import normalize_separated
 from repro.obs import Tracer, use_tracer
 
-from .test_engine import BlockedDense
+from .test_engine import raw_blocks
 
 # (n_epochs, n_voxels, epoch_len, n_assigned, voxel_block, target_block,
 #  epochs_per_subject) — deliberately awkward shapes: n_voxels not
@@ -72,7 +72,7 @@ class TestStage1Equivalence:
     ):
         z, assigned = _problem(n_epochs, n_voxels, epoch_len, n_assigned, seed)
         base = correlate_baseline(z, assigned)
-        tiled, _ = run_engine(z, assigned, eps, BlockedDense(tb, fused=False))
+        tiled = raw_blocks(z, assigned, tb)
         batched = correlate_batched(z, assigned)
         assert tiled.tobytes() == batched.tobytes()
         np.testing.assert_allclose(batched, base, atol=3e-7, rtol=0)
@@ -156,9 +156,6 @@ class TestPropertyBasedEquivalence:
         base = correlate_baseline(z, assigned)
         with use_tracer(Tracer()):
             batched = correlate_batched(z, assigned)
-            tiled, _ = run_engine(
-                z, assigned, eps,
-                BlockedDense(max(1, n_voxels // 3), fused=False),
-            )
+            tiled = raw_blocks(z, assigned, max(1, n_voxels // 3))
         assert tiled.tobytes() == batched.tobytes()
         np.testing.assert_allclose(batched, base, atol=3e-7, rtol=0)

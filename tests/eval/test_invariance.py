@@ -3,11 +3,7 @@
 The accuracy gate is only trustworthy if *every* compute path reports
 the same number: dense and CSR emitters, under the serial and
 master-worker executors, must produce identical voxel selections on
-a scenario dataset — hence identical :class:`SelectionScore`s.  The
-incremental (streaming) emitter has no batch-selection variant, so it
-is pinned at the correlation plane instead: streaming the scenario's
-epochs TR by TR reproduces the batch stage-1/2 output bitwise, and
-stage 3 is shared, so its selection cannot diverge either.
+a scenario dataset — hence identical :class:`SelectionScore`s.
 """
 
 from __future__ import annotations
@@ -16,9 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import FCMAConfig
-from repro.core.correlation import normalize_epoch_data
-from repro.core.engine import DenseEmitter, run_engine
-from repro.core.incremental import IncrementalEmitter
 from repro.data.designs import (
     ConnectivityConfig,
     GroundTruthConfig,
@@ -93,26 +86,3 @@ class TestCrossPathInvariance:
         assert score_selection(scores, truth) == score_selection(
             reference, truth
         )
-
-
-class TestIncrementalEmitterInvariance:
-    def test_streaming_planes_match_batch_on_scenario_data(self, dataset):
-        """Scenario epochs streamed TR by TR == batch stage 1/2, bitwise."""
-        assigned = np.arange(0, SCENARIO.n_voxels, 3, dtype=np.int64)
-        for subject in dataset.subject_ids():
-            bold = dataset.subject_data(subject)
-            windows = [
-                bold[:, e.as_slice()] for e in dataset.epochs.for_subject(subject)
-            ]
-            emitter = IncrementalEmitter(assigned, SCENARIO.n_voxels)
-            for window in windows:
-                for t in range(window.shape[1]):
-                    emitter.push_tr(window[:, t])
-                assert emitter.complete_epoch() is not None
-            batch, _ = run_engine(
-                normalize_epoch_data(np.stack(windows)),
-                assigned,
-                len(windows),
-                DenseEmitter(),
-            )
-            assert np.array_equal(emitter.normalized(), batch)

@@ -12,7 +12,7 @@ from repro.exec.registry import BACKENDS, VARIANTS, create_backend
 
 class TestBuiltins:
     def test_paper_backends_preseeded(self):
-        assert tuple(BACKENDS) == ("libsvm", "libsvm-float32", "phisvm")
+        assert tuple(BACKENDS) == ("libsvm", "phisvm")
 
     def test_paper_variants_always_listed(self):
         assert set(VARIANTS) >= {"baseline", "optimized"}
@@ -55,10 +55,6 @@ class TestBuiltins:
             execute_task(tiny_dataset, np.arange(4), ctx)
             assert list(ctx.stages)[-1] == "score"
 
-    def test_unknown_backend_lists_options(self):
-        with pytest.raises(ValueError, match="phisvm"):
-            FCMAConfig(svm_backend="nope")
-
     def test_unknown_variant_lists_options(self):
         with pytest.raises(ValueError, match="baseline"):
             FCMAConfig(variant="nope")
@@ -70,8 +66,6 @@ class TestRegistration:
     def test_config_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="variant"):
             FCMAConfig(variant="nope")
-        with pytest.raises(ValueError, match="svm_backend"):
-            FCMAConfig(svm_backend="nope")
 
 
 class TestCreateBackend:
@@ -82,7 +76,12 @@ class TestCreateBackend:
             optimized is not baseline
         )
 
-    def test_explicit_backend_wins(self):
-        config = FCMAConfig(variant="optimized", svm_backend="libsvm")
-        assert config.resolved_backend() == "libsvm"
-        create_backend(config)  # must build without error
+    def test_backend_follows_the_variant(self):
+        """One dispatch axis: the backend is the variant's, and every
+        variant's builds."""
+        for name in VARIANTS:
+            sparse = {"top_k": 4} if name == "sparse-batched" else {}
+            config = FCMAConfig(variant=name, **sparse)
+            expected = "libsvm" if name == "baseline" else "phisvm"
+            assert config.resolved_backend() == expected
+            create_backend(config)  # must build without error

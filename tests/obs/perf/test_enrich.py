@@ -247,7 +247,7 @@ class TestPredictKernel:
 
 
 class TestIncrementalSpans:
-    """Streaming kernel spans from the rtfmri loop enrich correctly."""
+    """The rtfmri loop's feedback kernel span enriches correctly."""
 
     def _spans(self):
         return [
@@ -257,11 +257,6 @@ class TestIncrementalSpans:
                 t0=0.0, t1=0.1, parent_id=0,
                 metrics={"voxels": 20.0, "trs": 12.0},
             ),
-            Span(
-                span_id=2, name="incremental_tr_update", kind="kernel",
-                t0=0.1, t1=0.2, parent_id=0,
-                metrics={"voxels": 20.0, "calls": 100.0},
-            ),
         ]
 
     def _geometry(self):
@@ -269,33 +264,17 @@ class TestIncrementalSpans:
             n_voxels=60, n_subjects=4, n_epochs=32, epoch_length=12
         )
 
-    def test_both_streaming_kernels_enrich(self):
+    def test_epoch_close_span_enriches(self):
         spans = self._spans()
-        assert enrich_spans(spans, geometry=self._geometry()) == 2
-        for span in spans[1:]:
-            assert span.metrics["predicted_seconds"] > 0
-            assert span.metrics["pc.flops"] > 0
-
-    def test_aggregate_update_span_scales_by_calls(self):
-        one, many = self._spans(), self._spans()
-        many[2].metrics["calls"] = 1000.0
-        one[2].metrics["calls"] = 1.0
-        assert enrich_spans(one, geometry=self._geometry()) == 2
-        assert enrich_spans(many, geometry=self._geometry()) == 2
-        ratio = (
-            many[2].metrics["predicted_seconds"]
-            / one[2].metrics["predicted_seconds"]
-        )
-        assert ratio == pytest.approx(1000.0)
-        assert many[2].metrics["pc.flops"] == pytest.approx(
-            1000.0 * one[2].metrics["pc.flops"]
-        )
+        assert enrich_spans(spans, geometry=self._geometry()) == 1
+        assert spans[1].metrics["predicted_seconds"] > 0
+        assert spans[1].metrics["pc.flops"] > 0
 
     def test_epoch_close_uses_recorded_trs(self):
         short, long = self._spans(), self._spans()
         long[1].metrics["trs"] = 120.0
-        assert enrich_spans(short, geometry=self._geometry()) == 2
-        assert enrich_spans(long, geometry=self._geometry()) == 2
+        assert enrich_spans(short, geometry=self._geometry()) == 1
+        assert enrich_spans(long, geometry=self._geometry()) == 1
         # Ten times the TRs -> ten times the boundary gemm FLOPs.
         assert long[1].metrics["pc.flops"] == pytest.approx(
             10.0 * short[1].metrics["pc.flops"]

@@ -48,7 +48,8 @@ class TestTileKernelEnrichment:
         assert "score_voxels" in MODELED_KERNELS
         assert "correlate_normalize_tile2d" not in MODELED_KERNELS
         assert "score_panel" not in MODELED_KERNELS
-        assert len(MODELED_KERNELS) == 7
+        assert "incremental_tr_update" not in MODELED_KERNELS
+        assert len(MODELED_KERNELS) == 6
 
     def test_tile_spans_gain_predictions(self, tiled_spans):
         tiles = [

@@ -237,14 +237,12 @@ class TestRtfmri:
         assert report["feedback_accuracy"] == 0.8333333333333334
         streaming = {
             k: report["streaming"][k]
-            for k in ("trs_streamed", "partial_updates", "epochs_completed",
-                      "epochs_evicted", "warm_started_retrains")
+            for k in ("trs_streamed", "epochs_completed",
+                      "warm_started_retrains")
         }
         assert streaming == {
             "trs_streamed": 144,
-            "partial_updates": 132,
             "epochs_completed": 12,
-            "epochs_evicted": 0,
             "warm_started_retrains": 0,
         }
 
